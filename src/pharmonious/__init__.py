@@ -25,8 +25,7 @@ from .radius import (AdmissibilityReport, Modulus, ParameterGate, RadiusField,
 from .regularity import (EmpiricalHolder, RegularityCertificate,
                          TheoreticalModulus, ModulusFamily, branch_constant,
                          certified_holder_constant, certify, empirical_holder,
-                         fixed_point_oscillation_bound, space_constants,
-                         theoretical_modulus)
+                         fixed_point_oscillation_bound, space_constants)
 from .solver import (GateVerdict, SolveConfig, SolveReport,
                      equicontinuity_gate, iterate_modulus_bound, residual,
                      root_test_margin, solve_dirichlet)

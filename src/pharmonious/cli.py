@@ -163,6 +163,9 @@ def cmd_solve(args):
     rho = _build_rho(args, space)
     bvals = _boundary_values(args, space)
     if args.epsilon is not None and not args.force:
+        if args.lam is None:
+            raise SpaceFormatError("the parameter gate (--epsilon) needs --lam; "
+                                   "pass --lam or --force")
         bounds = radius.check_radius_bounds(space, rho, args.lam, args.beta,
                                             args.epsilon)
         L = radius.fit_lipschitz(space, rho, seed=args.seed)

@@ -18,60 +18,14 @@ explicit).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import radius as radius_mod
 from .errors import SpaceFormatError
-from .radius import Modulus, least_concave_majorant
-
-try:
-    import warnings
-
-    import numba
-
-    # environment noise from the threading-layer probe
-    warnings.filterwarnings("ignore", message="The TBB threading layer requires")
-
-    @numba.njit(parallel=True, cache=True)
-    def _sweep_kernel(indices, starts, counts, weights, wsums, centers,
-                      values, alpha, out):  # pragma: no cover - compiled
-        for s in numba.prange(len(starts)):
-            st = starts[s]
-            c = counts[s]
-            cv = values[centers[s]]
-            acc = 0.0
-            mx = values[indices[st]]
-            mn = mx
-            for k in range(st, st + c):
-                v = values[indices[k]]
-                acc += weights[k] * (v - cv)
-                if v > mx:
-                    mx = v
-                if v < mn:
-                    mn = v
-            m = cv + acc / wsums[s]
-            if alpha == 0.0:
-                out[s] = m
-            elif alpha == 1.0:
-                out[s] = 0.5 * (mx + mn)
-            else:
-                out[s] = m + alpha * (0.5 * (mx + mn) - m)
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-USE_COMPILED_SWEEP = _HAVE_NUMBA
-
-
-def set_thread_count(threads):
-    """Pin the sweep kernel's thread pool; numeric output never changes
-    (each ball reduces sequentially in a fixed order)."""
-    if _HAVE_NUMBA and threads and threads > 0:
-        numba.set_num_threads(min(int(threads), numba.config.NUMBA_NUM_THREADS))
+from .radius import Modulus
+from .space import read_id_csv, write_id_csv
 
 
 @dataclass
@@ -82,11 +36,9 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = field_values(self.values)
         if len(v) != len(self.space):
             raise SpaceFormatError("field length does not match space")
-        if not np.all(np.isfinite(v)):
-            raise SpaceFormatError("field contains non-finite values")
         self.values = v
 
     def sup_norm(self):
@@ -97,8 +49,11 @@ class ScalarField:
 
 
 def field_values(u):
-    """Accept a ScalarField or a bare array."""
-    return np.asarray(getattr(u, "values", u), dtype=float)
+    """Accept a ScalarField or a bare array; non-finite values are refused."""
+    v = np.asarray(getattr(u, "values", u), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise SpaceFormatError("field contains non-finite values")
+    return v
 
 
 @dataclass
@@ -140,56 +95,22 @@ class CheckRecord:
 
 
 class BallTable:
-    """CSR-style membership of the radius balls of the given centers.
-
-    Euclidean spaces use a KD-tree to collect candidate members inside a
-    hair-slack radius, then re-filter with the canonical distance formula
-    so membership ties are decided exactly as space.ball decides them.
-    """
+    """CSR-style membership of the radius balls of the given centers, as
+    Space.balls computes them."""
 
     def __init__(self, space, rho, centers=None):
         if centers is None:
             centers = space.interior_indices
         self.space = space
         self.centers = np.asarray(centers, dtype=int)
-        if space.metric == "euclidean" and len(self.centers):
-            chunks, counts = self._build_euclidean(space, rho)
-        else:
-            chunks, counts = self._build_scan(space, rho)
-        self.indices = np.concatenate(chunks) if chunks else np.array([], dtype=int)
-        counts = np.asarray(counts, dtype=np.intp)
-        self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
-        self.counts = counts
+        self.indices, self.counts = space.balls(self.centers,
+                                                rho.values[self.centers])
+        self.starts = np.cumsum(self.counts) - self.counts
         self.weights = space.weights[self.indices]
         self.weight_sums = np.add.reduceat(self.weights, self.starts) \
             if len(self.indices) else np.array([])
         # maps each member slot back to its segment (for centered means)
         self.segment_of = np.repeat(np.arange(len(self.centers)), self.counts)
-
-    def _build_euclidean(self, space, rho):
-        coords = space.coords
-        tree = space.kdtree()
-        radii = rho.values[self.centers]
-        cands = tree.query_ball_point(coords[self.centers],
-                                      radii * (1.0 + 1e-9), return_sorted=True)
-        chunks, counts = [], []
-        for x, r, cand in zip(self.centers, radii, cands):
-            cand = np.asarray(cand, dtype=np.intp)
-            diff = coords[cand] - coords[x]
-            inside = np.sqrt((diff * diff).sum(axis=1)) <= r
-            members = cand[inside]
-            chunks.append(members)
-            counts.append(len(members))
-        return chunks, counts
-
-    def _build_scan(self, space, rho):
-        chunks, counts = [], []
-        for blk, dmat in space._distance_block(self.centers):
-            inside = dmat <= rho.values[blk][:, None]
-            rows, cols = np.nonzero(inside)
-            chunks.append(cols)
-            counts.extend(np.bincount(rows, minlength=len(blk)).tolist())
-        return chunks, counts
 
     def means(self, values, gathered=None):
         # centered form: constants are exact fixed points and symmetric
@@ -208,13 +129,6 @@ class BallTable:
                       + np.minimum.reduceat(gathered, self.starts))
 
     def alpha_means(self, values, alpha):
-        if USE_COMPILED_SWEEP and len(self.indices):
-            out = np.empty(len(self.centers))
-            _sweep_kernel(self.indices, self.starts, self.counts,
-                          self.weights, self.weight_sums, self.centers,
-                          np.ascontiguousarray(values, dtype=float),
-                          float(alpha), out)
-            return out
         gathered = values[self.indices]
         m = self.means(values, gathered)
         if alpha == 0.0:
@@ -225,25 +139,19 @@ class BallTable:
         return m + alpha * (s - m)
 
 
-def _single_ball_table(space, rho, x):
-    return BallTable(space, rho, centers=[x])
-
-
 def mean_value(space, rho, u, x):
     """Measure-weighted average of u over the radius ball of x."""
-    table = _single_ball_table(space, rho, x)
-    return float(table.alpha_means(field_values(u), 0.0)[0])
+    return alpha_mean_value(space, rho, u, x, 0.0)
 
 
 def midrange_value(space, rho, u, x):
     """(max + min)/2 of u over the radius ball of x."""
-    table = _single_ball_table(space, rho, x)
-    return float(table.alpha_means(field_values(u), 1.0)[0])
+    return alpha_mean_value(space, rho, u, x, 1.0)
 
 
 def alpha_mean_value(space, rho, u, x, alpha):
     """alpha * midrange + (1 - alpha) * mean at x; any real alpha."""
-    table = _single_ball_table(space, rho, x)
+    table = BallTable(space, rho, centers=[x])
     return float(table.alpha_means(field_values(u), alpha)[0])
 
 
@@ -261,14 +169,15 @@ def apply_alpha_mean(space, rho, u, alpha, table=None):
 # -- symmetric differences -----------------------------------------------------
 
 
+def _symdiff_ratio(space, b1, b2):
+    m1, m2 = space.measure(b1.members), space.measure(b2.members)
+    inter = np.intersect1d(b1.members, b2.members, assume_unique=True)
+    return (m1 + m2 - 2.0 * space.measure(inter)) / max(m1, m2)
+
+
 def ball_symdiff_ratio(space, rho, x, y):
     """mu(B_x symdiff B_y) / max(mu(B_x), mu(B_y)); lies in [0, 2]."""
-    bx = space.ball(x, rho[x])
-    by = space.ball(y, rho[y])
-    mx, my = space.measure(bx.members), space.measure(by.members)
-    inter = np.intersect1d(bx.members, by.members, assume_unique=True)
-    mu_sym = mx + my - 2.0 * space.measure(inter)
-    return mu_sym / max(mx, my)
+    return _symdiff_ratio(space, space.ball(x, rho[x]), space.ball(y, rho[y]))
 
 
 def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
@@ -291,20 +200,13 @@ def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
         return float(np.add.reduceat(w * v[members], zero)[0]
                      / np.add.reduceat(w, zero)[0])
 
-    def ratio(b1, b2):
-        m1, m2 = space.measure(b1.members), space.measure(b2.members)
-        inter = np.intersect1d(b1.members, b2.members, assume_unique=True)
-        return (m1 + m2 - 2.0 * space.measure(inter)) / max(m1, m2)
-
     lhs = abs(mean_over(ball1.members) - mean_over(ball2.members))
-    rhs = 2.0 * norm * ratio(ball1, ball2)
+    rhs = 2.0 * norm * _symdiff_ratio(space, ball1, ball2)
     passed = lhs <= rhs + tol
     details = {}
     if rho is not None:
         x, y = ball1.center, ball2.center
-        bx = space.ball(x, rho[x])
-        by = space.ball(y, rho[y])
-        rhs_iter = 2.0 * norm * ratio(bx, by)
+        rhs_iter = 2.0 * norm * ball_symdiff_ratio(space, rho, x, y)
         table = BallTable(space, rho)
         w = v.copy()
         iter_records = []
@@ -370,11 +272,7 @@ def hausdorff_gaps(space, rho, x, y, normalized=None, slack=None):
         slack = 2.0 * space.resolution()
     bx = space.ball(x, rho[x])
     by = space.ball(y, rho[y])
-    if space.metric == "euclidean":
-        diff = space.coords[bx.members][:, None, :] - space.coords[by.members][None, :, :]
-        sub = np.sqrt((diff * diff).sum(axis=2))
-    else:
-        sub = np.vstack([space.distances_from(i)[by.members] for i in bx.members])
+    sub = space.distances(bx.members, by.members)
     g_xy = float(sub.min(axis=1).max())
     g_yx = float(sub.min(axis=0).max())
     gaps = GapPair(sup_inf_xy=g_xy, sup_inf_yx=g_yx)
@@ -405,27 +303,9 @@ def hausdorff_gaps(space, rho, x, y, normalized=None, slack=None):
     return gaps, rec
 
 
-def oscillation_modulus(space, u, members, seed=0, max_pairs=200_000):
+def oscillation_modulus(space, u, members, seed=0):
     """Least concave majorant of the oscillation scatter of u over the set."""
-    members = np.asarray(members, dtype=int)
-    v = field_values(u)
-    n = len(members)
-    if n < 2:
-        return Modulus.from_breakpoints([0.0, max(space.diameter(), 1.0)],
-                                        [0.0, 0.0], space.diameter())
-    if n * (n - 1) // 2 <= max_pairs:
-        ii, jj = np.triu_indices(n, k=1)
-        ii, jj = members[ii], members[jj]
-    else:
-        rng = np.random.default_rng(seed)
-        ii = members[rng.integers(0, n, size=max_pairs)]
-        jj = members[rng.integers(0, n, size=max_pairs)]
-    if space.metric == "euclidean":
-        d = np.sqrt(((space.coords[ii] - space.coords[jj]) ** 2).sum(axis=1))
-    else:
-        d = np.array([space.distance(a, b) for a, b in zip(ii, jj)])
-    gaps = np.abs(v[ii] - v[jj])
-    return least_concave_majorant(d, gaps, space.diameter())
+    return radius_mod.gap_majorant(space, field_values(u), members, seed)
 
 
 def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus,
@@ -485,30 +365,8 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus,
 
 def read_field_csv(space, path):
     """Field file: header id,value; ids must match the space."""
-    values = np.full(len(space), np.nan)
-    id_to_index = {int(pid): k for k, pid in enumerate(space.ids)}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["id", "value"]:
-            raise SpaceFormatError(f"{path}: expected header 'id,value'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                idx = id_to_index[int(row[0])]
-            except (KeyError, ValueError) as exc:
-                raise SpaceFormatError(f"{path}: unknown or invalid id in row {row!r}") from exc
-            values[idx] = float(row[1])
-    if np.any(np.isnan(values)):
-        raise SpaceFormatError(f"{path}: missing value for some points")
-    return values
+    return read_id_csv(space, path, "value")
 
 
 def write_field_csv(space, values, path):
-    values = field_values(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "value"])
-        for pid, v in zip(space.ids, values):
-            writer.writerow([int(pid), repr(float(v))])
+    write_id_csv(space, path, "value", field_values(values))

@@ -11,7 +11,6 @@ ball hull tie radius decay near the boundary to the nesting of compacts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpaceFormatError
-
-_PAIR_SAMPLE_THRESHOLD = 5_000
-_PAIR_SAMPLE_COUNT = 1_000_000
+from .space import read_id_csv, write_id_csv
 
 
 class Modulus:
@@ -176,20 +173,13 @@ class Modulus:
         return cls.from_breakpoints(ts, ys)
 
 
-def least_concave_majorant(ds, gaps, domain_end):
-    """Least concave nondecreasing majorant of the scatter {(d_i, gap_i)}.
-
-    Upper convex hull of the points together with the origin; a decreasing
-    hull tail is flattened at the running maximum so the result is a valid
-    modulus of continuity.
-    """
-    ds = np.asarray(ds, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
+def _upper_hull(ds, gaps):
+    """Upper convex hull of the origin and the points (d_i, max(gap_i, 0))
+    with d_i > 0, as vertex arrays starting at the origin."""
+    ds = np.asarray(ds, dtype=float).ravel()
+    gaps = np.asarray(gaps, dtype=float).ravel()
     keep = ds > 0
     ds, gaps = ds[keep], np.maximum(gaps[keep], 0.0)
-    if ds.size == 0:
-        return Modulus.from_breakpoints([0.0, max(domain_end, 1.0)], [0.0, 0.0],
-                                        domain_end)
     order = np.argsort(ds)
     ds, gaps = ds[order], gaps[order]
     # collapse duplicate abscissae to their max ordinate
@@ -207,9 +197,24 @@ def least_concave_majorant(ds, gaps, domain_end):
             else:
                 break
         hull.append(p)
+    xs, ys = zip(*hull)
+    return np.array(xs), np.array(ys)
+
+
+def least_concave_majorant(ds, gaps, domain_end):
+    """Least concave nondecreasing majorant of the scatter {(d_i, gap_i)}.
+
+    Upper convex hull of the points together with the origin; a decreasing
+    hull tail is flattened at the running maximum so the result is a valid
+    modulus of continuity.
+    """
+    hull_t, hull_y = _upper_hull(ds, gaps)
+    if len(hull_t) == 1:
+        return Modulus.from_breakpoints([0.0, max(domain_end, 1.0)], [0.0, 0.0],
+                                        domain_end)
     # flatten any decreasing tail at the peak value
-    ts, ys = [hull[0][0]], [hull[0][1]]
-    for x, y in hull[1:]:
+    ts, ys = [hull_t[0]], [hull_y[0]]
+    for x, y in zip(hull_t[1:], hull_y[1:]):
         if y < ys[-1]:
             break
         ts.append(x)
@@ -331,53 +336,41 @@ def validate_admissible(space, rho):
     return AdmissibilityReport(ok, nonpos, exceeds, nonzero)
 
 
-def _pair_sample(space, seed, n_pairs=_PAIR_SAMPLE_COUNT):
-    rng = np.random.default_rng(seed)
-    n = len(space)
-    i = rng.integers(0, n, size=n_pairs)
-    j = rng.integers(0, n, size=n_pairs)
-    keep = i != j
-    return i[keep], j[keep]
-
-
-def _max_gap_ratio(space, values, gamma=1.0, seed=0):
-    """max |values(x)-values(y)| / d(x,y)^gamma, exact below the pair
-    threshold and seeded-sampled above it."""
-    n = len(space)
+def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
+    """max |values(x) - values(y)| / d(x, y)^exponent over the pair scan of
+    members (default: the whole space), as (value, mode, pairs); a sampled
+    value is a lower bound for the exact one."""
+    scan = space.pair_scan(members, seed)
     best = 0.0
-    if n <= _PAIR_SAMPLE_THRESHOLD:
-        for blk, dmat in space._distance_block(np.arange(n)):
-            dv = np.abs(values[blk][:, None] - values[None, :])
-            mask = dmat > 0
-            if gamma != 1.0:
-                with np.errstate(divide="ignore"):
-                    ratios = dv[mask] / dmat[mask] ** gamma
-            else:
-                ratios = dv[mask] / dmat[mask]
-            zero_d = (dmat == 0) & (dv > 0) & (blk[:, None] != np.arange(n)[None, :])
-            if np.any(zero_d):
-                raise SpaceFormatError("distinct points at distance zero with differing values")
-            if ratios.size:
-                best = max(best, float(ratios.max()))
-        return best
-    i, j = _pair_sample(space, seed)
-    for lo in range(0, len(i), 65536):
-        ii, jj = i[lo:lo + 65536], j[lo:lo + 65536]
-        d = np.array([space.distance(a, b) for a, b in zip(ii, jj)]) \
-            if space.metric == "graph" else \
-            np.sqrt(((space.coords[ii] - space.coords[jj]) ** 2).sum(axis=1)) \
-            if space.metric == "euclidean" else space._matrix[ii, jj]
-        dv = np.abs(values[ii] - values[jj])
+    for i, j, d in scan.blocks:
+        dv = np.abs(values[i] - values[j])
+        if np.any((d == 0) & (dv > 0) & (i != j)):
+            raise SpaceFormatError("distinct points at distance zero with differing values")
         mask = d > 0
-        best = max(best, float((dv[mask] / d[mask] ** gamma).max(initial=0.0)))
-    return best
+        best = max(best, float((dv[mask] / d[mask] ** exponent).max(initial=0.0)))
+    return best, scan.mode, scan.pairs
+
+
+def gap_majorant(space, values, members=None, seed=0):
+    """Least concave majorant of the |values(x) - values(y)| vs d(x, y)
+    scatter over the pair scan of members (default: the whole space).
+
+    Each block is reduced to the vertices of its upper hull: the upper hull
+    of a union has its vertices among those of the blocks' hulls."""
+    ts, ys = [np.zeros(0)], [np.zeros(0)]
+    for i, j, d in space.pair_scan(members, seed).blocks:
+        hull_t, hull_y = _upper_hull(d, np.abs(values[i] - values[j]))
+        ts.append(hull_t)
+        ys.append(hull_y)
+    return least_concave_majorant(np.concatenate(ts), np.concatenate(ys),
+                                  space.diameter())
 
 
 def fit_lipschitz(space, rho, seed=0):
     """Fit the Lipschitz constant of the radius field and clamp it at 1
     (the regularity theory assumes L >= 1).  Stores both the raw and the
     clamped value on the field; returns the clamped one."""
-    raw = _max_gap_ratio(space, rho.values, 1.0, seed)
+    raw, _, _ = max_gap_ratio(space, rho.values, 1.0, seed=seed)
     rho.raw_lipschitz = raw
     rho.lipschitz_L = max(1.0, raw)
     return rho.lipschitz_L
@@ -385,49 +378,18 @@ def fit_lipschitz(space, rho, seed=0):
 
 def fit_holder(space, rho, gamma, seed=0):
     """Fit the gamma-Holder coefficient of the radius field."""
-    coeff = _max_gap_ratio(space, rho.values, gamma, seed)
+    coeff, _, _ = max_gap_ratio(space, rho.values, gamma, seed=seed)
     rho.holder_fits[float(gamma)] = coeff
     return coeff
 
 
-def fit_radius_modulus(space, rho, seed=0, max_pairs=200_000):
+def fit_radius_modulus(space, rho, seed=0):
     """Concave majorant of the |rho(x)-rho(y)| vs d(x,y) scatter, capped at
     the diameter so it can be normalized."""
-    n = len(space)
-    diam = space.diameter()
-    rng = np.random.default_rng(seed)
-    if n * (n - 1) // 2 <= max_pairs:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        ii = rng.integers(0, n, size=max_pairs)
-        jj = rng.integers(0, n, size=max_pairs)
-    if space.metric == "euclidean":
-        d = np.sqrt(((space.coords[ii] - space.coords[jj]) ** 2).sum(axis=1))
-    else:
-        d = np.array([space.distance(a, b) for a, b in zip(ii, jj)])
-    gaps = np.abs(rho.values[ii] - rho.values[jj])
-    omega = least_concave_majorant(d, gaps, diam)
-    return omega.capped(diam)
+    return gap_majorant(space, rho.values, seed=seed).capped(space.diameter())
 
 
 # -- parameter gates ---------------------------------------------------------------
-
-
-def equicontinuity_conditions(alpha, epsilon, beta):
-    """The iterate-equicontinuity conditions (the L = 1 parameter gate):
-    |alpha| < 1, 0 < epsilon < 1 - |alpha|,
-    1 <= beta < log(1/|alpha|) / log(1/(1-epsilon))."""
-    a = abs(alpha)
-    conds = {"alpha_below_one": a < 1.0,
-             "epsilon_window": 0.0 < epsilon < 1.0 - a}
-    if a == 0.0:
-        beta_max = math.inf
-    elif 0.0 < epsilon < 1.0:
-        beta_max = math.log(1.0 / a) / math.log(1.0 / (1.0 - epsilon))
-    else:
-        beta_max = 0.0
-    conds["beta_window"] = 1.0 <= beta < beta_max
-    return conds, beta_max
 
 
 @dataclass
@@ -462,15 +424,17 @@ class ParameterGate:
         }
 
 
-def validate_parameters(alpha, L, epsilon, beta, lam, ell_omega, delta=1.0):
+def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
+                        delta=1.0):
     """Evaluate every condition of the main regularity gate.
 
     |alpha| < 1/L; 0 < epsilon < 1 - L|alpha|;
     1 <= beta < log(1/(L|alpha|)) / log(1/(1-epsilon))  (vacuous at alpha=0);
-    0 < lambda <= ell^(1-beta) * epsilon.
-    The L = 1 variant (iterate equicontinuity) is recorded as a separate
-    flag, and the geometric series ratio L^delta |alpha| (1-eps)^(-beta
-    delta) is reported for the root test.
+    0 < lambda <= ell^(1-beta) * epsilon, checked only when the domain's
+    ell_omega is given.  The L = 1 variant (iterate equicontinuity, the
+    same gate without the lambda window) is recorded as a separate flag, and
+    the geometric series ratio L^delta |alpha| (1-eps)^(-beta delta) is
+    reported for the root test.
     """
     a = abs(alpha)
     conds = {"alpha_below_inverse_lipschitz": L > 0 and a < 1.0 / L,
@@ -482,20 +446,22 @@ def validate_parameters(alpha, L, epsilon, beta, lam, ell_omega, delta=1.0):
     else:
         beta_max = 0.0
     conds["beta_window"] = 1.0 <= beta < beta_max
-    lam_cap = ell_omega ** (1.0 - beta) * epsilon if ell_omega > 0 else math.inf
-    conds["lambda_window"] = 0.0 < lam <= lam_cap
+    equicontinuity = all(conds.values()) if L == 1.0 else \
+        validate_parameters(alpha, 1.0, epsilon, beta).passed
+    if ell_omega is not None:
+        lam_cap = ell_omega ** (1.0 - beta) * epsilon if ell_omega > 0 else math.inf
+        conds["lambda_window"] = 0.0 < lam <= lam_cap
     if 0.0 < epsilon < 1.0:
         ratio = (L ** delta) * a * (1.0 - epsilon) ** (-beta * delta)
     else:
         ratio = math.inf
-    eq_conds, _ = equicontinuity_conditions(alpha, epsilon, beta)
     failed = [k for k, v in conds.items() if not v]
     return ParameterGate(
         alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam,
         ell_omega=ell_omega, delta=delta,
         conditions=conds, failed_conditions=failed, passed=not failed,
         beta_max=beta_max, series_ratio=ratio,
-        equicontinuity_passed=all(eq_conds.values()),
+        equicontinuity_passed=equicontinuity,
     )
 
 
@@ -565,12 +531,8 @@ def exhaustion(space, epsilon, m):
 def hull(space, rho, members):
     """Union of the radius balls over the given point set."""
     members = np.asarray(members, dtype=int)
-    if members.size == 0:
-        return np.array([], dtype=int)
-    out = np.zeros(len(space), dtype=bool)
-    for blk, dmat in space._distance_block(members):
-        out |= (dmat <= rho.values[blk][:, None]).any(axis=0)
-    return np.flatnonzero(out)
+    balls, _ = space.balls(members, rho.values[members])
+    return np.unique(balls)
 
 
 # -- file format -----------------------------------------------------------------
@@ -578,29 +540,8 @@ def hull(space, rho, members):
 
 def read_radius_csv(space, path):
     """Radius file: header id,rho; ids must match the space."""
-    values = np.full(len(space), np.nan)
-    id_to_index = {int(pid): k for k, pid in enumerate(space.ids)}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["id", "rho"]:
-            raise SpaceFormatError(f"{path}: expected header 'id,rho'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                idx = id_to_index[int(row[0])]
-            except (KeyError, ValueError) as exc:
-                raise SpaceFormatError(f"{path}: unknown or invalid id in row {row!r}") from exc
-            values[idx] = float(row[1])
-    if np.any(np.isnan(values)):
-        raise SpaceFormatError(f"{path}: missing radius for some points")
-    return RadiusField(values)
+    return RadiusField(read_id_csv(space, path, "rho"))
 
 
 def write_radius_csv(space, rho, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "rho"])
-        for pid, v in zip(space.ids, rho.values):
-            writer.writerow([int(pid), repr(float(v))])
+    write_id_csv(space, path, "rho", rho.values)

@@ -115,12 +115,6 @@ class ModulusFamily:
             * (1.0 - self.epsilon) ** (-self.beta * self.delta)
 
 
-def theoretical_modulus(kind, rho_K, *, C, delta, gamma=1.0, normalized=None, diam=None):
-    """Convenience constructor mirroring TheoreticalModulus."""
-    return TheoreticalModulus(kind, C=C, rho_K=rho_K, delta=delta, gamma=gamma,
-                              normalized=normalized, diam=diam)
-
-
 def branch_constant(lipschitz_L, annular_constant, doubling_constant, delta):
     """The modulus-family constant: max of the two symmetric-difference
     branch constants, 4 L D_delta and 2^delta D_mu^2 D_delta."""
@@ -181,15 +175,11 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
 
     Refuses (naming the condition) when the parameter gate fails.
     """
-    gate = radius_mod.validate_parameters(
-        alpha, L, epsilon, beta, lam,
-        ell_omega if ell_omega is not None else 1.0, delta)
-    checked = dict(gate.conditions)
-    if ell_omega is None:
-        checked.pop("lambda_window")  # no domain supplied; window not checkable
-    failed = [k for k, v in checked.items() if not v]
-    if failed:
-        raise SpaceFormatError(f"parameter gate fails: {', '.join(failed)}")
+    gate = radius_mod.validate_parameters(alpha, L, epsilon, beta, lam,
+                                          ell_omega, delta)
+    if not gate.passed:
+        raise SpaceFormatError(
+            f"parameter gate fails: {', '.join(gate.failed_conditions)}")
     ratio = (L ** delta) * abs(alpha) * (1.0 - epsilon) ** (-beta * delta)
     return (C * (1.0 - alpha) * norm_u * lam ** (-delta)
             * (1.0 - epsilon) ** (-m * beta * delta) / (1.0 - ratio))
@@ -197,52 +187,21 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
 
 EmpiricalHolder = namedtuple("EmpiricalHolder", ["value", "mode", "pairs"])
 
-_EXACT_PAIR_LIMIT = 5_000
-_SAMPLED_PAIRS = 1_000_000
-
 
 def empirical_holder(space, u, members, delta, seed=0):
     """Measured Holder seminorm max |u(x)-u(y)| / d(x,y)^delta over the set.
 
-    Exact pair scan up to 5000 points, seeded pair sampling above (the
-    sampled value is a lower bound for the true seminorm and is flagged).
-    Fewer than two points yields 0 with a notice.
+    Scans the pairs of Space.pair_scan: exact up to 5000 points, seeded
+    pair sampling above (the sampled value is a lower bound for the true
+    seminorm and is flagged).  Fewer than two points yields 0 with a notice.
     """
     members = np.asarray(members, dtype=int)
     v = field_values(u)
-    n = len(members)
-    if n < 2:
+    if len(members) < 2:
         return EmpiricalHolder(0.0, "undefined", 0)
     if not 0.0 < delta <= 1.0:
         raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
-    best = 0.0
-    if n <= _EXACT_PAIR_LIMIT:
-        vals = v[members]
-        for lo in range(0, n, 512):
-            blk = slice(lo, min(lo + 512, n))
-            if space.metric == "euclidean":
-                diff = space.coords[members[blk], None, :] - space.coords[None, members, :]
-                d = np.sqrt((diff * diff).sum(axis=2))
-            else:
-                d = np.vstack([space.distances_from(i)[members]
-                               for i in members[blk]])
-            dv = np.abs(vals[blk][:, None] - vals[None, :])
-            mask = d > 0
-            if mask.any():
-                ratios = dv[mask] / d[mask] ** delta
-                best = max(best, float(ratios.max()))
-        return EmpiricalHolder(best, "exact", n * (n - 1) // 2)
-    rng = np.random.default_rng(seed)
-    ii = members[rng.integers(0, n, size=_SAMPLED_PAIRS)]
-    jj = members[rng.integers(0, n, size=_SAMPLED_PAIRS)]
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    if space.metric == "euclidean":
-        d = np.sqrt(((space.coords[ii] - space.coords[jj]) ** 2).sum(axis=1))
-    else:
-        d = np.array([space.distance(a, b) for a, b in zip(ii, jj)])
-    ratios = np.abs(v[ii] - v[jj]) / d ** delta
-    return EmpiricalHolder(float(ratios.max(initial=0.0)), "sampled", len(ii))
+    return EmpiricalHolder(*radius_mod.max_gap_ratio(space, v, delta, members, seed))
 
 
 @dataclass
@@ -317,7 +276,7 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
             "alpha = 1 (midrange-only) is outside certificate scope")
     v = field_values(u)
     res = solver_mod.residual(space, rho, v, alpha)
-    if res > residual_tolerance:
+    if not res <= residual_tolerance:
         raise CertificateResidualError(
             f"field residual {res:.3e} exceeds tolerance {residual_tolerance:.3e}: "
             "not a fixed point")
@@ -340,7 +299,7 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
             delta=delta, norm_u=norm_u, C=C, ell_omega=space.ell())
     else:
         theo = math.nan  # no certified bound without the gate
-    passed = bool(gate.passed and emp.value <= theo)
+    passed = bool(gate.passed and math.isfinite(theo) and emp.value <= theo)
     cdict = {"C": C, "D_delta": constants.get("D_delta"),
              "D_mu": constants.get("D_mu"),
              "source": constants.get("source", "supplied"),

@@ -118,8 +118,6 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
         init = field_values(config.initial)
         if init.shape != u.shape:
             raise SpaceFormatError("initial guess length does not match space")
-        if not np.all(np.isfinite(init)):
-            raise SpaceFormatError("initial guess contains non-finite values")
         u[:] = init
     else:
         u[:] = bvals.mean()
@@ -237,7 +235,8 @@ class GateVerdict:
 
 
 def equicontinuity_gate(alpha, epsilon, beta, delta=1.0):
-    """Parameter gate for equicontinuity of the sweep iterates.
+    """Parameter gate for equicontinuity of the sweep iterates: the main
+    gate (validate_parameters) at L = 1, without the lambda window.
 
     pass iff |alpha| < 1, 0 < epsilon < 1 - |alpha|, and
     1 <= beta < log(1/|alpha|) / log(1/(1-epsilon)) (vacuous at alpha=0).
@@ -245,9 +244,9 @@ def equicontinuity_gate(alpha, epsilon, beta, delta=1.0):
     |alpha| (1-epsilon)^(-delta beta); the gate conditions imply margin < 1
     for every delta in (0,1], and at delta = 1 they are equivalent to it.
     """
-    conds, beta_max = radius_mod.equicontinuity_conditions(alpha, epsilon, beta)
+    gate = radius_mod.validate_parameters(alpha, 1.0, epsilon, beta)
     if 0.0 < epsilon < 1.0:
         margin = abs(alpha) * (1.0 - epsilon) ** (-delta * beta)
     else:
         margin = math.inf
-    return GateVerdict(all(conds.values()), conds, margin, beta_max)
+    return GateVerdict(gate.passed, gate.conditions, margin, gate.beta_max)

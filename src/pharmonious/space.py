@@ -12,8 +12,10 @@ degeneracy guards, never proofs.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,18 @@ from scipy.spatial import ConvexHull, cKDTree
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 
 METRIC_KINDS = ("euclidean", "graph", "matrix")
+
+# Dense distance blocks hold about this many entries (rows * points).
+BLOCK_ENTRIES = 1 << 18
+# Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
+# SAMPLED_PAIRS seeded random pairs above that.
+EXACT_PAIR_LIMIT = 5_000
+SAMPLED_PAIRS = 1_000_000
+
+PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
+PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
+number of distinct pairs covered, and an iterator of (i, j, d) blocks with
+point indices i, j broadcastable to the distance block d."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,15 @@ def _as_readonly(a, dtype=None):
     return out
 
 
+def _euclidean(a, b):
+    """Closed-form Euclidean distance between broadcast coordinate arrays.
+
+    Every Euclidean distance goes through this formula, so ball membership
+    ties and pair scans agree bit for bit wherever they are computed."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 class Space:
     """Immutable finite metric measure space with a boundary subset.
 
@@ -96,7 +119,7 @@ class Space:
         if n == 0:
             raise SpaceFormatError("no points")
         bmask = np.zeros(n, dtype=bool)
-        bmask[np.asarray(boundary, dtype=int)] = True
+        bmask[self._indices(boundary)] = True
         self.boundary_mask = _as_readonly(bmask)
         self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64)
         if len(np.unique(self.ids)) != n:
@@ -137,7 +160,6 @@ class Space:
             geodesic_like = metric == "graph"
         self.geodesic_like = bool(geodesic_like)
 
-        self._dist_rows = {}      # per-source cache for graph metric
         self._bdry_dist = None
         self._diameter = None
         self._resolution = None
@@ -193,54 +215,143 @@ class Space:
                 raise SpaceFormatError("duplicate points: zero distance between distinct ids")
 
     # -- distances ----------------------------------------------------------
+    #
+    # The only code that knows which metric the space carries: every
+    # distance, ball and pair scan elsewhere goes through these methods.
 
     def _check_index(self, i):
         if not 0 <= int(i) < len(self):
             raise SpaceFormatError(f"unknown point index {i}")
         return int(i)
 
-    def distances_from(self, i):
-        """Distance row d(i, .) as a read-only array."""
-        i = self._check_index(i)
+    def _indices(self, a):
+        a = np.asarray(a, dtype=np.intp).reshape(-1)
+        if a.size and (a.min() < 0 or a.max() >= len(self)):
+            raise SpaceFormatError(f"point index out of range 0..{len(self) - 1}: "
+                                   f"{a[(a < 0) | (a >= len(self))].tolist()}")
+        return a
+
+    def _row_step(self):
+        return max(1, BLOCK_ENTRIES // len(self))
+
+    def distances(self, rows, cols=None, limit=np.inf):
+        """Dense block d(rows, cols); cols default to every point.
+
+        Graph blocks come from one batched Dijkstra over the rows; entries
+        farther than limit read inf there (limit is ignored elsewhere).
+        """
+        rows = self._indices(rows)
+        cols = None if cols is None else self._indices(cols)
         if self.metric == "euclidean":
-            diff = self.coords - self.coords[i]
-            return np.sqrt((diff * diff).sum(axis=1))
+            other = self.coords if cols is None else self.coords[cols]
+            return _euclidean(self.coords[rows, None, :], other[None, :, :])
         if self.metric == "matrix":
-            return self._matrix[i]
-        row = self._dist_rows.get(i)
-        if row is None:
-            row = dijkstra(self._graph, indices=i, directed=False)
-            row.flags.writeable = False
-            self._dist_rows[i] = row
-        return row
+            block = self._matrix[rows]
+        else:
+            block = dijkstra(self._graph, indices=rows, directed=False,
+                             limit=limit)
+        return block if cols is None else block[:, cols]
+
+    def distances_from(self, i):
+        """Distance row d(i, .)."""
+        return self.distances([self._check_index(i)])[0]
 
     def distance(self, i, j):
-        j = self._check_index(j)
-        d = float(self.distances_from(i)[j])
+        d = float(self.pair_distances([self._check_index(i)],
+                                      [self._check_index(j)])[0])
         if np.isinf(d):
             raise DisconnectedSpaceError(f"no path between points {i} and {j}")
         return d
 
-    def _distance_block(self, rows, chunk=512):
-        """Yields (row_indices, distance_block) over the whole space."""
-        rows = np.asarray(rows, dtype=int)
+    def _exact_blocks(self, members):
+        """(i, j, d) blocks of row slices of members against the members
+        from the slice on: every unordered pair appears at least once."""
+        step = self._row_step()
+        for lo in range(0, len(members), step):
+            rows, cols = members[lo:lo + step], members[lo:]
+            yield rows[:, None], cols[None, :], self.distances(rows, cols)
+
+    def pair_distances(self, i, j):
+        """d(i[k], j[k]) for paired index arrays.  Graph pairs are grouped
+        by source, one batched Dijkstra per block of sources."""
+        i, j = self._indices(i), self._indices(j)
         if self.metric == "euclidean":
-            for lo in range(0, len(rows), chunk):
-                blk = rows[lo:lo + chunk]
-                diff = self.coords[blk, None, :] - self.coords[None, :, :]
-                yield blk, np.sqrt((diff * diff).sum(axis=2))
-        else:
-            for lo in range(0, len(rows), chunk):
-                blk = rows[lo:lo + chunk]
-                yield blk, np.vstack([self.distances_from(i) for i in blk])
+            return _euclidean(self.coords[i], self.coords[j])
+        if self.metric == "matrix":
+            return self._matrix[i, j]
+        out = np.empty(len(i))
+        order = np.argsort(i, kind="stable")
+        sources, first = np.unique(i[order], return_index=True)
+        first = np.append(first, len(i))
+        step = self._row_step()
+        for lo in range(0, len(sources), step):
+            rows = sources[lo:lo + step]
+            s = order[first[lo]:first[lo + len(rows)]]
+            out[s] = self.distances(rows)[np.searchsorted(rows, i[s]), j[s]]
+        return out
+
+    def pair_scan(self, members=None, seed=0):
+        """PairScan over the points of members (default: the whole space).
+
+        Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
+        random pairs of distinct points; a reduction over them is a lower
+        bound for the exact one.
+        """
+        members = np.arange(len(self)) if members is None \
+            else self._indices(members)
+        n = len(members)
+        if n <= EXACT_PAIR_LIMIT:
+            return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
+        rng = np.random.default_rng(seed)
+        i = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
+        j = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
+        keep = i != j
+        i, j = i[keep], j[keep]
+        # one block: pair_distances runs each graph source row once
+        return PairScan("sampled", len(i), iter([(i, j, self.pair_distances(i, j))]))
 
     # -- balls and measures ---------------------------------------------------
+
+    def balls(self, centers, radii):
+        """Closed balls {y : d(c, y) <= r} as (members, counts): the members
+        of every ball in ascending order, concatenated, and one count per
+        ball.
+
+        Euclidean spaces take candidates from the KD-tree inside a hair-slack
+        radius and keep those the closed-form distance puts inside, so ties
+        are decided exactly as distances() decides them.  Other metrics
+        filter distance blocks; graphs stop Dijkstra at the block's largest
+        radius.
+        """
+        centers = self._indices(centers)
+        radii = np.asarray(radii, dtype=float).reshape(-1)
+        chunks = [np.array([], dtype=np.intp)]
+        counts = np.zeros(len(centers), dtype=np.intp)
+        step = self._row_step()
+        for lo in range(0, len(centers), step):
+            cs, rs = centers[lo:lo + step], radii[lo:lo + step]
+            if self.metric == "euclidean":
+                cands = self.kdtree().query_ball_point(
+                    self.coords[cs], rs * (1.0 + 1e-9), return_sorted=True)
+                sizes = np.fromiter(map(len, cands), np.intp, len(cands))
+                flat = np.fromiter(itertools.chain.from_iterable(cands),
+                                   np.intp, int(sizes.sum()))
+                owner = np.repeat(np.arange(len(cs)), sizes)
+                inside = _euclidean(self.coords[flat],
+                                    self.coords[cs[owner]]) <= rs[owner]
+                rows, cols = owner[inside], flat[inside]
+            else:
+                block = self.distances(cs, limit=max(float(rs.max()), 0.0))
+                rows, cols = np.nonzero(block <= rs[:, None])
+            chunks.append(cols)
+            counts[lo:lo + len(cs)] = np.bincount(rows, minlength=len(cs))
+        return np.concatenate(chunks), counts
 
     def ball(self, x, r):
         if r < 0:
             raise SpaceFormatError(f"negative ball radius {r}")
         x = self._check_index(x)
-        members = np.flatnonzero(self.distances_from(x) <= r)
+        members, _ = self.balls([x], [r])
         return Ball(center=x, radius=float(r), members=members)
 
     def measure(self, members):
@@ -260,17 +371,11 @@ class Space:
             b = self.boundary_indices
             if len(b) == 0:
                 raise ConfigurationError("space has an empty boundary")
-            if self.metric == "euclidean":
-                out = np.empty(len(self))
-                bc = self.coords[b]
-                for lo in range(0, len(self), 2048):
-                    blk = slice(lo, min(lo + 2048, len(self)))
-                    diff = self.coords[blk, None, :] - bc[None, :, :]
-                    out[blk] = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
-            elif self.metric == "graph":
-                out = dijkstra(self._graph, indices=b, directed=False).min(axis=0)
-            else:
-                out = self._matrix[:, b].min(axis=1)
+            out = np.full(len(self), np.inf)
+            step = self._row_step()
+            for lo in range(0, len(b), step):
+                np.minimum(out, self.distances(b[lo:lo + step]).min(axis=0),
+                           out=out)
             out[b] = 0.0
             out.flags.writeable = False
             self._bdry_dist = out
@@ -288,10 +393,8 @@ class Space:
         if self._diameter is None:
             if self.metric == "euclidean" and self.coords.shape[1] >= 2 and len(self) > 4:
                 try:
-                    hull = ConvexHull(self.coords)
-                    v = hull.vertices
-                    diff = self.coords[v, None, :] - self.coords[None, v, :]
-                    self._diameter = float(np.sqrt((diff * diff).sum(axis=2)).max())
+                    v = ConvexHull(self.coords).vertices
+                    self._diameter = float(self.distances(v, v).max())
                 except Exception:
                     self._diameter = self._diameter_scan()
             elif self.metric == "euclidean" and self.coords.shape[1] == 1:
@@ -302,7 +405,7 @@ class Space:
 
     def _diameter_scan(self):
         best = 0.0
-        for _, dmat in self._distance_block(np.arange(len(self))):
+        for _, _, dmat in self._exact_blocks(np.arange(len(self))):
             finite = dmat[np.isfinite(dmat)]
             if finite.size:
                 best = max(best, float(finite.max()))
@@ -478,23 +581,17 @@ class Space:
             return 0.0
         if hop_radius is None:
             hop_radius = 1.5 * res
-        if self.metric == "euclidean":
-            tree = cKDTree(self.coords)
-            adj = tree.sparse_distance_matrix(tree, hop_radius, output_type="coo_matrix").tocsr()
-        else:
-            m = np.where(self._matrix <= hop_radius, self._matrix, 0.0)
-            adj = sparse.csr_matrix(m)
+        n = len(self)
+        near, counts = self.balls(np.arange(n), np.full(n, hop_radius))
+        owner = np.repeat(np.arange(n), counts)
+        adj = sparse.csr_matrix((self.pair_distances(owner, near), (owner, near)),
+                                shape=(n, n))
         rng = np.random.default_rng(seed)
-        sources = rng.choice(len(self), size=min(samples, len(self)), replace=False)
+        sources = rng.choice(n, size=min(samples, n), replace=False)
         paths = dijkstra(adj, indices=sources, directed=False)
-        defect = 0.0
-        for row, src in zip(paths, sources):
-            direct = self.distances_from(src)
-            finite = np.isfinite(row)
-            if not finite.all():
-                return float("inf")
-            defect = max(defect, float((row - direct).max()))
-        return defect
+        if not np.isfinite(paths).all():
+            return float("inf")
+        return max(0.0, float((paths - self.distances(sources)).max()))
 
     def probe_report(self, samples=200, seed=0, deltas=(0.5, 1.0)):
         rng = np.random.default_rng(seed)
@@ -703,3 +800,38 @@ def load_space(path):
         except json.JSONDecodeError as exc:
             raise SpaceFormatError(f"not valid JSON: {exc}") from exc
     return space_from_dict(doc)
+
+
+def read_id_csv(space, path, column):
+    """Per-point values from a CSV with header id,<column>: one finite value
+    for every point id of the space."""
+    values = np.empty(len(space))
+    seen = np.zeros(len(space), dtype=bool)
+    id_to_index = {int(pid): k for k, pid in enumerate(space.ids)}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header[:2]] != ["id", column]:
+            raise SpaceFormatError(f"{path}: expected header 'id,{column}'")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                idx = id_to_index[int(row[0])]
+                values[idx] = float(row[1])
+            except (KeyError, ValueError, IndexError) as exc:
+                raise SpaceFormatError(f"{path}: unknown or invalid id or value in row {row!r}") from exc
+            if not np.isfinite(values[idx]):
+                raise SpaceFormatError(f"{path}: non-finite {column} in row {row!r}")
+            seen[idx] = True
+    if not seen.all():
+        raise SpaceFormatError(f"{path}: missing {column} for some points")
+    return values
+
+
+def write_id_csv(space, path, column, values):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", column])
+        for pid, v in zip(space.ids, values):
+            writer.writerow([int(pid), repr(float(v))])

@@ -278,6 +278,14 @@ def test_solve_config_file(tmp_path):
     assert doc["manifest"]["command"] == "solve"
 
 
+def test_solve_epsilon_without_lam_is_input_error(tmp_path, capsys):
+    code = run("solve", "--grid", "1d", "--n", "17", "--rho-factor", 0.4,
+               "--boundary-fn", "linear", "--alpha", 0.3, "--epsilon", 0.5,
+               "--out", tmp_path)
+    assert code == 2
+    assert "--lam" in capsys.readouterr().err
+
+
 def test_solve_missing_alpha(tmp_path):
     code = run("solve", "--grid", "1d", "--n", "17", "--rho-factor", 0.4,
                "--boundary-fn", "linear", "--out", tmp_path)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pharmonious import (BallTable, Modulus, RadiusField, ScalarField,
+                         SpaceFormatError,
                          TheoreticalModulus, alpha_mean_value,
                          apply_alpha_mean, ball_symdiff_ratio,
                          check_alpha_mean_modulus, check_mean_stability,
@@ -395,6 +396,18 @@ def test_field_csv_round_trip(grid1d, rng, tmp_path):
     write_field_csv(grid1d, u, path)
     back = read_field_csv(grid1d, path)
     assert np.array_equal(back, u)
+
+
+def test_field_csv_rejects_non_finite_and_missing(grid1d, tmp_path):
+    path = tmp_path / "field.csv"
+    write_field_csv(grid1d, np.zeros(len(grid1d)), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + ["4,inf"] + lines[6:]) + "\n")
+    with pytest.raises(SpaceFormatError, match="non-finite"):
+        read_field_csv(grid1d, path)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(SpaceFormatError, match="missing value"):
+        read_field_csv(grid1d, path)
 
 
 def test_ball_table_matches_ball_queries(grid2d_small):

@@ -265,6 +265,23 @@ def test_certificate_refuses_stale_field(grid1d, grid1d_rho, rng):
         certify(grid1d, grid1d_rho, u, 0.3, 2, epsilon=0.5, beta=1.0, lam=0.4)
 
 
+def test_certificate_refuses_non_finite_field():
+    # one inf value used to pass with residual nan and empirical 0
+    sp = square_grid(17)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    u = sp.coords[:, 0].copy()
+    u[sp.interior_indices[40]] = np.inf
+    with pytest.raises(SpaceFormatError, match="non-finite"):
+        certify(sp, rho, u, 0.3, 2, epsilon=0.5, beta=1.0, lam=0.4)
+
+
+def test_certificate_nan_residual_tolerance_refuses(grid1d, grid1d_rho):
+    u = grid1d.coords[:, 0]
+    with pytest.raises(CertificateResidualError):
+        certify(grid1d, grid1d_rho, u, 0.3, 2, epsilon=0.5, beta=1.0, lam=0.4,
+                residual_tolerance=math.nan)
+
+
 def test_certificate_gate_failure_reported_not_raised(grid1d, grid1d_rho):
     u = grid1d.coords[:, 0]
     cert = certify(grid1d, grid1d_rho, u, 0.3, 2, epsilon=0.8, beta=1.0,

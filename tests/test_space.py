@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from pharmonious import (ConfigurationError, DisconnectedSpaceError, Space,
-                         SpaceFormatError, disk_grid, interval_grid,
-                         path_graph, space_from_dict, square_grid)
+from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
+                         RadiusField, Space, SpaceFormatError, disk_grid,
+                         interval_grid, lattice_graph, path_graph,
+                         space_from_dict, square_grid)
+from pharmonious import space as space_mod
 
 
 def brute_force_shortest_paths(n, edges):
@@ -356,3 +358,91 @@ def test_matrix_space_distances_work():
                           "matrix": m})
     assert sp.distance(0, 2) == 2.0
     assert sp.dist_to_boundary(1) == 1.0
+
+
+# -- the metric layer -------------------------------------------------------------
+
+
+def test_out_of_range_point_indices_rejected():
+    # boundary=[-1] used to mark the last point silently
+    for bad in ([-1], [3], [0, 5]):
+        with pytest.raises(SpaceFormatError, match="out of range"):
+            Space(coords=[[0.0], [1.0], [2.0]], weights=[1.0, 1.0, 1.0],
+                  boundary=bad)
+    sp = path_graph(5)
+    for call in (lambda: sp.distances([-1]), lambda: sp.pair_scan([0, 5]),
+                 lambda: sp.balls([7], [1.0])):
+        with pytest.raises(SpaceFormatError, match="out of range"):
+            call()
+
+
+def _all_pairs_graph_distances(sp):
+    """Unbounded all-pairs shortest paths from the edge list, independent
+    of the space's own distance code."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import dijkstra
+    e = sp.edges
+    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    g = sparse.csr_matrix((np.concatenate([w, w]),
+                           (np.concatenate([i, j]), np.concatenate([j, i]))),
+                          shape=(len(sp), len(sp)))
+    return dijkstra(g, directed=False)
+
+
+@pytest.mark.parametrize("make", [lambda: path_graph(41),
+                                  lambda: lattice_graph(13, 11)])
+@pytest.mark.parametrize("factor", [0.4, 0.5, 1.0])
+def test_graph_ball_table_matches_all_pairs_reference(make, factor):
+    # factors 0.5 and 1.0 put ball radii exactly on integer path lengths,
+    # so ties at the Dijkstra cut-off are exercised
+    sp = make()
+    rho = RadiusField.scaled_boundary_distance(sp, factor)
+    table = BallTable(sp, rho)
+    dist = _all_pairs_graph_distances(sp)[table.centers]
+    rows, cols = np.nonzero(dist <= rho.values[table.centers][:, None])
+    counts = np.bincount(rows, minlength=len(table.centers))
+    assert np.array_equal(table.indices, cols)
+    assert np.array_equal(table.starts, np.cumsum(counts) - counts)
+
+
+def test_sampled_graph_pair_distances_equal_distance(monkeypatch):
+    sp = lattice_graph(9, 7)
+    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
+    monkeypatch.setattr(space_mod, "SAMPLED_PAIRS", 3000)
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 5 * len(sp))
+    scan = sp.pair_scan(seed=4)
+    assert scan.mode == "sampled"
+    reference = _all_pairs_graph_distances(sp)
+    seen = 0
+    for i, j, d in scan.blocks:
+        assert d.shape == i.shape == j.shape
+        assert np.array_equal(d, reference[i, j])
+        for a, b, dist in zip(i, j, d):
+            assert dist == sp.distance(int(a), int(b))
+        seen += len(d)
+    assert seen == scan.pairs > 2000
+
+
+def test_exact_pair_scan_covers_every_pair(grid2d_small):
+    members = np.arange(0, len(grid2d_small), 7)
+    scan = grid2d_small.pair_scan(members)
+    assert scan.mode == "exact"
+    assert scan.pairs == len(members) * (len(members) - 1) // 2
+    covered = set()
+    for i, j, d in scan.blocks:
+        ii, jj = np.broadcast_arrays(i, j)
+        covered |= {frozenset(p) for p in zip(ii.ravel().tolist(),
+                                              jj.ravel().tolist()) if p[0] != p[1]}
+        assert np.array_equal(d, grid2d_small.distances(i[:, 0], j[0]))
+    assert len(covered) == scan.pairs
+
+
+def test_only_space_module_reads_metric():
+    import ast
+    import pathlib
+    src = pathlib.Path(space_mod.__file__).parent
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(src.glob("*.py")) if path.name != "space.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "metric"]
+    assert readers == []

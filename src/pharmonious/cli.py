@@ -127,8 +127,11 @@ def cmd_validate(args):
     adm = radius.validate_admissible(space, rho)
     bounds = radius.check_radius_bounds(space, rho, args.lam, args.beta,
                                         args.epsilon)
-    L = args.L if args.L is not None else radius.fit_lipschitz(space, rho,
-                                                               seed=args.seed)
+    if args.L is not None:
+        L, L_mode = args.L, "supplied"
+    else:
+        L = radius.fit_lipschitz(space, rho, seed=args.seed)
+        L_mode = rho.lipschitz_mode
     gate = radius.validate_parameters(args.alpha, L, args.epsilon, args.beta,
                                       args.lam, space.ell(), args.delta)
     ok = adm.ok and bounds.ok and gate.passed
@@ -136,6 +139,7 @@ def cmd_validate(args):
            "admissible": adm.to_dict(),
            "radius_bounds": bounds.to_dict(),
            "gate": gate.to_dict(),
+           "L_mode": L_mode,
            "pass": ok}
     _write_json(args.out / "validate.json", doc)
     print(f"admissible={adm.ok} bounds={bounds.ok} gate={gate.passed}")

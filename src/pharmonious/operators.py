@@ -88,15 +88,25 @@ class CheckRecord:
 
 # -- ball tables -------------------------------------------------------------
 #
-# Everything numeric goes through the same segment reductions (sequential
-# within each ball, fixed ascending member order), so single-point
-# evaluation, full sweeps, and residuals agree bit for bit and are
-# independent of any parallel execution plan.
+# The members of a ball, in ascending point order, fall into runs of
+# consecutive point indices (the rows of a ball on a raveled grid), and a
+# sweep works per run, not per member, so its cost scales with the number of
+# runs.  A run's max and min are two lookups in a sparse table of the field,
+# which is exact, so midranges do not depend on how a ball splits into runs.
+# A run's mu-sum is a difference of one prefix sum of w * (u - c), with c
+# the midrange of u over the whole space; its rounding error is about
+# eps * osc(u) * mu(X), so a ball mean carries an error of about
+# eps * osc(u) * mu(X) / mu(B) (member-wise sums: eps * osc(u) over the
+# ball).  A ball whose max equals its min takes that value as its mean, so
+# constants are exact fixed points.  Single-point evaluation, sweeps and
+# residuals all go through alpha_means with the same runs and the same
+# reduction order, so they agree bit for bit and do not depend on any
+# parallel execution plan.
 
 
 class BallTable:
     """CSR-style membership of the radius balls of the given centers, as
-    Space.balls computes them."""
+    Space.balls computes them, and the index runs the sweep kernel reads."""
 
     def __init__(self, space, rho, centers=None):
         if centers is None:
@@ -106,36 +116,64 @@ class BallTable:
         self.indices, self.counts = space.balls(self.centers,
                                                 rho.values[self.centers])
         self.starts = np.cumsum(self.counts) - self.counts
-        self.weights = space.weights[self.indices]
-        self.weight_sums = np.add.reduceat(self.weights, self.starts) \
-            if len(self.indices) else np.array([])
-        # maps each member slot back to its segment (for centered means)
-        self.segment_of = np.repeat(np.arange(len(self.centers)), self.counts)
+        self.weight_sums = np.add.reduceat(space.weights[self.indices],
+                                           self.starts)
+        # runs [a, b): a new run starts at each ball start and at each break
+        # in consecutive point indices
+        idx = self.indices
+        new_run = np.ones(len(idx), dtype=bool)
+        new_run[1:] = np.diff(idx) != 1
+        new_run[self.starts[self.counts > 0]] = True
+        at = np.flatnonzero(new_run)
+        self._run_a = idx[at]
+        self._run_b = self._run_a + np.diff(at, append=len(idx))
+        self._first_run = np.searchsorted(at, self.starts)
+        # sparse-table level k = floor(log2(run length)): the run is covered
+        # by the two windows of length 2^k starting at a and at b - 2^k
+        level = np.frexp(self._run_b - self._run_a)[1].astype(np.intp) - 1
+        self._levels = int(level.max()) + 1 if len(level) else 1
+        self._query_lo = level * len(space) + self._run_a
+        self._query_hi = level * len(space) + self._run_b - (1 << level)
 
-    def means(self, values, gathered=None):
-        # centered form: constants are exact fixed points and symmetric
-        # dyadic balls average linear data without rounding
-        if gathered is None:
-            gathered = values[self.indices]
-        center_vals = values[self.centers]
-        deltas = gathered - center_vals[self.segment_of]
-        return center_vals + np.add.reduceat(self.weights * deltas,
-                                             self.starts) / self.weight_sums
-
-    def midranges(self, values, gathered=None):
-        if gathered is None:
-            gathered = values[self.indices]
-        return 0.5 * (np.maximum.reduceat(gathered, self.starts)
-                      + np.minimum.reduceat(gathered, self.starts))
+    def _run_extrema(self, values):
+        """Max and min of the field over each ball, from a sparse table whose
+        level k holds the extrema of the windows [i, i + 2^k)."""
+        n = len(self.space)
+        top = np.empty((self._levels, n))
+        bottom = np.empty((self._levels, n))
+        top[0] = bottom[0] = values
+        for k in range(1, self._levels):
+            half, m = 1 << (k - 1), n - (1 << k) + 1
+            np.maximum(top[k - 1, :m], top[k - 1, half:half + m],
+                       out=top[k, :m])
+            np.minimum(bottom[k - 1, :m], bottom[k - 1, half:half + m],
+                       out=bottom[k, :m])
+        top, bottom = top.ravel(), bottom.ravel()
+        lo, hi = self._query_lo, self._query_hi
+        return (np.maximum.reduceat(np.maximum(top[lo], top[hi]),
+                                    self._first_run),
+                np.minimum.reduceat(np.minimum(bottom[lo], bottom[hi]),
+                                    self._first_run))
 
     def alpha_means(self, values, alpha):
-        gathered = values[self.indices]
-        m = self.means(values, gathered)
-        if alpha == 0.0:
-            return m
-        s = self.midranges(values, gathered)
+        top, bottom = self._run_extrema(values)
+        s = 0.5 * (top + bottom)
         if alpha == 1.0:
             return s
+        # less the global midrange: the rounding scales with the oscillation
+        # of u, not with its offset
+        deltas = values - (0.5 * values.max() + 0.5 * values.min())
+        prefix = np.zeros(len(values) + 1)
+        np.cumsum(self.space.weights * deltas, out=prefix[1:])
+        totals = np.add.reduceat(prefix[self._run_b] - prefix[self._run_a],
+                                 self._first_run)
+        # centered form, as a correction to the center value
+        center_deltas = deltas[self.centers]
+        m = values[self.centers] + (totals - center_deltas * self.weight_sums) \
+            / self.weight_sums
+        m = np.where(top == bottom, top, m)
+        if alpha == 0.0:
+            return m
         return m + alpha * (s - m)
 
 

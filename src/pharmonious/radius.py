@@ -288,6 +288,8 @@ class RadiusField:
         self.values = v
         self.lipschitz_L = None       # clamped to >= 1 for the theory
         self.raw_lipschitz = None     # the actual fitted slope
+        self.lipschitz_mode = None    # the fit's pair scan: exact or sampled
+        self.lipschitz_pairs = 0      # pairs that scan compared
         self.holder_fits = {}         # gamma -> coefficient
 
     def __getitem__(self, i):
@@ -368,10 +370,12 @@ def gap_majorant(space, values, members=None, seed=0):
 
 def fit_lipschitz(space, rho, seed=0):
     """Fit the Lipschitz constant of the radius field and clamp it at 1
-    (the regularity theory assumes L >= 1).  Stores both the raw and the
-    clamped value on the field; returns the clamped one."""
-    raw, _, _ = max_gap_ratio(space, rho.values, 1.0, seed=seed)
+    (the regularity theory assumes L >= 1).  Stores the raw and the clamped
+    value on the field, with the mode and pair count of the scan (a sampled
+    fit is a lower bound); returns the clamped one."""
+    raw, mode, pairs = max_gap_ratio(space, rho.values, 1.0, seed=seed)
     rho.raw_lipschitz = raw
+    rho.lipschitz_mode, rho.lipschitz_pairs = mode, pairs
     rho.lipschitz_L = max(1.0, raw)
     return rho.lipschitz_L
 

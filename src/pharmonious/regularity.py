@@ -264,7 +264,9 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
     """Assemble a regularity certificate for a solved field.
 
     Gate verdict, closed-form Holder bound on the m-th exhaustion set,
-    measured seminorm there, and the provenance of every constant.  The
+    measured seminorm there, and the provenance of every constant (L_mode:
+    the fit's exact or sampled pair scan, or "supplied" when
+    rho.lipschitz_L was set without fit_lipschitz).  The
     midrange-only case alpha = 1 is out of certificate scope; a field whose
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder
@@ -303,7 +305,8 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
     cdict = {"C": C, "D_delta": constants.get("D_delta"),
              "D_mu": constants.get("D_mu"),
              "source": constants.get("source", "supplied"),
-             "L": L, "gamma": gamma}
+             "L": L, "L_mode": rho.lipschitz_mode or "supplied",
+             "gamma": gamma}
     return RegularityCertificate(
         gate=gate, m=m, delta=delta, exponent=exponent,
         theoretical_constant=theo, empirical_constant=emp.value,

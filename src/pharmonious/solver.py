@@ -99,7 +99,9 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
 
     Refuses non-admissible radius fields.  The returned field is the last
     iterate whose residual was measured, so the reported final residual is
-    exactly what an independent residual() recomputation gives.
+    exactly what an independent residual() recomputation gives.  A sweep
+    whose residual is not finite ends the solve unconverged and is not
+    kept: the field stays the last finite iterate.
     Deterministic: synchronous sweeps, fixed reduction order.
     """
     if config is None:
@@ -134,9 +136,14 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     converged = False
     iterations = 0
     while True:
-        swept = table.alpha_means(u, alpha)
-        residual_now = float(np.abs(swept - u[interior]).max())
+        # a diverging iteration (|alpha| > 1) overflows; it is reported as
+        # non-convergence, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            swept = table.alpha_means(u, alpha)
+            residual_now = float(np.abs(swept - u[interior]).max())
         history.append(residual_now)
+        if not math.isfinite(residual_now):
+            break
         if config.record_every > 0 and iterations % config.record_every == 0:
             for m, members in exhaustions.items():
                 snapshots.append(

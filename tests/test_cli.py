@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ def test_validate_good_setup(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "validate.json").read_text())
     assert doc["pass"] and doc["gate"]["pass"]
+
+
+def test_validate_records_how_L_was_obtained(tmp_path):
+    args = ["validate", "--grid", "2d", "--n", "17", "--rho-factor", 0.4,
+            "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4, "--out", tmp_path]
+    assert run(*args) == 0
+    assert json.loads((tmp_path / "validate.json").read_text())["L_mode"] \
+        == "exact"
+    assert run(*args, "--L", 1.0) == 0
+    assert json.loads((tmp_path / "validate.json").read_text())["L_mode"] \
+        == "supplied"
 
 
 def test_validate_gate_failure_names_condition(tmp_path, capsys):
@@ -128,6 +140,23 @@ def test_solve_iteration_budget_exit_code(tmp_path):
     # partial outputs still written
     assert (tmp_path / "field.csv").exists()
     assert (tmp_path / "solve_report.json").exists()
+
+
+def test_diverging_solve_is_non_convergence(tmp_path, capsys):
+    # |alpha| = 5 amplifies the saddle until a sweep overflows; the
+    # overflow must not surface as a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("solve", "--grid", "2d", "--n", 9, "--rho-factor", 0.9,
+                   "--boundary-fn", "saddle", "--init-fn", "saddle",
+                   "--alpha", -5, "--max-iter", 10000, "--out", tmp_path)
+    assert code == 3
+    assert "input error" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    assert not doc["converged"] and doc["iterations_used"] < 10000
+    assert not np.isfinite(doc["final_residual"])
+    u = read_field_csv(square_grid(9), tmp_path / "field.csv")
+    assert np.abs(u).max() > 1e300
 
 
 def test_solve_non_admissible_always_exits_one(tmp_path):

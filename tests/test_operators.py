@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pharmonious import (BallTable, Modulus, RadiusField, ScalarField,
+from pharmonious import (BallTable, Modulus, RadiusField, ScalarField, Space,
                          SpaceFormatError,
                          TheoreticalModulus, alpha_mean_value,
                          apply_alpha_mean, ball_symdiff_ratio,
                          check_alpha_mean_modulus, check_mean_stability,
                          check_symdiff_bounds, exhaustion, fit_lipschitz,
                          hausdorff_gaps, interval_grid, disk_grid,
-                         mean_value, midrange_value, read_field_csv,
-                         solve_dirichlet, SolveConfig, write_field_csv)
+                         lattice_graph, mean_value, midrange_value,
+                         path_graph, read_field_csv, solve_dirichlet,
+                         SolveConfig, square_grid, write_field_csv)
 
 
 @pytest.fixture(scope="module")
@@ -419,3 +420,71 @@ def test_ball_table_matches_ball_queries(grid2d_small):
         x = int(table.centers[k])
         seg = table.indices[table.starts[k]: table.starts[k] + table.counts[k]]
         assert np.array_equal(seg, grid2d_small.ball(x, rho[x]).members)
+
+
+# -- the run kernel against member-wise reductions ----------------------------------
+
+
+def _memberwise_alpha_means(table, v, alpha):
+    """Reference: centered mean and midrange reduced over every member."""
+    members = v[table.indices]
+    w = table.space.weights[table.indices]
+    segment_of = np.repeat(np.arange(len(table.centers)), table.counts)
+    center_vals = v[table.centers]
+    m = center_vals + np.add.reduceat(w * (members - center_vals[segment_of]),
+                                      table.starts) \
+        / np.add.reduceat(w, table.starts)
+    s = 0.5 * (np.maximum.reduceat(members, table.starts)
+               + np.minimum.reduceat(members, table.starts))
+    return s if alpha == 1.0 else m + alpha * (s - m)
+
+
+def _matrix_space():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 1.0, size=(80, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    edge = np.minimum(pts, 1.0 - pts).min(axis=1)
+    return Space(metric="matrix", matrix=np.maximum(d, d.T),
+                 weights=rng.uniform(0.5, 2.0, size=80),
+                 boundary=np.flatnonzero(edge < 0.15))
+
+
+def _permuted_grid():
+    # consecutive indices are no longer neighbours: almost every run is one
+    # member long
+    sp = square_grid(17)
+    perm = np.random.default_rng(5).permutation(len(sp))
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=where[sp.boundary_indices])
+
+
+@pytest.fixture(scope="module", params=["square", "disk", "lattice", "path",
+                                        "matrix", "permuted"])
+def kernel_table(request):
+    sp = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
+          "lattice": lambda: lattice_graph(13, 11),
+          "path": lambda: path_graph(41), "matrix": _matrix_space,
+          "permuted": _permuted_grid}[request.param]()
+    return BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.3, 1.0])
+def test_run_kernel_matches_memberwise_reduction(kernel_table, alpha):
+    u = np.random.default_rng(7).uniform(-1.0, 1.0, len(kernel_table.space))
+    got = kernel_table.alpha_means(u, alpha)
+    want = _memberwise_alpha_means(kernel_table, u, alpha)
+    if alpha == 1.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(u).max()
+    const = np.full(len(u), -0.37)
+    assert np.array_equal(kernel_table.alpha_means(const, alpha),
+                          const[kernel_table.centers])
+    # constant on every ball but not globally: a boundary point lies in no
+    # interior ball at rho = 0.5 dist
+    const[kernel_table.space.boundary_indices[0]] = 5.0
+    assert np.all(kernel_table.alpha_means(const, alpha) == -0.37)
+    shifted = kernel_table.alpha_means(u + 1e6, alpha) - 1e6
+    assert np.abs(shifted - got).max() <= 1e-9

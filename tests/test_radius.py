@@ -10,8 +10,10 @@ from pharmonious import (Modulus, RadiusField, SpaceFormatError,
                          fit_lipschitz, fit_radius_modulus, hull,
                          interval_grid, iterate_modulus,
                          least_concave_majorant, normalize_modulus,
-                         path_graph, read_radius_csv, validate_admissible,
-                         validate_parameters, write_radius_csv)
+                         path_graph, read_radius_csv, square_grid,
+                         validate_admissible, validate_parameters,
+                         write_radius_csv)
+from pharmonious import space as space_mod
 
 # -- admissibility ---------------------------------------------------------------
 
@@ -80,6 +82,20 @@ def test_steep_field_fit_on_path_graph():
     best = max(abs(rho[i] - rho[j]) / sp.distance(i, j)
                for i in range(5) for j in range(5) if i != j)
     assert fit_lipschitz(sp, rho) == best == 6.0
+
+
+@pytest.mark.parametrize("n, mode", [(17, "exact"), (71, "sampled")])
+def test_lipschitz_fit_records_scan_mode(n, mode):
+    # 71^2 = 5041 points lies just above the exact-scan limit
+    sp = square_grid(n)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    fit_lipschitz(sp, rho)
+    assert rho.lipschitz_mode == mode
+    if mode == "exact":
+        assert rho.lipschitz_pairs == len(sp) * (len(sp) - 1) // 2
+    else:
+        assert 0.99 * space_mod.SAMPLED_PAIRS < rho.lipschitz_pairs \
+            <= space_mod.SAMPLED_PAIRS
 
 
 def test_holder_fit_records_coefficient(grid1d):

@@ -308,7 +308,21 @@ def test_certificate_json_shape(grid1d, grid1d_rho):
     for key in ("gate", "m", "delta", "theoretical_constant",
                 "empirical_constant", "empirical_mode", "pass", "constants"):
         assert key in doc
-    assert set(doc["constants"]) >= {"C", "D_delta", "D_mu", "source"}
+    assert set(doc["constants"]) >= {"C", "D_delta", "D_mu", "source",
+                                     "L_mode"}
+
+
+def test_certificate_records_how_L_was_obtained():
+    sp = square_grid(17)
+    u = np.full(len(sp), 0.5)
+    kwargs = dict(epsilon=0.5, beta=1.0, lam=0.4)
+    fitted = RadiusField.scaled_boundary_distance(sp, 0.4)
+    cert = certify(sp, fitted, u, 0.3, 2, **kwargs)
+    assert cert.constants["L_mode"] == "exact"
+    supplied = RadiusField.scaled_boundary_distance(sp, 0.4)
+    supplied.lipschitz_L = 1.0
+    cert = certify(sp, supplied, u, 0.3, 2, **kwargs)
+    assert cert.constants["L_mode"] == "supplied"
 
 
 def test_certificate_solved_nonconstant_2d(grid2d_65):

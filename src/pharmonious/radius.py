@@ -342,7 +342,7 @@ def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
     """max |values(x) - values(y)| / d(x, y)^exponent over the pair scan of
     members (default: the whole space), as (value, mode, pairs); a sampled
     value is a lower bound for the exact one."""
-    scan = space.pair_scan(members, seed)
+    scan = space.pair_scan(members, seed, lipschitz=(exponent == 1.0))
     best = 0.0
     for i, j, d in scan.blocks:
         dv = np.abs(values[i] - values[j])

@@ -103,9 +103,11 @@ class Space:
     """Immutable finite metric measure space with a boundary subset.
 
     Construction validates the metric contract (symmetry, zero diagonal,
-    triangle inequality for explicit matrices, nonnegative edge weights for
-    graphs, positive weights everywhere, no duplicate points).  After
-    construction all queries are pure reads and safe to share.
+    triangle inequality for explicit matrices, positive edge weights between
+    distinct graph nodes, positive weights everywhere, no duplicate points).
+    Parallel and reversed graph edges count once, at their smallest weight;
+    self-loops are dropped.  After construction all queries are pure reads
+    and safe to share.
     """
 
     def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
@@ -140,13 +142,25 @@ class Space:
             e = np.asarray(edges, dtype=float)
             if e.ndim != 2 or e.shape[1] != 3:
                 raise SpaceFormatError("edges must be rows [i, j, weight]")
+            if not np.all(np.isfinite(e)):
+                raise SpaceFormatError("non-finite edge entry")
             if np.any(e[:, 2] < 0):
                 raise SpaceFormatError("negative edge weight")
             self.edges = _as_readonly(e)
-            i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+            # one undirected edge per node pair, at its smallest weight:
+            # csr_matrix would sum parallel and reversed edges
+            i, j = self._indices(e[:, 0]), self._indices(e[:, 1])
+            keep = i != j
+            if np.any(e[keep, 2] == 0):
+                raise SpaceFormatError("duplicate points: zero distance between distinct ids")
+            pair, slot = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep],
+                                   return_inverse=True)
+            w = np.full(len(pair), np.inf)
+            np.minimum.at(w, slot, e[keep, 2])
+            lo, hi = pair // n, pair % n
             self._graph = sparse.csr_matrix(
                 (np.concatenate([w, w]),
-                 (np.concatenate([i, j]), np.concatenate([j, i]))),
+                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                 shape=(n, n))
         else:
             if self._matrix is None or self._matrix.shape != (n, n):
@@ -290,13 +304,23 @@ class Space:
             out[s] = self.distances(rows)[np.searchsorted(rows, i[s]), j[s]]
         return out
 
-    def pair_scan(self, members=None, seed=0):
+    def pair_scan(self, members=None, seed=0, lipschitz=False):
         """PairScan over the points of members (default: the whole space).
 
         Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
         random pairs of distinct points; a reduction over them is a lower
         bound for the exact one.
+
+        lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
+        On a whole graph space that maximum is attained on an edge (sum the
+        edge bounds along a shortest path), so the scan is one exact block
+        of the edges Dijkstra reads, at any size.
         """
+        if lipschitz and members is None and self.metric == "graph":
+            n = len(self)
+            edges = sparse.triu(self._graph, k=1, format="coo")
+            return PairScan("exact", n * (n - 1) // 2,
+                            iter([(edges.row, edges.col, edges.data)]))
         members = np.arange(len(self)) if members is None \
             else self._indices(members)
         n = len(members)
@@ -331,14 +355,8 @@ class Space:
         for lo in range(0, len(centers), step):
             cs, rs = centers[lo:lo + step], radii[lo:lo + step]
             if self.metric == "euclidean":
-                cands = self.kdtree().query_ball_point(
-                    self.coords[cs], rs * (1.0 + 1e-9), return_sorted=True)
-                sizes = np.fromiter(map(len, cands), np.intp, len(cands))
-                flat = np.fromiter(itertools.chain.from_iterable(cands),
-                                   np.intp, int(sizes.sum()))
-                owner = np.repeat(np.arange(len(cs)), sizes)
-                inside = _euclidean(self.coords[flat],
-                                    self.coords[cs[owner]]) <= rs[owner]
+                owner, flat, d = self._kd_candidates(self.kdtree(), cs, rs)
+                inside = d <= rs[owner]
                 rows, cols = owner[inside], flat[inside]
             else:
                 block = self.distances(cs, limit=max(float(rs.max()), 0.0))
@@ -346,6 +364,18 @@ class Space:
             chunks.append(cols)
             counts[lo:lo + len(cs)] = np.bincount(rows, minlength=len(cs))
         return np.concatenate(chunks), counts
+
+    def _kd_candidates(self, tree, points, radii):
+        """(owner, cand, d) over the points of tree within a hair-slack
+        radii[k] of coords[points[k]], in ascending order per k: owner k,
+        the candidate's tree index, and its closed-form distance."""
+        cands = tree.query_ball_point(self.coords[points], radii * (1.0 + 1e-9),
+                                      return_sorted=True)
+        sizes = np.fromiter(map(len, cands), np.intp, len(cands))
+        flat = np.fromiter(itertools.chain.from_iterable(cands), np.intp,
+                           int(sizes.sum()))
+        owner = np.repeat(np.arange(len(cands)), sizes)
+        return owner, flat, _euclidean(tree.data[flat], self.coords[points[owner]])
 
     def ball(self, x, r):
         if r < 0:
@@ -366,16 +396,34 @@ class Space:
     # -- boundary geometry ----------------------------------------------------
 
     def boundary_distances(self):
-        """dist(x, boundary) for every point; zero exactly on the boundary."""
+        """dist(x, boundary) for every point; zero exactly on the boundary.
+
+        Graphs run one multi-source Dijkstra from the boundary (inf on a
+        component without boundary points).  Euclidean spaces take each
+        point's nearest boundary distance from a KD-tree over the boundary,
+        then the closed-form minimum over the boundary points within a hair
+        of it, so the value is the one distances() gives.  Matrix spaces
+        take the minimum over row blocks.
+        """
         if self._bdry_dist is None:
             b = self.boundary_indices
             if len(b) == 0:
                 raise ConfigurationError("space has an empty boundary")
-            out = np.full(len(self), np.inf)
-            step = self._row_step()
-            for lo in range(0, len(b), step):
-                np.minimum(out, self.distances(b[lo:lo + step]).min(axis=0),
-                           out=out)
+            if self.metric == "graph":
+                out = dijkstra(self._graph, indices=b, directed=False,
+                               min_only=True)
+            elif self.metric == "euclidean":
+                tree = cKDTree(self.coords[b])
+                owner, _, d = self._kd_candidates(tree, np.arange(len(self)),
+                                                  tree.query(self.coords)[0])
+                out = np.full(len(self), np.inf)
+                np.minimum.at(out, owner, d)
+            else:
+                out = np.full(len(self), np.inf)
+                step = self._row_step()
+                for lo in range(0, len(b), step):
+                    np.minimum(out, self.distances(b[lo:lo + step]).min(axis=0),
+                               out=out)
             out[b] = 0.0
             out.flags.writeable = False
             self._bdry_dist = out
@@ -428,7 +476,8 @@ class Space:
                 d, _ = self.kdtree().query(self.coords, k=2)
                 self._resolution = float(d[:, 1].min())
             elif self.metric == "graph":
-                self._resolution = float(self.edges[:, 2][self.edges[:, 2] > 0].min())
+                w = self._graph.data
+                self._resolution = float(w.min()) if w.size else 0.0
             else:
                 off = self._matrix[~np.eye(len(self), dtype=bool)]
                 self._resolution = float(off[off > 0].min())

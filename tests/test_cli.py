@@ -51,6 +51,22 @@ def test_probe_invalid_record_named(tmp_path, capsys):
     assert "#1" in err
 
 
+def test_probe_zero_weight_edges_are_duplicate_points(tmp_path, capsys):
+    # a path whose edges all weigh 0 used to end in a ValueError traceback
+    # from resolution()
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps({
+        "metric": "graph",
+        "points": [{"id": k, "weight": 1.0, "boundary": k in (0, 3)}
+                   for k in range(4)],
+        "edges": [[k, k + 1, 0.0] for k in range(3)],
+    }))
+    assert run("probe", "--space", bad, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "input error: duplicate points" in err
+    assert "Traceback" not in err
+
+
 # -- validate --------------------------------------------------------------------
 
 

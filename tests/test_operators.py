@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pharmonious import (BallTable, Modulus, RadiusField, ScalarField, Space,
+from pharmonious import (BallTable, Modulus, RadiusField, ScalarField,
                          SpaceFormatError,
                          TheoreticalModulus, alpha_mean_value,
                          apply_alpha_mean, ball_symdiff_ratio,
@@ -439,34 +439,15 @@ def _memberwise_alpha_means(table, v, alpha):
     return s if alpha == 1.0 else m + alpha * (s - m)
 
 
-def _matrix_space():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0.0, 1.0, size=(80, 2))
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-    edge = np.minimum(pts, 1.0 - pts).min(axis=1)
-    return Space(metric="matrix", matrix=np.maximum(d, d.T),
-                 weights=rng.uniform(0.5, 2.0, size=80),
-                 boundary=np.flatnonzero(edge < 0.15))
-
-
-def _permuted_grid():
-    # consecutive indices are no longer neighbours: almost every run is one
-    # member long
-    sp = square_grid(17)
-    perm = np.random.default_rng(5).permutation(len(sp))
-    where = np.empty_like(perm)
-    where[perm] = np.arange(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=where[sp.boundary_indices])
-
-
 @pytest.fixture(scope="module", params=["square", "disk", "lattice", "path",
                                         "matrix", "permuted"])
 def kernel_table(request):
     sp = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
           "lattice": lambda: lattice_graph(13, 11),
-          "path": lambda: path_graph(41), "matrix": _matrix_space,
-          "permuted": _permuted_grid}[request.param]()
+          "path": lambda: path_graph(41),
+          "matrix": lambda: request.getfixturevalue("matrix_space"),
+          "permuted": lambda: request.getfixturevalue("permuted_grid"),
+          }[request.param]()
     return BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.5))
 
 

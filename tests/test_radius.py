@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from pharmonious import (Modulus, RadiusField, SpaceFormatError,
                          check_radius_bounds, exhaustion, fit_holder,
                          fit_lipschitz, fit_radius_modulus, hull,
-                         interval_grid, iterate_modulus,
+                         interval_grid, iterate_modulus, lattice_graph,
                          least_concave_majorant, normalize_modulus,
                          path_graph, read_radius_csv, square_grid,
                          validate_admissible, validate_parameters,
                          write_radius_csv)
 from pharmonious import space as space_mod
+from pharmonious.radius import max_gap_ratio
 
 # -- admissibility ---------------------------------------------------------------
 
@@ -96,6 +97,45 @@ def test_lipschitz_fit_records_scan_mode(n, mode):
     else:
         assert 0.99 * space_mod.SAMPLED_PAIRS < rho.lipschitz_pairs \
             <= space_mod.SAMPLED_PAIRS
+
+
+def _full_scan_max_ratio(sp, values, exponent):
+    """max |values(x) - values(y)| / d(x, y)^exponent over every pair."""
+    best = 0.0
+    for i, j, d in sp._exact_blocks(np.arange(len(sp))):
+        dv = np.abs(values[i] - values[j])
+        mask = d > 0
+        best = max(best, float((dv[mask] / d[mask] ** exponent).max(initial=0.0)))
+    return best
+
+
+@pytest.fixture(params=["path", "lattice", "random", "two_components",
+                        "parallel_edges"])
+def graph_and_values(request, random_graph):
+    sp = {"path": lambda: path_graph(41),
+          "lattice": lambda: lattice_graph(13, 11),
+          "random": lambda: random_graph(1),
+          "two_components": lambda: random_graph(2, split=True),
+          "parallel_edges": lambda: random_graph(3, parallel=True),
+          }[request.param]()
+    noise = np.random.default_rng(9).uniform(0.0, 1.0, len(sp))
+    return sp, [0.4 * sp.boundary_distances(), noise]
+
+
+def test_graph_lipschitz_scan_equals_full_pair_scan(graph_and_values):
+    # the edge scan: a shortest path's edges bound every pair's ratio
+    sp, fields = graph_and_values
+    n = len(sp)
+    for values in fields:
+        assert max_gap_ratio(sp, values, 1.0) == \
+            (_full_scan_max_ratio(sp, values, 1.0), "exact", n * (n - 1) // 2)
+
+
+def test_graph_holder_fit_equals_full_pair_scan(graph_and_values):
+    sp, fields = graph_and_values
+    for values in fields:
+        assert fit_holder(sp, RadiusField(values), 0.5) == \
+            _full_scan_max_ratio(sp, values, 0.5)
 
 
 def test_holder_fit_records_coefficient(grid1d):

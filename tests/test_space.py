@@ -5,8 +5,8 @@ import pytest
 
 from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
                          RadiusField, Space, SpaceFormatError, disk_grid,
-                         interval_grid, lattice_graph, path_graph,
-                         space_from_dict, square_grid)
+                         fit_lipschitz, interval_grid, lattice_graph,
+                         path_graph, space_from_dict, square_grid)
 from pharmonious import space as space_mod
 
 
@@ -173,6 +173,38 @@ def test_empty_boundary_is_configuration_error():
                coords=[[0.0], [1.0]], metric="euclidean")
     with pytest.raises(ConfigurationError):
         sp.dist_to_boundary(0)
+
+
+def _cloud(dim):
+    rng = np.random.default_rng(11)
+    coords = rng.uniform(0.0, 1.0, size=(300, dim))
+    return Space(coords=coords, weights=np.ones(300),
+                 boundary=np.flatnonzero(np.minimum(coords, 1.0 - coords).min(axis=1) < 0.1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: square_grid(33), lambda f: disk_grid(33),
+    lambda f: f("permuted_grid"), lambda f: interval_grid(65),
+    lambda f: _cloud(3), lambda f: _cloud(8), lambda f: lattice_graph(13, 11),
+    lambda f: f("random_graph")(2, split=True, boundary=[0, 7]),
+    lambda f: f("matrix_space")],
+    ids=["square", "disk", "permuted", "interval", "cloud3d", "cloud8d", "lattice",
+         "graph_unbounded_component", "matrix"])
+def test_boundary_distances_equal_blocked_minimum(make, request):
+    # in 8 dimensions the KD-tree's own distances differ from the closed
+    # form in the last place
+    sp = make(request.getfixturevalue)
+    b = sp.boundary_indices
+    reference = np.full(len(sp), np.inf)
+    for lo in range(0, len(b), 7):
+        reference = np.minimum(reference, sp.distances(b[lo:lo + 7]).min(axis=0))
+    reference[b] = 0.0
+    assert np.array_equal(sp.boundary_distances(), reference)
+
+
+def test_graph_component_without_boundary_reads_inf(random_graph):
+    d = random_graph(2, split=True, boundary=[0, 7]).boundary_distances()
+    assert np.isfinite(d[:30]).all() and np.isinf(d[30:]).all()
 
 
 def test_diameter_2d_is_sqrt2(grid2d_small):
@@ -374,6 +406,49 @@ def test_out_of_range_point_indices_rejected():
                  lambda: sp.balls([7], [1.0])):
         with pytest.raises(SpaceFormatError, match="out of range"):
             call()
+
+
+def test_parallel_and_reversed_edges_collapse_to_smallest_weight(random_graph):
+    # csr_matrix used to sum duplicates: d(0, 1) read 2.0
+    sp = Space(weights=[1.0] * 3, boundary=[0], metric="graph",
+               edges=[[0, 1, 1.0], [1, 0, 1.0], [0, 1, 3.0], [1, 2, 1.0],
+                      [2, 2, 0.5], [1, 1, 0.0]])
+    assert sp.distance(0, 1) == 1.0
+    assert sp.boundary_distances().tolist() == [0.0, 1.0, 2.0]
+    assert sp.resolution() == 1.0
+    sp = random_graph(4, parallel=True)
+    oracle = brute_force_shortest_paths(
+        len(sp), [(int(i), int(j), w) for i, j, w in sp.edges])
+    # path sums associate differently in Floyd-Warshall
+    assert np.allclose(sp.distances(np.arange(len(sp))), oracle, rtol=1e-13)
+    with pytest.raises(SpaceFormatError, match="out of range"):
+        Space(weights=[1.0] * 3, boundary=[0], metric="graph", edges=[[0, 5, 1.0]])
+
+
+@pytest.mark.parametrize("weight, message", [(0.0, "duplicate points"),
+                                             (np.nan, "non-finite"),
+                                             (np.inf, "non-finite")])
+def test_zero_or_non_finite_edge_weight_rejected(weight, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        Space(weights=[1.0] * 3, boundary=[0], metric="graph",
+              edges=[[0, 1, 1.0], [2, 1, weight]])
+
+
+@pytest.mark.parametrize("query", ["fit_lipschitz", "graph_boundary",
+                                   "euclidean_boundary"])
+def test_whole_space_queries_visit_no_distance_block(query, monkeypatch):
+    # fails if a Lipschitz fit or a boundary distance falls back to dense
+    # distance blocks, which scan all pairs (or all boundary-point pairs)
+    sp = square_grid(33) if query == "euclidean_boundary" else lattice_graph(33, 33)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense distance block requested")
+    monkeypatch.setattr(Space, "distances", refuse)
+    if query == "fit_lipschitz":
+        rho = RadiusField(np.random.default_rng(1).uniform(size=len(sp)))
+        assert fit_lipschitz(sp, rho) > 0 and rho.lipschitz_mode == "exact"
+    else:
+        assert np.isfinite(sp.boundary_distances()).all()
 
 
 def _all_pairs_graph_distances(sp):

@@ -16,7 +16,8 @@ from .operators import (BallTable, CheckRecord, GapPair, ScalarField,
                         check_symdiff_bounds, hausdorff_gaps, mean_value,
                         midrange_value, oscillation_modulus, read_field_csv,
                         write_field_csv)
-from .radius import (AdmissibilityReport, Modulus, ParameterGate, RadiusField,
+from .radius import (AdmissibilityReport, HypothesisReport, Modulus,
+                     ParameterGate, RadiusField, check_hypotheses,
                      check_radius_bounds, exhaustion, fit_holder,
                      fit_lipschitz, fit_radius_modulus, hull, iterate_modulus,
                      least_concave_majorant, normalize_modulus,
@@ -26,7 +27,7 @@ from .regularity import (EmpiricalHolder, RegularityCertificate,
                          TheoreticalModulus, ModulusFamily, branch_constant,
                          certified_holder_constant, certify, empirical_holder,
                          fixed_point_oscillation_bound, space_constants)
-from .solver import (GateVerdict, SolveConfig, SolveReport,
+from .solver import (SolveConfig, SolveReport,
                      equicontinuity_gate, iterate_modulus_bound, residual,
                      root_test_margin, solve_dirichlet)
 from .space import (Ball, Space, SpaceProbeReport, disk_grid, interval_grid,

@@ -102,8 +102,10 @@ def _manifest(args):
 
 def _write_json(path, doc):
     path.parent.mkdir(parents=True, exist_ok=True)
+    # strict JSON: NaN and +-Infinity, read back from a lenient dump, are null
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -124,28 +126,17 @@ def cmd_probe(args):
 def cmd_validate(args):
     space = _build_space(args)
     rho = _build_rho(args, space)
-    adm = radius.validate_admissible(space, rho)
-    bounds = radius.check_radius_bounds(space, rho, args.lam, args.beta,
-                                        args.epsilon)
-    if args.L is not None:
-        L, L_mode = args.L, "supplied"
-    else:
-        L = radius.fit_lipschitz(space, rho, seed=args.seed)
-        L_mode = rho.lipschitz_mode
-    gate = radius.validate_parameters(args.alpha, L, args.epsilon, args.beta,
-                                      args.lam, space.ell(), args.delta)
-    ok = adm.ok and bounds.ok and gate.passed
-    doc = {"manifest": _manifest(args),
-           "admissible": adm.to_dict(),
-           "radius_bounds": bounds.to_dict(),
-           "gate": gate.to_dict(),
-           "L_mode": L_mode,
-           "pass": ok}
+    hyp = radius.check_hypotheses(space, rho, args.alpha, args.epsilon,
+                                  args.beta, args.lam, args.delta, L=args.L,
+                                  seed=args.seed)
+    doc = {"manifest": _manifest(args), **hyp.to_dict(), "L_mode": hyp.L_mode,
+           "pass": not hyp.failed}
     _write_json(args.out / "validate.json", doc)
-    print(f"admissible={adm.ok} bounds={bounds.ok} gate={gate.passed}")
-    if not gate.passed:
-        print("failed conditions: " + ", ".join(gate.failed_conditions))
-    return EXIT_OK if ok else EXIT_FAIL
+    print(f"admissible={hyp.admissible.ok} bounds={hyp.radius_bounds.ok} "
+          f"gate={hyp.gate.passed}")
+    if hyp.failed:
+        print("failed: " + ", ".join(hyp.failed))
+    return EXIT_FAIL if hyp.failed else EXIT_OK
 
 
 def cmd_solve(args):
@@ -170,16 +161,12 @@ def cmd_solve(args):
         if args.lam is None:
             raise SpaceFormatError("the parameter gate (--epsilon) needs --lam; "
                                    "pass --lam or --force")
-        bounds = radius.check_radius_bounds(space, rho, args.lam, args.beta,
-                                            args.epsilon)
-        L = radius.fit_lipschitz(space, rho, seed=args.seed)
-        gate = radius.validate_parameters(args.alpha, L, args.epsilon,
-                                          args.beta, args.lam, space.ell(),
-                                          args.delta)
-        if not (bounds.ok and gate.passed):
+        hyp = radius.check_hypotheses(space, rho, args.alpha, args.epsilon,
+                                      args.beta, args.lam, args.delta,
+                                      seed=args.seed)
+        if hyp.admissible.ok and hyp.failed:  # else solve_dirichlet refuses
             print("validation failed (rerun with --force to solve anyway): "
-                  + ", ".join(gate.failed_conditions
-                              + (["radius_bounds"] if not bounds.ok else [])))
+                  + ", ".join(hyp.failed))
             return EXIT_FAIL
     initial = None
     if args.init_fn is not None:
@@ -212,6 +199,8 @@ def cmd_certify(args):
     _write_json(args.out / "certificate.json", doc)
     print(f"pass={cert.passed} empirical={cert.empirical_constant:.6g} "
           f"theoretical={cert.theoretical_constant:.6g}")
+    if cert.hypotheses.failed:
+        print("failed: " + ", ".join(cert.hypotheses.failed))
     return EXIT_OK if cert.passed else EXIT_FAIL
 
 

@@ -41,9 +41,6 @@ class ScalarField:
             raise SpaceFormatError("field length does not match space")
         self.values = v
 
-    def sup_norm(self):
-        return float(np.abs(self.values).max())
-
     def copy(self):
         return ScalarField(self.space, self.values.copy())
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -286,11 +286,17 @@ class RadiusField:
         v = np.array(values, dtype=float)
         v.flags.writeable = False
         self.values = v
-        self.lipschitz_L = None       # clamped to >= 1 for the theory
+        self._lipschitz_L = None      # clamped to >= 1 for the theory
         self.raw_lipschitz = None     # the actual fitted slope
-        self.lipschitz_mode = None    # the fit's pair scan: exact or sampled
+        self.lipschitz_mode = None    # exact or sampled (the fit), supplied
         self.lipschitz_pairs = 0      # pairs that scan compared
         self.holder_fits = {}         # gamma -> coefficient
+
+    lipschitz_L = property(lambda self: self._lipschitz_L)
+
+    @lipschitz_L.setter
+    def lipschitz_L(self, value):  # fit_lipschitz then records its own mode
+        self._lipschitz_L, self.lipschitz_mode = value, "supplied"
 
     def __getitem__(self, i):
         return float(self.values[i])
@@ -314,12 +320,7 @@ class AdmissibilityReport:
     nonzero_on_boundary: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "nonpositive_interior": self.nonpositive_interior,
-            "exceeds_boundary_distance": self.exceeds_boundary_distance,
-            "nonzero_on_boundary": self.nonzero_on_boundary,
-        }
+        return asdict(self)
 
 
 def validate_admissible(space, rho):
@@ -375,8 +376,8 @@ def fit_lipschitz(space, rho, seed=0):
     fit is a lower bound); returns the clamped one."""
     raw, mode, pairs = max_gap_ratio(space, rho.values, 1.0, seed=seed)
     rho.raw_lipschitz = raw
-    rho.lipschitz_mode, rho.lipschitz_pairs = mode, pairs
     rho.lipschitz_L = max(1.0, raw)
+    rho.lipschitz_mode, rho.lipschitz_pairs = mode, pairs
     return rho.lipschitz_L
 
 
@@ -396,6 +397,11 @@ def fit_radius_modulus(space, rho, seed=0):
 # -- parameter gates ---------------------------------------------------------------
 
 
+def max_lambda(ell_omega, beta, epsilon):
+    """Largest admissible lambda, ell^(1-beta) * epsilon (inf when ell = 0)."""
+    return ell_omega ** (1.0 - beta) * epsilon if ell_omega > 0 else math.inf
+
+
 @dataclass
 class ParameterGate:
     """Verdict of the full parameter gate for the closed-form Holder bound."""
@@ -413,6 +419,9 @@ class ParameterGate:
     beta_max: float
     series_ratio: float
     equicontinuity_passed: bool
+
+    # at L = 1 the series ratio is the analytic root-test margin
+    analytic_margin = property(lambda self: self.series_ratio)
 
     def to_dict(self):
         return {
@@ -434,11 +443,11 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
 
     |alpha| < 1/L; 0 < epsilon < 1 - L|alpha|;
     1 <= beta < log(1/(L|alpha|)) / log(1/(1-epsilon))  (vacuous at alpha=0);
-    0 < lambda <= ell^(1-beta) * epsilon, checked only when the domain's
-    ell_omega is given.  The L = 1 variant (iterate equicontinuity, the
-    same gate without the lambda window) is recorded as a separate flag, and
-    the geometric series ratio L^delta |alpha| (1-eps)^(-beta delta) is
-    reported for the root test.
+    0 < lambda <= max_lambda(ell, beta, epsilon), checked only when the
+    domain's ell_omega is given.  The L = 1 variant (iterate
+    equicontinuity, the same gate without the lambda window) is recorded as
+    a separate flag, and the geometric series ratio
+    L^delta |alpha| (1-eps)^(-beta delta) is reported for the root test.
     """
     a = abs(alpha)
     conds = {"alpha_below_inverse_lipschitz": L > 0 and a < 1.0 / L,
@@ -453,8 +462,7 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
     equicontinuity = all(conds.values()) if L == 1.0 else \
         validate_parameters(alpha, 1.0, epsilon, beta).passed
     if ell_omega is not None:
-        lam_cap = ell_omega ** (1.0 - beta) * epsilon if ell_omega > 0 else math.inf
-        conds["lambda_window"] = 0.0 < lam <= lam_cap
+        conds["lambda_window"] = 0.0 < lam <= max_lambda(ell_omega, beta, epsilon)
     if 0.0 < epsilon < 1.0:
         ratio = (L ** delta) * a * (1.0 - epsilon) ** (-beta * delta)
     else:
@@ -500,12 +508,12 @@ class RadiusBoundsReport:
 def check_radius_bounds(space, rho, lam, beta, epsilon):
     """Verify the two-sided radius restriction per interior point.
 
-    A lambda outside its admissibility window (0, ell^(1-beta)*epsilon] is
-    recorded as a gate failure but the pointwise check still runs."""
+    A lambda outside its admissibility window (0, max_lambda] is recorded
+    as a gate failure but the pointwise check still runs."""
     d = space.boundary_distances()
     interior = space.interior_indices
     v = rho.values
-    lam_cap = space.ell() ** (1.0 - beta) * epsilon
+    lam_cap = max_lambda(space.ell(), beta, epsilon)
     window_ok = 0.0 < lam <= lam_cap
     lower = lam * d[interior] ** beta
     upper = epsilon * d[interior]
@@ -513,6 +521,41 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
     up_bad = [int(i) for i in interior[v[interior] > upper]]
     return RadiusBoundsReport(window_ok, low_bad, up_bad, lam, beta, epsilon,
                               lam_cap)
+
+
+@dataclass
+class HypothesisReport:
+    """Every hypothesis of the closed-form Holder bound on one (space, rho),
+    with the provenance of L: the fit's exact or sampled scan, or supplied."""
+
+    admissible: AdmissibilityReport
+    radius_bounds: RadiusBoundsReport
+    gate: ParameterGate
+    L_mode: str
+
+    @property
+    def failed(self):
+        """Names of the failed checks, the gate's conditions last."""
+        return [k for k in ("admissible", "radius_bounds")
+                if not getattr(self, k).ok] + self.gate.failed_conditions
+
+    def to_dict(self):  # L_mode goes with the caller's constants
+        return {k: getattr(self, k).to_dict()
+                for k in ("admissible", "radius_bounds", "gate")}
+
+
+def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
+                     L=None, seed=0):
+    """Admissibility of rho, lambda dist^beta <= rho <= epsilon dist and the
+    parameter gate at L: the one given, else rho's own, else a fit."""
+    admissible = validate_admissible(space, rho)
+    bounds = check_radius_bounds(space, rho, lam, beta, epsilon)
+    L_mode = "supplied"
+    if L is None:
+        L = rho.lipschitz_L or fit_lipschitz(space, rho, seed=seed)
+        L_mode = rho.lipschitz_mode
+    gate = validate_parameters(alpha, L, epsilon, beta, lam, space.ell(), delta)
+    return HypothesisReport(admissible, bounds, gate, L_mode)
 
 
 # -- exhaustion and hulls --------------------------------------------------------

@@ -180,9 +180,8 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
     if not gate.passed:
         raise SpaceFormatError(
             f"parameter gate fails: {', '.join(gate.failed_conditions)}")
-    ratio = (L ** delta) * abs(alpha) * (1.0 - epsilon) ** (-beta * delta)
     return (C * (1.0 - alpha) * norm_u * lam ** (-delta)
-            * (1.0 - epsilon) ** (-m * beta * delta) / (1.0 - ratio))
+            * (1.0 - epsilon) ** (-m * beta * delta) / (1.0 - gate.series_ratio))
 
 
 EmpiricalHolder = namedtuple("EmpiricalHolder", ["value", "mode", "pairs"])
@@ -206,7 +205,7 @@ def empirical_holder(space, u, members, delta, seed=0):
 
 @dataclass
 class RegularityCertificate:
-    gate: radius_mod.ParameterGate
+    hypotheses: radius_mod.HypothesisReport
     m: int
     delta: float
     exponent: float
@@ -219,9 +218,11 @@ class RegularityCertificate:
     alpha: float
     norm_u: float
 
+    gate = property(lambda self: self.hypotheses.gate)
+
     def to_dict(self):
         return {
-            "gate": self.gate.to_dict(),
+            **self.hypotheses.to_dict(),
             "m": self.m,
             "delta": self.delta,
             "exponent": self.exponent,
@@ -263,10 +264,11 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
             gamma=1.0, constants=None, residual_tolerance=1e-6, seed=0):
     """Assemble a regularity certificate for a solved field.
 
-    Gate verdict, closed-form Holder bound on the m-th exhaustion set,
-    measured seminorm there, and the provenance of every constant (L_mode:
-    the fit's exact or sampled pair scan, or "supplied" when
-    rho.lipschitz_L was set without fit_lipschitz).  The
+    The hypotheses of the bound (radius.check_hypotheses, as validate
+    checks them), the closed-form Holder bound on the m-th exhaustion set
+    (nan unless every hypothesis holds), the measured seminorm there, and
+    the provenance of every constant (L_mode: the fit's exact or sampled
+    pair scan, or "supplied" for a hand-set rho.lipschitz_L).  The
     midrange-only case alpha = 1 is out of certificate scope; a field whose
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder
@@ -285,30 +287,29 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
     if constants is None:
         constants = space_constants(space, delta, seed=seed)
     delta = constants.get("delta", delta if delta is not None else 1.0)
-    L = rho.lipschitz_L or radius_mod.fit_lipschitz(space, rho, seed=seed)
+    hyp = radius_mod.check_hypotheses(space, rho, alpha, epsilon, beta, lam,
+                                      delta, seed=seed)
+    L = hyp.gate.L
     C = constants.get("C")
     if C is None:
         C = branch_constant(L, constants["D_delta"], constants["D_mu"], delta)
     norm_u = float(np.abs(v).max())
-    gate = radius_mod.validate_parameters(alpha, L, epsilon, beta, lam,
-                                          space.ell(), delta)
     exponent = gamma * delta if alpha == 0.0 else delta
     members = radius_mod.exhaustion(space, epsilon, m)
     emp = empirical_holder(space, v, members, exponent, seed=seed)
-    if gate.passed:
+    theo = math.nan  # no certified bound without every hypothesis
+    if not hyp.failed:
         theo = certified_holder_constant(
             m, alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam,
             delta=delta, norm_u=norm_u, C=C, ell_omega=space.ell())
-    else:
-        theo = math.nan  # no certified bound without the gate
-    passed = bool(gate.passed and math.isfinite(theo) and emp.value <= theo)
+    passed = bool(not hyp.failed and math.isfinite(theo) and emp.value <= theo)
     cdict = {"C": C, "D_delta": constants.get("D_delta"),
              "D_mu": constants.get("D_mu"),
              "source": constants.get("source", "supplied"),
-             "L": L, "L_mode": rho.lipschitz_mode or "supplied",
+             "L": L, "L_mode": hyp.L_mode,
              "gamma": gamma}
     return RegularityCertificate(
-        gate=gate, m=m, delta=delta, exponent=exponent,
+        hypotheses=hyp, m=m, delta=delta, exponent=exponent,
         theoretical_constant=theo, empirical_constant=emp.value,
         empirical_mode=emp.mode, passed=passed, constants=cdict,
         residual=res, alpha=alpha, norm_u=norm_u,

@@ -33,7 +33,7 @@ from .operators import BallTable, ScalarField, field_values
 
 @dataclass
 class SolveConfig:
-    alpha: float = 0.0
+    alpha: float = None            # if set, must equal the alpha argument
     tolerance: float = 1e-8
     max_iterations: int = 100_000
     record_every: int = 0          # iterate-modulus snapshot cadence; 0 = off
@@ -105,7 +105,10 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     Deterministic: synchronous sweeps, fixed reduction order.
     """
     if config is None:
-        config = SolveConfig(alpha=alpha)
+        config = SolveConfig()
+    if config.alpha is not None and config.alpha != alpha:
+        raise SpaceFormatError(
+            f"config alpha {config.alpha} differs from the alpha argument {alpha}")
     report = radius_mod.validate_admissible(space, rho)
     if not report.ok:
         raise AdmissibilityError(
@@ -228,32 +231,12 @@ def root_test_margin(alpha, family, j_max=40):
     return a * best
 
 
-@dataclass
-class GateVerdict:
-    passed: bool
-    conditions: dict
-    analytic_margin: float
-    beta_max: float
-
-    def to_dict(self):
-        return {"pass": self.passed, "conditions": self.conditions,
-                "analytic_margin": self.analytic_margin,
-                "beta_max": self.beta_max}
-
-
 def equicontinuity_gate(alpha, epsilon, beta, delta=1.0):
     """Parameter gate for equicontinuity of the sweep iterates: the main
     gate (validate_parameters) at L = 1, without the lambda window.
 
-    pass iff |alpha| < 1, 0 < epsilon < 1 - |alpha|, and
-    1 <= beta < log(1/|alpha|) / log(1/(1-epsilon)) (vacuous at alpha=0).
-    The verdict also reports the analytic root-test margin
-    |alpha| (1-epsilon)^(-delta beta); the gate conditions imply margin < 1
-    for every delta in (0,1], and at delta = 1 they are equivalent to it.
+    Its series ratio (analytic_margin) is the analytic root-test margin
+    |alpha| (1-epsilon)^(-delta beta): the conditions imply margin < 1 for
+    every delta in (0,1], and at delta = 1 they are equivalent to it.
     """
-    gate = radius_mod.validate_parameters(alpha, 1.0, epsilon, beta)
-    if 0.0 < epsilon < 1.0:
-        margin = abs(alpha) * (1.0 - epsilon) ** (-delta * beta)
-    else:
-        margin = math.inf
-    return GateVerdict(gate.passed, gate.conditions, margin, gate.beta_max)
+    return radius_mod.validate_parameters(alpha, 1.0, epsilon, beta, delta=delta)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import dijkstra, shortest_path
 from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
@@ -112,7 +112,7 @@ class Space:
 
     def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
                  edges=None, matrix=None, ids=None, analytic_constants=None,
-                 geodesic_like=None, validate=True, triangle_check_seed=0):
+                 geodesic_like=None):
         if metric not in METRIC_KINDS:
             raise SpaceFormatError(f"unknown metric kind {metric!r}")
         self.metric = metric
@@ -179,16 +179,11 @@ class Space:
         self._resolution = None
         self._tree = None
 
-        if validate:
-            self._validate(triangle_check_seed)
+        self._validate()
 
     # -- basic structure ----------------------------------------------------
 
     def __len__(self):
-        return len(self.weights)
-
-    @property
-    def n_points(self):
         return len(self.weights)
 
     @property
@@ -199,7 +194,7 @@ class Space:
     def interior_indices(self):
         return np.flatnonzero(~self.boundary_mask)
 
-    def _validate(self, seed):
+    def _validate(self):
         n = len(self)
         if self.metric == "matrix":
             m = self._matrix
@@ -211,19 +206,10 @@ class Space:
                 raise SpaceFormatError("negative distance entry")
             if np.any(m[~np.eye(n, dtype=bool)] <= 0):
                 raise SpaceFormatError("duplicate points: zero distance between distinct ids")
-            if n <= 200:
-                # full triple scan: d(i,k) <= d(i,j) + d(j,k)
-                lhs = m[:, None, :]
-                rhs = m[:, :, None] + m[None, :, :]
-                if np.any(lhs > rhs + 1e-12 * np.maximum(lhs, 1.0)):
-                    raise SpaceFormatError("triangle inequality violated")
-            else:
-                rng = np.random.default_rng(seed)
-                idx = rng.integers(0, n, size=(100_000, 3))
-                i, j, k = idx.T
-                bad = m[i, k] > m[i, j] + m[j, k] + 1e-12
-                if np.any(bad):
-                    raise SpaceFormatError("triangle inequality violated (sampled)")
+            # d(i,k) <= d(i,j) + d(j,k) for every triple iff no path of
+            # matrix entries is shorter than the direct entry
+            if np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)):
+                raise SpaceFormatError("triangle inequality violated")
         elif self.metric == "euclidean" and n > 1:
             if self.resolution() <= 0:
                 raise SpaceFormatError("duplicate points: zero distance between distinct ids")
@@ -389,9 +375,6 @@ class Space:
         if members.size == 0:
             return 0.0
         return float(self.weights[members].sum())
-
-    def total_measure(self):
-        return float(self.weights.sum())
 
     # -- boundary geometry ----------------------------------------------------
 

@@ -170,7 +170,7 @@ def test_diverging_solve_is_non_convergence(tmp_path, capsys):
     assert "input error" not in capsys.readouterr().err
     doc = json.loads((tmp_path / "solve_report.json").read_text())
     assert not doc["converged"] and doc["iterations_used"] < 10000
-    assert not np.isfinite(doc["final_residual"])
+    assert doc["final_residual"] is None  # not finite: written as null
     u = read_field_csv(square_grid(9), tmp_path / "field.csv")
     assert np.abs(u).max() > 1e300
 
@@ -228,6 +228,99 @@ def test_certify_stale_field(tmp_path, capsys):
                "--lam", 0.4, "--m", 2, "--out", tmp_path)
     assert code == 1
     assert "not a fixed point" in capsys.readouterr().err
+
+
+def test_certify_checks_what_validate_checks(tmp_path, capsys):
+    # rho = 0.4 dist is below lambda dist at lambda = 0.5: validate fails on
+    # the radius restriction, and certify used to pass with a bound of 896
+    space = ["--grid", "2d", "--n", 33, "--rho-factor", 0.4, "--alpha", 0.3]
+    hyp = ["--epsilon", 0.5, "--lam", 0.5]
+    assert run("solve", *space, "--boundary-fn", "saddle", "--init-fn",
+               "saddle", "--out", tmp_path) == 0
+    assert run("validate", *space, *hyp, "--out", tmp_path) == 1
+    capsys.readouterr()
+    assert run("certify", *space, *hyp, "--field", tmp_path / "field.csv",
+               "--m", 2, "--out", tmp_path) == 1
+    assert "failed: radius_bounds" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certificate.json").read_text(),
+                      parse_constant=_refuse_constant)
+    valid = json.loads((tmp_path / "validate.json").read_text())
+    assert cert["pass"] is False and cert["theoretical_constant"] is None
+    assert not cert["radius_bounds"]["ok"]
+    assert cert["radius_bounds"] == valid["radius_bounds"]
+    assert cert["admissible"] == valid["admissible"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # a diverging solve wrote Infinity, alpha = 0 wrote beta_max Infinity
+    assert run("solve", "--grid", "2d", "--n", 9, "--rho-factor", 0.9,
+               "--boundary-fn", "saddle", "--init-fn", "saddle",
+               "--alpha", -5, "--max-iter", 10000, "--out", tmp_path) == 3
+    doc = json.loads((tmp_path / "solve_report.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["residual_history"][-1] is None
+    assert run("validate", "--grid", "1d", "--n", 65, "--rho-factor", 0.4,
+               "--alpha", 0.0, "--epsilon", 0.5, "--lam", 0.4,
+               "--out", tmp_path) == 0
+    doc = json.loads((tmp_path / "validate.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["gate"]["beta_max"] is None
+
+
+def test_probe_disconnected_cloud_writes_null(tmp_path, capsys):
+    # the gap at 10 disconnects the hop graph: the geodesic defect is inf
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "euclidean",
+        "points": [{"id": k, "coords": [x], "weight": 1.0, "boundary": k == 0}
+                   for k, x in enumerate([0.0, 1.0, 2.0, 10.0])]}))
+    assert run("probe", "--space", space, "--out", tmp_path) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "probe.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["probe"]["geodesic_defect"] is None
+
+
+def test_nan_argument_is_written_as_null(tmp_path):
+    assert run("validate", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
+               "--alpha", "nan", "--epsilon", 0.5, "--lam", 0.4,
+               "--out", tmp_path) == 1
+    doc = json.loads((tmp_path / "validate.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["gate"]["alpha"] is None and not doc["pass"]
+    assert "nan" in doc["manifest"]["argv"]
+
+
+def test_solve_gate_leaves_inadmissible_radius_to_the_solver(tmp_path, capsys):
+    # --force skips the gate but never admissibility: no hint to use it
+    assert run("solve", "--grid", "1d", "--n", 17, "--rho-factor", 1.5,
+               "--boundary-fn", "linear", "--alpha", 0.3, "--epsilon", 0.5,
+               "--lam", 0.4, "--out", tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert "--force" not in out
+    assert "refused: radius field is not admissible" in err
+
+
+def test_validate_all_boundary_space_fails_without_traceback(tmp_path, capsys):
+    # ell = 0 made the lambda cap 0.0 ** (1 - beta): ZeroDivisionError at beta 2
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "euclidean",
+        "points": [{"id": k, "coords": [float(k)], "weight": 1.0,
+                    "boundary": True} for k in range(2)]}))
+    rho = tmp_path / "rho.csv"
+    rho.write_text("id,rho\n0,0.0\n1,0.0\n")
+    code = run("validate", "--space", space, "--rho", rho, "--alpha", 0.3,
+               "--epsilon", 0.5, "--lam", 0.4, "--beta", 2, "--out", tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "validate.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert not doc["admissible"]["ok"] and doc["radius_bounds"]["lambda_cap"] is None
 
 
 # -- asymptotics --------------------------------------------------------------------

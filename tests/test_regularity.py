@@ -7,7 +7,7 @@ from pharmonious import (CertificateResidualError, CertificateScopeError,
                          Modulus, RadiusField, SeriesDivergenceError,
                          SolveConfig, SpaceFormatError, TheoreticalModulus,
                          ModulusFamily, branch_constant, certified_holder_constant,
-                         certify, empirical_holder, exhaustion,
+                         certify, empirical_holder, exhaustion, fit_lipschitz,
                          fixed_point_oscillation_bound, interval_grid,
                          solve_dirichlet, space_constants, square_grid)
 
@@ -323,6 +323,30 @@ def test_certificate_records_how_L_was_obtained():
     supplied.lipschitz_L = 1.0
     cert = certify(sp, supplied, u, 0.3, 2, **kwargs)
     assert cert.constants["L_mode"] == "supplied"
+
+
+def test_hand_set_L_after_fit_is_supplied():
+    sp = square_grid(17)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    fit_lipschitz(sp, rho)
+    assert rho.lipschitz_mode == "exact"
+    rho.lipschitz_L = 3.0
+    cert = certify(sp, rho, np.full(len(sp), 0.5), 0.1, 2, epsilon=0.5,
+                   beta=1.0, lam=0.4)
+    assert cert.constants["L"] == 3.0
+    assert cert.constants["L_mode"] == "supplied"
+
+
+def test_radius_nonzero_on_boundary_does_not_certify(grid1d, grid1d_rho):
+    values = grid1d_rho.values.copy()
+    values[grid1d.boundary_indices[0]] = 1e-4  # L stays 1
+    cert = certify(grid1d, RadiusField(values), grid1d.coords[:, 0], 0.3, 2,
+                   epsilon=0.5, beta=1.0, lam=0.4)
+    assert not cert.passed
+    assert cert.hypotheses.failed == ["admissible"]
+    assert cert.gate.passed and math.isnan(cert.theoretical_constant)
+    assert cert.to_dict()["admissible"]["nonzero_on_boundary"] == \
+        [int(grid1d.boundary_indices[0])]
 
 
 def test_certificate_solved_nonconstant_2d(grid2d_65):

@@ -160,6 +160,23 @@ def test_solve_config_validation():
         SolveConfig(max_iterations=0)
 
 
+def test_solve_refuses_config_alpha_other_than_argument(grid1d, grid1d_rho):
+    # the config's alpha used to be ignored in favour of the argument
+    g = grid1d.coords[:, 0] ** 2
+    with pytest.raises(SpaceFormatError, match="alpha"):
+        solve_dirichlet(grid1d, grid1d_rho, 0.3, g,
+                        SolveConfig(alpha=0.9, initial=g))
+
+
+def test_solve_config_without_alpha_takes_the_argument(grid1d, grid1d_rho):
+    g = grid1d.coords[:, 0] ** 2
+    plain = solve_dirichlet(grid1d, grid1d_rho, 0.3, g, SolveConfig(initial=g))
+    both = solve_dirichlet(grid1d, grid1d_rho, 0.3, g,
+                           SolveConfig(alpha=0.3, initial=g))
+    assert plain.converged and plain.iterations_used == both.iterations_used
+    assert np.array_equal(plain.field.values, both.field.values)
+
+
 # -- iterate oscillation bound ----------------------------------------------------
 
 

@@ -211,6 +211,23 @@ def test_diameter_2d_is_sqrt2(grid2d_small):
     assert abs(grid2d_small.diameter() - np.sqrt(2.0)) < 1e-15
 
 
+@pytest.mark.parametrize("make, expected", [
+    (lambda: path_graph(41), 40.0),
+    (lambda: lattice_graph(13, 11), 22.0),
+    # components {0, 1, 2} (largest distance 3) and {3, 4} (5): the
+    # infinite distances between them do not count
+    (lambda: Space(weights=np.ones(5), metric="graph", boundary=[0, 3],
+                   edges=[[0, 1, 1.0], [1, 2, 2.0], [3, 4, 5.0]]), 5.0),
+])
+def test_graph_diameter_oracle(make, expected):
+    assert make().diameter() == expected
+
+
+def test_matrix_diameter_is_largest_entry(matrix_space):
+    assert matrix_space.diameter() == matrix_space.distances(
+        np.arange(len(matrix_space))).max()
+
+
 # -- probes ---------------------------------------------------------------------
 
 
@@ -373,6 +390,18 @@ def test_loader_rejects_triangle_violation():
            "matrix": m}
     with pytest.raises(SpaceFormatError, match="triangle"):
         space_from_dict(doc)
+
+
+def test_triangle_check_is_exact_above_200_points():
+    # a line metric on 400 points with one short cut: d(0, 2) = 3.5 exceeds
+    # d(0, 1) + d(1, 2) = 2; 100K sampled triples used to miss it
+    x = np.arange(400.0)
+    m = np.abs(x[:, None] - x[None, :])
+    Space(metric="matrix", matrix=m, weights=np.ones(400), boundary=[0, 399])
+    m[0, 2] = m[2, 0] = 3.5
+    with pytest.raises(SpaceFormatError, match="triangle"):
+        Space(metric="matrix", matrix=m, weights=np.ones(400),
+              boundary=[0, 399])
 
 
 def test_loader_rejects_duplicate_points_in_matrix():

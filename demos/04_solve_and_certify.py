@@ -23,7 +23,7 @@ for n in (65, 129):
 
     report = solve_dirichlet(
         sp, rho, alpha, g[sp.boundary_indices],
-        SolveConfig(alpha=alpha, tolerance=1e-8, initial=g))
+        SolveConfig(tolerance=1e-8, initial=g))
     u = report.field
     print(f"\n{n}x{n} grid, boundary x^2 - y^2, alpha = {alpha}:")
     print(f"  converged in {report.iterations_used} sweeps, residual "
@@ -47,7 +47,7 @@ sp = square_grid(65)
 rho = RadiusField.scaled_boundary_distance(sp, 0.4)
 g = sp.coords[:, 0] ** 2 - sp.coords[:, 1] ** 2
 rep = solve_dirichlet(sp, rho, alpha, g[sp.boundary_indices],
-                      SolveConfig(alpha=alpha, tolerance=1e-8, initial=g))
+                      SolveConfig(tolerance=1e-8, initial=g))
 print("\nmeasured seminorm by exhaustion depth (65x65 field):")
 for mm in (1, 2, 3, 4):
     members = exhaustion(sp, eps, mm)

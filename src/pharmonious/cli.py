@@ -31,6 +31,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
+CONFIG_KEYS = ("alpha", "tolerance", "max_iterations", "record_every")  # solve --config
+
 BOUNDARY_FUNCTIONS = {
     "zero": lambda c: np.zeros(len(c)),
     "one": lambda c: np.ones(len(c)),
@@ -59,6 +61,15 @@ def _add_rho_args(p):
     g.add_argument("--rho-factor", type=float,
                    help="rho = factor * dist(., boundary)^power")
     p.add_argument("--rho-power", type=float, default=1.0)
+
+
+def _add_hypothesis_args(p, required=True):
+    """The hypotheses' parameters besides alpha (validate, solve, certify)."""
+    p.add_argument("--epsilon", type=float, required=required,
+                   help="without it, solve skips the parameter gate")
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--lam", type=float, required=required)
+    p.add_argument("--delta", type=float, default=1.0)
 
 
 def _build_space(args):
@@ -140,44 +151,40 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    # precedence: explicit flag > config file > built-in default
-    cfg = {}
+    # precedence: explicit flag > --config object > SolveConfig's default
+    settings = {}
     if args.config is not None:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    args.alpha = args.alpha if args.alpha is not None else cfg.get("alpha")
-    if args.alpha is None:
+            settings = json.load(fh)
+        if not isinstance(settings, dict) or not set(settings) <= set(CONFIG_KEYS):
+            raise SpaceFormatError("--config must hold a JSON object with keys "
+                                   f"among {', '.join(CONFIG_KEYS)}")
+    flags = (args.alpha, args.tol, args.max_iter, args.record_every)
+    settings.update((k, v) for k, v in zip(CONFIG_KEYS, flags) if v is not None)
+    if "alpha" not in settings:
         raise SpaceFormatError("alpha missing: pass --alpha or put it in --config")
-    args.tol = args.tol if args.tol is not None else cfg.get("tolerance", 1e-8)
-    args.max_iter = args.max_iter if args.max_iter is not None \
-        else cfg.get("max_iterations", 100_000)
-    args.record_every = args.record_every if args.record_every is not None \
-        else cfg.get("record_every", 0)
-
+    alpha = solver.finite_number("alpha", settings.pop("alpha"))
     space = _build_space(args)
     rho = _build_rho(args, space)
     bvals = _boundary_values(args, space)
+    initial = None
+    if args.init_fn is not None:
+        if space.coords is None:
+            raise SpaceFormatError("--init-fn needs a space with coordinates")
+        initial = BOUNDARY_FUNCTIONS[args.init_fn](space.coords)
+    config = solver.SolveConfig(**settings, initial=initial)
     if args.epsilon is not None and not args.force:
         if args.lam is None:
             raise SpaceFormatError("the parameter gate (--epsilon) needs --lam; "
                                    "pass --lam or --force")
-        hyp = radius.check_hypotheses(space, rho, args.alpha, args.epsilon,
+        hyp = radius.check_hypotheses(space, rho, alpha, args.epsilon,
                                       args.beta, args.lam, args.delta,
                                       seed=args.seed)
         if hyp.admissible.ok and hyp.failed:  # else solve_dirichlet refuses
             print("validation failed (rerun with --force to solve anyway): "
                   + ", ".join(hyp.failed))
             return EXIT_FAIL
-    initial = None
-    if args.init_fn is not None:
-        if space.coords is None:
-            raise SpaceFormatError("--init-fn needs a space with coordinates")
-        initial = BOUNDARY_FUNCTIONS[args.init_fn](space.coords)
-    config = solver.SolveConfig(alpha=args.alpha, tolerance=args.tol,
-                                max_iterations=args.max_iter,
-                                record_every=args.record_every,
-                                initial=initial)
-    report = solver.solve_dirichlet(space, rho, args.alpha, bvals, config)
+    report = solver.solve_dirichlet(space, rho, alpha, bvals, config)
     args.out.mkdir(parents=True, exist_ok=True)
     operators.write_field_csv(space, report.field, args.out / "field.csv")
     doc = {"manifest": _manifest(args), **report.to_dict()}
@@ -251,10 +258,7 @@ def build_parser():
     _add_space_args(p)
     _add_rho_args(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
+    _add_hypothesis_args(p)
     p.add_argument("--L", type=float, default=None,
                    help="override the fitted Lipschitz constant")
     p.set_defaults(func=cmd_validate)
@@ -273,11 +277,7 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--record-every", type=int, default=None)
     p.add_argument("--init-fn", choices=sorted(BOUNDARY_FUNCTIONS), default=None)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="run the parameter gate before solving")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1.0)
+    _add_hypothesis_args(p, required=False)
     p.add_argument("--force", action="store_true",
                    help="skip the gate (admissibility is never skipped)")
     p.set_defaults(func=cmd_solve)
@@ -288,10 +288,7 @@ def build_parser():
     _add_rho_args(p)
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None)
+    _add_hypothesis_args(p)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--residual-tol", type=float, default=1e-6)

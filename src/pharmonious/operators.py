@@ -41,9 +41,6 @@ class ScalarField:
             raise SpaceFormatError("field length does not match space")
         self.values = v
 
-    def copy(self):
-        return ScalarField(self.space, self.values.copy())
-
 
 def field_values(u):
     """Accept a ScalarField or a bare array; non-finite values are refused."""
@@ -76,11 +73,6 @@ class CheckRecord:
     @property
     def slack(self):
         return self.rhs - self.lhs
-
-    def to_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "slack": self.slack, "pass": self.passed, "branch": self.branch,
-                "slack_allowance": self.slack_allowance, "details": self.details}
 
 
 # -- ball tables -------------------------------------------------------------

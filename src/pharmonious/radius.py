@@ -284,6 +284,10 @@ class RadiusField:
 
     def __init__(self, values):
         v = np.array(values, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):  # e.g. scaled distances on a boundaryless component
+            raise SpaceFormatError(f"radius is not finite at {len(bad)} "
+                                   f"points, first {bad[:10].tolist()}")
         v.flags.writeable = False
         self.values = v
         self._lipschitz_L = None      # clamped to >= 1 for the theory

@@ -237,31 +237,30 @@ class RegularityCertificate:
         }
 
 
-def space_constants(space, delta=None, seed=0, safety=1.1):
+PROBE_SAFETY = 1.1   # probes undersample suprema
+
+
+def space_constants(space, delta=1.0, seed=0):
     """Annular-decay and doubling constants with provenance.
 
     Built-in grids carry analytic values; anything else gets probe
-    estimates inflated by a safety factor (probes undersample suprema).
+    estimates inflated by PROBE_SAFETY.
     """
     a = space.analytic_constants or {}
-    if a and delta is None:
-        delta = a.get("delta", 1.0)
-    if delta is None:
-        delta = 1.0
     ann = a.get("annular_decay", {})
     if float(delta) in ann and "doubling" in a:
         return {"D_delta": ann[float(delta)], "D_mu": a["doubling"],
                 "delta": float(delta), "source": "analytic"}
     return {
-        "D_delta": safety * space.probe_annular_decay(delta, seed=seed),
-        "D_mu": safety * space.probe_doubling(seed=seed),
+        "D_delta": PROBE_SAFETY * space.probe_annular_decay(delta, seed=seed),
+        "D_mu": PROBE_SAFETY * space.probe_doubling(seed=seed),
         "delta": float(delta),
         "source": "probed",
     }
 
 
-def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
-            gamma=1.0, constants=None, residual_tolerance=1e-6, seed=0):
+def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
+            gamma=1.0, residual_tolerance=1e-6, seed=0):
     """Assemble a regularity certificate for a solved field.
 
     The hypotheses of the bound (radius.check_hypotheses, as validate
@@ -284,15 +283,11 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
         raise CertificateResidualError(
             f"field residual {res:.3e} exceeds tolerance {residual_tolerance:.3e}: "
             "not a fixed point")
-    if constants is None:
-        constants = space_constants(space, delta, seed=seed)
-    delta = constants.get("delta", delta if delta is not None else 1.0)
+    constants = space_constants(space, delta, seed=seed)
     hyp = radius_mod.check_hypotheses(space, rho, alpha, epsilon, beta, lam,
                                       delta, seed=seed)
     L = hyp.gate.L
-    C = constants.get("C")
-    if C is None:
-        C = branch_constant(L, constants["D_delta"], constants["D_mu"], delta)
+    C = branch_constant(L, constants["D_delta"], constants["D_mu"], delta)
     norm_u = float(np.abs(v).max())
     exponent = gamma * delta if alpha == 0.0 else delta
     members = radius_mod.exhaustion(space, epsilon, m)
@@ -303,11 +298,9 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=None,
             m, alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam,
             delta=delta, norm_u=norm_u, C=C, ell_omega=space.ell())
     passed = bool(not hyp.failed and math.isfinite(theo) and emp.value <= theo)
-    cdict = {"C": C, "D_delta": constants.get("D_delta"),
-             "D_mu": constants.get("D_mu"),
-             "source": constants.get("source", "supplied"),
-             "L": L, "L_mode": hyp.L_mode,
-             "gamma": gamma}
+    cdict = {"C": C, "D_delta": constants["D_delta"],
+             "D_mu": constants["D_mu"], "source": constants["source"],
+             "L": L, "L_mode": hyp.L_mode, "gamma": gamma}
     return RegularityCertificate(
         hypotheses=hyp, m=m, delta=delta, exponent=exponent,
         theoretical_constant=theo, empirical_constant=emp.value,

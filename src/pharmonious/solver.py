@@ -21,6 +21,7 @@ parameter gate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,17 @@ from .errors import AdmissibilityError, SpaceFormatError
 from .operators import BallTable, ScalarField, field_values
 
 
+def finite_number(name, value, integer=False):
+    """value, if it is a finite number (an integer if asked); no bool is."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise SpaceFormatError(f"{name} must be a finite "
+                               f"{'integer' if integer else 'number'}, got {value!r}")
+    return value
+
+
 @dataclass
 class SolveConfig:
-    alpha: float = None            # if set, must equal the alpha argument
     tolerance: float = 1e-8
     max_iterations: int = 100_000
     record_every: int = 0          # iterate-modulus snapshot cadence; 0 = off
@@ -42,10 +51,14 @@ class SolveConfig:
     initial: object = None         # full-length array; default = boundary mean
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if finite_number("tolerance", self.tolerance) <= 0:
             raise SpaceFormatError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if finite_number("max_iterations", self.max_iterations, True) < 1:
             raise SpaceFormatError("max_iterations must be >= 1")
+        finite_number("record_every", self.record_every, True)
+        for m in self.snapshot_m:
+            finite_number("snapshot_m entry", m, True)
+        finite_number("epsilon", self.epsilon)
 
 
 @dataclass
@@ -106,17 +119,12 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     """
     if config is None:
         config = SolveConfig()
-    if config.alpha is not None and config.alpha != alpha:
-        raise SpaceFormatError(
-            f"config alpha {config.alpha} differs from the alpha argument {alpha}")
     report = radius_mod.validate_admissible(space, rho)
     if not report.ok:
         raise AdmissibilityError(
             f"radius field is not admissible: {report.to_dict()}")
     b, bvals = _normalize_boundary(space, boundary_data)
-    interior = space.interior_indices
-    if len(interior) == 0:
-        raise SpaceFormatError("space has no interior points")
+    interior = space.interior_indices  # not empty: validate_admissible requires it
 
     u = np.empty(len(space))
     if config.initial is not None:
@@ -173,6 +181,8 @@ def residual(space, rho, u, alpha, table=None):
     v = field_values(u)
     if table is None:
         table = BallTable(space, rho)
+    if len(table.centers) == 0:
+        raise SpaceFormatError("space has no interior points")
     swept = table.alpha_means(v, alpha)
     return float(np.abs(swept - v[table.centers]).max())
 

@@ -128,6 +128,8 @@ class Space:
             raise SpaceFormatError("duplicate point ids")
 
         self.coords = None if coords is None else _as_readonly(coords, float)
+        if self.coords is not None and not np.all(np.isfinite(self.coords)):
+            raise SpaceFormatError("non-finite point coordinate")
         self._matrix = None if matrix is None else _as_readonly(matrix, float)
         self._graph = None
         self.edges = None
@@ -669,7 +671,7 @@ def interval_grid(n, lo=0.0, hi=1.0):
         boundary=[0, n - 1],
         metric="euclidean",
         geodesic_like=True,
-        analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}, "delta": 1.0},
+        analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}},
     )
 
 
@@ -689,7 +691,7 @@ def square_grid(n, lo=0.0, hi=1.0):
         boundary=np.flatnonzero(frame.ravel()),
         metric="euclidean",
         geodesic_like=True,
-        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}, "delta": 1.0},
+        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
 
 
@@ -722,7 +724,7 @@ def disk_grid(n, radius=0.5):
         boundary=bdry,
         metric="euclidean",
         geodesic_like=True,
-        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}, "delta": 1.0},
+        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
 
 
@@ -736,7 +738,7 @@ def path_graph(n, edge_weight=1.0, weights=None):
         boundary=[0, n - 1],
         metric="graph",
         edges=edges,
-        analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}, "delta": 1.0},
+        analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}},
     )
 
 
@@ -760,7 +762,7 @@ def lattice_graph(nx, ny, edge_weight=1.0):
         boundary=frame,
         metric="graph",
         edges=edges,
-        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}, "delta": 1.0},
+        analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
 
 

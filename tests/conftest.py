@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pharmonious import RadiusField, Space, interval_grid, square_grid
+
+# every run draws the same examples; each test keeps its own max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -166,11 +166,11 @@ def test_criterion_05_certificate_and_refinement(ref_2d_65):
             g = sp.coords[:, 0] ** 2 - sp.coords[:, 1] ** 2
             # contract-default initial guess (mean of boundary data)
             rep0 = solve_dirichlet(sp, rho, alpha, g[sp.boundary_indices],
-                                   SolveConfig(alpha=alpha, tolerance=1e-8))
+                                   SolveConfig(tolerance=1e-8))
             assert rep0.converged and rep0.final_residual <= 1e-8
             # boundary-extension initial guess: nonconstant fixed point
             rep = solve_dirichlet(sp, rho, alpha, g[sp.boundary_indices],
-                                  SolveConfig(alpha=alpha, tolerance=1e-8,
+                                  SolveConfig(tolerance=1e-8,
                                               initial=g))
             assert rep.converged and rep.final_residual <= 1e-8
             cert = certify(sp, rho, rep.field, alpha, m, epsilon=eps,

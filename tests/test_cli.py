@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pharmonious import interval_grid, read_field_csv, square_grid
+from pharmonious import (interval_grid, read_field_csv, square_grid,
+                         write_field_csv)
 from pharmonious.cli import main
 
 
@@ -67,6 +68,21 @@ def test_probe_zero_weight_edges_are_duplicate_points(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_probe_nan_coordinate_is_input_error(tmp_path, capsys):
+    # json.load reads NaN: the KD-tree used to end in a scipy traceback
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "euclidean",
+        "points": [{"id": k, "coords": [x, 1.0], "weight": 1.0,
+                    "boundary": k == 0}
+                   for k, x in enumerate([0.0, float("nan"), 2.0])]}))
+    assert "NaN" in space.read_text()
+    assert run("probe", "--space", space, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "input error: non-finite point coordinate" in err
+    assert "Traceback" not in err
+
+
 # -- validate --------------------------------------------------------------------
 
 
@@ -121,6 +137,26 @@ def test_validate_missing_file(tmp_path):
                "--rho", tmp_path / "absent.csv",
                "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
                "--out", tmp_path) == 2
+
+
+def test_validate_component_without_boundary_is_input_error(tmp_path, capsys):
+    # 3-5 have no path to the boundary point 0: their scaled radius is inf,
+    # which used to pass every hypothesis after a numpy warning
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "graph",
+        "points": [{"id": k, "weight": 1.0, "boundary": k == 0}
+                   for k in range(6)],
+        "edges": [[0, 1, 1.0], [1, 2, 1.0], [3, 4, 1.0], [4, 5, 1.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("validate", "--space", space, "--rho-factor", 0.4,
+                   "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
+                   "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error: radius is not finite at 3 points, first [3, 4, 5]" in err
+    assert "Traceback" not in err
 
 
 # -- solve -----------------------------------------------------------------------
@@ -249,6 +285,26 @@ def test_certify_checks_what_validate_checks(tmp_path, capsys):
     assert not cert["radius_bounds"]["ok"]
     assert cert["radius_bounds"] == valid["radius_bounds"]
     assert cert["admissible"] == valid["admissible"]
+
+
+def test_certify_without_interior_point_is_input_error(tmp_path, capsys):
+    # the empty ball table used to end in a zero-size reduction traceback
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "euclidean",
+        "points": [{"id": k, "coords": [float(k)], "weight": 1.0,
+                    "boundary": True} for k in range(2)]}))
+    rho = tmp_path / "rho.csv"
+    rho.write_text("id,rho\n0,0.0\n1,0.0\n")
+    field = tmp_path / "field.csv"
+    field.write_text("id,value\n0,0.0\n1,0.0\n")
+    code = run("certify", "--space", space, "--rho", rho, "--field", field,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4, "--m", 1,
+               "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error: space has no interior points" in err
+    assert "Traceback" not in err
 
 
 def _refuse_constant(name):
@@ -428,3 +484,53 @@ def test_solve_missing_alpha(tmp_path):
     code = run("solve", "--grid", "1d", "--n", "17", "--rho-factor", 0.4,
                "--boundary-fn", "linear", "--out", tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("config, message", [
+    # NaN passed the tolerance check: 100000 sweeps, then exit 3
+    ('{"alpha": 0.3, "tolerance": NaN}', "tolerance must be a finite number"),
+    ('{"alpha": 0.3, "max_iterations": "50"}',
+     "max_iterations must be a finite integer"),
+    ("[1, 2]", "--config must hold a JSON object"),
+    ('{"alpha": 0.3, "tol": 1e-3}', "--config must hold a JSON object with "
+     "keys among alpha, tolerance, max_iterations, record_every"),
+], ids=["nan-tolerance", "string-max-iterations", "list", "unknown-key"])
+def test_solve_bad_config_is_input_error(tmp_path, capsys, config, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
+    code = run("solve", "--grid", "1d", "--n", "17", "--rho-factor", 0.4,
+               "--boundary-fn", "linear", "--init-fn", "linear",
+               "--config", cfg, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"input error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
+def test_solve_flag_overrides_config_key(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"alpha": 0.3, "tolerance": 1e-12,
+                               "max_iterations": 1}))
+    args = ["solve", "--grid", "2d", "--n", 9, "--rho-factor", 0.4,
+            "--boundary-fn", "saddle", "--init-fn", "saddle",
+            "--config", cfg, "--out", tmp_path]
+    assert run(*args) == 3
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    assert doc["iterations_used"] == 1
+    assert run(*args, "--max-iter", 2) == 3
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    assert doc["iterations_used"] == 2
+
+
+def test_solve_boundary_csv_matches_boundary_function(tmp_path):
+    sp = interval_grid(17)
+    values = tmp_path / "boundary.csv"
+    write_field_csv(sp, sp.coords[:, 0], values)
+    common = ["solve", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
+              "--alpha", 0.3]
+    assert run(*common, "--boundary", values, "--out", tmp_path / "csv") == 0
+    assert run(*common, "--boundary-fn", "linear",
+               "--out", tmp_path / "fn") == 0
+    assert (tmp_path / "csv" / "field.csv").read_bytes() == \
+        (tmp_path / "fn" / "field.csv").read_bytes()

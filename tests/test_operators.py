@@ -354,7 +354,7 @@ def test_alpha_mean_modulus_on_solved_field(grid1d, grid1d_rho):
     b = grid1d.boundary_indices
     g = grid1d.coords[b, 0]
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.3, g,
-                          SolveConfig(alpha=0.3, tolerance=1e-10,
+                          SolveConfig(tolerance=1e-10,
                                       initial=grid1d.coords[:, 0] ** 2))
     assert rep.converged
     k2 = exhaustion(grid1d, 0.5, 2)

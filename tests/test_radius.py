@@ -171,6 +171,14 @@ def test_normalize_sqrt_modulus():
     assert normalized(1.0) == 1.0
 
 
+def test_normalize_piecewise_linear_rescales_to_the_diameter():
+    # not sub-identity (0.3 > 0.1): ys scale by diam / omega(diam) = 1 / 0.6
+    omega = Modulus.from_breakpoints([0.0, 0.1, 1.0], [0.0, 0.3, 0.6])
+    normalized = normalize_modulus(omega, 1.0)
+    assert np.allclose(normalized.ys, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
+    assert normalized(1.0) == 1.0
+
+
 def test_normalize_rejects_oversized_modulus():
     omega = Modulus.linear(2.0, 1.0)  # omega(1) = 2 > diam
     with pytest.raises(SpaceFormatError, match="cap"):

@@ -353,7 +353,7 @@ def test_certificate_solved_nonconstant_2d(grid2d_65):
     rho = RadiusField.scaled_boundary_distance(grid2d_65, 0.4)
     g = grid2d_65.coords[:, 0] ** 2 - grid2d_65.coords[:, 1] ** 2
     rep = solve_dirichlet(grid2d_65, rho, 0.3, g[grid2d_65.boundary_indices],
-                          SolveConfig(alpha=0.3, tolerance=1e-9, initial=g))
+                          SolveConfig(tolerance=1e-9, initial=g))
     assert rep.converged
     cert = certify(grid2d_65, rho, rep.field, 0.3, 2, epsilon=0.5, beta=1.0,
                    lam=0.4, residual_tolerance=1e-8)

@@ -55,7 +55,7 @@ def test_linear_initial_guess_converges_at_iteration_zero(grid1d, grid1d_rho):
     u0 = grid1d.coords[:, 0]
     for alpha in (-0.2, 0.0, 0.3, 0.9):
         rep = solve_dirichlet(grid1d, grid1d_rho, alpha, {0: 0.0, 256: 1.0},
-                              SolveConfig(alpha=alpha, tolerance=1e-12,
+                              SolveConfig(tolerance=1e-12,
                                           initial=u0))
         assert rep.converged
         assert rep.iterations_used == 0
@@ -64,7 +64,7 @@ def test_linear_initial_guess_converges_at_iteration_zero(grid1d, grid1d_rho):
 
 def test_constant_boundary_data_converges_to_constant(grid1d, grid1d_rho):
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.4, {0: 2.0, 256: 2.0},
-                          SolveConfig(alpha=0.4, tolerance=1e-14))
+                          SolveConfig(tolerance=1e-14))
     assert rep.converged
     assert rep.final_residual == 0.0
     assert np.all(rep.field.values == 2.0)
@@ -74,7 +74,7 @@ def test_nonconstant_fixed_point_from_extension_initial(grid1d, grid1d_rho):
     g = grid1d.coords[:, 0] ** 2
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.3,
                           g[grid1d.boundary_indices],
-                          SolveConfig(alpha=0.3, tolerance=1e-10, initial=g))
+                          SolveConfig(tolerance=1e-10, initial=g))
     assert rep.converged
     u = rep.field.values
     assert np.abs(u - u.mean()).max() > 0.01  # genuinely nonconstant
@@ -85,7 +85,7 @@ def test_returned_residual_matches_independent_recompute(grid1d, grid1d_rho):
     g = grid1d.coords[:, 0] ** 3
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.5,
                           g[grid1d.boundary_indices],
-                          SolveConfig(alpha=0.5, tolerance=1e-9, initial=g))
+                          SolveConfig(tolerance=1e-9, initial=g))
     assert residual(grid1d, grid1d_rho, rep.field, 0.5) == rep.final_residual
 
 
@@ -93,7 +93,7 @@ def test_solve_is_deterministic(grid1d, grid1d_rho):
     g = np.sin(3 * grid1d.coords[:, 0])
     runs = [solve_dirichlet(grid1d, grid1d_rho, 0.3,
                             g[grid1d.boundary_indices],
-                            SolveConfig(alpha=0.3, tolerance=1e-10, initial=g))
+                            SolveConfig(tolerance=1e-10, initial=g))
             for _ in range(2)]
     assert np.array_equal(runs[0].field.values, runs[1].field.values)
     assert runs[0].residual_history == runs[1].residual_history
@@ -114,7 +114,7 @@ def test_solve_boundary_never_changes(grid1d, grid1d_rho):
     g = np.cos(grid1d.coords[:, 0])
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.2,
                           g[grid1d.boundary_indices],
-                          SolveConfig(alpha=0.2, tolerance=1e-10, initial=g))
+                          SolveConfig(tolerance=1e-10, initial=g))
     assert np.array_equal(rep.field.values[grid1d.boundary_indices],
                           g[grid1d.boundary_indices])
 
@@ -125,7 +125,7 @@ def test_iterates_stay_in_comparison_interval(grid1d, grid1d_rho, rng):
     lo = min(u0.min(), u0[b].min())
     hi = max(u0.max(), u0[b].max())
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.6, u0[b],
-                          SolveConfig(alpha=0.6, tolerance=1e-10, initial=u0))
+                          SolveConfig(tolerance=1e-10, initial=u0))
     assert rep.field.values.min() >= lo - 1e-12
     assert rep.field.values.max() <= hi + 1e-12
 
@@ -134,7 +134,7 @@ def test_non_convergence_is_reported_not_raised(grid1d, grid1d_rho):
     g = grid1d.coords[:, 0] ** 2
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.3,
                           g[grid1d.boundary_indices],
-                          SolveConfig(alpha=0.3, tolerance=1e-14,
+                          SolveConfig(tolerance=1e-14,
                                       max_iterations=2, initial=g))
     assert not rep.converged
     assert rep.iterations_used == 2
@@ -145,7 +145,7 @@ def test_modulus_snapshots_recorded(grid1d, grid1d_rho):
     g = grid1d.coords[:, 0] ** 2
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.3,
                           g[grid1d.boundary_indices],
-                          SolveConfig(alpha=0.3, tolerance=1e-10, initial=g,
+                          SolveConfig(tolerance=1e-10, initial=g,
                                       record_every=10, snapshot_m=(2,)))
     assert rep.modulus_snapshots
     it, m, mod = rep.modulus_snapshots[0]
@@ -158,23 +158,6 @@ def test_solve_config_validation():
         SolveConfig(tolerance=0.0)
     with pytest.raises(SpaceFormatError):
         SolveConfig(max_iterations=0)
-
-
-def test_solve_refuses_config_alpha_other_than_argument(grid1d, grid1d_rho):
-    # the config's alpha used to be ignored in favour of the argument
-    g = grid1d.coords[:, 0] ** 2
-    with pytest.raises(SpaceFormatError, match="alpha"):
-        solve_dirichlet(grid1d, grid1d_rho, 0.3, g,
-                        SolveConfig(alpha=0.9, initial=g))
-
-
-def test_solve_config_without_alpha_takes_the_argument(grid1d, grid1d_rho):
-    g = grid1d.coords[:, 0] ** 2
-    plain = solve_dirichlet(grid1d, grid1d_rho, 0.3, g, SolveConfig(initial=g))
-    both = solve_dirichlet(grid1d, grid1d_rho, 0.3, g,
-                           SolveConfig(alpha=0.3, initial=g))
-    assert plain.converged and plain.iterations_used == both.iterations_used
-    assert np.array_equal(plain.field.values, both.field.values)
 
 
 # -- iterate oscillation bound ----------------------------------------------------
@@ -340,7 +323,7 @@ def test_2d_reference_solve_regression_baseline():
     rho = RadiusField.scaled_boundary_distance(sp, 0.3)
     g = sp.coords[:, 0] ** 2 - sp.coords[:, 1] ** 2
     rep = solve_dirichlet(sp, rho, 0.3, g[sp.boundary_indices],
-                          SolveConfig(alpha=0.3, tolerance=1e-8, initial=g))
+                          SolveConfig(tolerance=1e-8, initial=g))
     assert rep.converged
     assert rep.final_residual <= 1e-8
     assert rep.iterations_used == 376  # frozen baseline
@@ -355,7 +338,7 @@ def test_solve_on_graph_metric_space():
     g = {0: 0.0, 32: 4.0}
     init = np.linspace(0.0, 4.0, 33) ** 2 / 4.0
     rep = solve_dirichlet(sp, rho, 0.25, g,
-                          SolveConfig(alpha=0.25, tolerance=1e-10,
+                          SolveConfig(tolerance=1e-10,
                                       initial=init))
     assert rep.converged
     u = rep.field.values

@@ -211,6 +211,14 @@ def test_diameter_2d_is_sqrt2(grid2d_small):
     assert abs(grid2d_small.diameter() - np.sqrt(2.0)) < 1e-15
 
 
+def test_diameter_of_collinear_points_without_a_hull():
+    # ConvexHull refuses a flat 2D cloud; the pair scan takes over
+    x = np.linspace(0.0, 1.0, 7)
+    sp = Space(weights=np.ones(7), boundary=[0, 6],
+               coords=np.column_stack([x, 2.0 * x]))
+    assert abs(sp.diameter() - np.sqrt(5.0)) < 1e-15
+
+
 @pytest.mark.parametrize("make, expected", [
     (lambda: path_graph(41), 40.0),
     (lambda: lattice_graph(13, 11), 22.0),

@@ -58,9 +58,9 @@ for alpha, L, eps, beta, lam in [(0.3, 1.0, 0.5, 1.0, 0.4),
 
 print("\nfinite-j root-test surrogate vs the analytic margin:")
 fam = ModulusFamily("annular_continuous", C=1.0, lam=1.0, epsilon=0.5, beta=1.0,
-              delta=1.0, diam=1.0, normalized=Modulus.identity(1.0))
+              delta=1.0, normalized=Modulus.identity(1.0))
 for alpha in (0.0, 0.3, 0.45, 0.6):
-    margin = root_test_margin(alpha, fam, j_max=40)
+    margin = root_test_margin(alpha, fam)
     analytic = alpha * 2.0
     gate = equicontinuity_gate(alpha, 0.5, 1.0)
     print(f"  alpha={alpha:4.2f}: surrogate {margin:.4f}, analytic {analytic:.4f},"

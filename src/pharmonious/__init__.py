@@ -17,19 +17,20 @@ from .operators import (BallTable, CheckRecord, GapPair, ScalarField,
                         midrange_value, oscillation_modulus, read_field_csv,
                         write_field_csv)
 from .radius import (AdmissibilityReport, HypothesisReport, Modulus,
-                     ParameterGate, RadiusField, check_hypotheses,
-                     check_radius_bounds, exhaustion, fit_holder,
-                     fit_lipschitz, fit_radius_modulus, hull, iterate_modulus,
-                     least_concave_majorant, normalize_modulus,
-                     read_radius_csv, validate_admissible, validate_parameters,
+                     ParameterGate, RadiusField, branch_constants,
+                     check_hypotheses, check_radius_bounds, exhaustion,
+                     fit_holder, fit_lipschitz, fit_radius_modulus, hull,
+                     iterate_modulus, least_concave_majorant,
+                     normalize_modulus, read_radius_csv, series_ratio,
+                     validate_admissible, validate_parameters,
                      write_radius_csv)
 from .regularity import (EmpiricalHolder, RegularityCertificate,
                          TheoreticalModulus, ModulusFamily, branch_constant,
                          certified_holder_constant, certify, empirical_holder,
-                         fixed_point_oscillation_bound, space_constants)
-from .solver import (SolveConfig, SolveReport,
-                     equicontinuity_gate, iterate_modulus_bound, residual,
-                     root_test_margin, solve_dirichlet)
+                         equicontinuity_gate, fixed_point_oscillation_bound,
+                         iterate_modulus_bound, root_test_margin,
+                         space_constants)
+from .solver import SolveConfig, SolveReport, residual, solve_dirichlet
 from .space import (Ball, Space, SpaceProbeReport, disk_grid, interval_grid,
                     lattice_graph, load_space, path_graph, space_from_dict,
                     square_grid)

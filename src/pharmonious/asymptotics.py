@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SpaceFormatError
 
-GRID_FINENESS = 16  # required: lattice step <= smallest radius / 16
+GRID_FINENESS = 16  # lattice step <= smallest radius / 16 (the default step)
 
 
 @dataclass
@@ -182,7 +182,7 @@ def richardson_limit(step_ratio, values):
     return level[0]
 
 
-def _prepare(f, x, radii, h, h_divisor):
+def _prepare(f, x, radii, h):
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
         raise SpaceFormatError(f"point has dimension {x.shape}, function needs {f.dim}")
@@ -190,7 +190,7 @@ def _prepare(f, x, radii, h, h_divisor):
     if len(radii) < 2 or radii[-1] <= 0:
         raise SpaceFormatError("need at least two positive radii")
     if h is None:
-        h = radii[-1] / h_divisor
+        h = radii[-1] / GRID_FINENESS
     if h > radii[-1] / GRID_FINENESS * (1 + 1e-12):
         raise SpaceFormatError(
             f"lattice step {h} too coarse: need h <= min radius / {GRID_FINENESS}")
@@ -233,9 +233,9 @@ def _extrapolate(radii, quotients):
     return richardson_limit(ratio ** 2, list(quotients))
 
 
-def expansion_mean(f, x, radii, h=None, h_divisor=GRID_FINENESS):
+def expansion_mean(f, x, radii, h=None):
     """Mean-expansion quotients and their limit vs lap(f)/(2(n+2))."""
-    x, radii, h = _prepare(f, x, radii, h, h_divisor)
+    x, radii, h = _prepare(f, x, radii, h)
     quotients = _quotients(f, x, radii, h, "mean")
     extrap = _extrapolate(radii, quotients)
     predicted = f.laplacian(x) / (2.0 * (f.dim + 2.0))
@@ -244,12 +244,12 @@ def expansion_mean(f, x, radii, h=None, h_divisor=GRID_FINENESS):
                            floor_estimate=h / min(radii))
 
 
-def expansion_midrange(f, x, radii, h=None, h_divisor=GRID_FINENESS):
+def expansion_midrange(f, x, radii, h=None):
     """Midrange-expansion quotients vs lap_inf(f)/(2 |grad f|^2).
 
     Refuses points with vanishing gradient (the prediction needs
     |grad f| > 0)."""
-    x, radii, h = _prepare(f, x, radii, h, h_divisor)
+    x, radii, h = _prepare(f, x, radii, h)
     g = np.asarray(f.gradient(x), dtype=float)
     g2 = float(g @ g)
     if g2 <= 1e-16:
@@ -263,7 +263,7 @@ def expansion_midrange(f, x, radii, h=None, h_divisor=GRID_FINENESS):
                            h, floor_estimate=h / min(radii) ** 2)
 
 
-def expansion_p(f, x, p, n, radii, h=None, h_divisor=GRID_FINENESS):
+def expansion_p(f, x, p, n, radii, h=None):
     """Blend-expansion quotients for the p-laplacian combination.
 
     The per-radius quotient is exactly the alpha-affine combination of the
@@ -271,7 +271,7 @@ def expansion_p(f, x, p, n, radii, h=None, h_divisor=GRID_FINENESS):
     the predicted limit vanishes exactly at p-harmonic points.
     """
     alpha = alpha_from_p(p, n)
-    x, radii, h = _prepare(f, x, radii, h, h_divisor)
+    x, radii, h = _prepare(f, x, radii, h)
     g = np.asarray(f.gradient(x), dtype=float)
     g2 = float(g @ g)
     if g2 <= 1e-16:

@@ -216,14 +216,11 @@ def cmd_asymptotics(args):
     radii = [float(v) for v in args.radii.split(",")]
     f = asymptotics.test_function(args.fn, args.n)
     if args.mode == "mean":
-        result = asymptotics.expansion_mean(f, x, radii,
-                                            h_divisor=args.h_divisor)
+        result = asymptotics.expansion_mean(f, x, radii)
     elif args.mode == "midrange":
-        result = asymptotics.expansion_midrange(f, x, radii,
-                                                h_divisor=args.h_divisor)
+        result = asymptotics.expansion_midrange(f, x, radii)
     else:
-        result = asymptotics.expansion_p(f, x, args.p, args.n, radii,
-                                         h_divisor=args.h_divisor)
+        result = asymptotics.expansion_p(f, x, args.p, args.n, radii)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "asymptotics.csv", "w") as fh:
         fh.write("radius,quotient\n")
@@ -302,7 +299,6 @@ def build_parser():
     p.add_argument("--mode", choices=["mean", "midrange", "p"], default="mean")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--radii", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--h-divisor", type=int, default=asymptotics.GRID_FINENESS)
     p.set_defaults(func=cmd_asymptotics)
     return parser
 
@@ -317,7 +313,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (SpaceFormatError, ConfigurationError, DisconnectedSpaceError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AdmissibilityError, CertificateScopeError,

@@ -207,8 +207,11 @@ def ball_symdiff_ratio(space, rho, x, y):
     return _symdiff_ratio(space, space.ball(x, rho[x]), space.ball(y, rho[y]))
 
 
-def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
-                         tol=1e-12):
+STABILITY_ITERATES = 5   # sweeps of the iterated mean-stability check
+STABILITY_TOL = 1e-12    # floating-point allowance of that exact theorem
+
+
+def check_mean_stability(space, u, ball1, ball2, rho=None):
     """Mean-difference stability over two balls.
 
     Verifies |mean_B1 u - mean_B2 u| <= 2 ||u||_inf mu(B1 sym B2) /
@@ -216,7 +219,7 @@ def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
     beyond the floating-point tolerance signals an implementation bug.
     When a radius field is supplied, the iterated form (the same bound for
     n-fold mean sweeps, with the ORIGINAL sup norm, over the radius balls
-    of the two centers) is verified for n = 1..n_iterates.
+    of the two centers) is verified for n = 1..STABILITY_ITERATES.
     """
     v = field_values(u)
     norm = float(np.abs(v).max())
@@ -229,7 +232,7 @@ def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
 
     lhs = abs(mean_over(ball1.members) - mean_over(ball2.members))
     rhs = 2.0 * norm * _symdiff_ratio(space, ball1, ball2)
-    passed = lhs <= rhs + tol
+    passed = lhs <= rhs + STABILITY_TOL
     details = {}
     if rho is not None:
         x, y = ball1.center, ball2.center
@@ -237,10 +240,10 @@ def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
         table = BallTable(space, rho)
         w = v.copy()
         iter_records = []
-        for n in range(1, n_iterates + 1):
+        for n in range(1, STABILITY_ITERATES + 1):
             w = apply_alpha_mean(space, rho, w, 0.0, table)
             lhs_n = abs(w[x] - w[y])
-            ok = lhs_n <= rhs_iter + tol
+            ok = lhs_n <= rhs_iter + STABILITY_TOL
             passed = passed and ok
             iter_records.append({"n": n, "lhs": lhs_n, "rhs": rhs_iter, "pass": ok})
         details["iterates"] = iter_records
@@ -248,12 +251,13 @@ def check_mean_stability(space, u, ball1, ball2, rho=None, n_iterates=5,
 
 
 def check_symdiff_bounds(space, rho, x, y, lipschitz_L, annular_constant,
-                         delta, rho_K, doubling_constant=None, normalized=None,
-                         slack=None):
+                         delta, rho_K, doubling_constant=None, slack=None):
     """Symmetric-difference ratio against the two theoretical branches.
 
     Lipschitz branch:   ratio <= 4 L D_delta ((d + slack) / rho_K)^delta
-    continuity branch:  ratio <= 2^delta D_mu^2 D_delta (normalized(d + slack) / rho_K)^delta
+    continuity branch:  ratio <= 2^delta D_mu^2 D_delta (nm(d + slack) / rho_K)^delta
+
+    with nm the capped-linear radius modulus t -> min(L t, diam).
 
     slack defaults to two grid cells: the continuum annulus argument picks
     up at most one extra cell per side on a lattice.  The record carries
@@ -266,14 +270,14 @@ def check_symdiff_bounds(space, rho, x, y, lipschitz_L, annular_constant,
     d = space.distance(x, y)
     lhs = ball_symdiff_ratio(space, rho, x, y)
     d_eff = d + slack
-    rhs_lip = 4.0 * lipschitz_L * annular_constant * (d_eff / rho_K) ** delta
+    c_lip, c_cont = radius_mod.branch_constants(
+        lipschitz_L, annular_constant, doubling_constant or 0.0, delta)
+    rhs_lip = c_lip * (d_eff / rho_K) ** delta
     lip_ok = lhs <= rhs_lip
     details = {"distance": d, "lipschitz_pass": lip_ok, "rhs_lipschitz": rhs_lip}
     cont_ok = None
     if doubling_constant is not None:
-        if normalized is None:
-            normalized = Modulus.capped_linear(lipschitz_L, space.diameter())
-        c_cont = 2.0 ** delta * doubling_constant ** 2 * annular_constant
+        normalized = Modulus.capped_linear(lipschitz_L, space.diameter())
         rhs_cont = c_cont * (normalized(min(d_eff, normalized.domain_end)) / rho_K) ** delta
         cont_ok = lhs <= rhs_cont
         details.update({"continuity_pass": cont_ok, "rhs_continuity": rhs_cont})
@@ -283,7 +287,14 @@ def check_symdiff_bounds(space, rho, x, y, lipschitz_L, annular_constant,
                        slack_allowance=slack, details=details)
 
 
-def hausdorff_gaps(space, rho, x, y, normalized=None, slack=None):
+def _lipschitz_modulus(space, rho):
+    """The normalized modulus of a Lipschitz radius, t -> min(L t, diam),
+    with rho's own L or a fit."""
+    L = rho.lipschitz_L or radius_mod.fit_lipschitz(space, rho)
+    return Modulus.capped_linear(L, space.diameter())
+
+
+def hausdorff_gaps(space, rho, x, y, normalized=None):
     """One-sided sup-inf gaps between the radius balls of x and y.
 
     g_xy = max over s in B_x of min over t in B_y of d(s,t), and the
@@ -292,11 +303,10 @@ def hausdorff_gaps(space, rho, x, y, normalized=None, slack=None):
     one-sided bounds max(d + rho difference, 0) are evaluated in both
     orientations and recorded, but only the symmetrized claim decides the
     verdict (the one-sided pairing is orientation-ambiguous when the radii
-    differ a lot).  slack defaults to two grid cells, the price of
-    discrete non-geodesicity.
+    differ a lot).  slack is two grid cells, the price of discrete
+    non-geodesicity; normalized defaults to the Lipschitz radius modulus.
     """
-    if slack is None:
-        slack = 2.0 * space.resolution()
+    slack = 2.0 * space.resolution()
     bx = space.ball(x, rho[x])
     by = space.ball(y, rho[y])
     sub = space.distances(bx.members, by.members)
@@ -308,8 +318,7 @@ def hausdorff_gaps(space, rho, x, y, normalized=None, slack=None):
                           details={"note": "space not flagged geodesic-like"})
         return gaps, rec
     if normalized is None:
-        L = rho.lipschitz_L or radius_mod.fit_lipschitz(space, rho)
-        normalized = Modulus.capped_linear(L, space.diameter())
+        normalized = _lipschitz_modulus(space, rho)
     d = space.distance(x, y)
     lhs = 0.5 * (g_xy + g_yx)
     rhs = float(normalized(min(d, normalized.domain_end))) + slack
@@ -335,43 +344,38 @@ def oscillation_modulus(space, u, members, seed=0):
     return radius_mod.gap_majorant(space, field_values(u), members, seed)
 
 
-def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus,
-                             normalized=None, slack=None, probe_ts=None):
+def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
     """One-sweep oscillation transfer on a compact set.
 
     With omega_swept the empirical modulus of the swept field on the set,
     omega_u the empirical modulus of u on the ball hull of the set, and nm
-    the normalized radius modulus, verifies
+    the normalized modulus of the Lipschitz radius, verifies
 
         omega_swept(t) <= |alpha| * omega_u(nm(t) + slack)
                           + (1 - alpha) * ||u||_inf * mean_modulus(t + slack)
 
-    at sampled pair distances t.  Requires |alpha| <= 1 (out-of-hypothesis
-    notice otherwise); slack defaults to two grid cells.
+    at the breakpoints t of omega_swept.  Requires |alpha| <= 1
+    (out-of-hypothesis notice otherwise); slack is two grid cells.
     """
     if abs(alpha) > 1:
         return CheckRecord("alpha_mean_modulus", 0.0, 0.0, False,
                            branch="out-of-hypothesis",
                            details={"note": f"|alpha| = {abs(alpha)} > 1"})
-    if slack is None:
-        slack = 2.0 * space.resolution()
+    slack = 2.0 * space.resolution()
     members = np.asarray(members, dtype=int)
     v = field_values(u)
     norm = float(np.abs(v).max())
-    if normalized is None:
-        L = rho.lipschitz_L or radius_mod.fit_lipschitz(space, rho)
-        normalized = Modulus.capped_linear(L, space.diameter())
+    normalized = _lipschitz_modulus(space, rho)
     swept = apply_alpha_mean(space, rho, v, alpha,
                              BallTable(space, rho, centers=members))
     omega_lhs = oscillation_modulus(space, swept, members)
     hull_members = radius_mod.hull(space, rho, members)
     omega_u = oscillation_modulus(space, v, hull_members)
     diam = space.diameter()
-    if probe_ts is None:
-        probe_ts = np.unique(omega_lhs.ts[omega_lhs.ts > 0])
+    probe_ts = np.unique(omega_lhs.ts[omega_lhs.ts > 0])
     worst = None
     passed = True
-    for t in np.atleast_1d(probe_ts):
+    for t in probe_ts:
         lhs = float(omega_lhs(t))
         arg = min(float(normalized(min(t, diam))) + slack, omega_u.domain_end)
         rhs = abs(alpha) * float(omega_u(arg)) \
@@ -384,7 +388,7 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus,
     return CheckRecord("alpha_mean_modulus", lhs_w, rhs_w, passed,
                        branch="sampled-distances", slack_allowance=slack,
                        details={"worst_t": t_w, "alpha": alpha,
-                                "n_probes": int(np.atleast_1d(probe_ts).size)})
+                                "n_probes": int(probe_ts.size)})
 
 
 # -- field files ---------------------------------------------------------------

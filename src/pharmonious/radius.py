@@ -258,10 +258,9 @@ def normalize_modulus(omega, diam):
     return Modulus.from_breakpoints(ts, np.minimum(ys, diam), diam)
 
 
-def iterate_modulus(normalized, n, t, diam=None):
+def iterate_modulus(normalized, n, t):
     """n-fold composition of the normalized modulus; n = 0 returns t."""
-    if diam is None:
-        diam = normalized.domain_end
+    diam = normalized.domain_end
     if not 0 <= t <= diam * (1 + 1e-12):
         raise SpaceFormatError(f"argument {t} outside [0, {diam}]")
     if n < 0:
@@ -401,6 +400,22 @@ def fit_radius_modulus(space, rho, seed=0):
 # -- parameter gates ---------------------------------------------------------------
 
 
+def series_ratio(alpha, L, epsilon, beta, delta, gamma=1.0):
+    """Term ratio of the fixed-point series while the normalized-modulus
+    iterates grow like L^j t: L^(gamma delta) |alpha| (1-epsilon)^(-beta delta)
+    (at L = 1 the ratio once they are capped at the diameter); inf outside
+    0 < epsilon < 1."""
+    if not 0.0 < epsilon < 1.0:
+        return math.inf
+    return L ** (gamma * delta) * abs(alpha) * (1.0 - epsilon) ** (-beta * delta)
+
+
+def branch_constants(L, D_delta, D_mu, delta):
+    """The two symmetric-difference branch constants: 4 L D_delta
+    (Lipschitz) and 2^delta D_mu^2 D_delta (continuity)."""
+    return 4.0 * L * D_delta, 2.0 ** delta * D_mu ** 2 * D_delta
+
+
 def max_lambda(ell_omega, beta, epsilon):
     """Largest admissible lambda, ell^(1-beta) * epsilon (inf when ell = 0)."""
     return ell_omega ** (1.0 - beta) * epsilon if ell_omega > 0 else math.inf
@@ -467,16 +482,13 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
         validate_parameters(alpha, 1.0, epsilon, beta).passed
     if ell_omega is not None:
         conds["lambda_window"] = 0.0 < lam <= max_lambda(ell_omega, beta, epsilon)
-    if 0.0 < epsilon < 1.0:
-        ratio = (L ** delta) * a * (1.0 - epsilon) ** (-beta * delta)
-    else:
-        ratio = math.inf
     failed = [k for k, v in conds.items() if not v]
     return ParameterGate(
         alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam,
         ell_omega=ell_omega, delta=delta,
         conditions=conds, failed_conditions=failed, passed=not failed,
-        beta_max=beta_max, series_ratio=ratio,
+        beta_max=beta_max,
+        series_ratio=series_ratio(alpha, L, epsilon, beta, delta),
         equicontinuity_passed=equicontinuity,
     )
 

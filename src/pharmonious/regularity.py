@@ -13,6 +13,9 @@ scaled by (1-alpha) ||u||_inf; with a Lipschitz radius the series sums in
 closed form to (Holder constant) * t^delta.  A certificate compares that
 closed-form bound against the measured Holder seminorm of a solved field
 and records every constant with provenance.
+
+The same family bounds the sweep iterates: the n-sweep oscillation bound,
+the finite-j root-test margin and the equicontinuity parameter gate.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .operators import field_values
 from .radius import Modulus
 
 
+J_CAP = 200   # terms summed before the closed-form tail of the series
+J_MAX = 40    # largest level the root-test surrogate reads
+
+
 @dataclass
 class TheoreticalModulus:
     """Callable oscillation modulus for mean sweeps on one compact set."""
@@ -41,7 +48,6 @@ class TheoreticalModulus:
     delta: float
     gamma: float = 1.0
     normalized: Modulus = None
-    diam: float = None
 
     def __post_init__(self):
         if self.rho_K <= 0:
@@ -54,8 +60,6 @@ class TheoreticalModulus:
             raise SpaceFormatError("continuous family needs the normalized radius modulus")
         if self.kind == "annular_holder" and not 0.0 < self.gamma <= 1.0:
             raise SpaceFormatError(f"gamma must be in (0,1], got {self.gamma}")
-        if self.diam is None:
-            self.diam = self.normalized.domain_end if self.normalized is not None else math.inf
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -69,10 +73,11 @@ class TheoreticalModulus:
 
 class ModulusFamily:
     """The modulus family over the exhaustion: j -> W on K_j with the
-    analytic lower bound rho_{K_j} = lambda (1-epsilon)^(j beta)."""
+    analytic lower bound rho_{K_j} = lambda (1-epsilon)^(j beta).  The
+    diameter is the end of the normalized radius modulus's domain."""
 
-    def __init__(self, kind, *, C, lam, epsilon, beta, delta, diam,
-                 gamma=1.0, normalized=None):
+    def __init__(self, kind, *, C, lam, epsilon, beta, delta, normalized,
+                 gamma=1.0):
         if not 0.0 < epsilon < 1.0:
             raise SpaceFormatError(f"epsilon must be in (0,1), got {epsilon}")
         if lam <= 0:
@@ -84,8 +89,8 @@ class ModulusFamily:
         self.beta = beta
         self.delta = delta
         self.gamma = gamma
-        self.diam = diam
-        self.normalized = normalized if normalized is not None else Modulus.identity(diam)
+        self.normalized = normalized
+        self.diam = normalized.domain_end
 
     def rho_lower(self, j):
         return self.lam * (1.0 - self.epsilon) ** (j * self.beta)
@@ -93,77 +98,119 @@ class ModulusFamily:
     def at(self, j):
         return TheoreticalModulus(self.kind, C=self.C, rho_K=self.rho_lower(j),
                                   delta=self.delta, gamma=self.gamma,
-                                  normalized=self.normalized, diam=self.diam)
+                                  normalized=self.normalized)
 
-    def growth_slope(self):
-        """Growth rate of the normalized radius modulus iterates."""
-        if self.normalized.kind == "linear":
-            return self.normalized.slope
-        return None
-
-    def tail_ratio_capped(self, alpha):
-        """Term ratio once normalized iterates are capped at the diameter."""
-        return abs(alpha) * (1.0 - self.epsilon) ** (-self.beta * self.delta)
-
-    def tail_ratio_uncapped(self, alpha):
-        """Term ratio while the normalized-modulus iterates still grow like
-        L^j t (Lipschitz radius; None for non-linear moduli)."""
-        L = self.growth_slope()
-        if L is None:
-            return None
-        return abs(alpha) * L ** (self.gamma * self.delta) \
-            * (1.0 - self.epsilon) ** (-self.beta * self.delta)
+    def partial_sum(self, m, t, alpha, terms):
+        """(sum over j < terms of |alpha|^j at(m + j)(min(s_j, diam)), s_terms)
+        with s_j the j-fold composition of the normalized modulus at t."""
+        a = abs(alpha)
+        total = 0.0
+        s = float(t)
+        for j in range(int(terms)):
+            total += (a ** j) * float(self.at(m + j)(min(s, self.diam)))
+            s = float(self.normalized(min(s, self.diam)))
+        return total, s
 
 
 def branch_constant(lipschitz_L, annular_constant, doubling_constant, delta):
-    """The modulus-family constant: max of the two symmetric-difference
-    branch constants, 4 L D_delta and 2^delta D_mu^2 D_delta."""
-    return max(4.0 * lipschitz_L * annular_constant,
-               2.0 ** delta * doubling_constant ** 2 * annular_constant)
+    """The modulus-family constant: the larger of the two symmetric-difference
+    branch constants (radius.branch_constants)."""
+    return max(radius_mod.branch_constants(lipschitz_L, annular_constant,
+                                           doubling_constant, delta))
 
 
-def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family, j_cap=200):
+def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family):
     """Oscillation bound for any fixed point on the m-th exhaustion set.
 
     The series over j >= 0 of |alpha|^j * family.at(m + j)(s_j), with s_j
     the j-fold composition of the normalized radius modulus at t, scaled
-    by (1 - alpha) ||u||_inf; evaluated as a truncated sum plus a
-    closed-form geometric tail bound so the certified value never depends
-    on the truncation point.
+    by (1 - alpha) ||u||_inf; evaluated as the sum of the first J_CAP + 1
+    terms plus a closed-form geometric tail bound so the certified value
+    never depends on the truncation point.
     """
     a = abs(alpha)
     if a > 1:
         raise SpaceFormatError("series bound requires |alpha| <= 1")
-    if j_cap < 1:
-        raise SpaceFormatError("j_cap must be >= 1")
-    q_capped = family.tail_ratio_capped(alpha)
+    q_capped = radius_mod.series_ratio(alpha, 1.0, family.epsilon,
+                                       family.beta, family.delta)
     if a > 0 and q_capped >= 1.0:
         raise SeriesDivergenceError(
             f"series ratio |alpha| (1-epsilon)^(-beta delta) = {q_capped} >= 1: "
             "the root-test convergence condition fails for this family")
-    normalized = family.normalized
     diam = family.diam
-    total = 0.0
-    s = float(t)
-    for j in range(j_cap + 1):
-        total += (a ** j) * float(family.at(m + j)(min(s, diam)))
-        s = float(normalized(min(s, diam)))
-    # geometric tail from j_cap + 1 on
+    total, s = family.partial_sum(m, t, alpha, J_CAP + 1)
+    # geometric tail from J_CAP + 1 on
     if a == 0.0:
         tail = 0.0
     else:
         tails = []
-        q_un = family.tail_ratio_uncapped(alpha)
-        if q_un is not None and q_un < 1.0 and s < diam:
-            # while uncapped the terms are exactly geometric in q_un
-            first = (a ** (j_cap + 1)) * float(family.at(m + j_cap + 1)(min(s, diam)))
-            tails.append(first / (1.0 - q_un))
+        if family.normalized.kind == "linear":
+            # while uncapped the normalized iterates grow like L^j t and the
+            # terms are exactly geometric in the uncapped ratio
+            q_un = radius_mod.series_ratio(
+                alpha, family.normalized.slope, family.epsilon, family.beta,
+                family.delta, family.gamma)
+            if q_un < 1.0 and s < diam:
+                first = (a ** (J_CAP + 1)) * float(family.at(m + J_CAP + 1)(s))
+                tails.append(first / (1.0 - q_un))
         # always-valid capped bound: the level terms at the diameter decay
         # geometrically in the capped ratio
-        first_capped = (a ** (j_cap + 1)) * float(family.at(m + j_cap + 1)(diam))
+        first_capped = (a ** (J_CAP + 1)) * float(family.at(m + J_CAP + 1)(diam))
         tails.append(first_capped / (1.0 - q_capped))
         tail = min(tails)
     return (1.0 - alpha) * norm_u * (total + tail)
+
+
+def iterate_modulus_bound(m, n, t, *, alpha, norm_u, u_modulus, family):
+    """Oscillation bound for the n-fold sweep on the m-th exhaustion set.
+
+    With s_j the j-fold self-composition of the normalized radius modulus
+    applied to t, the bound is
+
+        |alpha|^n * u_modulus(s_n)
+          + (1 - alpha) * norm_u * sum over j < n of
+                |alpha|^j * family.at(m + j)(s_j).
+
+    u_modulus must be a modulus for the unswept field on the (m+n)-th
+    exhaustion set; family provides the mean-sweep modulus at each
+    exhaustion index.
+    """
+    if abs(alpha) > 1:
+        raise SpaceFormatError("iterate bound requires |alpha| <= 1")
+    if n < 0:
+        raise SpaceFormatError("sweep count must be nonnegative")
+    total, s = family.partial_sum(m, t, alpha, n)
+    head = (abs(alpha) ** n) * float(u_modulus(min(s, u_modulus.domain_end)))
+    return head + (1.0 - alpha) * norm_u * total
+
+
+def root_test_margin(alpha, family):
+    """Finite-j surrogate for the root-test margin.
+
+    |alpha| * max over j in [J_MAX/2, J_MAX] of W_j(diam)^(1/j): a
+    stabilized tail statistic standing in for the limsup.  The gate passes
+    when the margin is < 1.
+    """
+    a = abs(alpha)
+    if a == 0.0:
+        return 0.0
+    best = 0.0
+    for j in range(J_MAX // 2, J_MAX + 1):
+        w_end = float(family.at(j)(family.diam))
+        if w_end > 0:
+            best = max(best, w_end ** (1.0 / j))
+    return a * best
+
+
+def equicontinuity_gate(alpha, epsilon, beta, delta=1.0):
+    """Parameter gate for equicontinuity of the sweep iterates: the main
+    gate (validate_parameters) at L = 1, without the lambda window.
+
+    Its series ratio (analytic_margin) is the analytic root-test margin
+    |alpha| (1-epsilon)^(-delta beta): the conditions imply margin < 1 for
+    every delta in (0,1], and at delta = 1 they are equivalent to it.
+    """
+    return radius_mod.validate_parameters(alpha, 1.0, epsilon, beta, delta=delta)
 
 
 def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,

@@ -12,10 +12,6 @@ boundary data influences the limit only through the initial field (the
 near-boundary points whose ball is a singleton stay frozen and act as the
 effective Dirichlet layer).  Constants on the interior are always exact
 fixed points; richer fixed points come from richer initial guesses.
-
-The module also carries the iterate-oscillation machinery: the n-sweep
-oscillation bound, the finite-j root-test margin, and the equicontinuity
-parameter gate.
 """
 
 from __future__ import annotations
@@ -186,67 +182,3 @@ def residual(space, rho, u, alpha, table=None):
     swept = table.alpha_means(v, alpha)
     return float(np.abs(swept - v[table.centers]).max())
 
-
-# -- iterate oscillation machinery ---------------------------------------------
-
-
-def iterate_modulus_bound(m, n, t, *, alpha, norm_u, u_modulus, family, normalized):
-    """Oscillation bound for the n-fold sweep on the m-th exhaustion set.
-
-    With s_j the j-fold self-composition of the normalized radius modulus
-    applied to t, the bound is
-
-        |alpha|^n * u_modulus(s_n)
-          + (1 - alpha) * norm_u * sum over j < n of
-                |alpha|^j * family.at(m + j)(s_j).
-
-    u_modulus must be a modulus for the unswept field on the (m+n)-th
-    exhaustion set; family provides the mean-sweep modulus at each
-    exhaustion index.
-    """
-    if abs(alpha) > 1:
-        raise SpaceFormatError("iterate bound requires |alpha| <= 1")
-    if n < 0:
-        raise SpaceFormatError("sweep count must be nonnegative")
-    diam = normalized.domain_end
-    a = abs(alpha)
-    total = 0.0
-    s = float(t)
-    for j in range(int(n)):
-        w_j = family.at(m + j)
-        total += (a ** j) * float(w_j(min(s, diam)))
-        s = float(normalized(min(s, diam)))
-    head = (a ** n) * float(u_modulus(min(s, u_modulus.domain_end)))
-    return head + (1.0 - alpha) * norm_u * total
-
-
-def root_test_margin(alpha, family, j_max=40):
-    """Finite-j surrogate for the root-test margin.
-
-    |alpha| * max over j in [j_max/2, j_max] of W_j(diam)^(1/j): a
-    stabilized tail statistic standing in for the limsup.  The gate passes
-    when the margin is < 1.
-    """
-    if j_max < 4:
-        raise SpaceFormatError("root test needs j_max >= 4")
-    a = abs(alpha)
-    if a == 0.0:
-        return 0.0
-    diam = family.diam
-    best = 0.0
-    for j in range(max(2, math.ceil(j_max / 2)), j_max + 1):
-        w_end = float(family.at(j)(diam))
-        if w_end > 0:
-            best = max(best, w_end ** (1.0 / j))
-    return a * best
-
-
-def equicontinuity_gate(alpha, epsilon, beta, delta=1.0):
-    """Parameter gate for equicontinuity of the sweep iterates: the main
-    gate (validate_parameters) at L = 1, without the lambda window.
-
-    Its series ratio (analytic_margin) is the analytic root-test margin
-    |alpha| (1-epsilon)^(-delta beta): the conditions imply margin < 1 for
-    every delta in (0,1], and at delta = 1 they are equivalent to it.
-    """
-    return radius_mod.validate_parameters(alpha, 1.0, epsilon, beta, delta=delta)

@@ -33,6 +33,9 @@ BLOCK_ENTRIES = 1 << 18
 # SAMPLED_PAIRS seeded random pairs above that.
 EXACT_PAIR_LIMIT = 5_000
 SAMPLED_PAIRS = 1_000_000
+# The doubling and annular-decay probes skip radii below this many
+# resolutions, where a ball's measure is dominated by single cells.
+PROBE_R_MIN_CELLS = 16.0
 
 PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
 PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
@@ -487,33 +490,30 @@ class Space:
             centers.add(int(rng.integers(len(self))))
         return sorted(centers)
 
-    def probe_annular_decay(self, delta=1.0, samples=200, seed=0,
-                            r_min=None, min_width=None):
+    def probe_annular_decay(self, delta=1.0, samples=200, seed=0):
         """Estimate the annular decay constant for the given exponent.
 
         Max over sampled (x, r, R) of mu(B(x,R)\\B(x,r)) / (((R-r)/R)^delta
         * mu(B(x,R))).  Radii snap to realized distances from the center so
         that annulus widths are honest multiples of the local shell spacing;
-        samples with R - r below the grid resolution are skipped.  A
-        deterministic structured family (extremal centers, thin shells at
-        several radius fractions) is always included, plus seeded random
-        samples.  Result is clamped below at 1.
+        samples with R - r below the grid resolution, or r below
+        PROBE_R_MIN_CELLS resolutions, are skipped.  A deterministic
+        structured family (extremal centers, thin shells at several radius
+        fractions) is always included, plus seeded random samples.  Result
+        is clamped below at 1.
         """
         if not 0.0 < delta <= 1.0:
             raise SpaceFormatError(f"annular decay exponent must be in (0, 1], got {delta}")
         res = self.resolution()
         if res <= 0:
             return 1.0
-        if r_min is None:
-            r_min = 16.0 * res
-        if min_width is None:
-            min_width = res
+        r_min = PROBE_R_MIN_CELLS * res
         rng = np.random.default_rng(seed)
         best = 1.0
 
         def visit(d, R, r):
             nonlocal best
-            if R <= 0 or R - r < min_width or R - r < res or r < r_min:
+            if R <= 0 or R - r < res or r < r_min:
                 return
             mu_R = float(self.weights[d <= R].sum())
             if mu_R <= 0:
@@ -537,14 +537,14 @@ class Space:
                     continue
                 R = vals[k]
                 for cells in (1, 2, 4, 8):
-                    width = max(cells * res, min_width)
+                    width = cells * res
                     j = np.searchsorted(vals, R - width, side="right") - 1
                     if j < 0 or vals[j] >= R:
                         continue
                     visit(d, R, vals[j])
 
         # seeded random shells (wider: single-cell random shells are too noisy)
-        width_floor = max(2.0 * res, min_width)
+        width_floor = 2.0 * res
         for _ in range(samples):
             x = int(rng.integers(len(self)))
             d = self.distances_from(x)
@@ -560,13 +560,11 @@ class Space:
             visit(d, R, r)
         return best
 
-    def probe_doubling(self, samples=200, seed=0, r_min=None):
+    def probe_doubling(self, samples=200, seed=0):
         """Estimate the doubling constant: max mu(B(x,2r))/mu(B(x,r))."""
         res = self.resolution()
         if res <= 0:
             return 1.0
-        if r_min is None:
-            r_min = 16.0 * res
         rng = np.random.default_rng(seed)
         best = 1.0
         centers = self._probe_centers(rng, extra=max(4, samples // 8))
@@ -574,7 +572,7 @@ class Space:
         for x in centers:
             d = self.distances_from(x)
             vals = np.unique(d[np.isfinite(d)])
-            vals = vals[vals >= max(r_min, res)]
+            vals = vals[vals >= PROBE_R_MIN_CELLS * res]
             if len(vals) == 0:
                 continue
             picks = vals[np.unique((quantiles * (len(vals) - 1)).astype(int))]
@@ -600,23 +598,21 @@ class Space:
                 jump = max(jump, (b - a) / b)
         return jump
 
-    def probe_geodesic_defect(self, samples=100, seed=0, hop_radius=None):
+    def probe_geodesic_defect(self, samples=100, seed=0):
         """Worst excess of hop-graph path length over metric distance.
 
-        Hop graph joins pairs within hop_radius (default 1.5 * resolution),
-        edge length = metric distance.  Graph-metric spaces are path metrics
-        already, so their defect is 0 by construction.  Infinite result means
-        the hop graph is disconnected (strongly non-geodesic cloud).
+        Hop graph joins pairs within 1.5 resolutions, edge length = metric
+        distance.  Graph-metric spaces are path metrics already, so their
+        defect is 0 by construction.  Infinite result means the hop graph is
+        disconnected (strongly non-geodesic cloud).
         """
         if self.metric == "graph":
             return 0.0
         res = self.resolution()
         if res <= 0 or len(self) < 3:
             return 0.0
-        if hop_radius is None:
-            hop_radius = 1.5 * res
         n = len(self)
-        near, counts = self.balls(np.arange(n), np.full(n, hop_radius))
+        near, counts = self.balls(np.arange(n), np.full(n, 1.5 * res))
         owner = np.repeat(np.arange(n), counts)
         adj = sparse.csr_matrix((self.pair_distances(owner, near), (owner, near)),
                                 shape=(n, n))
@@ -633,7 +629,7 @@ class Space:
                for d in deltas}
         centers = self._probe_centers(rng, extra=2)
         jump = 0.0
-        r_floor = 16.0 * self.resolution()
+        r_floor = PROBE_R_MIN_CELLS * self.resolution()
         for x in centers:
             d = self.distances_from(x)
             vals = np.unique(d[np.isfinite(d)])
@@ -782,10 +778,6 @@ def space_from_dict(doc):
         points = doc["points"]
     except (KeyError, TypeError) as exc:
         raise SpaceFormatError(f"missing required key: {exc}") from exc
-    if metric == "graph_shortest_path":
-        metric = "graph"
-    if metric == "explicit_matrix":
-        metric = "matrix"
     if not points:
         raise SpaceFormatError("no points")
     ids, weights, coords, boundary = [], [], [], []

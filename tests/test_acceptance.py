@@ -232,12 +232,12 @@ def test_criterion_06_series_matches_closed_form():
                 continue
             normalized = Modulus.capped_linear(L, diam)
             fam = ModulusFamily("annular_holder", C=C, lam=lam, epsilon=eps,
-                          beta=beta, delta=delta, diam=diam, gamma=1.0,
+                          beta=beta, delta=delta, gamma=1.0,
                           normalized=normalized)
             # small enough that the cap onset lies where q^j < 1e-10
             t = diam * L ** -420 * float(rng.uniform(0.1, 1.0))
             series = fixed_point_oscillation_bound(
-                m, t, alpha=alpha, norm_u=norm_u, family=fam, j_cap=200)
+                m, t, alpha=alpha, norm_u=norm_u, family=fam)
             closed = certified_holder_constant(
                 m, alpha=alpha, L=L, epsilon=eps, beta=beta, lam=lam,
                 delta=delta, norm_u=norm_u, C=C, ell_omega=1.0) * t ** delta
@@ -260,11 +260,11 @@ def test_criterion_07_root_test_and_gate_agreement():
             eps = float(rng.uniform(0.05, 0.9))
             beta = float(rng.uniform(1.0, 2.0))
             fam = ModulusFamily("annular_continuous", C=1.0, lam=0.4, epsilon=eps,
-                          beta=beta, delta=1.0, diam=1.0, normalized=normalized)
+                          beta=beta, delta=1.0, normalized=normalized)
             analytic = alpha * (1 - eps) ** (-beta)
-            surrogate = root_test_margin(alpha, fam, 40)
+            surrogate = root_test_margin(alpha, fam)
             assert 1.0 <= surrogate / analytic <= 1.05, (alpha, eps, beta)
-        assert root_test_margin(0.0, fam, 40) == 0.0
+        assert root_test_margin(0.0, fam) == 0.0
 
         # gate agreement at delta = 1 (where the equivalence is a theorem);
         # tuples within 1e-9 of a condition boundary are skipped (floating

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pharmonious import (interval_grid, read_field_csv, square_grid,
-                         write_field_csv)
+from pharmonious import (interval_grid, path_graph, read_field_csv,
+                         square_grid, write_field_csv)
 from pharmonious.cli import main
 
 
@@ -66,6 +66,25 @@ def test_probe_zero_weight_edges_are_duplicate_points(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error: duplicate points" in err
     assert "Traceback" not in err
+
+
+def test_probe_metric_alias_is_unknown(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "graph_shortest_path",
+        "points": [{"id": k, "weight": 1.0, "boundary": k in (0, 2)}
+                   for k in range(3)],
+        "edges": [[0, 1, 1.0], [1, 2, 1.0]]}))
+    assert run("probe", "--space", space, "--out", tmp_path) == 2
+    assert "input error: unknown metric kind 'graph_shortest_path'" in \
+        capsys.readouterr().err
+
+
+def test_probe_space_file_not_json(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text("metric: euclidean\n")
+    assert run("probe", "--space", space, "--out", tmp_path) == 2
+    assert "input error: not valid JSON" in capsys.readouterr().err
 
 
 def test_probe_nan_coordinate_is_input_error(tmp_path, capsys):
@@ -521,6 +540,53 @@ def test_solve_flag_overrides_config_key(tmp_path):
     assert run(*args, "--max-iter", 2) == 3
     doc = json.loads((tmp_path / "solve_report.json").read_text())
     assert doc["iterations_used"] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "path", "--boundary-fn", "linear"],
+     "--boundary-fn needs a space with coordinates"),
+    (["--grid", "1d", "--boundary-fn", "saddle"],
+     "the saddle boundary function is two-dimensional"),
+    (["--grid", "path", "--boundary", "BOUNDARY", "--init-fn", "linear"],
+     "--init-fn needs a space with coordinates"),
+], ids=["boundary-fn-without-coords", "saddle-in-1d", "init-fn-without-coords"])
+def test_solve_boundary_and_init_functions_need_coordinates(tmp_path, capsys,
+                                                            argv, message):
+    boundary = tmp_path / "boundary.csv"
+    write_field_csv(path_graph(17), np.zeros(17), boundary)
+    argv = [boundary if a == "BOUNDARY" else a for a in argv]
+    code = run("solve", *argv, "--n", 17, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command, option, content", [
+    ("solve", "--config", None),
+    ("solve", "--config", b"\xff\xfe"),
+    ("validate", "--space", None),
+    ("validate", "--rho", b"id,rho\n0,\xff\n"),
+], ids=["config-directory", "config-undecodable", "space-directory",
+        "rho-undecodable"])
+def test_file_errors_are_input_errors(tmp_path, capsys, command, option,
+                                      content):
+    # a directory or undecodable bytes used to end in a traceback, exit 1
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    args = {"--config": ["--grid", "1d", "--rho-factor", 0.4, "--config", path,
+                         "--boundary-fn", "linear"],
+            "--space": ["--space", path, "--rho-factor", 0.4],
+            "--rho": ["--grid", "1d", "--rho", path]}[option]
+    if command == "validate":
+        args += ["--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4]
+    code = run(command, *args, "--n", 17, "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: ")
 
 
 def test_solve_boundary_csv_matches_boundary_function(tmp_path):

@@ -1,0 +1,27 @@
+"""The demos run to completion against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 04_solve_and_certify takes about 14 s and is left out; the others about
+# 1-1.5 s each.
+DEMOS = ["01_spaces_and_probes.py", "02_moduli_and_gates.py",
+         "03_operator_inequalities.py", "05_asymptotics.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, env=env,
+                          cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -237,7 +237,7 @@ def test_mean_stability_iterated(grid1d, grid1d_rho, rng):
     u = rng.uniform(-1, 1, size=len(grid1d))
     b1 = grid1d.ball(100, grid1d_rho[100])
     b2 = grid1d.ball(150, grid1d_rho[150])
-    rec = check_mean_stability(grid1d, u, b1, b2, rho=grid1d_rho, n_iterates=5)
+    rec = check_mean_stability(grid1d, u, b1, b2, rho=grid1d_rho)
     assert rec.passed
     assert len(rec.details["iterates"]) == 5
     assert all(r["pass"] for r in rec.details["iterates"])
@@ -339,7 +339,7 @@ def _mean_modulus_1d(sp, rho, k_members):
     rho_k = float(rho.values[k_members].min())
     normalized = Modulus.capped_linear(1.0, sp.diameter())
     return TheoreticalModulus("annular_continuous", C=8.0, rho_K=rho_k,
-                              delta=1.0, normalized=normalized, diam=sp.diameter())
+                              delta=1.0, normalized=normalized)
 
 
 def test_alpha_mean_modulus_constant_field(grid1d, grid1d_rho):

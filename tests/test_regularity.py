@@ -16,7 +16,7 @@ from pharmonious import (CertificateResidualError, CertificateScopeError,
 
 def test_holder_family_linear_case():
     w = TheoreticalModulus("annular_holder", C=4.0, rho_K=0.25, delta=1.0,
-                           gamma=1.0, diam=1.0)
+                           gamma=1.0)
     # 4 L D_delta (t / rho_K)^delta with L = D_delta = 1: here C/rho_K = 16
     for t in (0.0, 0.1, 0.5):
         assert w(t) == 16.0 * t
@@ -24,7 +24,7 @@ def test_holder_family_linear_case():
 
 def test_holder_family_zero_at_zero():
     w = TheoreticalModulus("annular_holder", C=7.0, rho_K=0.1, delta=0.5,
-                           gamma=0.5, diam=1.0)
+                           gamma=0.5)
     assert w(0.0) == 0.0
 
 
@@ -40,7 +40,7 @@ def test_families_nondecreasing():
     for w in (TheoreticalModulus("annular_continuous", C=2.0, rho_K=0.2,
                                  delta=0.7, normalized=normalized),
               TheoreticalModulus("annular_holder", C=2.0, rho_K=0.2,
-                                 delta=0.7, gamma=0.5, diam=1.0)):
+                                 delta=0.7, gamma=0.5)):
         ts = np.linspace(0, 1, 33)
         vals = np.asarray(w(ts))
         assert np.all(np.diff(vals) >= -1e-12)
@@ -48,8 +48,7 @@ def test_families_nondecreasing():
 
 def test_family_rejects_bad_rho():
     with pytest.raises(SpaceFormatError):
-        TheoreticalModulus("annular_holder", C=1.0, rho_K=0.0, delta=1.0,
-                           diam=1.0)
+        TheoreticalModulus("annular_holder", C=1.0, rho_K=0.0, delta=1.0)
 
 
 def test_branch_constant_is_max_of_branches():
@@ -91,7 +90,7 @@ def test_mean_sweeps_obey_family_modulus(grid1d, grid1d_rho, rng):
 def family_for(alpha, L, eps, beta, delta, lam, C, diam=1.0):
     normalized = Modulus.capped_linear(L, diam)
     return ModulusFamily("annular_holder", C=C, lam=lam, epsilon=eps, beta=beta,
-                   delta=delta, diam=diam, gamma=1.0, normalized=normalized)
+                   delta=delta, gamma=1.0, normalized=normalized)
 
 
 def test_series_alpha_zero_single_term():
@@ -113,7 +112,7 @@ def test_series_matches_closed_form():
     fam = family_for(alpha, L, eps, beta, delta, lam, 8.0)
     t = 0.125
     series = fixed_point_oscillation_bound(2, t, alpha=alpha, norm_u=1.0,
-                                           family=fam, j_cap=200)
+                                           family=fam)
     closed = certified_holder_constant(2, alpha=alpha, L=L, epsilon=eps,
                                        beta=beta, lam=lam, delta=delta,
                                        norm_u=1.0, C=8.0) * t

@@ -13,7 +13,7 @@ from pharmonious import (AdmissibilityError, Modulus, RadiusField,
 
 def identity_family(C=1.0, lam=1.0, eps=0.5, beta=1.0, delta=1.0, diam=1.0):
     return ModulusFamily("annular_continuous", C=C, lam=lam, epsilon=eps, beta=beta,
-                   delta=delta, diam=diam, normalized=Modulus.identity(diam))
+                   delta=delta, normalized=Modulus.identity(diam))
 
 
 # -- residual -------------------------------------------------------------------
@@ -110,6 +110,20 @@ def test_solve_rejects_nan_boundary(grid1d, grid1d_rho):
         solve_dirichlet(grid1d, grid1d_rho, 0.3, {0: np.nan, 256: 1.0})
 
 
+def test_solve_boundary_dict_missing_a_point(grid1d, grid1d_rho):
+    with pytest.raises(SpaceFormatError, match="boundary data missing point 256"):
+        solve_dirichlet(grid1d, grid1d_rho, 0.3, {0: 0.0})
+
+
+def test_solve_full_length_boundary_data_reads_the_boundary(grid1d, grid1d_rho):
+    g = grid1d.coords[:, 0] ** 2
+    config = SolveConfig(tolerance=1e-10, initial=g)
+    full = solve_dirichlet(grid1d, grid1d_rho, 0.3, g, config)
+    short = solve_dirichlet(grid1d, grid1d_rho, 0.3,
+                            g[grid1d.boundary_indices], config)
+    assert np.array_equal(full.field.values, short.field.values)
+
+
 def test_solve_boundary_never_changes(grid1d, grid1d_rho):
     g = np.cos(grid1d.coords[:, 0])
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.2,
@@ -169,7 +183,7 @@ def test_iterate_bound_n_zero_is_field_modulus():
     normalized = Modulus.identity(1.0)
     for t in (0.0, 0.2, 0.5):
         got = iterate_modulus_bound(2, 0, t, alpha=0.5, norm_u=3.0,
-                                    u_modulus=u_mod, family=fam, normalized=normalized)
+                                    u_modulus=u_mod, family=fam)
         assert got == u_mod(t)
 
 
@@ -179,7 +193,7 @@ def test_iterate_bound_alpha_zero_single_sweep():
     u_mod = Modulus.capped_linear(1.0, 1.0)
     t = 0.3
     got = iterate_modulus_bound(3, 1, t, alpha=0.0, norm_u=2.0,
-                                u_modulus=u_mod, family=fam, normalized=normalized)
+                                u_modulus=u_mod, family=fam)
     assert got == 2.0 * float(fam.at(3)(t))
 
 
@@ -187,7 +201,7 @@ def test_iterate_bound_term_by_term_oracle():
     alpha, eps, beta, delta = 0.3, 0.5, 1.0, 1.0
     normalized = Modulus.capped_linear(1.0, 1.0)
     fam = ModulusFamily("annular_continuous", C=8.0, lam=0.4, epsilon=eps, beta=beta,
-                  delta=delta, diam=1.0, normalized=normalized)
+                  delta=delta, normalized=normalized)
     u_mod = Modulus.capped_linear(1.5, 1.0)
     m, n, t, norm_u = 2, 6, 0.2, 1.7
     # independent term-by-term summation
@@ -196,7 +210,7 @@ def test_iterate_bound_term_by_term_oracle():
                for j in range(n))
     oracle += (1 - alpha) * norm_u * tail
     got = iterate_modulus_bound(m, n, t, alpha=alpha, norm_u=norm_u,
-                                u_modulus=u_mod, family=fam, normalized=normalized)
+                                u_modulus=u_mod, family=fam)
     assert abs(got - oracle) < 1e-12
 
 
@@ -206,7 +220,7 @@ def test_iterate_bound_monotone_in_t():
     u_mod = Modulus.capped_linear(1.0, 1.0)
     ts = np.linspace(0, 1, 17)
     vals = [iterate_modulus_bound(1, 4, t, alpha=0.4, norm_u=1.0,
-                                  u_modulus=u_mod, family=fam, normalized=normalized)
+                                  u_modulus=u_mod, family=fam)
             for t in ts]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -215,37 +229,31 @@ def test_iterate_bound_rejects_large_alpha():
     fam = identity_family()
     with pytest.raises(SpaceFormatError):
         iterate_modulus_bound(1, 1, 0.1, alpha=1.5, norm_u=1.0,
-                              u_modulus=Modulus.identity(1.0), family=fam,
-                              normalized=Modulus.identity(1.0))
+                              u_modulus=Modulus.identity(1.0), family=fam)
 
 
 # -- root test ------------------------------------------------------------------
 
 
 def test_root_test_alpha_zero():
-    assert root_test_margin(0.0, identity_family(), 40) == 0.0
+    assert root_test_margin(0.0, identity_family()) == 0.0
 
 
 def test_root_test_analytic_value_normalized_family():
     # with C = diam = lam = 1 the j-th root is exactly (1-eps)^(-beta delta)
-    margin = root_test_margin(0.3, identity_family(), 40)
+    margin = root_test_margin(0.3, identity_family())
     assert abs(margin - 0.6) < 1e-12
 
 
 def test_root_test_gate_failure_value():
-    margin = root_test_margin(0.6, identity_family(), 40)
+    margin = root_test_margin(0.6, identity_family())
     assert abs(margin - 1.2) < 1e-12
     assert margin >= 1.0
 
 
-def test_root_test_rejects_small_jmax():
-    with pytest.raises(SpaceFormatError):
-        root_test_margin(0.3, identity_family(), 3)
-
-
 def test_root_test_surrogate_above_analytic():
     fam = identity_family(C=1.0, lam=0.4)  # A = 2.5
-    margin = root_test_margin(0.3, fam, 40)
+    margin = root_test_margin(0.3, fam)
     analytic = 0.6
     assert 1.0 <= margin / analytic <= 1.05
 
@@ -294,7 +302,7 @@ def test_gate_agrees_with_root_test_margin():
         for eps in (0.2, 0.5):
             fam = identity_family(eps=eps)
             v = equicontinuity_gate(alpha, eps, 1.0, 1.0)
-            surrogate = root_test_margin(alpha, fam, 40)
+            surrogate = root_test_margin(alpha, fam)
             if abs(surrogate - 1.0) > 1e-9:
                 assert v.passed == (surrogate < 1.0)
 

@@ -236,6 +236,11 @@ def test_matrix_diameter_is_largest_entry(matrix_space):
         np.arange(len(matrix_space))).max()
 
 
+def test_matrix_resolution_is_smallest_off_diagonal_entry(matrix_space):
+    d = matrix_space.distances(np.arange(len(matrix_space)))
+    assert matrix_space.resolution() == d[~np.eye(len(d), dtype=bool)].min()
+
+
 # -- probes ---------------------------------------------------------------------
 
 

@@ -191,6 +191,8 @@ def cmd_solve(args):
     _write_json(args.out / "solve_report.json", doc)
     print(f"converged={report.converged} iterations={report.iterations_used} "
           f"residual={report.final_residual:.3e}")
+    if not report.converged:
+        print(f"stopped: {report.stop_reason}")
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 

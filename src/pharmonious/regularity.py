@@ -102,12 +102,18 @@ class ModulusFamily:
 
     def partial_sum(self, m, t, alpha, terms):
         """(sum over j < terms of |alpha|^j at(m + j)(min(s_j, diam)), s_terms)
-        with s_j the j-fold composition of the normalized modulus at t."""
-        a = abs(alpha)
+        with s_j the j-fold composition of the normalized modulus at t.
+
+        |alpha|^j rho_{K_(m+j)}^(-delta) = q^j rho_{K_m}^(-delta) with q the
+        capped series ratio, so term j is q^j at(m)(min(s_j, diam)): the
+        two factors cannot overflow or underflow apart."""
+        q = radius_mod.series_ratio(alpha, 1.0, self.epsilon, self.beta,
+                                    self.delta)
+        level_m = self.at(m)
         total = 0.0
         s = float(t)
         for j in range(int(terms)):
-            total += (a ** j) * float(self.at(m + j)(min(s, self.diam)))
+            total += (q ** j) * float(level_m(min(s, self.diam)))
             s = float(self.normalized(min(s, self.diam)))
         return total, s
 
@@ -138,11 +144,13 @@ def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family):
             f"series ratio |alpha| (1-epsilon)^(-beta delta) = {q_capped} >= 1: "
             "the root-test convergence condition fails for this family")
     diam = family.diam
-    total, s = family.partial_sum(m, t, alpha, J_CAP + 1)
+    # at alpha = 0 every term past j = 0 vanishes
+    total, s = family.partial_sum(m, t, alpha, 1 if a == 0.0 else J_CAP + 1)
     # geometric tail from J_CAP + 1 on
     if a == 0.0:
         tail = 0.0
     else:
+        level_m = family.at(m)
         tails = []
         if family.normalized.kind == "linear":
             # while uncapped the normalized iterates grow like L^j t and the
@@ -151,11 +159,11 @@ def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family):
                 alpha, family.normalized.slope, family.epsilon, family.beta,
                 family.delta, family.gamma)
             if q_un < 1.0 and s < diam:
-                first = (a ** (J_CAP + 1)) * float(family.at(m + J_CAP + 1)(s))
+                first = (q_capped ** (J_CAP + 1)) * float(level_m(s))
                 tails.append(first / (1.0 - q_un))
         # always-valid capped bound: the level terms at the diameter decay
         # geometrically in the capped ratio
-        first_capped = (a ** (J_CAP + 1)) * float(family.at(m + J_CAP + 1)(diam))
+        first_capped = (q_capped ** (J_CAP + 1)) * float(level_m(diam))
         tails.append(first_capped / (1.0 - q_capped))
         tail = min(tails)
     return (1.0 - alpha) * norm_u * (total + tail)

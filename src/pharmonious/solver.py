@@ -3,8 +3,9 @@
 Synchronous (double-buffered) sweeps of the alpha-mean operator with the
 boundary values held fixed; the residual is the sup-norm defect of the
 fixed-point equation on the interior.  Convergence here is empirical: the
-iteration stops when the residual falls under the tolerance or the sweep
-budget runs out, and a non-converged outcome is reported, not raised.
+iteration stops when the residual falls under the tolerance, sets no new
+minimum for STALL_SWEEPS sweeps, or the sweep budget runs out, and a
+non-converged outcome is reported, not raised.
 
 Note on boundary coupling: with an admissible radius bounded by
 epsilon * dist (epsilon < 1), interior balls never reach the boundary, so
@@ -26,6 +27,14 @@ from . import operators as ops
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .operators import BallTable, ScalarField, field_values
+
+
+# A solve whose residual has set no new minimum for this many sweeps has
+# stalled, or grows, and stops unconverged.  A converging iteration sets a
+# new minimum nearly every sweep; a slow divergence that overflows within
+# the window (the |alpha| = 5 saddle on square_grid(9): 7,832 sweeps) still
+# ends on its overflow.
+STALL_SWEEPS = 10_000
 
 
 def finite_number(name, value, integer=False):
@@ -65,6 +74,7 @@ class SolveReport:
     converged: bool
     final_residual: float
     modulus_snapshots: list = None
+    stop_reason: str = ""          # why the iteration ended; not in to_dict
 
     def to_dict(self):
         return {
@@ -140,8 +150,8 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
 
     history = []
     snapshots = []
-    converged = False
     iterations = 0
+    best, best_at = math.inf, 0
     while True:
         # a diverging iteration (|alpha| > 1) overflows; it is reported as
         # non-convergence, not as a numpy warning
@@ -150,18 +160,27 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
             residual_now = float(np.abs(swept - u[interior]).max())
         history.append(residual_now)
         if not math.isfinite(residual_now):
+            reason = "residual is not finite: the iteration diverged"
             break
         if config.record_every > 0 and iterations % config.record_every == 0:
             for m, members in exhaustions.items():
                 snapshots.append(
                     (iterations, m, ops.oscillation_modulus(space, u, members)))
         if residual_now <= config.tolerance:
-            converged = True
+            reason = "residual under the tolerance"
+            break
+        if residual_now < best:
+            best, best_at = residual_now, iterations
+        elif iterations - best_at >= STALL_SWEEPS:
+            reason = (f"stalled: no new residual minimum in {STALL_SWEEPS} "
+                      f"sweeps (least {best:.3e} at sweep {best_at})")
             break
         if iterations >= config.max_iterations:
+            reason = f"sweep budget of {config.max_iterations} spent"
             break
         u[interior] = swept
         iterations += 1
+    converged = residual_now <= config.tolerance
     return SolveReport(
         field=ScalarField(space, u),
         iterations_used=iterations,
@@ -169,6 +188,7 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
         converged=converged,
         final_residual=residual_now,
         modulus_snapshots=snapshots,
+        stop_reason=reason,
     )
 
 

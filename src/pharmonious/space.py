@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
@@ -100,6 +100,55 @@ def _euclidean(a, b):
     ties and pair scans agree bit for bit wherever they are computed."""
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _flatten(lists):
+    """(owner, item) arrays of a list of index lists, owner by owner."""
+    sizes = np.fromiter(map(len, lists), np.intp, len(lists))
+    items = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                        int(sizes.sum()))
+    return np.repeat(np.arange(len(lists)), sizes), items
+
+
+def _merge_runs(owner, a, b):
+    """(owner, a, b) of the maximal runs of index intervals [a, b), given in
+    ascending order per owner: index-adjacent intervals of one owner join."""
+    if not len(a):
+        return owner, a, b
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (a[1:] != b[:-1])
+    at = np.flatnonzero(new)
+    return owner[at], a[at], b[np.append(at[1:], len(a)) - 1]
+
+
+def _edge(t, f, probe, inside):
+    """Per entry, the inside index next to the edge between t (inside) and
+    f (outside, or one past a strip's end), for a predicate monotone
+    between them: probed first at probe, then beside it, then bisected."""
+    t, f, probe = t.copy(), f.copy(), probe.copy()
+    for step in itertools.count():
+        k = np.flatnonzero(np.abs(f - t) > 1)
+        if not len(k):
+            return t
+        p = np.clip(probe[k], np.minimum(t[k], f[k]) + 1,
+                    np.maximum(t[k], f[k]) - 1)
+        ok = inside(p, k)
+        t[k] = np.where(ok, p, t[k])
+        f[k] = np.where(ok, f[k], p)
+        probe[k] = (p + np.where(ok, np.sign(f[k] - p), np.sign(t[k] - p))
+                    if step == 0 else (t[k] + f[k]) // 2)
+
+
+def run_members(a, b):
+    """The point indices of the runs [a, b), concatenated in run order: a
+    running sum of steps of one that jumps from each run's end to the next
+    run's start."""
+    ends = np.cumsum(b - a)
+    step = np.ones(int(ends[-1]) if len(ends) else 0, dtype=np.intp)
+    if len(step):
+        step[0] = a[0]
+        step[ends[:-1]] = a[1:] - b[:-1] + 1
+    return np.cumsum(step)
 
 
 class Space:
@@ -183,6 +232,7 @@ class Space:
         self._diameter = None
         self._resolution = None
         self._tree = None
+        self._strip_index = None
 
         self._validate()
 
@@ -330,42 +380,149 @@ class Space:
     def balls(self, centers, radii):
         """Closed balls {y : d(c, y) <= r} as (members, counts): the members
         of every ball in ascending order, concatenated, and one count per
-        ball.
+        ball; the runs of ball_runs, expanded."""
+        a, b, _, counts = self.ball_runs(centers, radii)
+        return run_members(a, b), counts
 
-        Euclidean spaces take candidates from the KD-tree inside a hair-slack
-        radius and keep those the closed-form distance puts inside, so ties
-        are decided exactly as distances() decides them.  Other metrics
-        filter distance blocks; graphs stop Dijkstra at the block's largest
-        radius.
+    def ball_runs(self, centers, radii):
+        """Closed balls {y : d(c, y) <= r} as maximal runs [a, b) of
+        consecutive point indices: (a, b, runs, counts), the runs of every
+        ball in ascending order, concatenated, and per ball its number of
+        runs and of members.
+
+        Euclidean spaces meet each strip (see _strips) in one index
+        interval, found with the closed-form distance, so ties are decided
+        exactly as distances() decides them.  Other metrics compress
+        distance blocks; graphs stop Dijkstra at the block's largest radius.
+        Either way no more than one block of members is held at a time.
         """
         centers = self._indices(centers)
         radii = np.asarray(radii, dtype=float).reshape(-1)
-        chunks = [np.array([], dtype=np.intp)]
-        counts = np.zeros(len(centers), dtype=np.intp)
-        step = self._row_step()
+        if self.metric == "euclidean":
+            # a center has at most one candidate per strip
+            step = max(1, BLOCK_ENTRIES // (len(self._strips()[0]) - 1))
+        else:
+            step = self._row_step()
+        parts = [(np.array([], dtype=np.intp),) * 3]
         for lo in range(0, len(centers), step):
             cs, rs = centers[lo:lo + step], radii[lo:lo + step]
             if self.metric == "euclidean":
-                owner, flat, d = self._kd_candidates(self.kdtree(), cs, rs)
-                inside = d <= rs[owner]
-                rows, cols = owner[inside], flat[inside]
+                owner, a, b = self._strip_intervals(cs, rs)
             else:
                 block = self.distances(cs, limit=max(float(rs.max()), 0.0))
-                rows, cols = np.nonzero(block <= rs[:, None])
-            chunks.append(cols)
-            counts[lo:lo + len(cs)] = np.bincount(rows, minlength=len(cs))
-        return np.concatenate(chunks), counts
+                owner, a = np.nonzero(block <= rs[:, None])
+                b = a + 1
+            owner, a, b = _merge_runs(owner, a, b)
+            parts.append((owner + lo, a, b))
+        owner, a, b = (np.concatenate(p) for p in zip(*parts))
+        return (a, b, np.bincount(owner, minlength=len(centers)),
+                np.bincount(owner, b - a, len(centers)).astype(np.intp))
+
+    def _strips(self):
+        """(bounds, scale, tree, keys): the strips of the index order and
+        what locates a point in them.
+
+        A strip is a maximal run of consecutive indices whose points share
+        every coordinate but the last, with the last strictly increasing
+        (a row of a raveled grid); strip k holds bounds[k]:bounds[k + 1].
+        The closed-form distance from any point is monotone in the last
+        coordinate on either side of its nearest strip point, so a ball
+        meets a strip in one index interval.  Strips are keyed by their
+        leading coordinates (a zero on a line), found with the KD-tree over
+        the keys.  When the strips average fewer than two points (a shuffled
+        grid, a cloud) every point is its own strip, keyed by all its
+        coordinates.  scale[k] is the number of index steps per unit of the
+        last coordinate along strip k, from its two ends (0 on a strip of
+        one point): it turns a last coordinate into a guessed index.
+        """
+        if self._strip_index is None:
+            c = self.coords
+            n, dim = c.shape
+            joined = (np.all(c[1:, :-1] == c[:-1, :-1], axis=1)
+                      & (c[1:, -1] > c[:-1, -1]))
+            start = np.flatnonzero(np.concatenate([[True], ~joined]))
+            if 2 * len(start) > n:
+                start, keys = np.arange(n), c
+            else:
+                keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
+            bounds = np.append(start, n)
+            span = c[bounds[1:] - 1, -1] - c[start, -1]
+            scale = np.divide(np.diff(bounds) - 1, span,
+                              out=np.zeros(len(start)), where=span > 0)
+            self._strip_index = (bounds, scale, cKDTree(keys[start]), keys)
+        return self._strip_index
+
+    def _strip_intervals(self, centers, radii):
+        """(owner, a, b): for each ball, its nonempty intervals [a, b) with
+        each strip, in ascending order.
+
+        Each interval grows from a strip point inside the ball to both
+        ends.  That point is the strip point nearest the center in the last
+        coordinate, guessed first and searched for if the guess lies
+        outside; if the nearest lies outside, the ball misses the strip.
+        Each end is first probed where the strip's last coordinate crosses
+        the chord, center +- sqrt(r^2 - leading distance^2), then beside
+        that probe, then bisected, always with the closed form.  Guesses
+        come from the strip's scale and are exact on an evenly spaced strip.
+        """
+        bounds, scale, tree, keys = self._strips()
+        c, y = self.coords, self.coords[:, -1]
+
+        def dist(i, j):
+            return _euclidean(np.take(c, i, axis=0), np.take(c, j, axis=0))
+
+        owner, strip = _flatten(tree.query_ball_point(
+            keys[centers], radii * (1.0 + 1e-9), return_sorted=True))
+        ctr, r, m = centers[owner], radii[owner], bounds[strip]
+        long = np.flatnonzero(scale[strip] > 0)
+        if not len(long):  # strips of one point: the candidates themselves
+            keep = dist(m, ctr) <= r
+            return owner[keep], m[keep], m[keep] + 1
+        s0, s1, yc = m[long], bounds[strip[long] + 1], y[ctr[long]]
+
+        def guess(k, x, round_to):
+            # the index of last coordinate x on the strip of pair k, were
+            # the strip evenly spaced
+            first = bounds[strip[k]]
+            return round_to(first + (x - y[first])
+                            * scale[strip[k]]).astype(np.intp)
+
+        m[long] = np.clip(guess(long, yc, np.rint), s0, s1 - 1)
+        hit = dist(m, ctr) <= r
+        miss = np.flatnonzero(~hit[long])
+        if len(miss):
+            # the exact nearest point, beside the first with y >= yc
+            k, s0_k, s1_k, yc_k = long[miss], s0[miss], s1[miss], yc[miss]
+            pos = _edge(s1_k, s0_k - 1, m[k], lambda i, j: y[i] >= yc_k[j])
+            below, above = np.maximum(pos - 1, s0_k), np.minimum(pos, s1_k - 1)
+            m[k] = np.where((pos == s1_k) | ((pos > s0_k) & (
+                yc_k - y[below] < y[above] - yc_k)), below, above)
+            hit[k] = dist(m[k], ctr[k]) <= r[k]
+        keep = np.flatnonzero(hit)
+        a = m[keep]
+        b = a + 1
+        grow = np.flatnonzero(hit[long])
+        if len(grow):
+            k = long[grow]
+            s0, s1, yc = s0[grow], s1[grow], yc[grow]
+            ctr_k, r_k, m_k = ctr[k], r[k], m[k]
+            half = np.sqrt(np.maximum(
+                r_k ** 2 - _euclidean(c[s0, :-1], c[ctr_k, :-1]) ** 2, 0.0))
+
+            def inside(i, j):
+                return dist(i, ctr_k[j]) <= r_k[j]
+
+            at = np.searchsorted(keep, k)
+            a[at] = _edge(m_k, s0 - 1, guess(k, yc - half, np.ceil), inside)
+            b[at] = _edge(m_k, s1, guess(k, yc + half, np.floor), inside) + 1
+        return owner[keep], a, b
 
     def _kd_candidates(self, tree, points, radii):
         """(owner, cand, d) over the points of tree within a hair-slack
         radii[k] of coords[points[k]], in ascending order per k: owner k,
         the candidate's tree index, and its closed-form distance."""
-        cands = tree.query_ball_point(self.coords[points], radii * (1.0 + 1e-9),
-                                      return_sorted=True)
-        sizes = np.fromiter(map(len, cands), np.intp, len(cands))
-        flat = np.fromiter(itertools.chain.from_iterable(cands), np.intp,
-                           int(sizes.sum()))
-        owner = np.repeat(np.arange(len(cands)), sizes)
+        owner, flat = _flatten(tree.query_ball_point(
+            self.coords[points], radii * (1.0 + 1e-9), return_sorted=True))
         return owner, flat, _euclidean(tree.data[flat], self.coords[points[owner]])
 
     def ball(self, x, r):
@@ -435,9 +592,55 @@ class Space:
                     self._diameter = self._diameter_scan()
             elif self.metric == "euclidean" and self.coords.shape[1] == 1:
                 self._diameter = float(self.coords.max() - self.coords.min())
+            elif self.metric == "graph":
+                self._diameter = self._graph_diameter()
             else:
                 self._diameter = self._diameter_scan()
         return self._diameter
+
+    def _graph_diameter(self):
+        """Largest finite distance, exactly, from a few Dijkstra rows per
+        connected component (Crescenzi et al., TCS 2013).
+
+        A center u is sought first: a double sweep gives two far points,
+        u minimizes the largest distance to the points swept so far, and
+        the point farthest from u joins them while that lowers u's
+        eccentricity.  Eccentricities are then taken in decreasing order of
+        d(u, .); once the largest found is >= 2 d(u, w) for the next point
+        w, it is the diameter, since the points not yet taken lie pairwise
+        within d(w', u) + d(u, w'') <= 2 d(u, w).
+        """
+        _, label = connected_components(self._graph, directed=False)
+        comps = np.split(np.argsort(label, kind="stable"),
+                         np.cumsum(np.bincount(label))[:-1])
+        best = 0.0
+        for comp in comps:
+            if len(comp) < 2:
+                continue
+
+            def row(k):
+                return self.distances(comp[[k]])[0, comp]
+
+            swept = [row(0)]
+            swept = [row(np.argmax(swept[0]))]
+            swept.append(row(np.argmax(swept[0])))
+            d_u = np.full(len(comp), np.inf)
+            while True:
+                d = row(np.argmin(np.max(swept, axis=0)))
+                if d.max() >= d_u.max():
+                    break
+                d_u = d
+                swept.append(row(np.argmax(d_u)))
+            found = float(np.max(swept))
+            order = np.argsort(-d_u, kind="stable")
+            taken, size = 0, 1
+            while taken < len(comp) and found < 2.0 * d_u[order[taken]]:
+                batch = comp[order[taken:taken + size]]
+                found = max(found, float(self.distances(batch)[:, comp].max()))
+                taken += len(batch)
+                size = min(2 * size, self._row_step())
+            best = max(best, found)
+        return best
 
     def _diameter_scan(self):
         best = 0.0

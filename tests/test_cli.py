@@ -6,6 +6,7 @@ import pytest
 
 from pharmonious import (interval_grid, path_graph, read_field_csv,
                          square_grid, write_field_csv)
+from pharmonious import solver
 from pharmonious.cli import main
 
 
@@ -228,6 +229,22 @@ def test_diverging_solve_is_non_convergence(tmp_path, capsys):
     assert doc["final_residual"] is None  # not finite: written as null
     u = read_field_csv(square_grid(9), tmp_path / "field.csv")
     assert np.abs(u).max() > 1e300
+
+
+def test_growing_residual_stops_as_stalled(tmp_path, capsys, monkeypatch):
+    # the |alpha| = 5 saddle grows for 7,832 sweeps before it overflows; a
+    # shorter stall window ends it first, unconverged, with the reason
+    monkeypatch.setattr(solver, "STALL_SWEEPS", 100)
+    code = run("solve", "--grid", "2d", "--n", 9, "--rho-factor", 0.9,
+               "--boundary-fn", "saddle", "--init-fn", "saddle",
+               "--alpha", -5, "--out", tmp_path)
+    assert code == 3
+    assert "stopped: stalled: no new residual minimum in 100 sweeps" \
+        in capsys.readouterr().out
+    doc = json.loads((tmp_path / "solve_report.json").read_text())
+    best = int(np.argmin(doc["residual_history"]))
+    assert not doc["converged"] and doc["iterations_used"] == best + 100
+    assert "stop_reason" not in doc
 
 
 def test_solve_non_admissible_always_exits_one(tmp_path):

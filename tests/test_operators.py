@@ -12,7 +12,7 @@ from pharmonious import (BallTable, Modulus, RadiusField, ScalarField,
                          hausdorff_gaps, interval_grid, disk_grid,
                          lattice_graph, mean_value, midrange_value,
                          path_graph, read_field_csv, solve_dirichlet,
-                         SolveConfig, square_grid, write_field_csv)
+                         SolveConfig, Space, square_grid, write_field_csv)
 
 
 @pytest.fixture(scope="module")
@@ -411,15 +411,139 @@ def test_field_csv_rejects_non_finite_and_missing(grid1d, tmp_path):
         read_field_csv(grid1d, path)
 
 
+def _member_oracle(space, centers, radii):
+    """Ball members from dense distance rows, independent of the run code:
+    (members, counts, run starts, run ends) with runs maximal per ball."""
+    rows, members = np.nonzero(space.distances(centers) <= radii[:, None])
+    counts = np.bincount(rows, minlength=len(centers))
+    new = np.ones(len(members), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (members[1:] != members[:-1] + 1)
+    at = np.flatnonzero(new)
+    ends = members[np.append(at[1:], len(members)) - 1] + 1
+    return members, counts, members[at], ends
+
+
+def _assert_table_matches_oracle(table, rho):
+    sp = table.space
+    members, counts, a, b = _member_oracle(sp, table.centers,
+                                           rho.values[table.centers])
+    starts = np.cumsum(counts) - counts
+    assert np.array_equal(table.counts, counts)
+    assert np.array_equal(table.starts, starts)
+    assert np.array_equal(table.indices, members)
+    assert np.array_equal(table.weight_sums,
+                          np.add.reduceat(sp.weights[members], starts))
+    assert np.array_equal(table._run_a[table._ball_runs], a)
+    assert np.array_equal(table._run_b[table._ball_runs], b)
+    # each distinct run once
+    key = table._run_a * (len(sp) + 1) + table._run_b
+    assert np.all(np.diff(key) > 0)
+
+
+def _shuffled(sp, seed):
+    perm = np.random.default_rng(seed).permutation(len(sp))
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=where[sp.boundary_indices])
+
+
+def _cloud(dim, n=300, seed=0):
+    rng = np.random.default_rng(seed + dim)
+    pts = rng.uniform(size=(n, dim))
+    edge = np.minimum(pts, 1.0 - pts).min(axis=1)
+    return Space(coords=pts, weights=rng.uniform(0.5, 2.0, n),
+                 boundary=np.flatnonzero(edge < 0.1))
+
+
+def _uneven_rows(n=33, seed=0):
+    """An n-by-n grid whose rows take their own sorted random last
+    coordinates: strips with uneven spacing."""
+    rng = np.random.default_rng(seed)
+    ys = np.sort(rng.uniform(size=(n, n)), axis=1)
+    coords = np.column_stack([np.repeat(np.linspace(0.0, 1.0, n), n),
+                              ys.ravel()])
+    edge = np.minimum(coords, 1.0 - coords).min(axis=1)
+    return Space(coords=coords, weights=rng.uniform(0.5, 2.0, n * n),
+                 boundary=np.flatnonzero(edge < 0.1))
+
+
+def _cube_grid(n=9):
+    """The n^3 grid on [0,1]^3 in raveled order: strips keyed by two
+    leading coordinates."""
+    xs = np.linspace(0.0, 1.0, n)
+    coords = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), -1).reshape(-1, 3)
+    frame = np.any((coords == 0.0) | (coords == 1.0), axis=1)
+    return Space(coords=coords, weights=np.ones(n ** 3),
+                 boundary=np.flatnonzero(frame))
+
+
+def _tie_radii(sp, seed=0):
+    """Each radius equal to the distance from its point to another point,
+    so that a member lies exactly on every sphere."""
+    other = np.random.default_rng(seed).integers(0, len(sp), len(sp))
+    return RadiusField(sp.pair_distances(np.arange(len(sp)), other))
+
+
 def test_ball_table_matches_ball_queries(grid2d_small):
     rho = RadiusField.scaled_boundary_distance(grid2d_small, 0.4)
-    table = BallTable(grid2d_small, rho)
-    for k in (0, 100, 400):
-        if k >= len(table.centers):
-            continue
-        x = int(table.centers[k])
-        seg = table.indices[table.starts[k]: table.starts[k] + table.counts[k]]
-        assert np.array_equal(seg, grid2d_small.ball(x, rho[x]).members)
+    _assert_table_matches_oracle(BallTable(grid2d_small, rho), rho)
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: square_grid(33), 0.99),
+    (lambda: disk_grid(33), 0.4), (lambda: disk_grid(33), 1.0),
+    (lambda: interval_grid(257), 0.4), (lambda: interval_grid(257), 0.99),
+    (lambda: _shuffled(square_grid(33), 5), 0.4),
+    (lambda: _cloud(2), 0.6), (lambda: _cloud(3), 0.6),
+    (lambda: _cloud(8), 0.6),
+    (lambda: _uneven_rows(), 0.6), (lambda: _uneven_rows(), "tie"),
+    (lambda: _cube_grid(), 0.4), (lambda: _cube_grid(), "tie"),
+    (lambda: square_grid(33), "tie"), (lambda: disk_grid(33), "tie"),
+    (lambda: interval_grid(65), "tie"),
+    (lambda: _shuffled(square_grid(17), 2), "tie"),
+    (lambda: _cloud(3), "tie"),
+    (lambda: lattice_graph(13, 11), 0.5), (lambda: path_graph(41), 1.0),
+])
+def test_ball_table_matches_member_oracle(make, radius):
+    # runs, counts and weight sums of the strip search (Euclidean) and of
+    # compressed distance rows (graphs) against the members of dense
+    # distance rows; "tie" puts a point exactly on every ball's sphere
+    sp = make()
+    rho = _tie_radii(sp) if radius == "tie" \
+        else RadiusField.scaled_boundary_distance(sp, radius)
+    _assert_table_matches_oracle(BallTable(sp, rho), rho)
+
+
+def test_strips_are_the_rows_of_a_raveled_grid():
+    bounds = square_grid(33)._strips()[0]
+    assert np.array_equal(bounds, np.arange(0, 33 * 33 + 1, 33))
+    bounds = _cube_grid(9)._strips()[0]
+    assert np.array_equal(bounds, np.arange(0, 9 ** 3 + 1, 9))
+    # a shuffled grid has no strips: every point is its own
+    bounds = _shuffled(square_grid(17), 5)._strips()[0]
+    assert np.array_equal(bounds, np.arange(17 * 17 + 1))
+
+
+def test_ball_table_counts_of_the_benchmark_tracer():
+    # benchmarks/tracer.py counts members and index runs from the table's
+    # public attributes (it lists every member); both must match the
+    # oracle, as must the tracer's per-sweep read of len(table.indices)
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for sp in (square_grid(33), lattice_graph(13, 11)):
+        rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+        table = BallTable(sp, rho)
+        members, counts, a, b = _member_oracle(sp, table.centers,
+                                               rho.values[table.centers])
+        got = tracer.table_counts(table, len(sp))
+        assert got["members"] == len(members) == len(table.indices)
+        assert got["index_runs"] == len(a)
+        assert got["bytes_per_sweep"] > 0
 
 
 # -- the run kernel against member-wise reductions ----------------------------------

@@ -119,6 +119,23 @@ def test_series_matches_closed_form():
     assert abs(series - closed) / closed < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["annular_holder", "annular_continuous"])
+@pytest.mark.parametrize("epsilon, beta, delta, alpha", [
+    (0.9, 2.0, 1.0, 0.0), (0.9, 2.0, 1.0, 0.005), (0.95, 2.5, 0.5, 0.0)])
+def test_series_near_epsilon_one_matches_closed_form(kind, epsilon, beta,
+                                                     delta, alpha):
+    # rho_K(j) = lambda (1-epsilon)^(j beta) underflows long before j = J_CAP:
+    # |alpha|^j rho_K(j)^(-delta) overflowed, or rho_K(j) reached 0
+    fam = ModulusFamily(kind, C=8.0, lam=0.4, epsilon=epsilon, beta=beta,
+                        delta=delta, normalized=Modulus.capped_linear(1.0, 1.0))
+    series = fixed_point_oscillation_bound(1, 0.1, alpha=alpha, norm_u=1.0,
+                                           family=fam)
+    closed = certified_holder_constant(1, alpha=alpha, L=1.0, epsilon=epsilon,
+                                       beta=beta, lam=0.4, delta=delta,
+                                       norm_u=1.0, C=8.0) * 0.1 ** delta
+    assert abs(series - closed) <= 1e-12 * closed
+
+
 def test_series_diverges_loudly():
     fam = family_for(0.8, 1.0, 0.5, 1.0, 1.0, 0.4, 8.0)  # ratio 1.6
     with pytest.raises(SeriesDivergenceError, match="root-test"):

@@ -8,7 +8,8 @@ from pharmonious import (AdmissibilityError, Modulus, RadiusField,
                          equicontinuity_gate, exhaustion, interval_grid,
                          iterate_modulus, iterate_modulus_bound,
                          oscillation_modulus, residual, root_test_margin,
-                         solve_dirichlet)
+                         solve_dirichlet, square_grid)
+from pharmonious.solver import STALL_SWEEPS
 
 
 def identity_family(C=1.0, lam=1.0, eps=0.5, beta=1.0, delta=1.0, diam=1.0):
@@ -153,6 +154,20 @@ def test_non_convergence_is_reported_not_raised(grid1d, grid1d_rho):
     assert not rep.converged
     assert rep.iterations_used == 2
     assert len(rep.residual_history) == 3
+
+
+def test_stalled_solve_stops_unconverged():
+    # alpha = 1.2: the residual sets its least value at sweep 67, then
+    # wanders near 0.27; the solve used to run all 100,000 sweeps
+    sp = square_grid(17)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    x = sp.coords[:, 0]
+    rep = solve_dirichlet(sp, rho, 1.2, x[sp.boundary_indices],
+                          SolveConfig(initial=np.sin(7.0 * x)))
+    assert not rep.converged
+    best = int(np.argmin(rep.residual_history))
+    assert best == 67 and rep.iterations_used == best + STALL_SWEEPS
+    assert rep.stop_reason.startswith("stalled")
 
 
 def test_modulus_snapshots_recorded(grid1d, grid1d_rho):

@@ -231,6 +231,19 @@ def test_graph_diameter_oracle(make, expected):
     assert make().diameter() == expected
 
 
+@pytest.mark.parametrize("make", [
+    lambda g: path_graph(41), lambda g: lattice_graph(13, 11),
+    *[lambda g, s=s: g(s) for s in range(6)],
+    *[lambda g, s=s: g(s, split=True) for s in range(6)],
+    lambda g: g(7, parallel=True)])
+def test_graph_diameter_equals_all_pairs_maximum(make, random_graph):
+    # the diameter takes a few Dijkstra rows; the all-pairs scan takes one
+    # per point
+    sp = make(random_graph)
+    d = sp.distances(np.arange(len(sp)))
+    assert sp.diameter() == d[np.isfinite(d)].max()
+
+
 def test_matrix_diameter_is_largest_entry(matrix_space):
     assert matrix_space.diameter() == matrix_space.distances(
         np.arange(len(matrix_space))).max()
@@ -448,6 +461,16 @@ def test_out_of_range_point_indices_rejected():
                  lambda: sp.balls([7], [1.0])):
         with pytest.raises(SpaceFormatError, match="out of range"):
             call()
+
+
+@pytest.mark.parametrize("make", [lambda: square_grid(9), lambda: path_graph(9),
+                                  lambda: interval_grid(9)])
+def test_negative_radius_ball_is_empty(make):
+    sp = make()
+    members, counts = sp.balls([4, 5], [-1.0, 0.0])
+    assert members.tolist() == [5] and counts.tolist() == [0, 1]
+    members, counts = sp.balls([4], [-1.0])
+    assert len(members) == 0 and counts.tolist() == [0]
 
 
 def test_parallel_and_reversed_edges_collapse_to_smallest_weight(random_graph):

@@ -88,17 +88,21 @@ def _build_rho(args, space):
         space, args.rho_factor, args.rho_power)
 
 
+def _function_values(space, flag, name, points):
+    """The built-in function name (given by option flag) at the points."""
+    if space.coords is None:
+        raise SpaceFormatError(f"{flag} needs a space with coordinates")
+    if space.coords.shape[1] < 2 and name == "saddle":
+        raise SpaceFormatError("the saddle boundary function is two-dimensional")
+    return BOUNDARY_FUNCTIONS[name](space.coords[points])
+
+
 def _boundary_values(args, space):
     if args.boundary is not None:
         values = operators.read_field_csv(space, args.boundary)
         return values[space.boundary_indices]
-    if space.coords is None:
-        raise SpaceFormatError("--boundary-fn needs a space with coordinates")
-    fn = BOUNDARY_FUNCTIONS[args.boundary_fn]
-    coords = space.coords[space.boundary_indices]
-    if coords.shape[1] < 2 and args.boundary_fn == "saddle":
-        raise SpaceFormatError("the saddle boundary function is two-dimensional")
-    return fn(coords)
+    return _function_values(space, "--boundary-fn", args.boundary_fn,
+                            space.boundary_indices)
 
 
 def _manifest(args):
@@ -169,9 +173,8 @@ def cmd_solve(args):
     bvals = _boundary_values(args, space)
     initial = None
     if args.init_fn is not None:
-        if space.coords is None:
-            raise SpaceFormatError("--init-fn needs a space with coordinates")
-        initial = BOUNDARY_FUNCTIONS[args.init_fn](space.coords)
+        initial = _function_values(space, "--init-fn", args.init_fn,
+                                   np.arange(len(space)))
     config = solver.SolveConfig(**settings, initial=initial)
     if args.epsilon is not None and not args.force:
         if args.lam is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import radius as radius_mod
-from .errors import SpaceFormatError
+from .errors import AdmissibilityError, SpaceFormatError
 from .radius import Modulus
 from .space import BLOCK_ENTRIES, read_id_csv, run_members, write_id_csv
 
@@ -83,13 +83,13 @@ class CheckRecord:
 # sweep works per run, not per member, so its cost scales with the number of
 # runs.  Space.ball_runs finds them without listing members: on a Euclidean
 # space each ball meets each strip of the index order (a grid row) in one
-# interval, found by the closed form at its two ends.  On square_grid(129)
-# at rho = 0.4 dist a table builds in about 0.3 s, against about 1.5 s for
-# listing and compressing its 5.6M members.  A shuffled grid or a cloud has
-# no strips: every point is its own, and the table builds about as fast as
-# from listed members.  Balls of neighbouring centers share most of their
-# runs, so the table keeps each distinct run once (109,331 of 282,627 at
-# 129²) and each ball's list of them.  A run's max and min are
+# interval: one searchsorted finds the chord's ends, the closed form moves
+# them by single indices where it disagrees.  At rho = 0.4 dist on
+# square_grid(129) a table builds in about 0.3 s, against 1.5 s for listing
+# and compressing its 5.6M members.  A shuffled grid or a cloud has no
+# strips: every point is its own.  Neighbouring balls share most runs, so
+# the table keeps each distinct run once (109,331 of 282,627 at 129²) and
+# each ball's list of them.  A run's max and min are
 # two lookups in a sparse table of the field, which is exact, so midranges
 # do not depend on how a ball splits into runs.  A run's mu-sum is a
 # difference of one prefix sum of w * (u - c), with c the midrange of u over
@@ -105,15 +105,19 @@ class CheckRecord:
 class BallTable:
     """The radius balls of the given centers, as Space.ball_runs computes
     them: each distinct index run once and each ball's list of runs, with
-    the member count (counts, starts) and measure (weight_sums) per ball."""
+    the member count (counts, starts) and measure (weight_sums) per ball.
+    A negative radius is refused: its ball is empty and has no mean."""
 
     def __init__(self, space, rho, centers=None):
         if centers is None:
             centers = space.interior_indices
         self.space = space
         self.centers = np.asarray(centers, dtype=int)
-        a, b, runs, self.counts = space.ball_runs(self.centers,
-                                                  rho.values[self.centers])
+        radii = rho.values[self.centers]
+        if np.any(radii < 0):
+            raise AdmissibilityError("negative radius (an empty ball) at points "
+                                     f"{self.centers[radii < 0][:10].tolist()}")
+        a, b, runs, self.counts = space.ball_runs(self.centers, radii)
         self._first_run = np.cumsum(runs) - runs
         self.starts = np.cumsum(self.counts) - self.counts
         n = len(space)

@@ -121,24 +121,6 @@ def _merge_runs(owner, a, b):
     return owner[at], a[at], b[np.append(at[1:], len(a)) - 1]
 
 
-def _edge(t, f, probe, inside):
-    """Per entry, the inside index next to the edge between t (inside) and
-    f (outside, or one past a strip's end), for a predicate monotone
-    between them: probed first at probe, then beside it, then bisected."""
-    t, f, probe = t.copy(), f.copy(), probe.copy()
-    for step in itertools.count():
-        k = np.flatnonzero(np.abs(f - t) > 1)
-        if not len(k):
-            return t
-        p = np.clip(probe[k], np.minimum(t[k], f[k]) + 1,
-                    np.maximum(t[k], f[k]) - 1)
-        ok = inside(p, k)
-        t[k] = np.where(ok, p, t[k])
-        f[k] = np.where(ok, f[k], p)
-        probe[k] = (p + np.where(ok, np.sign(f[k] - p), np.sign(t[k] - p))
-                    if step == 0 else (t[k] + f[k]) // 2)
-
-
 def run_members(a, b):
     """The point indices of the runs [a, b), concatenated in run order: a
     running sum of steps of one that jumps from each run's end to the next
@@ -231,7 +213,6 @@ class Space:
         self._bdry_dist = None
         self._diameter = None
         self._resolution = None
-        self._tree = None
         self._strip_index = None
 
         self._validate()
@@ -419,8 +400,8 @@ class Space:
                 np.bincount(owner, b - a, len(centers)).astype(np.intp))
 
     def _strips(self):
-        """(bounds, scale, tree, keys): the strips of the index order and
-        what locates a point in them.
+        """(bounds, z, tree, keys): the strips of the index order and what
+        locates a point in them.
 
         A strip is a maximal run of consecutive indices whose points share
         every coordinate but the last, with the last strictly increasing
@@ -431,9 +412,9 @@ class Space:
         leading coordinates (a zero on a line), found with the KD-tree over
         the keys.  When the strips average fewer than two points (a shuffled
         grid, a cloud) every point is its own strip, keyed by all its
-        coordinates.  scale[k] is the number of index steps per unit of the
-        last coordinate along strip k, from its two ends (0 on a strip of
-        one point): it turns a last coordinate into a guessed index.
+        coordinates.  z = strip + 1j * last coordinate, per point: numpy
+        orders complex numbers by real part, then imaginary part, so z is
+        sorted and one searchsorted finds a last coordinate in any strip.
         """
         if self._strip_index is None:
             c = self.coords
@@ -446,84 +427,57 @@ class Space:
             else:
                 keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
             bounds = np.append(start, n)
-            span = c[bounds[1:] - 1, -1] - c[start, -1]
-            scale = np.divide(np.diff(bounds) - 1, span,
-                              out=np.zeros(len(start)), where=span > 0)
-            self._strip_index = (bounds, scale, cKDTree(keys[start]), keys)
+            z = np.repeat(np.arange(len(start)), np.diff(bounds)) + 1j * c[:, -1]
+            self._strip_index = (bounds, z, cKDTree(keys[start]), keys)
         return self._strip_index
 
     def _strip_intervals(self, centers, radii):
         """(owner, a, b): for each ball, its nonempty intervals [a, b) with
         each strip, in ascending order.
 
-        Each interval grows from a strip point inside the ball to both
-        ends.  That point is the strip point nearest the center in the last
-        coordinate, guessed first and searched for if the guess lies
-        outside; if the nearest lies outside, the ball misses the strip.
-        Each end is first probed where the strip's last coordinate crosses
-        the chord, center +- sqrt(r^2 - leading distance^2), then beside
-        that probe, then bisected, always with the closed form.  Guesses
-        come from the strip's scale and are exact on an evenly spaced strip.
+        One searchsorted over z puts the ends where the strip crosses the
+        chord, last coordinate = center +- sqrt(r^2 - leading distance^2).
+        Each end then steps by one index while the closed form disagrees: a
+        down while a - 1 is inside, b up while b is inside, then a up while
+        a is outside, b down while b - 1 is outside.  The closed form is
+        monotone on either side of the strip's nearest point, so its
+        interval overlaps or touches the chord's and the steps end on it
+        exactly.  When every strip is one point, each candidate is checked.
         """
-        bounds, scale, tree, keys = self._strips()
-        c, y = self.coords, self.coords[:, -1]
+        bounds, z, tree, keys = self._strips()
+        c = self.coords
 
         def dist(i, j):
             return _euclidean(np.take(c, i, axis=0), np.take(c, j, axis=0))
 
         owner, strip = _flatten(tree.query_ball_point(
             keys[centers], radii * (1.0 + 1e-9), return_sorted=True))
-        ctr, r, m = centers[owner], radii[owner], bounds[strip]
-        long = np.flatnonzero(scale[strip] > 0)
-        if not len(long):  # strips of one point: the candidates themselves
-            keep = dist(m, ctr) <= r
-            return owner[keep], m[keep], m[keep] + 1
-        s0, s1, yc = m[long], bounds[strip[long] + 1], y[ctr[long]]
+        ctr, r, s0 = centers[owner], radii[owner], bounds[strip]
+        if len(bounds) > len(c):  # strips of one point: the candidates themselves
+            keep = dist(s0, ctr) <= r
+            return owner[keep], s0[keep], s0[keep] + 1
+        s1 = bounds[strip + 1]
+        half = np.sqrt(np.maximum(
+            r ** 2 - _euclidean(c[s0, :-1], c[ctr, :-1]) ** 2, 0.0))
+        a, b = np.searchsorted(z, strip + 1j * (c[ctr, -1] + [[-1.0], [1.0]] * half))
 
-        def guess(k, x, round_to):
-            # the index of last coordinate x on the strip of pair k, were
-            # the strip evenly spaced
-            first = bounds[strip[k]]
-            return round_to(first + (x - y[first])
-                            * scale[strip[k]]).astype(np.intp)
+        def inside(i, k):
+            # closed-form membership of point i in ball k, False off its strip
+            return ((i >= s0[k]) & (i < s1[k])
+                    & (dist(np.clip(i, 0, len(c) - 1), ctr[k]) <= r[k]))
 
-        m[long] = np.clip(guess(long, yc, np.rint), s0, s1 - 1)
-        hit = dist(m, ctr) <= r
-        miss = np.flatnonzero(~hit[long])
-        if len(miss):
-            # the exact nearest point, beside the first with y >= yc
-            k, s0_k, s1_k, yc_k = long[miss], s0[miss], s1[miss], yc[miss]
-            pos = _edge(s1_k, s0_k - 1, m[k], lambda i, j: y[i] >= yc_k[j])
-            below, above = np.maximum(pos - 1, s0_k), np.minimum(pos, s1_k - 1)
-            m[k] = np.where((pos == s1_k) | ((pos > s0_k) & (
-                yc_k - y[below] < y[above] - yc_k)), below, above)
-            hit[k] = dist(m[k], ctr[k]) <= r[k]
-        keep = np.flatnonzero(hit)
-        a = m[keep]
-        b = a + 1
-        grow = np.flatnonzero(hit[long])
-        if len(grow):
-            k = long[grow]
-            s0, s1, yc = s0[grow], s1[grow], yc[grow]
-            ctr_k, r_k, m_k = ctr[k], r[k], m[k]
-            half = np.sqrt(np.maximum(
-                r_k ** 2 - _euclidean(c[s0, :-1], c[ctr_k, :-1]) ** 2, 0.0))
+        def walk(end, step, go):
+            k = np.arange(len(end))
+            while len(k):
+                k = k[go(end[k], k)]
+                end[k] += step
 
-            def inside(i, j):
-                return dist(i, ctr_k[j]) <= r_k[j]
-
-            at = np.searchsorted(keep, k)
-            a[at] = _edge(m_k, s0 - 1, guess(k, yc - half, np.ceil), inside)
-            b[at] = _edge(m_k, s1, guess(k, yc + half, np.floor), inside) + 1
-        return owner[keep], a, b
-
-    def _kd_candidates(self, tree, points, radii):
-        """(owner, cand, d) over the points of tree within a hair-slack
-        radii[k] of coords[points[k]], in ascending order per k: owner k,
-        the candidate's tree index, and its closed-form distance."""
-        owner, flat = _flatten(tree.query_ball_point(
-            self.coords[points], radii * (1.0 + 1e-9), return_sorted=True))
-        return owner, flat, _euclidean(tree.data[flat], self.coords[points[owner]])
+        walk(a, -1, lambda i, k: inside(i - 1, k))
+        walk(b, 1, inside)
+        walk(a, 1, lambda i, k: (i < b[k]) & ~inside(i, k))
+        walk(b, -1, lambda i, k: (i > a[k]) & ~inside(i - 1, k))
+        keep = a < b
+        return owner[keep], a[keep], b[keep]
 
     def ball(self, x, r):
         if r < 0:
@@ -559,10 +513,12 @@ class Space:
                                min_only=True)
             elif self.metric == "euclidean":
                 tree = cKDTree(self.coords[b])
-                owner, _, d = self._kd_candidates(tree, np.arange(len(self)),
-                                                  tree.query(self.coords)[0])
+                owner, near = _flatten(tree.query_ball_point(
+                    self.coords, tree.query(self.coords)[0] * (1.0 + 1e-9),
+                    return_sorted=True))
                 out = np.full(len(self), np.inf)
-                np.minimum.at(out, owner, d)
+                np.minimum.at(out, owner, _euclidean(tree.data[near],
+                                                     self.coords[owner]))
             else:
                 out = np.full(len(self), np.inf)
                 step = self._row_step()
@@ -650,21 +606,13 @@ class Space:
                 best = max(best, float(finite.max()))
         return best
 
-    def kdtree(self):
-        """Cached cKDTree over the coordinates (euclidean spaces only)."""
-        if self._tree is None:
-            if self.coords is None:
-                raise ConfigurationError("no coordinates for a KD-tree")
-            self._tree = cKDTree(self.coords)
-        return self._tree
-
     def resolution(self):
         """Smallest positive inter-point distance (the grid step h on grids)."""
         if self._resolution is None:
             if len(self) < 2:
                 self._resolution = 0.0
             elif self.metric == "euclidean":
-                d, _ = self.kdtree().query(self.coords, k=2)
+                d, _ = cKDTree(self.coords).query(self.coords, k=2)
                 self._resolution = float(d[:, 1].min())
             elif self.metric == "graph":
                 w = self._graph.data

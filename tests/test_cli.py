@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pharmonious import (interval_grid, path_graph, read_field_csv,
-                         square_grid, write_field_csv)
+from pharmonious import (RadiusField, interval_grid, path_graph,
+                         read_field_csv, square_grid, write_field_csv,
+                         write_radius_csv)
 from pharmonious import solver
 from pharmonious.cli import main
 
@@ -397,6 +398,24 @@ def test_solve_gate_leaves_inadmissible_radius_to_the_solver(tmp_path, capsys):
     assert "refused: radius field is not admissible" in err
 
 
+@pytest.mark.parametrize("point", [22, 70])
+def test_certify_refuses_a_negative_radius(tmp_path, capsys, point):
+    # at the last center (70) the empty ball ended in an IndexError
+    # traceback; at 22 certify read a mean over no points
+    sp = square_grid(9)
+    values = RadiusField.scaled_boundary_distance(sp, 0.4).values.copy()
+    values[point] = -0.1
+    write_radius_csv(sp, RadiusField(values), tmp_path / "rho.csv")
+    write_field_csv(sp, np.zeros(len(sp)), tmp_path / "field.csv")
+    code = run("certify", "--grid", "2d", "--n", 9, "--rho", tmp_path / "rho.csv",
+               "--field", tmp_path / "field.csv", "--m", 2, "--epsilon", 0.5,
+               "--lam", 0.4, "--alpha", 0.3, "--out", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refused: negative radius") and f"[{point}]" in err
+    assert "Traceback" not in err
+
+
 def test_validate_all_boundary_space_fails_without_traceback(tmp_path, capsys):
     # ell = 0 made the lambda cap 0.0 ** (1 - beta): ZeroDivisionError at beta 2
     space = tmp_path / "space.json"
@@ -566,7 +585,10 @@ def test_solve_flag_overrides_config_key(tmp_path):
      "the saddle boundary function is two-dimensional"),
     (["--grid", "path", "--boundary", "BOUNDARY", "--init-fn", "linear"],
      "--init-fn needs a space with coordinates"),
-], ids=["boundary-fn-without-coords", "saddle-in-1d", "init-fn-without-coords"])
+    (["--grid", "1d", "--boundary-fn", "linear", "--init-fn", "saddle"],
+     "the saddle boundary function is two-dimensional"),
+], ids=["boundary-fn-without-coords", "saddle-in-1d", "init-fn-without-coords",
+        "init-saddle-in-1d"])
 def test_solve_boundary_and_init_functions_need_coordinates(tmp_path, capsys,
                                                             argv, message):
     boundary = tmp_path / "boundary.csv"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pharmonious import (BallTable, Modulus, RadiusField, ScalarField,
-                         SpaceFormatError,
+from pharmonious import (AdmissibilityError, BallTable, Modulus, RadiusField,
+                         ScalarField, SpaceFormatError,
                          TheoreticalModulus, alpha_mean_value,
                          apply_alpha_mean, ball_symdiff_ratio,
                          check_alpha_mean_modulus, check_mean_stability,
@@ -468,6 +468,19 @@ def _uneven_rows(n=33, seed=0):
                  boundary=np.flatnonzero(edge < 0.1))
 
 
+def _random_strips(strips=40, per=40):
+    """3-D strips of per points at random leading coordinates, each with
+    its own sorted random last coordinates: with no dyadic coordinate, the
+    chord and the closed form round apart near a sphere."""
+    rng = np.random.default_rng(0)
+    coords = np.column_stack([
+        np.repeat(rng.uniform(size=(strips, 2)), per, axis=0),
+        np.sort(rng.uniform(size=(strips, per)), axis=1).ravel()])
+    edge = np.minimum(coords, 1.0 - coords).min(axis=1)
+    return Space(coords=coords, weights=rng.uniform(0.5, 2.0, len(coords)),
+                 boundary=np.flatnonzero(edge < 0.1))
+
+
 def _cube_grid(n=9):
     """The n^3 grid on [0,1]^3 in raveled order: strips keyed by two
     leading coordinates."""
@@ -503,16 +516,39 @@ def test_ball_table_matches_ball_queries(grid2d_small):
     (lambda: interval_grid(65), "tie"),
     (lambda: _shuffled(square_grid(17), 2), "tie"),
     (lambda: _cloud(3), "tie"),
+    (lambda: _shuffled(square_grid(17), 2), "hair"), (lambda: _cloud(3), "hair"),
+    (lambda: square_grid(17), "hair"),
+    (lambda: _random_strips(), "ulp"),
     (lambda: lattice_graph(13, 11), 0.5), (lambda: path_graph(41), 1.0),
 ])
 def test_ball_table_matches_member_oracle(make, radius):
     # runs, counts and weight sums of the strip search (Euclidean) and of
     # compressed distance rows (graphs) against the members of dense
-    # distance rows; "tie" puts a point exactly on every ball's sphere
+    # distance rows; "tie" puts a point exactly on every ball's sphere,
+    # "ulp" one float outside it, "hair" just outside it, within the
+    # KD-tree query's slack
     sp = make()
-    rho = _tie_radii(sp) if radius == "tie" \
-        else RadiusField.scaled_boundary_distance(sp, radius)
+    if radius == "tie":
+        rho = _tie_radii(sp)
+    elif radius == "ulp":
+        rho = RadiusField(np.nextafter(_tie_radii(sp).values, 0.0))
+    elif radius == "hair":
+        rho = RadiusField(_tie_radii(sp).values * (1.0 - 1e-10))
+    else:
+        rho = RadiusField.scaled_boundary_distance(sp, radius)
     _assert_table_matches_oracle(BallTable(sp, rho), rho)
+
+
+@pytest.mark.parametrize("point", [22, 70])
+def test_ball_table_refuses_a_negative_radius(point):
+    # the empty ball used to take weight_sums 0.015625 with counts 0 at
+    # point 22 (alpha_means read 23.0 for u = index), and the last center's
+    # empty ball raised an IndexError in np.add.reduceat
+    sp = square_grid(9)
+    values = RadiusField.scaled_boundary_distance(sp, 0.4).values.copy()
+    values[point] = -0.1
+    with pytest.raises(AdmissibilityError, match=rf"at points \[{point}\]"):
+        BallTable(sp, RadiusField(values))
 
 
 def test_strips_are_the_rows_of_a_raveled_grid():

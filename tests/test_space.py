@@ -463,10 +463,12 @@ def test_out_of_range_point_indices_rejected():
             call()
 
 
-@pytest.mark.parametrize("make", [lambda: square_grid(9), lambda: path_graph(9),
-                                  lambda: interval_grid(9)])
-def test_negative_radius_ball_is_empty(make):
-    sp = make()
+@pytest.mark.parametrize("make", [
+    lambda f: square_grid(9), lambda f: path_graph(9), lambda f: interval_grid(9),
+    lambda f: f("permuted_grid")])
+def test_negative_radius_ball_is_empty(make, request):
+    # the permuted grid's points are strips of one point each
+    sp = make(request.getfixturevalue)
     members, counts = sp.balls([4, 5], [-1.0, 0.0])
     assert members.tolist() == [5] and counts.tolist() == [0, 1]
     members, counts = sp.balls([4], [-1.0])

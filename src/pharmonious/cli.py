@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -200,6 +201,9 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
+    # certify() refuses a field at a nan tolerance; here it is an input error
+    if not math.isfinite(args.residual_tol):
+        raise SpaceFormatError(f"--residual-tol must be finite, got {args.residual_tol}")
     space = _build_space(args)
     rho = _build_rho(args, space)
     u = operators.read_field_csv(space, args.field)

@@ -15,13 +15,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
-from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 
@@ -36,6 +34,9 @@ SAMPLED_PAIRS = 1_000_000
 # The doubling and annular-decay probes skip radii below this many
 # resolutions, where a ball's measure is dominated by single cells.
 PROBE_R_MIN_CELLS = 16.0
+# Key searches widen every reach by this factor, so that rounding never
+# drops a strip the closed-form distance puts within reach.
+HAIR = 1.0 + 1e-9
 
 PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
 PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
@@ -97,9 +98,19 @@ def _euclidean(a, b):
     """Closed-form Euclidean distance between broadcast coordinate arrays.
 
     Every Euclidean distance goes through this formula, so ball membership
-    ties and pair scans agree bit for bit wherever they are computed."""
-    diff = a - b
-    return np.sqrt((diff * diff).sum(axis=-1))
+    ties and pair scans agree bit for bit wherever they are computed.  In
+    one or two dimensions the squares are added column by column: the same
+    sum x0^2 + x1^2 that sum() forms, without its slow reduction over a
+    last axis of two."""
+    if a.shape[-1] > 2:
+        diff = a - b
+        return np.sqrt((diff * diff).sum(axis=-1))
+    sq = 0.0
+    for k in range(a.shape[-1]):
+        d = a[..., k] - b[..., k]
+        d *= d
+        sq = d if k == 0 else np.add(sq, d, out=d)
+    return np.sqrt(sq)
 
 
 def _flatten(lists):
@@ -124,13 +135,44 @@ def _merge_runs(owner, a, b):
 def run_members(a, b):
     """The point indices of the runs [a, b), concatenated in run order: a
     running sum of steps of one that jumps from each run's end to the next
-    run's start."""
+    run's start.  Empty runs add nothing."""
+    keep = b > a
+    a, b = a[keep], b[keep]
     ends = np.cumsum(b - a)
     step = np.ones(int(ends[-1]) if len(ends) else 0, dtype=np.intp)
     if len(step):
         step[0] = a[0]
         step[ends[:-1]] = a[1:] - b[:-1] + 1
     return np.cumsum(step)
+
+
+def _near_keys(keys):
+    """near(at, reach) -> (owner, k): for each row of at, the rows k of keys
+    within reach of it (widened by HAIR), ascending; owner is the row of at.
+
+    One key column is searched by a searchsorted over the sorted keys, and
+    a ball's candidates are re-sorted only when the key order is not the
+    row order.  More columns take a KD-tree (scipy is imported here)."""
+    if keys.shape[1] > 1:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(keys)
+        return lambda at, reach: _flatten(tree.query_ball_point(
+            at, reach * HAIR, return_sorted=True))
+    order = np.argsort(keys[:, 0], kind="stable")
+    sorted_keys = keys[order, 0]
+    ordered = bool(np.all(order[1:] > order[:-1]))
+
+    def near(at, reach):
+        at, reach = at[:, 0], reach * HAIR
+        lo = np.searchsorted(sorted_keys, at - reach)
+        hi = np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
+        owner = np.repeat(np.arange(len(at)), hi - lo)
+        k = run_members(lo, hi)
+        if ordered:
+            return owner, k
+        code = np.sort(owner * len(keys) + order[k])
+        return owner, code - owner * len(keys)
+    return near
 
 
 class Space:
@@ -194,6 +236,7 @@ class Space:
             w = np.full(len(pair), np.inf)
             np.minimum.at(w, slot, e[keep, 2])
             lo, hi = pair // n, pair % n
+            from scipy import sparse
             self._graph = sparse.csr_matrix(
                 (np.concatenate([w, w]),
                  (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
@@ -244,10 +287,12 @@ class Space:
                 raise SpaceFormatError("duplicate points: zero distance between distinct ids")
             # d(i,k) <= d(i,j) + d(j,k) for every triple iff no path of
             # matrix entries is shorter than the direct entry
+            from scipy.sparse.csgraph import shortest_path
             if np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)):
                 raise SpaceFormatError("triangle inequality violated")
         elif self.metric == "euclidean" and n > 1:
-            if self.resolution() <= 0:
+            c = self.coords[np.lexsort(self.coords.T)]
+            if np.any(np.all(c[1:] == c[:-1], axis=1)):
                 raise SpaceFormatError("duplicate points: zero distance between distinct ids")
 
     # -- distances ----------------------------------------------------------
@@ -284,6 +329,7 @@ class Space:
         if self.metric == "matrix":
             block = self._matrix[rows]
         else:
+            from scipy.sparse.csgraph import dijkstra
             block = dijkstra(self._graph, indices=rows, directed=False,
                              limit=limit)
         return block if cols is None else block[:, cols]
@@ -339,6 +385,7 @@ class Space:
         of the edges Dijkstra reads, at any size.
         """
         if lipschitz and members is None and self.metric == "graph":
+            from scipy import sparse
             n = len(self)
             edges = sparse.triu(self._graph, k=1, format="coo")
             return PairScan("exact", n * (n - 1) // 2,
@@ -373,7 +420,10 @@ class Space:
 
         Euclidean spaces meet each strip (see _strips) in one index
         interval, found with the closed-form distance, so ties are decided
-        exactly as distances() decides them.  Other metrics compress
+        exactly as distances() decides them.  A ball's candidate strips come
+        from the sorted-key index, one searchsorted per block of centers,
+        when strips are keyed by one coordinate (lines, raveled 2-D grids,
+        disks), and from a KD-tree over the keys otherwise.  Other metrics compress
         distance blocks; graphs stop Dijkstra at the block's largest radius.
         Either way no more than one block of members is held at a time.
         """
@@ -400,7 +450,7 @@ class Space:
                 np.bincount(owner, b - a, len(centers)).astype(np.intp))
 
     def _strips(self):
-        """(bounds, z, tree, keys): the strips of the index order and what
+        """(bounds, z, keys, near): the strips of the index order and what
         locates a point in them.
 
         A strip is a maximal run of consecutive indices whose points share
@@ -409,12 +459,16 @@ class Space:
         The closed-form distance from any point is monotone in the last
         coordinate on either side of its nearest strip point, so a ball
         meets a strip in one index interval.  Strips are keyed by their
-        leading coordinates (a zero on a line), found with the KD-tree over
-        the keys.  When the strips average fewer than two points (a shuffled
-        grid, a cloud) every point is its own strip, keyed by all its
-        coordinates.  z = strip + 1j * last coordinate, per point: numpy
-        orders complex numbers by real part, then imaginary part, so z is
-        sorted and one searchsorted finds a last coordinate in any strip.
+        leading coordinates (a zero on a line), keys per point.  When the
+        strips average fewer than two points (a shuffled grid, a cloud)
+        every point is its own strip, keyed by all its coordinates.
+        near(at, reach) finds the strips whose keys lie within reach of at
+        (see _near_keys): on lines, raveled 2-D grids and disks the keys are
+        one column and near is a searchsorted over the sorted keys; more
+        columns take a KD-tree.  z = strip + 1j * last coordinate, per
+        point: numpy orders complex numbers by real part, then imaginary
+        part, so z is sorted and one searchsorted finds a last coordinate in
+        any strip.
         """
         if self._strip_index is None:
             c = self.coords
@@ -428,7 +482,7 @@ class Space:
                 keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
             bounds = np.append(start, n)
             z = np.repeat(np.arange(len(start)), np.diff(bounds)) + 1j * c[:, -1]
-            self._strip_index = (bounds, z, cKDTree(keys[start]), keys)
+            self._strip_index = (bounds, z, keys, _near_keys(keys[start]))
         return self._strip_index
 
     def _strip_intervals(self, centers, radii):
@@ -444,14 +498,13 @@ class Space:
         interval overlaps or touches the chord's and the steps end on it
         exactly.  When every strip is one point, each candidate is checked.
         """
-        bounds, z, tree, keys = self._strips()
+        bounds, z, keys, near = self._strips()
         c = self.coords
 
         def dist(i, j):
             return _euclidean(np.take(c, i, axis=0), np.take(c, j, axis=0))
 
-        owner, strip = _flatten(tree.query_ball_point(
-            keys[centers], radii * (1.0 + 1e-9), return_sorted=True))
+        owner, strip = near(keys[centers], radii)
         ctr, r, s0 = centers[owner], radii[owner], bounds[strip]
         if len(bounds) > len(c):  # strips of one point: the candidates themselves
             keep = dist(s0, ctr) <= r
@@ -498,23 +551,29 @@ class Space:
         """dist(x, boundary) for every point; zero exactly on the boundary.
 
         Graphs run one multi-source Dijkstra from the boundary (inf on a
-        component without boundary points).  Euclidean spaces take each
+        component without boundary points).  Euclidean spaces whose strips
+        are keyed by one coordinate run the nearest-target search of
+        _strip_nearest over the sorted keys; other Euclidean spaces take each
         point's nearest boundary distance from a KD-tree over the boundary,
         then the closed-form minimum over the boundary points within a hair
-        of it, so the value is the one distances() gives.  Matrix spaces
-        take the minimum over row blocks.
+        of it.  Either way the value is the one distances() gives.  Matrix
+        spaces take the minimum over row blocks.
         """
         if self._bdry_dist is None:
             b = self.boundary_indices
             if len(b) == 0:
                 raise ConfigurationError("space has an empty boundary")
             if self.metric == "graph":
+                from scipy.sparse.csgraph import dijkstra
                 out = dijkstra(self._graph, indices=b, directed=False,
                                min_only=True)
+            elif self.metric == "euclidean" and self._strips()[2].shape[1] == 1:
+                out = self._strip_nearest(b)
             elif self.metric == "euclidean":
+                from scipy.spatial import cKDTree
                 tree = cKDTree(self.coords[b])
                 owner, near = _flatten(tree.query_ball_point(
-                    self.coords, tree.query(self.coords)[0] * (1.0 + 1e-9),
+                    self.coords, tree.query(self.coords)[0] * HAIR,
                     return_sorted=True))
                 out = np.full(len(self), np.inf)
                 np.minimum.at(out, owner, _euclidean(tree.data[near],
@@ -530,6 +589,85 @@ class Space:
             self._bdry_dist = out
         return self._bdry_dist
 
+    def _strip_nearest(self, targets):
+        """min over the targets t of d(t, x), for every point x, on a space
+        whose strips are keyed by one coordinate (see _strips).
+
+        The targets are grouped by strip, the groups sorted by key, and runs
+        of about sqrt(groups) / 2 groups form blocks.  In a group or a
+        block, one searchsorted of a point's last coordinate (as a rank,
+        coded with the segment) finds the targets on either side of it; the
+        one with the smaller gap is the nearest there, since at a fixed key
+        the closed form is monotone in the gap.  Each point first takes the
+        closed-form distance to the nearest target of the nearest group by
+        key on either side: a bound.  It then walks the blocks outward from
+        its key, on both sides at once, and stops on a side once the key
+        distance exceeds the bound by a HAIR.  A block whose key distance
+        and smallest gap put all its targets beyond the bound is passed
+        over; in the others, each group within the bound by key gives the
+        closed-form distance to its nearest target, which lowers the bound.
+        No distance block is built.
+        """
+        bounds, _, keys, _ = self._strips()
+        key, last = keys[:, 0], self.coords[:, -1]
+        n = len(key)
+        t = targets[np.argsort(key[targets], kind="stable")]
+        strip = np.searchsorted(bounds, t, side="right")
+        new = np.append(True, strip[1:] != strip[:-1])
+        group, group_key = np.cumsum(new) - 1, key[t[new]]
+        groups, span = len(group_key), max(1, math.isqrt(len(group_key)) // 2)
+        block = group // span + 1  # blocks 1..B; 0 and B + 1 end every walk
+        k0, k1 = (np.concatenate([[np.nan], k, [np.nan]]) for k in (
+            group_key[::span], group_key[np.minimum(
+                np.arange(1, block[-1] + 1) * span, groups) - 1]))
+        ranks = np.unique(last[t])
+        width = len(ranks) + 1
+        rank, rank_t = np.searchsorted(ranks, last), np.searchsorted(ranks, last[t])
+
+        def index(segment):
+            # the targets' ranks coded with their segment, sorted; the last
+            # coordinates in that order; where each segment starts
+            code = np.sort(segment * width + rank_t)
+            return code, ranks[code % width], np.searchsorted(
+                segment, np.arange(segment[-1] + 2))
+
+        def nearest(index, s, x):
+            # position and gap of the target nearest to last[x] in segment s
+            code, values, start = index
+            i = np.searchsorted(code, s * width + rank[x])
+            lo, hi = np.maximum(i - 1, start[s]), np.minimum(i, start[s + 1] - 1)
+            gap_lo, gap_hi = np.abs(values[lo] - last[x]), np.abs(values[hi] - last[x])
+            return np.where(gap_hi < gap_lo, hi, lo), np.minimum(gap_lo, gap_hi)
+
+        groups_index, blocks_index = index(group), index(block)
+        best = np.full(n, np.inf)
+
+        def visit(x, g):
+            near = t[nearest(groups_index, g, x)[0]]
+            np.minimum.at(best, x, _euclidean(np.take(self.coords, near, axis=0),
+                                              np.take(self.coords, x, axis=0)))
+
+        pos = np.searchsorted(group_key, key)
+        x, g = np.tile(np.arange(n), 2), np.concatenate([pos, pos - 1])
+        ok = (g >= 0) & (g < groups)
+        visit(x[ok], g[ok])
+        b = np.concatenate([pos // span + 1, pos // span])
+        step = np.repeat([1, -1], n)
+        while len(x):
+            reach = best[x] * HAIR
+            dk = np.maximum(np.maximum(k0[b] - key[x], key[x] - k1[b]), 0.0)
+            ok = dk <= reach
+            x, b, step, dk, reach = x[ok], b[ok], step[ok], dk[ok], reach[ok]
+            gap = nearest(blocks_index, b, x)[1]
+            keep = dk * dk + gap * gap <= reach * reach
+            lo = (b[keep] - 1) * span
+            hi = np.minimum(lo + span, groups)
+            xg, g = np.repeat(x[keep], hi - lo), run_members(lo, hi)
+            ok = np.abs(group_key[g] - key[xg]) <= best[xg] * HAIR
+            visit(xg[ok], g[ok])
+            b = b + step
+        return best
+
     def dist_to_boundary(self, x):
         x = self._check_index(x)
         return float(self.boundary_distances()[x])
@@ -542,6 +680,7 @@ class Space:
         if self._diameter is None:
             if self.metric == "euclidean" and self.coords.shape[1] >= 2 and len(self) > 4:
                 try:
+                    from scipy.spatial import ConvexHull
                     v = ConvexHull(self.coords).vertices
                     self._diameter = float(self.distances(v, v).max())
                 except Exception:
@@ -566,6 +705,7 @@ class Space:
         w, it is the diameter, since the points not yet taken lie pairwise
         within d(w', u) + d(u, w'') <= 2 d(u, w).
         """
+        from scipy.sparse.csgraph import connected_components
         _, label = connected_components(self._graph, directed=False)
         comps = np.split(np.argsort(label, kind="stable"),
                          np.cumsum(np.bincount(label))[:-1])
@@ -612,6 +752,7 @@ class Space:
             if len(self) < 2:
                 self._resolution = 0.0
             elif self.metric == "euclidean":
+                from scipy.spatial import cKDTree
                 d, _ = cKDTree(self.coords).query(self.coords, k=2)
                 self._resolution = float(d[:, 1].min())
             elif self.metric == "graph":
@@ -764,6 +905,8 @@ class Space:
             return 0.0
         n = len(self)
         near, counts = self.balls(np.arange(n), np.full(n, 1.5 * res))
+        from scipy import sparse
+        from scipy.sparse.csgraph import dijkstra
         owner = np.repeat(np.arange(n), counts)
         adj = sparse.csr_matrix((self.pair_distances(owner, near), (owner, near)),
                                 shape=(n, n))

@@ -416,6 +416,28 @@ def test_certify_refuses_a_negative_radius(tmp_path, capsys, point):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("flag, value, name", [
+    ("--residual-tol", "nan", "--residual-tol"),
+    ("--residual-tol", "inf", "--residual-tol"),
+    ("--gamma", "nan", "gamma"), ("--gamma", "inf", "gamma"),
+    ("--gamma", 0.0, "gamma"), ("--gamma", 1.5, "gamma")])
+def test_certify_refuses_a_bad_gamma_or_residual_tolerance(tmp_path, capsys,
+                                                           alpha, flag, value, name):
+    # a nan tolerance was refused as a residual failure (exit 1), a nan gamma
+    # passed at alpha = 0.3 with "gamma": null, and at alpha = 0 the message
+    # blamed delta
+    write_field_csv(square_grid(9), np.zeros(81), tmp_path / "field.csv")
+    args = ["certify", "--grid", "2d", "--n", 9, "--rho-factor", 0.4,
+            "--field", tmp_path / "field.csv", "--alpha", alpha, "--epsilon", 0.5,
+            "--lam", 0.4, "--m", 2, "--out", tmp_path]
+    assert run(*args, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and name in err and "delta" not in err
+    assert not (tmp_path / "certificate.json").exists()
+    assert run(*args) == 0
+
+
 def test_validate_all_boundary_space_fails_without_traceback(tmp_path, capsys):
     # ell = 0 made the lambda cap 0.0 ** (1 - beta): ZeroDivisionError at beta 2
     space = tmp_path / "space.json"

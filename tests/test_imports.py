@@ -1,0 +1,114 @@
+"""Which spaces import scipy: lines, raveled 2-D grids and disks run on numpy
+alone; graphs import scipy.sparse; clouds and 3-D grids the KD-tree of
+scipy.spatial.  Each check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PIPELINE = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from pharmonious.cli import main
+args = json.loads(sys.argv[2])
+for call in args:
+    code = main(call)
+    if code != 0:
+        sys.exit(f"{call[0]} exited {code}")
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.startswith("scipy") and module is not None)))
+"""
+
+
+def python(code, *argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", "import json\n" + code, *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pipeline(space, boundary):
+    common = [*space, "--rho-factor", "0.4", "--alpha", "0.3", "--seed", "1",
+              "--out", "out"]
+    gate = ["--epsilon", "0.5", "--lam", "0.4"]
+    return [["validate", *common, *gate],
+            ["solve", *common, *boundary, "--tol", "1e-8"],
+            ["certify", *common, *gate, "--field", "out/field.csv", "--m", "2",
+             "--residual-tol", "1e-7"]]
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert python("import pharmonious.cli, sys\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
+                  cwd=tmp_path) == []
+
+
+@pytest.mark.parametrize("grid, n, fn", [("1d", 33, "linear"), ("2d", 17, "saddle"),
+                                         ("disk", 17, "saddle")])
+def test_grid_pipelines_run_without_scipy(tmp_path, grid, n, fn):
+    calls = json.dumps(pipeline(["--grid", grid, "--n", str(n)],
+                                ["--boundary-fn", fn, "--init-fn", fn]))
+    outputs = {}
+    for mode in ("blocked", "plain"):
+        (tmp_path / mode).mkdir()
+        assert python(PIPELINE, mode, calls, cwd=tmp_path / mode) == []
+        outputs[mode] = {f: (tmp_path / mode / "out" / f).read_bytes()
+                         for f in ("validate.json", "field.csv",
+                                   "solve_report.json", "certificate.json")}
+    assert outputs["blocked"] == outputs["plain"]
+
+
+def test_graph_pipeline_leaves_the_kd_tree_unloaded(tmp_path):
+    n = 9
+    rows = ["id,value"] + [f"{k},{(k // n) / (n - 1)!r}" for k in range(n * n)]
+    (tmp_path / "boundary.csv").write_text("\n".join(rows) + "\n")
+    calls = json.dumps(pipeline(["--grid", "lattice", "--n", str(n)],
+                                ["--boundary", "boundary.csv"]))
+    loaded = python(PIPELINE, "plain", calls, cwd=tmp_path)
+    assert "scipy.sparse.csgraph" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+
+
+KD_TABLES = """
+import sys
+import numpy as np
+from pharmonious import BallTable, RadiusField, Space
+rng = np.random.default_rng(3)
+if sys.argv[1] == "cloud":
+    coords = rng.uniform(size=(400, 2))
+else:
+    x = np.linspace(0.0, 1.0, 9)
+    coords = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
+edge = np.minimum(coords, 1.0 - coords).min(axis=1)
+sp = Space(coords=coords, weights=np.ones(len(coords)),
+           boundary=np.flatnonzero(edge < 0.1))
+assert "scipy.spatial" not in sys.modules
+rho = RadiusField.scaled_boundary_distance(sp, 0.6)
+table = BallTable(sp, rho)
+members, counts = sp.balls(np.arange(len(sp)), rho.values)
+d = sp.distances(np.arange(len(sp)))
+want = [np.flatnonzero(row <= r) for row, r in zip(d, rho.values)]
+print(json.dumps({
+    "kd": "scipy.spatial" in sys.modules,
+    "keys": sp._strips()[2].shape[1],
+    "oracle": np.array_equal(members, np.concatenate(want))
+              and counts.tolist() == [len(w) for w in want],
+    "table": int(table.counts.sum()) == int(counts[sp.interior_indices].sum())}))
+"""
+
+
+@pytest.mark.parametrize("space", ["cloud", "grid3d"])
+def test_cloud_and_3d_grid_tables_take_the_lazy_kd_path(tmp_path, space):
+    assert python(KD_TABLES, space, cwd=tmp_path) == {
+        "kd": True, "keys": 2, "oracle": True, "table": True}

@@ -539,6 +539,26 @@ def test_ball_table_matches_member_oracle(make, radius):
     _assert_table_matches_oracle(BallTable(sp, rho), rho)
 
 
+def _reordered(sp, perm):
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=where[sp.boundary_indices])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _reordered(interval_grid(129), np.arange(129)[::-1].copy()),
+    lambda: _reordered(square_grid(33), (np.random.default_rng(4).permutation(33)[:, None]
+                                         * 33 + np.arange(33)).ravel())],
+    ids=["reversed_line", "shuffled_rows"])
+@pytest.mark.parametrize("radius", [0.4, 0.99, "tie", "hair"])
+def test_keys_out_of_strip_order_ball_table_matches_member_oracle(make, radius):
+    # strips keyed by one coordinate but not in key order (the one-point
+    # strips of a reversed line, a grid's rows in shuffled order): the
+    # sorted-key search re-sorts each ball's candidates
+    test_ball_table_matches_member_oracle(make, radius)
+
+
 @pytest.mark.parametrize("point", [22, 70])
 def test_ball_table_refuses_a_negative_radius(point):
     # the empty ball used to take weight_sums 0.015625 with counts 0 at

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -182,14 +183,50 @@ def _cloud(dim):
                  boundary=np.flatnonzero(np.minimum(coords, 1.0 - coords).min(axis=1) < 0.1))
 
 
+def _shuffled_line():
+    sp = interval_grid(65)
+    perm = np.random.default_rng(2).permutation(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=np.flatnonzero(np.isin(perm, sp.boundary_indices)))
+
+
+def _reversed_line():
+    # every point its own strip, the strips in descending key order
+    sp = interval_grid(65)
+    return Space(coords=sp.coords[::-1], weights=sp.weights, boundary=[0, 64])
+
+
+def _uneven_rows():
+    """Rows of 1 to 9 points at random heights and uneven row spacing; the
+    boundary is seven points, so most rows have none."""
+    rng = np.random.default_rng(4)
+    rows = [(x, np.sort(rng.uniform(0.0, 3.0, size=rng.integers(1, 10))))
+            for x in np.cumsum(rng.uniform(0.05, 0.5, size=30))]
+    coords = np.concatenate([np.column_stack([np.full(len(y), x), y]) for x, y in rows])
+    return Space(coords=coords, weights=np.ones(len(coords)),
+                 boundary=rng.choice(len(coords), size=7, replace=False))
+
+
+def _left_edge_grid():
+    """square_grid(33) whose boundary is its first row and one far point:
+    every other row but one has no boundary point."""
+    sp = square_grid(33)
+    return Space(coords=sp.coords, weights=sp.weights,
+                 boundary=np.append(np.arange(33), 33 * 20 + 30))
+
+
 @pytest.mark.parametrize("make", [
     lambda f: square_grid(33), lambda f: disk_grid(33),
     lambda f: f("permuted_grid"), lambda f: interval_grid(65),
     lambda f: _cloud(3), lambda f: _cloud(8), lambda f: lattice_graph(13, 11),
     lambda f: f("random_graph")(2, split=True, boundary=[0, 7]),
-    lambda f: f("matrix_space")],
+    lambda f: f("matrix_space"), lambda f: _shuffled_line(),
+    lambda f: _reversed_line(), lambda f: _uneven_rows(),
+    lambda f: _left_edge_grid(), lambda f: square_grid(129),
+    lambda f: disk_grid(97)],
     ids=["square", "disk", "permuted", "interval", "cloud3d", "cloud8d", "lattice",
-         "graph_unbounded_component", "matrix"])
+         "graph_unbounded_component", "matrix", "shuffled_line", "reversed_line",
+         "uneven_rows", "rows_without_boundary", "square129", "disk97"])
 def test_boundary_distances_equal_blocked_minimum(make, request):
     # in 8 dimensions the KD-tree's own distances differ from the closed
     # form in the last place
@@ -473,6 +510,41 @@ def test_negative_radius_ball_is_empty(make, request):
     assert members.tolist() == [5] and counts.tolist() == [0, 1]
     members, counts = sp.balls([4], [-1.0])
     assert len(members) == 0 and counts.tolist() == [0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: square_grid(33), lambda: disk_grid(33), lambda: interval_grid(65),
+    _shuffled_line, _reversed_line, _uneven_rows, _left_edge_grid])
+def test_one_key_column_spaces_search_boundary_by_strips(make, monkeypatch):
+    # the nearest-target search over strips, not the KD-tree, gives these
+    # boundary distances
+    sp = make()
+    assert sp._strips()[2].shape[1] == 1
+    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+    assert np.isfinite(sp.boundary_distances()).all()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euclidean_equals_the_summed_squares(dim):
+    # one and two dimensions add the squares column by column; the bits
+    # must stay those of sum() over the last axis, which outputs depend on
+    rng = np.random.default_rng(dim)
+    a = rng.uniform(-1.0, 1.0, (400, 1, dim)) * 10.0 ** rng.integers(-3, 4, (400, 1, dim))
+    b = rng.uniform(-1.0, 1.0, (1, 300, dim))
+    diff = a - b
+    assert np.array_equal(space_mod._euclidean(a, b),
+                          np.sqrt((diff * diff).sum(axis=-1)))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0, 3, 3], [2, 3, 5]), ([0, 5], [2, 5]), ([3, 0], [3, 2]), ([4], [4]),
+    ([], []), ([6, 6, 1, 9, 9], [6, 8, 3, 9, 12]), ([2, 7], [5, 8])],
+    ids=["middle", "last", "first", "only", "none", "several", "nonempty"])
+def test_run_members_skips_empty_runs(a, b):
+    # empty runs used to shift the members after them, or raise IndexError
+    want = [i for lo, hi in zip(a, b) for i in range(lo, hi)]
+    got = space_mod.run_members(np.array(a, dtype=np.intp), np.array(b, dtype=np.intp))
+    assert got.tolist() == want
 
 
 def test_parallel_and_reversed_edges_collapse_to_smallest_weight(random_graph):

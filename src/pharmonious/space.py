@@ -1,18 +1,19 @@
 """Finite discrete metric measure spaces.
 
-A space is a finite weighted point cloud with one of three metrics
-(closed-form Euclidean, graph shortest path, or an explicit matrix), a
-positive measure atom per point, and a designated boundary subset.  Closed
-balls, set measures, and boundary distances are the primitives every other
-module builds on.  The probe_* methods estimate the structural constants the
-regularity theory assumes (doubling, annular decay, ring continuity,
-geodesicity); on a finite cloud these are estimators with explicit
-degeneracy guards, never proofs.
+A space is a finite weighted point cloud with a metric, a positive measure
+atom per point, and a designated boundary subset.  Closed balls, set
+measures, and boundary distances are the primitives every other module
+builds on.  The metric is a backend picked once, from METRICS: closed-form
+Euclidean, graph shortest path, or an explicit matrix.  The probe_* methods
+estimate the structural constants the theory assumes (doubling, annular
+decay, ring continuity, geodesicity): estimators with explicit degeneracy
+guards, never proofs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
-
-METRIC_KINDS = ("euclidean", "graph", "matrix")
 
 # Dense distance blocks hold about this many entries (rows * points).
 BLOCK_ENTRIES = 1 << 18
@@ -88,8 +87,12 @@ class SpaceProbeReport:
         }
 
 
-def _as_readonly(a, dtype=None):
-    out = np.array(a, dtype=dtype)
+def _as_readonly(a, dtype, what):
+    """a as a read-only array of dtype, refused when ragged or not numeric."""
+    try:
+        out = np.array(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise SpaceFormatError(f"{what} must be a rectangular array of numbers") from exc
     out.flags.writeable = False
     return out
 
@@ -146,312 +149,81 @@ def run_members(a, b):
     return np.cumsum(step)
 
 
-def _near_keys(keys):
-    """near(at, reach) -> (owner, k): for each row of at, the rows k of keys
-    within reach of it (widened by HAIR), ascending; owner is the row of at.
-
-    One key column is searched by a searchsorted over the sorted keys, and
-    a ball's candidates are re-sorted only when the key order is not the
-    row order.  More columns take a KD-tree (scipy is imported here)."""
-    if keys.shape[1] > 1:
-        from scipy.spatial import cKDTree
-        tree = cKDTree(keys)
-        return lambda at, reach: _flatten(tree.query_ball_point(
-            at, reach * HAIR, return_sorted=True))
-    order = np.argsort(keys[:, 0], kind="stable")
-    sorted_keys = keys[order, 0]
-    ordered = bool(np.all(order[1:] > order[:-1]))
-
-    def near(at, reach):
-        at, reach = at[:, 0], reach * HAIR
-        lo = np.searchsorted(sorted_keys, at - reach)
-        hi = np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
-        owner = np.repeat(np.arange(len(at)), hi - lo)
-        k = run_members(lo, hi)
-        if ordered:
-            return owner, k
-        code = np.sort(owner * len(keys) + order[k])
-        return owner, code - owner * len(keys)
-    return near
+# -- metric backends -------------------------------------------------------------
 
 
-class Space:
-    """Immutable finite metric measure space with a boundary subset.
+class _Metric:
+    """A metric backend checks its input, holds its data and answers the
+    queries of Space on checked point indices.  ball_intervals gives each
+    ball's member intervals [a, b) and ball_width the entries one center's
+    search holds; path_metric marks shortest-path distances.  The defaults
+    read balls off dense distance blocks and know no Lipschitz edge block."""
 
-    Construction validates the metric contract (symmetry, zero diagonal,
-    triangle inequality for explicit matrices, positive edge weights between
-    distinct graph nodes, positive weights everywhere, no duplicate points).
-    Parallel and reversed graph edges count once, at their smallest weight;
-    self-loops are dropped.  After construction all queries are pure reads
-    and safe to share.
-    """
+    path_metric = False
+    edges = None
 
-    def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
-                 edges=None, matrix=None, ids=None, analytic_constants=None,
-                 geodesic_like=None):
-        if metric not in METRIC_KINDS:
-            raise SpaceFormatError(f"unknown metric kind {metric!r}")
-        self.metric = metric
-        self.weights = _as_readonly(weights, float)
-        n = len(self.weights)
-        if n == 0:
-            raise SpaceFormatError("no points")
-        bmask = np.zeros(n, dtype=bool)
-        bmask[self._indices(boundary)] = True
-        self.boundary_mask = _as_readonly(bmask)
-        self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64)
-        if len(np.unique(self.ids)) != n:
-            raise SpaceFormatError("duplicate point ids")
+    def ball_width(self):
+        return self.n
 
-        self.coords = None if coords is None else _as_readonly(coords, float)
-        if self.coords is not None and not np.all(np.isfinite(self.coords)):
-            raise SpaceFormatError("non-finite point coordinate")
-        self._matrix = None if matrix is None else _as_readonly(matrix, float)
-        self._graph = None
-        self.edges = None
-        if metric == "euclidean":
-            if self.coords is None or self.coords.ndim != 2:
-                raise SpaceFormatError("euclidean metric requires point coordinates")
-            if len(self.coords) != n:
-                raise SpaceFormatError("coords/weights length mismatch")
-        elif metric == "graph":
-            if edges is None:
-                raise SpaceFormatError("graph metric requires an edge list")
-            e = np.asarray(edges, dtype=float)
-            if e.ndim != 2 or e.shape[1] != 3:
-                raise SpaceFormatError("edges must be rows [i, j, weight]")
-            if not np.all(np.isfinite(e)):
-                raise SpaceFormatError("non-finite edge entry")
-            if np.any(e[:, 2] < 0):
-                raise SpaceFormatError("negative edge weight")
-            self.edges = _as_readonly(e)
-            # one undirected edge per node pair, at its smallest weight:
-            # csr_matrix would sum parallel and reversed edges
-            i, j = self._indices(e[:, 0]), self._indices(e[:, 1])
-            keep = i != j
-            if np.any(e[keep, 2] == 0):
-                raise SpaceFormatError("duplicate points: zero distance between distinct ids")
-            pair, slot = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep],
-                                   return_inverse=True)
-            w = np.full(len(pair), np.inf)
-            np.minimum.at(w, slot, e[keep, 2])
-            lo, hi = pair // n, pair % n
-            from scipy import sparse
-            self._graph = sparse.csr_matrix(
-                (np.concatenate([w, w]),
-                 (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                shape=(n, n))
-        else:
-            if self._matrix is None or self._matrix.shape != (n, n):
-                raise SpaceFormatError("matrix metric requires an n-by-n matrix")
+    def ball_intervals(self, centers, radii):
+        block = self.distances(centers, limit=max(float(radii.max()), 0.0))
+        owner, a = np.nonzero(block <= radii[:, None])
+        return owner, a, a + 1
 
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise SpaceFormatError("weights must be positive and finite")
+    def lipschitz_block(self):
+        return None
 
-        self.analytic_constants = dict(analytic_constants) if analytic_constants else None
-        if geodesic_like is None:
-            geodesic_like = metric == "graph"
-        self.geodesic_like = bool(geodesic_like)
 
-        self._bdry_dist = None
-        self._diameter = None
-        self._resolution = None
-        self._strip_index = None
+class _Euclidean(_Metric):
+    """Closed-form distances between distinct points (see _euclidean); balls
+    and boundary distances search strips (see _strips), not dense blocks."""
 
-        self._validate()
-
-    # -- basic structure ----------------------------------------------------
-
-    def __len__(self):
-        return len(self.weights)
-
-    @property
-    def boundary_indices(self):
-        return np.flatnonzero(self.boundary_mask)
-
-    @property
-    def interior_indices(self):
-        return np.flatnonzero(~self.boundary_mask)
-
-    def _validate(self):
-        n = len(self)
-        if self.metric == "matrix":
-            m = self._matrix
-            if not np.array_equal(m, m.T):
-                raise SpaceFormatError("asymmetric distance matrix")
-            if np.any(np.diag(m) != 0.0):
-                raise SpaceFormatError("distance matrix has a nonzero diagonal")
-            if np.any(m < 0):
-                raise SpaceFormatError("negative distance entry")
-            if np.any(m[~np.eye(n, dtype=bool)] <= 0):
-                raise SpaceFormatError("duplicate points: zero distance between distinct ids")
-            # d(i,k) <= d(i,j) + d(j,k) for every triple iff no path of
-            # matrix entries is shorter than the direct entry
-            from scipy.sparse.csgraph import shortest_path
-            if np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)):
-                raise SpaceFormatError("triangle inequality violated")
-        elif self.metric == "euclidean" and n > 1:
-            c = self.coords[np.lexsort(self.coords.T)]
-            if np.any(np.all(c[1:] == c[:-1], axis=1)):
-                raise SpaceFormatError("duplicate points: zero distance between distinct ids")
-
-    # -- distances ----------------------------------------------------------
-    #
-    # The only code that knows which metric the space carries: every
-    # distance, ball and pair scan elsewhere goes through these methods.
-
-    def _check_index(self, i):
-        if not 0 <= int(i) < len(self):
-            raise SpaceFormatError(f"unknown point index {i}")
-        return int(i)
-
-    def _indices(self, a):
-        a = np.asarray(a, dtype=np.intp).reshape(-1)
-        if a.size and (a.min() < 0 or a.max() >= len(self)):
-            raise SpaceFormatError(f"point index out of range 0..{len(self) - 1}: "
-                                   f"{a[(a < 0) | (a >= len(self))].tolist()}")
-        return a
-
-    def _row_step(self):
-        return max(1, BLOCK_ENTRIES // len(self))
+    def __init__(self, space, coords=None, **_):
+        if coords is None:
+            raise SpaceFormatError("euclidean metric requires point coordinates")
+        self.coords, self.n = coords, len(coords)
+        c = coords[np.lexsort(coords.T)]
+        if np.any(np.all(c[1:] == c[:-1], axis=1)):
+            raise SpaceFormatError("duplicate points: zero distance between distinct ids")
 
     def distances(self, rows, cols=None, limit=np.inf):
-        """Dense block d(rows, cols); cols default to every point.
-
-        Graph blocks come from one batched Dijkstra over the rows; entries
-        farther than limit read inf there (limit is ignored elsewhere).
-        """
-        rows = self._indices(rows)
-        cols = None if cols is None else self._indices(cols)
-        if self.metric == "euclidean":
-            other = self.coords if cols is None else self.coords[cols]
-            return _euclidean(self.coords[rows, None, :], other[None, :, :])
-        if self.metric == "matrix":
-            block = self._matrix[rows]
-        else:
-            from scipy.sparse.csgraph import dijkstra
-            block = dijkstra(self._graph, indices=rows, directed=False,
-                             limit=limit)
-        return block if cols is None else block[:, cols]
-
-    def distances_from(self, i):
-        """Distance row d(i, .)."""
-        return self.distances([self._check_index(i)])[0]
-
-    def distance(self, i, j):
-        d = float(self.pair_distances([self._check_index(i)],
-                                      [self._check_index(j)])[0])
-        if np.isinf(d):
-            raise DisconnectedSpaceError(f"no path between points {i} and {j}")
-        return d
-
-    def _exact_blocks(self, members):
-        """(i, j, d) blocks of row slices of members against the members
-        from the slice on: every unordered pair appears at least once."""
-        step = self._row_step()
-        for lo in range(0, len(members), step):
-            rows, cols = members[lo:lo + step], members[lo:]
-            yield rows[:, None], cols[None, :], self.distances(rows, cols)
+        other = self.coords if cols is None else self.coords[cols]
+        return _euclidean(self.coords[rows, None, :], other[None, :, :])
 
     def pair_distances(self, i, j):
-        """d(i[k], j[k]) for paired index arrays.  Graph pairs are grouped
-        by source, one batched Dijkstra per block of sources."""
-        i, j = self._indices(i), self._indices(j)
-        if self.metric == "euclidean":
-            return _euclidean(self.coords[i], self.coords[j])
-        if self.metric == "matrix":
-            return self._matrix[i, j]
-        out = np.empty(len(i))
-        order = np.argsort(i, kind="stable")
-        sources, first = np.unique(i[order], return_index=True)
-        first = np.append(first, len(i))
-        step = self._row_step()
-        for lo in range(0, len(sources), step):
-            rows = sources[lo:lo + step]
-            s = order[first[lo]:first[lo + len(rows)]]
-            out[s] = self.distances(rows)[np.searchsorted(rows, i[s]), j[s]]
-        return out
+        # np.take gathers rows several times faster than fancy indexing
+        return _euclidean(np.take(self.coords, i, axis=0),
+                          np.take(self.coords, j, axis=0))
 
-    def pair_scan(self, members=None, seed=0, lipschitz=False):
-        """PairScan over the points of members (default: the whole space).
+    def ball_width(self):
+        # a center has at most one candidate per strip
+        return len(self._strips[0]) - 1
 
-        Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
-        random pairs of distinct points; a reduction over them is a lower
-        bound for the exact one.
+    def boundary_distances(self, targets):
+        return self._strips[4](targets)
 
-        lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
-        On a whole graph space that maximum is attained on an edge (sum the
-        edge bounds along a shortest path), so the scan is one exact block
-        of the edges Dijkstra reads, at any size.
-        """
-        if lipschitz and members is None and self.metric == "graph":
-            from scipy import sparse
-            n = len(self)
-            edges = sparse.triu(self._graph, k=1, format="coo")
-            return PairScan("exact", n * (n - 1) // 2,
-                            iter([(edges.row, edges.col, edges.data)]))
-        members = np.arange(len(self)) if members is None \
-            else self._indices(members)
-        n = len(members)
-        if n <= EXACT_PAIR_LIMIT:
-            return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
-        rng = np.random.default_rng(seed)
-        i = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
-        j = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
-        keep = i != j
-        i, j = i[keep], j[keep]
-        # one block: pair_distances runs each graph source row once
-        return PairScan("sampled", len(i), iter([(i, j, self.pair_distances(i, j))]))
+    def diameter(self):
+        c, v = self.coords, np.arange(self.n)
+        if c.shape[1] == 1:
+            return float(c.max() - c.min())
+        try:  # the convex hull's vertices, unless it is degenerate
+            from scipy.spatial import ConvexHull
+            v = ConvexHull(c).vertices
+        except Exception:
+            pass
+        step = max(1, BLOCK_ENTRIES // len(v))
+        return max(float(self.distances(v[lo:lo + step], v).max())
+                   for lo in range(0, len(v), step))
 
-    # -- balls and measures ---------------------------------------------------
+    def resolution(self):
+        from scipy.spatial import cKDTree
+        d, _ = cKDTree(self.coords).query(self.coords, k=2)
+        return float(d[:, 1].min())
 
-    def balls(self, centers, radii):
-        """Closed balls {y : d(c, y) <= r} as (members, counts): the members
-        of every ball in ascending order, concatenated, and one count per
-        ball; the runs of ball_runs, expanded."""
-        a, b, _, counts = self.ball_runs(centers, radii)
-        return run_members(a, b), counts
-
-    def ball_runs(self, centers, radii):
-        """Closed balls {y : d(c, y) <= r} as maximal runs [a, b) of
-        consecutive point indices: (a, b, runs, counts), the runs of every
-        ball in ascending order, concatenated, and per ball its number of
-        runs and of members.
-
-        Euclidean spaces meet each strip (see _strips) in one index
-        interval, found with the closed-form distance, so ties are decided
-        exactly as distances() decides them.  A ball's candidate strips come
-        from the sorted-key index, one searchsorted per block of centers,
-        when strips are keyed by one coordinate (lines, raveled 2-D grids,
-        disks), and from a KD-tree over the keys otherwise.  Other metrics compress
-        distance blocks; graphs stop Dijkstra at the block's largest radius.
-        Either way no more than one block of members is held at a time.
-        """
-        centers = self._indices(centers)
-        radii = np.asarray(radii, dtype=float).reshape(-1)
-        if self.metric == "euclidean":
-            # a center has at most one candidate per strip
-            step = max(1, BLOCK_ENTRIES // (len(self._strips()[0]) - 1))
-        else:
-            step = self._row_step()
-        parts = [(np.array([], dtype=np.intp),) * 3]
-        for lo in range(0, len(centers), step):
-            cs, rs = centers[lo:lo + step], radii[lo:lo + step]
-            if self.metric == "euclidean":
-                owner, a, b = self._strip_intervals(cs, rs)
-            else:
-                block = self.distances(cs, limit=max(float(rs.max()), 0.0))
-                owner, a = np.nonzero(block <= rs[:, None])
-                b = a + 1
-            owner, a, b = _merge_runs(owner, a, b)
-            parts.append((owner + lo, a, b))
-        owner, a, b = (np.concatenate(p) for p in zip(*parts))
-        return (a, b, np.bincount(owner, minlength=len(centers)),
-                np.bincount(owner, b - a, len(centers)).astype(np.intp))
-
+    @functools.cached_property
     def _strips(self):
-        """(bounds, z, keys, near): the strips of the index order and what
-        locates a point in them.
+        """(bounds, z, keys, near, nearest): the strips of the index order
+        and what locates a point in them.
 
         A strip is a maximal run of consecutive indices whose points share
         every coordinate but the last, with the last strictly increasing
@@ -461,33 +233,70 @@ class Space:
         meets a strip in one index interval.  Strips are keyed by their
         leading coordinates (a zero on a line), keys per point.  When the
         strips average fewer than two points (a shuffled grid, a cloud)
-        every point is its own strip, keyed by all its coordinates.
-        near(at, reach) finds the strips whose keys lie within reach of at
-        (see _near_keys): on lines, raveled 2-D grids and disks the keys are
-        one column and near is a searchsorted over the sorted keys; more
-        columns take a KD-tree.  z = strip + 1j * last coordinate, per
-        point: numpy orders complex numbers by real part, then imaginary
+        every point is its own strip, keyed by all its coordinates (see
+        _near_keys for near and nearest).  z = strip + 1j * last coordinate,
+        per point: numpy orders complex numbers by real part, then imaginary
         part, so z is sorted and one searchsorted finds a last coordinate in
         any strip.
         """
-        if self._strip_index is None:
-            c = self.coords
-            n, dim = c.shape
-            joined = (np.all(c[1:, :-1] == c[:-1, :-1], axis=1)
-                      & (c[1:, -1] > c[:-1, -1]))
-            start = np.flatnonzero(np.concatenate([[True], ~joined]))
-            if 2 * len(start) > n:
-                start, keys = np.arange(n), c
-            else:
-                keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
-            bounds = np.append(start, n)
-            z = np.repeat(np.arange(len(start)), np.diff(bounds)) + 1j * c[:, -1]
-            self._strip_index = (bounds, z, keys, _near_keys(keys[start]))
-        return self._strip_index
+        c = self.coords
+        n, dim = c.shape
+        joined = (np.all(c[1:, :-1] == c[:-1, :-1], axis=1)
+                  & (c[1:, -1] > c[:-1, -1]))
+        start = np.flatnonzero(np.concatenate([[True], ~joined]))
+        if 2 * len(start) > n:
+            start, keys = np.arange(n), c
+        else:
+            keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
+        bounds = np.append(start, n)
+        z = np.repeat(np.arange(len(start)), np.diff(bounds)) + 1j * c[:, -1]
+        return bounds, z, keys, *self._near_keys(keys[start])
 
-    def _strip_intervals(self, centers, radii):
-        """(owner, a, b): for each ball, its nonempty intervals [a, b) with
-        each strip, in ascending order.
+    def _near_keys(self, keys):
+        """(near, nearest) for strips with these keys: near(at, reach) ->
+        (owner, k), for each row of at the rows k of keys within reach of it
+        (widened by HAIR), ascending; nearest(targets), every point's
+        distance to its nearest target, as distances() gives it.
+
+        One key column is searched by a searchsorted over the sorted keys
+        (a ball's candidates re-sorted only when the key order is not the
+        row order), and nearest is _strip_nearest.  More columns take
+        KD-trees (scipy is imported here): nearest is the closed-form
+        minimum over the targets within a HAIR of the tree's distance."""
+        if keys.shape[1] > 1:
+            from scipy.spatial import cKDTree
+            tree = cKDTree(keys)
+
+            def nearest(targets):
+                c = self.coords
+                to = cKDTree(c[targets])
+                owner, near = _flatten(to.query_ball_point(
+                    c, to.query(c)[0] * HAIR, return_sorted=True))
+                out = np.full(self.n, np.inf)
+                np.minimum.at(out, owner, self.pair_distances(targets[near], owner))
+                return out
+            return (lambda at, reach: _flatten(tree.query_ball_point(
+                at, reach * HAIR, return_sorted=True))), nearest
+        order = np.argsort(keys[:, 0], kind="stable")
+        sorted_keys = keys[order, 0]
+        ordered = bool(np.all(order[1:] > order[:-1]))
+
+        def near(at, reach):
+            at, reach = at[:, 0], reach * HAIR
+            lo = np.searchsorted(sorted_keys, at - reach)
+            hi = np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
+            owner = np.repeat(np.arange(len(at)), hi - lo)
+            k = run_members(lo, hi)
+            if ordered:
+                return owner, k
+            code = np.sort(owner * len(keys) + order[k])
+            return owner, code - owner * len(keys)
+        return near, self._strip_nearest
+
+    def ball_intervals(self, centers, radii):
+        """The balls' nonempty intervals [a, b) with each strip, found with
+        the closed-form distance, so ties are decided exactly as distances()
+        decides them; the candidate strips come from near (see _near_keys).
 
         One searchsorted over z puts the ends where the strip crosses the
         chord, last coordinate = center +- sqrt(r^2 - leading distance^2).
@@ -498,16 +307,12 @@ class Space:
         interval overlaps or touches the chord's and the steps end on it
         exactly.  When every strip is one point, each candidate is checked.
         """
-        bounds, z, keys, near = self._strips()
+        bounds, z, keys, near, _ = self._strips
         c = self.coords
-
-        def dist(i, j):
-            return _euclidean(np.take(c, i, axis=0), np.take(c, j, axis=0))
-
         owner, strip = near(keys[centers], radii)
         ctr, r, s0 = centers[owner], radii[owner], bounds[strip]
         if len(bounds) > len(c):  # strips of one point: the candidates themselves
-            keep = dist(s0, ctr) <= r
+            keep = self.pair_distances(s0, ctr) <= r
             return owner[keep], s0[keep], s0[keep] + 1
         s1 = bounds[strip + 1]
         half = np.sqrt(np.maximum(
@@ -517,7 +322,7 @@ class Space:
         def inside(i, k):
             # closed-form membership of point i in ball k, False off its strip
             return ((i >= s0[k]) & (i < s1[k])
-                    & (dist(np.clip(i, 0, len(c) - 1), ctr[k]) <= r[k]))
+                    & (self.pair_distances(np.clip(i, 0, len(c) - 1), ctr[k]) <= r[k]))
 
         def walk(end, step, go):
             k = np.arange(len(end))
@@ -531,63 +336,6 @@ class Space:
         walk(b, -1, lambda i, k: (i > a[k]) & ~inside(i - 1, k))
         keep = a < b
         return owner[keep], a[keep], b[keep]
-
-    def ball(self, x, r):
-        if r < 0:
-            raise SpaceFormatError(f"negative ball radius {r}")
-        x = self._check_index(x)
-        members, _ = self.balls([x], [r])
-        return Ball(center=x, radius=float(r), members=members)
-
-    def measure(self, members):
-        members = np.asarray(list(members) if isinstance(members, set) else members, dtype=int)
-        if members.size == 0:
-            return 0.0
-        return float(self.weights[members].sum())
-
-    # -- boundary geometry ----------------------------------------------------
-
-    def boundary_distances(self):
-        """dist(x, boundary) for every point; zero exactly on the boundary.
-
-        Graphs run one multi-source Dijkstra from the boundary (inf on a
-        component without boundary points).  Euclidean spaces whose strips
-        are keyed by one coordinate run the nearest-target search of
-        _strip_nearest over the sorted keys; other Euclidean spaces take each
-        point's nearest boundary distance from a KD-tree over the boundary,
-        then the closed-form minimum over the boundary points within a hair
-        of it.  Either way the value is the one distances() gives.  Matrix
-        spaces take the minimum over row blocks.
-        """
-        if self._bdry_dist is None:
-            b = self.boundary_indices
-            if len(b) == 0:
-                raise ConfigurationError("space has an empty boundary")
-            if self.metric == "graph":
-                from scipy.sparse.csgraph import dijkstra
-                out = dijkstra(self._graph, indices=b, directed=False,
-                               min_only=True)
-            elif self.metric == "euclidean" and self._strips()[2].shape[1] == 1:
-                out = self._strip_nearest(b)
-            elif self.metric == "euclidean":
-                from scipy.spatial import cKDTree
-                tree = cKDTree(self.coords[b])
-                owner, near = _flatten(tree.query_ball_point(
-                    self.coords, tree.query(self.coords)[0] * HAIR,
-                    return_sorted=True))
-                out = np.full(len(self), np.inf)
-                np.minimum.at(out, owner, _euclidean(tree.data[near],
-                                                     self.coords[owner]))
-            else:
-                out = np.full(len(self), np.inf)
-                step = self._row_step()
-                for lo in range(0, len(b), step):
-                    np.minimum(out, self.distances(b[lo:lo + step]).min(axis=0),
-                               out=out)
-            out[b] = 0.0
-            out.flags.writeable = False
-            self._bdry_dist = out
-        return self._bdry_dist
 
     def _strip_nearest(self, targets):
         """min over the targets t of d(t, x), for every point x, on a space
@@ -608,7 +356,7 @@ class Space:
         closed-form distance to its nearest target, which lowers the bound.
         No distance block is built.
         """
-        bounds, _, keys, _ = self._strips()
+        bounds, _, keys, _, _ = self._strips
         key, last = keys[:, 0], self.coords[:, -1]
         n = len(key)
         t = targets[np.argsort(key[targets], kind="stable")]
@@ -641,16 +389,12 @@ class Space:
 
         groups_index, blocks_index = index(group), index(block)
         best = np.full(n, np.inf)
-
-        def visit(x, g):
-            near = t[nearest(groups_index, g, x)[0]]
-            np.minimum.at(best, x, _euclidean(np.take(self.coords, near, axis=0),
-                                              np.take(self.coords, x, axis=0)))
-
         pos = np.searchsorted(group_key, key)
         x, g = np.tile(np.arange(n), 2), np.concatenate([pos, pos - 1])
         ok = (g >= 0) & (g < groups)
-        visit(x[ok], g[ok])
+        xg, g = x[ok], g[ok]
+        np.minimum.at(best, xg, self.pair_distances(
+            t[nearest(groups_index, g, xg)[0]], xg))
         b = np.concatenate([pos // span + 1, pos // span])
         step = np.repeat([1, -1], n)
         while len(x):
@@ -664,36 +408,77 @@ class Space:
             hi = np.minimum(lo + span, groups)
             xg, g = np.repeat(x[keep], hi - lo), run_members(lo, hi)
             ok = np.abs(group_key[g] - key[xg]) <= best[xg] * HAIR
-            visit(xg[ok], g[ok])
+            xg, g = xg[ok], g[ok]
+            np.minimum.at(best, xg, self.pair_distances(
+                t[nearest(groups_index, g, xg)[0]], xg))
             b = b + step
         return best
 
-    def dist_to_boundary(self, x):
-        x = self._check_index(x)
-        return float(self.boundary_distances()[x])
 
-    def ell(self):
-        """Largest distance to the boundary over the space."""
-        return float(self.boundary_distances().max())
+class _Graph(_Metric):
+    """Shortest paths by batched Dijkstra runs over undirected edges, each
+    node pair at its smallest edge weight; self-loops are dropped."""
+
+    path_metric = True
+
+    def __init__(self, space, edges=None, **_):
+        if edges is None:
+            raise SpaceFormatError("graph metric requires an edge list")
+        e = _as_readonly(edges, float, "edges")
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise SpaceFormatError("edges must be rows [i, j, weight]")
+        if not np.all(np.isfinite(e)):
+            raise SpaceFormatError("non-finite edge entry")
+        if np.any(e[:, 2] < 0):
+            raise SpaceFormatError("negative edge weight")
+        self.edges = e
+        n = self.n = len(space)
+        # one undirected edge per node pair, at its smallest weight:
+        # csr_matrix would sum parallel and reversed edges
+        i, j = space._indices(e[:, 0]), space._indices(e[:, 1])
+        keep = i != j
+        if np.any(e[keep, 2] == 0):
+            raise SpaceFormatError("duplicate points: zero distance between distinct ids")
+        pair, slot = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep],
+                               return_inverse=True)
+        w = np.full(len(pair), np.inf)
+        np.minimum.at(w, slot, e[keep, 2])
+        lo, hi = pair // n, pair % n
+        from scipy import sparse
+        self.graph = sparse.csr_matrix(
+            (np.concatenate([w, w]),
+             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+            shape=(n, n))
+
+    def distances(self, rows, cols=None, limit=np.inf):
+        from scipy.sparse.csgraph import dijkstra
+        block = dijkstra(self.graph, indices=rows, directed=False, limit=limit)
+        return block if cols is None else block[:, cols]
+
+    def pair_distances(self, i, j):
+        # grouped by source, one batched Dijkstra per block of sources
+        out = np.empty(len(i))
+        order = np.argsort(i, kind="stable")
+        sources, first = np.unique(i[order], return_index=True)
+        first = np.append(first, len(i))
+        step = max(1, BLOCK_ENTRIES // self.n)
+        for lo in range(0, len(sources), step):
+            rows = sources[lo:lo + step]
+            s = order[first[lo]:first[lo + len(rows)]]
+            out[s] = self.distances(rows)[np.searchsorted(rows, i[s]), j[s]]
+        return out
+
+    def lipschitz_block(self):
+        from scipy import sparse
+        edges = sparse.triu(self.graph, k=1, format="coo")
+        return edges.row, edges.col, edges.data
+
+    def boundary_distances(self, targets):
+        # one multi-source Dijkstra, inf on a component without targets
+        from scipy.sparse.csgraph import dijkstra
+        return dijkstra(self.graph, indices=targets, directed=False, min_only=True)
 
     def diameter(self):
-        if self._diameter is None:
-            if self.metric == "euclidean" and self.coords.shape[1] >= 2 and len(self) > 4:
-                try:
-                    from scipy.spatial import ConvexHull
-                    v = ConvexHull(self.coords).vertices
-                    self._diameter = float(self.distances(v, v).max())
-                except Exception:
-                    self._diameter = self._diameter_scan()
-            elif self.metric == "euclidean" and self.coords.shape[1] == 1:
-                self._diameter = float(self.coords.max() - self.coords.min())
-            elif self.metric == "graph":
-                self._diameter = self._graph_diameter()
-            else:
-                self._diameter = self._diameter_scan()
-        return self._diameter
-
-    def _graph_diameter(self):
         """Largest finite distance, exactly, from a few Dijkstra rows per
         connected component (Crescenzi et al., TCS 2013).
 
@@ -706,7 +491,7 @@ class Space:
         within d(w', u) + d(u, w'') <= 2 d(u, w).
         """
         from scipy.sparse.csgraph import connected_components
-        _, label = connected_components(self._graph, directed=False)
+        _, label = connected_components(self.graph, directed=False)
         comps = np.split(np.argsort(label, kind="stable"),
                          np.cumsum(np.bincount(label))[:-1])
         best = 0.0
@@ -734,33 +519,261 @@ class Space:
                 batch = comp[order[taken:taken + size]]
                 found = max(found, float(self.distances(batch)[:, comp].max()))
                 taken += len(batch)
-                size = min(2 * size, self._row_step())
+                size = min(2 * size, max(1, BLOCK_ENTRIES // self.n))
             best = max(best, found)
         return best
 
-    def _diameter_scan(self):
-        best = 0.0
-        for _, _, dmat in self._exact_blocks(np.arange(len(self))):
-            finite = dmat[np.isfinite(dmat)]
-            if finite.size:
-                best = max(best, float(finite.max()))
-        return best
+    def resolution(self):
+        w = self.graph.data
+        return float(w.min()) if w.size else 0.0
+
+
+class _Matrix(_Metric):
+    """An explicit distance matrix, checked to be a metric on distinct points."""
+
+    def __init__(self, space, matrix=None, **_):
+        self.n = n = len(space)
+        m = None if matrix is None else _as_readonly(matrix, float, "distance matrix")
+        if m is None or m.shape != (n, n):
+            raise SpaceFormatError("matrix metric requires an n-by-n matrix")
+        if not np.all(np.isfinite(m)):
+            raise SpaceFormatError("non-finite distance entry")
+        if not np.array_equal(m, m.T):
+            raise SpaceFormatError("asymmetric distance matrix")
+        if np.any(np.diag(m) != 0.0):
+            raise SpaceFormatError("distance matrix has a nonzero diagonal")
+        if np.any(m < 0):
+            raise SpaceFormatError("negative distance entry")
+        if np.any(m[~np.eye(n, dtype=bool)] <= 0):
+            raise SpaceFormatError("duplicate points: zero distance between distinct ids")
+        # d(i,k) <= d(i,j) + d(j,k) for every triple iff no path of
+        # matrix entries is shorter than the direct entry
+        from scipy.sparse.csgraph import shortest_path
+        if np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)):
+            raise SpaceFormatError("triangle inequality violated")
+        self.matrix = m
+
+    def distances(self, rows, cols=None, limit=np.inf):
+        block = self.matrix[rows]
+        return block if cols is None else block[:, cols]
+
+    def pair_distances(self, i, j):
+        return self.matrix[i, j]
+
+    def boundary_distances(self, targets):
+        return self.matrix[targets].min(axis=0)
+
+    def diameter(self):
+        return float(self.matrix.max())
+
+    def resolution(self):
+        return float(self.matrix[~np.eye(self.n, dtype=bool)].min())
+
+
+# The metric kinds a Space is built on, and their backends.
+METRICS = {"euclidean": _Euclidean, "graph": _Graph, "matrix": _Matrix}
+
+
+class Space:
+    """Immutable finite metric measure space with a boundary subset.
+
+    Construction validates the weights, the coordinates (any metric may
+    carry them) and, in the metric's backend, the metric contract.  After
+    construction all queries are pure reads and safe to share.
+    """
+
+    def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
+                 edges=None, matrix=None, ids=None, analytic_constants=None,
+                 geodesic_like=None):
+        if not isinstance(metric, str) or metric not in METRICS:
+            raise SpaceFormatError(f"unknown metric kind {metric!r}")
+        self.metric = metric
+        self.weights = _as_readonly(weights, float, "weights")
+        n = len(self.weights)
+        if n == 0:
+            raise SpaceFormatError("no points")
+        bmask = np.zeros(n, dtype=bool)
+        bmask[self._indices(boundary)] = True
+        self.boundary_mask = _as_readonly(bmask, bool, "boundary")
+        self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
+        if len(np.unique(self.ids)) != n:
+            raise SpaceFormatError("duplicate point ids")
+        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
+            raise SpaceFormatError("weights must be positive and finite")
+        c = self.coords = None if coords is None else _as_readonly(coords, float, "coords")
+        if c is not None and (c.ndim != 2 or c.shape[1] == 0 or len(c) != n):
+            raise SpaceFormatError("coords must hold one row of numbers per point")
+        if c is not None and not np.all(np.isfinite(c)):
+            raise SpaceFormatError("non-finite point coordinate")
+        self._metric = METRICS[metric](self, coords=c, edges=edges, matrix=matrix)
+        self.edges = self._metric.edges
+        self.analytic_constants = dict(analytic_constants) if analytic_constants else None
+        self.geodesic_like = bool(self._metric.path_metric if geodesic_like is None
+                                  else geodesic_like)
+        self._bdry_dist = self._diameter = self._resolution = None
+
+    # -- basic structure ----------------------------------------------------
+
+    def __len__(self):
+        return len(self.weights)
+
+    @property
+    def boundary_indices(self):
+        return np.flatnonzero(self.boundary_mask)
+
+    @property
+    def interior_indices(self):
+        return np.flatnonzero(~self.boundary_mask)
+
+    # -- distances: point indices checked, then handed to the backend ---------
+
+    def _check_index(self, i):
+        if not 0 <= int(i) < len(self):
+            raise SpaceFormatError(f"unknown point index {i}")
+        return int(i)
+
+    def _indices(self, a):
+        a = np.asarray(a, dtype=np.intp).reshape(-1)
+        if a.size and (a.min() < 0 or a.max() >= len(self)):
+            raise SpaceFormatError(f"point index out of range 0..{len(self) - 1}: "
+                                   f"{a[(a < 0) | (a >= len(self))].tolist()}")
+        return a
+
+    def distances(self, rows, cols=None, limit=np.inf):
+        """Dense block d(rows, cols), cols default to every point; graph
+        entries farther than limit read inf (limit is ignored elsewhere)."""
+        cols = None if cols is None else self._indices(cols)
+        return self._metric.distances(self._indices(rows), cols, limit)
+
+    def distances_from(self, i):
+        """Distance row d(i, .)."""
+        return self.distances([self._check_index(i)])[0]
+
+    def distance(self, i, j):
+        d = float(self.pair_distances([self._check_index(i)],
+                                      [self._check_index(j)])[0])
+        if np.isinf(d):
+            raise DisconnectedSpaceError(f"no path between points {i} and {j}")
+        return d
+
+    def _exact_blocks(self, members):
+        """(i, j, d) blocks of row slices of members against the members
+        from the slice on: every unordered pair appears at least once."""
+        step = max(1, BLOCK_ENTRIES // len(self))
+        for lo in range(0, len(members), step):
+            rows, cols = members[lo:lo + step], members[lo:]
+            yield rows[:, None], cols[None, :], self.distances(rows, cols)
+
+    def pair_distances(self, i, j):
+        """d(i[k], j[k]) for paired index arrays."""
+        return self._metric.pair_distances(self._indices(i), self._indices(j))
+
+    def pair_scan(self, members=None, seed=0, lipschitz=False):
+        """PairScan over the points of members (default: the whole space).
+
+        Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
+        random pairs of distinct points; a reduction over them is a lower
+        bound for the exact one.
+
+        lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
+        On a whole graph space that maximum is attained on an edge (sum the
+        edge bounds along a shortest path): one exact block, at any size.
+        """
+        block = self._metric.lipschitz_block() if lipschitz and members is None else None
+        if block is not None:
+            n = len(self)
+            return PairScan("exact", n * (n - 1) // 2, iter([block]))
+        members = np.arange(len(self)) if members is None \
+            else self._indices(members)
+        n = len(members)
+        if n <= EXACT_PAIR_LIMIT:
+            return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
+        rng = np.random.default_rng(seed)
+        i = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
+        j = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
+        keep = i != j
+        i, j = i[keep], j[keep]
+        # one block: pair_distances runs each graph source row once
+        return PairScan("sampled", len(i), iter([(i, j, self.pair_distances(i, j))]))
+
+    # -- balls and measures ---------------------------------------------------
+
+    def balls(self, centers, radii):
+        """Closed balls {y : d(c, y) <= r} as (members, counts): the members
+        of every ball in ascending order, concatenated, and one count per
+        ball; the runs of ball_runs, expanded."""
+        a, b, _, counts = self.ball_runs(centers, radii)
+        return run_members(a, b), counts
+
+    def ball_runs(self, centers, radii):
+        """Closed balls {y : d(c, y) <= r} as maximal runs [a, b) of
+        consecutive point indices: (a, b, runs, counts), the runs of every
+        ball in ascending order, concatenated, and per ball its number of
+        runs and of members.  A negative radius gives an empty ball; a
+        non-finite one is refused.  The backend searches one block of
+        centers at a time (see _Euclidean.ball_intervals; graphs stop
+        Dijkstra at the block's largest radius), holding one block of
+        members at most."""
+        centers = self._indices(centers)
+        radii = np.asarray(radii, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(radii)):
+            raise SpaceFormatError("ball radius is not finite")
+        step = max(1, BLOCK_ENTRIES // self._metric.ball_width())
+        parts = [(np.array([], dtype=np.intp),) * 3]
+        for lo in range(0, len(centers), step):
+            owner, a, b = _merge_runs(*self._metric.ball_intervals(
+                centers[lo:lo + step], radii[lo:lo + step]))
+            parts.append((owner + lo, a, b))
+        owner, a, b = (np.concatenate(p) for p in zip(*parts))
+        return (a, b, np.bincount(owner, minlength=len(centers)),
+                np.bincount(owner, b - a, len(centers)).astype(np.intp))
+
+    def ball(self, x, r):
+        if r < 0:
+            raise SpaceFormatError(f"negative ball radius {r}")
+        x = self._check_index(x)
+        members, _ = self.balls([x], [r])
+        return Ball(center=x, radius=float(r), members=members)
+
+    def measure(self, members):
+        members = np.asarray(list(members) if isinstance(members, set) else members, dtype=int)
+        if members.size == 0:
+            return 0.0
+        return float(self.weights[members].sum())
+
+    # -- boundary geometry ----------------------------------------------------
+
+    def boundary_distances(self):
+        """dist(x, boundary) for every point, zero exactly on the boundary:
+        one nearest-target query of the backend, not a scan of pairs."""
+        if self._bdry_dist is None:
+            b = self.boundary_indices
+            if len(b) == 0:
+                raise ConfigurationError("space has an empty boundary")
+            out = self._metric.boundary_distances(b)
+            out[b] = 0.0
+            out.flags.writeable = False
+            self._bdry_dist = out
+        return self._bdry_dist
+
+    def dist_to_boundary(self, x):
+        x = self._check_index(x)
+        return float(self.boundary_distances()[x])
+
+    def ell(self):
+        """Largest distance to the boundary over the space."""
+        return float(self.boundary_distances().max())
+
+    def diameter(self):
+        """Largest finite distance."""
+        if self._diameter is None:
+            self._diameter = self._metric.diameter()
+        return self._diameter
 
     def resolution(self):
         """Smallest positive inter-point distance (the grid step h on grids)."""
         if self._resolution is None:
-            if len(self) < 2:
-                self._resolution = 0.0
-            elif self.metric == "euclidean":
-                from scipy.spatial import cKDTree
-                d, _ = cKDTree(self.coords).query(self.coords, k=2)
-                self._resolution = float(d[:, 1].min())
-            elif self.metric == "graph":
-                w = self._graph.data
-                self._resolution = float(w.min()) if w.size else 0.0
-            else:
-                off = self._matrix[~np.eye(len(self), dtype=bool)]
-                self._resolution = float(off[off > 0].min())
+            self._resolution = 0.0 if len(self) < 2 else self._metric.resolution()
         return self._resolution
 
     # -- probes ----------------------------------------------------------------
@@ -894,11 +907,11 @@ class Space:
         """Worst excess of hop-graph path length over metric distance.
 
         Hop graph joins pairs within 1.5 resolutions, edge length = metric
-        distance.  Graph-metric spaces are path metrics already, so their
-        defect is 0 by construction.  Infinite result means the hop graph is
-        disconnected (strongly non-geodesic cloud).
+        distance.  Path metrics (graphs) have defect 0 by construction.
+        Infinite result means the hop graph is disconnected (strongly
+        non-geodesic cloud).
         """
-        if self.metric == "graph":
+        if self._metric.path_metric:
             return 0.0
         res = self.resolution()
         if res <= 0 or len(self) < 3:
@@ -959,7 +972,6 @@ def interval_grid(n, lo=0.0, hi=1.0):
         coords=xs.reshape(-1, 1),
         weights=np.full(n, h),
         boundary=[0, n - 1],
-        metric="euclidean",
         geodesic_like=True,
         analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}},
     )
@@ -979,7 +991,6 @@ def square_grid(n, lo=0.0, hi=1.0):
         coords=coords,
         weights=np.full(n * n, h * h),
         boundary=np.flatnonzero(frame.ravel()),
-        metric="euclidean",
         geodesic_like=True,
         analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
@@ -1012,7 +1023,6 @@ def disk_grid(n, radius=0.5):
         coords=coords,
         weights=np.full(len(coords), h * h),
         boundary=bdry,
-        metric="euclidean",
         geodesic_like=True,
         analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
@@ -1072,6 +1082,8 @@ def space_from_dict(doc):
         points = doc["points"]
     except (KeyError, TypeError) as exc:
         raise SpaceFormatError(f"missing required key: {exc}") from exc
+    if not isinstance(points, list):
+        raise SpaceFormatError("points must be a list of point records")
     if not points:
         raise SpaceFormatError("no points")
     ids, weights, coords, boundary = [], [], [], []
@@ -1086,23 +1098,24 @@ def space_from_dict(doc):
         if p.get("boundary", False):
             boundary.append(k)
         if "coords" in p and p["coords"] is not None:
-            coords.append([float(c) for c in p["coords"]])
+            coords.append(p["coords"])
     if coords and len(coords) != len(points):
         raise SpaceFormatError("coords given for some points but not all")
     id_to_index = {pid: k for k, pid in enumerate(ids)}
     if len(id_to_index) != len(ids):
         raise SpaceFormatError("duplicate point ids")
-    edges = None
-    if doc.get("edges") is not None:
-        edges = []
-        for row in doc["edges"]:
-            i, j, w = row
-            try:
-                edges.append([id_to_index[int(i)], id_to_index[int(j)], float(w)])
-            except KeyError as exc:
-                raise SpaceFormatError(f"edge endpoint id {exc} not among points") from exc
+    edges = doc.get("edges")
+    if edges is not None:
+        # endpoint ids become point indices; Space converts the weights
+        try:
+            edges = [[id_to_index[int(i)], id_to_index[int(j)], w]
+                     for i, j, w in edges]
+        except KeyError as exc:
+            raise SpaceFormatError(f"edge endpoint id {exc} not among points") from exc
+        except (TypeError, ValueError) as exc:
+            raise SpaceFormatError("edges must be rows [i, j, weight]") from exc
     return Space(
-        coords=np.asarray(coords) if coords else None,
+        coords=coords or None,
         weights=weights,
         boundary=boundary,
         metric=metric,

@@ -104,6 +104,52 @@ def test_probe_nan_coordinate_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _points(n, coords=None):
+    return [{"id": k, "weight": 1.0, "boundary": k in (0, n - 1),
+             **({} if coords is None else {"coords": coords[k]})}
+            for k in range(n)]
+
+
+_LINE = [[0.0], [1.0], [2.0]]
+_METRIC = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"metric": "euclidean", "points": _points(3, [[0.0], [1.0, 0.5], [2.0]])},
+     "coords must be a rectangular array"),
+    ({"metric": "euclidean", "points": _points(3, [[], [], []])},
+     "coords must hold one row of numbers per point"),
+    ({"metric": "euclidean", "points": _points(3, [[0.0], ["x"], [2.0]])},
+     "coords must be a rectangular array"),
+    ({"metric": "graph", "points": _points(3), "edges": [[0, 1, 1.0], [1, 2]]},
+     "edges must be rows [i, j, weight]"),
+    ({"metric": "graph", "points": _points(3), "edges": [[0, 1, 1.0], [1, 2, "x"]]},
+     "edges must be a rectangular array"),
+    ({"metric": "graph", "points": _points(3), "edges": 5},
+     "edges must be rows [i, j, weight]"),
+    ({"metric": "graph", "points": 5}, "points must be a list"),
+    ({"metric": "matrix", "points": _points(3),
+      "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, "x"], [2.0, 1.0, 0.0]]},
+     "distance matrix must be a rectangular array"),
+    ({"metric": "matrix", "points": _points(3), "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0]]},
+     "distance matrix must be a rectangular array"),
+    ({"metric": "matrix", "points": _points(3),
+      "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, float("nan")], [2.0, 1.0, 0.0]]},
+     "non-finite distance entry"),
+], ids=["ragged-coords", "empty-coords", "text-coordinate", "short-edge-row",
+        "text-edge-weight", "edges-not-a-list", "points-not-a-list",
+        "text-matrix-entry", "ragged-matrix", "nan-matrix-entry"])
+def test_malformed_space_file_is_input_error(tmp_path, capsys, doc, message):
+    # each of these used to end in a ValueError or TypeError traceback,
+    # exit 1; a NaN matrix entry was reported as an asymmetric matrix
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    assert run("probe", "--space", space, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}")
+    assert "Traceback" not in err
+
+
 # -- validate --------------------------------------------------------------------
 
 

@@ -9,10 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04_solve_and_certify takes about 14 s and is left out; the others about
-# 1-1.5 s each.
 DEMOS = ["01_spaces_and_probes.py", "02_moduli_and_gates.py",
-         "03_operator_inequalities.py", "05_asymptotics.py"]
+         "03_operator_inequalities.py", "04_solve_and_certify.py",
+         "05_asymptotics.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

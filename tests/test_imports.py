@@ -101,7 +101,7 @@ d = sp.distances(np.arange(len(sp)))
 want = [np.flatnonzero(row <= r) for row, r in zip(d, rho.values)]
 print(json.dumps({
     "kd": "scipy.spatial" in sys.modules,
-    "keys": sp._strips()[2].shape[1],
+    "keys": sp._metric._strips[2].shape[1],
     "oracle": np.array_equal(members, np.concatenate(want))
               and counts.tolist() == [len(w) for w in want],
     "table": int(table.counts.sum()) == int(counts[sp.interior_indices].sum())}))

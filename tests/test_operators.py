@@ -572,12 +572,12 @@ def test_ball_table_refuses_a_negative_radius(point):
 
 
 def test_strips_are_the_rows_of_a_raveled_grid():
-    bounds = square_grid(33)._strips()[0]
+    bounds = square_grid(33)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(0, 33 * 33 + 1, 33))
-    bounds = _cube_grid(9)._strips()[0]
+    bounds = _cube_grid(9)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(0, 9 ** 3 + 1, 9))
     # a shuffled grid has no strips: every point is its own
-    bounds = _shuffled(square_grid(17), 5)._strips()[0]
+    bounds = _shuffled(square_grid(17), 5)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(17 * 17 + 1))
 
 

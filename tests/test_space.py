@@ -513,13 +513,28 @@ def test_negative_radius_ball_is_empty(make, request):
 
 
 @pytest.mark.parametrize("make", [
+    lambda f: square_grid(9), lambda f: path_graph(9), lambda f: f("matrix_space"),
+    lambda f: f("permuted_grid")], ids=["grid", "graph", "matrix", "permuted"])
+@pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan])
+def test_non_finite_ball_radius_is_refused(make, radius, request):
+    # square_grid(9).ball(1, inf) held 9 of the 81 points (the chord end
+    # 1j * inf is nan+infj), and a nan radius gave an empty ball
+    sp = make(request.getfixturevalue)
+    with pytest.raises(SpaceFormatError, match="not finite"):
+        sp.balls([1, 2], [0.5, radius])
+    if not radius < 0:  # ball() refuses a negative radius by its sign
+        with pytest.raises(SpaceFormatError, match="not finite"):
+            sp.ball(1, radius)
+
+
+@pytest.mark.parametrize("make", [
     lambda: square_grid(33), lambda: disk_grid(33), lambda: interval_grid(65),
     _shuffled_line, _reversed_line, _uneven_rows, _left_edge_grid])
 def test_one_key_column_spaces_search_boundary_by_strips(make, monkeypatch):
     # the nearest-target search over strips, not the KD-tree, gives these
     # boundary distances
     sp = make()
-    assert sp._strips()[2].shape[1] == 1
+    assert sp._metric._strips[2].shape[1] == 1
     monkeypatch.setitem(sys.modules, "scipy.spatial", None)
     assert np.isfinite(sp.boundary_distances()).all()
 
@@ -582,7 +597,9 @@ def test_whole_space_queries_visit_no_distance_block(query, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense distance block requested")
-    monkeypatch.setattr(Space, "distances", refuse)
+    # every dense block, through Space.distances or not, is a backend's
+    for backend in space_mod.METRICS.values():
+        monkeypatch.setattr(backend, "distances", refuse)
     if query == "fit_lipschitz":
         rho = RadiusField(np.random.default_rng(1).uniform(size=len(sp)))
         assert fit_lipschitz(sp, rho) > 0 and rho.lipschitz_mode == "exact"
@@ -660,3 +677,25 @@ def test_only_space_module_reads_metric():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "metric"]
     assert readers == []
+    # in space.py only Space.__init__ may look at the metric kind: it picks
+    # the backend, and the backends answer everything else
+    tree = ast.parse(pathlib.Path(space_mod.__file__).read_text())
+    space_cls = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "Space")
+    init = next(node for node in space_cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    allowed = {id(node) for node in ast.walk(init)}
+    kinds = {"euclidean", "graph", "matrix"}
+    dispatches = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "metric"
+                and isinstance(node.ctx, ast.Load)):
+            dispatches.append(f"space.py:{node.lineno} reads .metric")
+        if isinstance(node, ast.Compare) and any(
+                isinstance(leaf, ast.Constant) and leaf.value in kinds
+                for operand in [node.left, *node.comparators]
+                for leaf in ast.walk(operand)):
+            dispatches.append(f"space.py:{node.lineno} compares with a metric kind")
+    assert dispatches == []

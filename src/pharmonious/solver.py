@@ -35,6 +35,10 @@ from .operators import BallTable, ScalarField, field_values
 # the window (the |alpha| = 5 saddle on square_grid(9): 7,832 sweeps) still
 # ends on its overflow.
 STALL_SWEEPS = 10_000
+# Iterate-modulus snapshots (SolveConfig.record_every) are taken on the
+# exhaustion sets of these indices m at this epsilon.
+SNAPSHOT_M = (1, 2)
+SNAPSHOT_EPSILON = 0.5
 
 
 def finite_number(name, value, integer=False):
@@ -51,8 +55,6 @@ class SolveConfig:
     tolerance: float = 1e-8
     max_iterations: int = 100_000
     record_every: int = 0          # iterate-modulus snapshot cadence; 0 = off
-    snapshot_m: tuple = (1, 2)     # exhaustion indices to snapshot
-    epsilon: float = 0.5           # exhaustion parameter for snapshots
     initial: object = None         # full-length array; default = boundary mean
 
     def __post_init__(self):
@@ -61,9 +63,6 @@ class SolveConfig:
         if finite_number("max_iterations", self.max_iterations, True) < 1:
             raise SpaceFormatError("max_iterations must be >= 1")
         finite_number("record_every", self.record_every, True)
-        for m in self.snapshot_m:
-            finite_number("snapshot_m entry", m, True)
-        finite_number("epsilon", self.epsilon)
 
 
 @dataclass
@@ -145,8 +144,8 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     table = BallTable(space, rho)
     exhaustions = {}
     if config.record_every > 0:
-        exhaustions = {m: radius_mod.exhaustion(space, config.epsilon, m)
-                       for m in config.snapshot_m}
+        exhaustions = {m: radius_mod.exhaustion(space, SNAPSHOT_EPSILON, m)
+                       for m in SNAPSHOT_M}
 
     history = []
     snapshots = []

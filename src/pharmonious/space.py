@@ -200,7 +200,7 @@ class _Euclidean(_Metric):
         return len(self._strips[0]) - 1
 
     def boundary_distances(self, targets):
-        return self._strips[4](targets)
+        return self._strips[5](targets)
 
     def diameter(self):
         c, v = self.coords, np.arange(self.n)
@@ -222,8 +222,8 @@ class _Euclidean(_Metric):
 
     @functools.cached_property
     def _strips(self):
-        """(bounds, z, keys, near, nearest): the strips of the index order
-        and what locates a point in them.
+        """(bounds, code, keys, ranks, near, nearest): the strips of the
+        index order and what locates a point in them.
 
         A strip is a maximal run of consecutive indices whose points share
         every coordinate but the last, with the last strictly increasing
@@ -234,10 +234,12 @@ class _Euclidean(_Metric):
         leading coordinates (a zero on a line), keys per point.  When the
         strips average fewer than two points (a shuffled grid, a cloud)
         every point is its own strip, keyed by all its coordinates (see
-        _near_keys for near and nearest).  z = strip + 1j * last coordinate,
-        per point: numpy orders complex numbers by real part, then imaginary
-        part, so z is sorted and one searchsorted finds a last coordinate in
-        any strip.
+        _near_keys for near and nearest).  ranks holds the distinct last
+        coordinates, sorted, and code = strip * (len(ranks) + 1) + rank of
+        the last coordinate, per point, as int64: the last coordinate
+        increases along a strip, so code is sorted, and one searchsorted of
+        strip * (len(ranks) + 1) + searchsorted(ranks, y) finds the first
+        point of a strip whose last coordinate is >= y.
         """
         c = self.coords
         n, dim = c.shape
@@ -249,8 +251,9 @@ class _Euclidean(_Metric):
         else:
             keys = c[:, :-1] if dim > 1 else np.zeros((n, 1))
         bounds = np.append(start, n)
-        z = np.repeat(np.arange(len(start)), np.diff(bounds)) + 1j * c[:, -1]
-        return bounds, z, keys, *self._near_keys(keys[start])
+        ranks, rank = np.unique(c[:, -1], return_inverse=True)
+        code = np.repeat(np.arange(len(start)) * (len(ranks) + 1), np.diff(bounds)) + rank
+        return bounds, code, keys, ranks, *self._near_keys(keys[start])
 
     def _near_keys(self, keys):
         """(near, nearest) for strips with these keys: near(at, reach) ->
@@ -298,8 +301,8 @@ class _Euclidean(_Metric):
         the closed-form distance, so ties are decided exactly as distances()
         decides them; the candidate strips come from near (see _near_keys).
 
-        One searchsorted over z puts the ends where the strip crosses the
-        chord, last coordinate = center +- sqrt(r^2 - leading distance^2).
+        One searchsorted over the codes puts the ends where the strip crosses
+        the chord, last coordinate = center +- sqrt(r^2 - leading distance^2).
         Each end then steps by one index while the closed form disagrees: a
         down while a - 1 is inside, b up while b is inside, then a up while
         a is outside, b down while b - 1 is outside.  The closed form is
@@ -307,7 +310,7 @@ class _Euclidean(_Metric):
         interval overlaps or touches the chord's and the steps end on it
         exactly.  When every strip is one point, each candidate is checked.
         """
-        bounds, z, keys, near, _ = self._strips
+        bounds, code, keys, ranks, near, _ = self._strips
         c = self.coords
         owner, strip = near(keys[centers], radii)
         ctr, r, s0 = centers[owner], radii[owner], bounds[strip]
@@ -317,7 +320,8 @@ class _Euclidean(_Metric):
         s1 = bounds[strip + 1]
         half = np.sqrt(np.maximum(
             r ** 2 - _euclidean(c[s0, :-1], c[ctr, :-1]) ** 2, 0.0))
-        a, b = np.searchsorted(z, strip + 1j * (c[ctr, -1] + [[-1.0], [1.0]] * half))
+        a, b = np.searchsorted(code, strip * (len(ranks) + 1) + np.searchsorted(
+            ranks, c[ctr, -1] + [[-1.0], [1.0]] * half))
 
         def inside(i, k):
             # closed-form membership of point i in ball k, False off its strip
@@ -343,24 +347,28 @@ class _Euclidean(_Metric):
 
         The targets are grouped by strip, the groups sorted by key, and runs
         of about sqrt(groups) / 2 groups form blocks.  In a group or a
-        block, one searchsorted of a point's last coordinate (as a rank,
-        coded with the segment) finds the targets on either side of it; the
+        block, one searchsorted finds the targets on either side of a
+        point's last coordinate: its rank and the targets' strips are read
+        off the strip codes (see _strips), and ranks are coded with the
+        segment as the strips code them with the strip.  Of the two, the
         one with the smaller gap is the nearest there, since at a fixed key
-        the closed form is monotone in the gap.  Each point first takes the
-        closed-form distance to the nearest target of the nearest group by
-        key on either side: a bound.  It then walks the blocks outward from
-        its key, on both sides at once, and stops on a side once the key
+        the closed form is monotone in the gap.  No rank table is built
+        here.  Each point first takes the closed-form distance to the
+        nearest target of the nearest group by key on either side: a bound.
+        It then walks the blocks outward from its key, on both sides at
+        once, and stops on a side once the key
         distance exceeds the bound by a HAIR.  A block whose key distance
         and smallest gap put all its targets beyond the bound is passed
         over; in the others, each group within the bound by key gives the
         closed-form distance to its nearest target, which lowers the bound.
         No distance block is built.
         """
-        bounds, _, keys, _, _ = self._strips
+        _, code, keys, ranks, _, _ = self._strips
         key, last = keys[:, 0], self.coords[:, -1]
-        n = len(key)
+        n, width = len(key), len(ranks) + 1
+        rank = code % width
         t = targets[np.argsort(key[targets], kind="stable")]
-        strip = np.searchsorted(bounds, t, side="right")
+        strip = code[t] // width
         new = np.append(True, strip[1:] != strip[:-1])
         group, group_key = np.cumsum(new) - 1, key[t[new]]
         groups, span = len(group_key), max(1, math.isqrt(len(group_key)) // 2)
@@ -368,21 +376,22 @@ class _Euclidean(_Metric):
         k0, k1 = (np.concatenate([[np.nan], k, [np.nan]]) for k in (
             group_key[::span], group_key[np.minimum(
                 np.arange(1, block[-1] + 1) * span, groups) - 1]))
-        ranks = np.unique(last[t])
-        width = len(ranks) + 1
-        rank, rank_t = np.searchsorted(ranks, last), np.searchsorted(ranks, last[t])
+
+        def coded(segment, x):
+            # the rank of last[x] coded with a segment, as the strips code it
+            return segment * width + rank[x]
 
         def index(segment):
-            # the targets' ranks coded with their segment, sorted; the last
-            # coordinates in that order; where each segment starts
-            code = np.sort(segment * width + rank_t)
-            return code, ranks[code % width], np.searchsorted(
+            # the targets' codes by segment, sorted; the last coordinates in
+            # that order; where each segment starts
+            keyed = np.sort(coded(segment, t))
+            return keyed, ranks[keyed % width], np.searchsorted(
                 segment, np.arange(segment[-1] + 2))
 
         def nearest(index, s, x):
             # position and gap of the target nearest to last[x] in segment s
-            code, values, start = index
-            i = np.searchsorted(code, s * width + rank[x])
+            keyed, values, start = index
+            i = np.searchsorted(keyed, coded(s, x))
             lo, hi = np.maximum(i - 1, start[s]), np.minimum(i, start[s + 1] - 1)
             gap_lo, gap_hi = np.abs(values[lo] - last[x]), np.abs(values[hi] - last[x])
             return np.where(gap_hi < gap_lo, hi, lo), np.minimum(gap_lo, gap_hi)
@@ -417,7 +426,9 @@ class _Euclidean(_Metric):
 
 class _Graph(_Metric):
     """Shortest paths by batched Dijkstra runs over undirected edges, each
-    node pair at its smallest edge weight; self-loops are dropped."""
+    node pair at its smallest edge weight; self-loops are dropped.  The CSR
+    stores every pair both ways at one weight, so Dijkstra runs directed on
+    it as built, and the pairs (lo < hi, weight) are the Lipschitz block."""
 
     path_metric = True
 
@@ -444,6 +455,7 @@ class _Graph(_Metric):
         w = np.full(len(pair), np.inf)
         np.minimum.at(w, slot, e[keep, 2])
         lo, hi = pair // n, pair % n
+        self._edge_block = lo, hi, w
         from scipy import sparse
         self.graph = sparse.csr_matrix(
             (np.concatenate([w, w]),
@@ -452,7 +464,7 @@ class _Graph(_Metric):
 
     def distances(self, rows, cols=None, limit=np.inf):
         from scipy.sparse.csgraph import dijkstra
-        block = dijkstra(self.graph, indices=rows, directed=False, limit=limit)
+        block = dijkstra(self.graph, indices=rows, directed=True, limit=limit)
         return block if cols is None else block[:, cols]
 
     def pair_distances(self, i, j):
@@ -469,14 +481,12 @@ class _Graph(_Metric):
         return out
 
     def lipschitz_block(self):
-        from scipy import sparse
-        edges = sparse.triu(self.graph, k=1, format="coo")
-        return edges.row, edges.col, edges.data
+        return self._edge_block
 
     def boundary_distances(self, targets):
         # one multi-source Dijkstra, inf on a component without targets
         from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self.graph, indices=targets, directed=False, min_only=True)
+        return dijkstra(self.graph, indices=targets, directed=True, min_only=True)
 
     def diameter(self):
         """Largest finite distance, exactly, from a few Dijkstra rows per
@@ -596,6 +606,11 @@ class Space:
         bmask[self._indices(boundary)] = True
         self.boundary_mask = _as_readonly(bmask, bool, "boundary")
         self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
+        if ids is not None:  # the int64 cast truncates: 1.7 would read 1
+            given = _as_readonly(ids, float, "ids")
+            if not np.array_equal(self.ids, given):
+                raise SpaceFormatError(
+                    f"point ids must be integers, got {given[self.ids != given].tolist()}")
         if len(np.unique(self.ids)) != n:
             raise SpaceFormatError("duplicate point ids")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
@@ -1068,6 +1083,17 @@ def lattice_graph(nx, ny, edge_weight=1.0):
 
 # -- file format ---------------------------------------------------------------
 
+def _point_id(value):
+    """value as an integer point id: an integer, or a number or string that
+    is one; int() alone would truncate 1.7 to 1."""
+    try:
+        if isinstance(value, str) or value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpaceFormatError(f"point id {value!r} is not an integer")
+
+
 def space_from_dict(doc):
     """Build a Space from the JSON document format.
 
@@ -1089,10 +1115,11 @@ def space_from_dict(doc):
     ids, weights, coords, boundary = [], [], [], []
     for k, p in enumerate(points):
         try:
-            ids.append(int(p["id"]))
+            pid = p["id"]
             weights.append(float(p["weight"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpaceFormatError(f"invalid point record #{k}: {p!r}") from exc
+        ids.append(_point_id(pid))
         if weights[-1] <= 0:
             raise SpaceFormatError(f"nonpositive weight at point id {ids[-1]}")
         if p.get("boundary", False):
@@ -1108,10 +1135,12 @@ def space_from_dict(doc):
     if edges is not None:
         # endpoint ids become point indices; Space converts the weights
         try:
-            edges = [[id_to_index[int(i)], id_to_index[int(j)], w]
+            edges = [[id_to_index[_point_id(i)], id_to_index[_point_id(j)], w]
                      for i, j, w in edges]
         except KeyError as exc:
             raise SpaceFormatError(f"edge endpoint id {exc} not among points") from exc
+        except SpaceFormatError:  # a non-integral endpoint id, named
+            raise
         except (TypeError, ValueError) as exc:
             raise SpaceFormatError("edges must be rows [i, j, weight]") from exc
     return Space(

@@ -13,3 +13,15 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert declared, "ROADMAP.md declares no tier-1 command"
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert declared.group(1) in [line.strip() for line in workflow.splitlines()]
+
+
+def test_workflow_matrix_includes_the_python_floor():
+    # the floor is read with a regex: tomllib is not in Python 3.10
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+\.\d+)"',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = re.search(r"^\s*python-version:\s*\[([^\]]*)\]", workflow, re.MULTILINE)
+    assert matrix, "the workflow has no python-version matrix"
+    versions = [v.strip().strip("'\"") for v in matrix.group(1).split(",")]
+    assert floor.group(1) in versions

@@ -136,12 +136,47 @@ _METRIC = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
     ({"metric": "matrix", "points": _points(3),
       "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, float("nan")], [2.0, 1.0, 0.0]]},
      "non-finite distance entry"),
+    ({"metric": "euclidean", "points": _points(3)},
+     "euclidean metric requires point coordinates"),
+    ({"metric": "euclidean", "points": _points(3, [[0.0], [1.0], [0.0]])},
+     "duplicate points: zero distance between distinct ids"),
+    ({"metric": "graph", "points": _points(3)}, "graph metric requires an edge list"),
+    ({"metric": "graph", "points": _points(3), "edges": []},
+     "edges must be rows [i, j, weight]"),
+    ({"metric": "matrix", "points": _points(3), "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+     "matrix metric requires an n-by-n matrix"),
+    ({"metric": "matrix", "points": _points(3),
+      "matrix": [[1.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]},
+     "distance matrix has a nonzero diagonal"),
+    ({"metric": "matrix", "points": _points(3),
+      "matrix": [[0.0, -1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]},
+     "negative distance entry"),
+    ({"metric": "euclidean",
+      "points": [{**p, "weight": float("inf")} for p in _points(3, _LINE)]},
+     "weights must be positive and finite"),
+    ({"points": _points(3, _LINE)}, "missing required key: 'metric'"),
+    ({"metric": "euclidean"}, "missing required key: 'points'"),
+    ({"metric": "euclidean", "points": _points(3, _LINE)[:2] + _points(3)[2:]},
+     "coords given for some points but not all"),
+    ({"metric": "euclidean", "points": [{**p, "id": 0} for p in _points(3, _LINE)]},
+     "duplicate point ids"),
+    ({"metric": "graph", "points": _points(3), "edges": [[0, 1, 1.0], [1, 7, 1.0]]},
+     "edge endpoint id 7 not among points"),
+    ({"metric": "graph", "edges": [[0, 1.2, 1], [1, 2.9, 1]],
+      "points": [{**p, "id": i} for p, i in zip(_points(3), [0, 1.7, "2"])]},
+     "point id 1.7 is not an integer"),
 ], ids=["ragged-coords", "empty-coords", "text-coordinate", "short-edge-row",
         "text-edge-weight", "edges-not-a-list", "points-not-a-list",
-        "text-matrix-entry", "ragged-matrix", "nan-matrix-entry"])
+        "text-matrix-entry", "ragged-matrix", "nan-matrix-entry", "no-coords",
+        "duplicate-coords", "no-edges", "empty-edges", "matrix-shape",
+        "matrix-diagonal", "negative-matrix-entry", "infinite-weight",
+        "no-metric", "no-points", "coords-on-some-points", "duplicate-ids",
+        "unknown-endpoint", "non-integral-ids"])
 def test_malformed_space_file_is_input_error(tmp_path, capsys, doc, message):
     # each of these used to end in a ValueError or TypeError traceback,
-    # exit 1; a NaN matrix entry was reported as an asymmetric matrix
+    # exit 1; a NaN matrix entry was reported as an asymmetric matrix.
+    # From no-coords on, the refusals worked but no test reached them;
+    # int() truncated the non-integral ids to 1 and 2
     space = tmp_path / "space.json"
     space.write_text(json.dumps(doc))
     assert run("probe", "--space", space, "--out", tmp_path) == 2
@@ -197,6 +232,18 @@ def test_validate_zero_interior_radius(tmp_path):
     assert code == 1
     doc = json.loads((tmp_path / "validate.json").read_text())
     assert doc["admissible"]["nonpositive_interior"] == [8]
+
+
+def test_validate_radius_csv_with_unknown_id(tmp_path, capsys):
+    rho = tmp_path / "rho.csv"
+    rho.write_text("id,rho\n0,0.0\n77,0.5\n16,0.0\n")
+    assert run("validate", "--grid", "1d", "--n", 17, "--rho", rho,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
+               "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "unknown or invalid id or value in row ['77', '0.5']" in err
+    assert "Traceback" not in err
 
 
 def test_validate_missing_file(tmp_path):

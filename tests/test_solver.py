@@ -175,9 +175,9 @@ def test_modulus_snapshots_recorded(grid1d, grid1d_rho):
     rep = solve_dirichlet(grid1d, grid1d_rho, 0.3,
                           g[grid1d.boundary_indices],
                           SolveConfig(tolerance=1e-10, initial=g,
-                                      record_every=10, snapshot_m=(2,)))
+                                      record_every=10))
     assert rep.modulus_snapshots
-    it, m, mod = rep.modulus_snapshots[0]
+    it, m, mod = next(s for s in rep.modulus_snapshots if s[1] == 2)
     assert m == 2
     assert mod(0.0) == 0.0
 

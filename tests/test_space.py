@@ -474,6 +474,39 @@ def test_loader_rejects_duplicate_points_in_matrix():
         space_from_dict(doc)
 
 
+def test_non_integral_ids_are_refused_by_name():
+    # int() truncated a point id 1.7 to 1 and an edge endpoint 2.9 to 2
+    def doc(ids, edges):
+        return {"metric": "graph", "edges": edges,
+                "points": [_point(i, boundary=k == 0) for k, i in enumerate(ids)]}
+    sp = space_from_dict(doc([0, 1, "2"], [[0, "1", 1.0], [1, 2, 1.0]]))
+    assert sp.ids.tolist() == [0, 1, 2]
+    assert sp.distance(0, 2) == 2.0
+    for ids, edges, value in (([0, 1.7, "2"], [[0, 1, 1.0]], "1.7"),
+                              ([0, 1, 2], [[0, 1.2, 1.0], [1, 2, 1.0]], "1.2"),
+                              ([0, 1, 2], [[0, 1, 1.0], [1, 2.9, 1.0]], "2.9"),
+                              ([0, "1.5", 2], [[0, 1, 1.0]], "'1.5'")):
+        with pytest.raises(SpaceFormatError, match=f"point id {value} is not an integer"):
+            space_from_dict(doc(ids, edges))
+    line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0]}
+    assert Space(**line, ids=[0, "1", 2.0]).ids.tolist() == [0, 1, 2]
+    with pytest.raises(SpaceFormatError, match=r"point ids must be integers, got \[1.7\]"):
+        Space(**line, ids=[0, 1.7, 2])
+
+
+def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
+    with pytest.raises(SpaceFormatError, match="no points"):
+        Space(coords=np.zeros((0, 1)), weights=[], boundary=[])
+    line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0, 2]}
+    with pytest.raises(SpaceFormatError, match="duplicate point ids"):
+        Space(**line, ids=[4, 5, 4])
+    sp = Space(**line)
+    for call in (sp.distances_from, sp.dist_to_boundary, lambda i: sp.ball(i, 1.0)):
+        for bad in (-1, 3):
+            with pytest.raises(SpaceFormatError, match=f"unknown point index {bad}"):
+                call(bad)
+
+
 def test_matrix_space_distances_work():
     m = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
     sp = space_from_dict({"metric": "matrix",

@@ -173,20 +173,23 @@ class Modulus:
         return cls.from_breakpoints(ts, ys)
 
 
-def _upper_hull(ds, gaps):
-    """Upper convex hull of the origin and the points (d_i, max(gap_i, 0))
-    with d_i > 0, as vertex arrays starting at the origin."""
+def _distinct_gaps(ds, gaps):
+    """The distinct d_i > 0, ascending, each with the largest max(gap_i, 0)
+    at it: exact, so reducing parts of a scatter and then their union gives
+    what reducing the whole gives."""
     ds = np.asarray(ds, dtype=float).ravel()
     gaps = np.asarray(gaps, dtype=float).ravel()
     keep = ds > 0
-    ds, gaps = ds[keep], np.maximum(gaps[keep], 0.0)
-    order = np.argsort(ds)
-    ds, gaps = ds[order], gaps[order]
-    # collapse duplicate abscissae to their max ordinate
-    uniq_d, inverse = np.unique(ds, return_inverse=True)
+    uniq_d, inverse = np.unique(ds[keep], return_inverse=True)
     uniq_g = np.zeros_like(uniq_d)
-    np.maximum.at(uniq_g, inverse, gaps)
+    np.maximum.at(uniq_g, inverse, np.maximum(gaps[keep], 0.0))
+    return uniq_d, uniq_g
 
+
+def _upper_hull(ds, gaps):
+    """Upper convex hull of the origin and the points (d_i, max(gap_i, 0))
+    with d_i > 0, as vertex arrays starting at the origin."""
+    uniq_d, uniq_g = _distinct_gaps(ds, gaps)
     hull = [(0.0, 0.0)]
     for p in zip(uniq_d, uniq_g):
         while len(hull) >= 2:
@@ -361,15 +364,24 @@ def gap_majorant(space, values, members=None, seed=0):
     """Least concave majorant of the |values(x) - values(y)| vs d(x, y)
     scatter over the pair scan of members (default: the whole space).
 
-    Each block is reduced to the vertices of its upper hull: the upper hull
-    of a union has its vertices among those of the blocks' hulls."""
+    Each exact block is reduced to the vertices of its upper hull: the
+    upper hull of a union has its vertices among those of the blocks'
+    hulls.  A sampled scan is one draw, streamed in blocks: each is reduced
+    to its distinct distances (see _distinct_gaps) and the hull is taken
+    once, over their union, so the blocking cannot move a breakpoint (the
+    hull's tests of nearly collinear points round differently when their
+    neighbours differ)."""
+    scan = space.pair_scan(members, seed)
+    reduce = _upper_hull if scan.mode == "exact" else _distinct_gaps
     ts, ys = [np.zeros(0)], [np.zeros(0)]
-    for i, j, d in space.pair_scan(members, seed).blocks:
-        hull_t, hull_y = _upper_hull(d, np.abs(values[i] - values[j]))
-        ts.append(hull_t)
-        ys.append(hull_y)
-    return least_concave_majorant(np.concatenate(ts), np.concatenate(ys),
-                                  space.diameter())
+    for i, j, d in scan.blocks:
+        t, y = reduce(d, np.abs(values[i] - values[j]))
+        ts.append(t)
+        ys.append(y)
+    ts, ys = np.concatenate(ts), np.concatenate(ys)
+    if scan.mode != "exact":
+        ts, ys = _upper_hull(ts, ys)
+    return least_concave_majorant(ts, ys, space.diameter())
 
 
 def fit_lipschitz(space, rho, seed=0):

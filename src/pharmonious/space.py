@@ -27,7 +27,8 @@ from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 # Dense distance blocks hold about this many entries (rows * points).
 BLOCK_ENTRIES = 1 << 18
 # Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
-# SAMPLED_PAIRS seeded random pairs above that.
+# SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
+# most BLOCK_ENTRIES // 4 pairs.
 EXACT_PAIR_LIMIT = 5_000
 SAMPLED_PAIRS = 1_000_000
 # The doubling and annular-decay probes skip radii below this many
@@ -40,7 +41,9 @@ HAIR = 1.0 + 1e-9
 PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
 PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
 number of distinct pairs covered, and an iterator of (i, j, d) blocks with
-point indices i, j broadcastable to the distance block d."""
+point indices i, j broadcastable to the distance block d.  Each block is
+computed when the iterator reaches it, so a scan holds one block at a time
+(plus, when sampled, the draws: two int32 arrays of SAMPLED_PAIRS)."""
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,11 @@ class _Metric:
 
     def ball_width(self):
         return self.n
+
+    def pair_order(self, members, a):
+        """The order in which a sampled scan visits its pairs, whose sources
+        are members[a]: None, as drawn."""
+        return None
 
     def ball_intervals(self, centers, radii):
         block = self.distances(centers, limit=max(float(radii.max()), 0.0))
@@ -467,6 +475,11 @@ class _Graph(_Metric):
         block = dijkstra(self.graph, indices=rows, directed=True, limit=limit)
         return block if cols is None else block[:, cols]
 
+    def pair_order(self, members, a):
+        # by source: consecutive blocks share at most one source, so a scan
+        # runs each Dijkstra row once, plus at most once more per block
+        return np.argsort(members[a], kind="stable")
+
     def pair_distances(self, i, j):
         # grouped by source, one batched Dijkstra per block of sources
         out = np.empty(len(i))
@@ -605,7 +618,12 @@ class Space:
         bmask = np.zeros(n, dtype=bool)
         bmask[self._indices(boundary)] = True
         self.boundary_mask = _as_readonly(bmask, bool, "boundary")
-        self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
+        try:
+            self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
+        except SpaceFormatError:  # name the id the cast refused, such as "1.5"
+            for value in np.ravel(np.array(ids, dtype=object)):
+                _point_id(value)
+            raise
         if ids is not None:  # the int64 cast truncates: 1.7 would read 1
             given = _as_readonly(ids, float, "ids")
             if not np.array_equal(self.ids, given):
@@ -688,7 +706,11 @@ class Space:
 
         Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
         random pairs of distinct points; a reduction over them is a lower
-        bound for the exact one.
+        bound for the exact one.  The draws are held as int32 positions in
+        members and streamed in blocks of at most BLOCK_ENTRIES // 4 pairs:
+        a block is gathered, its pairs i == j dropped and its distances
+        taken only when the iterator reaches it.  The backend picks the
+        order of the pairs (see pair_order; graphs go by source).
 
         lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
         On a whole graph space that maximum is attained on an edge (sum the
@@ -704,12 +726,25 @@ class Space:
         if n <= EXACT_PAIR_LIMIT:
             return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
         rng = np.random.default_rng(seed)
-        i = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
-        j = members[rng.integers(0, n, size=SAMPLED_PAIRS)]
-        keep = i != j
-        i, j = i[keep], j[keep]
-        # one block: pair_distances runs each graph source row once
-        return PairScan("sampled", len(i), iter([(i, j, self.pair_distances(i, j))]))
+        # int32 draws equal the default int64 ones value for value and leave
+        # the generator where those leave it
+        a = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
+        b = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
+        order = self._metric.pair_order(members, a)
+        step = max(1, BLOCK_ENTRIES // 4)
+        starts = range(0, len(a), step)
+
+        def pairs(lo):
+            at = slice(lo, lo + step) if order is None else order[lo:lo + step]
+            i, j = members[a[at]], members[b[at]]
+            keep = i != j
+            return i[keep], j[keep]
+
+        def blocks():
+            for lo in starts:
+                i, j = pairs(lo)
+                yield i, j, self.pair_distances(i, j)
+        return PairScan("sampled", sum(len(pairs(lo)[0]) for lo in starts), blocks())
 
     # -- balls and measures ---------------------------------------------------
 
@@ -940,7 +975,8 @@ class Space:
                                 shape=(n, n))
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, size=min(samples, n), replace=False)
-        paths = dijkstra(adj, indices=sources, directed=False)
+        # adj holds every hop both ways (balls are symmetric): run it as built
+        paths = dijkstra(adj, indices=sources, directed=True)
         if not np.isfinite(paths).all():
             return float("inf")
         return max(0.0, float((paths - self.distances(sources)).max()))

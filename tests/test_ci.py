@@ -25,3 +25,13 @@ def test_workflow_matrix_includes_the_python_floor():
     assert matrix, "the workflow has no python-version matrix"
     versions = [v.strip().strip("'\"") for v in matrix.group(1).split(",")]
     assert floor.group(1) in versions
+
+
+def test_workflow_job_has_a_timeout():
+    # without timeout-minutes a hung test holds the runner for six hours
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    job = re.search(r"^  tier1:\n((?:    .*\n|\s*\n)*)", workflow, re.MULTILINE)
+    assert job, "the workflow has no tier1 job"
+    timeout = re.search(r"^    timeout-minutes:\s*(\d+)\s*$", job.group(1), re.MULTILINE)
+    assert timeout, "the tier1 job sets no timeout-minutes"
+    assert 0 < int(timeout.group(1)) <= 60

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pharmonious import (Modulus, RadiusField, SpaceFormatError,
-                         check_radius_bounds, exhaustion, fit_holder,
+                         check_radius_bounds, disk_grid, exhaustion, fit_holder,
                          fit_lipschitz, fit_radius_modulus, hull,
                          interval_grid, iterate_modulus, lattice_graph,
                          least_concave_majorant, normalize_modulus,
@@ -14,7 +15,7 @@ from pharmonious import (Modulus, RadiusField, SpaceFormatError,
                          validate_admissible, validate_parameters,
                          write_radius_csv)
 from pharmonious import space as space_mod
-from pharmonious.radius import max_gap_ratio
+from pharmonious.radius import _upper_hull, gap_majorant, max_gap_ratio
 
 # -- admissibility ---------------------------------------------------------------
 
@@ -245,6 +246,39 @@ def test_least_concave_majorant_covers_data(rng):
     # concavity at breakpoints
     slopes = np.diff(omega.ys) / np.diff(omega.ts)
     assert np.all(np.diff(slopes) <= 1e-9)
+
+
+def test_sampled_majorant_does_not_depend_on_the_blocks():
+    # rho = d / 2 on this disk puts hull points nearly on one line, where the
+    # hull's tests round differently in a block than in the whole draw
+    sp = disk_grid(101)
+    values = 0.5 * sp.boundary_distances()
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
+    j = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
+    i, j = i[i != j], j[i != j]
+    whole = least_concave_majorant(
+        *_upper_hull(sp.pair_distances(i, j), np.abs(values[i] - values[j])),
+        sp.diameter())
+    omega = gap_majorant(sp, values)
+    assert np.array_equal(omega.ts, whole.ts) and np.array_equal(omega.ys, whole.ys)
+
+
+def test_sampled_scans_hold_one_block_at_a_time():
+    # one block of the whole draw held 62.8 MB (fit) and 86.6 MB (majorant)
+    sp = square_grid(129)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.5)
+    peaks = {}
+    for name, call, limit in (("fit_lipschitz", lambda: fit_lipschitz(sp, rho), 24e6),
+                              ("gap_majorant", lambda: gap_majorant(sp, rho.values), 30e6)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = (tracemalloc.get_traced_memory()[1], limit)
+        finally:
+            tracemalloc.stop()
+    assert rho.lipschitz_mode == "sampled"
+    assert all(peak < limit for peak, limit in peaks.values()), peaks
 
 
 def test_fitted_radius_modulus_dominates_gaps(grid1d):

@@ -8,8 +8,8 @@ from pharmonious import (AdmissibilityError, Modulus, RadiusField,
                          equicontinuity_gate, exhaustion, interval_grid,
                          iterate_modulus, iterate_modulus_bound,
                          oscillation_modulus, residual, root_test_margin,
-                         solve_dirichlet, square_grid)
-from pharmonious.solver import STALL_SWEEPS
+                         Space, solve_dirichlet, square_grid)
+from pharmonious.solver import STALL_SWEEPS, _normalize_boundary
 
 
 def identity_family(C=1.0, lam=1.0, eps=0.5, beta=1.0, delta=1.0, diam=1.0):
@@ -123,6 +123,26 @@ def test_solve_full_length_boundary_data_reads_the_boundary(grid1d, grid1d_rho):
     short = solve_dirichlet(grid1d, grid1d_rho, 0.3,
                             g[grid1d.boundary_indices], config)
     assert np.array_equal(full.field.values, short.field.values)
+
+
+def test_solve_refuses_boundary_data_of_the_wrong_length(grid1d, grid1d_rho):
+    with pytest.raises(SpaceFormatError, match=r"boundary data length \(3,\) matches "
+                       r"neither the boundary \(2\) nor the space \(257\)"):
+        solve_dirichlet(grid1d, grid1d_rho, 0.3, [0.0, 1.0, 2.0])
+
+
+def test_boundary_data_needs_a_boundary():
+    # solve_dirichlet refuses such a space earlier, in its admissibility check
+    sp = Space(coords=[[0.0], [1.0], [2.0]], weights=[1.0] * 3, boundary=[])
+    with pytest.raises(SpaceFormatError, match="space has an empty boundary"):
+        _normalize_boundary(sp, [])
+
+
+def test_solve_refuses_initial_guess_of_the_wrong_length(grid1d, grid1d_rho):
+    with pytest.raises(SpaceFormatError,
+                       match="initial guess length does not match space"):
+        solve_dirichlet(grid1d, grid1d_rho, 0.3, {0: 0.0, 256: 1.0},
+                        SolveConfig(initial=np.zeros(len(grid1d) - 1)))
 
 
 def test_solve_boundary_never_changes(grid1d, grid1d_rho):

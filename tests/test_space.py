@@ -371,6 +371,25 @@ def test_geodesic_defect_grid_small(grid2d_small):
     assert 0.0 <= defect <= 0.09 * grid2d_small.diameter()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: square_grid(17),
+    lambda: Space(coords=np.random.default_rng(2).uniform(size=(300, 2)),
+                  weights=np.ones(300), boundary=np.arange(20))])
+def test_geodesic_probe_hop_graph_runs_directed_as_undirected(make, monkeypatch):
+    # the hop graph holds every hop both ways, so Dijkstra may run directed
+    import scipy.sparse.csgraph as csgraph
+    sp = make()
+    directed = sp.probe_geodesic_defect(samples=16, seed=1)
+    settings, dijkstra = [], csgraph.dijkstra
+
+    def undirected(*args, **kwargs):
+        settings.append(kwargs["directed"])
+        return dijkstra(*args, **{**kwargs, "directed": False})
+    monkeypatch.setattr(csgraph, "dijkstra", undirected)
+    assert sp.probe_geodesic_defect(samples=16, seed=1) == directed
+    assert settings == [True]
+
+
 def test_probe_report_fields(grid1d):
     rep = grid1d.probe_report(samples=50, seed=0)
     doc = rep.to_dict()
@@ -492,6 +511,23 @@ def test_non_integral_ids_are_refused_by_name():
     assert Space(**line, ids=[0, "1", 2.0]).ids.tolist() == [0, 1, 2]
     with pytest.raises(SpaceFormatError, match=r"point ids must be integers, got \[1.7\]"):
         Space(**line, ids=[0, 1.7, 2])
+    # the int64 cast refuses these before any id check could name them
+    for ids, value in ((["0", "1.5", "2"], "'1.5'"), ([0, "x", 2], "'x'"),
+                       ([0, None, 2], "None")):
+        with pytest.raises(SpaceFormatError, match=f"point id {value} is not an integer"):
+            Space(**line, ids=ids)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: interval_grid(2), "interval grid needs at least 3 points"),
+    (lambda: square_grid(2), "square grid needs at least 3 points per side"),
+    (lambda: disk_grid(4), "disk grid needs at least 5 points per side"),
+    (lambda: path_graph(2), "path graph needs at least 3 nodes"),
+    (lambda: lattice_graph(2, 5), "lattice graph needs at least 3 nodes per side"),
+    (lambda: lattice_graph(5, 2), "lattice graph needs at least 3 nodes per side")])
+def test_generators_refuse_too_few_points(make, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        make()
 
 
 def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
@@ -685,6 +721,73 @@ def test_sampled_graph_pair_distances_equal_distance(monkeypatch):
             assert dist == sp.distance(int(a), int(b))
         seen += len(d)
     assert seen == scan.pairs > 2000
+
+
+def test_int32_draws_equal_int64_draws():
+    # sampled scans draw int32 positions: the same values as the default
+    # int64 draws, leaving the generator at the same state
+    for n in (5001, 16641, 6400, 2 ** 31 - 1):
+        for seed in (0, 5):
+            wide, narrow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                assert np.array_equal(wide.integers(0, n, size=70001),
+                                      narrow.integers(0, n, size=70001, dtype=np.int32))
+            assert wide.bit_generator.state == narrow.bit_generator.state
+
+
+def _one_block_sample(n, seed):
+    """The sampled pair positions (a, b), a != b, drawn as one int64 block."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, size=space_mod.SAMPLED_PAIRS)
+    b = rng.integers(0, n, size=space_mod.SAMPLED_PAIRS)
+    return a[a != b], b[a != b]
+
+
+@pytest.mark.parametrize("make, interior", [(lambda: square_grid(71), False),
+                                            (lambda: disk_grid(101), True)])
+def test_sampled_pair_scan_streams_the_draws_in_bounded_blocks(make, interior,
+                                                                monkeypatch):
+    sp = make()
+    members = sp.interior_indices if interior else np.arange(len(sp))
+    a, b = _one_block_sample(len(members), 3)
+    computed = []
+    real = space_mod._Euclidean.pair_distances
+
+    def counted(self, i, j):
+        computed.append(len(i))
+        return real(self, i, j)
+    monkeypatch.setattr(space_mod._Euclidean, "pair_distances", counted)
+    scan = sp.pair_scan(members if interior else None, seed=3)
+    assert scan.mode == "sampled" and scan.pairs == len(a)
+    assert computed == []  # nothing is gathered before the first block
+    blocks = list(scan.blocks)
+    assert len(blocks) == -(-space_mod.SAMPLED_PAIRS // (space_mod.BLOCK_ENTRIES // 4))
+    assert max(computed) <= space_mod.BLOCK_ENTRIES // 4
+    i, j, d = (np.concatenate(x) for x in zip(*blocks))
+    assert np.array_equal(i, members[a]) and np.array_equal(j, members[b])
+    assert np.array_equal(d, real(sp._metric, members[a], members[b]))
+
+
+def test_sampled_graph_scan_runs_each_dijkstra_row_once_per_block(monkeypatch):
+    sp = lattice_graph(9, 7)
+    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
+    monkeypatch.setattr(space_mod, "SAMPLED_PAIRS", 3000)
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 5 * len(sp))
+    rows = []
+    real = space_mod._Graph.distances
+
+    def counted(self, r, cols=None, limit=np.inf):
+        rows.append(len(r))
+        return real(self, r, cols, limit)
+    monkeypatch.setattr(space_mod._Graph, "distances", counted)
+    blocks = list(sp.pair_scan(seed=4).blocks)
+    i, j, d = (np.concatenate(x) for x in zip(*blocks))
+    assert len(blocks) > 30
+    # the blocks go by source: distinct sources plus one per block boundary
+    assert sum(rows) <= len(np.unique(i)) + len(blocks)
+    a, b = _one_block_sample(len(sp), 4)
+    order = np.argsort(a, kind="stable")
+    assert np.array_equal(i, a[order]) and np.array_equal(j, b[order])
 
 
 def test_exact_pair_scan_covers_every_pair(grid2d_small):

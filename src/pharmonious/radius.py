@@ -225,9 +225,6 @@ def least_concave_majorant(ds, gaps, domain_end):
     if ts[-1] < domain_end:
         ts.append(domain_end)
         ys.append(ys[-1])
-    if len(ts) == 1:
-        ts.append(max(domain_end, 1.0))
-        ys.append(ys[-1])
     return Modulus.from_breakpoints(ts, ys, domain_end)
 
 
@@ -345,10 +342,23 @@ def validate_admissible(space, rho):
     return AdmissibilityReport(ok, nonpos, exceeds, nonzero)
 
 
+def _point_values(space, values):
+    """values as a float array of one finite value per point of space."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (len(space),):
+        raise SpaceFormatError(f"values of shape {v.shape} for a space of "
+                               f"{len(space)} points")
+    if not np.all(np.isfinite(v)):
+        raise SpaceFormatError("values are not all finite")
+    return v
+
+
 def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
     """max |values(x) - values(y)| / d(x, y)^exponent over the pair scan of
     members (default: the whole space), as (value, mode, pairs); a sampled
-    value is a lower bound for the exact one."""
+    value is a lower bound for the exact one.  values holds one finite
+    value per point of the space."""
+    values = _point_values(space, values)
     scan = space.pair_scan(members, seed, lipschitz=(exponent == 1.0))
     best = 0.0
     for i, j, d in scan.blocks:
@@ -370,7 +380,9 @@ def gap_majorant(space, values, members=None, seed=0):
     to its distinct distances (see _distinct_gaps) and the hull is taken
     once, over their union, so the blocking cannot move a breakpoint (the
     hull's tests of nearly collinear points round differently when their
-    neighbours differ)."""
+    neighbours differ).  values holds one finite value per point of the
+    space."""
+    values = _point_values(space, values)
     scan = space.pair_scan(members, seed)
     reduce = _upper_hull if scan.mode == "exact" else _distinct_gaps
     ts, ys = [np.zeros(0)], [np.zeros(0)]
@@ -378,10 +390,8 @@ def gap_majorant(space, values, members=None, seed=0):
         t, y = reduce(d, np.abs(values[i] - values[j]))
         ts.append(t)
         ys.append(y)
-    ts, ys = np.concatenate(ts), np.concatenate(ys)
-    if scan.mode != "exact":
-        ts, ys = _upper_hull(ts, ys)
-    return least_concave_majorant(ts, ys, space.diameter())
+    return least_concave_majorant(np.concatenate(ts), np.concatenate(ys),
+                                  space.diameter())
 
 
 def fit_lipschitz(space, rho, seed=0):

@@ -94,7 +94,7 @@ def _as_readonly(a, dtype, what):
     """a as a read-only array of dtype, refused when ragged or not numeric."""
     try:
         out = np.array(a, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceFormatError(f"{what} must be a rectangular array of numbers") from exc
     out.flags.writeable = False
     return out
@@ -160,7 +160,8 @@ class _Metric:
     queries of Space on checked point indices.  ball_intervals gives each
     ball's member intervals [a, b) and ball_width the entries one center's
     search holds; path_metric marks shortest-path distances.  The defaults
-    read balls off dense distance blocks and know no Lipschitz edge block."""
+    read balls off dense distance blocks, know no Lipschitz edge block and
+    find the diameter from a few distance rows (see diameter)."""
 
     path_metric = False
     edges = None
@@ -180,6 +181,45 @@ class _Metric:
 
     def lipschitz_block(self):
         return None
+
+    def diameter(self, comp=None):
+        """Largest distance between points of comp (default: every point),
+        exactly, from a few distance rows (Crescenzi et al., TCS 2013).
+
+        A center u is sought first: a double sweep gives two far points,
+        u minimizes the largest distance to the points swept so far, and
+        the point farthest from u joins them while that lowers u's
+        eccentricity.  Eccentricities are then taken in decreasing order of
+        d(u, .); once the largest found is >= 2 d(u, w) for the next point
+        w, widened by HAIR against rounding, it is the diameter, since the
+        points not yet taken lie pairwise within d(w', u) + d(u, w'') <=
+        2 d(u, w).
+        """
+        cols = comp
+        comp = np.arange(self.n) if comp is None else comp
+
+        def row(k):
+            return self.distances(comp[[k]], cols)[0]
+
+        swept = [row(0)]
+        swept = [row(np.argmax(swept[0]))]
+        swept.append(row(np.argmax(swept[0])))
+        d_u = np.full(len(comp), np.inf)
+        while True:
+            d = row(np.argmin(np.max(swept, axis=0)))
+            if d.max() >= d_u.max():
+                break
+            d_u = d
+            swept.append(row(np.argmax(d_u)))
+        found = float(np.max(swept))
+        order = np.argsort(-d_u, kind="stable")
+        taken, size = 0, 1
+        while taken < len(comp) and found < HAIR * 2.0 * d_u[order[taken]]:
+            batch = comp[order[taken:taken + size]]
+            found = max(found, float(self.distances(batch, cols).max()))
+            taken += len(batch)
+            size = min(2 * size, max(1, BLOCK_ENTRIES // self.n))
+        return found
 
 
 class _Euclidean(_Metric):
@@ -209,19 +249,6 @@ class _Euclidean(_Metric):
 
     def boundary_distances(self, targets):
         return self._strips[5](targets)
-
-    def diameter(self):
-        c, v = self.coords, np.arange(self.n)
-        if c.shape[1] == 1:
-            return float(c.max() - c.min())
-        try:  # the convex hull's vertices, unless it is degenerate
-            from scipy.spatial import ConvexHull
-            v = ConvexHull(c).vertices
-        except Exception:
-            pass
-        step = max(1, BLOCK_ENTRIES // len(v))
-        return max(float(self.distances(v[lo:lo + step], v).max())
-                   for lo in range(0, len(v), step))
 
     def resolution(self):
         from scipy.spatial import cKDTree
@@ -502,49 +529,14 @@ class _Graph(_Metric):
         return dijkstra(self.graph, indices=targets, directed=True, min_only=True)
 
     def diameter(self):
-        """Largest finite distance, exactly, from a few Dijkstra rows per
-        connected component (Crescenzi et al., TCS 2013).
-
-        A center u is sought first: a double sweep gives two far points,
-        u minimizes the largest distance to the points swept so far, and
-        the point farthest from u joins them while that lowers u's
-        eccentricity.  Eccentricities are then taken in decreasing order of
-        d(u, .); once the largest found is >= 2 d(u, w) for the next point
-        w, it is the diameter, since the points not yet taken lie pairwise
-        within d(w', u) + d(u, w'') <= 2 d(u, w).
-        """
+        """Largest finite distance: the largest diameter of a connected
+        component (see _Metric.diameter)."""
         from scipy.sparse.csgraph import connected_components
         _, label = connected_components(self.graph, directed=False)
         comps = np.split(np.argsort(label, kind="stable"),
                          np.cumsum(np.bincount(label))[:-1])
-        best = 0.0
-        for comp in comps:
-            if len(comp) < 2:
-                continue
-
-            def row(k):
-                return self.distances(comp[[k]])[0, comp]
-
-            swept = [row(0)]
-            swept = [row(np.argmax(swept[0]))]
-            swept.append(row(np.argmax(swept[0])))
-            d_u = np.full(len(comp), np.inf)
-            while True:
-                d = row(np.argmin(np.max(swept, axis=0)))
-                if d.max() >= d_u.max():
-                    break
-                d_u = d
-                swept.append(row(np.argmax(d_u)))
-            found = float(np.max(swept))
-            order = np.argsort(-d_u, kind="stable")
-            taken, size = 0, 1
-            while taken < len(comp) and found < 2.0 * d_u[order[taken]]:
-                batch = comp[order[taken:taken + size]]
-                found = max(found, float(self.distances(batch)[:, comp].max()))
-                taken += len(batch)
-                size = min(2 * size, max(1, BLOCK_ENTRIES // self.n))
-            best = max(best, found)
-        return best
+        return max((_Metric.diameter(self, comp) for comp in comps
+                    if len(comp) > 1), default=0.0)
 
     def resolution(self):
         w = self.graph.data
@@ -871,8 +863,6 @@ class Space:
             if R <= 0 or R - r < res or r < r_min:
                 return
             mu_R = float(self.weights[d <= R].sum())
-            if mu_R <= 0:
-                return
             mu_ann = float(self.weights[(d > r) & (d <= R)].sum())
             est = mu_ann / (((R - r) / R) ** delta * mu_R)
             if est > best:
@@ -934,8 +924,6 @@ class Space:
             lo_r = rng.choice(vals, size=min(len(vals), max(1, samples // len(centers))))
             for r in np.unique(np.concatenate([picks, lo_r])):
                 mu_r = float(self.weights[d <= r].sum())
-                if mu_r <= 0:
-                    continue
                 mu_2r = float(self.weights[d <= 2.0 * r].sum())
                 best = max(best, mu_2r / mu_r)
         return best
@@ -1121,13 +1109,18 @@ def lattice_graph(nx, ny, edge_weight=1.0):
 
 def _point_id(value):
     """value as an integer point id: an integer, or a number or string that
-    is one; int() alone would truncate 1.7 to 1."""
+    is one, within the int64 range ids are stored in; int() alone would
+    truncate 1.7 to 1."""
     try:
-        if isinstance(value, str) or value == int(value):
-            return int(value)
+        pid = int(value)
+        integral = isinstance(value, str) or value == pid
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise SpaceFormatError(f"point id {value!r} is not an integer")
+        integral = False
+    if not integral:
+        raise SpaceFormatError(f"point id {value!r} is not an integer")
+    if not -2 ** 63 <= pid < 2 ** 63:
+        raise SpaceFormatError(f"point id {value!r} is outside the int64 range")
+    return pid
 
 
 def space_from_dict(doc):

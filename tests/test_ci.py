@@ -1,4 +1,5 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md declares."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md declares and the
+console script that pyproject.toml declares."""
 
 import re
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_workflow_job_has_a_timeout():
     timeout = re.search(r"^    timeout-minutes:\s*(\d+)\s*$", job.group(1), re.MULTILINE)
     assert timeout, "the tier1 job sets no timeout-minutes"
     assert 0 < int(timeout.group(1)) <= 60
+
+
+def test_workflow_runs_the_console_script():
+    # pyproject.toml declares the pharmonious entry point; the tier-1 tests
+    # call cli.main directly, so only this step runs the installed script
+    script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
+                       (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert script, "pyproject.toml declares no pharmonious console script"
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.strip()[len("run:"):].strip() for line in workflow.splitlines()
+            if line.strip().startswith("run:")]
+    assert ('pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+            '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"') in runs

@@ -273,6 +273,22 @@ def test_validate_component_without_boundary_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_validate_id_beyond_int64_is_input_error(tmp_path, capsys):
+    # the id passed the loader and then overflowed the int64 cast of the
+    # ids: a traceback and exit 1
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "metric": "euclidean",
+        "points": [{**p, "id": 10 ** 20 if k == 1 else k}
+                   for k, p in enumerate(_points(3, _LINE))]}))
+    code = run("validate", "--space", space, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4, "--out", tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "input error: point id 100000000000000000000 is outside the int64 range"]
+
+
 # -- solve -----------------------------------------------------------------------
 
 

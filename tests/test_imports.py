@@ -1,6 +1,7 @@
 """Which spaces import scipy: lines, raveled 2-D grids and disks run on numpy
-alone; graphs import scipy.sparse; clouds and 3-D grids the KD-tree of
-scipy.spatial.  Each check runs in a fresh interpreter."""
+alone, their diameters included; graphs import scipy.sparse; clouds and
+3-D grids the KD-tree of scipy.spatial.  Each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -67,6 +68,18 @@ def test_grid_pipelines_run_without_scipy(tmp_path, grid, n, fn):
                          for f in ("validate.json", "field.csv",
                                    "solve_report.json", "certificate.json")}
     assert outputs["blocked"] == outputs["plain"]
+
+
+def test_grid_diameters_load_no_scipy(tmp_path):
+    # the diameter is a search over distance rows; it used to take
+    # scipy.spatial's ConvexHull above one dimension
+    assert python("import sys\n"
+                  "from pharmonious import disk_grid, interval_grid, square_grid\n"
+                  "d = [s.diameter() for s in (square_grid(33), disk_grid(33),\n"
+                  "                            interval_grid(33))]\n"
+                  "assert d == [2 ** 0.5, 1.0, 1.0], d\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
+                  cwd=tmp_path) == []
 
 
 def test_graph_pipeline_leaves_the_kd_tree_unloaded(tmp_path):

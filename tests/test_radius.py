@@ -132,6 +132,19 @@ def test_graph_lipschitz_scan_equals_full_pair_scan(graph_and_values):
             (_full_scan_max_ratio(sp, values, 1.0), "exact", n * (n - 1) // 2)
 
 
+@pytest.mark.parametrize("fn", [max_gap_ratio, gap_majorant])
+@pytest.mark.parametrize("values, message", [
+    (np.r_[np.nan, np.zeros(32)], "values are not all finite"),
+    (np.r_[np.zeros(32), np.inf], "values are not all finite"),
+    (np.linspace(0.0, 1.0, 40), r"values of shape \(40,\) for a space of 33 points"),
+    (np.linspace(0.0, 1.0, 20), r"values of shape \(20,\) for a space of 33 points")],
+    ids=["nan", "inf", "too-long", "too-short"])
+def test_gap_scans_refuse_bad_values(fn, values, message):
+    # a NaN read as a ratio of 0.0, 40 values as 0.82, 20 as an IndexError
+    with pytest.raises(SpaceFormatError, match=message):
+        fn(interval_grid(33), values)
+
+
 def test_graph_holder_fit_equals_full_pair_scan(graph_and_values):
     sp, fields = graph_and_values
     for values in fields:

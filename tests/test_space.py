@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -281,6 +282,44 @@ def test_graph_diameter_equals_all_pairs_maximum(make, random_graph):
     assert sp.diameter() == d[np.isfinite(d)].max()
 
 
+def _cloud(dim, n=3000, seed=0, disk=False):
+    c = np.random.default_rng(seed).uniform(size=(n, dim))
+    if disk:
+        c = c[((c - 0.5) ** 2).sum(axis=1) <= 0.25]
+    return Space(coords=c, weights=np.ones(len(c)), boundary=[0])
+
+
+def _cube_grid(k):
+    x = np.linspace(0.0, 1.0, k)
+    c = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
+    return Space(coords=c, weights=np.ones(len(c)), boundary=[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: interval_grid(257), lambda: square_grid(33), lambda: disk_grid(65),
+    lambda: _cube_grid(9),
+    lambda: Space(coords=np.column_stack([np.linspace(0.0, 1.0, 7),
+                                          np.linspace(0.0, 2.0, 7)]),
+                  weights=np.ones(7), boundary=[0]),
+    lambda: _cloud(2, seed=1), lambda: _cloud(3, seed=2),
+    lambda: _cloud(2, n=4000, seed=3, disk=True),
+    lambda: path_graph(41), lambda: lattice_graph(13, 11),
+    # components {0, 1, 2} and {3, 4}, and node 5 on its own
+    lambda: Space(weights=np.ones(6), metric="graph", boundary=[0, 3],
+                  edges=[[0, 1, 1.0], [1, 2, 2.0], [3, 4, 5.0]]),
+    lambda: Space(coords=[[0.3, 0.7]], weights=[1.0], boundary=[0])],
+    ids=["interval", "square", "disk", "cube", "collinear", "cloud2d", "cloud3d",
+         "disk-cloud", "path", "lattice", "components-and-isolated", "one-point"])
+def test_diameter_equals_all_pairs_maximum(make):
+    # one search for Euclidean and graph spaces, exact to the last bit
+    sp = make()
+    rows = np.arange(len(sp))
+    oracle = max(float(d[np.isfinite(d)].max())
+                 for d in (sp.distances(rows[lo:lo + 256])
+                           for lo in range(0, len(sp), 256)))
+    assert sp.diameter() == oracle
+
+
 def test_matrix_diameter_is_largest_entry(matrix_space):
     assert matrix_space.diameter() == matrix_space.distances(
         np.arange(len(matrix_space))).max()
@@ -397,6 +436,21 @@ def test_probe_report_fields(grid1d):
     assert all(v >= 1.0 for v in doc["annular_decay_estimates"].values())
     assert 0.0 <= doc["ring_jump"] < 1.0
     assert doc["geodesic_defect"] >= 0.0
+
+
+def test_probe_report_without_coordinates():
+    # the probe centers of a space without coordinates are its first and
+    # last points plus seeded random ones
+    doc = path_graph(9).probe_report(samples=20, seed=0).to_dict()
+    assert doc["doubling_estimate"] >= 1.0
+    assert all(v >= 1.0 for v in doc["annular_decay_estimates"].values())
+    assert doc["geodesic_defect"] == 0.0
+
+
+def test_annular_decay_of_one_point_is_one():
+    sp = Space(coords=[[0.5]], weights=[1.0], boundary=[0])
+    assert sp.resolution() == 0.0
+    assert sp.probe_annular_decay(1.0) == 1.0
 
 
 # -- the disk grid -----------------------------------------------------------------
@@ -516,6 +570,17 @@ def test_non_integral_ids_are_refused_by_name():
                        ([0, None, 2], "None")):
         with pytest.raises(SpaceFormatError, match=f"point id {value} is not an integer"):
             Space(**line, ids=ids)
+
+
+def test_ids_beyond_int64_are_refused_by_name():
+    # the int64 cast raised an OverflowError, which no caller caught
+    line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0]}
+    for big in (10 ** 20, -2 ** 63 - 1, 2 ** 63, 1e20, "100000000000000000000"):
+        with pytest.raises(SpaceFormatError,
+                           match=re.escape(f"point id {big!r} is outside the int64 range")):
+            Space(**line, ids=[0, big, 2])
+    assert Space(**line, ids=[0, 2 ** 63 - 1, -2 ** 63]).ids.tolist() == \
+        [0, 2 ** 63 - 1, -2 ** 63]
 
 
 @pytest.mark.parametrize("make, message", [

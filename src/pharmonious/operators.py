@@ -14,6 +14,11 @@ returns a CheckRecord carrying both sides, the slack, and the discreteness
 allowance used (a theorem that is exact in the continuum can fail on a
 grid by at most a cell or two, and the records make that allowance
 explicit).
+
+The pair checks (symmetric differences, sup-inf gaps, the iterated mean
+stability bound) take each radius ball from _ball, which searches it once
+per (space, rho, center) and keeps its members on rho.  Sweeps, residuals
+and the single-point means build a BallTable and keep none.
 """
 
 from __future__ import annotations
@@ -237,15 +242,25 @@ def apply_alpha_mean(space, rho, u, alpha, table=None):
 # -- symmetric differences -----------------------------------------------------
 
 
-def _symdiff_ratio(space, b1, b2):
-    m1, m2 = space.measure(b1.members), space.measure(b2.members)
-    inter = np.intersect1d(b1.members, b2.members, assume_unique=True)
-    return (m1 + m2 - 2.0 * space.measure(inter)) / max(m1, m2)
+def _ball(space, rho, x):
+    """Members of the radius ball of x, searched once per (space, rho, x):
+    rho's values are immutable, so the ball is kept on rho, per space."""
+    balls = rho.balls.setdefault(space, {})
+    if x not in balls:
+        balls[x] = space.ball(x, rho[x]).members
+        balls[x].flags.writeable = False  # shared by every later caller
+    return balls[x]
+
+
+def _symdiff_ratio(space, m1, m2):
+    mu1, mu2 = space.measure(m1), space.measure(m2)
+    inter = np.intersect1d(m1, m2, assume_unique=True)
+    return (mu1 + mu2 - 2.0 * space.measure(inter)) / max(mu1, mu2)
 
 
 def ball_symdiff_ratio(space, rho, x, y):
     """mu(B_x symdiff B_y) / max(mu(B_x), mu(B_y)); lies in [0, 2]."""
-    return _symdiff_ratio(space, space.ball(x, rho[x]), space.ball(y, rho[y]))
+    return _symdiff_ratio(space, _ball(space, rho, x), _ball(space, rho, y))
 
 
 STABILITY_ITERATES = 5   # sweeps of the iterated mean-stability check
@@ -272,7 +287,7 @@ def check_mean_stability(space, u, ball1, ball2, rho=None):
                      / np.add.reduceat(w, zero)[0])
 
     lhs = abs(mean_over(ball1.members) - mean_over(ball2.members))
-    rhs = 2.0 * norm * _symdiff_ratio(space, ball1, ball2)
+    rhs = 2.0 * norm * _symdiff_ratio(space, ball1.members, ball2.members)
     passed = lhs <= rhs + STABILITY_TOL
     details = {}
     if rho is not None:
@@ -348,9 +363,7 @@ def hausdorff_gaps(space, rho, x, y, normalized=None):
     non-geodesicity; normalized defaults to the Lipschitz radius modulus.
     """
     slack = 2.0 * space.resolution()
-    bx = space.ball(x, rho[x])
-    by = space.ball(y, rho[y])
-    sub = space.distances(bx.members, by.members)
+    sub = space.distances(_ball(space, rho, x), _ball(space, rho, y))
     g_xy = float(sub.min(axis=1).max())
     g_yx = float(sub.min(axis=0).max())
     gaps = GapPair(sup_inf_xy=g_xy, sup_inf_yx=g_yx)
@@ -407,11 +420,10 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
     v = field_values(u)
     norm = float(np.abs(v).max())
     normalized = _lipschitz_modulus(space, rho)
-    swept = apply_alpha_mean(space, rho, v, alpha,
-                             BallTable(space, rho, centers=members))
+    table = BallTable(space, rho, centers=members)
+    swept = apply_alpha_mean(space, rho, v, alpha, table)
     omega_lhs = oscillation_modulus(space, swept, members)
-    hull_members = radius_mod.hull(space, rho, members)
-    omega_u = oscillation_modulus(space, v, hull_members)
+    omega_u = oscillation_modulus(space, v, np.unique(table.indices))
     diam = space.diameter()
     probe_ts = np.unique(omega_lhs.ts[omega_lhs.ts > 0])
     worst = None

@@ -24,22 +24,22 @@ from .space import read_id_csv, write_id_csv
 class Modulus:
     """Concave nondecreasing function on [0, domain_end] with value 0 at 0.
 
-    Stored either as piecewise-linear breakpoints or as an exact closed
-    form ("linear": min(slope*t, cap); "power": min(coeff*t**gamma, cap)).
-    The closed forms evaluate without interpolation so that iterated
-    compositions of a Lipschitz modulus are exact in floating point.
+    Stored either as piecewise-linear breakpoints or as the exact closed
+    form "power": min(coeff*t**gamma, cap), linear at gamma = 1.  The
+    closed form evaluates without interpolation so that iterated
+    compositions of a Lipschitz modulus are exact in floating point
+    (t**1.0 is t exactly).
     Beyond the last breakpoint the function continues flat.
     """
 
-    __slots__ = ("kind", "ts", "ys", "slope", "coeff", "gamma", "cap", "domain_end")
+    __slots__ = ("kind", "ts", "ys", "coeff", "gamma", "cap", "domain_end")
 
     def __init__(self, *, kind, domain_end, ts=None, ys=None,
-                 slope=None, coeff=None, gamma=None, cap=None):
+                 coeff=None, gamma=None, cap=None):
         self.kind = kind
         self.domain_end = float(domain_end)
         self.ts = None if ts is None else np.asarray(ts, dtype=float)
         self.ys = None if ys is None else np.asarray(ys, dtype=float)
-        self.slope = slope
         self.coeff = coeff
         self.gamma = gamma
         self.cap = math.inf if cap is None else float(cap)
@@ -57,13 +57,12 @@ class Modulus:
     @classmethod
     def linear(cls, slope, domain_end, cap=None):
         """t -> min(slope * t, cap); uncapped when cap is None."""
-        return cls(kind="linear", domain_end=domain_end, slope=float(slope), cap=cap)
+        return cls.power(slope, 1.0, domain_end, cap)
 
     @classmethod
     def capped_linear(cls, slope, domain_end):
         """The Lipschitz radius modulus t -> min(slope * t, domain_end)."""
-        return cls(kind="linear", domain_end=domain_end, slope=float(slope),
-                   cap=domain_end)
+        return cls.power(slope, 1.0, domain_end, cap=domain_end)
 
     @classmethod
     def identity(cls, domain_end):
@@ -95,9 +94,6 @@ class Modulus:
             slopes = np.diff(ys) / np.diff(ts)
             if np.any(np.diff(slopes) > 1e-9 * max(1.0, abs(slopes).max())):
                 raise SpaceFormatError("modulus must be concave")
-        elif self.kind == "linear":
-            if self.slope is None or self.slope < 0:
-                raise SpaceFormatError("linear modulus needs a nonnegative slope")
         elif self.kind == "power":
             if self.coeff is None or self.coeff < 0:
                 raise SpaceFormatError("power modulus needs a nonnegative coefficient")
@@ -110,9 +106,7 @@ class Modulus:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):
             raise SpaceFormatError("modulus argument must be nonnegative")
-        if self.kind == "linear":
-            out = np.minimum(self.slope * t_arr, self.cap)
-        elif self.kind == "power":
+        if self.kind == "power":
             out = np.minimum(self.coeff * np.power(t_arr, self.gamma), self.cap)
         else:
             out = np.interp(t_arr, self.ts, self.ys)
@@ -125,8 +119,6 @@ class Modulus:
         """True when omega(t) <= t on the whole domain."""
         if self.domain_end == 0:
             return True
-        if self.kind == "linear":
-            return self.slope <= 1.0
         if self.kind == "power":
             if self.coeff == 0.0:
                 return True
@@ -150,7 +142,7 @@ class Modulus:
                 ys = np.concatenate([ys[:k], [cap], ys[k:]])
             return Modulus.from_breakpoints(ts, ys, self.domain_end)
         kw = dict(kind=self.kind, domain_end=self.domain_end,
-                  slope=self.slope, coeff=self.coeff, gamma=self.gamma,
+                  coeff=self.coeff, gamma=self.gamma,
                   cap=min(self.cap, cap))
         return Modulus(**kw)
 
@@ -242,9 +234,6 @@ def normalize_modulus(omega, diam):
     if end <= 0:
         return Modulus.identity(diam)
     factor = diam / end
-    if omega.kind == "linear":
-        return Modulus.linear(factor * omega.slope, diam,
-                              cap=None if omega.cap is math.inf else factor * omega.cap)
     if omega.kind == "power":
         return Modulus.power(factor * omega.coeff, omega.gamma, diam,
                              cap=None if omega.cap is math.inf else factor * omega.cap)
@@ -278,7 +267,9 @@ class RadiusField:
     """Per-point radius values with fitted regularity metadata.
 
     Values are immutable after construction; Lipschitz/Holder fits are
-    attached once and then the object is safe to share.
+    attached once and then the object is safe to share.  So a radius ball
+    depends only on (space, center), and the pair checks of operators keep
+    the balls they search in balls.
     """
 
     def __init__(self, values):
@@ -294,6 +285,7 @@ class RadiusField:
         self.lipschitz_mode = None    # exact or sampled (the fit), supplied
         self.lipschitz_pairs = 0      # pairs that scan compared
         self.holder_fits = {}         # gamma -> coefficient
+        self.balls = {}               # space -> {center: ball members}
 
     lipschitz_L = property(lambda self: self._lipschitz_L)
 

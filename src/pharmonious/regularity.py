@@ -152,11 +152,12 @@ def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family):
     else:
         level_m = family.at(m)
         tails = []
-        if family.normalized.kind == "linear":
+        nm = family.normalized
+        if nm.kind == "power" and nm.gamma == 1.0:
             # while uncapped the normalized iterates grow like L^j t and the
             # terms are exactly geometric in the uncapped ratio
             q_un = radius_mod.series_ratio(
-                alpha, family.normalized.slope, family.epsilon, family.beta,
+                alpha, nm.coeff, family.epsilon, family.beta,
                 family.delta, family.gamma)
             if q_un < 1.0 and s < diam:
                 first = (q_capped ** (J_CAP + 1)) * float(level_m(s))

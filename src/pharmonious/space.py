@@ -611,16 +611,20 @@ class Space:
         bmask[self._indices(boundary)] = True
         self.boundary_mask = _as_readonly(bmask, bool, "boundary")
         try:
-            self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
+            with np.errstate(invalid="ignore"):  # 1e20 casts to junk, named below
+                self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
         except SpaceFormatError:  # name the id the cast refused, such as "1.5"
             for value in np.ravel(np.array(ids, dtype=object)):
                 _point_id(value)
             raise
-        if ids is not None:  # the int64 cast truncates: 1.7 would read 1
+        if ids is not None:  # the int64 cast truncates 1.7 to 1 and wraps 2**63
             given = _as_readonly(ids, float, "ids")
-            if not np.array_equal(self.ids, given):
-                raise SpaceFormatError(
-                    f"point ids must be integers, got {given[self.ids != given].tolist()}")
+            wrong = given[self.ids != given].tolist()
+            for value in wrong:
+                if abs(value) >= 2 ** 63:  # refused by its range first
+                    _point_id(value)
+            if wrong:
+                raise SpaceFormatError(f"point ids must be integers, got {wrong}")
         if len(np.unique(self.ids)) != n:
             raise SpaceFormatError("duplicate point ids")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):

@@ -118,10 +118,12 @@ def test_criterion_03_symdiff_branch_bounds():
         k2 = exhaustion(sp, 0.5, 2)
         rho_k = float(rho.values[k2].min())
         slack = 2.0 * sp.resolution()
+        t0 = time.perf_counter()
         for x, y in itertools.combinations(k2.tolist(), 2):
             rec = check_symdiff_bounds(sp, rho, x, y, rho.lipschitz_L, 1.0,
                                        1.0, rho_k, 2.0, slack=slack)
             assert rec.details["lipschitz_pass"], (x, y)
+        elapsed = time.perf_counter() - t0
 
         disk = disk_grid(65)
         rho_d = RadiusField.scaled_boundary_distance(disk, 0.3)
@@ -130,13 +132,16 @@ def test_criterion_03_symdiff_branch_bounds():
         rho_kd = float(rho_d.values[k2d].min())
         slack_d = 2.0 * disk.resolution()
         rng = np.random.default_rng(7)
+        t0 = time.perf_counter()
         for _ in range(1000):
             x, y = rng.choice(k2d, size=2, replace=False)
             rec = check_symdiff_bounds(disk, rho_d, int(x), int(y),
                                        rho_d.lipschitz_L, 2.0, 1.0, rho_kd,
                                        4.0, slack=slack_d)
             assert rec.details["lipschitz_pass"], (x, y)
-    report(3, "exhaustive 1D K_2 scan and 10^3 disk pairs hold with 2h slack")
+        elapsed += time.perf_counter() - t0
+    report(3, "exhaustive 1D K_2 scan and 10^3 disk pairs hold with 2h slack",
+           elapsed, 3.0)
 
 
 def test_criterion_04_annular_decay_probes():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,65 @@ def test_alpha_mean_modulus_out_of_hypothesis(grid1d, grid1d_rho):
                                    _mean_modulus_1d(grid1d, grid1d_rho, k2))
     assert not rec.passed
     assert rec.branch == "out-of-hypothesis"
+
+
+# -- one ball search per (space, rho, centre) ----------------------------------------
+
+
+def _count_ball_runs(monkeypatch):
+    calls = []
+    search = Space.ball_runs
+
+    def counted(self, centers, radii):
+        calls.append(len(centers))
+        return search(self, centers, radii)
+    monkeypatch.setattr(Space, "ball_runs", counted)
+    return calls
+
+
+def test_pair_checks_search_each_ball_once(monkeypatch):
+    sp = interval_grid(65)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.3)
+    fit_lipschitz(sp, rho)
+    k2 = exhaustion(sp, 0.5, 2).tolist()
+    rho_k = float(rho.values[k2].min())
+    calls = _count_ball_runs(monkeypatch)
+    for x, y in itertools.combinations(k2, 2):
+        ball_symdiff_ratio(sp, rho, x, y)
+        check_symdiff_bounds(sp, rho, x, y, rho.lipschitz_L, 1.0, 1.0, rho_k, 2.0)
+        hausdorff_gaps(sp, rho, y, x)
+    assert calls == [1] * len(k2)
+
+
+def test_alpha_mean_modulus_searches_its_balls_once(monkeypatch, grid1d):
+    rho = RadiusField.scaled_boundary_distance(grid1d, 0.4)
+    k2 = exhaustion(grid1d, 0.5, 2)
+    u = np.random.default_rng(1).uniform(-1, 1, size=len(grid1d))
+    family = _mean_modulus_1d(grid1d, rho, k2)
+    calls = _count_ball_runs(monkeypatch)
+    assert check_alpha_mean_modulus(grid1d, rho, u, 0.3, k2, family).passed
+    assert calls == [len(k2)]
+
+
+def test_one_radius_field_keeps_the_balls_of_each_space():
+    a, b = interval_grid(33), interval_grid(33, hi=2.0)
+    rho = RadiusField.scaled_boundary_distance(a, 0.4)
+    for sp in (a, b, a):
+        fresh = RadiusField(rho.values)
+        assert ball_symdiff_ratio(sp, rho, 16, 18) == \
+            ball_symdiff_ratio(sp, fresh, 16, 18)
+        assert hausdorff_gaps(sp, rho, 16, 18)[0] == \
+            hausdorff_gaps(sp, fresh, 16, 18)[0]
+    assert ball_symdiff_ratio(a, rho, 16, 18) != ball_symdiff_ratio(b, rho, 16, 18)
+
+
+def test_pair_checks_refuse_a_negative_radius_every_time(grid1d):
+    values = np.zeros(len(grid1d))
+    values[100] = -0.1
+    rho = RadiusField(values)
+    for _ in range(2):
+        with pytest.raises(SpaceFormatError, match="negative ball radius"):
+            ball_symdiff_ratio(grid1d, rho, 100, 101)
 
 
 # -- scalar fields and files ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -581,6 +582,28 @@ def test_ids_beyond_int64_are_refused_by_name():
             Space(**line, ids=[0, big, 2])
     assert Space(**line, ids=[0, 2 ** 63 - 1, -2 ** 63]).ids.tolist() == \
         [0, 2 ** 63 - 1, -2 ** 63]
+
+
+def test_float_array_ids_beyond_int64_are_refused_by_range():
+    # the int64 cast warned "invalid value encountered in cast", and the
+    # junk it made was refused as "point ids must be integers"
+    line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0]}
+    for ids, value in ((np.array([0, 1e20, 2]), "1e+20"),
+                       (np.array([0, -1e20, 2]), "-1e+20"),
+                       (np.array([0, 2.0 ** 63, 2]), "9.223372036854776e+18"),
+                       (np.array([0, 2 ** 63, 2], dtype=np.uint64),
+                        "9.223372036854776e+18")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpaceFormatError,
+                               match=re.escape(f"point id {value} is outside the int64 range")):
+                Space(**line, ids=ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpaceFormatError, match=re.escape("must be integers, got [nan]")):
+            Space(**line, ids=np.array([0, np.nan, 2]))
+        assert Space(**line, ids=np.array([0, -2.0 ** 63, 2])).ids.tolist() == \
+            [0, -2 ** 63, 2]
 
 
 @pytest.mark.parametrize("make, message", [

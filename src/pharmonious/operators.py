@@ -117,7 +117,7 @@ class BallTable:
         if centers is None:
             centers = space.interior_indices
         self.space = space
-        self.centers = np.asarray(centers, dtype=int)
+        self.centers = space._indices(centers)
         radii = rho.values[self.centers]
         if np.any(radii < 0):
             raise AdmissibilityError("negative radius (an empty ball) at points "
@@ -246,6 +246,7 @@ def _ball(space, rho, x):
     """Members of the radius ball of x, searched once per (space, rho, x):
     rho's values are immutable, so the ball is kept on rho, per space."""
     balls = rho.balls.setdefault(space, {})
+    x = space._check_index(x)  # before rho[x] reads it: 1.5 is no index
     if x not in balls:
         balls[x] = space.ball(x, rho[x]).members
         balls[x].flags.writeable = False  # shared by every later caller
@@ -416,7 +417,7 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
                            branch="out-of-hypothesis",
                            details={"note": f"|alpha| = {abs(alpha)} > 1"})
     slack = 2.0 * space.resolution()
-    members = np.asarray(members, dtype=int)
+    members = space._indices(members)
     v = field_values(u)
     norm = float(np.abs(v).max())
     normalized = _lipschitz_modulus(space, rho)

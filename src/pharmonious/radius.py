@@ -165,29 +165,36 @@ class Modulus:
         return cls.from_breakpoints(ts, ys)
 
 
-def _distinct_gaps(ds, gaps):
-    """The distinct d_i > 0, ascending, each with the largest max(gap_i, 0)
-    at it: exact, so reducing parts of a scatter and then their union gives
-    what reducing the whole gives."""
+def _staircase(ds, gaps):
+    """The points of {(d_i, max(gap_i, 0)) : d_i > 0} that the upper hull of
+    the origin and the scatter's nondecreasing part can keep: ascending in
+    d, each where the gap first rises above every gap at a smaller distance
+    (and above 0), and the last point with the largest gap, where the hull
+    turns flat.  Comparisons only, so the staircase of the staircases of
+    any split of a scatter is the staircase of the whole."""
     ds = np.asarray(ds, dtype=float).ravel()
     gaps = np.asarray(gaps, dtype=float).ravel()
     keep = ds > 0
     uniq_d, inverse = np.unique(ds[keep], return_inverse=True)
-    uniq_g = np.zeros_like(uniq_d)
-    np.maximum.at(uniq_g, inverse, np.maximum(gaps[keep], 0.0))
-    return uniq_d, uniq_g
+    g = np.zeros_like(uniq_d)
+    np.maximum.at(g, inverse, np.maximum(gaps[keep], 0.0))
+    step = g > np.maximum.accumulate(np.concatenate([[0.0], g[:-1]]))
+    step[np.flatnonzero(g == g.max(initial=0.0))[-1:]] = True
+    return uniq_d[step], g[step]
 
 
 def _upper_hull(ds, gaps):
-    """Upper convex hull of the origin and the points (d_i, max(gap_i, 0))
-    with d_i > 0, as vertex arrays starting at the origin."""
-    uniq_d, uniq_g = _distinct_gaps(ds, gaps)
+    """Upper convex hull of the origin and the staircase of the points
+    (d_i, max(gap_i, 0)) with d_i > 0, as vertex arrays starting at the
+    origin; nondecreasing, as the staircase is."""
     hull = [(0.0, 0.0)]
-    for p in zip(uniq_d, uniq_g):
+    for p in zip(*(a.tolist() for a in _staircase(ds, gaps))):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it lies below the chord (upper hull)
-            if (x2 - x1) * (p[1] - y1) >= (p[0] - x1) * (y2 - y1):
+            # drop the middle point when it lies below the chord (upper
+            # hull), or when the slopes Modulus checks would rise there
+            if (x2 - x1) * (p[1] - y1) >= (p[0] - x1) * (y2 - y1) \
+                    or (y2 - y1) / (x2 - x1) < (p[1] - y2) / (p[0] - x2):
                 hull.pop()
             else:
                 break
@@ -197,26 +204,15 @@ def _upper_hull(ds, gaps):
 
 
 def least_concave_majorant(ds, gaps, domain_end):
-    """Least concave nondecreasing majorant of the scatter {(d_i, gap_i)}.
-
-    Upper convex hull of the points together with the origin; a decreasing
-    hull tail is flattened at the running maximum so the result is a valid
-    modulus of continuity.
-    """
-    hull_t, hull_y = _upper_hull(ds, gaps)
-    if len(hull_t) == 1:
+    """Least concave nondecreasing majorant of the scatter {(d_i, gap_i)}:
+    the upper hull of the origin and the scatter's staircase (see
+    _upper_hull), continued flat to domain_end."""
+    ts, ys = _upper_hull(ds, gaps)
+    if len(ts) == 1:
         return Modulus.from_breakpoints([0.0, max(domain_end, 1.0)], [0.0, 0.0],
                                         domain_end)
-    # flatten any decreasing tail at the peak value
-    ts, ys = [hull_t[0]], [hull_y[0]]
-    for x, y in zip(hull_t[1:], hull_y[1:]):
-        if y < ys[-1]:
-            break
-        ts.append(x)
-        ys.append(y)
     if ts[-1] < domain_end:
-        ts.append(domain_end)
-        ys.append(ys[-1])
+        ts, ys = np.append(ts, domain_end), np.append(ys, ys[-1])
     return Modulus.from_breakpoints(ts, ys, domain_end)
 
 
@@ -366,22 +362,14 @@ def gap_majorant(space, values, members=None, seed=0):
     """Least concave majorant of the |values(x) - values(y)| vs d(x, y)
     scatter over the pair scan of members (default: the whole space).
 
-    Each exact block is reduced to the vertices of its upper hull: the
-    upper hull of a union has its vertices among those of the blocks'
-    hulls.  A sampled scan is one draw, streamed in blocks: each is reduced
-    to its distinct distances (see _distinct_gaps) and the hull is taken
-    once, over their union, so the blocking cannot move a breakpoint (the
-    hull's tests of nearly collinear points round differently when their
-    neighbours differ).  values holds one finite value per point of the
-    space."""
+    Every block, exact or sampled, is reduced to its staircase (see
+    _staircase), which no blocking changes, and the hull is taken once,
+    over the union's staircase.  values holds one finite value per point
+    of the space."""
     values = _point_values(space, values)
-    scan = space.pair_scan(members, seed)
-    reduce = _upper_hull if scan.mode == "exact" else _distinct_gaps
-    ts, ys = [np.zeros(0)], [np.zeros(0)]
-    for i, j, d in scan.blocks:
-        t, y = reduce(d, np.abs(values[i] - values[j]))
-        ts.append(t)
-        ys.append(y)
+    steps = [_staircase(d, np.abs(values[i] - values[j]))
+             for i, j, d in space.pair_scan(members, seed).blocks]
+    ts, ys = zip((np.zeros(0), np.zeros(0)), *steps)
     return least_concave_majorant(np.concatenate(ts), np.concatenate(ys),
                                   space.diameter())
 
@@ -607,7 +595,7 @@ def exhaustion(space, epsilon, m):
 
 def hull(space, rho, members):
     """Union of the radius balls over the given point set."""
-    members = np.asarray(members, dtype=int)
+    members = space._indices(members)
     balls, _ = space.balls(members, rho.values[members])
     return np.unique(balls)
 

@@ -250,7 +250,7 @@ def empirical_holder(space, u, members, delta, seed=0):
     pair sampling above (the sampled value is a lower bound for the true
     seminorm and is flagged).  Fewer than two points yields 0 with a notice.
     """
-    members = np.asarray(members, dtype=int)
+    members = space._indices(members)
     v = field_values(u)
     if len(members) < 2:
         return EmpiricalHolder(0.0, "undefined", 0)

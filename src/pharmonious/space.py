@@ -657,16 +657,28 @@ class Space:
     # -- distances: point indices checked, then handed to the backend ---------
 
     def _check_index(self, i):
-        if not 0 <= int(i) < len(self):
-            raise SpaceFormatError(f"unknown point index {i}")
-        return int(i)
+        """One point index as an int, checked by _indices."""
+        return self._indices([i]).item()
 
     def _indices(self, a):
-        a = np.asarray(a, dtype=np.intp).reshape(-1)
+        """Point indices as a flat intp array: the one index check.  Integer
+        arrays pass as they are; any other values only where each is an
+        integer (1.5 is refused, not truncated to 1)."""
+        a = np.asarray(a).reshape(-1)
+        if a.dtype.kind not in "iu":
+            try:
+                f = a.astype(float)
+            except (TypeError, ValueError):  # such as "a" or None
+                f = np.full(a.shape, np.nan)
+            wrong = a[~np.isfinite(f) | (f != np.floor(f))]
+            if wrong.size:
+                raise SpaceFormatError(f"point indices must be integers, got {wrong[:10].tolist()}")
+            a = f
         if a.size and (a.min() < 0 or a.max() >= len(self)):
-            raise SpaceFormatError(f"point index out of range 0..{len(self) - 1}: "
-                                   f"{a[(a < 0) | (a >= len(self))].tolist()}")
-        return a
+            out = a[(a < 0) | (a >= len(self))]
+            shown = out[0] if out.size == 1 else out[:10].tolist()
+            raise SpaceFormatError(f"unknown point index {shown}, out of range 0..{len(self) - 1}")
+        return a.astype(np.intp, copy=False)
 
     def distances(self, rows, cols=None, limit=np.inf):
         """Dense block d(rows, cols), cols default to every point; graph
@@ -782,9 +794,7 @@ class Space:
         return Ball(center=x, radius=float(r), members=members)
 
     def measure(self, members):
-        members = np.asarray(list(members) if isinstance(members, set) else members, dtype=int)
-        if members.size == 0:
-            return 0.0
+        members = self._indices(list(members) if isinstance(members, set) else members)
         return float(self.weights[members].sum())
 
     # -- boundary geometry ----------------------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pharmonious import (SpaceFormatError, alpha_from_p, expansion_mean,
-                         expansion_midrange, expansion_p)
+from pharmonious import (SmoothTestFunction, SpaceFormatError, alpha_from_p,
+                         expansion_mean, expansion_midrange, expansion_p)
 from pharmonious import test_function as catalog_function
 from pharmonious.asymptotics import richardson_limit
 
@@ -198,3 +198,33 @@ def test_nongeometric_radii_rejected():
     f = catalog_function("sq_norm", 2)
     with pytest.raises(SpaceFormatError, match="geometric"):
         expansion_mean(f, np.array([1.0, 0.0]), [0.4, 0.3, 0.1, 0.05])
+
+
+def _squared(gradient, hessian):
+    """x^2 on the line with the given (possibly wrong) derivatives."""
+    return SmoothTestFunction(name="squared", dim=1,
+                              value=lambda X: np.asarray(X, dtype=float)[:, 0] ** 2,
+                              gradient=gradient, hessian=hessian)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: catalog_function("sq_norm", 2).p_laplacian_core([0.0, 0.0], 3.0),
+     "p-laplacian core needs a nonvanishing gradient"),
+    (lambda: _squared(lambda x: 0.0 * x, lambda x: 2.0 * np.eye(1)).self_check([0.5]),
+     r"squared: gradient\[0\] inconsistent with finite differences"),
+    (lambda: _squared(lambda x: 2.0 * x, lambda x: np.zeros((1, 1))).self_check([0.5]),
+     "squared: hessian row 0 inconsistent with finite differences"),
+    (lambda: catalog_function("saddle", 3), "the saddle test function is two-dimensional"),
+    (lambda: catalog_function("cubic_harmonic", 3),
+     "the cubic harmonic test function is two-dimensional"),
+    (lambda: expansion_mean(catalog_function("sq_norm", 2), [0.1], RADII),
+     r"point has dimension \(1,\), function needs 2"),
+    (lambda: expansion_mean(catalog_function("sq_norm", 2), [0.1, 0.2], [0.4]),
+     "need at least two positive radii"),
+    (lambda: expansion_p(catalog_function("sq_norm", 2), [0.0, 0.0], 3.0, 2, RADII),
+     "blend expansion needs a nonvanishing gradient at the point")],
+    ids=["p-core-gradient", "wrong-gradient", "wrong-hessian", "saddle-dimension",
+         "cubic-dimension", "point-dimension", "one-radius", "blend-gradient"])
+def test_asymptotics_refusals(call, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        call()

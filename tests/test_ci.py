@@ -40,12 +40,19 @@ def test_workflow_job_has_a_timeout():
 
 def test_workflow_runs_the_console_script():
     # pyproject.toml declares the pharmonious entry point; the tier-1 tests
-    # call cli.main directly, so only this step runs the installed script
+    # call cli.main directly, so only these steps run the installed script:
+    # validate, solve, then certify of the solved field
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     runs = [line.strip()[len("run:"):].strip() for line in workflow.splitlines()
             if line.strip().startswith("run:")]
-    assert ('pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
-            '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"') in runs
+    smoke = ['pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"',
+             'pharmonious solve --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--boundary-fn linear --out "$RUNNER_TEMP/smoke"',
+             'pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/smoke/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
+             '--out "$RUNNER_TEMP/smoke"']
+    assert [run for run in runs if run.startswith("pharmonious ")] == smoke

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pharmonious import (Modulus, RadiusField, SpaceFormatError,
+from pharmonious import (Modulus, RadiusField, Space, SpaceFormatError,
                          check_radius_bounds, disk_grid, exhaustion, fit_holder,
                          fit_lipschitz, fit_radius_modulus, hull,
                          interval_grid, iterate_modulus, lattice_graph,
@@ -15,7 +15,7 @@ from pharmonious import (Modulus, RadiusField, SpaceFormatError,
                          validate_admissible, validate_parameters,
                          write_radius_csv)
 from pharmonious import space as space_mod
-from pharmonious.radius import _upper_hull, gap_majorant, max_gap_ratio
+from pharmonious.radius import _staircase, _upper_hull, gap_majorant, max_gap_ratio
 
 # -- admissibility ---------------------------------------------------------------
 
@@ -261,20 +261,88 @@ def test_least_concave_majorant_covers_data(rng):
     assert np.all(np.diff(slopes) <= 1e-9)
 
 
+def _sampled_pairs(sp):
+    """The pairs of the seed-0 sampled scan of the whole space, in one draw."""
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
+    j = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
+    return i[i != j], j[i != j]
+
+
 def test_sampled_majorant_does_not_depend_on_the_blocks():
     # rho = d / 2 on this disk puts hull points nearly on one line, where the
     # hull's tests round differently in a block than in the whole draw
     sp = disk_grid(101)
     values = 0.5 * sp.boundary_distances()
-    rng = np.random.default_rng(0)
-    i = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
-    j = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
-    i, j = i[i != j], j[i != j]
+    i, j = _sampled_pairs(sp)
     whole = least_concave_majorant(
         *_upper_hull(sp.pair_distances(i, j), np.abs(values[i] - values[j])),
         sp.diameter())
     omega = gap_majorant(sp, values)
     assert np.array_equal(omega.ts, whole.ts) and np.array_equal(omega.ys, whole.ys)
+
+
+def test_exact_majorant_does_not_depend_on_the_blocks(monkeypatch):
+    # nearly collinear hull points, scanned exactly: one block of every pair
+    # against blocks of three rows (per-block hulls moved a breakpoint here)
+    sp = disk_grid(41)
+    values = 0.4 * sp.boundary_distances()
+    every = np.arange(len(sp))
+    whole = least_concave_majorant(
+        sp.distances(every), np.abs(values[:, None] - values[None, :]), sp.diameter())
+    assert len(whole.ts) > 3
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 3 * len(sp))
+    omega = gap_majorant(sp, values)
+    assert np.array_equal(omega.ts, whole.ts) and np.array_equal(omega.ys, whole.ys)
+
+
+_scatter = st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]) | st.floats(0.0, 1.0),
+                              st.sampled_from([-0.5, 0.0, 0.2, 0.4]) | st.floats(-1.0, 1.0)),
+                    max_size=60)
+
+
+@settings(max_examples=200)
+@given(_scatter, st.lists(st.integers(0, 60), max_size=6), st.randoms(use_true_random=False))
+def test_staircase_of_the_parts_is_the_staircase_of_the_whole(points, cuts, random):
+    # ties in d and in the gap, zero distances and negative gaps included
+    random.shuffle(points)
+    ds = np.array([d for d, _ in points], dtype=float)
+    gaps = np.array([g for _, g in points], dtype=float)
+    parts = [_staircase(d, g) for d, g in zip(np.split(ds, sorted(cuts)),
+                                             np.split(gaps, sorted(cuts)))]
+    whole = _staircase(ds, gaps)
+    joined = _staircase(*(np.concatenate(c) for c in zip(*parts)))
+    assert all(np.array_equal(a, b) for a, b in zip(joined, whole))
+    # the gaps rise strictly, but for the flat end's last point
+    assert np.all(np.diff(whole[0]) > 0) and np.all(np.diff(whole[1][:-1]) > 0)
+    assert np.all(np.diff(whole[1][-2:]) >= 0)
+
+
+@pytest.mark.parametrize("ds, gaps, ts, ys", [
+    ([0.5, 1, 2, 3], [0, 0, 0, 0], [0, 3, 6], [0, 0, 0]),
+    ([0.5, 1, 2, 3, 4], [0, 1, 1, 2, 2], [0, 1, 3, 4, 6], [0, 1, 2, 2, 2]),
+    ([1, 2, 3, 4, 5], [1, 1, 1, 0.5, 0.2], [0, 1, 3, 6], [0, 1, 1, 1]),
+    ([0, 1, 1, 2, 3], [5, 0.5, 1, 1, -1], [0, 1, 2, 6], [0, 1, 1, 1])],
+    ids=["zeros", "runs", "decreasing-tail", "zero-distance-and-repeats"])
+def test_majorant_breakpoints_of_flat_runs(ds, gaps, ts, ys):
+    # a run of equal gaps keeps its first point, and the last run its last,
+    # where the flat end starts: the breakpoints the hull of every point has
+    omega = least_concave_majorant(ds, gaps, 6.0)
+    assert omega.ts.tolist() == ts and omega.ys.tolist() == ys
+
+
+def test_disk_radius_modulus_passes_its_own_concavity_check():
+    # the sample holds the distances 0.21 and 0.21000000000000008; the hull's
+    # cross-product test kept both, and the slope over that step, 0.5, rose
+    # above the slope before it, 0.3999999999999998, so Modulus refused it
+    sp = disk_grid(101)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    omega = fit_radius_modulus(sp, rho)
+    slopes = np.diff(omega.ys) / np.diff(omega.ts)
+    assert np.all(np.diff(slopes) <= 0)
+    i, j = _sampled_pairs(sp)
+    # above every sampled pair, up to the rounding of interpolating a chord
+    assert np.all(omega(sp.pair_distances(i, j)) >= np.abs(rho.values[i] - rho.values[j]) - 1e-15)
 
 
 def test_sampled_scans_hold_one_block_at_a_time():
@@ -518,3 +586,44 @@ def test_normalize_fitted_pwl_modulus(grid1d):
     assert np.all(vals >= ts - 1e-12)          # dominates the identity
     assert np.all(vals >= np.asarray(omega(ts)) - 1e-12)  # dominates omega
     assert np.all(vals <= grid1d.diameter() + 1e-12)
+
+
+# -- refusals ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Modulus(kind="pwl", domain_end=-1.0, ts=[0, 1], ys=[0, 1]),
+     "modulus domain must be nonnegative"),
+    (lambda: Modulus.from_breakpoints([0.0], [0.0]),
+     "piecewise modulus needs matching breakpoints"),
+    (lambda: Modulus.from_breakpoints([0.1, 1.0], [0.0, 1.0]),
+     r"modulus must start at \(0, 0\)"),
+    (lambda: Modulus.from_breakpoints([0.0, 1.0, 1.0], [0.0, 0.5, 1.0]),
+     "breakpoint abscissae must increase"),
+    (lambda: Modulus.from_breakpoints([0.0, 1.0, 2.0], [0.0, 1.0, 0.5]),
+     "modulus must be nondecreasing"),
+    (lambda: Modulus.from_breakpoints([0.0, 1.0, 2.0], [0.0, 0.1, 1.0]),
+     "modulus must be concave"),
+    (lambda: Modulus(kind="power", domain_end=1.0, coeff=-1.0, gamma=1.0),
+     "power modulus needs a nonnegative coefficient"),
+    (lambda: Modulus(kind="cubic", domain_end=1.0), "unknown modulus kind 'cubic'"),
+    (lambda: Modulus.power(1.0, 1.5, 1.0),
+     r"power modulus exponent must be in \(0,1\], got 1.5"),
+    (lambda: Modulus.identity(1.0)(-0.1), "modulus argument must be nonnegative"),
+    (lambda: iterate_modulus(Modulus.identity(1.0), -1, 0.5),
+     "iteration count must be nonnegative"),
+    (lambda: exhaustion(interval_grid(9), 1.0, 1), r"epsilon must be in \(0,1\), got 1.0"),
+    (lambda: exhaustion(interval_grid(9), 0.5, 0), "exhaustion index must be >= 1, got 0"),
+    (lambda: validate_admissible(interval_grid(9), RadiusField(np.zeros(10))),
+     "radius field length does not match space"),
+    # Space accepts a point 1e-200 from another, whose distance underflows to 0
+    (lambda: max_gap_ratio(Space(coords=[[0.0], [1e-200], [1.0]], weights=[1.0] * 3,
+                                 boundary=[0, 2]), [0.0, 1.0, 2.0]),
+     "distinct points at distance zero with differing values")],
+    ids=["negative-domain", "one-breakpoint", "not-at-origin", "repeated-abscissa",
+         "decreasing", "convex", "negative-coefficient", "unknown-kind", "exponent",
+         "negative-argument", "negative-iterations", "exhaustion-epsilon",
+         "exhaustion-index", "radius-length", "zero-distance"])
+def test_radius_refusals(call, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        call()

@@ -9,7 +9,8 @@ from pharmonious import (CertificateResidualError, CertificateScopeError,
                          ModulusFamily, branch_constant, certified_holder_constant,
                          certify, empirical_holder, exhaustion, fit_lipschitz,
                          fixed_point_oscillation_bound, interval_grid,
-                         solve_dirichlet, space_constants, square_grid)
+                         iterate_modulus_bound, solve_dirichlet,
+                         space_constants, square_grid)
 
 # -- theoretical moduli ------------------------------------------------------------
 
@@ -376,3 +377,35 @@ def test_certificate_solved_nonconstant_2d(grid2d_65):
     assert cert.passed
     assert cert.empirical_constant > 1.0  # genuinely nonconstant field
     assert abs(cert.theoretical_constant - 1120.0 * cert.norm_u) < 1e-9
+
+
+def _family(**kw):
+    args = dict(C=1.0, lam=0.4, epsilon=0.5, beta=1.0, delta=1.0,
+                normalized=Modulus.identity(1.0))
+    return ModulusFamily("annular_holder", **{**args, **kw})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TheoreticalModulus("annular_holder", C=1.0, rho_K=1.0, delta=0.0),
+     r"delta must be in \(0,1\], got 0.0"),
+    (lambda: TheoreticalModulus("cubic", C=1.0, rho_K=1.0, delta=1.0),
+     "unknown modulus family kind 'cubic'"),
+    (lambda: TheoreticalModulus("annular_continuous", C=1.0, rho_K=1.0, delta=1.0),
+     "continuous family needs the normalized radius modulus"),
+    (lambda: TheoreticalModulus("annular_holder", C=1.0, rho_K=1.0, delta=1.0, gamma=1.5),
+     r"gamma must be in \(0,1\], got 1.5"),
+    (lambda: _family(epsilon=1.0), r"epsilon must be in \(0,1\), got 1.0"),
+    (lambda: _family(lam=0.0), "lambda must be positive, got 0.0"),
+    (lambda: fixed_point_oscillation_bound(1, 0.1, alpha=1.5, norm_u=1.0, family=_family()),
+     r"series bound requires \|alpha\| <= 1"),
+    (lambda: iterate_modulus_bound(1, -1, 0.1, alpha=0.5, norm_u=1.0,
+                                   u_modulus=Modulus.identity(1.0), family=_family()),
+     "sweep count must be nonnegative"),
+    (lambda: empirical_holder(interval_grid(9), np.zeros(9), [0, 1, 2], 1.5),
+     r"delta must be in \(0,1\], got 1.5")],
+    ids=["delta", "unknown-kind", "continuous-without-modulus", "gamma",
+         "family-epsilon", "family-lambda", "series-alpha", "negative-sweeps",
+         "empirical-delta"])
+def test_regularity_refusals(call, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        call()

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
-                         RadiusField, Space, SpaceFormatError, disk_grid,
-                         fit_lipschitz, interval_grid, lattice_graph,
-                         path_graph, space_from_dict, square_grid)
+                         Modulus, RadiusField, Space, SpaceFormatError,
+                         alpha_mean_value, ball_symdiff_ratio,
+                         check_alpha_mean_modulus, disk_grid,
+                         empirical_holder, fit_lipschitz, hull,
+                         interval_grid, lattice_graph, path_graph,
+                         space_from_dict, square_grid)
 from pharmonious import space as space_mod
 
 
@@ -629,6 +632,57 @@ def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
         for bad in (-1, 3):
             with pytest.raises(SpaceFormatError, match=f"unknown point index {bad}"):
                 call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp, rho: sp.ball(1.5, 0.2),
+    lambda sp, rho: sp.distance(0.5, 2.7),
+    lambda sp, rho: sp.distances([1.5]),
+    lambda sp, rho: sp.distances([1], [2.5]),
+    lambda sp, rho: sp.distances_from(1.5),
+    lambda sp, rho: sp.pair_distances([1.5], [2]),
+    lambda sp, rho: sp.ball_runs([1.5], [0.2]),
+    lambda sp, rho: sp.balls([1.5], [0.2]),
+    lambda sp, rho: sp.dist_to_boundary(1.5),
+    lambda sp, rho: sp.pair_scan(members=[0.5, 2.5]),
+    lambda sp, rho: sp.measure([1.5]),
+    lambda sp, rho: BallTable(sp, rho, centers=[1.5]),
+    lambda sp, rho: ball_symdiff_ratio(sp, rho, 1.5, 3),
+    lambda sp, rho: ball_symdiff_ratio(sp, rho, 3, 1.5),
+    lambda sp, rho: hull(sp, rho, [1.5]),
+    lambda sp, rho: empirical_holder(sp, np.zeros(len(sp)), [0.5, 2.5], 1.0),
+    lambda sp, rho: alpha_mean_value(sp, rho, np.zeros(len(sp)), 1.5, 0.3),
+    lambda sp, rho: check_alpha_mean_modulus(sp, rho, np.zeros(len(sp)), 0.3, [1.5, 3],
+                                             Modulus.identity(1.0)),
+    lambda sp, rho: Space(coords=[[0.0], [1.0], [2.0]], weights=[1.0] * 3,
+                          boundary=[0.5, 2]),
+    lambda sp, rho: Space(metric="graph", edges=[[0, 1.5, 1.0], [1, 2, 1.0]],
+                          weights=[1.0] * 3, boundary=[0, 2])],
+    ids=["ball", "distance", "distances-rows", "distances-cols", "distances-from",
+         "pair-distances", "ball-runs", "balls", "dist-to-boundary", "pair-scan",
+         "measure", "ball-table", "symdiff-first", "symdiff-second", "hull",
+         "empirical-holder", "alpha-mean-value", "alpha-mean-modulus", "boundary",
+         "graph-edge"])
+def test_non_integral_point_indices_are_refused(call):
+    # each read a truncated index: ball(1.5) was point 1's ball, and
+    # ball_symdiff_ratio ended in a bare numpy IndexError
+    sp = interval_grid(9)
+    with pytest.raises(SpaceFormatError, match=r"point indices must be integers, got \[\d\.5"):
+        call(sp, RadiusField.scaled_boundary_distance(sp, 0.4))
+
+
+def test_integral_point_indices_of_any_dtype_are_read():
+    sp = interval_grid(9)
+    assert np.array_equal(sp.ball(2.0, 0.2).members, sp.ball(2, 0.2).members)
+    assert sp.distance(np.float32(1.0), 3.0) == sp.distance(1, 3)
+    assert np.array_equal(sp.distances(np.array([1.0, 4.0])), sp.distances([1, 4]))
+    assert np.array_equal(sp.distances(np.array([1, 4], dtype=np.uint8)), sp.distances([1, 4]))
+    assert sp.measure([]) == 0.0
+    for bad in ("a", None, np.nan, np.inf):
+        with pytest.raises(SpaceFormatError, match="point indices must be integers"):
+            sp.ball(bad, 0.2)
+    with pytest.raises(SpaceFormatError, match=re.escape("unknown point index [9.0, 1e+20, -1.0]")):
+        sp.distances([9, 1e20, -1])
 
 
 def test_matrix_space_distances_work():

@@ -320,6 +320,8 @@ def main(argv=None):
     if args.command == "probe" and args.delta is None:
         args.delta = [0.5, 1.0]
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (SpaceFormatError, ConfigurationError, DisconnectedSpaceError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -460,10 +460,30 @@ class _Euclidean(_Metric):
 
 
 class _Graph(_Metric):
-    """Shortest paths by batched Dijkstra runs over undirected edges, each
-    node pair at its smallest edge weight; self-loops are dropped.  The CSR
-    stores every pair both ways at one weight, so Dijkstra runs directed on
-    it as built, and the pairs (lo < hi, weight) are the Lipschitz block."""
+    """Shortest paths over undirected edges, each node pair at its smallest
+    edge weight; self-loops are dropped.  The pairs (lo < hi, weight) are
+    the Lipschitz block.
+
+    The graph is one CSR built with numpy: row pointers, targets and
+    lengths, every pair stored both ways at its one weight, targets
+    ascending per row.  Boundary distances and the resolution read it
+    directly, so a space whose calls need nothing more (validate) never
+    imports scipy.  Dijkstra rows and connected components run on a
+    scipy csr_matrix of the same arrays, built the first time they are
+    needed (see graph); scipy.sparse.csgraph loads there.
+
+    boundary_distances is a multi-source search by rounds: each round
+    relaxes the out-edges of the points whose distance fell in the previous
+    round, keeps the least candidate per target, and it stops when nothing
+    falls.  It gives the same bits as a multi-source Dijkstra: adding a
+    nonnegative length to a float never lowers it and is monotone, so
+    Dijkstra's settle order (Dijkstra 1959) and this label-correcting order
+    both reach the least left-to-right float sum over paths.  It runs one
+    round per hop of the deepest shortest path, so its cost grows with the
+    hop depth of the shortest-path forest: 3 ms on a 65x65 lattice, 40 ms
+    on a 300x300 one, 0.4 s on a path of 20001 nodes, where Dijkstra takes
+    under 1 ms once scipy is loaded (loading it takes about 0.4 s).
+    """
 
     path_metric = True
 
@@ -479,8 +499,7 @@ class _Graph(_Metric):
             raise SpaceFormatError("negative edge weight")
         self.edges = e
         n = self.n = len(space)
-        # one undirected edge per node pair, at its smallest weight:
-        # csr_matrix would sum parallel and reversed edges
+        # one undirected edge per node pair, at its smallest weight
         i, j = space._indices(e[:, 0]), space._indices(e[:, 1])
         keep = i != j
         if np.any(e[keep, 2] == 0):
@@ -491,11 +510,18 @@ class _Graph(_Metric):
         np.minimum.at(w, slot, e[keep, 2])
         lo, hi = pair // n, pair % n
         self._edge_block = lo, hi, w
+        # the CSR: both directions, sorted by (row, target)
+        order = np.argsort(np.concatenate([pair, hi * n + lo]))
+        rows = np.concatenate([lo, hi])[order]
+        self._csr = (np.searchsorted(rows, np.arange(n + 1)),
+                     np.concatenate([hi, lo])[order], np.concatenate([w, w])[order])
+
+    @functools.cached_property
+    def graph(self):
+        """The CSR as a scipy csr_matrix (scipy.sparse is imported here)."""
         from scipy import sparse
-        self.graph = sparse.csr_matrix(
-            (np.concatenate([w, w]),
-             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-            shape=(n, n))
+        indptr, targets, lengths = self._csr
+        return sparse.csr_matrix((lengths, targets, indptr), shape=(self.n, self.n))
 
     def distances(self, rows, cols=None, limit=np.inf):
         from scipy.sparse.csgraph import dijkstra
@@ -524,9 +550,21 @@ class _Graph(_Metric):
         return self._edge_block
 
     def boundary_distances(self, targets):
-        # one multi-source Dijkstra, inf on a component without targets
-        from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self.graph, indices=targets, directed=True, min_only=True)
+        # rounds of relaxation from the targets (see the class docstring);
+        # inf on a component without targets
+        indptr, to, lengths = self._csr
+        dist = np.full(self.n, np.inf)
+        dist[targets] = 0.0
+        fell = np.unique(targets)
+        while len(fell):
+            a, b = indptr[fell], indptr[fell + 1]
+            edge = run_members(a, b)
+            cand, target = np.repeat(dist[fell], b - a) + lengths[edge], to[edge]
+            lower = cand < dist[target]
+            target, cand = target[lower], cand[lower]
+            np.minimum.at(dist, target, cand)
+            fell = np.unique(target)
+        return dist
 
     def diameter(self):
         """Largest finite distance: the largest diameter of a connected
@@ -539,7 +577,7 @@ class _Graph(_Metric):
                     if len(comp) > 1), default=0.0)
 
     def resolution(self):
-        w = self.graph.data
+        w = self._csr[2]
         return float(w.min()) if w.size else 0.0
 
 
@@ -1209,7 +1247,7 @@ def load_space(path):
 
 def read_id_csv(space, path, column):
     """Per-point values from a CSV with header id,<column>: one finite value
-    for every point id of the space."""
+    for every point id of the space, each id on one row."""
     values = np.empty(len(space))
     seen = np.zeros(len(space), dtype=bool)
     id_to_index = {int(pid): k for k, pid in enumerate(space.ids)}
@@ -1223,12 +1261,14 @@ def read_id_csv(space, path, column):
                 continue
             try:
                 idx = id_to_index[int(row[0])]
-                values[idx] = float(row[1])
+                value = float(row[1])
             except (KeyError, ValueError, IndexError) as exc:
                 raise SpaceFormatError(f"{path}: unknown or invalid id or value in row {row!r}") from exc
-            if not np.isfinite(values[idx]):
+            if seen[idx]:
+                raise SpaceFormatError(f"{path}: duplicate id {space.ids[idx]} in row {row!r}")
+            if not np.isfinite(value):
                 raise SpaceFormatError(f"{path}: non-finite {column} in row {row!r}")
-            seen[idx] = True
+            values[idx], seen[idx] = value, True
     if not seen.all():
         raise SpaceFormatError(f"{path}: missing {column} for some points")
     return values

@@ -41,7 +41,7 @@ def test_workflow_job_has_a_timeout():
 def test_workflow_runs_the_console_script():
     # pyproject.toml declares the pharmonious entry point; the tier-1 tests
     # call cli.main directly, so only these steps run the installed script:
-    # validate, solve, then certify of the solved field
+    # validate, solve, then certify of the solved field, and a graph validate
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
@@ -54,5 +54,7 @@ def test_workflow_runs_the_console_script():
              '--boundary-fn linear --out "$RUNNER_TEMP/smoke"',
              'pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/smoke/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
-             '--out "$RUNNER_TEMP/smoke"']
+             '--out "$RUNNER_TEMP/smoke"',
+             'pharmonious validate --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"']
     assert [run for run in runs if run.startswith("pharmonious ")] == smoke

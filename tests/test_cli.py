@@ -246,6 +246,33 @@ def test_validate_radius_csv_with_unknown_id(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_validate_radius_csv_with_repeated_id(tmp_path, capsys):
+    # the second row for id 2 used to overwrite the first without a word
+    rho = tmp_path / "rho.csv"
+    rho.write_text("id,rho\n0,0.0\n1,0.1\n2,0.1\n2,0.2\n3,0.1\n4,0.0\n")
+    assert run("validate", "--grid", "1d", "--n", 5, "--rho", rho,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
+               "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ")
+    assert "duplicate id 2 in row ['2', '0.2']" in err
+    assert not (tmp_path / "validate.json").exists()
+
+
+def test_certify_field_csv_with_repeated_id(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    field.write_text("id,value\n0,0.0\n1,0.25\n2,3.0\n2,99.0\n3,0.75\n4,1.0\n")
+    assert run("certify", "--grid", "1d", "--n", 5, "--rho-factor", 0.4,
+               "--field", field, "--alpha", 0.3, "--epsilon", 0.5,
+               "--lam", 0.4, "--m", 2, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ")
+    assert "duplicate id 2 in row ['2', '99.0']" in err
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_validate_missing_file(tmp_path):
     assert run("validate", "--grid", "1d", "--n", "17",
                "--rho", tmp_path / "absent.csv",
@@ -643,6 +670,17 @@ def test_threads_flag_does_not_change_fields(tmp_path):
             "--threads", threads, "--out", out)
         outs.append((out / "field.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_is_input_error(tmp_path, capsys, threads):
+    # --threads -3 used to pass and land in the manifest
+    assert run("validate", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
+               "--threads", threads, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: --threads must be at least 1, got {threads}\n"
+    assert not (tmp_path / "validate.json").exists()
 
 
 def test_solve_config_file(tmp_path):

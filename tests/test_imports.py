@@ -1,7 +1,8 @@
 """Which spaces import scipy: lines, raveled 2-D grids and disks run on numpy
-alone, their diameters included; graphs import scipy.sparse; clouds and
-3-D grids the KD-tree of scipy.spatial.  Each check runs in a fresh
-interpreter."""
+alone, their diameters included; graphs are set up on numpy alone, and
+import scipy.sparse at their first Dijkstra row (ball tables, pair scans,
+probes), so a graph validate loads none of it; clouds and 3-D grids take
+the KD-tree of scipy.spatial.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -78,6 +79,37 @@ def test_grid_diameters_load_no_scipy(tmp_path):
                   "d = [s.diameter() for s in (square_grid(33), disk_grid(33),\n"
                   "                            interval_grid(33))]\n"
                   "assert d == [2 ** 0.5, 1.0, 1.0], d\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
+                  cwd=tmp_path) == []
+
+
+def test_graph_validate_runs_without_scipy(tmp_path):
+    calls = json.dumps(pipeline(["--grid", "lattice", "--n", "9"], [])[:1])
+    outputs = {}
+    for mode in ("blocked", "plain"):
+        (tmp_path / mode).mkdir()
+        assert python(PIPELINE, mode, calls, cwd=tmp_path / mode) == []
+        outputs[mode] = (tmp_path / mode / "out" / "validate.json").read_bytes()
+    assert outputs["blocked"] == outputs["plain"]
+
+
+def test_graph_set_up_loads_no_scipy(tmp_path):
+    # what every graph CLI call does before its subcommand: the space, its
+    # boundary distances and the radius field, then the hypothesis checks
+    n = 9
+    points = [{"id": k, "weight": 1.0,
+               "boundary": k // n in (0, n - 1) or k % n in (0, n - 1)}
+              for k in range(n * n)]
+    edges = ([[k, k + 1, 0.125] for k in range(n * n) if k % n < n - 1]
+             + [[k, k + n, 0.125] for k in range(n * n - n)])
+    (tmp_path / "lattice.json").write_text(json.dumps(
+        {"metric": "graph", "points": points, "edges": edges}))
+    assert python("import sys\n"
+                  "from pharmonious import RadiusField, load_space\n"
+                  "from pharmonious.radius import check_hypotheses\n"
+                  "sp = load_space('lattice.json')\n"
+                  "rho = RadiusField.scaled_boundary_distance(sp, 0.4)\n"
+                  "assert not check_hypotheses(sp, rho, 0.3, 0.5, 1.0, 0.4).failed\n"
                   "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
                   cwd=tmp_path) == []
 

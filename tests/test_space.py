@@ -249,6 +249,82 @@ def test_graph_component_without_boundary_reads_inf(random_graph):
     assert np.isfinite(d[:30]).all() and np.isinf(d[30:]).all()
 
 
+def _lattice_document(n):
+    """The n-by-n lattice graph document of the benchmark: points on
+    [0,1]^2 with Lebesgue weights, unit-step edges of length 1/(n-1), the
+    outer frame as boundary and no analytic constants."""
+    h = 1.0 / (n - 1)
+    points, edges = [], []
+    for i in range(n):
+        for j in range(n):
+            k = i * n + j
+            points.append({"id": k, "coords": [i * h, j * h], "weight": h * h,
+                           "boundary": i in (0, n - 1) or j in (0, n - 1)})
+            if i + 1 < n:
+                edges.append([k, k + n, h])
+            if j + 1 < n:
+                edges.append([k, k + 1, h])
+    return {"metric": "graph", "points": points, "edges": edges}
+
+
+def _decades_graph(seed, n=200, m=600, repeats=False, lonely=False):
+    """Random graph with lengths 10^-3 .. 10^3; repeats adds every edge
+    again, reversed, at a new length, plus self-loops; lonely adds a
+    component of five points without a boundary point."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=(2, m))
+    edges = [np.column_stack([i, j, 10.0 ** rng.uniform(-3, 3, m)])]
+    if repeats:
+        loops = rng.integers(0, n, 20)
+        edges += [np.column_stack([j, i, 10.0 ** rng.uniform(-3, 3, m)]),
+                  np.column_stack([loops, loops, rng.uniform(0.5, 2.0, 20)])]
+    else:
+        edges[0] = edges[0][i != j]
+    if lonely:
+        edges.append([[n + k, n + k + 1, 10.0 ** (k - 2)] for k in range(4)])
+    size = n + 5 * lonely
+    return Space(weights=np.ones(size), metric="graph", edges=np.vstack(edges),
+                 boundary=rng.choice(n, 4, replace=False))
+
+
+def _dijkstra_nearest(sp, targets):
+    """scipy's multi-source Dijkstra over the space's edge list, each pair
+    collapsed to its smallest length in Python, self-loops dropped."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import dijkstra
+    least = {}
+    for i, j, w in sp.edges.tolist():
+        if i != j:
+            key = (int(min(i, j)), int(max(i, j)))
+            least[key] = min(w, least.get(key, np.inf))
+    (lo, hi), w = np.array(list(least)).T, np.array(list(least.values()))
+    g = sparse.csr_matrix((np.concatenate([w, w]),
+                           (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                          shape=(len(sp), len(sp)))
+    return dijkstra(g, indices=targets, directed=True, min_only=True)
+
+
+@pytest.mark.parametrize("make, lonely", [
+    (lambda: space_from_dict(_lattice_document(65)), 0), (lambda: path_graph(41), 0),
+    (lambda: lattice_graph(13, 11), 0),
+    *[(lambda s=s: _decades_graph(s), 0) for s in range(3)],
+    (lambda: _decades_graph(3, repeats=True), 0),
+    (lambda: _decades_graph(4, lonely=True), 5)],
+    ids=["lattice65", "path41", "lattice13x11", "decades0", "decades1", "decades2",
+         "repeats_and_loops", "lonely_component"])
+def test_graph_nearest_boundary_equals_dijkstra(make, lonely):
+    # the search by rounds and Dijkstra's settle order reach the same least
+    # float path sum, bit for bit; the last `lonely` points have no path to
+    # the boundary and read inf
+    sp = make()
+    got = sp.boundary_distances()
+    assert np.array_equal(got, _dijkstra_nearest(sp, sp.boundary_indices))
+    assert np.isinf(got[len(sp) - lonely:]).all()
+    targets = np.random.default_rng(len(sp)).choice(len(sp), 3, replace=False)
+    assert np.array_equal(sp._metric.boundary_distances(targets),
+                          _dijkstra_nearest(sp, targets))
+
+
 def test_diameter_2d_is_sqrt2(grid2d_small):
     assert abs(grid2d_small.diameter() - np.sqrt(2.0)) < 1e-15
 

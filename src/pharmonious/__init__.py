@@ -19,7 +19,7 @@ from .operators import (BallTable, CheckRecord, GapPair, ScalarField,
 from .radius import (AdmissibilityReport, HypothesisReport, Modulus,
                      ParameterGate, RadiusField, branch_constants,
                      check_hypotheses, check_radius_bounds, exhaustion,
-                     fit_holder, fit_lipschitz, fit_radius_modulus, hull,
+                     fit_holder, fit_lipschitz, fit_radius_modulus,
                      iterate_modulus, least_concave_majorant,
                      normalize_modulus, read_radius_csv, series_ratio,
                      validate_admissible, validate_parameters,

@@ -42,15 +42,6 @@ class SmoothTestFunction:
         g = self.gradient(x)
         return float(g @ self.hessian(x) @ g)
 
-    def p_laplacian_core(self, x, p):
-        """lap f + (p-2) lap_inf f / |grad f|^2 (the |grad|^(p-2) factor
-        stripped); zero exactly at p-harmonic points with grad != 0."""
-        g = self.gradient(np.asarray(x, dtype=float))
-        g2 = float(g @ g)
-        if g2 == 0.0:
-            raise SpaceFormatError("p-laplacian core needs a nonvanishing gradient")
-        return self.laplacian(x) + (p - 2.0) * self.infinity_laplacian(x) / g2
-
     def self_check(self, x, step=1e-4, rtol=1e-6):
         """Finite-difference consistency of gradient and hessian."""
         x = np.asarray(x, dtype=float)

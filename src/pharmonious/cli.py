@@ -322,6 +322,8 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except (SpaceFormatError, ConfigurationError, DisconnectedSpaceError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -19,6 +19,10 @@ The pair checks (symmetric differences, sup-inf gaps, the iterated mean
 stability bound) take each radius ball from _ball, which searches it once
 per (space, rho, center) and keeps its members on rho.  Sweeps, residuals
 and the single-point means build a BallTable and keep none.
+
+Every field u (a ScalarField or one value per point) and the radius field
+of a BallTable are read through space.point_values, which refuses a
+wrong length, a non-numeric input and a non-finite value by name.
 """
 
 from __future__ import annotations
@@ -31,29 +35,20 @@ import numpy as np
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .radius import Modulus
-from .space import BLOCK_ENTRIES, read_id_csv, run_members, write_id_csv
+from .space import (BLOCK_ENTRIES, point_values, read_id_csv, run_members,
+                    write_id_csv)
 
 
 @dataclass
 class ScalarField:
-    """Real value per point, interior/boundary split inherited from the space."""
+    """Real value per point, interior/boundary split inherited from the
+    space; the values are read by space.point_values."""
 
     space: object
     values: np.ndarray
 
     def __post_init__(self):
-        v = field_values(self.values)
-        if len(v) != len(self.space):
-            raise SpaceFormatError("field length does not match space")
-        self.values = v
-
-
-def field_values(u):
-    """Accept a ScalarField or a bare array; non-finite values are refused."""
-    v = np.asarray(getattr(u, "values", u), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise SpaceFormatError("field contains non-finite values")
-    return v
+        self.values = point_values(self.values, "field", len(self.space))
 
 
 @dataclass
@@ -118,7 +113,7 @@ class BallTable:
             centers = space.interior_indices
         self.space = space
         self.centers = space._indices(centers)
-        radii = rho.values[self.centers]
+        radii = point_values(rho, "radius", len(space))[self.centers]
         if np.any(radii < 0):
             raise AdmissibilityError("negative radius (an empty ball) at points "
                                      f"{self.centers[radii < 0][:10].tolist()}")
@@ -225,13 +220,13 @@ def midrange_value(space, rho, u, x):
 def alpha_mean_value(space, rho, u, x, alpha):
     """alpha * midrange + (1 - alpha) * mean at x; any real alpha."""
     table = BallTable(space, rho, centers=[x])
-    return float(table.alpha_means(field_values(u), alpha)[0])
+    return float(table.alpha_means(point_values(u, "field", len(space)), alpha)[0])
 
 
 def apply_alpha_mean(space, rho, u, alpha, table=None):
     """One synchronous sweep: interior replaced by the alpha-mean values,
     boundary copied unchanged."""
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     if table is None:
         table = BallTable(space, rho)
     out = v.copy()
@@ -278,7 +273,7 @@ def check_mean_stability(space, u, ball1, ball2, rho=None):
     n-fold mean sweeps, with the ORIGINAL sup norm, over the radius balls
     of the two centers) is verified for n = 1..STABILITY_ITERATES.
     """
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     norm = float(np.abs(v).max())
 
     def mean_over(members):
@@ -396,7 +391,8 @@ def hausdorff_gaps(space, rho, x, y, normalized=None):
 
 def oscillation_modulus(space, u, members, seed=0):
     """Least concave majorant of the oscillation scatter of u over the set."""
-    return radius_mod.gap_majorant(space, field_values(u), members, seed)
+    return radius_mod.gap_majorant(space, point_values(u, "field", len(space)),
+                                   members, seed)
 
 
 def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
@@ -418,7 +414,7 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
                            details={"note": f"|alpha| = {abs(alpha)} > 1"})
     slack = 2.0 * space.resolution()
     members = space._indices(members)
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     norm = float(np.abs(v).max())
     normalized = _lipschitz_modulus(space, rho)
     table = BallTable(space, rho, centers=members)
@@ -454,4 +450,4 @@ def read_field_csv(space, path):
 
 
 def write_field_csv(space, values, path):
-    write_id_csv(space, path, "value", field_values(values))
+    write_id_csv(space, path, "value", point_values(values, "field", len(space)))

@@ -5,20 +5,21 @@ bounded by its boundary distance, and vanishes exactly on the boundary.
 Moduli of continuity are concave nondecreasing functions with omega(0)=0;
 the normalized modulus (identity when omega is sub-identity, otherwise
 omega rescaled so the diameter is a fixed point) dominates both t and
-omega(t) and is the object that gets iterated.  The exhaustion K_m and the
-ball hull tie radius decay near the boundary to the nesting of compacts.
+omega(t) and is the object that gets iterated.  The exhaustion K_m ties
+radius decay near the boundary to the nesting of compacts.  Radius values
+and the values of the gap scans are read, and refused when malformed, by
+space.point_values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import SpaceFormatError
-from .space import read_id_csv, write_id_csv
+from .space import point_values, read_id_csv, write_id_csv
 
 
 class Modulus:
@@ -153,17 +154,6 @@ class Modulus:
         ts = np.linspace(0.0, self.domain_end, points)
         return list(zip(ts.tolist(), np.asarray(self(ts)).tolist()))
 
-    def to_json(self):
-        return json.dumps({"breakpoints": self.breakpoint_list(), "kind": self.kind})
-
-    @classmethod
-    def from_json(cls, text):
-        """Rebuild from a breakpoint-array JSON (closed forms come back as
-        their piecewise-linear densification)."""
-        doc = json.loads(text)
-        ts, ys = zip(*doc["breakpoints"])
-        return cls.from_breakpoints(ts, ys)
-
 
 def _staircase(ds, gaps):
     """The points of {(d_i, max(gap_i, 0)) : d_i > 0} that the upper hull of
@@ -269,11 +259,10 @@ class RadiusField:
     """
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if len(bad):  # e.g. scaled distances on a boundaryless component
-            raise SpaceFormatError(f"radius is not finite at {len(bad)} "
-                                   f"points, first {bad[:10].tolist()}")
+        # a read-only copy, so the caller's array stays writable; a radius
+        # that is not finite (the scaled distance on a component without
+        # boundary) is refused
+        v = np.array(point_values(values, "radius"))
         v.flags.writeable = False
         self.values = v
         self._lipschitz_L = None      # clamped to >= 1 for the theory
@@ -317,9 +306,7 @@ class AdmissibilityReport:
 def validate_admissible(space, rho):
     """Check 0 < rho <= dist(.,boundary) on the interior and rho = 0 on the
     boundary; the report lists every violating point."""
-    v = rho.values
-    if len(v) != len(space):
-        raise SpaceFormatError("radius field length does not match space")
+    v = point_values(rho, "radius", len(space))
     d = space.boundary_distances()
     interior = space.interior_indices
     bdry = space.boundary_indices
@@ -330,23 +317,12 @@ def validate_admissible(space, rho):
     return AdmissibilityReport(ok, nonpos, exceeds, nonzero)
 
 
-def _point_values(space, values):
-    """values as a float array of one finite value per point of space."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (len(space),):
-        raise SpaceFormatError(f"values of shape {v.shape} for a space of "
-                               f"{len(space)} points")
-    if not np.all(np.isfinite(v)):
-        raise SpaceFormatError("values are not all finite")
-    return v
-
-
 def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
     """max |values(x) - values(y)| / d(x, y)^exponent over the pair scan of
     members (default: the whole space), as (value, mode, pairs); a sampled
     value is a lower bound for the exact one.  values holds one finite
     value per point of the space."""
-    values = _point_values(space, values)
+    values = point_values(values, "values", len(space))
     scan = space.pair_scan(members, seed, lipschitz=(exponent == 1.0))
     best = 0.0
     for i, j, d in scan.blocks:
@@ -366,7 +342,7 @@ def gap_majorant(space, values, members=None, seed=0):
     _staircase), which no blocking changes, and the hull is taken once,
     over the union's staircase.  values holds one finite value per point
     of the space."""
-    values = _point_values(space, values)
+    values = point_values(values, "values", len(space))
     steps = [_staircase(d, np.abs(values[i] - values[j]))
              for i, j, d in space.pair_scan(members, seed).blocks]
     ts, ys = zip((np.zeros(0), np.zeros(0)), *steps)
@@ -530,7 +506,7 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
     as a gate failure but the pointwise check still runs."""
     d = space.boundary_distances()
     interior = space.interior_indices
-    v = rho.values
+    v = point_values(rho, "radius", len(space))
     lam_cap = max_lambda(space.ell(), beta, epsilon)
     window_ok = 0.0 < lam <= lam_cap
     lower = lam * d[interior] ** beta
@@ -576,7 +552,7 @@ def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
     return HypothesisReport(admissible, bounds, gate, L_mode)
 
 
-# -- exhaustion and hulls --------------------------------------------------------
+# -- exhaustion ------------------------------------------------------------------
 
 
 def exhaustion(space, epsilon, m):
@@ -591,13 +567,6 @@ def exhaustion(space, epsilon, m):
     cut = (1.0 - epsilon) ** m
     mask = (d >= cut) & ~space.boundary_mask
     return np.flatnonzero(mask)
-
-
-def hull(space, rho, members):
-    """Union of the radius balls over the given point set."""
-    members = space._indices(members)
-    balls, _ = space.balls(members, rho.values[members])
-    return np.unique(balls)
 
 
 # -- file format -----------------------------------------------------------------

@@ -30,8 +30,8 @@ from . import radius as radius_mod
 from . import solver as solver_mod
 from .errors import (CertificateResidualError, CertificateScopeError,
                      SeriesDivergenceError, SpaceFormatError)
-from .operators import field_values
 from .radius import Modulus
+from .space import point_values
 
 
 J_CAP = 200   # terms summed before the closed-form tail of the series
@@ -251,7 +251,7 @@ def empirical_holder(space, u, members, delta, seed=0):
     seminorm and is flagged).  Fewer than two points yields 0 with a notice.
     """
     members = space._indices(members)
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     if len(members) < 2:
         return EmpiricalHolder(0.0, "undefined", 0)
     if not 0.0 < delta <= 1.0:
@@ -335,7 +335,7 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     if alpha == 1.0:
         raise CertificateScopeError(
             "alpha = 1 (midrange-only) is outside certificate scope")
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     res = solver_mod.residual(space, rho, v, alpha)
     if not res <= residual_tolerance:
         raise CertificateResidualError(

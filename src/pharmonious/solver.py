@@ -26,7 +26,8 @@ import numpy as np
 from . import operators as ops
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
-from .operators import BallTable, ScalarField, field_values
+from .operators import BallTable, ScalarField
+from .space import point_values
 
 
 # A solve whose residual has set no new minimum for this many sweeps has
@@ -94,21 +95,16 @@ def _normalize_boundary(space, boundary_data):
         raise SpaceFormatError("space has an empty boundary")
     if isinstance(boundary_data, dict):
         try:
-            vals = np.array([boundary_data[int(i)] for i in b], dtype=float)
+            boundary_data = [boundary_data[int(i)] for i in b]
         except KeyError as exc:
             raise SpaceFormatError(f"boundary data missing point {exc}") from exc
-    else:
-        arr = np.asarray(boundary_data, dtype=float)
-        if arr.shape == (len(space),):
-            vals = arr[b]
-        elif arr.shape == (len(b),):
-            vals = arr
-        else:
-            raise SpaceFormatError(
-                f"boundary data length {arr.shape} matches neither the boundary "
-                f"({len(b)}) nor the space ({len(space)})")
-    if not np.all(np.isfinite(vals)):
-        raise SpaceFormatError("boundary data contains non-finite values")
+    vals = point_values(boundary_data, "boundary data")
+    if vals.shape == (len(space),):
+        vals = vals[b]
+    elif vals.shape != (len(b),):
+        raise SpaceFormatError(
+            f"boundary data length {vals.shape} matches neither the boundary "
+            f"({len(b)}) nor the space ({len(space)})")
     return b, vals
 
 
@@ -133,10 +129,7 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
 
     u = np.empty(len(space))
     if config.initial is not None:
-        init = field_values(config.initial)
-        if init.shape != u.shape:
-            raise SpaceFormatError("initial guess length does not match space")
-        u[:] = init
+        u[:] = point_values(config.initial, "initial guess", len(space))
     else:
         u[:] = bvals.mean()
     u[b] = bvals
@@ -193,7 +186,7 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
 
 def residual(space, rho, u, alpha, table=None):
     """Sup-norm defect of the fixed-point equation on the interior."""
-    v = field_values(u)
+    v = point_values(u, "field", len(space))
     if table is None:
         table = BallTable(space, rho)
     if len(table.centers) == 0:

@@ -37,6 +37,11 @@ PROBE_R_MIN_CELLS = 16.0
 # Key searches widen every reach by this factor, so that rounding never
 # drops a strip the closed-form distance puts within reach.
 HAIR = 1.0 + 1e-9
+# Distinct floats differ by more than 1e-156, whose square does not
+# underflow, unless one of them is nonzero and smaller than TINY in
+# magnitude; so only a point with such a coordinate can sit at closed-form
+# distance 0.0 from a distinct point.
+TINY = 1e-140
 
 PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
 PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
@@ -98,6 +103,24 @@ def _as_readonly(a, dtype, what):
         raise SpaceFormatError(f"{what} must be a rectangular array of numbers") from exc
     out.flags.writeable = False
     return out
+
+
+def point_values(values, what, n=None):
+    """values (a ScalarField or RadiusField gives its .values) as a float
+    array, not copied: the one check of per-point input.  Refused, naming
+    what, when not numeric, of a shape other than (n,) when n is given, or
+    not finite."""
+    try:
+        v = np.asarray(getattr(values, "values", values), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpaceFormatError(f"{what} must be an array of numbers") from exc
+    if n is not None and v.shape != (n,):
+        raise SpaceFormatError(f"{what} of shape {v.shape} for a space of {n} points")
+    if not np.isfinite(v).all():
+        bad = np.flatnonzero(~np.isfinite(v))
+        raise SpaceFormatError(f"{what} is not finite at {len(bad)} points, "
+                               f"first {bad[:10].tolist()}")
+    return v
 
 
 def _euclidean(a, b):
@@ -231,7 +254,13 @@ class _Euclidean(_Metric):
             raise SpaceFormatError("euclidean metric requires point coordinates")
         self.coords, self.n = coords, len(coords)
         c = coords[np.lexsort(coords.T)]
-        if np.any(np.all(c[1:] == c[:-1], axis=1)):
+        # equal rows, and distinct rows at distance 0.0 (see TINY): a zero
+        # besides its own in the distance row of a point with a tiny coordinate
+        tiny = np.flatnonzero(np.any((coords != 0) & (np.abs(coords) < TINY), axis=1))
+        step = max(1, BLOCK_ENTRIES // self.n)
+        zeros = sum(np.count_nonzero(self.distances(tiny[lo:lo + step]) == 0)
+                    for lo in range(0, len(tiny), step))
+        if np.any(np.all(c[1:] == c[:-1], axis=1)) or zeros > len(tiny):
             raise SpaceFormatError("duplicate points: zero distance between distinct ids")
 
     def distances(self, rows, cols=None, limit=np.inf):
@@ -648,21 +677,13 @@ class Space:
         bmask = np.zeros(n, dtype=bool)
         bmask[self._indices(boundary)] = True
         self.boundary_mask = _as_readonly(bmask, bool, "boundary")
-        try:
-            with np.errstate(invalid="ignore"):  # 1e20 casts to junk, named below
-                self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
-        except SpaceFormatError:  # name the id the cast refused, such as "1.5"
-            for value in np.ravel(np.array(ids, dtype=object)):
-                _point_id(value)
-            raise
-        if ids is not None:  # the int64 cast truncates 1.7 to 1 and wraps 2**63
-            given = _as_readonly(ids, float, "ids")
-            wrong = given[self.ids != given].tolist()
-            for value in wrong:
-                if abs(value) >= 2 ** 63:  # refused by its range first
-                    _point_id(value)
-            if wrong:
-                raise SpaceFormatError(f"point ids must be integers, got {wrong}")
+        if ids is not None:  # each id read by _point_id, which names a bad one
+            ids = np.array(ids, dtype=object)
+            if ids.shape != (n,):
+                raise SpaceFormatError(f"point ids of shape {ids.shape} for a space "
+                                       f"of {n} points")
+            ids = [_point_id(value) for value in ids.tolist()]
+        self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
         if len(np.unique(self.ids)) != n:
             raise SpaceFormatError("duplicate point ids")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
@@ -811,9 +832,7 @@ class Space:
         Dijkstra at the block's largest radius), holding one block of
         members at most."""
         centers = self._indices(centers)
-        radii = np.asarray(radii, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(radii)):
-            raise SpaceFormatError("ball radius is not finite")
+        radii = point_values(radii, "ball radius", len(centers))
         step = max(1, BLOCK_ENTRIES // self._metric.ball_width())
         parts = [(np.array([], dtype=np.intp),) * 3]
         for lo in range(0, len(centers), step):
@@ -849,10 +868,6 @@ class Space:
             out.flags.writeable = False
             self._bdry_dist = out
         return self._bdry_dist
-
-    def dist_to_boundary(self, x):
-        x = self._check_index(x)
-        return float(self.boundary_distances()[x])
 
     def ell(self):
         """Largest distance to the boundary over the space."""
@@ -1191,8 +1206,6 @@ def space_from_dict(doc):
         raise SpaceFormatError(f"missing required key: {exc}") from exc
     if not isinstance(points, list):
         raise SpaceFormatError("points must be a list of point records")
-    if not points:
-        raise SpaceFormatError("no points")
     ids, weights, coords, boundary = [], [], [], []
     for k, p in enumerate(points):
         try:
@@ -1209,9 +1222,7 @@ def space_from_dict(doc):
             coords.append(p["coords"])
     if coords and len(coords) != len(points):
         raise SpaceFormatError("coords given for some points but not all")
-    id_to_index = {pid: k for k, pid in enumerate(ids)}
-    if len(id_to_index) != len(ids):
-        raise SpaceFormatError("duplicate point ids")
+    id_to_index = {pid: k for k, pid in enumerate(ids)}  # Space refuses repeats
     edges = doc.get("edges")
     if edges is not None:
         # endpoint ids become point indices; Space converts the weights

@@ -273,6 +273,19 @@ def test_certify_field_csv_with_repeated_id(tmp_path, capsys):
     assert not (tmp_path / "certificate.json").exists()
 
 
+def test_certify_short_field_csv_is_input_error(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    field.write_text("id,value\n0,0.0\n1,0.25\n2,0.5\n3,0.75\n")
+    assert run("certify", "--grid", "1d", "--n", 5, "--rho-factor", 0.4,
+               "--field", field, "--alpha", 0.3, "--epsilon", 0.5,
+               "--lam", 0.4, "--m", 2, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ")
+    assert "missing value for some points" in err
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_validate_missing_file(tmp_path):
     assert run("validate", "--grid", "1d", "--n", "17",
                "--rho", tmp_path / "absent.csv",
@@ -681,6 +694,18 @@ def test_threads_below_one_is_input_error(tmp_path, capsys, threads):
     err = capsys.readouterr().err
     assert err == f"input error: --threads must be at least 1, got {threads}\n"
     assert not (tmp_path / "validate.json").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("probe", "--grid", "1d", "--n", 17), "probe.json"),
+    (("validate", "--grid", "1d", "--n", 17, "--rho-factor", 0.4, "--alpha", 0.3,
+      "--epsilon", 0.5, "--lam", 0.4), "validate.json")], ids=["probe", "validate"])
+def test_negative_seed_is_input_error(tmp_path, capsys, argv, output):
+    # probe ended in a ValueError traceback from np.random.default_rng, and
+    # validate exited 0 with "seed": -1 in its manifest
+    assert run(*argv, "--seed", -1, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "input error: --seed must be at least 0, got -1\n"
+    assert not (tmp_path / output).exists()
 
 
 def test_solve_config_file(tmp_path):

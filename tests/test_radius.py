@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pharmonious import (Modulus, RadiusField, Space, SpaceFormatError,
+from pharmonious import (BallTable, Modulus, RadiusField, Space, SpaceFormatError,
                          check_radius_bounds, disk_grid, exhaustion, fit_holder,
-                         fit_lipschitz, fit_radius_modulus, hull,
+                         fit_lipschitz, fit_radius_modulus,
                          interval_grid, iterate_modulus, lattice_graph,
                          least_concave_majorant, normalize_modulus,
                          path_graph, read_radius_csv, square_grid,
@@ -134,8 +134,8 @@ def test_graph_lipschitz_scan_equals_full_pair_scan(graph_and_values):
 
 @pytest.mark.parametrize("fn", [max_gap_ratio, gap_majorant])
 @pytest.mark.parametrize("values, message", [
-    (np.r_[np.nan, np.zeros(32)], "values are not all finite"),
-    (np.r_[np.zeros(32), np.inf], "values are not all finite"),
+    (np.r_[np.nan, np.zeros(32)], r"values is not finite at 1 points, first \[0\]"),
+    (np.r_[np.zeros(32), np.inf], r"values is not finite at 1 points, first \[32\]"),
     (np.linspace(0.0, 1.0, 40), r"values of shape \(40,\) for a space of 33 points"),
     (np.linspace(0.0, 1.0, 20), r"values of shape \(20,\) for a space of 33 points")],
     ids=["nan", "inf", "too-long", "too-short"])
@@ -445,7 +445,13 @@ def test_gate_records_equicontinuity_flag():
     assert gate.equicontinuity_passed
 
 
-# -- exhaustion and hull ---------------------------------------------------------------
+# -- exhaustion and ball hulls -------------------------------------------------------
+
+
+def _ball_hull(space, rho, members):
+    """The union of the radius balls of members, as check_alpha_mean_modulus
+    reads it off its table."""
+    return np.unique(BallTable(space, rho, centers=members).indices)
 
 
 def test_exhaustion_1d_first_two_levels(grid1d):
@@ -484,21 +490,21 @@ def test_hull_single_ball(grid1d):
     rho.values.flags.writeable = True
     rho.values[128] = 0.2
     rho.values.flags.writeable = False
-    members = hull(grid1d, rho, [128])
+    members = _ball_hull(grid1d, rho, [128])
     xs = grid1d.coords[members, 0]
     assert xs.min() >= 0.3 - 1e-12 and xs.max() <= 0.7 + 1e-12
     assert len(members) == len(grid1d.ball(128, 0.2))
 
 
 def test_hull_empty(grid1d, grid1d_rho):
-    assert len(hull(grid1d, grid1d_rho, [])) == 0
+    assert len(_ball_hull(grid1d, grid1d_rho, [])) == 0
 
 
 def test_hull_monotone(grid1d, grid1d_rho):
     g1 = exhaustion(grid1d, 0.5, 1)
     g2 = exhaustion(grid1d, 0.5, 2)
-    h1 = set(hull(grid1d, grid1d_rho, g1))
-    h2 = set(hull(grid1d, grid1d_rho, g2))
+    h1 = set(_ball_hull(grid1d, grid1d_rho, g1))
+    h2 = set(_ball_hull(grid1d, grid1d_rho, g2))
     assert h1 <= h2
 
 
@@ -507,7 +513,7 @@ def test_hull_of_km_inside_next_level(grid1d):
     for m in (1, 2, 3):
         km = exhaustion(grid1d, 0.5, m)
         knext = set(exhaustion(grid1d, 0.5, m + 1))
-        assert set(hull(grid1d, rho, km)) <= knext
+        assert set(_ball_hull(grid1d, rho, km)) <= knext
 
 
 # -- files ------------------------------------------------------------------------
@@ -525,18 +531,6 @@ def test_radius_csv_rejects_bad_header(grid1d, tmp_path):
     path.write_text("point,r\n0,0.1\n")
     with pytest.raises(SpaceFormatError, match="header"):
         read_radius_csv(grid1d, path)
-
-
-def test_modulus_json_round_trip():
-    omega = Modulus.from_breakpoints([0.0, 0.25, 1.0], [0.0, 0.5, 0.8])
-    back = Modulus.from_json(omega.to_json())
-    assert np.array_equal(back.ts, omega.ts)
-    assert np.array_equal(back.ys, omega.ys)
-    # closed forms round-trip through their densification
-    lin = Modulus.capped_linear(2.0, 1.0)
-    back2 = Modulus.from_json(lin.to_json())
-    for t in np.linspace(0, 1, 33):
-        assert abs(back2(t) - lin(t)) < 1e-12
 
 
 def test_interior_connected_under_ball_overlap(grid1d, grid1d_rho):
@@ -615,11 +609,12 @@ def test_normalize_fitted_pwl_modulus(grid1d):
     (lambda: exhaustion(interval_grid(9), 1.0, 1), r"epsilon must be in \(0,1\), got 1.0"),
     (lambda: exhaustion(interval_grid(9), 0.5, 0), "exhaustion index must be >= 1, got 0"),
     (lambda: validate_admissible(interval_grid(9), RadiusField(np.zeros(10))),
-     "radius field length does not match space"),
-    # Space accepts a point 1e-200 from another, whose distance underflows to 0
+     r"radius of shape \(10,\) for a space of 9 points"),
+    # a point 1e-200 from another, whose distance underflows to 0, is
+    # refused where the space is built, before any scan could meet it
     (lambda: max_gap_ratio(Space(coords=[[0.0], [1e-200], [1.0]], weights=[1.0] * 3,
                                  boundary=[0, 2]), [0.0, 1.0, 2.0]),
-     "distinct points at distance zero with differing values")],
+     "duplicate points: zero distance between distinct ids")],
     ids=["negative-domain", "one-breakpoint", "not-at-origin", "repeated-abscissa",
          "decreasing", "convex", "negative-coefficient", "unknown-kind", "exponent",
          "negative-argument", "negative-iterations", "exhaustion-epsilon",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,7 +289,9 @@ def test_certificate_refuses_non_finite_field():
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     u = sp.coords[:, 0].copy()
     u[sp.interior_indices[40]] = np.inf
-    with pytest.raises(SpaceFormatError, match="non-finite"):
+    with pytest.raises(SpaceFormatError,
+                       match=re.escape(f"field is not finite at 1 points, first "
+                                       f"[{sp.interior_indices[40]}]")):
         certify(sp, rho, u, 0.3, 2, epsilon=0.5, beta=1.0, lam=0.4)
 
 

@@ -140,7 +140,7 @@ def test_boundary_data_needs_a_boundary():
 
 def test_solve_refuses_initial_guess_of_the_wrong_length(grid1d, grid1d_rho):
     with pytest.raises(SpaceFormatError,
-                       match="initial guess length does not match space"):
+                       match=r"initial guess of shape \(256,\) for a space of 257 points"):
         solve_dirichlet(grid1d, grid1d_rho, 0.3, {0: 0.0, 256: 1.0},
                         SolveConfig(initial=np.zeros(len(grid1d) - 1)))
 

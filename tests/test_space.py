@@ -10,7 +10,7 @@ from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
                          Modulus, RadiusField, Space, SpaceFormatError,
                          alpha_mean_value, ball_symdiff_ratio,
                          check_alpha_mean_modulus, disk_grid,
-                         empirical_holder, fit_lipschitz, hull,
+                         empirical_holder, fit_lipschitz,
                          interval_grid, lattice_graph, path_graph,
                          space_from_dict, square_grid)
 from pharmonious import space as space_mod
@@ -157,19 +157,21 @@ def test_measure_symdiff_triangle(grid1d, rng):
 
 
 def test_boundary_point_distance_zero(grid1d):
+    d = grid1d.boundary_distances()
     for b in grid1d.boundary_indices:
-        assert grid1d.dist_to_boundary(int(b)) == 0.0
+        assert d[b] == 0.0
 
 
 def test_dist_to_boundary_1d_closed_form():
     sp = interval_grid(11)  # h = 0.1
     x = 3  # the point 0.3
-    assert abs(sp.dist_to_boundary(x) - 0.3) < 1e-15
+    assert abs(sp.boundary_distances()[x] - 0.3) < 1e-15
 
 
 def test_ell_is_half_width(grid1d):
     # oracle: max over the grid of the boundary distance
-    oracle = max(grid1d.dist_to_boundary(int(i)) for i in range(0, len(grid1d), 16))
+    oracle = max(min(grid1d.distance(i, int(b)) for b in grid1d.boundary_indices)
+                 for i in range(0, len(grid1d), 16))
     assert grid1d.ell() == 0.5
     assert grid1d.ell() >= oracle
 
@@ -178,7 +180,7 @@ def test_empty_boundary_is_configuration_error():
     sp = Space(weights=[1.0, 1.0], boundary=[],
                coords=[[0.0], [1.0]], metric="euclidean")
     with pytest.raises(ConfigurationError):
-        sp.dist_to_boundary(0)
+        sp.boundary_distances()
 
 
 def _cloud(dim):
@@ -643,11 +645,8 @@ def test_non_integral_ids_are_refused_by_name():
             space_from_dict(doc(ids, edges))
     line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0]}
     assert Space(**line, ids=[0, "1", 2.0]).ids.tolist() == [0, 1, 2]
-    with pytest.raises(SpaceFormatError, match=r"point ids must be integers, got \[1.7\]"):
-        Space(**line, ids=[0, 1.7, 2])
-    # the int64 cast refuses these before any id check could name them
-    for ids, value in ((["0", "1.5", "2"], "'1.5'"), ([0, "x", 2], "'x'"),
-                       ([0, None, 2], "None")):
+    for ids, value in (([0, 1.7, 2], "1.7"), (["0", "1.5", "2"], "'1.5'"),
+                       ([0, "x", 2], "'x'"), ([0, None, 2], "None")):
         with pytest.raises(SpaceFormatError, match=f"point id {value} is not an integer"):
             Space(**line, ids=ids)
 
@@ -671,7 +670,7 @@ def test_float_array_ids_beyond_int64_are_refused_by_range():
                        (np.array([0, -1e20, 2]), "-1e+20"),
                        (np.array([0, 2.0 ** 63, 2]), "9.223372036854776e+18"),
                        (np.array([0, 2 ** 63, 2], dtype=np.uint64),
-                        "9.223372036854776e+18")):
+                        "9223372036854775808")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpaceFormatError,
@@ -679,10 +678,26 @@ def test_float_array_ids_beyond_int64_are_refused_by_range():
                 Space(**line, ids=ids)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SpaceFormatError, match=re.escape("must be integers, got [nan]")):
+        with pytest.raises(SpaceFormatError, match="point id nan is not an integer"):
             Space(**line, ids=np.array([0, np.nan, 2]))
         assert Space(**line, ids=np.array([0, -2.0 ** 63, 2])).ids.tolist() == \
             [0, -2 ** 63, 2]
+
+
+@pytest.mark.parametrize("coords", [
+    [[0.0], [1e-200], [1.0]],
+    # the pair 0, 2 is not adjacent in the lexicographic order
+    [[0.0, 0.0], [7.0, 5e-201], [0.0, 1e-200]]], ids=["line", "plane"])
+def test_distinct_points_at_distance_zero_are_refused(coords):
+    # these constructed, and distance(0, 1) (on the line) read 0.0
+    with pytest.raises(SpaceFormatError,
+                       match="duplicate points: zero distance between distinct ids"):
+        Space(coords=coords, weights=[1.0] * 3, boundary=[0, 2])
+
+
+def test_tiny_coordinates_apart_are_kept():
+    sp = Space(coords=[[0.0], [1e-150], [1.0]], weights=[1.0] * 3, boundary=[0, 2])
+    assert sp.distance(0, 1) == 1e-150
 
 
 @pytest.mark.parametrize("make, message", [
@@ -703,8 +718,14 @@ def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
     line = {"coords": [[0.0], [1.0], [2.0]], "weights": [1.0] * 3, "boundary": [0, 2]}
     with pytest.raises(SpaceFormatError, match="duplicate point ids"):
         Space(**line, ids=[4, 5, 4])
+    # two ids for three points were refused as "duplicate point ids"
+    for ids, shape in (([0, 1], "(2,)"), ([0, 1, 2, 3], "(4,)"),
+                       ([[0], [1], [2]], "(3, 1)"), (7, "()")):
+        with pytest.raises(SpaceFormatError, match=re.escape(
+                f"point ids of shape {shape} for a space of 3 points")):
+            Space(**line, ids=ids)
     sp = Space(**line)
-    for call in (sp.distances_from, sp.dist_to_boundary, lambda i: sp.ball(i, 1.0)):
+    for call in (sp.distances_from, lambda i: sp.ball(i, 1.0)):
         for bad in (-1, 3):
             with pytest.raises(SpaceFormatError, match=f"unknown point index {bad}"):
                 call(bad)
@@ -719,13 +740,11 @@ def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
     lambda sp, rho: sp.pair_distances([1.5], [2]),
     lambda sp, rho: sp.ball_runs([1.5], [0.2]),
     lambda sp, rho: sp.balls([1.5], [0.2]),
-    lambda sp, rho: sp.dist_to_boundary(1.5),
     lambda sp, rho: sp.pair_scan(members=[0.5, 2.5]),
     lambda sp, rho: sp.measure([1.5]),
     lambda sp, rho: BallTable(sp, rho, centers=[1.5]),
     lambda sp, rho: ball_symdiff_ratio(sp, rho, 1.5, 3),
     lambda sp, rho: ball_symdiff_ratio(sp, rho, 3, 1.5),
-    lambda sp, rho: hull(sp, rho, [1.5]),
     lambda sp, rho: empirical_holder(sp, np.zeros(len(sp)), [0.5, 2.5], 1.0),
     lambda sp, rho: alpha_mean_value(sp, rho, np.zeros(len(sp)), 1.5, 0.3),
     lambda sp, rho: check_alpha_mean_modulus(sp, rho, np.zeros(len(sp)), 0.3, [1.5, 3],
@@ -735,8 +754,8 @@ def test_space_refuses_no_points_duplicate_ids_and_unknown_index():
     lambda sp, rho: Space(metric="graph", edges=[[0, 1.5, 1.0], [1, 2, 1.0]],
                           weights=[1.0] * 3, boundary=[0, 2])],
     ids=["ball", "distance", "distances-rows", "distances-cols", "distances-from",
-         "pair-distances", "ball-runs", "balls", "dist-to-boundary", "pair-scan",
-         "measure", "ball-table", "symdiff-first", "symdiff-second", "hull",
+         "pair-distances", "ball-runs", "balls", "pair-scan",
+         "measure", "ball-table", "symdiff-first", "symdiff-second",
          "empirical-holder", "alpha-mean-value", "alpha-mean-modulus", "boundary",
          "graph-edge"])
 def test_non_integral_point_indices_are_refused(call):
@@ -768,7 +787,7 @@ def test_matrix_space_distances_work():
                                      _point(2, boundary=True)],
                           "matrix": m})
     assert sp.distance(0, 2) == 2.0
-    assert sp.dist_to_boundary(1) == 1.0
+    assert sp.boundary_distances()[1] == 1.0
 
 
 # -- the metric layer -------------------------------------------------------------

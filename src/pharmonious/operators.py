@@ -106,7 +106,10 @@ class BallTable:
     """The radius balls of the given centers, as Space.ball_runs computes
     them: each distinct index run once and each ball's list of runs, with
     the member count (counts, starts) and measure (weight_sums) per ball.
-    A negative radius is refused: its ball is empty and has no mean."""
+    A negative radius is refused: its ball is empty and has no mean.
+
+    A table is not for concurrent use: every sweep fills the same buffers
+    (see _buffers)."""
 
     def __init__(self, space, rho, centers=None):
         if centers is None:
@@ -120,20 +123,21 @@ class BallTable:
         a, b, runs, self.counts = space.ball_runs(self.centers, radii)
         self._first_run = np.cumsum(runs) - runs
         self.starts = np.cumsum(self.counts) - self.counts
+        self.weight_sums = self._weight_sums(a, b)
         n = len(space)
-        # each distinct run once, in ascending order of (a, b); a run is
-        # most often the shortest distinct one from its start
-        key = a * (n + 1) + b
+        # each distinct run once, in ascending order of (a, b); the key
+        # a * (n + 1) + b is built in place over a, and b is dropped
+        key = a
+        key *= n + 1
+        key += b
+        del a, b
         distinct = np.sort(key)
         first = np.ones(len(key), dtype=bool)
         np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
         distinct = distinct[first]
+        self._ball_runs = np.searchsorted(distinct, key)
+        del key
         self._run_a, self._run_b = np.divmod(distinct, n + 1)
-        which = np.searchsorted(self._run_a, np.arange(n))[a]
-        other = np.flatnonzero(self._run_b[which] != b)
-        which[other] = np.searchsorted(distinct, key[other])
-        self._ball_runs = which
-        self.weight_sums = self._weight_sums(a, b)
         # sparse-table level k = floor(log2(run length)): the run is covered
         # by the two windows of length 2^k starting at a and at b - 2^k
         level = np.frexp(self._run_b - self._run_a)[1].astype(np.intp) - 1
@@ -149,62 +153,99 @@ class BallTable:
         return run_members(self._run_a[self._ball_runs],
                            self._run_b[self._ball_runs])
 
+    @functools.cached_property
+    def _buffers(self):
+        """What a sweep fills, allocated at the first: the (levels, n)
+        sparse table (for the max, then the min, then the weighted
+        deviations), two arrays per distinct run, one per membership and
+        the n + 1 prefix sums."""
+        n, runs = len(self.space), len(self._run_a)
+        return (np.empty((self._levels, n)), np.empty(runs), np.empty(runs),
+                np.empty(len(self._ball_runs)), np.empty(n + 1))
+
     def _weight_sums(self, a, b):
         """mu(B) per ball from its runs [a, b), summed member by member
         (np.add.reduceat over its ascending members), one block of balls at
-        a time."""
+        a time.  Every block lists its members and their weights into the
+        same two buffers: a block allocated and freed per pass is faulted in
+        afresh whenever malloc hands its pages back in between."""
         out = np.empty(len(self.centers))
+        member_cuts = np.append(self.starts, self.counts.sum())
         cuts = np.unique(np.searchsorted(
-            self.starts, np.arange(0, self.counts.sum(), BLOCK_ENTRIES)))
+            self.starts, np.arange(0, member_cuts[-1], BLOCK_ENTRIES)))
+        cuts = np.append(cuts, len(self.centers))
         run_cuts = np.append(self._first_run, len(a))
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(self.centers))):
+        size = int(np.diff(member_cuts[cuts]).max(initial=0))
+        members, weights = np.empty(size, dtype=np.intp), np.empty(size)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            k = member_cuts[hi] - member_cuts[lo]
             runs = slice(run_cuts[lo], run_cuts[hi])
             out[lo:hi] = np.add.reduceat(
-                self.space.weights[run_members(a[runs], b[runs])],
+                np.take(self.space.weights,
+                        run_members(a[runs], b[runs], out=members[:k]),
+                        out=weights[:k], mode="clip"),
                 self.starts[lo:hi] - self.starts[lo])
         return out
 
-    def _run_extrema(self, values):
-        """Max and min of the field over each ball, from a sparse table whose
-        level k holds the extrema of the windows [i, i + 2^k)."""
+    def _per_ball(self, source, first, second, combine, reduce):
+        """reduce over each ball's runs of combine(source[first],
+        source[second]), one value per distinct run, in the sweep buffers."""
+        _, one, two, members, _ = self._buffers
+        # np.take writes to out in place only under mode="clip" (under
+        # "raise" numpy buffers it); every index is the table's own
+        np.take(source, first, out=one, mode="clip")
+        np.take(source, second, out=two, mode="clip")
+        return reduce.reduceat(
+            np.take(combine(one, two, out=one), self._ball_runs, out=members,
+                    mode="clip"),
+            self._first_run)
+
+    def _extremum(self, ufunc, values):
+        """ufunc (np.maximum or np.minimum) of the field over each ball, from
+        a sparse table whose level k holds it over the windows [i, i + 2^k)."""
+        table = self._buffers[0]
         n = len(self.space)
-        top = np.empty((self._levels, n))
-        bottom = np.empty((self._levels, n))
-        top[0] = bottom[0] = values
+        table[0] = values
         for k in range(1, self._levels):
             half, m = 1 << (k - 1), n - (1 << k) + 1
-            np.maximum(top[k - 1, :m], top[k - 1, half:half + m],
-                       out=top[k, :m])
-            np.minimum(bottom[k - 1, :m], bottom[k - 1, half:half + m],
-                       out=bottom[k, :m])
-        top, bottom = top.ravel(), bottom.ravel()
-        lo, hi, runs = self._query_lo, self._query_hi, self._ball_runs
-        return (np.maximum.reduceat(np.maximum(top[lo], top[hi])[runs],
-                                    self._first_run),
-                np.minimum.reduceat(np.minimum(bottom[lo], bottom[hi])[runs],
-                                    self._first_run))
+            ufunc(table[k - 1, :m], table[k - 1, half:half + m], out=table[k, :m])
+        return self._per_ball(table.reshape(-1), self._query_lo, self._query_hi,
+                              ufunc, ufunc)
 
     def alpha_means(self, values, alpha):
-        top, bottom = self._run_extrema(values)
+        top = self._extremum(np.maximum, values)
+        bottom = self._extremum(np.minimum, values)
         s = 0.5 * (top + bottom)
         if alpha == 1.0:
             return s
+        constant = top == bottom
+        del bottom
+        table, prefix = self._buffers[0], self._buffers[-1]
         # less the global midrange: the rounding scales with the oscillation
         # of u, not with its offset
-        deltas = values - (0.5 * values.max() + 0.5 * values.min())
-        prefix = np.zeros(len(values) + 1)
-        np.cumsum(self.space.weights * deltas, out=prefix[1:])
-        totals = np.add.reduceat(
-            (prefix[self._run_b] - prefix[self._run_a])[self._ball_runs],
-            self._first_run)
-        # centered form, as a correction to the center value
-        center_deltas = deltas[self.centers]
-        m = values[self.centers] + (totals - center_deltas * self.weight_sums) \
-            / self.weight_sums
-        m = np.where(top == bottom, top, m)
+        mid = 0.5 * values.max() + 0.5 * values.min()
+        deltas = np.subtract(values, mid, out=table[0])
+        prefix[0] = 0.0
+        np.cumsum(np.multiply(self.space.weights, deltas, out=deltas),
+                  out=prefix[1:])
+        totals = self._per_ball(prefix, self._run_b, self._run_a, np.subtract,
+                                np.add)
+        # centered form, as a correction to the center value:
+        # center + (totals - (center - mid) * mu(B)) / mu(B), in place
+        center = values[self.centers]
+        m = np.subtract(center, mid)
+        m *= self.weight_sums
+        np.subtract(totals, m, out=m)
+        del totals
+        m /= self.weight_sums
+        m += center
+        np.copyto(m, top, where=constant)
         if alpha == 0.0:
             return m
-        return m + alpha * (s - m)
+        s -= m  # m + alpha * (s - m), in place
+        s *= alpha
+        m += s
+        return m
 
 
 def mean_value(space, rho, u, x):
@@ -239,8 +280,12 @@ def apply_alpha_mean(space, rho, u, alpha, table=None):
 
 def _ball(space, rho, x):
     """Members of the radius ball of x, searched once per (space, rho, x):
-    rho's values are immutable, so the ball is kept on rho, per space."""
-    balls = rho.balls.setdefault(space, {})
+    rho's values are immutable, so the ball is kept on rho, per space,
+    once they are read as one radius per point of the space."""
+    if space not in rho.balls:
+        point_values(rho, "radius", len(space))
+        rho.balls[space] = {}
+    balls = rho.balls[space]
     x = space._check_index(x)  # before rho[x] reads it: 1.5 is no index
     if x not in balls:
         balls[x] = space.ball(x, rho[x]).members

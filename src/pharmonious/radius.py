@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import SpaceFormatError
-from .space import point_values, read_id_csv, write_id_csv
+from .space import HAIR, point_values, read_id_csv, write_id_csv
 
 
 class Modulus:
@@ -266,8 +266,9 @@ class RadiusField:
         v.flags.writeable = False
         self.values = v
         self._lipschitz_L = None      # clamped to >= 1 for the theory
-        self.raw_lipschitz = None     # the actual fitted slope
-        self.lipschitz_mode = None    # exact or sampled (the fit), supplied
+        self.raw_lipschitz = None     # the actual fitted or analytic slope
+        self.lipschitz_mode = None    # exact or sampled (the fit), analytic,
+                                      # supplied
         self.lipschitz_pairs = 0      # pairs that scan compared
         self.holder_fits = {}         # gamma -> coefficient
         self.balls = {}               # space -> {center: ball members}
@@ -287,9 +288,22 @@ class RadiusField:
     @classmethod
     def scaled_boundary_distance(cls, space, factor, power=1.0):
         """rho(x) = factor * dist(x, boundary)**power; admissible for
-        0 < factor <= 1 and power >= 1 on bounded domains with ell <= 1."""
+        0 < factor <= 1 and power >= 1 on bounded domains with ell <= 1.
+
+        dist(., boundary) is 1-Lipschitz in every metric space (the triangle
+        inequality), so for power >= 1 the field records its Lipschitz bound
+        with no scan (lipschitz_mode "analytic"): |factor| at power 1 and
+        |factor| * power * ell**(power - 1) above (ell = space.ell()), each
+        widened by a HAIR against rounding.  A power below 1 is not Lipschitz
+        at the boundary; check_hypotheses fits it."""
         d = space.boundary_distances()
-        return cls(factor * d ** power if power != 1.0 else factor * d)
+        rho = cls(factor * d ** power if power != 1.0 else factor * d)
+        if power >= 1.0:
+            rho.raw_lipschitz = abs(factor) * power \
+                * space.ell() ** (power - 1.0) * HAIR
+            rho.lipschitz_L = max(1.0, rho.raw_lipschitz)
+            rho.lipschitz_mode = "analytic"
+        return rho
 
 
 @dataclass
@@ -327,9 +341,7 @@ def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
     best = 0.0
     for i, j, d in scan.blocks:
         dv = np.abs(values[i] - values[j])
-        if np.any((d == 0) & (dv > 0) & (i != j)):
-            raise SpaceFormatError("distinct points at distance zero with differing values")
-        mask = d > 0
+        mask = d > 0  # d is 0 only where i == j: distinct points are apart
         best = max(best, float((dv[mask] / d[mask] ** exponent).max(initial=0.0)))
     return best, scan.mode, scan.pairs
 
@@ -520,7 +532,8 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
 @dataclass
 class HypothesisReport:
     """Every hypothesis of the closed-form Holder bound on one (space, rho),
-    with the provenance of L: the fit's exact or sampled scan, or supplied."""
+    with the provenance of L: the fit's exact or sampled scan, the analytic
+    bound of a scaled boundary distance, or supplied."""
 
     admissible: AdmissibilityReport
     radius_bounds: RadiusBoundsReport
@@ -541,7 +554,8 @@ class HypothesisReport:
 def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
                      L=None, seed=0):
     """Admissibility of rho, lambda dist^beta <= rho <= epsilon dist and the
-    parameter gate at L: the one given, else rho's own, else a fit."""
+    parameter gate at L: the one given, else rho's own (supplied, fitted or
+    analytic), else a fit."""
     admissible = validate_admissible(space, rho)
     bounds = check_radius_bounds(space, rho, lam, beta, epsilon)
     L_mode = "supplied"

@@ -323,7 +323,8 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     checks them), the closed-form Holder bound on the m-th exhaustion set
     (nan unless every hypothesis holds), the measured seminorm there, and
     the provenance of every constant (L_mode: the fit's exact or sampled
-    pair scan, or "supplied" for a hand-set rho.lipschitz_L).  The
+    pair scan, "analytic" for a scaled boundary distance, or "supplied" for
+    a hand-set rho.lipschitz_L).  The
     midrange-only case alpha = 1 is out of certificate scope; a field whose
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder

@@ -35,7 +35,8 @@ SAMPLED_PAIRS = 1_000_000
 # resolutions, where a ball's measure is dominated by single cells.
 PROBE_R_MIN_CELLS = 16.0
 # Key searches widen every reach by this factor, so that rounding never
-# drops a strip the closed-form distance puts within reach.
+# drops a strip the closed-form distance puts within reach; an analytic
+# Lipschitz bound is widened by it against the rounding of its field.
 HAIR = 1.0 + 1e-9
 # Distinct floats differ by more than 1e-156, whose square does not
 # underflow, unless one of them is nonzero and smaller than TINY in
@@ -161,18 +162,21 @@ def _merge_runs(owner, a, b):
     return owner[at], a[at], b[np.append(at[1:], len(a)) - 1]
 
 
-def run_members(a, b):
+def run_members(a, b, out=None):
     """The point indices of the runs [a, b), concatenated in run order: a
     running sum of steps of one that jumps from each run's end to the next
-    run's start.  Empty runs add nothing."""
+    run's start.  Empty runs add nothing.  out, when given, is an intp
+    array of exactly that many entries, filled in place."""
     keep = b > a
     a, b = a[keep], b[keep]
     ends = np.cumsum(b - a)
-    step = np.ones(int(ends[-1]) if len(ends) else 0, dtype=np.intp)
+    step = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.intp) \
+        if out is None else out
+    step.fill(1)
     if len(step):
         step[0] = a[0]
         step[ends[:-1]] = a[1:] - b[:-1] + 1
-    return np.cumsum(step)
+    return np.cumsum(step, out=step)
 
 
 # -- metric backends -------------------------------------------------------------
@@ -830,18 +834,24 @@ class Space:
         non-finite one is refused.  The backend searches one block of
         centers at a time (see _Euclidean.ball_intervals; graphs stop
         Dijkstra at the block's largest radius), holding one block of
-        members at most."""
+        members at most.  a and b are new arrays, the caller's to overwrite
+        (BallTable builds its key over a)."""
         centers = self._indices(centers)
         radii = point_values(radii, "ball radius", len(centers))
         step = max(1, BLOCK_ENTRIES // self._metric.ball_width())
-        parts = [(np.array([], dtype=np.intp),) * 3]
+        a, b, runs, counts = ([np.zeros(0, np.intp)] for _ in range(4))
         for lo in range(0, len(centers), step):
-            owner, a, b = _merge_runs(*self._metric.ball_intervals(
-                centers[lo:lo + step], radii[lo:lo + step]))
-            parts.append((owner + lo, a, b))
-        owner, a, b = (np.concatenate(p) for p in zip(*parts))
-        return (a, b, np.bincount(owner, minlength=len(centers)),
-                np.bincount(owner, b - a, len(centers)).astype(np.intp))
+            block = centers[lo:lo + step]
+            owner, a_k, b_k = _merge_runs(*self._metric.ball_intervals(
+                block, radii[lo:lo + step]))
+            a.append(a_k)
+            b.append(b_k)
+            runs.append(np.bincount(owner, minlength=len(block)))
+            counts.append(np.bincount(owner, b_k - a_k, len(block)).astype(np.intp))
+        # one list of parts at a time, each dropped as it is joined
+        a = np.concatenate(a)
+        b = np.concatenate(b)
+        return a, b, np.concatenate(runs), np.concatenate(counts)
 
     def ball(self, x, r):
         if r < 0:

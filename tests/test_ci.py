@@ -41,8 +41,9 @@ def test_workflow_job_has_a_timeout():
 def test_workflow_runs_the_console_script():
     # pyproject.toml declares the pharmonious entry point; the tier-1 tests
     # call cli.main directly, so only these steps run the installed script:
-    # validate, solve, then certify of the solved field, a graph validate,
-    # and a validate whose negative seed must exit 2
+    # validate, a check that it recorded the analytic L, solve, then
+    # certify of the solved field, a graph validate, and a validate whose
+    # negative seed must exit 2
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
@@ -51,6 +52,7 @@ def test_workflow_runs_the_console_script():
             if line.strip().startswith("run:")]
     smoke = ['pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"',
+             'grep -q \'"L_mode": "analytic"\' "$RUNNER_TEMP/smoke/validate.json"',
              'pharmonious solve --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--boundary-fn linear --out "$RUNNER_TEMP/smoke"',
              'pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -60,4 +62,5 @@ def test_workflow_runs_the_console_script():
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"',
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --seed -1; then exit 1; else test $? -eq 2; fi']
-    assert [run for run in runs if "pharmonious " in run] == smoke
+    assert [run for run in runs
+            if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run] == smoke

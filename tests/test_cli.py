@@ -198,14 +198,24 @@ def test_validate_good_setup(tmp_path):
 
 
 def test_validate_records_how_L_was_obtained(tmp_path):
+    # --rho-factor: the analytic bound of a scaled boundary distance; the
+    # same radii read from a CSV: the exact fit
     args = ["validate", "--grid", "2d", "--n", "17", "--rho-factor", 0.4,
             "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4, "--out", tmp_path]
     assert run(*args) == 0
     assert json.loads((tmp_path / "validate.json").read_text())["L_mode"] \
-        == "exact"
+        == "analytic"
     assert run(*args, "--L", 1.0) == 0
     assert json.loads((tmp_path / "validate.json").read_text())["L_mode"] \
         == "supplied"
+    sp = square_grid(17)
+    write_radius_csv(sp, RadiusField.scaled_boundary_distance(sp, 0.4),
+                     tmp_path / "rho.csv")
+    assert run("validate", "--grid", "2d", "--n", "17", "--rho", tmp_path / "rho.csv",
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
+               "--out", tmp_path) == 0
+    assert json.loads((tmp_path / "validate.json").read_text())["L_mode"] \
+        == "exact"
 
 
 def test_validate_gate_failure_names_condition(tmp_path, capsys):

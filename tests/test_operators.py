@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,19 @@ def test_pair_checks_refuse_a_negative_radius_every_time(grid1d):
             ball_symdiff_ratio(grid1d, rho, 100, 101)
 
 
+@pytest.mark.parametrize("check", [
+    lambda sp, rho: ball_symdiff_ratio(sp, rho, 40, 41),
+    lambda sp, rho: check_symdiff_bounds(sp, rho, 40, 41, 1.0, 1.0, 1.0, 0.1)],
+    ids=["symdiff-ratio", "symdiff-bounds"])
+@pytest.mark.parametrize("n", [84, 50])
+def test_pair_checks_refuse_a_radius_field_of_another_length(check, n):
+    # the balls read rho[x] of any field: ball_symdiff_ratio returned 2.0
+    # for an 84-point field on 81 points, and a 50-point one gave a ratio
+    with pytest.raises(SpaceFormatError,
+                       match=rf"radius of shape \({n},\) for a space of 81 points"):
+        check(square_grid(9), RadiusField(np.full(n, 0.1)))
+
+
 # -- scalar fields and files ---------------------------------------------------------
 
 
@@ -630,6 +644,32 @@ def test_ball_table_refuses_a_negative_radius(point):
     values[point] = -0.1
     with pytest.raises(AdmissibilityError, match=rf"at points \[{point}\]"):
         BallTable(sp, RadiusField(values))
+
+
+def test_ball_table_build_and_sweeps_hold_little_memory():
+    # the build held 12.9 MB above what it keeps (the blocks' owners, a and
+    # b joined at once, then the dedupe's key, sort and which), and every
+    # sweep allocated 4.8 MB of run and membership temporaries
+    sp = square_grid(129)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    tracemalloc.start()
+    try:
+        table = BallTable(sp, rho)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < kept + 6e6, (kept, peak)
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, len(sp)) / 3.0
+    first = table.alpha_means(u, 0.3)  # allocates the sweep buffers
+    table.alpha_means(np.cos(u), 0.3)  # the buffers carry nothing over
+    tracemalloc.start()
+    try:
+        again = table.alpha_means(u, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert np.array_equal(first, again)
 
 
 def test_strips_are_the_rows_of_a_raveled_grid():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pharmonious import (BallTable, Modulus, RadiusField, Space, SpaceFormatError,
-                         check_radius_bounds, disk_grid, exhaustion, fit_holder,
+                         check_hypotheses, check_radius_bounds, disk_grid,
+                         exhaustion, fit_holder,
                          fit_lipschitz, fit_radius_modulus,
                          interval_grid, iterate_modulus, lattice_graph,
                          least_concave_majorant, normalize_modulus,
@@ -98,6 +99,59 @@ def test_lipschitz_fit_records_scan_mode(n, mode):
     else:
         assert 0.99 * space_mod.SAMPLED_PAIRS < rho.lipschitz_pairs \
             <= space_mod.SAMPLED_PAIRS
+
+
+def _disk_cloud(n=1500, seed=0):
+    """n seeded uniform points of the disk of radius 0.5, the outer ring
+    0.45 < |x| as boundary."""
+    rng = np.random.default_rng(seed)
+    r, theta = 0.5 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, n)
+    return Space(coords=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                 weights=np.full(n, 1.0 / n), boundary=np.flatnonzero(r > 0.45))
+
+
+@pytest.fixture(scope="module", params=["square", "disk", "lattice", "path", "cloud"])
+def analytic_space(request):
+    return {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
+            "lattice": lambda: lattice_graph(17, 17),
+            "path": lambda: path_graph(41), "cloud": _disk_cloud}[request.param]()
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.4, 1.0])
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_analytic_lipschitz_bound_dominates_the_exact_scan(analytic_space, factor,
+                                                           power, monkeypatch):
+    # dist(., boundary) is 1-Lipschitz, so factor * dist**power has slope at
+    # most factor * power * ell**(power - 1); the exact scan read
+    # 0.40000000000000036 at factor 0.4 on square_grid(33), hence the HAIR
+    sp = analytic_space
+    rho = RadiusField.scaled_boundary_distance(sp, factor, power)
+    exact, mode, _ = max_gap_ratio(sp, rho.values)
+    assert mode == "exact"
+    assert rho.lipschitz_mode == "analytic" and rho.lipschitz_pairs == 0
+    assert exact <= rho.raw_lipschitz <= factor * power * sp.ell() ** (power - 1.0) \
+        * space_mod.HAIR
+    assert rho.lipschitz_L == max(1.0, rho.raw_lipschitz)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a pair scan ran")
+    monkeypatch.setattr(Space, "pair_scan", no_scan)
+    hyp = check_hypotheses(sp, rho, 0.3, 0.5, 1.0, 0.4)
+    assert hyp.L_mode == "analytic" and hyp.gate.L == rho.lipschitz_L
+
+
+def test_root_powers_and_plain_radius_fields_still_scan():
+    sp = square_grid(17)
+    scaled = RadiusField.scaled_boundary_distance(sp, 0.4)
+    for rho in (RadiusField.scaled_boundary_distance(sp, 0.4, 0.5),
+                RadiusField(scaled.values)):
+        assert rho.lipschitz_mode is None
+        hyp = check_hypotheses(sp, rho, 0.3, 0.5, 1.0, 0.4)
+        assert hyp.L_mode == "exact"
+        assert rho.lipschitz_pairs == len(sp) * (len(sp) - 1) // 2
+    # an explicit fit of an analytic field scans and records its mode
+    fit_lipschitz(sp, scaled)
+    assert scaled.lipschitz_mode == "exact" and scaled.lipschitz_pairs > 0
 
 
 def _full_scan_max_ratio(sp, values, exponent):

@@ -336,7 +336,10 @@ def test_certificate_records_how_L_was_obtained():
     sp = square_grid(17)
     u = np.full(len(sp), 0.5)
     kwargs = dict(epsilon=0.5, beta=1.0, lam=0.4)
-    fitted = RadiusField.scaled_boundary_distance(sp, 0.4)
+    analytic = RadiusField.scaled_boundary_distance(sp, 0.4)
+    cert = certify(sp, analytic, u, 0.3, 2, **kwargs)
+    assert cert.constants["L_mode"] == "analytic"
+    fitted = RadiusField(analytic.values)  # as a radius CSV gives it
     cert = certify(sp, fitted, u, 0.3, 2, **kwargs)
     assert cert.constants["L_mode"] == "exact"
     supplied = RadiusField.scaled_boundary_distance(sp, 0.4)

@@ -866,6 +866,11 @@ def test_run_members_skips_empty_runs(a, b):
     want = [i for lo, hi in zip(a, b) for i in range(lo, hi)]
     got = space_mod.run_members(np.array(a, dtype=np.intp), np.array(b, dtype=np.intp))
     assert got.tolist() == want
+    # filled in place, over whatever out held
+    out = np.full(len(want), -7, dtype=np.intp)
+    got = space_mod.run_members(np.array(a, dtype=np.intp), np.array(b, dtype=np.intp),
+                                out=out)
+    assert got is out and out.tolist() == want
 
 
 def test_parallel_and_reversed_edges_collapse_to_smallest_weight(random_graph):

@@ -35,7 +35,7 @@ import numpy as np
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .radius import Modulus
-from .space import (BLOCK_ENTRIES, point_values, read_id_csv, run_members,
+from .space import (block_cuts, point_values, read_id_csv, run_members,
                     write_id_csv)
 
 
@@ -166,14 +166,13 @@ class BallTable:
     def _weight_sums(self, a, b):
         """mu(B) per ball from its runs [a, b), summed member by member
         (np.add.reduceat over its ascending members), one block of balls at
-        a time.  Every block lists its members and their weights into the
-        same two buffers: a block allocated and freed per pass is faulted in
-        afresh whenever malloc hands its pages back in between."""
+        a time, cut by their member counts (see space.block_cuts).  Every
+        block lists its members and their weights into the same two buffers:
+        a block allocated and freed per pass is faulted in afresh whenever
+        malloc hands its pages back in between."""
         out = np.empty(len(self.centers))
         member_cuts = np.append(self.starts, self.counts.sum())
-        cuts = np.unique(np.searchsorted(
-            self.starts, np.arange(0, member_cuts[-1], BLOCK_ENTRIES)))
-        cuts = np.append(cuts, len(self.centers))
+        cuts = block_cuts(self.counts)
         run_cuts = np.append(self._first_run, len(a))
         size = int(np.diff(member_cuts[cuts]).max(initial=0))
         members, weights = np.empty(size, dtype=np.intp), np.empty(size)

@@ -12,7 +12,10 @@ level-(m+j) family modulus evaluated at the j-fold composition of nm,
 scaled by (1-alpha) ||u||_inf; with a Lipschitz radius the series sums in
 closed form to (Holder constant) * t^delta.  A certificate compares that
 closed-form bound against the measured Holder seminorm of a solved field
-and records every constant with provenance.
+and records every constant with provenance.  It scales the bound by the
+half-oscillation (max u - min u) / 2, not by max |u|: the alpha-mean
+operator commutes with adding a constant, so u - c is a fixed point with
+u's seminorm, and c = the midrange of u gives sup |u - c| = osc(u) / 2.
 
 The same family bounds the sweep iterates: the n-sweep oscillation bound,
 the finite-j root-test margin and the equicontinuity parameter gate.
@@ -272,7 +275,7 @@ class RegularityCertificate:
     constants: dict
     residual: float
     alpha: float
-    norm_u: float
+    half_oscillation: float
 
     gate = property(lambda self: self.hypotheses.gate)
 
@@ -289,7 +292,7 @@ class RegularityCertificate:
             "constants": self.constants,
             "residual": self.residual,
             "alpha": self.alpha,
-            "norm_u": self.norm_u,
+            "half_oscillation": self.half_oscillation,
         }
 
 
@@ -347,7 +350,8 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
                                       delta, seed=seed)
     L = hyp.gate.L
     C = branch_constant(L, constants["D_delta"], constants["D_mu"], delta)
-    norm_u = float(np.abs(v).max())
+    # the sup norm of the fixed point u - midrange (see the module docstring)
+    half_oscillation = 0.5 * (float(v.max()) - float(v.min()))
     exponent = gamma * delta if alpha == 0.0 else delta
     members = radius_mod.exhaustion(space, epsilon, m)
     emp = empirical_holder(space, v, members, exponent, seed=seed)
@@ -355,7 +359,7 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     if not hyp.failed:
         theo = certified_holder_constant(
             m, alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam,
-            delta=delta, norm_u=norm_u, C=C, ell_omega=space.ell())
+            delta=delta, norm_u=half_oscillation, C=C, ell_omega=space.ell())
     passed = bool(not hyp.failed and math.isfinite(theo) and emp.value <= theo)
     cdict = {"C": C, "D_delta": constants["D_delta"],
              "D_mu": constants["D_mu"], "source": constants["source"],
@@ -364,5 +368,5 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
         hypotheses=hyp, m=m, delta=delta, exponent=exponent,
         theoretical_constant=theo, empirical_constant=emp.value,
         empirical_mode=emp.mode, passed=passed, constants=cdict,
-        residual=res, alpha=alpha, norm_u=norm_u,
+        residual=res, alpha=alpha, half_oscillation=half_oscillation,
     )

@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 
-# Dense distance blocks hold about this many entries (rows * points).
-BLOCK_ENTRIES = 1 << 18
+# The one scratch budget: a block of work holds about this many entries
+# per array (512 KiB of float64), each stage counting the entries it
+# allocates (see block_rows and block_cuts).
+BLOCK_ENTRIES = 1 << 16
 # Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
 # SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
 # most BLOCK_ENTRIES // 4 pairs.
@@ -124,6 +126,25 @@ def point_values(values, what, n=None):
     return v
 
 
+def block_rows(width):
+    """Rows of width entries each that one block holds: BLOCK_ENTRIES //
+    width, at least one."""
+    return max(1, BLOCK_ENTRIES // width)
+
+
+def block_cuts(sizes):
+    """Cuts 0 = c_0 < ... < c_k = len(sizes) into blocks of consecutive
+    items, an item holding sizes[i] entries: each block starts at the first
+    item whose running start reaches the next multiple of BLOCK_ENTRIES, so
+    it holds fewer than BLOCK_ENTRIES entries plus its last item's."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(ends[-1]) if len(ends) else 0
+    return np.unique(np.concatenate([
+        [0], np.searchsorted(starts, np.arange(0, total, BLOCK_ENTRIES)),
+        [len(sizes)]]))
+
+
 def _euclidean(a, b):
     """Closed-form Euclidean distance between broadcast coordinate arrays.
 
@@ -185,16 +206,21 @@ def run_members(a, b, out=None):
 class _Metric:
     """A metric backend checks its input, holds its data and answers the
     queries of Space on checked point indices.  ball_intervals gives each
-    ball's member intervals [a, b) and ball_width the entries one center's
-    search holds; path_metric marks shortest-path distances.  The defaults
-    read balls off dense distance blocks, know no Lipschitz edge block and
-    find the diameter from a few distance rows (see diameter)."""
+    ball's member intervals [a, b), ball_width the entries each center's
+    search holds and row_width the entries of one row of distances(rows,
+    cols); path_metric marks shortest-path distances.  The defaults read
+    balls off dense distance blocks, slice only the columns asked for, know
+    no Lipschitz edge block and find the diameter from a few distance rows
+    (see diameter)."""
 
     path_metric = False
     edges = None
 
-    def ball_width(self):
-        return self.n
+    def ball_width(self, centers, radii):
+        return np.full(len(centers), self.n)
+
+    def row_width(self, cols):
+        return self.n if cols is None else len(cols)
 
     def pair_order(self, members, a):
         """The order in which a sampled scan visits its pairs, whose sources
@@ -245,7 +271,7 @@ class _Metric:
             batch = comp[order[taken:taken + size]]
             found = max(found, float(self.distances(batch, cols).max()))
             taken += len(batch)
-            size = min(2 * size, max(1, BLOCK_ENTRIES // self.n))
+            size = min(2 * size, block_rows(self.row_width(cols)))
         return found
 
 
@@ -261,7 +287,7 @@ class _Euclidean(_Metric):
         # equal rows, and distinct rows at distance 0.0 (see TINY): a zero
         # besides its own in the distance row of a point with a tiny coordinate
         tiny = np.flatnonzero(np.any((coords != 0) & (np.abs(coords) < TINY), axis=1))
-        step = max(1, BLOCK_ENTRIES // self.n)
+        step = block_rows(self.n)
         zeros = sum(np.count_nonzero(self.distances(tiny[lo:lo + step]) == 0)
                     for lo in range(0, len(tiny), step))
         if np.any(np.all(c[1:] == c[:-1], axis=1)) or zeros > len(tiny):
@@ -276,9 +302,13 @@ class _Euclidean(_Metric):
         return _euclidean(np.take(self.coords, i, axis=0),
                           np.take(self.coords, j, axis=0))
 
-    def ball_width(self):
-        # a center has at most one candidate per strip
-        return len(self._strips[0]) - 1
+    def ball_width(self, centers, radii):
+        # a center meets a strip at most once; one-point strips (a cloud)
+        # are bounded by the keys within reach in the first column (see near)
+        bounds, _, keys, _, near, _ = self._strips
+        if len(bounds) > self.n:
+            return near(keys[centers], radii, counts=True)
+        return np.full(len(centers), len(bounds) - 1)
 
     def boundary_distances(self, targets):
         return self._strips[5](targets)
@@ -326,14 +356,25 @@ class _Euclidean(_Metric):
     def _near_keys(self, keys):
         """(near, nearest) for strips with these keys: near(at, reach) ->
         (owner, k), for each row of at the rows k of keys within reach of it
-        (widened by HAIR), ascending; nearest(targets), every point's
-        distance to its nearest target, as distances() gives it.
+        (widened by HAIR), ascending; near(at, reach, counts=True), per row
+        of at, how many keys lie within reach in the first column alone: as
+        many (one column) or more; nearest(targets), every point's distance
+        to its nearest target, as distances() gives it.
 
         One key column is searched by a searchsorted over the sorted keys
         (a ball's candidates re-sorted only when the key order is not the
         row order), and nearest is _strip_nearest.  More columns take
         KD-trees (scipy is imported here): nearest is the closed-form
         minimum over the targets within a HAIR of the tree's distance."""
+        order = np.argsort(keys[:, 0], kind="stable")
+        sorted_keys = keys[order, 0]
+
+        def slab(at, reach):
+            # [lo, hi) of the sorted first key column within reach of at's
+            at, reach = at[:, 0], reach * HAIR
+            lo = np.searchsorted(sorted_keys, at - reach)
+            return lo, np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
+
         if keys.shape[1] > 1:
             from scipy.spatial import cKDTree
             tree = cKDTree(keys)
@@ -346,16 +387,20 @@ class _Euclidean(_Metric):
                 out = np.full(self.n, np.inf)
                 np.minimum.at(out, owner, self.pair_distances(targets[near], owner))
                 return out
-            return (lambda at, reach: _flatten(tree.query_ball_point(
-                at, reach * HAIR, return_sorted=True))), nearest
-        order = np.argsort(keys[:, 0], kind="stable")
-        sorted_keys = keys[order, 0]
+
+            def near(at, reach, counts=False):
+                if counts:
+                    lo, hi = slab(at, reach)
+                    return hi - lo
+                return _flatten(tree.query_ball_point(at, reach * HAIR,
+                                                      return_sorted=True))
+            return near, nearest
         ordered = bool(np.all(order[1:] > order[:-1]))
 
-        def near(at, reach):
-            at, reach = at[:, 0], reach * HAIR
-            lo = np.searchsorted(sorted_keys, at - reach)
-            hi = np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
+        def near(at, reach, counts=False):
+            lo, hi = slab(at, reach)
+            if counts:
+                return hi - lo
             owner = np.repeat(np.arange(len(at)), hi - lo)
             k = run_members(lo, hi)
             if ordered:
@@ -556,6 +601,10 @@ class _Graph(_Metric):
         indptr, targets, lengths = self._csr
         return sparse.csr_matrix((lengths, targets, indptr), shape=(self.n, self.n))
 
+    def row_width(self, cols):
+        # Dijkstra rows are whole rows, sliced after
+        return self.n
+
     def distances(self, rows, cols=None, limit=np.inf):
         from scipy.sparse.csgraph import dijkstra
         block = dijkstra(self.graph, indices=rows, directed=True, limit=limit)
@@ -572,7 +621,7 @@ class _Graph(_Metric):
         order = np.argsort(i, kind="stable")
         sources, first = np.unique(i[order], return_index=True)
         first = np.append(first, len(i))
-        step = max(1, BLOCK_ENTRIES // self.n)
+        step = block_rows(self.n)
         for lo in range(0, len(sources), step):
             rows = sources[lo:lo + step]
             s = order[first[lo]:first[lo + len(rows)]]
@@ -640,8 +689,7 @@ class _Matrix(_Metric):
         self.matrix = m
 
     def distances(self, rows, cols=None, limit=np.inf):
-        block = self.matrix[rows]
-        return block if cols is None else block[:, cols]
+        return self.matrix[rows] if cols is None else self.matrix[np.ix_(rows, cols)]
 
     def pair_distances(self, i, j):
         return self.matrix[i, j]
@@ -762,11 +810,16 @@ class Space:
 
     def _exact_blocks(self, members):
         """(i, j, d) blocks of row slices of members against the members
-        from the slice on: every unordered pair appears at least once."""
-        step = max(1, BLOCK_ENTRIES // len(self))
-        for lo in range(0, len(members), step):
-            rows, cols = members[lo:lo + step], members[lo:]
+        from the slice on: every unordered pair appears at least once.  Each
+        slice takes the rows of the backend's row width that one block holds
+        (see _Metric.row_width), so the slices lengthen as the columns
+        shrink."""
+        lo = 0
+        while lo < len(members):
+            cols = members[lo:]
+            rows = cols[:block_rows(self._metric.row_width(cols))]
             yield rows[:, None], cols[None, :], self.distances(rows, cols)
+            lo += len(rows)
 
     def pair_distances(self, i, j):
         """d(i[k], j[k]) for paired index arrays."""
@@ -802,7 +855,7 @@ class Space:
         a = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
         b = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
         order = self._metric.pair_order(members, a)
-        step = max(1, BLOCK_ENTRIES // 4)
+        step = block_rows(4)
         starts = range(0, len(a), step)
 
         def pairs(lo):
@@ -833,25 +886,29 @@ class Space:
         runs and of members.  A negative radius gives an empty ball; a
         non-finite one is refused.  The backend searches one block of
         centers at a time (see _Euclidean.ball_intervals; graphs stop
-        Dijkstra at the block's largest radius), holding one block of
-        members at most.  a and b are new arrays, the caller's to overwrite
-        (BallTable builds its key over a)."""
+        Dijkstra at the block's largest radius), the blocks cut by the
+        entries each center's search holds (see block_cuts and
+        _Metric.ball_width).  a and b are new arrays, the caller's to
+        overwrite (BallTable builds its key over a)."""
         centers = self._indices(centers)
         radii = point_values(radii, "ball radius", len(centers))
-        step = max(1, BLOCK_ENTRIES // self._metric.ball_width())
-        a, b, runs, counts = ([np.zeros(0, np.intp)] for _ in range(4))
-        for lo in range(0, len(centers), step):
-            block = centers[lo:lo + step]
+        cuts = block_cuts(self._metric.ball_width(centers, radii))
+        # runs and counts are filled in place: small per-block parts of them,
+        # left between the parts of a and b, kept the heap from shrinking
+        # once those were joined
+        runs, counts = np.empty(len(centers), np.intp), np.empty(len(centers), np.intp)
+        a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             owner, a_k, b_k = _merge_runs(*self._metric.ball_intervals(
-                block, radii[lo:lo + step]))
+                centers[lo:hi], radii[lo:hi]))
             a.append(a_k)
             b.append(b_k)
-            runs.append(np.bincount(owner, minlength=len(block)))
-            counts.append(np.bincount(owner, b_k - a_k, len(block)).astype(np.intp))
+            runs[lo:hi] = np.bincount(owner, minlength=hi - lo)
+            counts[lo:hi] = np.bincount(owner, b_k - a_k, hi - lo)
         # one list of parts at a time, each dropped as it is joined
         a = np.concatenate(a)
         b = np.concatenate(b)
-        return a, b, np.concatenate(runs), np.concatenate(counts)
+        return a, b, runs, counts
 
     def ball(self, x, r):
         if r < 0:

@@ -187,7 +187,7 @@ def test_criterion_05_certificate_and_refinement(ref_2d_65):
             # the closed-form bound with the analytic 2D constants
             expect = certified_holder_constant(
                 m, alpha=alpha, L=1.0, epsilon=eps, beta=beta, lam=lam,
-                delta=delta, norm_u=cert.norm_u, C=64.0, ell_omega=0.5)
+                delta=delta, norm_u=cert.half_oscillation, C=64.0, ell_omega=0.5)
             assert abs(cert.theoretical_constant - expect) < 1e-9
             return cert
 

@@ -1,0 +1,139 @@
+"""One scratch budget, space.BLOCK_ENTRIES: every stage reads it at call
+time, so one patch reaches them all, and no result depends on it."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pharmonious import (BallTable, RadiusField, Space, disk_grid,
+                         empirical_holder, exhaustion, lattice_graph,
+                         path_graph, square_grid)
+from pharmonious import space as space_mod
+from pharmonious.radius import gap_majorant, max_gap_ratio
+
+TINY = 37  # entries per block: most blocks hold one row, ball or pair
+
+
+def _disk_cloud(n=500, seed=4):
+    rng = np.random.default_rng(seed)
+    r, theta = 0.5 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, n)
+    return Space(coords=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                 weights=np.full(n, 1.0 / n), boundary=np.flatnonzero(r > 0.45))
+
+
+SPACES = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
+          "lattice": lambda: lattice_graph(17, 17), "path": lambda: path_graph(41),
+          "cloud": _disk_cloud}
+
+
+def _everything(make, monkeypatch):
+    """Every blocked result on a fresh space: ball-table arrays, alpha
+    means, exact and sampled pair reductions, the Holder scan and the
+    diameter."""
+    sp = make()
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    table = BallTable(sp, rho)
+    u = np.sin(7.0 * np.arange(len(sp)) / len(sp)) / 3.0
+    out = {name: getattr(table, name) for name in (
+        "centers", "counts", "starts", "weight_sums", "indices", "_first_run",
+        "_ball_runs", "_run_a", "_run_b", "_query_lo", "_query_hi")}
+    for alpha in (0.0, 0.3, 1.0):
+        out[f"alpha_means {alpha}"] = table.alpha_means(u, alpha)
+    members = sp.interior_indices
+    for mode, limit in (("exact", space_mod.EXACT_PAIR_LIMIT), ("sampled", 10)):
+        with monkeypatch.context() as m:
+            m.setattr(space_mod, "EXACT_PAIR_LIMIT", limit)
+            m.setattr(space_mod, "SAMPLED_PAIRS", 3000)
+            for exponent in (1.0, 0.5):
+                ratio = max_gap_ratio(sp, u, exponent, members, seed=3)
+                assert ratio[1] == mode
+                out[f"max_gap_ratio {mode} {exponent}"] = ratio
+            omega = gap_majorant(sp, u, members, seed=3)
+            out[f"gap_majorant {mode}"] = (omega.ts, omega.ys)
+            out[f"empirical_holder {mode}"] = empirical_holder(sp, u, members, 0.5, seed=3)
+    out["diameter"] = sp.diameter()
+    return out
+
+
+def _bits(value):
+    """value to compare bit for bit: tuples item by item, strings as they
+    are, numbers and arrays by dtype, shape and bytes."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, str):
+        return value
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_no_result_depends_on_the_budget(name, monkeypatch):
+    make = SPACES[name]
+    whole = _everything(make, monkeypatch)
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", TINY)
+    sp = make()
+    assert len(list(sp._exact_blocks(np.arange(len(sp))))) > len(sp) // 2
+    tiny = _everything(make, monkeypatch)
+    assert whole.keys() == tiny.keys()
+    for key, value in whole.items():
+        assert _bits(value) == _bits(tiny[key]), key
+
+
+def test_block_cuts_hold_the_budget_plus_one_item(monkeypatch):
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 100)
+    rng = np.random.default_rng(0)
+    for sizes in (rng.integers(0, 40, 500), rng.integers(0, 400, 50),
+                  np.zeros(7, int), np.zeros(0, int), np.full(9, 100)):
+        cuts = space_mod.block_cuts(sizes)
+        assert cuts[0] == 0 and cuts[-1] == len(sizes)
+        assert np.all(np.diff(cuts) > 0)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            assert sizes[lo:hi].sum() < 100 + sizes[hi - 1]
+
+
+def _traced(call):
+    """(kept, peak) bytes traced over call(), its result kept."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 (kept while the memory is read)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def _benchmark_lattice():
+    # the benchmark's 65x65 lattice: edges 1/64 long, scipy loaded
+    sp = lattice_graph(65, 65, edge_weight=1.0 / 64)
+    sp.distances([0])
+    return sp
+
+
+def test_lattice_table_build_holds_little_above_what_it_keeps():
+    # the weight sums listed all 233,433 members and weights in one block
+    # and the Dijkstra ball search took 62 rows a block: 4.7 MB above kept
+    sp = _benchmark_lattice()
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    kept, peak = _traced(lambda: BallTable(sp, rho))
+    assert peak < kept + 1.5e6, (kept, peak)
+
+
+def test_lattice_holder_scan_holds_little():
+    # 1,089 points: 62 whole Dijkstra rows a block peaked at 3.8 MB
+    sp = _benchmark_lattice()
+    members = exhaustion(sp, 0.5, 2)
+    assert len(members) == 1089
+    u = np.random.default_rng(1).uniform(size=len(sp))
+    _, peak = _traced(lambda: empirical_holder(sp, u, members, 1.0))
+    assert peak < 1.5e6, peak
+
+
+def test_exact_blocks_fill_the_budget():
+    # a Euclidean block is rows x the members from its first row on; sized
+    # by the whole space, the 129^2 K_2 set took 15 rows a block throughout,
+    # down to 375 entries
+    sp = square_grid(129)
+    members = exhaustion(sp, 0.5, 2)
+    sizes = [d.size for _, _, d in sp._exact_blocks(members)]
+    assert max(sizes) <= space_mod.BLOCK_ENTRIES
+    assert min(sizes[:-1]) >= space_mod.BLOCK_ENTRIES // 2

@@ -42,8 +42,8 @@ def test_workflow_runs_the_console_script():
     # pyproject.toml declares the pharmonious entry point; the tier-1 tests
     # call cli.main directly, so only these steps run the installed script:
     # validate, a check that it recorded the analytic L, solve, then
-    # certify of the solved field, a graph validate, and a validate whose
-    # negative seed must exit 2
+    # certify of the solved field; on a lattice graph validate, the boundary
+    # CSV, solve and certify; and a validate whose negative seed must exit 2
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
@@ -52,7 +52,7 @@ def test_workflow_runs_the_console_script():
             if line.strip().startswith("run:")]
     smoke = ['pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"',
-             'grep -q \'"L_mode": "analytic"\' "$RUNNER_TEMP/smoke/validate.json"',
+             'grep -qE \'"L_mode":[[:space:]]+"analytic"\' "$RUNNER_TEMP/smoke/validate.json"',
              'pharmonious solve --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--boundary-fn linear --out "$RUNNER_TEMP/smoke"',
              'pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -60,7 +60,25 @@ def test_workflow_runs_the_console_script():
              '--out "$RUNNER_TEMP/smoke"',
              'pharmonious validate --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"',
+             'python -c "print(\'id,value\'); print(*(f\'{k},{(k // 9 - k % 9) / 8}\' '
+             'for k in range(81)), sep=chr(10))" > "$RUNNER_TEMP/graph/boundary.csv"',
+             'pharmonious solve --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
+             '--boundary "$RUNNER_TEMP/graph/boundary.csv" --out "$RUNNER_TEMP/graph"',
+             'pharmonious certify --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/graph/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
+             '--out "$RUNNER_TEMP/graph"',
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --seed -1; then exit 1; else test $? -eq 2; fi']
     assert [run for run in runs
-            if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run] == smoke
+            if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
+            or "$RUNNER_TEMP/graph" in run] == smoke
+
+
+def test_workflow_run_lines_are_plain_yaml_scalars():
+    # a plain YAML scalar ends at ": " and at " #": the grep for
+    # '"L_mode": "analytic"' made the whole workflow fail to parse
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    for line in workflow.splitlines():
+        if line.strip().startswith("run:"):
+            value = line.strip()[len("run:"):].strip()
+            assert value == "|" or (": " not in value and " #" not in value), line

@@ -436,7 +436,9 @@ def test_certify_linear_fixed_point(tmp_path):
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert doc["pass"]
     assert doc["empirical_constant"] == 1.0
-    assert abs(doc["theoretical_constant"] - 140.0) < 1e-9
+    # the bound scales with the half-oscillation of x on [0, 1], 1/2
+    assert doc["half_oscillation"] == 0.5
+    assert abs(doc["theoretical_constant"] - 70.0) < 1e-9
 
 
 def test_certify_alpha_one_scope(tmp_path, capsys):

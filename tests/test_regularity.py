@@ -266,7 +266,8 @@ def test_certificate_linear_fixed_point_passes(grid1d, grid1d_rho):
     assert cert.passed
     assert cert.gate.passed
     assert cert.empirical_constant == 1.0
-    assert cert.theoretical_constant > 100.0
+    assert cert.half_oscillation == 0.5  # u = x on [0, 1]
+    assert cert.theoretical_constant > 50.0
     assert cert.constants["source"] == "analytic"
     assert cert.residual == 0.0
 
@@ -382,7 +383,30 @@ def test_certificate_solved_nonconstant_2d(grid2d_65):
                    lam=0.4, residual_tolerance=1e-8)
     assert cert.passed
     assert cert.empirical_constant > 1.0  # genuinely nonconstant field
-    assert abs(cert.theoretical_constant - 1120.0 * cert.norm_u) < 1e-9
+    assert abs(cert.theoretical_constant - 1120.0 * cert.half_oscillation) < 1e-9
+
+
+
+@pytest.mark.parametrize("shift", [1000.0, -1000.0])
+def test_a_constant_shift_leaves_the_certificate_alone(shift):
+    # T_alpha(u + c) = T_alpha u + c, so the bound scales with the
+    # half-oscillation of the field, which no shift moves (max |u| did)
+    sp = square_grid(33)
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    g = sp.coords[:, 0] ** 2 - sp.coords[:, 1] ** 2
+    rep = solve_dirichlet(sp, rho, 0.0, g[sp.boundary_indices],
+                          SolveConfig(tolerance=1e-10, initial=g))
+    args = dict(epsilon=0.5, beta=1.0, lam=0.1)
+    cert = certify(sp, rho, rep.field, 0.0, 2, **args)
+    moved = certify(sp, rho, rep.field.values + shift, 0.0, 2, **args)
+    assert cert.passed and moved.passed
+    assert cert.half_oscillation == 0.5 * (g.max() - g.min())
+    assert abs(moved.theoretical_constant - cert.theoretical_constant) \
+        <= 1e-12 * cert.theoretical_constant
+    assert moved.to_dict()["half_oscillation"] == pytest.approx(
+        cert.half_oscillation, rel=1e-12)
+    assert abs(moved.empirical_constant - cert.empirical_constant) \
+        <= 1e-9 * cert.empirical_constant
 
 
 def _family(**kw):

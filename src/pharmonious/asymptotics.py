@@ -178,6 +178,8 @@ def _prepare(f, x, radii, h):
     if x.shape != (f.dim,):
         raise SpaceFormatError(f"point has dimension {x.shape}, function needs {f.dim}")
     radii = sorted((float(r) for r in radii), reverse=True)
+    if not (np.isfinite(x).all() and np.isfinite(radii).all()):
+        raise SpaceFormatError(f"point {x.tolist()} and radii {radii} must be finite")
     if len(radii) < 2 or radii[-1] <= 0:
         raise SpaceFormatError("need at least two positive radii")
     if h is None:
@@ -200,17 +202,17 @@ def _lattice_ball(x, rho, h, dim):
     return x[None, :] + h * K[inside]
 
 
-def _quotients(f, x, radii, h, kind):
+def _quotients(f, x, radii, h, kinds):
+    """{kind: [(the kind's reduction of f over the ball - f(x)) / rho^2 per
+    radius]} for kinds among "mean" and "midrange": each lattice ball is
+    built, and f evaluated on it, once."""
     fx = f.value(x[None, :])[0]
-    out = []
+    out = {kind: [] for kind in kinds}
     for rho in radii:
-        pts = _lattice_ball(x, rho, h, f.dim)
-        vals = f.value(pts)
-        if kind == "mean":
-            q = (vals.mean() - fx) / rho ** 2
-        else:
-            q = (0.5 * (vals.max() + vals.min()) - fx) / rho ** 2
-        out.append(float(q))
+        vals = f.value(_lattice_ball(x, rho, h, f.dim))
+        for kind in kinds:
+            reduced = vals.mean() if kind == "mean" else 0.5 * (vals.max() + vals.min())
+            out[kind].append(float((reduced - fx) / rho ** 2))
     return out
 
 
@@ -224,34 +226,48 @@ def _extrapolate(radii, quotients):
     return richardson_limit(ratio ** 2, list(quotients))
 
 
+def _expansion(mode, f, x, radii, h, alpha=None, details=None):
+    """The ExpansionResult of mode "mean", "midrange" or "p", the
+    alpha-blend of the two, whose details add both quotient lists.  The
+    midrange and the blend refuse a point with vanishing gradient (their
+    prediction needs |grad f| > 0)."""
+    x, radii, h = _prepare(f, x, radii, h)
+    kinds = ("mean", "midrange") if mode == "p" else (mode,)
+    if "midrange" in kinds:
+        g = np.asarray(f.gradient(x), dtype=float)
+        g2 = float(g @ g)
+        if g2 <= 1e-16:
+            raise SpaceFormatError(f"{'blend' if mode == 'p' else mode} expansion "
+                                   "needs a nonvanishing gradient at the point")
+    q = _quotients(f, x, radii, h, kinds)
+    if mode == "mean":
+        quotients, predicted = q["mean"], f.laplacian(x) / (2.0 * (f.dim + 2.0))
+    elif mode == "midrange":
+        quotients, predicted = q["midrange"], f.infinity_laplacian(x) / (2.0 * g2)
+    else:
+        quotients = [alpha * qm + (1.0 - alpha) * qa
+                     for qm, qa in zip(q["midrange"], q["mean"])]
+        predicted = alpha * f.infinity_laplacian(x) / (2.0 * g2) \
+            + (1.0 - alpha) * f.laplacian(x) / (2.0 * (f.dim + 2.0))
+        details = {**details, "mean_quotients": q["mean"],
+                   "midrange_quotients": q["midrange"]}
+    extrap = _extrapolate(radii, quotients)
+    floor = h / min(radii) if mode == "mean" else h / min(radii) ** 2
+    rel = abs(extrap) if predicted == 0.0 else \
+        abs(extrap - predicted) / abs(predicted)
+    return ExpansionResult(mode, radii, quotients, extrap, predicted, rel, h,
+                           floor, details or {})
+
+
 def expansion_mean(f, x, radii, h=None):
     """Mean-expansion quotients and their limit vs lap(f)/(2(n+2))."""
-    x, radii, h = _prepare(f, x, radii, h)
-    quotients = _quotients(f, x, radii, h, "mean")
-    extrap = _extrapolate(radii, quotients)
-    predicted = f.laplacian(x) / (2.0 * (f.dim + 2.0))
-    rel = _relative_error(extrap, predicted)
-    return ExpansionResult("mean", radii, quotients, extrap, predicted, rel, h,
-                           floor_estimate=h / min(radii))
+    return _expansion("mean", f, x, radii, h)
 
 
 def expansion_midrange(f, x, radii, h=None):
-    """Midrange-expansion quotients vs lap_inf(f)/(2 |grad f|^2).
-
-    Refuses points with vanishing gradient (the prediction needs
-    |grad f| > 0)."""
-    x, radii, h = _prepare(f, x, radii, h)
-    g = np.asarray(f.gradient(x), dtype=float)
-    g2 = float(g @ g)
-    if g2 <= 1e-16:
-        raise SpaceFormatError(
-            "midrange expansion needs a nonvanishing gradient at the point")
-    quotients = _quotients(f, x, radii, h, "midrange")
-    extrap = _extrapolate(radii, quotients)
-    predicted = f.infinity_laplacian(x) / (2.0 * g2)
-    rel = _relative_error(extrap, predicted)
-    return ExpansionResult("midrange", radii, quotients, extrap, predicted, rel,
-                           h, floor_estimate=h / min(radii) ** 2)
+    """Midrange-expansion quotients vs lap_inf(f)/(2 |grad f|^2); refuses
+    points with vanishing gradient."""
+    return _expansion("midrange", f, x, radii, h)
 
 
 def expansion_p(f, x, p, n, radii, h=None):
@@ -262,28 +278,4 @@ def expansion_p(f, x, p, n, radii, h=None):
     the predicted limit vanishes exactly at p-harmonic points.
     """
     alpha = alpha_from_p(p, n)
-    x, radii, h = _prepare(f, x, radii, h)
-    g = np.asarray(f.gradient(x), dtype=float)
-    g2 = float(g @ g)
-    if g2 <= 1e-16:
-        raise SpaceFormatError(
-            "blend expansion needs a nonvanishing gradient at the point")
-    q_mean = _quotients(f, x, radii, h, "mean")
-    q_mid = _quotients(f, x, radii, h, "midrange")
-    quotients = [alpha * qm + (1.0 - alpha) * qa
-                 for qm, qa in zip(q_mid, q_mean)]
-    extrap = _extrapolate(radii, quotients)
-    predicted = alpha * f.infinity_laplacian(x) / (2.0 * g2) \
-        + (1.0 - alpha) * f.laplacian(x) / (2.0 * (f.dim + 2.0))
-    rel = _relative_error(extrap, predicted)
-    return ExpansionResult("p", radii, quotients, extrap, predicted, rel, h,
-                           floor_estimate=h / min(radii) ** 2,
-                           details={"p": p, "alpha": alpha,
-                                    "mean_quotients": q_mean,
-                                    "midrange_quotients": q_mid})
-
-
-def _relative_error(measured, predicted):
-    if predicted == 0.0:
-        return abs(measured)
-    return abs(measured - predicted) / abs(predicted)
+    return _expansion("p", f, x, radii, h, alpha, {"p": p, "alpha": alpha})

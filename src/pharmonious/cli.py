@@ -106,6 +106,15 @@ def _boundary_values(args, space):
                             space.boundary_indices)
 
 
+def _numbers(flag, text):
+    """The comma-separated numbers of an option's value."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise SpaceFormatError(f"{flag} must be comma-separated numbers, "
+                               f"got {text!r}") from exc
+
+
 def _manifest(args):
     return {
         "command": args.command,
@@ -129,6 +138,8 @@ def _write_json(path, doc):
 
 
 def cmd_probe(args):
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     space = _build_space(args)
     report = space.probe_report(samples=args.samples, seed=args.seed,
                                 deltas=tuple(args.delta))
@@ -221,8 +232,8 @@ def cmd_certify(args):
 
 
 def cmd_asymptotics(args):
-    x = np.array([float(v) for v in args.x.split(",")])
-    radii = [float(v) for v in args.radii.split(",")]
+    x = np.array(_numbers("--x", args.x))
+    radii = _numbers("--radii", args.radii)
     f = asymptotics.test_function(args.fn, args.n)
     if args.mode == "mean":
         result = asymptotics.expansion_mean(f, x, radii)

@@ -394,8 +394,8 @@ def series_ratio(alpha, L, epsilon, beta, delta, gamma=1.0):
     """Term ratio of the fixed-point series while the normalized-modulus
     iterates grow like L^j t: L^(gamma delta) |alpha| (1-epsilon)^(-beta delta)
     (at L = 1 the ratio once they are capped at the diameter); inf outside
-    0 < epsilon < 1."""
-    if not 0.0 < epsilon < 1.0:
+    0 < epsilon < 1 and at L < 0, whose fractional powers are complex."""
+    if not 0.0 < epsilon < 1.0 or L < 0.0:
         return math.inf
     return L ** (gamma * delta) * abs(alpha) * (1.0 - epsilon) ** (-beta * delta)
 
@@ -457,13 +457,16 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
     equicontinuity, the same gate without the lambda window) is recorded as
     a separate flag, and the geometric series ratio
     L^delta |alpha| (1-eps)^(-beta delta) is reported for the root test.
+    A delta outside (0, 1] is refused; an L <= 0 fails the first condition.
     """
+    if not 0.0 < delta <= 1.0:
+        raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
     a = abs(alpha)
     conds = {"alpha_below_inverse_lipschitz": L > 0 and a < 1.0 / L,
              "epsilon_window": 0.0 < epsilon < 1.0 - L * a}
     if a == 0.0:
         beta_max = math.inf
-    elif L * a < 1.0 and 0.0 < epsilon < 1.0:
+    elif 0.0 < L * a < 1.0 and 0.0 < epsilon < 1.0:
         beta_max = math.log(1.0 / (L * a)) / math.log(1.0 / (1.0 - epsilon))
     else:
         beta_max = 0.0

@@ -232,15 +232,19 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
     C (1-alpha) ||u||_inf lambda^(-delta) (1-epsilon)^(-m beta delta)
       / (1 - L^delta |alpha| (1-epsilon)^(-beta delta)).
 
-    Refuses (naming the condition) when the parameter gate fails.
+    Refuses (naming the condition) when the parameter gate fails; inf when
+    a power leaves the float range, a bound that certifies nothing.
     """
     gate = radius_mod.validate_parameters(alpha, L, epsilon, beta, lam,
                                           ell_omega, delta)
     if not gate.passed:
         raise SpaceFormatError(
             f"parameter gate fails: {', '.join(gate.failed_conditions)}")
-    return (C * (1.0 - alpha) * norm_u * lam ** (-delta)
-            * (1.0 - epsilon) ** (-m * beta * delta) / (1.0 - gate.series_ratio))
+    try:
+        return (C * (1.0 - alpha) * norm_u * lam ** (-delta)
+                * (1.0 - epsilon) ** (-m * beta * delta) / (1.0 - gate.series_ratio))
+    except OverflowError:
+        return math.inf
 
 
 EmpiricalHolder = namedtuple("EmpiricalHolder", ["value", "mode", "pairs"])

@@ -821,6 +821,13 @@ class Space:
             yield rows[:, None], cols[None, :], self.distances(rows, cols)
             lo += len(rows)
 
+    def _distance_blocks(self, rows, cols=None):
+        """(rows, d(rows, cols)) blocks over slices of rows, each as many
+        rows as one block holds at the backend's row width."""
+        step = block_rows(self._metric.row_width(cols))
+        for lo in range(0, len(rows), step):
+            yield rows[lo:lo + step], self.distances(rows[lo:lo + step], cols)
+
     def pair_distances(self, i, j):
         """d(i[k], j[k]) for paired index arrays."""
         return self._metric.pair_distances(self._indices(i), self._indices(j))
@@ -1081,8 +1088,13 @@ class Space:
         Hop graph joins pairs within 1.5 resolutions, edge length = metric
         distance.  Path metrics (graphs) have defect 0 by construction.
         Infinite result means the hop graph is disconnected (strongly
-        non-geodesic cloud).
+        non-geodesic cloud).  Fewer than one sample is refused.  The
+        sources run in blocks of distance rows (see _distance_blocks), each
+        with its own Dijkstra rows on the hop graph.
         """
+        if samples < 1:
+            raise SpaceFormatError(
+                f"geodesic probe needs at least one sample, got {samples}")
         if self._metric.path_metric:
             return 0.0
         res = self.resolution()
@@ -1097,11 +1109,14 @@ class Space:
                                 shape=(n, n))
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, size=min(samples, n), replace=False)
-        # adj holds every hop both ways (balls are symmetric): run it as built
-        paths = dijkstra(adj, indices=sources, directed=True)
-        if not np.isfinite(paths).all():
-            return float("inf")
-        return max(0.0, float((paths - self.distances(sources)).max()))
+        worst = 0.0
+        for rows, d in self._distance_blocks(sources):
+            # adj holds every hop both ways (balls are symmetric): run it as built
+            paths = dijkstra(adj, indices=rows, directed=True)
+            if not np.isfinite(paths).all():
+                return float("inf")
+            worst = max(worst, float((paths - d).max()))
+        return worst
 
     def probe_report(self, samples=200, seed=0, deltas=(0.5, 1.0)):
         rng = np.random.default_rng(seed)
@@ -1150,6 +1165,21 @@ def interval_grid(n, lo=0.0, hi=1.0):
     )
 
 
+def _frame(nx, ny):
+    """The outer frame of an nx-by-ny grid raveled row by row, ascending."""
+    inner = np.zeros((nx, ny), dtype=bool)
+    inner[1:-1, 1:-1] = True
+    return np.flatnonzero(~inner)
+
+
+def _edge_rows(i, j, weight):
+    """Graph edges [i, j, weight], every one at the one number weight."""
+    w = _as_readonly(weight, float, "edges")
+    if w.ndim:
+        raise SpaceFormatError("edges must be a rectangular array of numbers")
+    return np.column_stack([i, j, np.full(len(i), w)])
+
+
 def square_grid(n, lo=0.0, hi=1.0):
     """n-by-n grid on [lo,hi]^2; boundary = outer frame; weights = h^2."""
     if n < 3:
@@ -1158,12 +1188,10 @@ def square_grid(n, lo=0.0, hi=1.0):
     h = (hi - lo) / (n - 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     coords = np.column_stack([X.ravel(), Y.ravel()])
-    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    frame = (I == 0) | (I == n - 1) | (J == 0) | (J == n - 1)
     return Space(
         coords=coords,
         weights=np.full(n * n, h * h),
-        boundary=np.flatnonzero(frame.ravel()),
+        boundary=_frame(n, n),
         geodesic_like=True,
         analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
@@ -1180,22 +1208,15 @@ def disk_grid(n, radius=0.5):
     h = 1.0 / (n - 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     coords = np.column_stack([X.ravel(), Y.ravel()])
-    c = np.array([0.5, 0.5])
-    r2 = ((coords - c) ** 2).sum(axis=1)
-    inside = r2 <= radius * radius
-    coords = coords[inside]
-
-    kept = {tuple(np.round(p / h).astype(int)) for p in coords}
-    bdry = []
-    for k, p in enumerate(coords):
-        i, j = np.round(p / h).astype(int)
-        nb = [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
-        if any(q not in kept for q in nb):
-            bdry.append(k)
+    inside = (((coords - 0.5) ** 2).sum(axis=1) <= radius * radius).reshape(n, n)
+    # inner: inside, and so are its four neighbours (none off the grid)
+    pad = np.pad(inside, 1)
+    inner = pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+    coords = coords[inside.ravel()]
     return Space(
         coords=coords,
         weights=np.full(len(coords), h * h),
-        boundary=bdry,
+        boundary=np.flatnonzero(~inner[inside]),
         geodesic_like=True,
         analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
@@ -1205,12 +1226,12 @@ def path_graph(n, edge_weight=1.0, weights=None):
     """Path graph 0 - 1 - ... - (n-1) with unit weights; boundary = endpoints."""
     if n < 3:
         raise SpaceFormatError("path graph needs at least 3 nodes")
-    edges = [[i, i + 1, edge_weight] for i in range(n - 1)]
+    i = np.arange(n - 1)
     return Space(
         weights=np.full(n, 1.0) if weights is None else weights,
         boundary=[0, n - 1],
         metric="graph",
-        edges=edges,
+        edges=_edge_rows(i, i + 1, edge_weight),
         analytic_constants={"doubling": 2.0, "annular_decay": {1.0: 1.0}},
     )
 
@@ -1219,22 +1240,15 @@ def lattice_graph(nx, ny, edge_weight=1.0):
     """nx-by-ny grid graph with unit edges; boundary = outer frame."""
     if nx < 3 or ny < 3:
         raise SpaceFormatError("lattice graph needs at least 3 nodes per side")
-    def node(i, j):
-        return i * ny + j
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append([node(i, j), node(i + 1, j), edge_weight])
-            if j + 1 < ny:
-                edges.append([node(i, j), node(i, j + 1), edge_weight])
-    frame = [node(i, j) for i in range(nx) for j in range(ny)
-             if i in (0, nx - 1) or j in (0, ny - 1)]
+    # node i * ny + j; its edge to (i + 1, j) comes before its edge to (i, j + 1)
+    node = np.arange(nx * ny)
+    keep = np.column_stack([node < (nx - 1) * ny, node % ny < ny - 1])
     return Space(
         weights=np.full(nx * ny, 1.0),
-        boundary=frame,
+        boundary=_frame(nx, ny),
         metric="graph",
-        edges=edges,
+        edges=_edge_rows(np.repeat(node, 2)[keep.ravel()],
+                         (node[:, None] + [ny, 1])[keep], edge_weight),
         analytic_constants={"doubling": 4.0, "annular_decay": {1.0: 2.0}},
     )
 

@@ -220,10 +220,13 @@ def _squared(gradient, hessian):
      r"point has dimension \(1,\), function needs 2"),
     (lambda: expansion_mean(catalog_function("sq_norm", 2), [0.1, 0.2], [0.4]),
      "need at least two positive radii"),
+    (lambda: expansion_mean(catalog_function("sq_norm", 2), [math.inf, 0.0], RADII),
+     r"point \[inf, 0.0\] and radii \[0.4, 0.2, 0.1, 0.05\] must be finite"),
     (lambda: expansion_p(catalog_function("sq_norm", 2), [0.0, 0.0], 3.0, 2, RADII),
      "blend expansion needs a nonvanishing gradient at the point")],
     ids=["wrong-gradient", "wrong-hessian", "saddle-dimension",
-         "cubic-dimension", "point-dimension", "one-radius", "blend-gradient"])
+         "cubic-dimension", "point-dimension", "one-radius", "infinite-point",
+         "blend-gradient"])
 def test_asymptotics_refusals(call, message):
     with pytest.raises(SpaceFormatError, match=message):
         call()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pharmonious import (BallTable, RadiusField, Space, disk_grid,
-                         empirical_holder, exhaustion, lattice_graph,
-                         path_graph, square_grid)
+                         empirical_holder, exhaustion, hausdorff_gaps,
+                         lattice_graph, path_graph, square_grid)
 from pharmonious import space as space_mod
 from pharmonious.radius import gap_majorant, max_gap_ratio
 
@@ -29,8 +29,8 @@ SPACES = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
 
 def _everything(make, monkeypatch):
     """Every blocked result on a fresh space: ball-table arrays, alpha
-    means, exact and sampled pair reductions, the Holder scan and the
-    diameter."""
+    means, exact and sampled pair reductions, the Holder scan, the sup-inf
+    gaps of two balls, the geodesic defect and the diameter."""
     sp = make()
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     table = BallTable(sp, rho)
@@ -52,6 +52,10 @@ def _everything(make, monkeypatch):
             omega = gap_majorant(sp, u, members, seed=3)
             out[f"gap_majorant {mode}"] = (omega.ts, omega.ys)
             out[f"empirical_holder {mode}"] = empirical_holder(sp, u, members, 0.5, seed=3)
+    x, y = members[len(members) // 2], members[len(members) // 2 + 1]
+    gaps = hausdorff_gaps(sp, rho, x, y)[0]
+    out["hausdorff_gaps"] = (gaps.sup_inf_xy, gaps.sup_inf_yx)
+    out["geodesic_defect"] = sp.probe_geodesic_defect(samples=16, seed=3)
     out["diameter"] = sp.diameter()
     return out
 
@@ -137,3 +141,25 @@ def test_exact_blocks_fill_the_budget():
     sizes = [d.size for _, _, d in sp._exact_blocks(members)]
     assert max(sizes) <= space_mod.BLOCK_ENTRIES
     assert min(sizes[:-1]) >= space_mod.BLOCK_ENTRIES // 2
+
+
+@pytest.mark.parametrize("make, x, y", [(lambda: square_grid(129), 8320, 8321),
+                                        (_benchmark_lattice, 2112, 2113)],
+                         ids=["square129", "lattice65"])
+def test_hausdorff_gaps_hold_little(make, x, y):
+    # the whole |B_x| x |B_y| distance block peaked at 63.1 MB on the 129^2
+    # grid (2,061 x 2,001 members) and at 10.8 MB on the lattice
+    sp = make()
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    hausdorff_gaps(sp, rho, x, y)  # the balls, resolution and L, kept
+    _, peak = _traced(lambda: hausdorff_gaps(sp, rho, x, y))
+    assert peak < 2e6, peak
+
+
+def test_geodesic_probe_holds_little():
+    # 64 Dijkstra rows on the hop graph and 64 distance rows, 16,641 wide,
+    # peaked at 28.5 MB, of which the hop graph held 9.2
+    sp = square_grid(129)
+    sp.probe_geodesic_defect(samples=1)  # the resolution and scipy, loaded
+    _, peak = _traced(lambda: sp.probe_geodesic_defect(samples=64))
+    assert peak < 12e6, peak

@@ -43,7 +43,9 @@ def test_workflow_runs_the_console_script():
     # call cli.main directly, so only these steps run the installed script:
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
-    # CSV, solve and certify; and a validate whose negative seed must exit 2
+    # CSV, solve and certify; on the disk grid validate, solve and certify;
+    # one p-expansion; and two validates that must exit 2, one with a
+    # negative seed, one with a nan delta
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
@@ -67,8 +69,19 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/graph/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/graph"',
+             'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/disk"',
+             'pharmonious solve --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/disk"',
+             'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
+             '--out "$RUNNER_TEMP/disk"',
+             'pharmonious asymptotics --fn sq_norm --x 1,0 --n 2 --mode p --p 4 '
+             '--out "$RUNNER_TEMP/disk"',
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
-             '--epsilon 0.5 --lam 0.4 --seed -1; then exit 1; else test $? -eq 2; fi']
+             '--epsilon 0.5 --lam 0.4 --seed -1; then exit 1; else test $? -eq 2; fi',
+             'if pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--epsilon 0.5 --lam 0.4 --delta nan; then exit 1; else test $? -eq 2; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run] == smoke

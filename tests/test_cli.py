@@ -35,6 +35,17 @@ def test_probe_2d_grid(tmp_path):
     assert 1.9 <= probe["annular_decay_estimates"]["1.0"] <= 2.2
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_probe_needs_a_sample(tmp_path, capsys, samples):
+    # the geodesic probe took a max over no sources, or drew a negative
+    # number of them: ValueError tracebacks
+    assert run("probe", "--grid", "1d", "--n", 17, "--samples", samples,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err == \
+        f"input error: --samples must be at least 1, got {samples}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_probe_malformed_file(tmp_path, capsys):
     bad = tmp_path / "space.json"
     bad.write_text(json.dumps({"metric": "euclidean", "points": []}))
@@ -225,6 +236,36 @@ def test_validate_gate_failure_names_condition(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "alpha_below_inverse_lipschitz" in out
+
+
+@pytest.mark.parametrize("delta", ["nan", 0.0, 5.0])
+def test_gate_refuses_a_delta_outside_the_unit_interval(tmp_path, capsys, delta):
+    # validate wrote "pass": true and solve passed its gate; certify already
+    # refused through its probes and empirical_holder
+    args = ["--grid", "1d", "--n", 17, "--rho-factor", 0.4, "--alpha", 0.3,
+            "--epsilon", 0.5, "--lam", 0.4, "--delta", delta, "--out", tmp_path]
+    assert run("validate", *args) == 2
+    assert run("solve", *args, "--boundary-fn", "linear") == 2
+    message = f"input error: delta must be in (0,1], got {float(delta)}\n"
+    assert capsys.readouterr().err == 2 * message
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0])
+def test_validate_nonpositive_L_fails_the_gate_without_traceback(tmp_path, capsys, L):
+    # beta_max divided by L |alpha| = 0 (ZeroDivisionError) or took the log
+    # of a negative number (ValueError); a negative L to the power delta
+    # would make the series ratio complex
+    assert run("validate", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4, "--delta", 0.5,
+               "--L", L, "--out", tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert "failed: alpha_below_inverse_lipschitz" in out and err == ""
+    gate = json.loads((tmp_path / "validate.json").read_text(),
+                      parse_constant=_refuse_constant)["gate"]
+    assert not gate["conditions"]["alpha_below_inverse_lipschitz"]
+    assert gate["beta_max"] == 0.0
+    assert gate["series_ratio"] == (0.0 if L == 0.0 else None)  # inf is null
 
 
 def test_validate_zero_interior_radius(tmp_path):
@@ -441,6 +482,23 @@ def test_certify_linear_fixed_point(tmp_path):
     assert abs(doc["theoretical_constant"] - 70.0) < 1e-9
 
 
+def test_certify_withholds_a_bound_past_the_float_range(tmp_path, capsys):
+    # (1 - epsilon)^(-m beta delta) at m = 100000 ended in OverflowError
+    run("solve", "--grid", "1d", "--n", "65", "--rho-factor", 0.4,
+        "--boundary-fn", "linear", "--alpha", 0.3, "--init-fn", "linear",
+        "--tol", 1e-12, "--out", tmp_path)
+    code = run("certify", "--grid", "1d", "--n", "65", "--rho-factor", 0.4,
+               "--field", tmp_path / "field.csv", "--alpha", 0.3,
+               "--epsilon", 0.5, "--lam", 0.4, "--m", 100000, "--out", tmp_path)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "theoretical=inf" in out and err == ""
+    doc = json.loads((tmp_path / "certificate.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["theoretical_constant"] is None and not doc["pass"]
+    assert doc["gate"]["pass"] and doc["empirical_constant"] == 1.0
+
+
 def test_certify_alpha_one_scope(tmp_path, capsys):
     run("solve", "--grid", "1d", "--n", "65", "--rho-factor", 0.4,
         "--boundary-fn", "linear", "--alpha", 0.3, "--init-fn", "linear",
@@ -650,6 +708,25 @@ def test_asymptotics_linear_p_harmonic(tmp_path):
     assert abs(doc["extrapolated"]) < 1e-12
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--x", "1,abc", "--x must be comma-separated numbers, got '1,abc'"),
+    ("--radii", "0.4,zz", "--radii must be comma-separated numbers, got '0.4,zz'"),
+    ("--radii", "0.4,nan", "point [1.0, 0.0] and radii [0.4, nan] must be finite"),
+    ("--radii", "0.4,inf", "point [1.0, 0.0] and radii [inf, 0.4] must be finite"),
+    ("--x", "nan,0",
+     "point [nan, 0.0] and radii [0.4, 0.2, 0.1, 0.05] must be finite")],
+    ids=["x-word", "radii-word", "radii-nan", "radii-inf", "x-nan"])
+def test_asymptotics_bad_numbers_are_input_errors(tmp_path, capsys, flag, value,
+                                                  message):
+    # parsing ended in a ValueError traceback, and so did math.floor of a
+    # nan radius (an inf one in OverflowError); --x nan,0 exited 0 with NaN
+    # quotients
+    assert run("asymptotics", "--fn", "sq_norm", "--x", "1,0", "--n", 2,
+               flag, value, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_asymptotics_unknown_function(tmp_path):
     assert run("asymptotics", "--fn", "nope", "--x", "1,0", "--n", 2,
                "--out", tmp_path) == 2
@@ -718,6 +795,24 @@ def test_negative_seed_is_input_error(tmp_path, capsys, argv, output):
     assert run(*argv, "--seed", -1, "--out", tmp_path) == 2
     assert capsys.readouterr().err == "input error: --seed must be at least 0, got -1\n"
     assert not (tmp_path / output).exists()
+
+
+def test_solve_records_iterate_modulus_snapshots(tmp_path):
+    # no test serialized a snapshot: the snapshot branch of
+    # SolveReport.to_dict and Modulus.breakpoint_list never ran
+    every = 5
+    assert run("solve", "--grid", "disk", "--n", 17, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--boundary-fn", "saddle", "--init-fn", "saddle",
+               "--record-every", every, "--out", tmp_path) == 0
+    doc = json.loads((tmp_path / "solve_report.json").read_text(),
+                     parse_constant=_refuse_constant)
+    snapshots = doc["modulus_snapshots"]
+    assert {s["m"] for s in snapshots} == {1, 2}
+    for snap in snapshots:
+        assert snap["m"] in (1, 2) and snap["iteration"] % every == 0
+        ts, ys = np.array(snap["breakpoints"]).T
+        assert (ts[0], ys[0]) == (0.0, 0.0)
+        assert np.all(np.diff(ts) > 0) and np.all(np.diff(ys) >= 0)
 
 
 def test_solve_config_file(tmp_path):

@@ -492,6 +492,22 @@ def test_gate_pass_implies_series_ratio_below_one(rng):
             assert gate.series_ratio < 1.0
 
 
+@pytest.mark.parametrize("L", [0.0, -0.5, -1.0])
+def test_gate_at_a_nonpositive_L_fails_in_real_numbers(L):
+    # 1 / (L |alpha|) divided by zero or took the log of a negative number,
+    # and a negative L to the power delta is complex
+    gate = validate_parameters(0.3, L, 0.5, 1.0, 0.4, 0.5, 0.5)
+    assert "alpha_below_inverse_lipschitz" in gate.failed_conditions
+    assert gate.beta_max == 0.0
+    assert gate.series_ratio == (0.0 if L == 0.0 else math.inf)
+
+
+@pytest.mark.parametrize("delta", [math.nan, 0.0, -0.5, 1.5])
+def test_gate_refuses_a_delta_outside_the_unit_interval(delta):
+    with pytest.raises(SpaceFormatError, match=r"delta must be in \(0,1\]"):
+        validate_parameters(0.3, 1.0, 0.5, 1.0, 0.4, 0.5, delta)
+
+
 def test_gate_records_equicontinuity_flag():
     gate = validate_parameters(0.3, 2.0, 0.3, 1.0, 0.2, 0.5, 1.0)
     # L = 2 fails the main gate at alpha = 0.3? 1/L = 0.5 > 0.3 passes;

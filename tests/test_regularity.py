@@ -183,6 +183,13 @@ def test_holder_constant_beta_one_matches_general_path():
     assert a == b
 
 
+def test_holder_constant_past_the_float_range_is_inf():
+    # (1 - epsilon)^(-m beta delta) = 2^100000 ended in OverflowError
+    assert certified_holder_constant(100000, alpha=0.3, L=1.0, epsilon=0.5,
+                                     beta=1.0, lam=0.4, delta=1.0, norm_u=1.0,
+                                     C=8.0) == math.inf
+
+
 def test_holder_constant_refuses_failed_gate():
     with pytest.raises(SpaceFormatError, match="alpha_below_inverse_lipschitz"):
         certified_holder_constant(2, alpha=0.9, L=2.0, epsilon=0.1, beta=1.0,

@@ -511,6 +511,14 @@ def test_geodesic_probe_hop_graph_runs_directed_as_undirected(make, monkeypatch)
     assert settings == [True]
 
 
+@pytest.mark.parametrize("make", [lambda: square_grid(9), lambda: path_graph(9)],
+                         ids=["grid", "graph"])
+def test_geodesic_probe_needs_a_sample(make):
+    # on the grid a max over no sources ended in ValueError
+    with pytest.raises(SpaceFormatError, match="at least one sample, got 0"):
+        make().probe_report(samples=0)
+
+
 def test_probe_report_fields(grid1d):
     rep = grid1d.probe_report(samples=50, seed=0)
     doc = rep.to_dict()

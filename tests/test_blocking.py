@@ -147,8 +147,8 @@ def test_exact_blocks_fill_the_budget():
                                         (_benchmark_lattice, 2112, 2113)],
                          ids=["square129", "lattice65"])
 def test_hausdorff_gaps_hold_little(make, x, y):
-    # the whole |B_x| x |B_y| distance block peaked at 63.1 MB on the 129^2
-    # grid (2,061 x 2,001 members) and at 10.8 MB on the lattice
+    # the whole |B_x| x |B_y| distance block peaked at 66 MB on the 129^2
+    # grid (2,061 x 2,001 members) and at 11.4 MB on the lattice
     sp = make()
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     hausdorff_gaps(sp, rho, x, y)  # the balls, resolution and L, kept
@@ -158,7 +158,7 @@ def test_hausdorff_gaps_hold_little(make, x, y):
 
 def test_geodesic_probe_holds_little():
     # 64 Dijkstra rows on the hop graph and 64 distance rows, 16,641 wide,
-    # peaked at 28.5 MB, of which the hop graph held 9.2
+    # peaked at 30 MB
     sp = square_grid(129)
     sp.probe_geodesic_defect(samples=1)  # the resolution and scipy, loaded
     _, peak = _traced(lambda: sp.probe_geodesic_defect(samples=64))

@@ -557,6 +557,36 @@ def test_disk_grid_structure():
     assert r[sp.boundary_indices].min() > 0.5 - 2.5 * sp.resolution()
 
 
+@pytest.mark.parametrize("n, radius", [(5, 0.5), (6, 0.3), (33, 0.5), (40, 0.45),
+                                       (41, 0.7)])
+def test_disk_grid_boundary_is_where_a_neighbour_leaves(n, radius):
+    # the reference loop: a kept point with a 4-neighbour off the kept lattice
+    sp = disk_grid(n, radius)
+    ij = np.rint(sp.coords * (n - 1)).astype(int).tolist()
+    kept = set(map(tuple, ij))
+    boundary = [k for k, (i, j) in enumerate(ij) if any(
+        q not in kept for q in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)))]
+    assert sp.boundary_indices.tolist() == boundary
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (6, 4), (9, 9)])
+def test_graph_generators_keep_their_edge_rows(nx, ny):
+    # the reference loops: per node in index order, the edge to (i + 1, j)
+    # before the edge to (i, j + 1); the frame in index order
+    edges = []
+    for i in range(nx):
+        for j in range(ny):
+            if i + 1 < nx:
+                edges.append([i * ny + j, (i + 1) * ny + j, 0.25])
+            if j + 1 < ny:
+                edges.append([i * ny + j, i * ny + j + 1, 0.25])
+    frame = [i * ny + j for i in range(nx) for j in range(ny)
+             if i in (0, nx - 1) or j in (0, ny - 1)]
+    sp = lattice_graph(nx, ny, 0.25)
+    assert sp.edges.tolist() == edges and sp.boundary_indices.tolist() == frame
+    assert path_graph(nx, 0.25).edges.tolist() == [[i, i + 1, 0.25] for i in range(nx - 1)]
+
+
 # -- loader validation --------------------------------------------------------------
 
 
@@ -716,6 +746,18 @@ def test_tiny_coordinates_apart_are_kept():
     (lambda: lattice_graph(2, 5), "lattice graph needs at least 3 nodes per side"),
     (lambda: lattice_graph(5, 2), "lattice graph needs at least 3 nodes per side")])
 def test_generators_refuse_too_few_points(make, message):
+    with pytest.raises(SpaceFormatError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: path_graph(5, "a"), "edges must be a rectangular array of numbers"),
+    (lambda: lattice_graph(4, 5, [1.0, 2.0]),
+     "edges must be a rectangular array of numbers"),
+    (lambda: lattice_graph(4, 5, None), "non-finite edge entry"),
+    (lambda: path_graph(5, -1.0), "negative edge weight")])
+def test_graph_generators_refuse_a_weight_that_is_not_a_number(make, message):
+    # refused by Space as the rows [i, i + 1, weight] of a list were
     with pytest.raises(SpaceFormatError, match=message):
         make()
 

@@ -232,14 +232,13 @@ def _expansion(mode, f, x, radii, h, alpha=None, details=None):
     midrange and the blend refuse a point with vanishing gradient (their
     prediction needs |grad f| > 0)."""
     x, radii, h = _prepare(f, x, radii, h)
-    kinds = ("mean", "midrange") if mode == "p" else (mode,)
-    if "midrange" in kinds:
+    if mode != "mean":
         g = np.asarray(f.gradient(x), dtype=float)
         g2 = float(g @ g)
         if g2 <= 1e-16:
             raise SpaceFormatError(f"{'blend' if mode == 'p' else mode} expansion "
                                    "needs a nonvanishing gradient at the point")
-    q = _quotients(f, x, radii, h, kinds)
+    q = _quotients(f, x, radii, h, ("mean", "midrange") if mode == "p" else (mode,))
     if mode == "mean":
         quotients, predicted = q["mean"], f.laplacian(x) / (2.0 * (f.dim + 2.0))
     elif mode == "midrange":

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import SpaceFormatError
 
 GRID_FINENESS = 16  # lattice step <= smallest radius / 16 (the default step)
+# radii whose largest ball sits in a cube of more lattice offsets than this
+# are refused before any ball is built; the default radii in three
+# dimensions ask for 257^3, about 1.7e7
+CUBE_POINTS_LIMIT = 10 ** 8
 
 
 @dataclass
@@ -52,14 +56,18 @@ class SmoothTestFunction:
         for i in range(n):
             e = np.zeros(n)
             e[i] = step
-            fd = (self.value((x + e)[None, :])[0] - self.value((x - e)[None, :])[0]) / (2 * step)
-            if abs(fd - g[i]) > rtol * scale:
+            # an overflowed value is reported below, not warned about here
+            with np.errstate(over="ignore", invalid="ignore"):
+                fd = (self.value((x + e)[None, :])[0]
+                      - self.value((x - e)[None, :])[0]) / (2 * step)
+            # not (... <= tol): a nan difference (an overflowed value) fails
+            if not abs(fd - g[i]) <= rtol * scale:
                 raise SpaceFormatError(
                     f"{self.name}: gradient[{i}] inconsistent with finite differences")
             gp = np.asarray(self.gradient(x + e), dtype=float)
             gm = np.asarray(self.gradient(x - e), dtype=float)
             fd_row = (gp - gm) / (2 * step)
-            if np.abs(fd_row - h[i]).max() > rtol * scale:
+            if not np.abs(fd_row - h[i]).max() <= rtol * scale:
                 raise SpaceFormatError(
                     f"{self.name}: hessian row {i} inconsistent with finite differences")
         return True
@@ -187,19 +195,38 @@ def _prepare(f, x, radii, h):
     if h > radii[-1] / GRID_FINENESS * (1 + 1e-12):
         raise SpaceFormatError(
             f"lattice step {h} too coarse: need h <= min radius / {GRID_FINENESS}")
+    with np.errstate(divide="ignore", over="ignore"):
+        cube = (2.0 * np.floor(np.float64(radii[0]) / h + 1e-9) + 1.0) ** f.dim
+    if not cube <= CUBE_POINTS_LIMIT:
+        raise SpaceFormatError(
+            f"radii {radii} ask for a cube of {cube:.3g} lattice points about "
+            f"the largest ball (lattice step {h:.3g}), over the limit of "
+            f"{CUBE_POINTS_LIMIT:.0e}")
     # snap radii down to whole lattice steps (keeps discrete extrema exact)
     snapped = [math.floor(r / h + 1e-9) * h for r in radii]
+    ratios = [snapped[i] / snapped[i + 1] for i in range(len(snapped) - 1)]
+    if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
+        raise SpaceFormatError("radii must form a geometric progression")
     f.self_check(x)
     return x, snapped, h
 
 
 def _lattice_ball(x, rho, h, dim):
+    """The points x + h k of the ball, k integer with |k| <= rho / h, in
+    the order of the raveled cube of offsets (the first axis slowest),
+    built one slab of the first axis at a time."""
     k_max = int(math.floor(rho / h + 1e-9))
-    axes = [np.arange(-k_max, k_max + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = (K * K).sum(axis=1) <= k_max * k_max + 1e-9
-    return x[None, :] + h * K[inside]
+    axis = np.arange(-k_max, k_max + 1)
+    # the offsets of one slab, besides its first coordinate
+    rest = np.zeros((1, 0), axis.dtype) if dim == 1 else np.stack(
+        [m.ravel() for m in np.meshgrid(*[axis] * (dim - 1), indexing="ij")], axis=1)
+    rest_sq = (rest * rest).sum(axis=1)
+    slabs = []
+    for i in axis:
+        inside = rest[i * i + rest_sq <= k_max * k_max + 1e-9]
+        slabs.append(x[None, :] + h * np.column_stack(
+            [np.full(len(inside), i), inside]))
+    return np.concatenate(slabs)
 
 
 def _quotients(f, x, radii, h, kinds):
@@ -217,13 +244,10 @@ def _quotients(f, x, radii, h, kinds):
 
 
 def _extrapolate(radii, quotients):
-    # radii arrive descending: values run coarse (largest rho) to fine
-    ratios = [radii[i] / radii[i + 1] for i in range(len(radii) - 1)]
-    ratio = ratios[0]
-    if any(abs(r - ratio) > 1e-9 * ratio for r in ratios):
-        raise SpaceFormatError("radii must form a geometric progression")
-    # remainder is even in rho, so eliminate powers of rho^2
-    return richardson_limit(ratio ** 2, list(quotients))
+    # radii arrive descending, a geometric progression (see _prepare):
+    # values run coarse (largest rho) to fine; the remainder is even in
+    # rho, so eliminate powers of rho^2
+    return richardson_limit((radii[0] / radii[1]) ** 2, list(quotients))
 
 
 def _expansion(mode, f, x, radii, h, alpha=None, details=None):

@@ -100,6 +100,14 @@ class CheckRecord:
 # points.  Single-point evaluation, sweeps and residuals all go through
 # alpha_means with the same runs and the same reduction order, so they
 # agree bit for bit and do not depend on any parallel execution plan.
+# A sweep fills buffers allocated at the first: one sparse table of the
+# field, one value per distinct run, one block of gathered runs, the prefix
+# sums and one block offset per ball.  Each block of balls (cut by their run counts, see
+# space.block_cuts) gathers its runs' values into the block and reduces
+# them there, ball by ball, so the values do not depend on the blocks; the
+# second lookup of each distinct run is gathered into the same block, a
+# slice of runs at a time.  A residual without a table (solver.residual)
+# builds one table per block of centers whose balls' runs fill the budget.
 
 
 class BallTable:
@@ -116,11 +124,8 @@ class BallTable:
             centers = space.interior_indices
         self.space = space
         self.centers = space._indices(centers)
-        radii = point_values(rho, "radius", len(space))[self.centers]
-        if np.any(radii < 0):
-            raise AdmissibilityError("negative radius (an empty ball) at points "
-                                     f"{self.centers[radii < 0][:10].tolist()}")
-        a, b, runs, self.counts = space.ball_runs(self.centers, radii)
+        a, b, runs, self.counts = space.ball_runs(
+            self.centers, _ball_radii(space, rho, self.centers))
         self._first_run = np.cumsum(runs) - runs
         self.starts = np.cumsum(self.counts) - self.counts
         self.weight_sums = self._weight_sums(a, b)
@@ -135,15 +140,24 @@ class BallTable:
         first = np.ones(len(key), dtype=bool)
         np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
         distinct = distinct[first]
+        del first
         self._ball_runs = np.searchsorted(distinct, key)
         del key
         self._run_a, self._run_b = np.divmod(distinct, n + 1)
+        del distinct
         # sparse-table level k = floor(log2(run length)): the run is covered
-        # by the two windows of length 2^k starting at a and at b - 2^k
-        level = np.frexp(self._run_b - self._run_a)[1].astype(np.intp) - 1
+        # by the two windows of length 2^k starting at a and at b - 2^k;
+        # the queries k * n + a and k * n + b - 2^k are built in place
+        level = np.subtract(self._run_b, self._run_a, dtype=float)
+        level = np.frexp(level, out=(level, np.empty(len(level), np.int32)))[1]
+        level -= 1
         self._levels = int(level.max()) + 1 if len(level) else 1
-        self._query_lo = level * n + self._run_a
-        self._query_hi = level * n + self._run_b - (1 << level)
+        self._query_hi = np.left_shift(1, level, dtype=np.intp)
+        np.subtract(self._run_b, self._query_hi, out=self._query_hi)
+        self._query_lo = np.multiply(level, n, dtype=np.intp)
+        del level
+        self._query_hi += self._query_lo
+        self._query_lo += self._run_a
 
     @functools.cached_property
     def indices(self):
@@ -157,11 +171,21 @@ class BallTable:
     def _buffers(self):
         """What a sweep fills, allocated at the first: the (levels, n)
         sparse table (for the max, then the min, then the weighted
-        deviations), two arrays per distinct run, one per membership and
-        the n + 1 prefix sums."""
-        n, runs = len(self.space), len(self._run_a)
-        return (np.empty((self._levels, n)), np.empty(runs), np.empty(runs),
-                np.empty(len(self._ball_runs)), np.empty(n + 1))
+        deviations), one array per distinct run, one block of gathered
+        runs, the n + 1 prefix sums, and per block of balls (cut by their
+        run counts, see space.block_cuts) its slice of the balls, its
+        slice of _ball_runs, its part of the block and each ball's first
+        run in that part (one offset per ball in all)."""
+        n = len(self.space)
+        ends = np.append(self._first_run, len(self._ball_runs))
+        cuts = block_cuts(np.diff(ends)).tolist()
+        ends = ends[cuts].tolist()
+        block = np.empty(max(np.diff(ends), default=0))
+        gathers = [(slice(lo, hi), self._ball_runs[first:last],
+                    block[:last - first], self._first_run[lo:hi] - first)
+                   for lo, hi, first, last in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:])]
+        return (np.empty((self._levels, n)), np.empty(len(self._run_a)), block,
+                np.empty(n + 1), gathers)
 
     def _weight_sums(self, a, b):
         """mu(B) per ball from its runs [a, b), summed member by member
@@ -188,16 +212,25 @@ class BallTable:
 
     def _per_ball(self, source, first, second, combine, reduce):
         """reduce over each ball's runs of combine(source[first],
-        source[second]), one value per distinct run, in the sweep buffers."""
-        _, one, two, members, _ = self._buffers
+        source[second]), one value per distinct run, in the sweep buffers:
+        source[second] is gathered into the block buffer a slice of runs at
+        a time, and each block of balls (see _buffers) gathers its runs'
+        values there and reduces them.  reduceat works ball by ball, so the
+        values do not depend on the blocks."""
+        _, runs, block, _, gathers = self._buffers
         # np.take writes to out in place only under mode="clip" (under
         # "raise" numpy buffers it); every index is the table's own
-        np.take(source, first, out=one, mode="clip")
-        np.take(source, second, out=two, mode="clip")
-        return reduce.reduceat(
-            np.take(combine(one, two, out=one), self._ball_runs, out=members,
-                    mode="clip"),
-            self._first_run)
+        np.take(source, first, out=runs, mode="clip")
+        step = max(len(block), 1)
+        for lo in range(0, len(runs), step):
+            chunk = runs[lo:lo + step]
+            combine(chunk, np.take(source, second[lo:lo + step],
+                                   out=block[:len(chunk)], mode="clip"), out=chunk)
+        out = np.empty(len(self.centers))
+        for balls, ball_runs, gathered, offsets in gathers:
+            reduce.reduceat(np.take(runs, ball_runs, out=gathered, mode="clip"),
+                            offsets, out=out[balls])
+        return out
 
     def _extremum(self, ufunc, values):
         """ufunc (np.maximum or np.minimum) of the field over each ball, from
@@ -219,7 +252,7 @@ class BallTable:
             return s
         constant = top == bottom
         del bottom
-        table, prefix = self._buffers[0], self._buffers[-1]
+        table, _, _, prefix, _ = self._buffers
         # less the global midrange: the rounding scales with the oscillation
         # of u, not with its offset
         mid = 0.5 * values.max() + 0.5 * values.min()
@@ -245,6 +278,16 @@ class BallTable:
         s *= alpha
         m += s
         return m
+
+
+def _ball_radii(space, rho, centers):
+    """rho at the checked centers; a negative radius is refused: its ball
+    is empty and has no mean."""
+    radii = point_values(rho, "radius", len(space))[centers]
+    if np.any(radii < 0):
+        raise AdmissibilityError("negative radius (an empty ball) at points "
+                                 f"{centers[radii < 0][:10].tolist()}")
+    return radii
 
 
 def mean_value(space, rho, u, x):

@@ -340,9 +340,12 @@ def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
     scan = space.pair_scan(members, seed, lipschitz=(exponent == 1.0))
     best = 0.0
     for i, j, d in scan.blocks:
-        dv = np.abs(values[i] - values[j])
-        mask = d > 0  # d is 0 only where i == j: distinct points are apart
-        best = max(best, float((dv[mask] / d[mask] ** exponent).max(initial=0.0)))
+        dv = np.subtract(values[i], values[j])
+        np.abs(dv, out=dv)
+        # d is 0 only where i == j, where dv is 0 too: distinct points are
+        # apart; the ratios are taken in place, over the block, not its copy
+        np.divide(dv, d ** exponent, out=dv, where=d > 0)
+        best = max(best, float(dv.max(initial=0.0)))
     return best, scan.mode, scan.pairs
 
 
@@ -581,7 +584,10 @@ def exhaustion(space, epsilon, m):
     if m < 1:
         raise SpaceFormatError(f"exhaustion index must be >= 1, got {m}")
     d = space.boundary_distances()
-    cut = (1.0 - epsilon) ** m
+    try:
+        cut = (1.0 - epsilon) ** m
+    except OverflowError:  # an integer m past the float range: 0 < 1 - epsilon < 1
+        cut = 0.0
     mask = (d >= cut) & ~space.boundary_mask
     return np.flatnonzero(mask)
 

@@ -185,12 +185,29 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
 
 
 def residual(space, rho, u, alpha, table=None):
-    """Sup-norm defect of the fixed-point equation on the interior."""
+    """Sup-norm defect of the fixed-point equation on the interior.
+
+    Without a table, the interior's balls are searched and swept one block
+    of centers at a time, each block's balls holding about BLOCK_ENTRIES
+    index runs (see Space._table_cuts), so no whole table is held; the
+    radii are checked once, as a whole table checks them.  Each ball's
+    value is the one a whole table gives (the same runs and the same
+    whole-space prefix sums), and the max is exact."""
     v = point_values(u, "field", len(space))
     if table is None:
-        table = BallTable(space, rho)
-    if len(table.centers) == 0:
+        centers = space.interior_indices
+        cuts = space._table_cuts(centers, ops._ball_radii(space, rho, centers))
+        tables = (BallTable(space, rho, centers[lo:hi])
+                  for lo, hi in zip(cuts[:-1], cuts[1:]))
+    else:
+        centers, tables = table.centers, [table]
+    if len(centers) == 0:
         raise SpaceFormatError("space has no interior points")
-    swept = table.alpha_means(v, alpha)
-    return float(np.abs(swept - v[table.centers]).max())
+
+    def defect(t):
+        return np.abs(t.alpha_means(v, alpha) - v[t.centers]).max()
+
+    # map keeps no table past its block; np.max, not max(), so that a nan
+    # in any block is the residual
+    return float(np.max(list(map(defect, tables))))
 

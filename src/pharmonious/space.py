@@ -207,8 +207,10 @@ class _Metric:
     """A metric backend checks its input, holds its data and answers the
     queries of Space on checked point indices.  ball_intervals gives each
     ball's member intervals [a, b), ball_width the entries each center's
-    search holds and row_width the entries of one row of distances(rows,
-    cols); path_metric marks shortest-path distances.  The defaults read
+    search holds, run_width the most index runs each ball has (None: not
+    known before the search) and row_width the entries of one row of
+    distances(rows, cols); path_metric marks shortest-path distances.  The
+    defaults read
     balls off dense distance blocks, slice only the columns asked for, know
     no Lipschitz edge block and find the diameter from a few distance rows
     (see diameter)."""
@@ -221,6 +223,11 @@ class _Metric:
 
     def row_width(self, cols):
         return self.n if cols is None else len(cols)
+
+    def run_width(self, centers, radii):
+        # no bound below n before the search: one table per dense search
+        # block took twice a whole table's time on a 65x65 lattice graph
+        return None
 
     def pair_order(self, members, a):
         """The order in which a sampled scan visits its pairs, whose sources
@@ -304,11 +311,17 @@ class _Euclidean(_Metric):
 
     def ball_width(self, centers, radii):
         # a center meets a strip at most once; one-point strips (a cloud)
-        # are bounded by the keys within reach in the first column (see near)
-        bounds, _, keys, _, near, _ = self._strips
+        # are bounded by the keys within reach in the first column
+        bounds = self._strips[0]
         if len(bounds) > self.n:
-            return near(keys[centers], radii, counts=True)
+            return self.run_width(centers, radii)
         return np.full(len(centers), len(bounds) - 1)
+
+    def run_width(self, centers, radii):
+        # a ball meets each strip within reach of its key (see near) in one
+        # interval
+        _, _, keys, _, near, _ = self._strips
+        return near(keys[centers], radii, counts=True)
 
     def boundary_distances(self, targets):
         return self._strips[5](targets)
@@ -382,10 +395,17 @@ class _Euclidean(_Metric):
             def nearest(targets):
                 c = self.coords
                 to = cKDTree(c[targets])
-                owner, near = _flatten(to.query_ball_point(
-                    c, to.query(c)[0] * HAIR, return_sorted=True))
                 out = np.full(self.n, np.inf)
-                np.minimum.at(out, owner, self.pair_distances(targets[near], owner))
+                # a point's queries hold about 16 entries: its distance and
+                # index, a Python list of its candidates and its row
+                rows = block_rows(16)
+                for lo in range(0, self.n, rows):
+                    x = c[lo:lo + rows]
+                    owner, near = _flatten(to.query_ball_point(
+                        x, to.query(x)[0] * HAIR, return_sorted=True))
+                    owner += lo
+                    np.minimum.at(out, owner,
+                                  self.pair_distances(targets[near], owner))
                 return out
 
             def near(at, reach, counts=False):
@@ -474,7 +494,9 @@ class _Euclidean(_Metric):
         and smallest gap put all its targets beyond the bound is passed
         over; in the others, each group within the bound by key gives the
         closed-form distance to its nearest target, which lowers the bound.
-        No distance block is built.
+        No distance block is built.  The points walk in blocks sized
+        from the budget (see block_rows): each point reads and lowers only
+        its own bound, so the result does not depend on the blocks.
         """
         _, code, keys, ranks, _, _ = self._strips
         key, last = keys[:, 0], self.coords[:, -1]
@@ -509,31 +531,39 @@ class _Euclidean(_Metric):
             gap_lo, gap_hi = np.abs(values[lo] - last[x]), np.abs(values[hi] - last[x])
             return np.where(gap_hi < gap_lo, hi, lo), np.minimum(gap_lo, gap_hi)
 
-        groups_index, blocks_index = index(group), index(block)
-        best = np.full(n, np.inf)
-        pos = np.searchsorted(group_key, key)
-        x, g = np.tile(np.arange(n), 2), np.concatenate([pos, pos - 1])
-        ok = (g >= 0) & (g < groups)
-        xg, g = x[ok], g[ok]
-        np.minimum.at(best, xg, self.pair_distances(
-            t[nearest(groups_index, g, xg)[0]], xg))
-        b = np.concatenate([pos // span + 1, pos // span])
-        step = np.repeat([1, -1], n)
-        while len(x):
-            reach = best[x] * HAIR
-            dk = np.maximum(np.maximum(k0[b] - key[x], key[x] - k1[b]), 0.0)
-            ok = dk <= reach
-            x, b, step, dk, reach = x[ok], b[ok], step[ok], dk[ok], reach[ok]
-            gap = nearest(blocks_index, b, x)[1]
-            keep = dk * dk + gap * gap <= reach * reach
-            lo = (b[keep] - 1) * span
-            hi = np.minimum(lo + span, groups)
-            xg, g = np.repeat(x[keep], hi - lo), run_members(lo, hi)
-            ok = np.abs(group_key[g] - key[xg]) <= best[xg] * HAIR
-            xg, g = xg[ok], g[ok]
+        def walk(x):
+            # the bounds of the points x, then their walks, on both sides
+            pos = np.searchsorted(group_key, key[x])
+            x, g = np.tile(x, 2), np.concatenate([pos, pos - 1])
+            ok = (g >= 0) & (g < groups)
+            xg, g = x[ok], g[ok]
             np.minimum.at(best, xg, self.pair_distances(
                 t[nearest(groups_index, g, xg)[0]], xg))
-            b = b + step
+            b = np.concatenate([pos // span + 1, pos // span])
+            step = np.repeat([1, -1], len(pos))
+            while len(x):
+                reach = best[x] * HAIR
+                dk = np.maximum(np.maximum(k0[b] - key[x], key[x] - k1[b]), 0.0)
+                ok = dk <= reach
+                x, b, step, dk, reach = x[ok], b[ok], step[ok], dk[ok], reach[ok]
+                gap = nearest(blocks_index, b, x)[1]
+                keep = dk * dk + gap * gap <= reach * reach
+                lo = (b[keep] - 1) * span
+                hi = np.minimum(lo + span, groups)
+                xg, g = np.repeat(x[keep], hi - lo), run_members(lo, hi)
+                ok = np.abs(group_key[g] - key[xg]) <= best[xg] * HAIR
+                xg, g = xg[ok], g[ok]
+                np.minimum.at(best, xg, self.pair_distances(
+                    t[nearest(groups_index, g, xg)[0]], xg))
+                b = b + step
+
+        groups_index, blocks_index = index(group), index(block)
+        best = np.full(n, np.inf)
+        # a point steps on two sides into up to span groups each, whose
+        # nearest targets' coordinates are gathered: 2 * span * dim entries
+        rows = block_rows(2 * span * self.coords.shape[1])
+        for lo in range(0, n, rows):
+            walk(np.arange(lo, min(lo + rows, n)))
         return best
 
 
@@ -916,6 +946,14 @@ class Space:
         a = np.concatenate(a)
         b = np.concatenate(b)
         return a, b, runs, counts
+
+    def _table_cuts(self, centers, radii):
+        """Cuts of the checked centers into blocks whose balls hold fewer
+        than BLOCK_ENTRIES index runs plus the last ball's (see block_cuts),
+        where the backend bounds each ball's runs before its search (see
+        _Metric.run_width); one block where it does not."""
+        width = self._metric.run_width(centers, radii)
+        return np.array([0, len(centers)]) if width is None else block_cuts(width)
 
     def ball(self, x, r):
         if r < 0:

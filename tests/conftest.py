@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -34,6 +36,22 @@ def grid2d_65():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _traced(call):
+    """(kept, peak) bytes traced over call(), its result kept."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 (kept while the memory is read)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced():
+    """_traced: (kept, peak) bytes traced over a call."""
+    return _traced
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 from pharmonious import (SmoothTestFunction, SpaceFormatError, alpha_from_p,
                          expansion_mean, expansion_midrange, expansion_p)
+from pharmonious import asymptotics
 from pharmonious import test_function as catalog_function
 from pharmonious.asymptotics import richardson_limit
 
@@ -199,6 +200,14 @@ def test_nongeometric_radii_rejected():
     f = catalog_function("sq_norm", 2)
     with pytest.raises(SpaceFormatError, match="geometric"):
         expansion_mean(f, np.array([1.0, 0.0]), [0.4, 0.3, 0.1, 0.05])
+
+
+def test_nongeometric_radii_rejected_before_any_ball(monkeypatch):
+    # every lattice ball was built first: 492 MB traced in three dimensions
+    monkeypatch.setattr(asymptotics, "_lattice_ball", None)  # a call fails
+    f = catalog_function("sq_norm", 3)
+    with pytest.raises(SpaceFormatError, match="geometric"):
+        expansion_mean(f, np.array([1.0, 0.0, 0.0]), [0.4, 0.3, 0.1, 0.05])
 
 
 def _squared(gradient, hessian):

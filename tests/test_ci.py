@@ -44,8 +44,10 @@ def test_workflow_runs_the_console_script():
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
     # CSV, solve and certify; on the disk grid validate, solve and certify;
-    # one p-expansion; and two validates that must exit 2, one with a
-    # negative seed, one with a nan delta
+    # one p-expansion; two validates that must exit 2, one with a negative
+    # seed, one with a nan delta; an asymptotics at an overflowing point
+    # that must exit 2; and a certify at a 321-digit m that must exit 1
+    # with no traceback
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert script, "pyproject.toml declares no pharmonious console script"
@@ -81,7 +83,13 @@ def test_workflow_runs_the_console_script():
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --seed -1; then exit 1; else test $? -eq 2; fi',
              'if pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
-             '--epsilon 0.5 --lam 0.4 --delta nan; then exit 1; else test $? -eq 2; fi']
+             '--epsilon 0.5 --lam 0.4 --delta nan; then exit 1; else test $? -eq 2; fi',
+             'if pharmonious asymptotics --fn sq_norm --x 1e200,0 --n 2 '
+             '--out "$RUNNER_TEMP/disk"; then exit 1; else test $? -eq 2; fi',
+             'if pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/smoke/field.csv" --m "$(python -c \'print(10 ** 320)\')" '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/huge" 2> "$RUNNER_TEMP/huge.err"; '
+             'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run] == smoke

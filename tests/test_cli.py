@@ -482,14 +482,15 @@ def test_certify_linear_fixed_point(tmp_path):
     assert abs(doc["theoretical_constant"] - 70.0) < 1e-9
 
 
-def test_certify_withholds_a_bound_past_the_float_range(tmp_path, capsys):
-    # (1 - epsilon)^(-m beta delta) at m = 100000 ended in OverflowError
+def _certify_past_the_float_range(tmp_path, capsys, m):
+    """certify of a solved linear field at index m: exit 1, the bound inf
+    (null in certificate.json), no pass and nothing on stderr."""
     run("solve", "--grid", "1d", "--n", "65", "--rho-factor", 0.4,
         "--boundary-fn", "linear", "--alpha", 0.3, "--init-fn", "linear",
         "--tol", 1e-12, "--out", tmp_path)
     code = run("certify", "--grid", "1d", "--n", "65", "--rho-factor", 0.4,
                "--field", tmp_path / "field.csv", "--alpha", 0.3,
-               "--epsilon", 0.5, "--lam", 0.4, "--m", 100000, "--out", tmp_path)
+               "--epsilon", 0.5, "--lam", 0.4, "--m", m, "--out", tmp_path)
     assert code == 1
     out, err = capsys.readouterr()
     assert "theoretical=inf" in out and err == ""
@@ -497,6 +498,17 @@ def test_certify_withholds_a_bound_past_the_float_range(tmp_path, capsys):
                      parse_constant=_refuse_constant)
     assert doc["theoretical_constant"] is None and not doc["pass"]
     assert doc["gate"]["pass"] and doc["empirical_constant"] == 1.0
+
+
+def test_certify_withholds_a_bound_past_the_float_range(tmp_path, capsys):
+    # (1 - epsilon)^(-m beta delta) at m = 100000 ended in OverflowError
+    _certify_past_the_float_range(tmp_path, capsys, 100000)
+
+
+def test_certify_takes_an_index_past_the_float_range(tmp_path, capsys):
+    # a 321-digit m ended in OverflowError at (1 - epsilon)^m, the cut of
+    # the exhaustion set, before the bound was reached
+    _certify_past_the_float_range(tmp_path, capsys, 10 ** 320)
 
 
 def test_certify_alpha_one_scope(tmp_path, capsys):
@@ -714,13 +726,19 @@ def test_asymptotics_linear_p_harmonic(tmp_path):
     ("--radii", "0.4,nan", "point [1.0, 0.0] and radii [0.4, nan] must be finite"),
     ("--radii", "0.4,inf", "point [1.0, 0.0] and radii [inf, 0.4] must be finite"),
     ("--x", "nan,0",
-     "point [nan, 0.0] and radii [0.4, 0.2, 0.1, 0.05] must be finite")],
-    ids=["x-word", "radii-word", "radii-nan", "radii-inf", "x-nan"])
+     "point [nan, 0.0] and radii [0.4, 0.2, 0.1, 0.05] must be finite"),
+    ("--x", "1e200,0", "sq_norm: gradient[0] inconsistent with finite differences"),
+    ("--radii", "0.4,0.0001",
+     "radii [0.4, 0.0001] ask for a cube of 1.64e+10 lattice points about the "
+     "largest ball (lattice step 6.25e-06), over the limit of 1e+08")],
+    ids=["x-word", "radii-word", "radii-nan", "radii-inf", "x-nan", "x-overflow",
+         "radii-cube"])
 def test_asymptotics_bad_numbers_are_input_errors(tmp_path, capsys, flag, value,
                                                   message):
     # parsing ended in a ValueError traceback, and so did math.floor of a
     # nan radius (an inf one in OverflowError); --x nan,0 exited 0 with NaN
-    # quotients
+    # quotients, and so did --x 1e200,0, whose finite differences are nan;
+    # --radii 0.4,0.0001 built a cube of 1.6e10 lattice offsets
     assert run("asymptotics", "--fn", "sq_norm", "--x", "1,0", "--n", 2,
                flag, value, "--out", tmp_path) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"

@@ -12,6 +12,7 @@ guards, never proofs.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import itertools
@@ -28,6 +29,11 @@ from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 # per array (512 KiB of float64), each stage counting the entries it
 # allocates (see block_rows and block_cuts).
 BLOCK_ENTRIES = 1 << 16
+# A graph search of distance rows that needs more than ROUND_CAP rounds hands
+# its space to scipy's Dijkstra (see _Graph): a certify-shaped run (ball
+# table, probes, adjacent-pair scan) on an n-by-n lattice took as long
+# either way, scipy's import included, between n = 73 (145 rounds) and 81.
+ROUND_CAP = 150
 # Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
 # SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
 # most BLOCK_ENTRIES // 4 pairs.
@@ -209,11 +215,11 @@ class _Metric:
     ball's member intervals [a, b), ball_width the entries each center's
     search holds, run_width the most index runs each ball has (None: not
     known before the search) and row_width the entries of one row of
-    distances(rows, cols); path_metric marks shortest-path distances.  The
-    defaults read
-    balls off dense distance blocks, slice only the columns asked for, know
-    no Lipschitz edge block and find the diameter from a few distance rows
-    (see diameter)."""
+    distances(rows, cols); path_metric marks shortest-path distances,
+    whose backend gives adjacent_blocks (see Space.pair_scan).  The
+    defaults read balls off dense distance blocks, slice only the columns
+    asked for and find the diameter from a few distance rows (see
+    diameter)."""
 
     path_metric = False
     edges = None
@@ -236,11 +242,9 @@ class _Metric:
 
     def ball_intervals(self, centers, radii):
         block = self.distances(centers, limit=max(float(radii.max()), 0.0))
-        owner, a = np.nonzero(block <= radii[:, None])
+        # a flat nonzero, split after, takes half the time of a 2-D one
+        owner, a = np.divmod(np.flatnonzero(block <= radii[:, None]), block.shape[1])
         return owner, a, a + 1
-
-    def lipschitz_block(self):
-        return None
 
     def diameter(self, comp=None):
         """Largest distance between points of comp (default: every point),
@@ -570,30 +574,37 @@ class _Euclidean(_Metric):
 class _Graph(_Metric):
     """Shortest paths over undirected edges, each node pair at its smallest
     edge weight; self-loops are dropped.  The pairs (lo < hi, weight) are
-    the Lipschitz block.
+    edge_pairs, the adjacent pairs of the whole space (see adjacent_blocks).
 
     The graph is one CSR built with numpy: row pointers, targets and
     lengths, every pair stored both ways at its one weight, targets
-    ascending per row.  Boundary distances and the resolution read it
-    directly, so a space whose calls need nothing more (validate) never
-    imports scipy.  Dijkstra rows and connected components run on a
-    scipy csr_matrix of the same arrays, built the first time they are
-    needed (see graph); scipy.sparse.csgraph loads there.
+    ascending per row.  Distance rows, boundary distances, the K-adjacent
+    pair scan and the resolution read it directly, so a space whose
+    searches stay shallow never imports scipy.
 
-    boundary_distances is a multi-source search by rounds: each round
-    relaxes the out-edges of the points whose distance fell in the previous
-    round, keeps the least candidate per target, and it stops when nothing
-    falls.  It gives the same bits as a multi-source Dijkstra: adding a
-    nonnegative length to a float never lowers it and is monotone, so
-    Dijkstra's settle order (Dijkstra 1959) and this label-correcting order
-    both reach the least left-to-right float sum over paths.  It runs one
-    round per hop of the deepest shortest path, so its cost grows with the
-    hop depth of the shortest-path forest: 3 ms on a 65x65 lattice, 40 ms
-    on a 300x300 one, 0.4 s on a path of 20001 nodes, where Dijkstra takes
-    under 1 ms once scipy is loaded (loading it takes about 0.4 s).
+    Every search is by rounds: each round relaxes the out-edges of the
+    points whose distance fell in the previous round, keeps the least
+    candidate per target, and it stops when nothing falls.  It gives the
+    same bits as Dijkstra: adding a nonnegative length to a float never
+    lowers it and is monotone, so Dijkstra's settle order (Dijkstra 1959)
+    and this label-correcting order (Bellman 1958) both reach the least
+    left-to-right float sum over paths.  Distance rows are searched one
+    labelled row per source, a block of sources at a time, over the CSR
+    padded to the largest degree (see _table), a limit dropping the
+    candidates past it as Dijkstra's does.  A search runs one round per
+    hop of the deepest shortest path, a round taking 30-150 us: a full row
+    of the 65x65 lattice (129 rounds at most) takes 0.5-0.7 ms in blocks of
+    15, against 0.35 ms for Dijkstra, whose scipy import costs 0.26-0.45 s
+    and 25 MB.  A search of rows that needs more than ROUND_CAP rounds, or
+    a graph whose padded table would be too large (a hub), hands the space
+    to scipy's Dijkstra, on a csr_matrix of the same arrays (see graph),
+    from then on; connected components (see diameter) load scipy too.
+    boundary_distances is one multi-source search by rounds whatever its
+    depth: 3 ms on a 65x65 lattice, 0.4 s on a path of 20001 nodes.
     """
 
     path_metric = True
+    deep = False  # set once a search of rows passed ROUND_CAP rounds
 
     def __init__(self, space, edges=None, **_):
         if edges is None:
@@ -617,7 +628,7 @@ class _Graph(_Metric):
         w = np.full(len(pair), np.inf)
         np.minimum.at(w, slot, e[keep, 2])
         lo, hi = pair // n, pair % n
-        self._edge_block = lo, hi, w
+        self.edge_pairs = lo, hi, w
         # the CSR: both directions, sorted by (row, target)
         order = np.argsort(np.concatenate([pair, hi * n + lo]))
         rows = np.concatenate([lo, hi])[order]
@@ -632,21 +643,99 @@ class _Graph(_Metric):
         return sparse.csr_matrix((lengths, targets, indptr), shape=(self.n, self.n))
 
     def row_width(self, cols):
-        # Dijkstra rows are whole rows, sliced after
+        # distance rows are whole rows, sliced after
         return self.n
 
     def distances(self, rows, cols=None, limit=np.inf):
-        from scipy.sparse.csgraph import dijkstra
-        block = dijkstra(self.graph, indices=rows, directed=True, limit=limit)
+        block = self._search(rows, limit)
         return block if cols is None else block[:, cols]
+
+    def _search(self, sources, limit=np.inf, stop=None):
+        """The (len(sources), n) block of distances from the sources, inf
+        past limit; points of the mask stop are reached but not left, bar
+        each row's own source.  By rounds (see _rounds) until a search
+        passes ROUND_CAP rounds, then by Dijkstra (see _dijkstra)."""
+        block = None if self.deep else self._rounds(sources, limit, stop)
+        if block is None:
+            self.deep = True
+            block = self._dijkstra(sources, limit, stop)
+        return block
+
+    @functools.cached_property
+    def _table(self):
+        """(targets, lengths), the CSR padded to an n-by-(largest degree)
+        table: a row's free slots lead back to its own node at length inf.
+        None where that would hold more than four times the CSR's entries."""
+        indptr, to, lengths = self._csr
+        degree = np.diff(indptr)
+        width = int(degree.max(initial=0))
+        if self.n * width > 4 * len(to):
+            return None
+        node = np.repeat(np.arange(self.n), degree)
+        slot = np.arange(len(to)) - indptr[node]
+        table = np.repeat(np.arange(self.n), width).reshape(self.n, width)
+        table[node, slot] = to
+        length = np.full((self.n, width), np.inf)
+        length[node, slot] = lengths
+        return table, length
+
+    def _rounds(self, sources, limit, stop):
+        """_search by rounds (see the class docstring) over the padded
+        table, one labelled row per source in one flat block; None past
+        ROUND_CAP rounds, or without a padded table."""
+        if self._table is None:
+            return None
+        table, length = self._table
+        n = self.n
+        block = np.full((len(sources), n), np.inf)
+        flat = block.reshape(-1)
+        fell = np.arange(len(sources)) * n + sources
+        flat[fell] = 0.0
+        for _ in range(ROUND_CAP):
+            node = fell % n
+            cand = (flat[fell][:, None] + length[node]).reshape(-1)
+            target = ((fell - node)[:, None] + table[node]).reshape(-1)
+            lower = cand < flat[target]
+            if limit < np.inf:
+                lower &= cand <= limit
+            target, cand = target[lower], cand[lower]
+            np.minimum.at(flat, target, cand)
+            target.sort()
+            first = np.ones(len(target), dtype=bool)
+            np.not_equal(target[1:], target[:-1], out=first[1:])
+            fell = target[first]
+            if stop is not None:
+                fell = fell[~stop[fell % n]]
+            if not len(fell):
+                return block
+        return None
+
+    def _dijkstra(self, sources, limit, stop):
+        """_search by scipy's Dijkstra.  With stop, the stopped points lose
+        their out-edges and each source leaves from a copy of itself, node
+        n + k, that keeps them: the same paths the rounds take."""
+        from scipy.sparse.csgraph import dijkstra
+        if stop is None:
+            return dijkstra(self.graph, indices=sources, directed=True, limit=limit)
+        from scipy import sparse
+        indptr, to, lengths = self._csr
+        n, k = self.n, len(sources)
+        a = np.concatenate([np.where(stop, indptr[1:], indptr[:-1]), indptr[sources]])
+        b = np.concatenate([indptr[1:], indptr[sources + 1]])
+        edge = run_members(a, b)
+        split = sparse.csr_matrix(
+            (lengths[edge], to[edge], np.concatenate([[0], np.cumsum(b - a)])),
+            shape=(n + k, n + k))
+        return dijkstra(split, indices=n + np.arange(k), directed=True,
+                        limit=limit)[:, :n]
 
     def pair_order(self, members, a):
         # by source: consecutive blocks share at most one source, so a scan
-        # runs each Dijkstra row once, plus at most once more per block
+        # runs each distance row once, plus at most once more per block
         return np.argsort(members[a], kind="stable")
 
     def pair_distances(self, i, j):
-        # grouped by source, one batched Dijkstra per block of sources
+        # grouped by source, one block of distance rows per block of sources
         out = np.empty(len(i))
         order = np.argsort(i, kind="stable")
         sources, first = np.unique(i[order], return_index=True)
@@ -658,12 +747,37 @@ class _Graph(_Metric):
             out[s] = self.distances(rows)[np.searchsorted(rows, i[s]), j[s]]
         return out
 
-    def lipschitz_block(self):
-        return self._edge_block
+    def adjacent_blocks(self, members):
+        """(i, j, d) blocks of the K-adjacent pairs i < j of K = members:
+        the pairs joined by a path with no point of K inside, d the least
+        such path (>= d(i, j)), read off a search from i that reaches the
+        points of K but does not leave them.  A point whose neighbours all
+        lie in K has its edges for pairs; the others are searched, a block
+        of sources at a time (see _search)."""
+        indptr, to, lengths = self._csr
+        inside = np.zeros(self.n, dtype=bool)
+        inside[members] = True
+        k = np.flatnonzero(inside)
+        left = np.concatenate([[0], np.cumsum(~inside[to])])
+        leaves = (left[indptr[k + 1]] - left[indptr[k]]) > 0
+        near, far = k[~leaves], k[leaves]
+        a, b = indptr[near], indptr[near + 1]
+        cuts = block_cuts(b - a)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            edge = run_members(a[lo:hi], b[lo:hi])
+            i, j = np.repeat(near[lo:hi], b[lo:hi] - a[lo:hi]), to[edge]
+            keep = j > i
+            yield i[keep], j[keep], lengths[edge[keep]]
+        step = block_rows(self.n)
+        for lo in range(0, len(far), step):
+            s = far[lo:lo + step]
+            d = self._search(s, stop=inside)[:, k]
+            row, col = np.nonzero((k > s[:, None]) & (d < np.inf))
+            yield s[row], k[col], d[row, col]
 
     def boundary_distances(self, targets):
-        # rounds of relaxation from the targets (see the class docstring);
-        # inf on a component without targets
+        # one multi-source search by rounds from the targets (see the class
+        # docstring); inf on a component without targets
         indptr, to, lengths = self._csr
         dist = np.full(self.n, np.inf)
         dist[targets] = 0.0
@@ -874,16 +988,23 @@ class Space:
         order of the pairs (see pair_order; graphs go by source).
 
         lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
-        On a whole graph space that maximum is attained on an edge (sum the
-        edge bounds along a shortest path): one exact block, at any size.
+        On a path metric that maximum over K = members is attained on a
+        K-adjacent pair, joined by a path with no other point of K inside
+        (cut a shortest path at its points of K: the distances add up, so
+        one piece has at least the whole ratio); the scan is exact at any
+        size, and yields those pairs alone (see _Graph.adjacent_blocks): on
+        the whole space, its edges.  Their distances are bounds >= d(x, y),
+        so only that maximum may read them; in floats it can fall below
+        the full scan's by rounding, never above it.
         """
-        block = self._metric.lipschitz_block() if lipschitz and members is None else None
-        if block is not None:
-            n = len(self)
-            return PairScan("exact", n * (n - 1) // 2, iter([block]))
-        members = np.arange(len(self)) if members is None \
-            else self._indices(members)
+        whole = members is None
+        members = np.arange(len(self)) if whole else self._indices(members)
         n = len(members)
+        if lipschitz and self._metric.path_metric:
+            # on the whole space the adjacent pairs are the edges, kept
+            blocks = iter([self._metric.edge_pairs]) if whole \
+                else self._metric.adjacent_blocks(members)
+            return PairScan("exact", n * (n - 1) // 2, blocks)
         if n <= EXACT_PAIR_LIMIT:
             return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
         rng = np.random.default_rng(seed)
@@ -1016,6 +1137,35 @@ class Space:
             centers.add(int(rng.integers(len(self))))
         return sorted(centers)
 
+    def _probe_rows(self, centers):
+        """The distance rows d(x, .) of the centers in turn, taken a block
+        at a time (see _distance_blocks)."""
+        for _, d in self._distance_blocks(np.asarray(centers, dtype=np.intp)):
+            yield from d
+
+    def _drawn_rows(self, rng):
+        """row(x) -> d(x, .) for the centers x that a probe draws from rng
+        one at a time, each draw followed by two single draws of its radii.
+        A center without its row at hand takes a block of rows: its own and
+        those of the next centers predicted on a copy of rng, on which each
+        radius draw takes one 32-bit value as integers(2) does.  A draw
+        that takes none or two makes the next center a miss, which takes a
+        new block; the rows, and the probe's result, never depend on the
+        predictions."""
+        at_hand = {}
+        size = block_rows(self._metric.row_width(None))
+
+        def row(x):
+            if x not in at_hand:
+                ahead, centers = copy.deepcopy(rng), [x]
+                while len(centers) < size:
+                    ahead.integers(2, size=2)
+                    centers.append(int(ahead.integers(len(self))))
+                at_hand.clear()
+                at_hand.update(zip(centers, self._probe_rows(centers)))
+            return at_hand[x]
+        return row
+
     def probe_annular_decay(self, delta=1.0, samples=200, seed=0):
         """Estimate the annular decay constant for the given exponent.
 
@@ -1048,8 +1198,7 @@ class Space:
                 best = est
 
         # structured shells at extremal centers
-        for x in self._probe_centers(rng):
-            d = self.distances_from(x)
+        for d in self._probe_rows(self._probe_centers(rng)):
             vals = np.unique(d[np.isfinite(d)])
             vals = vals[vals > 0]
             if len(vals) < 2:
@@ -1069,9 +1218,9 @@ class Space:
 
         # seeded random shells (wider: single-cell random shells are too noisy)
         width_floor = 2.0 * res
+        row = self._drawn_rows(rng)
         for _ in range(samples):
-            x = int(rng.integers(len(self)))
-            d = self.distances_from(x)
+            d = row(int(rng.integers(len(self))))
             vals = np.unique(d[np.isfinite(d)])
             vals = vals[vals >= r_min]
             if len(vals) < 2:
@@ -1093,8 +1242,7 @@ class Space:
         best = 1.0
         centers = self._probe_centers(rng, extra=max(4, samples // 8))
         quantiles = np.linspace(0.0, 1.0, 9)
-        for x in centers:
-            d = self.distances_from(x)
+        for d in self._probe_rows(centers):
             vals = np.unique(d[np.isfinite(d)])
             vals = vals[vals >= PROBE_R_MIN_CELLS * res]
             if len(vals) == 0:
@@ -1112,7 +1260,10 @@ class Space:
         radii = np.asarray(radii, dtype=float)
         if len(radii) < 2 or np.any(np.diff(radii) <= 0):
             raise SpaceFormatError("radii must be strictly increasing")
-        d = self.distances_from(x)
+        return self._ring_jump(self.distances_from(x), radii)
+
+    def _ring_jump(self, d, radii):
+        """probe_ring_continuity on the distance row d of its center."""
         mus = np.array([self.weights[d <= r].sum() for r in radii])
         jump = 0.0
         for a, b in zip(mus[:-1], mus[1:]):
@@ -1163,15 +1314,14 @@ class Space:
         centers = self._probe_centers(rng, extra=2)
         jump = 0.0
         r_floor = PROBE_R_MIN_CELLS * self.resolution()
-        for x in centers:
-            d = self.distances_from(x)
+        for d in self._probe_rows(centers):
             vals = np.unique(d[np.isfinite(d)])
             vals = vals[vals >= r_floor]
             if len(vals) < 2:
                 continue
             sweep = vals[:: max(1, len(vals) // 200)]
             if len(sweep) >= 2:
-                jump = max(jump, self.probe_ring_continuity(x, sweep))
+                jump = max(jump, self._ring_jump(d, sweep))
         return SpaceProbeReport(
             doubling_estimate=self.probe_doubling(samples=samples, seed=seed),
             annular_decay_estimates=ann,

@@ -1,0 +1,234 @@
+"""Graph searches by rounds against scipy's Dijkstra, bit for bit, across the
+hand-over at the round cap; the adjacent-pair Holder scan against the full
+exact pair scan; probes whose rows come in blocks."""
+
+import itertools
+
+import numpy as np
+import pytest
+from scipy.sparse.csgraph import dijkstra
+
+from pharmonious import BallTable, RadiusField, Space, lattice_graph, path_graph
+from pharmonious import space as space_mod
+from pharmonious.radius import max_gap_ratio
+
+
+def random_graph(seed, n=300):
+    """n nodes: the first n - 25 joined by two random edges each, then a
+    cycle of 20 nodes apart from them and 5 isolated nodes, so that every
+    row has unreachable entries; lengths spread over six decades."""
+    rng = np.random.default_rng(seed)
+    main = n - 25
+    cycle = np.arange(main, main + 20)
+    i = np.concatenate([np.repeat(np.arange(main), 2), cycle])
+    j = np.concatenate([rng.integers(0, main, 2 * main), np.roll(cycle, 1)])
+    w = 10.0 ** rng.uniform(-3.0, 3.0, len(i))
+    return Space(weights=np.ones(n), boundary=[0], metric="graph",
+                 edges=np.column_stack([i, j, w]))
+
+
+def ring(n, weight=1.0):
+    i = np.arange(n)
+    return Space(weights=np.ones(n), boundary=[0], metric="graph",
+                 edges=np.column_stack([i, (i + 1) % n, np.full(n, weight)]))
+
+
+GRAPHS = {"lattice": lambda: lattice_graph(13, 11), "path": lambda: path_graph(41),
+          **{f"random{seed}": (lambda seed=seed: random_graph(seed)) for seed in range(3)}}
+
+
+def scipy_rows(sp, rows, limit=np.inf):
+    """scipy's Dijkstra on the space's CSR, as every distance row was taken
+    before the search by rounds."""
+    return dijkstra(sp._metric.graph, indices=rows, directed=True, limit=limit)
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["full", "limit"])
+@pytest.mark.parametrize("name", GRAPHS)
+def test_rounds_equal_dijkstra(name, limited):
+    sp = GRAPHS[name]()
+    assert sp._metric._table is not None  # searched by rounds, not handed over
+    rows = np.arange(len(sp))
+    reference = scipy_rows(sp, rows)
+    limit = np.inf
+    if limited:  # a limit on an attained distance: ties at the cut-off
+        limit = float(np.median(reference[np.isfinite(reference)]))
+        reference = scipy_rows(sp, rows, limit)
+        assert 0 < np.isfinite(reference).mean() < 1
+    assert np.isinf(reference).any() == (limited or name.startswith("random"))
+    got = sp.distances(rows, limit=limit)
+    assert not sp._metric.deep
+    assert got.tobytes() == reference.tobytes()
+    cols = rows[::7]
+    assert np.array_equal(sp.distances(rows[3:40], cols, limit), reference[3:40][:, cols])
+
+
+def test_a_graph_with_a_hub_goes_to_dijkstra():
+    # a star padded to its largest degree would hold n^2 entries
+    n = 200
+    i = np.arange(1, n)
+    sp = Space(weights=np.ones(n), boundary=[1], metric="graph",
+               edges=np.column_stack([np.zeros(n - 1), i, 1.0 + i / n]))
+    assert sp._metric._table is None
+    assert np.array_equal(sp.distances([0, 5]), scipy_rows(sp, [0, 5]))
+    assert sp._metric.deep
+
+
+def test_rows_hand_over_to_dijkstra_past_the_round_cap():
+    sp = path_graph(2001)
+    reference = scipy_rows(sp, [0, 1000, 2000])
+    # 101 rounds: by rounds
+    limited = sp.distances([0, 1000, 2000], limit=100.0)
+    assert not sp._metric.deep
+    assert np.array_equal(limited, scipy_rows(sp, [0, 1000, 2000], 100.0))
+    # a full row takes 2001 rounds: handed over, and the space stays there
+    assert np.array_equal(sp.distances([0, 1000, 2000]), reference)
+    assert sp._metric.deep
+    assert np.array_equal(sp.distances([7], limit=3.0), scipy_rows(sp, [7], 3.0))
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_long_path_ball_table_equals_dijkstra_balls(deep):
+    sp = path_graph(2001)
+    if deep:
+        sp.distances([0])
+    assert sp._metric.deep == deep
+    rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    table = BallTable(sp, rho)
+    # the widest ball (radius 400) passes the cap: the table is built by
+    # rounds and then by Dijkstra
+    assert sp._metric.deep
+    ref = scipy_rows(sp, table.centers)
+    rows, cols = np.nonzero(ref <= rho.values[table.centers][:, None])
+    assert np.array_equal(table.indices, cols)
+    assert np.array_equal(table.counts, np.bincount(rows, minlength=len(table.centers)))
+
+
+# -- the adjacent-pair scan -------------------------------------------------------
+
+
+def full_scan(sp, u, members, monkeypatch):
+    """max |u(x) - u(y)| / d(x, y) over every pair of members: the exact
+    scan of distance rows, however many members."""
+    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", len(sp) + 1)
+    scan = sp.pair_scan(members)
+    assert scan.mode == "exact"
+    best = 0.0
+    for i, j, d in scan.blocks:
+        du = np.abs(u[i] - u[j])
+        best = max(best, float(np.max(np.divide(du, d, out=np.zeros(du.shape),
+                                                where=d > 0), initial=0.0)))
+    return best
+
+
+def holey_sets(sp, seed):
+    """Sets K: scattered points, a band with holes, two far blobs, all."""
+    rng = np.random.default_rng(seed)
+    n = len(sp)
+    band = np.arange(n // 4, 3 * n // 4)
+
+    def blob(center):  # the 30 points nearest to center
+        return np.argsort(sp.distances([center])[0], kind="stable")[:30]
+    return {"scattered": np.sort(rng.choice(n, n // 5, replace=False)),
+            "holes": band[rng.uniform(size=len(band)) > 0.3],
+            "blobs": np.union1d(blob(1), blob(n - 30)),
+            "all": np.arange(n)}
+
+
+SCANNED = {**GRAPHS, "lattice-tenths": lambda: lattice_graph(21, 17, edge_weight=0.1),
+           "ring": lambda: ring(401, 0.1)}
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_adjacent_scan_equals_the_full_scan(name, monkeypatch):
+    sp = SCANNED[name]()
+    gaps = []
+    for seed in range(2):
+        # a rough field, whose ratio peaks on an edge, and a distance field,
+        # whose ratio 1 (times a scale) is met on paths of many hops
+        d = sp.distances([7 * seed])[0]
+        fields = (np.random.default_rng(seed).normal(size=len(sp)),
+                  np.where(np.isfinite(d), d, 0.0) * (1.0 + seed / 3.0))
+        for u, members in itertools.product(fields, holey_sets(sp, seed).values()):
+            value, mode, pairs = max_gap_ratio(sp, u, 1.0, members)
+            assert mode == "exact" and pairs == len(members) * (len(members) - 1) // 2
+            with monkeypatch.context() as m:
+                full = full_scan(sp, u, members, m)
+            # distances read past points of K are bounds: never above
+            assert value <= full
+            gaps.append((full - value) / full)
+    # a few ulps at most (one on the ring's lengths of 0.1); none on unit
+    # lengths
+    assert max(gaps) <= 4 * np.finfo(float).eps, max(gaps)
+    if name in ("lattice", "path"):
+        assert max(gaps) == 0.0
+
+
+def test_adjacent_scan_hands_over_past_the_round_cap(monkeypatch):
+    # two points of K on a ring of 401: each search walks 200 hops
+    sp = ring(401, 0.1)
+    u = np.random.default_rng(5).normal(size=len(sp))
+    members = np.array([3, 204])
+    value = max_gap_ratio(sp, u, 1.0, members)[0]
+    assert sp._metric.deep
+    assert value == full_scan(sp, u, members, monkeypatch) > 0
+
+
+def test_adjacent_scan_is_exact_at_any_size(monkeypatch):
+    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
+    sp = lattice_graph(9, 7)
+    scan = sp.pair_scan(sp.interior_indices, lipschitz=True)
+    assert scan.mode == "exact" and scan.pairs == 35 * 34 // 2
+    assert sp.pair_scan(sp.interior_indices).mode == "sampled"
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["stored", "searched"])
+def test_whole_space_scan_is_the_edge_list(whole):
+    # K = X: every point's neighbours lie in K, so its pairs are its edges
+    sp = random_graph(4)
+    members = None if whole else np.arange(len(sp))
+    scan = sp.pair_scan(members, lipschitz=True)
+    i, j, d = (np.concatenate(x) for x in zip(*scan.blocks))
+    e = sp.edges
+    lo, hi = np.minimum(e[:, 0], e[:, 1]).astype(int), np.maximum(e[:, 0], e[:, 1]).astype(int)
+    keep = lo != hi
+    pair, slot = np.unique(lo[keep] * len(sp) + hi[keep], return_inverse=True)
+    w = np.full(len(pair), np.inf)
+    np.minimum.at(w, slot, e[keep, 2])
+    assert np.array_equal(i * len(sp) + j, pair) and np.array_equal(d, w)
+
+
+# -- probes -----------------------------------------------------------------------
+
+
+def lattice_doc_space(n):
+    h = 1.0 / (n - 1)
+    k = np.arange(n * n)
+    node = np.arange(n * n)
+    right, down = node[node % n < n - 1], node[node < n * n - n]
+    edges = np.concatenate([np.column_stack([right, right + 1, np.full(len(right), h)]),
+                            np.column_stack([down, down + n, np.full(len(down), h)])])
+    coords = np.column_stack([k // n * h, k % n * h])
+    frame = np.flatnonzero((k // n % (n - 1) == 0) | (k % n % (n - 1) == 0))
+    return Space(coords=coords, weights=np.full(n * n, h * h), boundary=frame,
+                 metric="graph", edges=edges)
+
+
+def test_probes_do_not_depend_on_their_blocks(monkeypatch):
+    calls = []
+    real = space_mod._Graph.distances
+
+    def counted(self, rows, cols=None, limit=np.inf):
+        calls.append(len(rows))
+        return real(self, rows, cols, limit)
+    monkeypatch.setattr(space_mod._Graph, "distances", counted)
+    blocked = lattice_doc_space(33).probe_report(samples=120, seed=2).to_dict()
+    rows_taken, blocks = sum(calls), len(calls)
+    # one row a block: every row taken alone, as the probes ask for them
+    calls.clear()
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 1)
+    assert lattice_doc_space(33).probe_report(samples=120, seed=2).to_dict() == blocked
+    assert set(calls) == {1}
+    # the drawn centers come a block at a time, predicted on a copy of the
+    # generator: a few blocks, a few mispredicted rows
+    assert blocks < len(calls) / 8 and rows_taken < 6 * len(calls), (blocks, rows_taken)

@@ -1,8 +1,9 @@
 """Which spaces import scipy: lines, raveled 2-D grids and disks run on numpy
-alone, their diameters included; graphs are set up on numpy alone, and
-import scipy.sparse at their first Dijkstra row (ball tables, pair scans,
-probes), so a graph validate loads none of it; clouds and 3-D grids take
-the KD-tree of scipy.spatial.  Each check runs in a fresh interpreter."""
+alone, their diameters included; graphs whose searches stay shallow run on
+numpy alone (ball tables, pair scans, probes), and import scipy.sparse only
+past the round cap, for a hub or for connected components; clouds and 3-D
+grids take the KD-tree of scipy.spatial.  Each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -56,19 +57,25 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
                   cwd=tmp_path) == []
 
 
-@pytest.mark.parametrize("grid, n, fn", [("1d", 33, "linear"), ("2d", 17, "saddle"),
-                                         ("disk", 17, "saddle")])
-def test_grid_pipelines_run_without_scipy(tmp_path, grid, n, fn):
-    calls = json.dumps(pipeline(["--grid", grid, "--n", str(n)],
-                                ["--boundary-fn", fn, "--init-fn", fn]))
+def run_without_scipy(tmp_path, calls):
+    """The outputs of a pipeline run with scipy blocked, after checking that
+    a plain run loads no scipy module and writes the same bytes."""
     outputs = {}
     for mode in ("blocked", "plain"):
         (tmp_path / mode).mkdir()
-        assert python(PIPELINE, mode, calls, cwd=tmp_path / mode) == []
+        assert python(PIPELINE, mode, json.dumps(calls), cwd=tmp_path / mode) == []
         outputs[mode] = {f: (tmp_path / mode / "out" / f).read_bytes()
                          for f in ("validate.json", "field.csv",
                                    "solve_report.json", "certificate.json")}
     assert outputs["blocked"] == outputs["plain"]
+    return outputs["blocked"]
+
+
+@pytest.mark.parametrize("grid, n, fn", [("1d", 33, "linear"), ("2d", 17, "saddle"),
+                                         ("disk", 17, "saddle")])
+def test_grid_pipelines_run_without_scipy(tmp_path, grid, n, fn):
+    run_without_scipy(tmp_path, pipeline(["--grid", grid, "--n", str(n)],
+                                         ["--boundary-fn", fn, "--init-fn", fn]))
 
 
 def test_grid_diameters_load_no_scipy(tmp_path):
@@ -114,15 +121,33 @@ def test_graph_set_up_loads_no_scipy(tmp_path):
                   cwd=tmp_path) == []
 
 
-def test_graph_pipeline_leaves_the_kd_tree_unloaded(tmp_path):
+def _lattice_doc(n):
+    """An n-by-n lattice graph on [0, 1]^2 as a space document, with
+    coordinates and no analytic constants, so that certify probes them."""
+    h = 1.0 / (n - 1)
+    points = [{"id": k, "coords": [k // n * h, k % n * h], "weight": h * h,
+               "boundary": k // n in (0, n - 1) or k % n in (0, n - 1)}
+              for k in range(n * n)]
+    edges = ([[k, k + 1, h] for k in range(n * n) if k % n < n - 1]
+             + [[k, k + n, h] for k in range(n * n - n)])
+    return {"metric": "graph", "points": points, "edges": edges}
+
+
+@pytest.mark.parametrize("space", ["grid", "json"])
+def test_graph_pipeline_loads_no_scipy(tmp_path, space):
+    # shallow searches run by rounds: ball tables, the certify residual,
+    # the adjacent-pair Holder scan and (json: no analytic constants) the
+    # probes; they used to load scipy.sparse.csgraph for Dijkstra rows
     n = 9
-    rows = ["id,value"] + [f"{k},{(k // n) / (n - 1)!r}" for k in range(n * n)]
-    (tmp_path / "boundary.csv").write_text("\n".join(rows) + "\n")
-    calls = json.dumps(pipeline(["--grid", "lattice", "--n", str(n)],
-                                ["--boundary", "boundary.csv"]))
-    loaded = python(PIPELINE, "plain", calls, cwd=tmp_path)
-    assert "scipy.sparse.csgraph" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+    if space == "grid":
+        rows = ["id,value"] + [f"{k},{(k // n) / (n - 1)!r}" for k in range(n * n)]
+        (tmp_path / "boundary.csv").write_text("\n".join(rows) + "\n")
+        args = ["--grid", "lattice", "--n", str(n)], ["--boundary", "../boundary.csv"]
+    else:
+        (tmp_path / "lattice.json").write_text(json.dumps(_lattice_doc(n)))
+        args = ["--space", "../lattice.json"], ["--boundary-fn", "saddle"]
+    certificate = run_without_scipy(tmp_path, pipeline(*args))["certificate.json"]
+    assert (b'"probed"' in certificate) == (space == "json")
 
 
 KD_TABLES = """

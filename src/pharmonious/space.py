@@ -17,7 +17,6 @@ import csv
 import functools
 import itertools
 import json
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -151,23 +150,33 @@ def block_cuts(sizes):
         [len(sizes)]]))
 
 
-def _euclidean(a, b):
-    """Closed-form Euclidean distance between broadcast coordinate arrays.
+def _squares(a, b):
+    """Summed squares of a - b over the last axis, broadcast: under every
+    Euclidean distance (see _euclidean).
 
-    Every Euclidean distance goes through this formula, so ball membership
-    ties and pair scans agree bit for bit wherever they are computed.  In
-    one or two dimensions the squares are added column by column: the same
-    sum x0^2 + x1^2 that sum() forms, without its slow reduction over a
-    last axis of two."""
+    In one or two dimensions the squares are added column by column: the
+    same sum x0^2 + x1^2 that sum() forms, without its slow reduction over
+    a last axis of two.  Above, sum() pairs the terms as it does (eight or
+    more are not added in order).  No column gives 0.0."""
     if a.shape[-1] > 2:
         diff = a - b
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return (diff * diff).sum(axis=-1)
     sq = 0.0
     for k in range(a.shape[-1]):
         d = a[..., k] - b[..., k]
         d *= d
         sq = d if k == 0 else np.add(sq, d, out=d)
-    return np.sqrt(sq)
+    return sq
+
+
+def _euclidean(a, b):
+    """Closed-form Euclidean distance between broadcast coordinate arrays:
+    the square root of _squares.
+
+    Every Euclidean distance goes through this formula, so ball membership
+    ties, pair scans and boundary distances agree bit for bit wherever they
+    are computed."""
+    return np.sqrt(_squares(a, b))
 
 
 def _flatten(lists):
@@ -287,8 +296,10 @@ class _Metric:
 
 
 class _Euclidean(_Metric):
-    """Closed-form distances between distinct points (see _euclidean); balls
-    and boundary distances search strips (see _strips), not dense blocks."""
+    """Closed-form distances between distinct points (see _euclidean).
+    Balls search strips (see _strips), not dense blocks; boundary distances
+    are the minimum of the closed form over every target, a block of
+    points at a time."""
 
     def __init__(self, space, coords=None, **_):
         if coords is None:
@@ -324,11 +335,24 @@ class _Euclidean(_Metric):
     def run_width(self, centers, radii):
         # a ball meets each strip within reach of its key (see near) in one
         # interval
-        _, _, keys, _, near, _ = self._strips
+        _, _, keys, _, near = self._strips
         return near(keys[centers], radii, counts=True)
 
     def boundary_distances(self, targets):
-        return self._strips[5](targets)
+        """min over the targets t of d(t, x), for every point x: a block of
+        points (see block_rows) takes the running minimum of its summed
+        squares to each target in turn, then one sqrt per point.  sqrt is
+        correctly rounded, hence monotone, so this is the minimum of the
+        closed-form distances bit for bit.  One target at a time, not a
+        block of targets: numpy subtracts a row from a column several times
+        slower than a point from a column."""
+        c, out = self.coords, np.full(self.n, np.inf)
+        rows = block_rows(c.shape[1])
+        for lo in range(0, self.n, rows):
+            x, best = c[lo:lo + rows], out[lo:lo + rows]
+            for t in c[targets]:
+                np.minimum(best, _squares(x, t), out=best)
+        return np.sqrt(out, out=out)
 
     def resolution(self):
         from scipy.spatial import cKDTree
@@ -337,8 +361,8 @@ class _Euclidean(_Metric):
 
     @functools.cached_property
     def _strips(self):
-        """(bounds, code, keys, ranks, near, nearest): the strips of the
-        index order and what locates a point in them.
+        """(bounds, code, keys, ranks, near): the strips of the index order
+        and what locates a point in them.
 
         A strip is a maximal run of consecutive indices whose points share
         every coordinate but the last, with the last strictly increasing
@@ -349,8 +373,8 @@ class _Euclidean(_Metric):
         leading coordinates (a zero on a line), keys per point.  When the
         strips average fewer than two points (a shuffled grid, a cloud)
         every point is its own strip, keyed by all its coordinates (see
-        _near_keys for near and nearest).  ranks holds the distinct last
-        coordinates, sorted, and code = strip * (len(ranks) + 1) + rank of
+        _near_keys for near).  ranks holds the distinct last coordinates,
+        sorted, and code = strip * (len(ranks) + 1) + rank of
         the last coordinate, per point, as int64: the last coordinate
         increases along a strip, so code is sorted, and one searchsorted of
         strip * (len(ranks) + 1) + searchsorted(ranks, y) finds the first
@@ -368,21 +392,19 @@ class _Euclidean(_Metric):
         bounds = np.append(start, n)
         ranks, rank = np.unique(c[:, -1], return_inverse=True)
         code = np.repeat(np.arange(len(start)) * (len(ranks) + 1), np.diff(bounds)) + rank
-        return bounds, code, keys, ranks, *self._near_keys(keys[start])
+        return bounds, code, keys, ranks, self._near_keys(keys[start])
 
     def _near_keys(self, keys):
-        """(near, nearest) for strips with these keys: near(at, reach) ->
-        (owner, k), for each row of at the rows k of keys within reach of it
-        (widened by HAIR), ascending; near(at, reach, counts=True), per row
-        of at, how many keys lie within reach in the first column alone: as
-        many (one column) or more; nearest(targets), every point's distance
-        to its nearest target, as distances() gives it.
+        """near for strips with these keys: near(at, reach) -> (owner, k),
+        for each row of at the rows k of keys within reach of it (widened by
+        HAIR), ascending; near(at, reach, counts=True), per row of at, how
+        many keys lie within reach in the first column alone: as many (one
+        column) or more.
 
         One key column is searched by a searchsorted over the sorted keys
         (a ball's candidates re-sorted only when the key order is not the
-        row order), and nearest is _strip_nearest.  More columns take
-        KD-trees (scipy is imported here): nearest is the closed-form
-        minimum over the targets within a HAIR of the tree's distance."""
+        row order).  More columns (clouds, shuffled grids, 3-D grids) take
+        a KD-tree: scipy is imported here, by the first ball search."""
         order = np.argsort(keys[:, 0], kind="stable")
         sorted_keys = keys[order, 0]
 
@@ -396,29 +418,13 @@ class _Euclidean(_Metric):
             from scipy.spatial import cKDTree
             tree = cKDTree(keys)
 
-            def nearest(targets):
-                c = self.coords
-                to = cKDTree(c[targets])
-                out = np.full(self.n, np.inf)
-                # a point's queries hold about 16 entries: its distance and
-                # index, a Python list of its candidates and its row
-                rows = block_rows(16)
-                for lo in range(0, self.n, rows):
-                    x = c[lo:lo + rows]
-                    owner, near = _flatten(to.query_ball_point(
-                        x, to.query(x)[0] * HAIR, return_sorted=True))
-                    owner += lo
-                    np.minimum.at(out, owner,
-                                  self.pair_distances(targets[near], owner))
-                return out
-
             def near(at, reach, counts=False):
                 if counts:
                     lo, hi = slab(at, reach)
                     return hi - lo
                 return _flatten(tree.query_ball_point(at, reach * HAIR,
                                                       return_sorted=True))
-            return near, nearest
+            return near
         ordered = bool(np.all(order[1:] > order[:-1]))
 
         def near(at, reach, counts=False):
@@ -431,7 +437,7 @@ class _Euclidean(_Metric):
                 return owner, k
             code = np.sort(owner * len(keys) + order[k])
             return owner, code - owner * len(keys)
-        return near, self._strip_nearest
+        return near
 
     def ball_intervals(self, centers, radii):
         """The balls' nonempty intervals [a, b) with each strip, found with
@@ -447,7 +453,7 @@ class _Euclidean(_Metric):
         interval overlaps or touches the chord's and the steps end on it
         exactly.  When every strip is one point, each candidate is checked.
         """
-        bounds, code, keys, ranks, near, _ = self._strips
+        bounds, code, keys, ranks, near = self._strips
         c = self.coords
         owner, strip = near(keys[centers], radii)
         ctr, r, s0 = centers[owner], radii[owner], bounds[strip]
@@ -477,98 +483,6 @@ class _Euclidean(_Metric):
         walk(b, -1, lambda i, k: (i > a[k]) & ~inside(i - 1, k))
         keep = a < b
         return owner[keep], a[keep], b[keep]
-
-    def _strip_nearest(self, targets):
-        """min over the targets t of d(t, x), for every point x, on a space
-        whose strips are keyed by one coordinate (see _strips).
-
-        The targets are grouped by strip, the groups sorted by key, and runs
-        of about sqrt(groups) / 2 groups form blocks.  In a group or a
-        block, one searchsorted finds the targets on either side of a
-        point's last coordinate: its rank and the targets' strips are read
-        off the strip codes (see _strips), and ranks are coded with the
-        segment as the strips code them with the strip.  Of the two, the
-        one with the smaller gap is the nearest there, since at a fixed key
-        the closed form is monotone in the gap.  No rank table is built
-        here.  Each point first takes the closed-form distance to the
-        nearest target of the nearest group by key on either side: a bound.
-        It then walks the blocks outward from its key, on both sides at
-        once, and stops on a side once the key
-        distance exceeds the bound by a HAIR.  A block whose key distance
-        and smallest gap put all its targets beyond the bound is passed
-        over; in the others, each group within the bound by key gives the
-        closed-form distance to its nearest target, which lowers the bound.
-        No distance block is built.  The points walk in blocks sized
-        from the budget (see block_rows): each point reads and lowers only
-        its own bound, so the result does not depend on the blocks.
-        """
-        _, code, keys, ranks, _, _ = self._strips
-        key, last = keys[:, 0], self.coords[:, -1]
-        n, width = len(key), len(ranks) + 1
-        rank = code % width
-        t = targets[np.argsort(key[targets], kind="stable")]
-        strip = code[t] // width
-        new = np.append(True, strip[1:] != strip[:-1])
-        group, group_key = np.cumsum(new) - 1, key[t[new]]
-        groups, span = len(group_key), max(1, math.isqrt(len(group_key)) // 2)
-        block = group // span + 1  # blocks 1..B; 0 and B + 1 end every walk
-        k0, k1 = (np.concatenate([[np.nan], k, [np.nan]]) for k in (
-            group_key[::span], group_key[np.minimum(
-                np.arange(1, block[-1] + 1) * span, groups) - 1]))
-
-        def coded(segment, x):
-            # the rank of last[x] coded with a segment, as the strips code it
-            return segment * width + rank[x]
-
-        def index(segment):
-            # the targets' codes by segment, sorted; the last coordinates in
-            # that order; where each segment starts
-            keyed = np.sort(coded(segment, t))
-            return keyed, ranks[keyed % width], np.searchsorted(
-                segment, np.arange(segment[-1] + 2))
-
-        def nearest(index, s, x):
-            # position and gap of the target nearest to last[x] in segment s
-            keyed, values, start = index
-            i = np.searchsorted(keyed, coded(s, x))
-            lo, hi = np.maximum(i - 1, start[s]), np.minimum(i, start[s + 1] - 1)
-            gap_lo, gap_hi = np.abs(values[lo] - last[x]), np.abs(values[hi] - last[x])
-            return np.where(gap_hi < gap_lo, hi, lo), np.minimum(gap_lo, gap_hi)
-
-        def walk(x):
-            # the bounds of the points x, then their walks, on both sides
-            pos = np.searchsorted(group_key, key[x])
-            x, g = np.tile(x, 2), np.concatenate([pos, pos - 1])
-            ok = (g >= 0) & (g < groups)
-            xg, g = x[ok], g[ok]
-            np.minimum.at(best, xg, self.pair_distances(
-                t[nearest(groups_index, g, xg)[0]], xg))
-            b = np.concatenate([pos // span + 1, pos // span])
-            step = np.repeat([1, -1], len(pos))
-            while len(x):
-                reach = best[x] * HAIR
-                dk = np.maximum(np.maximum(k0[b] - key[x], key[x] - k1[b]), 0.0)
-                ok = dk <= reach
-                x, b, step, dk, reach = x[ok], b[ok], step[ok], dk[ok], reach[ok]
-                gap = nearest(blocks_index, b, x)[1]
-                keep = dk * dk + gap * gap <= reach * reach
-                lo = (b[keep] - 1) * span
-                hi = np.minimum(lo + span, groups)
-                xg, g = np.repeat(x[keep], hi - lo), run_members(lo, hi)
-                ok = np.abs(group_key[g] - key[xg]) <= best[xg] * HAIR
-                xg, g = xg[ok], g[ok]
-                np.minimum.at(best, xg, self.pair_distances(
-                    t[nearest(groups_index, g, xg)[0]], xg))
-                b = b + step
-
-        groups_index, blocks_index = index(group), index(block)
-        best = np.full(n, np.inf)
-        # a point steps on two sides into up to span groups each, whose
-        # nearest targets' coordinates are gathered: 2 * span * dim entries
-        rows = block_rows(2 * span * self.coords.shape[1])
-        for lo in range(0, n, rows):
-            walk(np.arange(lo, min(lo + rows, n)))
-        return best
 
 
 class _Graph(_Metric):
@@ -1091,7 +1005,8 @@ class Space:
 
     def boundary_distances(self):
         """dist(x, boundary) for every point, zero exactly on the boundary:
-        one nearest-target query of the backend, not a scan of pairs."""
+        one query of the backend, which builds no distance block through
+        distances()."""
         if self._bdry_dist is None:
             b = self.boundary_indices
             if len(b) == 0:

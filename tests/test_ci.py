@@ -44,7 +44,9 @@ def test_workflow_runs_the_console_script():
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
     # CSV, solve, certify and a certify through cli.main that must import
-    # no scipy module; on the disk grid validate, solve and certify;
+    # no scipy module; a 2-D cloud space and its validate through cli.main,
+    # which must import no scipy module; on the disk grid validate, solve and
+    # certify;
     # one p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
@@ -78,6 +80,16 @@ def test_workflow_runs_the_console_script():
              'sys.exit(code or bool(loaded))" certify --grid lattice --n 9 '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/graph/field.csv" '
              '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"',
+             'python -c "import json, random; random.seed(1); pts = [[random.random(), '
+             'random.random()] for k in range(2000)]; print(json.dumps(dict('
+             'metric=\'euclidean\', points=[dict(id=k, coords=p, weight=1.0, '
+             'boundary=min(p + [1 - x for x in p]) < 0.02) for k, p in enumerate(pts)])))" '
+             '> "$RUNNER_TEMP/cloud.json"',
+             'python -c "import sys; from pharmonious.cli import main; '
+             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
+             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
+             'sys.exit(code or bool(loaded))" validate --space "$RUNNER_TEMP/cloud.json" '
+             '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
              'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/disk"',
              'pharmonious solve --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -99,7 +111,7 @@ def test_workflow_runs_the_console_script():
              'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
-            or "$RUNNER_TEMP/graph" in run] == smoke
+            or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run] == smoke
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

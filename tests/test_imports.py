@@ -2,8 +2,8 @@
 alone, their diameters included; graphs whose searches stay shallow run on
 numpy alone (ball tables, pair scans, probes), and import scipy.sparse only
 past the round cap, for a hub or for connected components; clouds and 3-D
-grids take the KD-tree of scipy.spatial.  Each check runs in a fresh
-interpreter."""
+grids take the KD-tree of scipy.spatial for their balls, but not for their
+boundary distances.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,6 +120,20 @@ def test_graph_set_up_loads_no_scipy(tmp_path):
                   "assert not check_hypotheses(sp, rho, 0.3, 0.5, 1.0, 0.4).failed\n"
                   "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
                   cwd=tmp_path) == []
+
+
+def test_cloud_validate_loads_no_scipy(tmp_path):
+    # validate reads boundary distances and the radius field, no ball; the
+    # boundary query used to build KD-trees of scipy.spatial
+    rng = np.random.default_rng(7)
+    coords = rng.uniform(size=(2000, 2))
+    edge = np.minimum(coords, 1.0 - coords).min(axis=1)
+    (tmp_path / "cloud.json").write_text(json.dumps({"metric": "euclidean", "points": [
+        {"id": k, "coords": c.tolist(), "weight": 1.0, "boundary": bool(e < 0.02)}
+        for k, (c, e) in enumerate(zip(coords, edge))]}))
+    calls = json.dumps(pipeline(["--space", "cloud.json"], [])[:1])
+    assert python(PIPELINE, "plain", calls, cwd=tmp_path) == []
+    assert (tmp_path / "out" / "validate.json").exists()
 
 
 def _lattice_doc(n):

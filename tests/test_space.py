@@ -183,7 +183,7 @@ def test_empty_boundary_is_configuration_error():
         sp.boundary_distances()
 
 
-def _cloud(dim):
+def _edge_cloud(dim):
     rng = np.random.default_rng(11)
     coords = rng.uniform(0.0, 1.0, size=(300, dim))
     return Space(coords=coords, weights=np.ones(300),
@@ -225,7 +225,7 @@ def _left_edge_grid():
 @pytest.mark.parametrize("make", [
     lambda f: square_grid(33), lambda f: disk_grid(33),
     lambda f: f("permuted_grid"), lambda f: interval_grid(65),
-    lambda f: _cloud(3), lambda f: _cloud(8), lambda f: lattice_graph(13, 11),
+    lambda f: _edge_cloud(3), lambda f: _edge_cloud(8), lambda f: lattice_graph(13, 11),
     lambda f: f("random_graph")(2, split=True, boundary=[0, 7]),
     lambda f: f("matrix_space"), lambda f: _shuffled_line(),
     lambda f: _reversed_line(), lambda f: _uneven_rows(),
@@ -887,18 +887,55 @@ def test_non_finite_ball_radius_is_refused(make, radius, request):
     lambda: square_grid(33), lambda: disk_grid(33), lambda: interval_grid(65),
     _shuffled_line, _reversed_line, _uneven_rows, _left_edge_grid])
 def test_one_key_column_spaces_search_boundary_by_strips(make, monkeypatch):
-    # the nearest-target search over strips, not the KD-tree, gives these
-    # boundary distances
+    # lines, raveled grids and disks, whose strips are keyed by one column,
+    # take their boundary distances from the blocked minimum of the closed
+    # form, on numpy alone
     sp = make()
     assert sp._metric._strips[2].shape[1] == 1
     monkeypatch.setitem(sys.modules, "scipy.spatial", None)
     assert np.isfinite(sp.boundary_distances()).all()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+def _shuffled_grid():
+    sp = square_grid(33)
+    perm = np.random.default_rng(6).permutation(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=np.flatnonzero(np.isin(perm, sp.boundary_indices)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _edge_cloud(2), lambda: _cube_grid(9), _shuffled_grid],
+    ids=["cloud2d", "cube9", "shuffled_grid"])
+def test_boundary_distances_of_multi_key_spaces_load_no_scipy(make, monkeypatch):
+    # the spaces whose balls search a KD-tree (keys of two or more columns)
+    # take their boundary distances on numpy alone; they used to build two
+    # KD-trees
+    sp = make()
+    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+    assert np.isfinite(sp.boundary_distances()).all()
+    monkeypatch.undo()
+    assert sp._metric._strips[2].shape[1] > 1
+
+
+@pytest.mark.parametrize("dim", range(10))
+def test_squares_rooted_equal_euclidean(dim):
+    # the boundary query roots the summed squares from a block of points to
+    # one target at a time: the bits of the distance blocks.  Dimension 0
+    # is the leading slice c[:, :-1] of a line, which ball searches take
+    rng = np.random.default_rng(dim)
+    c = rng.uniform(-1.0, 1.0, (700, dim + 1)) * 10.0 ** rng.integers(-3, 4, (700, dim + 1))
+    x, t = c[:400, :-1], c[400:, :-1]
+    block = space_mod._euclidean(x[:, None, :], t[None, :, :])
+    for j in range(0, 300, 7):
+        assert np.array_equal(np.sqrt(space_mod._squares(x, t[j])),
+                              block[:, j] if dim else block)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
 def test_euclidean_equals_the_summed_squares(dim):
     # one and two dimensions add the squares column by column; the bits
     # must stay those of sum() over the last axis, which outputs depend on
+    # (it pairs eight or more terms)
     rng = np.random.default_rng(dim)
     a = rng.uniform(-1.0, 1.0, (400, 1, dim)) * 10.0 ** rng.integers(-3, 4, (400, 1, dim))
     b = rng.uniform(-1.0, 1.0, (1, 300, dim))

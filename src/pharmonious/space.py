@@ -42,13 +42,17 @@ SAMPLED_PAIRS = 1_000_000
 # resolutions, where a ball's measure is dominated by single cells.
 PROBE_R_MIN_CELLS = 16.0
 # Key searches widen every reach by this factor, so that rounding never
-# drops a strip the closed-form distance puts within reach; an analytic
-# Lipschitz bound is widened by it against the rounding of its field.
+# drops a key the closed-form distance puts within reach (neither from the
+# slab of the first key column nor by the closed-form key distance, see
+# _near_keys); an analytic Lipschitz bound is widened by it against the
+# rounding of its field.
 HAIR = 1.0 + 1e-9
-# Distinct floats differ by more than 1e-156, whose square does not
-# underflow, unless one of them is nonzero and smaller than TINY in
-# magnitude; so only a point with such a coordinate can sit at closed-form
-# distance 0.0 from a distinct point.
+# Distinct floats differ by more than 1e-156, whose square is no subnormal,
+# unless one of them is nonzero and smaller than TINY in magnitude; so only
+# a point with such a coordinate can sit at closed-form distance 0.0 from a
+# distinct point, or at one short of a coordinate gap by more than HAIR
+# allows (a gap of 3e-160 reads 6e-6 short): key searches widen every reach
+# by TINY as well.
 TINY = 1e-140
 
 PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
@@ -177,14 +181,6 @@ def _euclidean(a, b):
     ties, pair scans and boundary distances agree bit for bit wherever they
     are computed."""
     return np.sqrt(_squares(a, b))
-
-
-def _flatten(lists):
-    """(owner, item) arrays of a list of index lists, owner by owner."""
-    sizes = np.fromiter(map(len, lists), np.intp, len(lists))
-    items = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                        int(sizes.sum()))
-    return np.repeat(np.arange(len(lists)), sizes), items
 
 
 def _merge_runs(owner, a, b):
@@ -326,11 +322,14 @@ class _Euclidean(_Metric):
 
     def ball_width(self, centers, radii):
         # a center meets a strip at most once; one-point strips (a cloud)
-        # are bounded by the keys within reach in the first column
-        bounds = self._strips[0]
+        # are bounded by the keys within reach in the first column; each
+        # candidate gathers its key columns (see _near_keys)
+        bounds, _, keys, _, _ = self._strips
         if len(bounds) > self.n:
-            return self.run_width(centers, radii)
-        return np.full(len(centers), len(bounds) - 1)
+            width = self.run_width(centers, radii)
+        else:
+            width = np.full(len(centers), len(bounds) - 1)
+        return width * keys.shape[1]
 
     def run_width(self, centers, radii):
         # a ball meets each strip within reach of its key (see near) in one
@@ -355,9 +354,20 @@ class _Euclidean(_Metric):
         return np.sqrt(out, out=out)
 
     def resolution(self):
-        from scipy.spatial import cKDTree
-        d, _ = cKDTree(self.coords).query(self.coords, k=2)
-        return float(d[:, 1].min())
+        """The least closed-form distance between distinct points, exactly:
+        r, the least between neighbours in lexsort order, is a distance
+        between two points, so no pair closer than r is missed by the
+        balls of radius r, searched a block of centers at a time."""
+        c = self.coords[np.lexsort(self.coords.T)]
+        radii = np.full(self.n, float(_euclidean(c[1:], c[:-1]).min()))
+        centers, best = np.arange(self.n), np.inf
+        cuts = block_cuts(self.ball_width(centers, radii))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            owner, a, b = self.ball_intervals(centers[lo:hi], radii[lo:hi])
+            d = self.pair_distances(np.repeat(centers[lo:hi][owner], b - a),
+                                    run_members(a, b))
+            best = min(best, float(d[d > 0].min(initial=np.inf)))
+        return best
 
     @functools.cached_property
     def _strips(self):
@@ -372,13 +382,14 @@ class _Euclidean(_Metric):
         meets a strip in one index interval.  Strips are keyed by their
         leading coordinates (a zero on a line), keys per point.  When the
         strips average fewer than two points (a shuffled grid, a cloud)
-        every point is its own strip, keyed by all its coordinates (see
-        _near_keys for near).  ranks holds the distinct last coordinates,
-        sorted, and code = strip * (len(ranks) + 1) + rank of
-        the last coordinate, per point, as int64: the last coordinate
-        increases along a strip, so code is sorted, and one searchsorted of
-        strip * (len(ranks) + 1) + searchsorted(ranks, y) finds the first
-        point of a strip whose last coordinate is >= y.
+        every point is its own strip, keyed by all its coordinates; near
+        is one slab search whatever the key width (see _near_keys).  ranks
+        holds the distinct last coordinates, sorted, and code = strip *
+        (len(ranks) + 1) + rank of the last coordinate, per point, as
+        int64: the last coordinate increases along a strip, so code is
+        sorted, and one searchsorted of strip * (len(ranks) + 1) +
+        searchsorted(ranks, y) finds the first point of a strip whose last
+        coordinate is >= y.
         """
         c = self.coords
         n, dim = c.shape
@@ -397,45 +408,38 @@ class _Euclidean(_Metric):
     def _near_keys(self, keys):
         """near for strips with these keys: near(at, reach) -> (owner, k),
         for each row of at the rows k of keys within reach of it (widened by
-        HAIR), ascending; near(at, reach, counts=True), per row of at, how
-        many keys lie within reach in the first column alone: as many (one
-        column) or more.
+        HAIR and TINY), ascending; near(at, reach, counts=True), per row of
+        at, how many keys lie within reach in the first column alone: as
+        many (one column) or more.
 
-        One key column is searched by a searchsorted over the sorted keys
-        (a ball's candidates re-sorted only when the key order is not the
-        row order).  More columns (clouds, shuffled grids, 3-D grids) take
-        a KD-tree: scipy is imported here, by the first ball search."""
+        One search for every key width, a slab of the sorted first key
+        column (Bentley and Friedman, ACM Computing Surveys 1979): two
+        searchsorted put each row's slab ends, and keys of more columns keep
+        the slab's candidates whose closed-form key distance is within
+        reach, gathered with np.take (a fancy index of rows took four times
+        as long on a 12,000-point cloud).  The candidates are re-sorted per
+        ball only when the key order is not the row order."""
         order = np.argsort(keys[:, 0], kind="stable")
         sorted_keys = keys[order, 0]
-
-        def slab(at, reach):
-            # [lo, hi) of the sorted first key column within reach of at's
-            at, reach = at[:, 0], reach * HAIR
-            lo = np.searchsorted(sorted_keys, at - reach)
-            return lo, np.maximum(lo, np.searchsorted(sorted_keys, at + reach, "right"))
-
-        if keys.shape[1] > 1:
-            from scipy.spatial import cKDTree
-            tree = cKDTree(keys)
-
-            def near(at, reach, counts=False):
-                if counts:
-                    lo, hi = slab(at, reach)
-                    return hi - lo
-                return _flatten(tree.query_ball_point(at, reach * HAIR,
-                                                      return_sorted=True))
-            return near
         ordered = bool(np.all(order[1:] > order[:-1]))
 
         def near(at, reach, counts=False):
-            lo, hi = slab(at, reach)
+            reach = reach * HAIR + TINY
+            lo = np.searchsorted(sorted_keys, at[:, 0] - reach)
+            hi = np.maximum(lo, np.searchsorted(sorted_keys, at[:, 0] + reach, "right"))
             if counts:
                 return hi - lo
             owner = np.repeat(np.arange(len(at)), hi - lo)
             k = run_members(lo, hi)
+            if not ordered:
+                k = np.take(order, k)
+            if keys.shape[1] > 1:
+                keep = _euclidean(np.take(keys, k, axis=0),
+                                  np.take(at, owner, axis=0)) <= np.take(reach, owner)
+                owner, k = owner[keep], k[keep]
             if ordered:
                 return owner, k
-            code = np.sort(owner * len(keys) + order[k])
+            code = np.sort(owner * len(keys) + k)
             return owner, code - owner * len(keys)
         return near
 

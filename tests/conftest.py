@@ -33,6 +33,61 @@ def grid2d_65():
     return square_grid(65)
 
 
+# -- Euclidean test spaces ------------------------------------------------------
+
+
+def box_space(coords, weights=None, boundary=None):
+    """A Euclidean space on coords, unit weights unless given; the boundary
+    defaults to the points within 0.1 of a face of the unit box."""
+    if boundary is None:
+        boundary = np.flatnonzero(np.minimum(coords, 1.0 - coords).min(axis=1) < 0.1)
+    return Space(coords=coords, weights=np.ones(len(coords)) if weights is None else weights,
+                 boundary=boundary)
+
+
+def cloud(dim, n, seed, weighted=False, disk=False, boundary=None):
+    """n seeded uniform points of [0, 1]^dim (disk: those within 0.5 of its
+    centre), as a box_space; weighted draws the weights from [0.5, 2) after
+    the points."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(size=(n, dim))
+    if disk:
+        c = c[((c - 0.5) ** 2).sum(axis=1) <= 0.25]
+    return box_space(c, rng.uniform(0.5, 2.0, len(c)) if weighted else None, boundary)
+
+
+def disk_cloud(n, seed):
+    """n seeded uniform points of the disk of radius 0.5 about the origin,
+    weights 1/n, the outer ring 0.45 < |x| as boundary."""
+    rng = np.random.default_rng(seed)
+    r, theta = 0.5 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, n)
+    return Space(coords=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                 weights=np.full(n, 1.0 / n), boundary=np.flatnonzero(r > 0.45))
+
+
+def cube_grid(n, boundary=None):
+    """The n^3 grid on [0,1]^3 in raveled order (strips keyed by two leading
+    coordinates), unit weights; the boundary defaults to its outer frame."""
+    x = np.linspace(0.0, 1.0, n)
+    c = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
+    if boundary is None:
+        boundary = np.flatnonzero(np.any((c == 0.0) | (c == 1.0), axis=1))
+    return box_space(c, boundary=boundary)
+
+
+def reordered(sp, perm):
+    """The Euclidean space sp with its points in the order perm."""
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(sp))
+    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
+                 boundary=where[sp.boundary_indices])
+
+
+def shuffled(sp, seed):
+    """sp in a seeded random point order (see reordered)."""
+    return reordered(sp, np.random.default_rng(seed).permutation(len(sp)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -71,12 +126,7 @@ def matrix_space():
 def permuted_grid():
     """square_grid(17) in a random point order: consecutive indices are no
     longer neighbours, so almost every index run is one member long."""
-    sp = square_grid(17)
-    perm = np.random.default_rng(5).permutation(len(sp))
-    where = np.empty_like(perm)
-    where[perm] = np.arange(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=where[sp.boundary_indices])
+    return shuffled(square_grid(17), 5)
 
 
 @pytest.fixture(scope="session")

@@ -4,25 +4,20 @@ time, so one patch reaches them all, and no result depends on it."""
 import numpy as np
 import pytest
 
-from pharmonious import (BallTable, RadiusField, Space, disk_grid,
-                         empirical_holder, exhaustion, hausdorff_gaps,
-                         lattice_graph, path_graph, residual, square_grid)
+from pharmonious import (BallTable, RadiusField, disk_grid, empirical_holder,
+                         exhaustion, hausdorff_gaps, lattice_graph, path_graph,
+                         residual, square_grid)
 from pharmonious import space as space_mod
 from pharmonious.radius import gap_majorant, max_gap_ratio
+
+from conftest import disk_cloud
 
 TINY = 37  # entries per block: most blocks hold one row, ball or pair
 
 
-def _disk_cloud(n=500, seed=4):
-    rng = np.random.default_rng(seed)
-    r, theta = 0.5 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, n)
-    return Space(coords=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
-                 weights=np.full(n, 1.0 / n), boundary=np.flatnonzero(r > 0.45))
-
-
 SPACES = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
           "lattice": lambda: lattice_graph(17, 17), "path": lambda: path_graph(41),
-          "cloud": _disk_cloud}
+          "cloud": lambda: disk_cloud(500, 4)}
 
 
 def _everything(make, monkeypatch):

@@ -44,9 +44,9 @@ def test_workflow_runs_the_console_script():
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
     # CSV, solve, certify and a certify through cli.main that must import
-    # no scipy module; a 2-D cloud space and its validate through cli.main,
-    # which must import no scipy module; on the disk grid validate, solve and
-    # certify;
+    # no scipy module; a 2-D cloud space and its validate, solve and
+    # certify, each through cli.main, which must import no scipy module; on
+    # the disk grid validate, solve and certify;
     # one p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
@@ -90,6 +90,18 @@ def test_workflow_runs_the_console_script():
              'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
              'sys.exit(code or bool(loaded))" validate --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
+             'python -c "import sys; from pharmonious.cli import main; '
+             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
+             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
+             'sys.exit(code or bool(loaded))" solve --space "$RUNNER_TEMP/cloud.json" '
+             '--rho-factor 0.4 --alpha 0.3 --boundary-fn saddle --init-fn saddle '
+             '--out "$RUNNER_TEMP/cloud"',
+             'python -c "import sys; from pharmonious.cli import main; '
+             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
+             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
+             'sys.exit(code or bool(loaded))" certify --space "$RUNNER_TEMP/cloud.json" '
+             '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/cloud/field.csv" --m 2 '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
              'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/disk"',
              'pharmonious solve --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '

@@ -101,7 +101,8 @@ def test_probe_space_file_not_json(tmp_path, capsys):
 
 
 def test_probe_nan_coordinate_is_input_error(tmp_path, capsys):
-    # json.load reads NaN: the KD-tree used to end in a scipy traceback
+    # json.load reads NaN, which fails every closed-form comparison: it
+    # must be refused as input, not end in a traceback
     space = tmp_path / "space.json"
     space.write_text(json.dumps({
         "metric": "euclidean",

@@ -1,9 +1,9 @@
-"""Which spaces import scipy: lines, raveled 2-D grids and disks run on numpy
-alone, their diameters included; graphs whose searches stay shallow run on
+"""Which spaces import scipy: every Euclidean space (lines, raveled 2-D grids,
+disks, clouds and 3-D grids) runs validate, solve and certify on numpy
+alone, its diameter included; graphs whose searches stay shallow run on
 numpy alone (ball tables, pair scans, probes), and import scipy.sparse only
-past the round cap, for a hub or for connected components; clouds and 3-D
-grids take the KD-tree of scipy.spatial for their balls, but not for their
-boundary distances.  Each check runs in a fresh interpreter."""
+past the round cap, for a hub or for connected components.  Each check runs
+in a fresh interpreter."""
 
 import json
 import os
@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import cloud, cube_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,27 +167,18 @@ def test_graph_pipeline_loads_no_scipy(tmp_path, space):
     assert (b'"probed"' in certificate) == (space == "json")
 
 
-KD_TABLES = """
+TABLES = """
 import sys
 import numpy as np
-from pharmonious import BallTable, RadiusField, Space
-rng = np.random.default_rng(3)
-if sys.argv[1] == "cloud":
-    coords = rng.uniform(size=(400, 2))
-else:
-    x = np.linspace(0.0, 1.0, 9)
-    coords = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
-edge = np.minimum(coords, 1.0 - coords).min(axis=1)
-sp = Space(coords=coords, weights=np.ones(len(coords)),
-           boundary=np.flatnonzero(edge < 0.1))
-assert "scipy.spatial" not in sys.modules
+from pharmonious import BallTable, RadiusField, load_space
+sp = load_space("space.json")
 rho = RadiusField.scaled_boundary_distance(sp, 0.6)
 table = BallTable(sp, rho)
 members, counts = sp.balls(np.arange(len(sp)), rho.values)
 d = sp.distances(np.arange(len(sp)))
 want = [np.flatnonzero(row <= r) for row, r in zip(d, rho.values)]
 print(json.dumps({
-    "kd": "scipy.spatial" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
     "keys": sp._metric._strips[2].shape[1],
     "oracle": np.array_equal(members, np.concatenate(want))
               and counts.tolist() == [len(w) for w in want],
@@ -194,6 +187,15 @@ print(json.dumps({
 
 
 @pytest.mark.parametrize("space", ["cloud", "grid3d"])
-def test_cloud_and_3d_grid_tables_take_the_lazy_kd_path(tmp_path, space):
-    assert python(KD_TABLES, space, cwd=tmp_path) == {
-        "kd": True, "keys": 2, "oracle": True, "table": True}
+def test_cloud_and_3d_grid_pipelines_load_no_scipy(tmp_path, space):
+    # keys of two columns: the slab search keeps the candidates within
+    # reach by their closed-form key distance, where a KD-tree of
+    # scipy.spatial used to search them
+    sp = cloud(2, 400, 3) if space == "cloud" else cube_grid(9)
+    (tmp_path / "space.json").write_text(json.dumps({"metric": "euclidean", "points": [
+        {"id": k, "coords": c.tolist(), "weight": 1.0, "boundary": bool(b)}
+        for k, (c, b) in enumerate(zip(sp.coords, sp.boundary_mask))]}))
+    assert python(TABLES, cwd=tmp_path) == {
+        "scipy": [], "keys": 2, "oracle": True, "table": True}
+    run_without_scipy(tmp_path, pipeline(["--space", "../space.json"],
+                                         ["--boundary-fn", "saddle", "--init-fn", "saddle"]))

@@ -16,6 +16,8 @@ from pharmonious import (AdmissibilityError, BallTable, Modulus, RadiusField,
                          path_graph, read_field_csv, solve_dirichlet,
                          SolveConfig, Space, square_grid, write_field_csv)
 
+from conftest import box_space, cloud, cube_grid, reordered, shuffled
+
 
 @pytest.fixture(scope="module")
 def grid100():
@@ -514,22 +516,6 @@ def _assert_table_matches_oracle(table, rho):
     assert np.all(np.diff(key) > 0)
 
 
-def _shuffled(sp, seed):
-    perm = np.random.default_rng(seed).permutation(len(sp))
-    where = np.empty_like(perm)
-    where[perm] = np.arange(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=where[sp.boundary_indices])
-
-
-def _cloud(dim, n=300, seed=0):
-    rng = np.random.default_rng(seed + dim)
-    pts = rng.uniform(size=(n, dim))
-    edge = np.minimum(pts, 1.0 - pts).min(axis=1)
-    return Space(coords=pts, weights=rng.uniform(0.5, 2.0, n),
-                 boundary=np.flatnonzero(edge < 0.1))
-
-
 def _uneven_rows(n=33, seed=0):
     """An n-by-n grid whose rows take their own sorted random last
     coordinates: strips with uneven spacing."""
@@ -537,9 +523,7 @@ def _uneven_rows(n=33, seed=0):
     ys = np.sort(rng.uniform(size=(n, n)), axis=1)
     coords = np.column_stack([np.repeat(np.linspace(0.0, 1.0, n), n),
                               ys.ravel()])
-    edge = np.minimum(coords, 1.0 - coords).min(axis=1)
-    return Space(coords=coords, weights=rng.uniform(0.5, 2.0, n * n),
-                 boundary=np.flatnonzero(edge < 0.1))
+    return box_space(coords, rng.uniform(0.5, 2.0, n * n))
 
 
 def _random_strips(strips=40, per=40):
@@ -550,19 +534,7 @@ def _random_strips(strips=40, per=40):
     coords = np.column_stack([
         np.repeat(rng.uniform(size=(strips, 2)), per, axis=0),
         np.sort(rng.uniform(size=(strips, per)), axis=1).ravel()])
-    edge = np.minimum(coords, 1.0 - coords).min(axis=1)
-    return Space(coords=coords, weights=rng.uniform(0.5, 2.0, len(coords)),
-                 boundary=np.flatnonzero(edge < 0.1))
-
-
-def _cube_grid(n=9):
-    """The n^3 grid on [0,1]^3 in raveled order: strips keyed by two
-    leading coordinates."""
-    xs = np.linspace(0.0, 1.0, n)
-    coords = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), -1).reshape(-1, 3)
-    frame = np.any((coords == 0.0) | (coords == 1.0), axis=1)
-    return Space(coords=coords, weights=np.ones(n ** 3),
-                 boundary=np.flatnonzero(frame))
+    return box_space(coords, rng.uniform(0.5, 2.0, len(coords)))
 
 
 def _tie_radii(sp, seed=0):
@@ -581,18 +553,22 @@ def test_ball_table_matches_ball_queries(grid2d_small):
     (lambda: square_grid(33), 0.99),
     (lambda: disk_grid(33), 0.4), (lambda: disk_grid(33), 1.0),
     (lambda: interval_grid(257), 0.4), (lambda: interval_grid(257), 0.99),
-    (lambda: _shuffled(square_grid(33), 5), 0.4),
-    (lambda: _cloud(2), 0.6), (lambda: _cloud(3), 0.6),
-    (lambda: _cloud(8), 0.6),
+    (lambda: shuffled(square_grid(33), 5), 0.4),
+    (lambda: cloud(2, 300, 2, weighted=True), 0.6),
+    (lambda: cloud(3, 300, 3, weighted=True), 0.6),
+    (lambda: cloud(8, 300, 8, weighted=True), 0.6),
     (lambda: _uneven_rows(), 0.6), (lambda: _uneven_rows(), "tie"),
-    (lambda: _cube_grid(), 0.4), (lambda: _cube_grid(), "tie"),
+    (lambda: cube_grid(9), 0.4), (lambda: cube_grid(9), "tie"),
     (lambda: square_grid(33), "tie"), (lambda: disk_grid(33), "tie"),
     (lambda: interval_grid(65), "tie"),
-    (lambda: _shuffled(square_grid(17), 2), "tie"),
-    (lambda: _cloud(3), "tie"),
-    (lambda: _shuffled(square_grid(17), 2), "hair"), (lambda: _cloud(3), "hair"),
+    (lambda: shuffled(square_grid(17), 2), "tie"),
+    (lambda: cloud(3, 300, 3, weighted=True), "tie"),
+    (lambda: shuffled(square_grid(17), 2), "hair"),
+    (lambda: cloud(3, 300, 3, weighted=True), "hair"),
     (lambda: square_grid(17), "hair"),
     (lambda: _random_strips(), "ulp"),
+    (lambda: cloud(8, 300, 8, weighted=True), "tie"),
+    (lambda: _random_strips(), "hair"),
     (lambda: lattice_graph(13, 11), 0.5), (lambda: path_graph(41), 1.0),
 ])
 def test_ball_table_matches_member_oracle(make, radius):
@@ -600,7 +576,7 @@ def test_ball_table_matches_member_oracle(make, radius):
     # compressed distance rows (graphs) against the members of dense
     # distance rows; "tie" puts a point exactly on every ball's sphere,
     # "ulp" one float outside it, "hair" just outside it, within the
-    # KD-tree query's slack
+    # slack (HAIR) by which the key searches widen every reach
     sp = make()
     if radius == "tie":
         rho = _tie_radii(sp)
@@ -613,17 +589,10 @@ def test_ball_table_matches_member_oracle(make, radius):
     _assert_table_matches_oracle(BallTable(sp, rho), rho)
 
 
-def _reordered(sp, perm):
-    where = np.empty_like(perm)
-    where[perm] = np.arange(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=where[sp.boundary_indices])
-
-
 @pytest.mark.parametrize("make", [
-    lambda: _reordered(interval_grid(129), np.arange(129)[::-1].copy()),
-    lambda: _reordered(square_grid(33), (np.random.default_rng(4).permutation(33)[:, None]
-                                         * 33 + np.arange(33)).ravel())],
+    lambda: reordered(interval_grid(129), np.arange(129)[::-1].copy()),
+    lambda: reordered(square_grid(33), (np.random.default_rng(4).permutation(33)[:, None]
+                                        * 33 + np.arange(33)).ravel())],
     ids=["reversed_line", "shuffled_rows"])
 @pytest.mark.parametrize("radius", [0.4, 0.99, "tie", "hair"])
 def test_keys_out_of_strip_order_ball_table_matches_member_oracle(make, radius):
@@ -668,10 +637,10 @@ def test_ball_table_build_and_sweeps_hold_little_memory(traced):
 def test_strips_are_the_rows_of_a_raveled_grid():
     bounds = square_grid(33)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(0, 33 * 33 + 1, 33))
-    bounds = _cube_grid(9)._metric._strips[0]
+    bounds = cube_grid(9)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(0, 9 ** 3 + 1, 9))
     # a shuffled grid has no strips: every point is its own
-    bounds = _shuffled(square_grid(17), 5)._metric._strips[0]
+    bounds = shuffled(square_grid(17), 5)._metric._strips[0]
     assert np.array_equal(bounds, np.arange(17 * 17 + 1))
 
 

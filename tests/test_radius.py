@@ -18,6 +18,8 @@ from pharmonious import (BallTable, Modulus, RadiusField, Space, SpaceFormatErro
 from pharmonious import space as space_mod
 from pharmonious.radius import _staircase, _upper_hull, gap_majorant, max_gap_ratio
 
+from conftest import disk_cloud
+
 # -- admissibility ---------------------------------------------------------------
 
 
@@ -101,20 +103,12 @@ def test_lipschitz_fit_records_scan_mode(n, mode):
             <= space_mod.SAMPLED_PAIRS
 
 
-def _disk_cloud(n=1500, seed=0):
-    """n seeded uniform points of the disk of radius 0.5, the outer ring
-    0.45 < |x| as boundary."""
-    rng = np.random.default_rng(seed)
-    r, theta = 0.5 * np.sqrt(rng.uniform(size=n)), rng.uniform(0.0, 2 * np.pi, n)
-    return Space(coords=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
-                 weights=np.full(n, 1.0 / n), boundary=np.flatnonzero(r > 0.45))
-
-
 @pytest.fixture(scope="module", params=["square", "disk", "lattice", "path", "cloud"])
 def analytic_space(request):
     return {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
             "lattice": lambda: lattice_graph(17, 17),
-            "path": lambda: path_graph(41), "cloud": _disk_cloud}[request.param]()
+            "path": lambda: path_graph(41),
+            "cloud": lambda: disk_cloud(1500, 0)}[request.param]()
 
 
 @pytest.mark.parametrize("factor", [0.25, 0.4, 1.0])

@@ -15,6 +15,8 @@ from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
                          space_from_dict, square_grid)
 from pharmonious import space as space_mod
 
+from conftest import cloud, cube_grid, reordered, shuffled
+
 
 def brute_force_shortest_paths(n, edges):
     """Floyd-Warshall oracle for small graphs."""
@@ -183,24 +185,13 @@ def test_empty_boundary_is_configuration_error():
         sp.boundary_distances()
 
 
-def _edge_cloud(dim):
-    rng = np.random.default_rng(11)
-    coords = rng.uniform(0.0, 1.0, size=(300, dim))
-    return Space(coords=coords, weights=np.ones(300),
-                 boundary=np.flatnonzero(np.minimum(coords, 1.0 - coords).min(axis=1) < 0.1))
-
-
 def _shuffled_line():
-    sp = interval_grid(65)
-    perm = np.random.default_rng(2).permutation(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=np.flatnonzero(np.isin(perm, sp.boundary_indices)))
+    return shuffled(interval_grid(65), 2)
 
 
 def _reversed_line():
     # every point its own strip, the strips in descending key order
-    sp = interval_grid(65)
-    return Space(coords=sp.coords[::-1], weights=sp.weights, boundary=[0, 64])
+    return reordered(interval_grid(65), np.arange(65)[::-1])
 
 
 def _uneven_rows():
@@ -225,7 +216,7 @@ def _left_edge_grid():
 @pytest.mark.parametrize("make", [
     lambda f: square_grid(33), lambda f: disk_grid(33),
     lambda f: f("permuted_grid"), lambda f: interval_grid(65),
-    lambda f: _edge_cloud(3), lambda f: _edge_cloud(8), lambda f: lattice_graph(13, 11),
+    lambda f: cloud(3, 300, 11), lambda f: cloud(8, 300, 11), lambda f: lattice_graph(13, 11),
     lambda f: f("random_graph")(2, split=True, boundary=[0, 7]),
     lambda f: f("matrix_space"), lambda f: _shuffled_line(),
     lambda f: _reversed_line(), lambda f: _uneven_rows(),
@@ -235,8 +226,8 @@ def _left_edge_grid():
          "graph_unbounded_component", "matrix", "shuffled_line", "reversed_line",
          "uneven_rows", "rows_without_boundary", "square129", "disk97"])
 def test_boundary_distances_equal_blocked_minimum(make, request):
-    # in 8 dimensions the KD-tree's own distances differ from the closed
-    # form in the last place
+    # the bits of the closed-form distance rows, in 8 dimensions too, where
+    # sum() pairs the squares (see space._squares)
     sp = make(request.getfixturevalue)
     b = sp.boundary_indices
     reference = np.full(len(sp), np.inf)
@@ -364,27 +355,14 @@ def test_graph_diameter_equals_all_pairs_maximum(make, random_graph):
     assert sp.diameter() == d[np.isfinite(d)].max()
 
 
-def _cloud(dim, n=3000, seed=0, disk=False):
-    c = np.random.default_rng(seed).uniform(size=(n, dim))
-    if disk:
-        c = c[((c - 0.5) ** 2).sum(axis=1) <= 0.25]
-    return Space(coords=c, weights=np.ones(len(c)), boundary=[0])
-
-
-def _cube_grid(k):
-    x = np.linspace(0.0, 1.0, k)
-    c = np.stack(np.meshgrid(x, x, x, indexing="ij"), -1).reshape(-1, 3)
-    return Space(coords=c, weights=np.ones(len(c)), boundary=[0])
-
-
 @pytest.mark.parametrize("make", [
     lambda: interval_grid(257), lambda: square_grid(33), lambda: disk_grid(65),
-    lambda: _cube_grid(9),
+    lambda: cube_grid(9, boundary=[0]),
     lambda: Space(coords=np.column_stack([np.linspace(0.0, 1.0, 7),
                                           np.linspace(0.0, 2.0, 7)]),
                   weights=np.ones(7), boundary=[0]),
-    lambda: _cloud(2, seed=1), lambda: _cloud(3, seed=2),
-    lambda: _cloud(2, n=4000, seed=3, disk=True),
+    lambda: cloud(2, 3000, 1, boundary=[0]), lambda: cloud(3, 3000, 2, boundary=[0]),
+    lambda: cloud(2, 4000, 3, disk=True, boundary=[0]),
     lambda: path_graph(41), lambda: lattice_graph(13, 11),
     # components {0, 1, 2} and {3, 4}, and node 5 on its own
     lambda: Space(weights=np.ones(6), metric="graph", boundary=[0, 3],
@@ -410,6 +388,48 @@ def test_matrix_diameter_is_largest_entry(matrix_space):
 def test_matrix_resolution_is_smallest_off_diagonal_entry(matrix_space):
     d = matrix_space.distances(np.arange(len(matrix_space)))
     assert matrix_space.resolution() == d[~np.eye(len(d), dtype=bool)].min()
+
+
+def _least_distance(sp):
+    d = sp.distances(np.arange(len(sp)))
+    return d[~np.eye(len(d), dtype=bool)].min()
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_cloud_resolution_is_least_off_diagonal_distance(dim):
+    # the least closed-form distance, bit for bit: a KD-tree's own
+    # distances moved it by an ulp in 4 or 5 of these seeds at 8 to 10
+    # dimensions
+    for seed in range(20):
+        sp = cloud(dim, 200, seed, boundary=[0])
+        assert sp.resolution() == _least_distance(sp), seed
+
+
+def _tiny_rows():
+    """A 5-by-9 grid in raveled order whose first three rows lie 3e-160 and
+    4e-160 apart, below TINY."""
+    return Space(coords=np.column_stack([np.repeat([0.0, 3e-160, 7e-160, 0.5, 1.0], 9),
+                                         np.tile(np.linspace(0.0, 1.0, 9), 5)]),
+                 weights=np.ones(45), boundary=[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shuffled(square_grid(33), 6), lambda: cube_grid(9),
+    lambda: Space(coords=[[0.2, 0.9], [0.7, 0.1]], weights=[1.0, 1.0], boundary=[0]),
+    lambda: Space(coords=[[0.0, 0.5], [3e-160, 0.5], [1.0, 0.5], [0.5, 1.0]],
+                  weights=np.ones(4), boundary=[0]),
+    _tiny_rows, lambda: shuffled(_tiny_rows(), 1)],
+    ids=["shuffled_grid", "cube9", "two_points", "tiny_coordinate", "tiny_rows",
+         "shuffled_tiny_rows"])
+def test_resolution_is_least_off_diagonal_distance(make):
+    # and the balls of that radius hold the pairs at it: a gap of 3e-160
+    # squares to a subnormal, which the closed form reads 6e-6 short, far
+    # past HAIR (the key searches widen every reach by TINY as well)
+    sp = make()
+    r, d = _least_distance(sp), sp.distances(np.arange(len(sp)))
+    members, _ = sp.balls(np.arange(len(sp)), np.full(len(sp), r))
+    assert members.tolist() == np.nonzero(d <= r)[1].tolist()
+    assert sp.resolution() == r
 
 
 # -- probes ---------------------------------------------------------------------
@@ -494,8 +514,7 @@ def test_geodesic_defect_grid_small(grid2d_small):
 
 @pytest.mark.parametrize("make", [
     lambda: square_grid(17),
-    lambda: Space(coords=np.random.default_rng(2).uniform(size=(300, 2)),
-                  weights=np.ones(300), boundary=np.arange(20))])
+    lambda: cloud(2, 300, 2, boundary=np.arange(20))])
 def test_geodesic_probe_hop_graph_runs_directed_as_undirected(make, monkeypatch):
     # the hop graph holds every hop both ways, so Dijkstra may run directed
     import scipy.sparse.csgraph as csgraph
@@ -896,20 +915,13 @@ def test_one_key_column_spaces_search_boundary_by_strips(make, monkeypatch):
     assert np.isfinite(sp.boundary_distances()).all()
 
 
-def _shuffled_grid():
-    sp = square_grid(33)
-    perm = np.random.default_rng(6).permutation(len(sp))
-    return Space(coords=sp.coords[perm], weights=sp.weights[perm],
-                 boundary=np.flatnonzero(np.isin(perm, sp.boundary_indices)))
-
-
 @pytest.mark.parametrize("make", [
-    lambda: _edge_cloud(2), lambda: _cube_grid(9), _shuffled_grid],
+    lambda: cloud(2, 300, 11), lambda: cube_grid(9, boundary=[0]),
+    lambda: shuffled(square_grid(33), 6)],
     ids=["cloud2d", "cube9", "shuffled_grid"])
 def test_boundary_distances_of_multi_key_spaces_load_no_scipy(make, monkeypatch):
-    # the spaces whose balls search a KD-tree (keys of two or more columns)
-    # take their boundary distances on numpy alone; they used to build two
-    # KD-trees
+    # spaces whose keys have two or more columns take their boundary
+    # distances on numpy alone; they used to build two KD-trees
     sp = make()
     monkeypatch.setitem(sys.modules, "scipy.spatial", None)
     assert np.isfinite(sp.boundary_distances()).all()

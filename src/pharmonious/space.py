@@ -28,10 +28,12 @@ from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 # per array (512 KiB of float64), each stage counting the entries it
 # allocates (see block_rows and block_cuts).
 BLOCK_ENTRIES = 1 << 16
-# A graph search of distance rows that needs more than ROUND_CAP rounds hands
-# its space to scipy's Dijkstra (see _Graph): a certify-shaped run (ball
-# table, probes, adjacent-pair scan) on an n-by-n lattice took as long
-# either way, scipy's import included, between n = 73 (145 rounds) and 81.
+# A graph space whose full search from point 0 passes ROUND_CAP rounds runs
+# its distance rows on scipy's Dijkstra (see _Graph._engine): a certify-shaped
+# run (ball table, probes, adjacent-pair scan) on an n-by-n lattice took as
+# long either way, scipy's import included, between n = 73 (145 rounds) and
+# 81; a corner row takes 2n - 1 rounds, so lattices up to 75 per side stay on
+# rounds.
 ROUND_CAP = 150
 # Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
 # SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
@@ -500,29 +502,33 @@ class _Graph(_Metric):
     pair scan and the resolution read it directly, so a space whose
     searches stay shallow never imports scipy.
 
-    Every search is by rounds: each round relaxes the out-edges of the
-    points whose distance fell in the previous round, keeps the least
-    candidate per target, and it stops when nothing falls.  It gives the
-    same bits as Dijkstra: adding a nonnegative length to a float never
-    lowers it and is monotone, so Dijkstra's settle order (Dijkstra 1959)
-    and this label-correcting order (Bellman 1958) both reach the least
-    left-to-right float sum over paths.  Distance rows are searched one
-    labelled row per source, a block of sources at a time, over the CSR
-    padded to the largest degree (see _table), a limit dropping the
-    candidates past it as Dijkstra's does.  A search runs one round per
-    hop of the deepest shortest path, a round taking 30-150 us: a full row
-    of the 65x65 lattice (129 rounds at most) takes 0.5-0.7 ms in blocks of
-    15, against 0.35 ms for Dijkstra, whose scipy import costs 0.26-0.45 s
-    and 25 MB.  A search of rows that needs more than ROUND_CAP rounds, or
-    a graph whose padded table would be too large (a hub), hands the space
-    to scipy's Dijkstra, on a csr_matrix of the same arrays (see graph),
-    from then on; connected components (see diameter) load scipy too.
-    boundary_distances is one multi-source search by rounds whatever its
-    depth: 3 ms on a 65x65 lattice, 0.4 s on a path of 20001 nodes.
+    Searches are by rounds: each round relaxes the out-edges of the points
+    whose distance fell in the previous round, keeps the least candidate
+    per target, and it stops when nothing falls.  It gives the same bits as
+    Dijkstra: adding a nonnegative length to a float never lowers it and is
+    monotone, so Dijkstra's settle order (Dijkstra 1959) and this
+    label-correcting order (Bellman 1958) both reach the least
+    left-to-right float sum over paths.  One loop (see _rounds) runs every
+    search over the CSR padded to the largest degree (see _table), on
+    labelled rows in one flat block: one row per source for distance rows,
+    a block of sources at a time, a limit dropping the candidates past it
+    as Dijkstra's does; one row seeded at every target for
+    boundary_distances.  A search runs one round per hop of its deepest
+    shortest path, a round taking 30-150 us: a full row of the 65x65
+    lattice (129 rounds at most) takes 0.5-0.7 ms in blocks of 15, against
+    0.35 ms for Dijkstra, whose scipy import costs 0.26-0.45 s and 25 MB.
+    So the space picks the engine of its distance rows once, before its
+    first search of rows (see _engine): scipy's Dijkstra, on a
+    csr_matrix of the same arrays (see graph), for a graph whose padded
+    table would be too large (a hub) or whose full search from point 0
+    passes ROUND_CAP rounds, and rounds otherwise; no later query changes
+    it.  Boundary distances run by rounds whenever the padded table exists,
+    whatever the engine (1 ms on a 65x65 lattice, 0.12 s on a path of
+    20001 nodes), and by Dijkstra only on a hub; connected components (see
+    diameter) load scipy too.
     """
 
     path_metric = True
-    deep = False  # set once a search of rows passed ROUND_CAP rounds
 
     def __init__(self, space, edges=None, **_):
         if edges is None:
@@ -571,13 +577,21 @@ class _Graph(_Metric):
     def _search(self, sources, limit=np.inf, stop=None):
         """The (len(sources), n) block of distances from the sources, inf
         past limit; points of the mask stop are reached but not left, bar
-        each row's own source.  By rounds (see _rounds) until a search
-        passes ROUND_CAP rounds, then by Dijkstra (see _dijkstra)."""
-        block = None if self.deep else self._rounds(sources, limit, stop)
-        if block is None:
-            self.deep = True
-            block = self._dijkstra(sources, limit, stop)
-        return block
+        each row's own source.  By the space's one engine (see _engine)."""
+        if self._engine == "dijkstra":
+            return self._dijkstra(sources, limit, stop)
+        return self._rounds(np.arange(len(sources)) * self.n + sources, len(sources),
+                            limit, stop)
+
+    @functools.cached_property
+    def _engine(self):
+        """The engine of every search of rows, "rounds" or "dijkstra",
+        decided before the first one: Dijkstra without a padded table, or
+        when one full search from point 0 passes ROUND_CAP rounds (the
+        only capped search)."""
+        if self._table is None or self._rounds(np.zeros(1, int), 1, cap=ROUND_CAP) is None:
+            return "dijkstra"
+        return "rounds"
 
     @functools.cached_property
     def _table(self):
@@ -597,19 +611,17 @@ class _Graph(_Metric):
         length[node, slot] = lengths
         return table, length
 
-    def _rounds(self, sources, limit, stop):
-        """_search by rounds (see the class docstring) over the padded
-        table, one labelled row per source in one flat block; None past
-        ROUND_CAP rounds, or without a padded table."""
-        if self._table is None:
-            return None
+    def _rounds(self, fell, rows, limit=np.inf, stop=None, cap=None):
+        """The search by rounds (see the class docstring) over the padded
+        table: a (rows, n) block of labelled rows seeded with 0.0 at the
+        flat indices fell, run until nothing falls; None past cap rounds
+        (None: no cap)."""
         table, length = self._table
         n = self.n
-        block = np.full((len(sources), n), np.inf)
+        block = np.full((rows, n), np.inf)
         flat = block.reshape(-1)
-        fell = np.arange(len(sources)) * n + sources
         flat[fell] = 0.0
-        for _ in range(ROUND_CAP):
+        for _ in itertools.islice(itertools.count(), cap):
             node = fell % n
             cand = (flat[fell][:, None] + length[node]).reshape(-1)
             target = ((fell - node)[:, None] + table[node]).reshape(-1)
@@ -694,21 +706,12 @@ class _Graph(_Metric):
             yield s[row], k[col], d[row, col]
 
     def boundary_distances(self, targets):
-        # one multi-source search by rounds from the targets (see the class
-        # docstring); inf on a component without targets
-        indptr, to, lengths = self._csr
-        dist = np.full(self.n, np.inf)
-        dist[targets] = 0.0
-        fell = np.unique(targets)
-        while len(fell):
-            a, b = indptr[fell], indptr[fell + 1]
-            edge = run_members(a, b)
-            cand, target = np.repeat(dist[fell], b - a) + lengths[edge], to[edge]
-            lower = cand < dist[target]
-            target, cand = target[lower], cand[lower]
-            np.minimum.at(dist, target, cand)
-            fell = np.unique(target)
-        return dist
+        # one row seeded at every target, by rounds whatever the engine (see
+        # the class docstring); inf on a component without targets
+        if self._table is None:
+            from scipy.sparse.csgraph import dijkstra
+            return dijkstra(self.graph, indices=targets, min_only=True)
+        return self._rounds(targets, 1)[0]
 
     def diameter(self):
         """Largest finite distance: the largest diameter of a connected
@@ -1404,12 +1407,19 @@ def space_from_dict(doc):
         ids.append(_point_id(pid))
         if weights[-1] <= 0:
             raise SpaceFormatError(f"nonpositive weight at point id {ids[-1]}")
-        if p.get("boundary", False):
+        flag = p.get("boundary", False)
+        if not isinstance(flag, bool):  # "false" is truthy
+            raise SpaceFormatError(f"boundary flag {flag!r} at point id {ids[-1]} "
+                                   "is not true or false")
+        if flag:
             boundary.append(k)
         if "coords" in p and p["coords"] is not None:
             coords.append(p["coords"])
     if coords and len(coords) != len(points):
         raise SpaceFormatError("coords given for some points but not all")
+    geodesic = doc.get("geodesic")
+    if geodesic is not None and not isinstance(geodesic, bool):
+        raise SpaceFormatError(f"geodesic {geodesic!r} is not true, false or null")
     id_to_index = {pid: k for k, pid in enumerate(ids)}  # Space refuses repeats
     edges = doc.get("edges")
     if edges is not None:
@@ -1431,7 +1441,7 @@ def space_from_dict(doc):
         edges=edges,
         matrix=doc.get("matrix"),
         ids=ids,
-        geodesic_like=doc.get("geodesic"),
+        geodesic_like=geodesic,
     )
 
 

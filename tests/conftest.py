@@ -88,6 +88,34 @@ def shuffled(sp, seed):
     return reordered(sp, np.random.default_rng(seed).permutation(len(sp)))
 
 
+# -- graph test spaces ----------------------------------------------------------
+
+
+def lattice_doc(n):
+    """The n-by-n lattice graph on [0, 1]^2 as a space document, the space
+    the benchmark's lattice document builds: coordinates, Lebesgue weights,
+    unit-step edges of length 1/(n - 1), the outer frame as boundary and no
+    analytic constants."""
+    h = 1.0 / (n - 1)
+    points = [{"id": k, "coords": [k // n * h, k % n * h], "weight": h * h,
+               "boundary": k // n in (0, n - 1) or k % n in (0, n - 1)}
+              for k in range(n * n)]
+    edges = ([[k, k + 1, h] for k in range(n * n) if k % n < n - 1]
+             + [[k, k + n, h] for k in range(n * n - n)])
+    return {"metric": "graph", "points": points, "edges": edges}
+
+
+def hub_star(n=200):
+    """A star of n points about point 0, edge k of length 1 + k/n, point 1
+    the boundary: padded to its largest degree it would hold n^2 entries."""
+    i = np.arange(1, n)
+    return Space(weights=np.ones(n), boundary=[1], metric="graph",
+                 edges=np.column_stack([np.zeros(n - 1), i, 1.0 + i / n]))
+
+
+# -- fixtures ---------------------------------------------------------------------
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

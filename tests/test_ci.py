@@ -46,8 +46,9 @@ def test_workflow_runs_the_console_script():
     # CSV, solve, certify and a certify through cli.main that must import
     # no scipy module; a 2-D cloud space and its validate, solve and
     # certify, each through cli.main, which must import no scipy module; on
-    # the disk grid validate, solve and certify;
-    # one p-expansion; two validates that must exit 2, one with a negative
+    # the disk grid validate, solve and certify; on a path of 401 nodes (rows
+    # on Dijkstra) a validate through cli.main, which must import no scipy
+    # module, then a probe; one p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
     # with no traceback
@@ -109,6 +110,12 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/disk"',
+             'python -c "import sys; from pharmonious.cli import main; '
+             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
+             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
+             'sys.exit(code or bool(loaded))" validate --grid path --n 401 '
+             '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/path"',
+             'pharmonious probe --grid path --n 401 --out "$RUNNER_TEMP/path"',
              'pharmonious asymptotics --fn sq_norm --x 1,0 --n 2 --mode p --p 4 '
              '--out "$RUNNER_TEMP/disk"',
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -123,7 +130,8 @@ def test_workflow_runs_the_console_script():
              'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
-            or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run] == smoke
+            or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
+            or "$RUNNER_TEMP/path" in run] == smoke
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

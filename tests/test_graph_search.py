@@ -1,6 +1,7 @@
-"""Graph searches by rounds against scipy's Dijkstra, bit for bit, across the
-hand-over at the round cap; the adjacent-pair Holder scan against the full
-exact pair scan; probes whose rows come in blocks."""
+"""Graph searches by rounds against scipy's Dijkstra, bit for bit, and the
+engine each space picks once, before its first search; the adjacent-pair
+Holder scan against the full exact pair scan; probes whose rows come in
+blocks."""
 
 import itertools
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from pharmonious import BallTable, RadiusField, Space, lattice_graph, path_graph
+from pharmonious import BallTable, RadiusField, Space, lattice_graph, path_graph, space_from_dict
 from pharmonious import space as space_mod
 from pharmonious.radius import max_gap_ratio
 
+from conftest import hub_star, lattice_doc
 
-def random_graph(seed, n=300):
+
+def graph_with_strays(seed, n=300):
     """n nodes: the first n - 25 joined by two random edges each, then a
     cycle of 20 nodes apart from them and 5 isolated nodes, so that every
     row has unreachable entries; lengths spread over six decades."""
@@ -34,7 +37,7 @@ def ring(n, weight=1.0):
 
 
 GRAPHS = {"lattice": lambda: lattice_graph(13, 11), "path": lambda: path_graph(41),
-          **{f"random{seed}": (lambda seed=seed: random_graph(seed)) for seed in range(3)}}
+          **{f"random{seed}": (lambda seed=seed: graph_with_strays(seed)) for seed in range(3)}}
 
 
 def scipy_rows(sp, rows, limit=np.inf):
@@ -47,7 +50,8 @@ def scipy_rows(sp, rows, limit=np.inf):
 @pytest.mark.parametrize("name", GRAPHS)
 def test_rounds_equal_dijkstra(name, limited):
     sp = GRAPHS[name]()
-    assert sp._metric._table is not None  # searched by rounds, not handed over
+    assert sp._metric._table is not None
+    assert sp._metric._engine == "rounds"
     rows = np.arange(len(sp))
     reference = scipy_rows(sp, rows)
     limit = np.inf
@@ -57,51 +61,72 @@ def test_rounds_equal_dijkstra(name, limited):
         assert 0 < np.isfinite(reference).mean() < 1
     assert np.isinf(reference).any() == (limited or name.startswith("random"))
     got = sp.distances(rows, limit=limit)
-    assert not sp._metric.deep
     assert got.tobytes() == reference.tobytes()
     cols = rows[::7]
     assert np.array_equal(sp.distances(rows[3:40], cols, limit), reference[3:40][:, cols])
 
 
 def test_a_graph_with_a_hub_goes_to_dijkstra():
-    # a star padded to its largest degree would hold n^2 entries
-    n = 200
-    i = np.arange(1, n)
-    sp = Space(weights=np.ones(n), boundary=[1], metric="graph",
-               edges=np.column_stack([np.zeros(n - 1), i, 1.0 + i / n]))
+    sp = hub_star()
     assert sp._metric._table is None
+    assert sp._metric._engine == "dijkstra"
     assert np.array_equal(sp.distances([0, 5]), scipy_rows(sp, [0, 5]))
-    assert sp._metric.deep
 
 
-def test_rows_hand_over_to_dijkstra_past_the_round_cap():
+def test_deep_path_rows_run_on_dijkstra():
     sp = path_graph(2001)
+    # a full row from point 0 takes 2001 rounds, past the cap
+    assert sp._metric._engine == "dijkstra"
     reference = scipy_rows(sp, [0, 1000, 2000])
-    # 101 rounds: by rounds
     limited = sp.distances([0, 1000, 2000], limit=100.0)
-    assert not sp._metric.deep
     assert np.array_equal(limited, scipy_rows(sp, [0, 1000, 2000], 100.0))
-    # a full row takes 2001 rounds: handed over, and the space stays there
     assert np.array_equal(sp.distances([0, 1000, 2000]), reference)
-    assert sp._metric.deep
     assert np.array_equal(sp.distances([7], limit=3.0), scipy_rows(sp, [7], 3.0))
 
 
-@pytest.mark.parametrize("deep", [False, True])
-def test_long_path_ball_table_equals_dijkstra_balls(deep):
+@pytest.mark.parametrize("row_first", [False, True])
+def test_long_path_ball_table_equals_dijkstra_balls(row_first):
     sp = path_graph(2001)
-    if deep:
+    assert sp._metric._engine == "dijkstra"
+    if row_first:
         sp.distances([0])
-    assert sp._metric.deep == deep
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     table = BallTable(sp, rho)
-    # the widest ball (radius 400) passes the cap: the table is built by
-    # rounds and then by Dijkstra
-    assert sp._metric.deep
     ref = scipy_rows(sp, table.centers)
     rows, cols = np.nonzero(ref <= rho.values[table.centers][:, None])
     assert np.array_equal(table.indices, cols)
     assert np.array_equal(table.counts, np.bincount(rows, minlength=len(table.centers)))
+
+
+ENGINES = {"path": (lambda: path_graph(2001), "dijkstra"),
+           "ring": (lambda: ring(401, 0.1), "dijkstra"),
+           "lattice65_doc": (lambda: space_from_dict(lattice_doc(65)), "rounds")}
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_engine_is_decided_before_the_first_search(name):
+    # which queries come first changes neither the engine nor a bit
+    make, engine = ENGINES[name]
+
+    def table(sp):
+        t = BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.4))
+        return t.indices.tobytes() + t.counts.tobytes()
+
+    def scan(sp):
+        u = np.random.default_rng(5).normal(size=len(sp))
+        return max_gap_ratio(sp, u, 1.0, np.array([3, 204]))[0]
+
+    def probe(sp):
+        return np.stack(list(sp._probe_rows([0, 17, len(sp) - 1]))).tobytes()
+
+    runs = []
+    for order in ((table, scan, probe), (probe, scan, table)):
+        sp = make()
+        assert sp._metric._engine == engine
+        got = {step.__name__: step(sp) for step in order}
+        assert sp._metric._engine == engine
+        runs.append(got)
+    assert runs[0] == runs[1]
 
 
 # -- the adjacent-pair scan -------------------------------------------------------
@@ -164,13 +189,13 @@ def test_adjacent_scan_equals_the_full_scan(name, monkeypatch):
         assert max(gaps) == 0.0
 
 
-def test_adjacent_scan_hands_over_past_the_round_cap(monkeypatch):
+def test_adjacent_scan_on_a_deep_ring_runs_on_dijkstra(monkeypatch):
     # two points of K on a ring of 401: each search walks 200 hops
     sp = ring(401, 0.1)
+    assert sp._metric._engine == "dijkstra"
     u = np.random.default_rng(5).normal(size=len(sp))
     members = np.array([3, 204])
     value = max_gap_ratio(sp, u, 1.0, members)[0]
-    assert sp._metric.deep
     assert value == full_scan(sp, u, members, monkeypatch) > 0
 
 
@@ -185,7 +210,7 @@ def test_adjacent_scan_is_exact_at_any_size(monkeypatch):
 @pytest.mark.parametrize("whole", [True, False], ids=["stored", "searched"])
 def test_whole_space_scan_is_the_edge_list(whole):
     # K = X: every point's neighbours lie in K, so its pairs are its edges
-    sp = random_graph(4)
+    sp = graph_with_strays(4)
     members = None if whole else np.arange(len(sp))
     scan = sp.pair_scan(members, lipschitz=True)
     i, j, d = (np.concatenate(x) for x in zip(*scan.blocks))
@@ -201,19 +226,6 @@ def test_whole_space_scan_is_the_edge_list(whole):
 # -- probes -----------------------------------------------------------------------
 
 
-def lattice_doc_space(n):
-    h = 1.0 / (n - 1)
-    k = np.arange(n * n)
-    node = np.arange(n * n)
-    right, down = node[node % n < n - 1], node[node < n * n - n]
-    edges = np.concatenate([np.column_stack([right, right + 1, np.full(len(right), h)]),
-                            np.column_stack([down, down + n, np.full(len(down), h)])])
-    coords = np.column_stack([k // n * h, k % n * h])
-    frame = np.flatnonzero((k // n % (n - 1) == 0) | (k % n % (n - 1) == 0))
-    return Space(coords=coords, weights=np.full(n * n, h * h), boundary=frame,
-                 metric="graph", edges=edges)
-
-
 def test_probes_do_not_depend_on_their_blocks(monkeypatch):
     calls = []
     real = space_mod._Graph.distances
@@ -222,12 +234,12 @@ def test_probes_do_not_depend_on_their_blocks(monkeypatch):
         calls.append(len(rows))
         return real(self, rows, cols, limit)
     monkeypatch.setattr(space_mod._Graph, "distances", counted)
-    blocked = lattice_doc_space(33).probe_report(samples=120, seed=2).to_dict()
+    blocked = space_from_dict(lattice_doc(33)).probe_report(samples=120, seed=2).to_dict()
     rows_taken, blocks = sum(calls), len(calls)
     # one row a block: every row taken alone, as the probes ask for them
     calls.clear()
     monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 1)
-    assert lattice_doc_space(33).probe_report(samples=120, seed=2).to_dict() == blocked
+    assert space_from_dict(lattice_doc(33)).probe_report(samples=120, seed=2).to_dict() == blocked
     assert set(calls) == {1}
     # the drawn centers come a block at a time, predicted on a copy of the
     # generator: a few blocks, a few mispredicted rows

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cloud, cube_grid
+from conftest import cloud, cube_grid, lattice_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,13 +94,16 @@ def test_grid_diameters_load_no_scipy(tmp_path):
 
 
 def test_graph_validate_runs_without_scipy(tmp_path):
-    calls = json.dumps(pipeline(["--grid", "lattice", "--n", "9"], [])[:1])
-    outputs = {}
-    for mode in ("blocked", "plain"):
-        (tmp_path / mode).mkdir()
-        assert python(PIPELINE, mode, calls, cwd=tmp_path / mode) == []
-        outputs[mode] = (tmp_path / mode / "out" / "validate.json").read_bytes()
-    assert outputs["blocked"] == outputs["plain"]
+    # the path's rows run on Dijkstra (see _Graph._engine), but its boundary
+    # distances run by rounds whatever the engine
+    for grid, n in (("lattice", "9"), ("path", "401")):
+        calls = json.dumps(pipeline(["--grid", grid, "--n", n], [])[:1])
+        outputs = {}
+        for mode in ("blocked", "plain"):
+            (tmp_path / grid / mode).mkdir(parents=True)
+            assert python(PIPELINE, mode, calls, cwd=tmp_path / grid / mode) == []
+            outputs[mode] = (tmp_path / grid / mode / "out" / "validate.json").read_bytes()
+        assert outputs["blocked"] == outputs["plain"]
 
 
 def test_graph_set_up_loads_no_scipy(tmp_path):
@@ -138,18 +141,6 @@ def test_cloud_validate_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "validate.json").exists()
 
 
-def _lattice_doc(n):
-    """An n-by-n lattice graph on [0, 1]^2 as a space document, with
-    coordinates and no analytic constants, so that certify probes them."""
-    h = 1.0 / (n - 1)
-    points = [{"id": k, "coords": [k // n * h, k % n * h], "weight": h * h,
-               "boundary": k // n in (0, n - 1) or k % n in (0, n - 1)}
-              for k in range(n * n)]
-    edges = ([[k, k + 1, h] for k in range(n * n) if k % n < n - 1]
-             + [[k, k + n, h] for k in range(n * n - n)])
-    return {"metric": "graph", "points": points, "edges": edges}
-
-
 @pytest.mark.parametrize("space", ["grid", "json"])
 def test_graph_pipeline_loads_no_scipy(tmp_path, space):
     # shallow searches run by rounds: ball tables, the certify residual,
@@ -161,7 +152,7 @@ def test_graph_pipeline_loads_no_scipy(tmp_path, space):
         (tmp_path / "boundary.csv").write_text("\n".join(rows) + "\n")
         args = ["--grid", "lattice", "--n", str(n)], ["--boundary", "../boundary.csv"]
     else:
-        (tmp_path / "lattice.json").write_text(json.dumps(_lattice_doc(n)))
+        (tmp_path / "lattice.json").write_text(json.dumps(lattice_doc(n)))
         args = ["--space", "../lattice.json"], ["--boundary-fn", "saddle"]
     certificate = run_without_scipy(tmp_path, pipeline(*args))["certificate.json"]
     assert (b'"probed"' in certificate) == (space == "json")

@@ -15,7 +15,7 @@ from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
                          space_from_dict, square_grid)
 from pharmonious import space as space_mod
 
-from conftest import cloud, cube_grid, reordered, shuffled
+from conftest import cloud, cube_grid, hub_star, lattice_doc, reordered, shuffled
 
 
 def brute_force_shortest_paths(n, edges):
@@ -242,24 +242,6 @@ def test_graph_component_without_boundary_reads_inf(random_graph):
     assert np.isfinite(d[:30]).all() and np.isinf(d[30:]).all()
 
 
-def _lattice_document(n):
-    """The n-by-n lattice graph document of the benchmark: points on
-    [0,1]^2 with Lebesgue weights, unit-step edges of length 1/(n-1), the
-    outer frame as boundary and no analytic constants."""
-    h = 1.0 / (n - 1)
-    points, edges = [], []
-    for i in range(n):
-        for j in range(n):
-            k = i * n + j
-            points.append({"id": k, "coords": [i * h, j * h], "weight": h * h,
-                           "boundary": i in (0, n - 1) or j in (0, n - 1)})
-            if i + 1 < n:
-                edges.append([k, k + n, h])
-            if j + 1 < n:
-                edges.append([k, k + 1, h])
-    return {"metric": "graph", "points": points, "edges": edges}
-
-
 def _decades_graph(seed, n=200, m=600, repeats=False, lonely=False):
     """Random graph with lengths 10^-3 .. 10^3; repeats adds every edge
     again, reversed, at a new length, plus self-loops; lonely adds a
@@ -298,13 +280,14 @@ def _dijkstra_nearest(sp, targets):
 
 
 @pytest.mark.parametrize("make, lonely", [
-    (lambda: space_from_dict(_lattice_document(65)), 0), (lambda: path_graph(41), 0),
+    (lambda: space_from_dict(lattice_doc(65)), 0), (lambda: path_graph(41), 0),
     (lambda: lattice_graph(13, 11), 0),
     *[(lambda s=s: _decades_graph(s), 0) for s in range(3)],
     (lambda: _decades_graph(3, repeats=True), 0),
-    (lambda: _decades_graph(4, lonely=True), 5)],
+    (lambda: _decades_graph(4, lonely=True), 5),
+    (lambda: path_graph(2001), 0), (hub_star, 0)],
     ids=["lattice65", "path41", "lattice13x11", "decades0", "decades1", "decades2",
-         "repeats_and_loops", "lonely_component"])
+         "repeats_and_loops", "lonely_component", "path2001", "hub"])
 def test_graph_nearest_boundary_equals_dijkstra(make, lonely):
     # the search by rounds and Dijkstra's settle order reach the same least
     # float path sum, bit for bit; the last `lonely` points have no path to
@@ -648,6 +631,31 @@ def test_loader_rejects_negative_edge():
            "edges": [[0, 1, -2.0]]}
     with pytest.raises(SpaceFormatError, match="edge"):
         space_from_dict(doc)
+
+
+def test_loader_refuses_flags_that_are_not_booleans(tmp_path, capsys):
+    # "false" and "no" are truthy: both points joined the boundary, and
+    # "geodesic": "false" read geodesic_like=True
+    def doc(flags, geodesic=None):
+        return {"metric": "euclidean", "geodesic": geodesic,
+                "points": [_point(10 + k, boundary=f, coords=[float(k)])
+                           for k, f in enumerate(flags)]}
+    sp = space_from_dict(doc([True, False, True], geodesic=True))
+    assert sp.boundary_indices.tolist() == [0, 2] and sp.geodesic_like is True
+    # null: the metric's default, not geodesic for a Euclidean cloud
+    assert space_from_dict(doc([True, False, True])).geodesic_like is False
+    for flag, name in (("false", "10"), ("no", "12"), (1, "10"), (None, "12")):
+        flags = [flag if k == int(name) - 10 else k == 1 for k in range(3)]
+        with pytest.raises(SpaceFormatError, match=f"boundary flag .* point id {name} "):
+            space_from_dict(doc(flags))
+    for geodesic in ("false", 0, 1.0, []):
+        with pytest.raises(SpaceFormatError, match="geodesic"):
+            space_from_dict(doc([True, False, True], geodesic))
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps(doc(["false", False, "no"])))
+    from pharmonious.cli import main
+    assert main(["probe", "--space", str(bad), "--out", str(tmp_path)]) == 2
+    assert "point id 10" in capsys.readouterr().err
 
 
 def test_loader_rejects_asymmetric_matrix():

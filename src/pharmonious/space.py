@@ -28,12 +28,12 @@ from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 # per array (512 KiB of float64), each stage counting the entries it
 # allocates (see block_rows and block_cuts).
 BLOCK_ENTRIES = 1 << 16
-# A graph space whose full search from point 0 passes ROUND_CAP rounds runs
-# its distance rows on scipy's Dijkstra (see _Graph._engine): a certify-shaped
-# run (ball table, probes, adjacent-pair scan) on an n-by-n lattice took as
-# long either way, scipy's import included, between n = 73 (145 rounds) and
-# 81; a corner row takes 2n - 1 rounds, so lattices up to 75 per side stay on
-# rounds.
+# A graph space with a component whose full search passes ROUND_CAP rounds
+# runs its distance rows on scipy's Dijkstra (see _Graph._engine): a
+# certify-shaped run (ball table, probes, adjacent-pair scan) on an n-by-n
+# lattice took as long either way, scipy's import included, between n = 73
+# (145 rounds) and 81; a corner row takes 2n - 1 rounds, so lattices up to 75
+# per side stay on rounds.
 ROUND_CAP = 150
 # Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
 # SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
@@ -493,8 +493,7 @@ class _Euclidean(_Metric):
 
 class _Graph(_Metric):
     """Shortest paths over undirected edges, each node pair at its smallest
-    edge weight; self-loops are dropped.  The pairs (lo < hi, weight) are
-    edge_pairs, the adjacent pairs of the whole space (see adjacent_blocks).
+    edge weight; self-loops are dropped.
 
     The graph is one CSR built with numpy: row pointers, targets and
     lengths, every pair stored both ways at its one weight, targets
@@ -520,7 +519,7 @@ class _Graph(_Metric):
     So the space picks the engine of its distance rows once, before its
     first search of rows (see _engine): scipy's Dijkstra, on a
     csr_matrix of the same arrays (see graph), for a graph whose padded
-    table would be too large (a hub) or whose full search from point 0
+    table would be too large (a hub) or with a component whose full search
     passes ROUND_CAP rounds, and rounds otherwise; no later query changes
     it.  Boundary distances run by rounds whenever the padded table exists,
     whatever the engine (1 ms on a 65x65 lattice, 0.12 s on a path of
@@ -552,7 +551,6 @@ class _Graph(_Metric):
         w = np.full(len(pair), np.inf)
         np.minimum.at(w, slot, e[keep, 2])
         lo, hi = pair // n, pair % n
-        self.edge_pairs = lo, hi, w
         # the CSR: both directions, sorted by (row, target)
         order = np.argsort(np.concatenate([pair, hi * n + lo]))
         rows = np.concatenate([lo, hi])[order]
@@ -587,10 +585,22 @@ class _Graph(_Metric):
     def _engine(self):
         """The engine of every search of rows, "rounds" or "dijkstra",
         decided before the first one: Dijkstra without a padded table, or
-        when one full search from point 0 passes ROUND_CAP rounds (the
-        only capped search)."""
-        if self._table is None or self._rounds(np.zeros(1, int), 1, cap=ROUND_CAP) is None:
+        when a full search in any component passes ROUND_CAP rounds (the
+        only capped searches).  Each capped search starts at the lowest
+        points with an edge not yet reached, one labelled row each, the
+        block doubling from one point, so a connected graph runs one
+        search, and an isolated point none."""
+        if self._table is None:
             return "dijkstra"
+        unreached, size = np.flatnonzero(np.diff(self._csr[0])), 1
+        while len(unreached):
+            seeds = unreached[:size]
+            block = self._rounds(np.arange(len(seeds)) * self.n + seeds, len(seeds),
+                                 cap=ROUND_CAP)
+            if block is None:
+                return "dijkstra"
+            unreached = unreached[np.isinf(block[:, unreached]).all(axis=0)]
+            size = min(2 * size, block_rows(self.n))
         return "rounds"
 
     @functools.cached_property
@@ -778,7 +788,10 @@ class Space:
 
     Construction validates the weights, the coordinates (any metric may
     carry them) and, in the metric's backend, the metric contract.  After
-    construction all queries are pure reads and safe to share.
+    construction all queries are pure reads and safe to share.  Every
+    distance, ball and pair scan of the library goes through distances,
+    pair_distances, balls and pair_scan.  Distance rows are not cached, so
+    memory grows with one distance block, not with the number of pairs.
     """
 
     def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
@@ -913,19 +926,15 @@ class Space:
         K-adjacent pair, joined by a path with no other point of K inside
         (cut a shortest path at its points of K: the distances add up, so
         one piece has at least the whole ratio); the scan is exact at any
-        size, and yields those pairs alone (see _Graph.adjacent_blocks): on
-        the whole space, its edges.  Their distances are bounds >= d(x, y),
-        so only that maximum may read them; in floats it can fall below
-        the full scan's by rounding, never above it.
+        size, and yields those pairs alone (see _Graph.adjacent_blocks).
+        Their distances are bounds >= d(x, y), so only that maximum may read
+        them; in floats it can fall below the full scan's by rounding, never
+        above it.
         """
-        whole = members is None
-        members = np.arange(len(self)) if whole else self._indices(members)
+        members = np.arange(len(self)) if members is None else self._indices(members)
         n = len(members)
         if lipschitz and self._metric.path_metric:
-            # on the whole space the adjacent pairs are the edges, kept
-            blocks = iter([self._metric.edge_pairs]) if whole \
-                else self._metric.adjacent_blocks(members)
-            return PairScan("exact", n * (n - 1) // 2, blocks)
+            return PairScan("exact", n * (n - 1) // 2, self._metric.adjacent_blocks(members))
         if n <= EXACT_PAIR_LIMIT:
             return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
         rng = np.random.default_rng(seed)

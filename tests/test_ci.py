@@ -43,12 +43,12 @@ def test_workflow_runs_the_console_script():
     # call cli.main directly, so only these steps run the installed script:
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
-    # CSV, solve, certify and a certify through cli.main that must import
-    # no scipy module; a 2-D cloud space and its validate, solve and
-    # certify, each through cli.main, which must import no scipy module; on
-    # the disk grid validate, solve and certify; on a path of 401 nodes (rows
-    # on Dijkstra) a validate through cli.main, which must import no scipy
-    # module, then a probe; one p-expansion; two validates that must exit 2, one with a negative
+    # CSV, solve, certify and a certify through .github/no_scipy.py, which
+    # fails if cli.main imports any scipy module; a 2-D cloud space and its
+    # validate, solve and certify, each through .github/no_scipy.py; on the
+    # disk grid validate, solve and certify; on a path of 401 nodes (rows on
+    # Dijkstra) a validate through .github/no_scipy.py, then a probe; one
+    # p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
     # with no traceback
@@ -75,10 +75,7 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/graph/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/graph"',
-             'python -c "import sys; from pharmonious.cli import main; '
-             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
-             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
-             'sys.exit(code or bool(loaded))" certify --grid lattice --n 9 '
+             'python .github/no_scipy.py certify --grid lattice --n 9 '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/graph/field.csv" '
              '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"',
              'python -c "import json, random; random.seed(1); pts = [[random.random(), '
@@ -86,21 +83,12 @@ def test_workflow_runs_the_console_script():
              'metric=\'euclidean\', points=[dict(id=k, coords=p, weight=1.0, '
              'boundary=min(p + [1 - x for x in p]) < 0.02) for k, p in enumerate(pts)])))" '
              '> "$RUNNER_TEMP/cloud.json"',
-             'python -c "import sys; from pharmonious.cli import main; '
-             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
-             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
-             'sys.exit(code or bool(loaded))" validate --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/no_scipy.py validate --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
-             'python -c "import sys; from pharmonious.cli import main; '
-             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
-             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
-             'sys.exit(code or bool(loaded))" solve --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/no_scipy.py solve --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --boundary-fn saddle --init-fn saddle '
              '--out "$RUNNER_TEMP/cloud"',
-             'python -c "import sys; from pharmonious.cli import main; '
-             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
-             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
-             'sys.exit(code or bool(loaded))" certify --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/no_scipy.py certify --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/cloud/field.csv" --m 2 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
              'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -110,10 +98,7 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/disk"',
-             'python -c "import sys; from pharmonious.cli import main; '
-             'code = main(sys.argv[1:]); loaded = sorted(m for m in sys.modules '
-             'if m.startswith(\'scipy\')); print(\'scipy modules loaded\', loaded); '
-             'sys.exit(code or bool(loaded))" validate --grid path --n 401 '
+             'python .github/no_scipy.py validate --grid path --n 401 '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/path"',
              'pharmonious probe --grid path --n 401 --out "$RUNNER_TEMP/path"',
              'pharmonious asymptotics --fn sq_norm --x 1,0 --n 2 --mode p --p 4 '

@@ -7,12 +7,12 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import dijkstra
 
 from pharmonious import BallTable, RadiusField, Space, lattice_graph, path_graph, space_from_dict
 from pharmonious import space as space_mod
 from pharmonious.radius import max_gap_ratio
 
+import reference as ref
 from conftest import hub_star, lattice_doc
 
 
@@ -40,12 +40,6 @@ GRAPHS = {"lattice": lambda: lattice_graph(13, 11), "path": lambda: path_graph(4
           **{f"random{seed}": (lambda seed=seed: graph_with_strays(seed)) for seed in range(3)}}
 
 
-def scipy_rows(sp, rows, limit=np.inf):
-    """scipy's Dijkstra on the space's CSR, as every distance row was taken
-    before the search by rounds."""
-    return dijkstra(sp._metric.graph, indices=rows, directed=True, limit=limit)
-
-
 @pytest.mark.parametrize("limited", [False, True], ids=["full", "limit"])
 @pytest.mark.parametrize("name", GRAPHS)
 def test_rounds_equal_dijkstra(name, limited):
@@ -53,11 +47,11 @@ def test_rounds_equal_dijkstra(name, limited):
     assert sp._metric._table is not None
     assert sp._metric._engine == "rounds"
     rows = np.arange(len(sp))
-    reference = scipy_rows(sp, rows)
+    reference = ref.distances(sp, rows)
     limit = np.inf
     if limited:  # a limit on an attained distance: ties at the cut-off
         limit = float(np.median(reference[np.isfinite(reference)]))
-        reference = scipy_rows(sp, rows, limit)
+        reference = ref.distances(sp, rows, limit)
         assert 0 < np.isfinite(reference).mean() < 1
     assert np.isinf(reference).any() == (limited or name.startswith("random"))
     got = sp.distances(rows, limit=limit)
@@ -70,18 +64,18 @@ def test_a_graph_with_a_hub_goes_to_dijkstra():
     sp = hub_star()
     assert sp._metric._table is None
     assert sp._metric._engine == "dijkstra"
-    assert np.array_equal(sp.distances([0, 5]), scipy_rows(sp, [0, 5]))
+    assert np.array_equal(sp.distances([0, 5]), ref.distances(sp, [0, 5]))
 
 
 def test_deep_path_rows_run_on_dijkstra():
     sp = path_graph(2001)
     # a full row from point 0 takes 2001 rounds, past the cap
     assert sp._metric._engine == "dijkstra"
-    reference = scipy_rows(sp, [0, 1000, 2000])
+    reference = ref.distances(sp, [0, 1000, 2000])
     limited = sp.distances([0, 1000, 2000], limit=100.0)
-    assert np.array_equal(limited, scipy_rows(sp, [0, 1000, 2000], 100.0))
+    assert np.array_equal(limited, ref.distances(sp, [0, 1000, 2000], 100.0))
     assert np.array_equal(sp.distances([0, 1000, 2000]), reference)
-    assert np.array_equal(sp.distances([7], limit=3.0), scipy_rows(sp, [7], 3.0))
+    assert np.array_equal(sp.distances([7], limit=3.0), ref.distances(sp, [7], 3.0))
 
 
 @pytest.mark.parametrize("row_first", [False, True])
@@ -92,15 +86,24 @@ def test_long_path_ball_table_equals_dijkstra_balls(row_first):
         sp.distances([0])
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     table = BallTable(sp, rho)
-    ref = scipy_rows(sp, table.centers)
-    rows, cols = np.nonzero(ref <= rho.values[table.centers][:, None])
+    d = ref.distances(sp, table.centers)
+    rows, cols = np.nonzero(d <= rho.values[table.centers][:, None])
     assert np.array_equal(table.indices, cols)
     assert np.array_equal(table.counts, np.bincount(rows, minlength=len(table.centers)))
 
 
+def stray_zero(n=5001):
+    """Point 0 alone, points 1 to n - 1 a unit path; boundary 0, 1, n - 1:
+    a search from point 0 alone stops at once."""
+    i = np.arange(1, n - 1)
+    return Space(weights=np.ones(n), boundary=[0, 1, n - 1], metric="graph",
+                 edges=np.column_stack([i, i + 1, np.ones(n - 2)]))
+
+
 ENGINES = {"path": (lambda: path_graph(2001), "dijkstra"),
            "ring": (lambda: ring(401, 0.1), "dijkstra"),
-           "lattice65_doc": (lambda: space_from_dict(lattice_doc(65)), "rounds")}
+           "lattice65_doc": (lambda: space_from_dict(lattice_doc(65)), "rounds"),
+           "stray_zero": (stray_zero, "dijkstra")}
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -132,20 +135,6 @@ def test_engine_is_decided_before_the_first_search(name):
 # -- the adjacent-pair scan -------------------------------------------------------
 
 
-def full_scan(sp, u, members, monkeypatch):
-    """max |u(x) - u(y)| / d(x, y) over every pair of members: the exact
-    scan of distance rows, however many members."""
-    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", len(sp) + 1)
-    scan = sp.pair_scan(members)
-    assert scan.mode == "exact"
-    best = 0.0
-    for i, j, d in scan.blocks:
-        du = np.abs(u[i] - u[j])
-        best = max(best, float(np.max(np.divide(du, d, out=np.zeros(du.shape),
-                                                where=d > 0), initial=0.0)))
-    return best
-
-
 def holey_sets(sp, seed):
     """Sets K: scattered points, a band with holes, two far blobs, all."""
     rng = np.random.default_rng(seed)
@@ -165,7 +154,7 @@ SCANNED = {**GRAPHS, "lattice-tenths": lambda: lattice_graph(21, 17, edge_weight
 
 
 @pytest.mark.parametrize("name", SCANNED)
-def test_adjacent_scan_equals_the_full_scan(name, monkeypatch):
+def test_adjacent_scan_equals_the_full_scan(name):
     sp = SCANNED[name]()
     gaps = []
     for seed in range(2):
@@ -177,8 +166,7 @@ def test_adjacent_scan_equals_the_full_scan(name, monkeypatch):
         for u, members in itertools.product(fields, holey_sets(sp, seed).values()):
             value, mode, pairs = max_gap_ratio(sp, u, 1.0, members)
             assert mode == "exact" and pairs == len(members) * (len(members) - 1) // 2
-            with monkeypatch.context() as m:
-                full = full_scan(sp, u, members, m)
+            full = ref.max_ratio(sp, u, members=members)
             # distances read past points of K are bounds: never above
             assert value <= full
             gaps.append((full - value) / full)
@@ -189,14 +177,14 @@ def test_adjacent_scan_equals_the_full_scan(name, monkeypatch):
         assert max(gaps) == 0.0
 
 
-def test_adjacent_scan_on_a_deep_ring_runs_on_dijkstra(monkeypatch):
+def test_adjacent_scan_on_a_deep_ring_runs_on_dijkstra():
     # two points of K on a ring of 401: each search walks 200 hops
     sp = ring(401, 0.1)
     assert sp._metric._engine == "dijkstra"
     u = np.random.default_rng(5).normal(size=len(sp))
     members = np.array([3, 204])
     value = max_gap_ratio(sp, u, 1.0, members)[0]
-    assert value == full_scan(sp, u, members, monkeypatch) > 0
+    assert value == ref.max_ratio(sp, u, members=members) > 0
 
 
 def test_adjacent_scan_is_exact_at_any_size(monkeypatch):
@@ -214,12 +202,8 @@ def test_whole_space_scan_is_the_edge_list(whole):
     members = None if whole else np.arange(len(sp))
     scan = sp.pair_scan(members, lipschitz=True)
     i, j, d = (np.concatenate(x) for x in zip(*scan.blocks))
-    e = sp.edges
-    lo, hi = np.minimum(e[:, 0], e[:, 1]).astype(int), np.maximum(e[:, 0], e[:, 1]).astype(int)
-    keep = lo != hi
-    pair, slot = np.unique(lo[keep] * len(sp) + hi[keep], return_inverse=True)
-    w = np.full(len(pair), np.inf)
-    np.minimum.at(w, slot, e[keep, 2])
+    lo, hi, w = ref.edge_pairs(sp)
+    pair = lo * len(sp) + hi
     assert np.array_equal(i * len(sp) + j, pair) and np.array_equal(d, w)
 
 

@@ -16,6 +16,7 @@ from pharmonious import (AdmissibilityError, BallTable, Modulus, RadiusField,
                          path_graph, read_field_csv, solve_dirichlet,
                          SolveConfig, Space, square_grid, write_field_csv)
 
+import reference as ref
 from conftest import box_space, cloud, cube_grid, reordered, shuffled
 
 
@@ -487,22 +488,9 @@ def test_field_csv_rejects_non_finite_and_missing(grid1d, tmp_path):
         read_field_csv(grid1d, path)
 
 
-def _member_oracle(space, centers, radii):
-    """Ball members from dense distance rows, independent of the run code:
-    (members, counts, run starts, run ends) with runs maximal per ball."""
-    rows, members = np.nonzero(space.distances(centers) <= radii[:, None])
-    counts = np.bincount(rows, minlength=len(centers))
-    new = np.ones(len(members), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (members[1:] != members[:-1] + 1)
-    at = np.flatnonzero(new)
-    ends = members[np.append(at[1:], len(members)) - 1] + 1
-    return members, counts, members[at], ends
-
-
 def _assert_table_matches_oracle(table, rho):
     sp = table.space
-    members, counts, a, b = _member_oracle(sp, table.centers,
-                                           rho.values[table.centers])
+    members, counts, a, b = ref.balls(sp, table.centers, rho.values[table.centers])
     starts = np.cumsum(counts) - counts
     assert np.array_equal(table.counts, counts)
     assert np.array_equal(table.starts, starts)
@@ -657,8 +645,7 @@ def test_ball_table_counts_of_the_benchmark_tracer():
     for sp in (square_grid(33), lattice_graph(13, 11)):
         rho = RadiusField.scaled_boundary_distance(sp, 0.4)
         table = BallTable(sp, rho)
-        members, counts, a, b = _member_oracle(sp, table.centers,
-                                               rho.values[table.centers])
+        members, counts, a, b = ref.balls(sp, table.centers, rho.values[table.centers])
         got = tracer.table_counts(table, len(sp))
         assert got["members"] == len(members) == len(table.indices)
         assert got["index_runs"] == len(a)
@@ -666,20 +653,6 @@ def test_ball_table_counts_of_the_benchmark_tracer():
 
 
 # -- the run kernel against member-wise reductions ----------------------------------
-
-
-def _memberwise_alpha_means(table, v, alpha):
-    """Reference: centered mean and midrange reduced over every member."""
-    members = v[table.indices]
-    w = table.space.weights[table.indices]
-    segment_of = np.repeat(np.arange(len(table.centers)), table.counts)
-    center_vals = v[table.centers]
-    m = center_vals + np.add.reduceat(w * (members - center_vals[segment_of]),
-                                      table.starts) \
-        / np.add.reduceat(w, table.starts)
-    s = 0.5 * (np.maximum.reduceat(members, table.starts)
-               + np.minimum.reduceat(members, table.starts))
-    return s if alpha == 1.0 else m + alpha * (s - m)
 
 
 @pytest.fixture(scope="module", params=["square", "disk", "lattice", "path",
@@ -698,7 +671,9 @@ def kernel_table(request):
 def test_run_kernel_matches_memberwise_reduction(kernel_table, alpha):
     u = np.random.default_rng(7).uniform(-1.0, 1.0, len(kernel_table.space))
     got = kernel_table.alpha_means(u, alpha)
-    want = _memberwise_alpha_means(kernel_table, u, alpha)
+    sp, centers = kernel_table.space, kernel_table.centers
+    radii = RadiusField.scaled_boundary_distance(sp, 0.5).values[centers]
+    want = ref.alpha_means(sp, centers, radii, u, alpha)
     if alpha == 1.0:
         assert np.array_equal(got, want)
     else:

@@ -18,6 +18,7 @@ from pharmonious import (BallTable, Modulus, RadiusField, Space, SpaceFormatErro
 from pharmonious import space as space_mod
 from pharmonious.radius import _staircase, _upper_hull, gap_majorant, max_gap_ratio
 
+import reference as ref
 from conftest import disk_cloud
 
 # -- admissibility ---------------------------------------------------------------
@@ -148,16 +149,6 @@ def test_root_powers_and_plain_radius_fields_still_scan():
     assert scaled.lipschitz_mode == "exact" and scaled.lipschitz_pairs > 0
 
 
-def _full_scan_max_ratio(sp, values, exponent):
-    """max |values(x) - values(y)| / d(x, y)^exponent over every pair."""
-    best = 0.0
-    for i, j, d in sp._exact_blocks(np.arange(len(sp))):
-        dv = np.abs(values[i] - values[j])
-        mask = d > 0
-        best = max(best, float((dv[mask] / d[mask] ** exponent).max(initial=0.0)))
-    return best
-
-
 @pytest.fixture(params=["path", "lattice", "random", "two_components",
                         "parallel_edges"])
 def graph_and_values(request, random_graph):
@@ -177,7 +168,7 @@ def test_graph_lipschitz_scan_equals_full_pair_scan(graph_and_values):
     n = len(sp)
     for values in fields:
         assert max_gap_ratio(sp, values, 1.0) == \
-            (_full_scan_max_ratio(sp, values, 1.0), "exact", n * (n - 1) // 2)
+            (ref.max_ratio(sp, values, 1.0), "exact", n * (n - 1) // 2)
 
 
 @pytest.mark.parametrize("fn", [max_gap_ratio, gap_majorant])
@@ -197,7 +188,7 @@ def test_graph_holder_fit_equals_full_pair_scan(graph_and_values):
     sp, fields = graph_and_values
     for values in fields:
         assert fit_holder(sp, RadiusField(values), 0.5) == \
-            _full_scan_max_ratio(sp, values, 0.5)
+            ref.max_ratio(sp, values, 0.5)
 
 
 def test_holder_fit_records_coefficient(grid1d):

@@ -15,19 +15,8 @@ from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
                          space_from_dict, square_grid)
 from pharmonious import space as space_mod
 
+import reference as ref
 from conftest import cloud, cube_grid, hub_star, lattice_doc, reordered, shuffled
-
-
-def brute_force_shortest_paths(n, edges):
-    """Floyd-Warshall oracle for small graphs."""
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for i, j, w in edges:
-        d[i, j] = min(d[i, j], w)
-        d[j, i] = min(d[j, i], w)
-    for k in range(n):
-        d = np.minimum(d, d[:, [k]] + d[[k], :])
-    return d
 
 
 # -- distances ------------------------------------------------------------------
@@ -43,9 +32,8 @@ def test_distance_1d_closed_form():
 
 
 def test_path_graph_distance_matches_dijkstra_oracle():
-    edges = [[0, 1, 1.0], [1, 2, 1.0]]
     sp = path_graph(3)
-    oracle = brute_force_shortest_paths(3, edges)
+    oracle = ref.distances(sp)
     for i in range(3):
         for j in range(3):
             assert sp.distance(i, j) == oracle[i, j]
@@ -229,11 +217,7 @@ def test_boundary_distances_equal_blocked_minimum(make, request):
     # the bits of the closed-form distance rows, in 8 dimensions too, where
     # sum() pairs the squares (see space._squares)
     sp = make(request.getfixturevalue)
-    b = sp.boundary_indices
-    reference = np.full(len(sp), np.inf)
-    for lo in range(0, len(b), 7):
-        reference = np.minimum(reference, sp.distances(b[lo:lo + 7]).min(axis=0))
-    reference[b] = 0.0
+    reference = ref.nearest(sp, sp.boundary_indices)
     assert np.array_equal(sp.boundary_distances(), reference)
 
 
@@ -262,23 +246,6 @@ def _decades_graph(seed, n=200, m=600, repeats=False, lonely=False):
                  boundary=rng.choice(n, 4, replace=False))
 
 
-def _dijkstra_nearest(sp, targets):
-    """scipy's multi-source Dijkstra over the space's edge list, each pair
-    collapsed to its smallest length in Python, self-loops dropped."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import dijkstra
-    least = {}
-    for i, j, w in sp.edges.tolist():
-        if i != j:
-            key = (int(min(i, j)), int(max(i, j)))
-            least[key] = min(w, least.get(key, np.inf))
-    (lo, hi), w = np.array(list(least)).T, np.array(list(least.values()))
-    g = sparse.csr_matrix((np.concatenate([w, w]),
-                           (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                          shape=(len(sp), len(sp)))
-    return dijkstra(g, indices=targets, directed=True, min_only=True)
-
-
 @pytest.mark.parametrize("make, lonely", [
     (lambda: space_from_dict(lattice_doc(65)), 0), (lambda: path_graph(41), 0),
     (lambda: lattice_graph(13, 11), 0),
@@ -294,11 +261,11 @@ def test_graph_nearest_boundary_equals_dijkstra(make, lonely):
     # the boundary and read inf
     sp = make()
     got = sp.boundary_distances()
-    assert np.array_equal(got, _dijkstra_nearest(sp, sp.boundary_indices))
+    assert np.array_equal(got, ref.nearest(sp, sp.boundary_indices))
     assert np.isinf(got[len(sp) - lonely:]).all()
     targets = np.random.default_rng(len(sp)).choice(len(sp), 3, replace=False)
     assert np.array_equal(sp._metric.boundary_distances(targets),
-                          _dijkstra_nearest(sp, targets))
+                          ref.nearest(sp, targets))
 
 
 def test_diameter_2d_is_sqrt2(grid2d_small):
@@ -334,7 +301,7 @@ def test_graph_diameter_equals_all_pairs_maximum(make, random_graph):
     # the diameter takes a few Dijkstra rows; the all-pairs scan takes one
     # per point
     sp = make(random_graph)
-    d = sp.distances(np.arange(len(sp)))
+    d = ref.distances(sp)
     assert sp.diameter() == d[np.isfinite(d)].max()
 
 
@@ -373,11 +340,6 @@ def test_matrix_resolution_is_smallest_off_diagonal_entry(matrix_space):
     assert matrix_space.resolution() == d[~np.eye(len(d), dtype=bool)].min()
 
 
-def _least_distance(sp):
-    d = sp.distances(np.arange(len(sp)))
-    return d[~np.eye(len(d), dtype=bool)].min()
-
-
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_cloud_resolution_is_least_off_diagonal_distance(dim):
     # the least closed-form distance, bit for bit: a KD-tree's own
@@ -385,7 +347,7 @@ def test_cloud_resolution_is_least_off_diagonal_distance(dim):
     # dimensions
     for seed in range(20):
         sp = cloud(dim, 200, seed, boundary=[0])
-        assert sp.resolution() == _least_distance(sp), seed
+        assert sp.resolution() == ref.least_distance(sp), seed
 
 
 def _tiny_rows():
@@ -409,7 +371,7 @@ def test_resolution_is_least_off_diagonal_distance(make):
     # squares to a subnormal, which the closed form reads 6e-6 short, far
     # past HAIR (the key searches widen every reach by TINY as well)
     sp = make()
-    r, d = _least_distance(sp), sp.distances(np.arange(len(sp)))
+    r, d = ref.least_distance(sp), ref.distances(sp)
     members, _ = sp.balls(np.arange(len(sp)), np.full(len(sp), r))
     assert members.tolist() == np.nonzero(d <= r)[1].tolist()
     assert sp.resolution() == r
@@ -989,9 +951,7 @@ def test_parallel_and_reversed_edges_collapse_to_smallest_weight(random_graph):
     assert sp.boundary_distances().tolist() == [0.0, 1.0, 2.0]
     assert sp.resolution() == 1.0
     sp = random_graph(4, parallel=True)
-    oracle = brute_force_shortest_paths(
-        len(sp), [(int(i), int(j), w) for i, j, w in sp.edges])
-    # path sums associate differently in Floyd-Warshall
+    oracle = ref.distances(sp)
     assert np.allclose(sp.distances(np.arange(len(sp))), oracle, rtol=1e-13)
     with pytest.raises(SpaceFormatError, match="out of range"):
         Space(weights=[1.0] * 3, boundary=[0], metric="graph", edges=[[0, 5, 1.0]])
@@ -1025,43 +985,33 @@ def test_whole_space_queries_visit_no_distance_block(query, monkeypatch):
         assert np.isfinite(sp.boundary_distances()).all()
 
 
-def _all_pairs_graph_distances(sp):
-    """Unbounded all-pairs shortest paths from the edge list, independent
-    of the space's own distance code."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import dijkstra
-    e = sp.edges
-    i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
-    g = sparse.csr_matrix((np.concatenate([w, w]),
-                           (np.concatenate([i, j]), np.concatenate([j, i]))),
-                          shape=(len(sp), len(sp)))
-    return dijkstra(g, directed=False)
-
-
-@pytest.mark.parametrize("make", [lambda: path_graph(41),
-                                  lambda: lattice_graph(13, 11)])
+@pytest.mark.parametrize("make", [lambda g: path_graph(41),
+                                  lambda g: lattice_graph(13, 11),
+                                  lambda g: g(3, parallel=True)])
 @pytest.mark.parametrize("factor", [0.4, 0.5, 1.0])
-def test_graph_ball_table_matches_all_pairs_reference(make, factor):
+def test_graph_ball_table_matches_all_pairs_reference(make, factor, random_graph):
     # factors 0.5 and 1.0 put ball radii exactly on integer path lengths,
-    # so ties at the Dijkstra cut-off are exercised
-    sp = make()
+    # so ties at the Dijkstra cut-off are exercised; the random graph has
+    # parallel edges and self-loops
+    sp = make(random_graph)
     rho = RadiusField.scaled_boundary_distance(sp, factor)
     table = BallTable(sp, rho)
-    dist = _all_pairs_graph_distances(sp)[table.centers]
-    rows, cols = np.nonzero(dist <= rho.values[table.centers][:, None])
-    counts = np.bincount(rows, minlength=len(table.centers))
+    cols, counts, _, _ = ref.balls(sp, table.centers, rho.values[table.centers])
     assert np.array_equal(table.indices, cols)
     assert np.array_equal(table.starts, np.cumsum(counts) - counts)
 
 
-def test_sampled_graph_pair_distances_equal_distance(monkeypatch):
-    sp = lattice_graph(9, 7)
+@pytest.mark.parametrize("make", [lambda g: lattice_graph(9, 7),
+                                  lambda g: g(3, parallel=True)],
+                         ids=["lattice", "parallel"])
+def test_sampled_graph_pair_distances_equal_distance(make, random_graph, monkeypatch):
+    sp = make(random_graph)
     monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
     monkeypatch.setattr(space_mod, "SAMPLED_PAIRS", 3000)
     monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 5 * len(sp))
     scan = sp.pair_scan(seed=4)
     assert scan.mode == "sampled"
-    reference = _all_pairs_graph_distances(sp)
+    reference = ref.distances(sp)
     seen = 0
     for i, j, d in scan.blocks:
         assert d.shape == i.shape == j.shape

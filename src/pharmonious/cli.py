@@ -43,7 +43,9 @@ BOUNDARY_FUNCTIONS = {
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the probes' random draws (probe, and the "
+                        "probed constants of certify); recorded in the manifest")
     p.add_argument("--threads", type=int, default=1,
                    help="recorded in the manifest; numerically inert")
     p.add_argument("--out", type=Path, default=Path("."))
@@ -154,8 +156,7 @@ def cmd_validate(args):
     space = _build_space(args)
     rho = _build_rho(args, space)
     hyp = radius.check_hypotheses(space, rho, args.alpha, args.epsilon,
-                                  args.beta, args.lam, args.delta, L=args.L,
-                                  seed=args.seed)
+                                  args.beta, args.lam, args.delta, L=args.L)
     doc = {"manifest": _manifest(args), **hyp.to_dict(), "L_mode": hyp.L_mode,
            "pass": not hyp.failed}
     _write_json(args.out / "validate.json", doc)
@@ -193,8 +194,7 @@ def cmd_solve(args):
             raise SpaceFormatError("the parameter gate (--epsilon) needs --lam; "
                                    "pass --lam or --force")
         hyp = radius.check_hypotheses(space, rho, alpha, args.epsilon,
-                                      args.beta, args.lam, args.delta,
-                                      seed=args.seed)
+                                      args.beta, args.lam, args.delta)
         if hyp.admissible.ok and hyp.failed:  # else solve_dirichlet refuses
             print("validation failed (rerun with --force to solve anyway): "
                   + ", ".join(hyp.failed))

@@ -481,10 +481,10 @@ def hausdorff_gaps(space, rho, x, y, normalized=None):
     return gaps, rec
 
 
-def oscillation_modulus(space, u, members, seed=0):
+def oscillation_modulus(space, u, members):
     """Least concave majorant of the oscillation scatter of u over the set."""
     return radius_mod.gap_majorant(space, point_values(u, "field", len(space)),
-                                   members, seed)
+                                   members)
 
 
 def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):

@@ -267,8 +267,7 @@ class RadiusField:
         self.values = v
         self._lipschitz_L = None      # clamped to >= 1 for the theory
         self.raw_lipschitz = None     # the actual fitted or analytic slope
-        self.lipschitz_mode = None    # exact or sampled (the fit), analytic,
-                                      # supplied
+        self.lipschitz_mode = None    # exact (the fit), analytic or supplied
         self.lipschitz_pairs = 0      # pairs that scan compared
         self.holder_fits = {}         # gamma -> coefficient
         self.balls = {}               # space -> {center: ball members}
@@ -295,7 +294,14 @@ class RadiusField:
         with no scan (lipschitz_mode "analytic"): |factor| at power 1 and
         |factor| * power * ell**(power - 1) above (ell = space.ell()), each
         widened by a HAIR against rounding.  A power below 1 is not Lipschitz
-        at the boundary; check_hypotheses fits it."""
+        at the boundary; check_hypotheses fits it.  A factor or power that
+        is not finite, and a negative power, are refused before any value
+        is computed."""
+        for name, value in (("factor", factor), ("power", power)):
+            if not math.isfinite(value):
+                raise SpaceFormatError(f"radius {name} must be finite, got {value}")
+        if power < 0:
+            raise SpaceFormatError(f"radius power must be nonnegative, got {power}")
         d = space.boundary_distances()
         rho = cls(factor * d ** power if power != 1.0 else factor * d)
         if power >= 1.0:
@@ -331,13 +337,12 @@ def validate_admissible(space, rho):
     return AdmissibilityReport(ok, nonpos, exceeds, nonzero)
 
 
-def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
-    """max |values(x) - values(y)| / d(x, y)^exponent over the pair scan of
-    members (default: the whole space), as (value, mode, pairs); a sampled
-    value is a lower bound for the exact one.  values holds one finite
-    value per point of the space."""
+def max_gap_ratio(space, values, exponent=1.0, members=None):
+    """max |values(x) - values(y)| / d(x, y)^exponent over every pair of
+    members (default: the whole space), as (value, pairs).  values holds
+    one finite value per point of the space."""
     values = point_values(values, "values", len(space))
-    scan = space.pair_scan(members, seed, lipschitz=(exponent == 1.0))
+    scan = space.pair_scan(members, lipschitz=(exponent == 1.0))
     best = 0.0
     for i, j, d in scan.blocks:
         dv = np.subtract(values[i], values[j])
@@ -346,48 +351,48 @@ def max_gap_ratio(space, values, exponent=1.0, members=None, seed=0):
         # apart; the ratios are taken in place, over the block, not its copy
         np.divide(dv, d ** exponent, out=dv, where=d > 0)
         best = max(best, float(dv.max(initial=0.0)))
-    return best, scan.mode, scan.pairs
+    return best, scan.pairs
 
 
-def gap_majorant(space, values, members=None, seed=0):
+def gap_majorant(space, values, members=None):
     """Least concave majorant of the |values(x) - values(y)| vs d(x, y)
-    scatter over the pair scan of members (default: the whole space).
+    scatter over every pair of members (default: the whole space).
 
-    Every block, exact or sampled, is reduced to its staircase (see
-    _staircase), which no blocking changes, and the hull is taken once,
-    over the union's staircase.  values holds one finite value per point
-    of the space."""
+    Each block's staircase (see _staircase, which no split changes) is
+    folded into one running staircase, the staircase of the two joined, so
+    the scan holds one block and one staircase; the hull is taken once,
+    over the last.  values holds one finite value per point of the space."""
     values = point_values(values, "values", len(space))
-    steps = [_staircase(d, np.abs(values[i] - values[j]))
-             for i, j, d in space.pair_scan(members, seed).blocks]
-    ts, ys = zip((np.zeros(0), np.zeros(0)), *steps)
-    return least_concave_majorant(np.concatenate(ts), np.concatenate(ys),
-                                  space.diameter())
+    ts, ys = np.zeros(0), np.zeros(0)
+    for i, j, d in space.pair_scan(members).blocks:
+        block_ts, block_ys = _staircase(d, np.abs(values[i] - values[j]))
+        ts, ys = _staircase(np.append(ts, block_ts), np.append(ys, block_ys))
+    return least_concave_majorant(ts, ys, space.diameter())
 
 
-def fit_lipschitz(space, rho, seed=0):
+def fit_lipschitz(space, rho):
     """Fit the Lipschitz constant of the radius field and clamp it at 1
     (the regularity theory assumes L >= 1).  Stores the raw and the clamped
-    value on the field, with the mode and pair count of the scan (a sampled
-    fit is a lower bound); returns the clamped one."""
-    raw, mode, pairs = max_gap_ratio(space, rho.values, 1.0, seed=seed)
+    value on the field, with the exact mode and the pair count of the scan;
+    returns the clamped one."""
+    raw, pairs = max_gap_ratio(space, rho.values, 1.0)
     rho.raw_lipschitz = raw
     rho.lipschitz_L = max(1.0, raw)
-    rho.lipschitz_mode, rho.lipschitz_pairs = mode, pairs
+    rho.lipschitz_mode, rho.lipschitz_pairs = "exact", pairs
     return rho.lipschitz_L
 
 
-def fit_holder(space, rho, gamma, seed=0):
+def fit_holder(space, rho, gamma):
     """Fit the gamma-Holder coefficient of the radius field."""
-    coeff, _, _ = max_gap_ratio(space, rho.values, gamma, seed=seed)
+    coeff = max_gap_ratio(space, rho.values, gamma)[0]
     rho.holder_fits[float(gamma)] = coeff
     return coeff
 
 
-def fit_radius_modulus(space, rho, seed=0):
+def fit_radius_modulus(space, rho):
     """Concave majorant of the |rho(x)-rho(y)| vs d(x,y) scatter, capped at
     the diameter so it can be normalized."""
-    return gap_majorant(space, rho.values, seed=seed).capped(space.diameter())
+    return gap_majorant(space, rho.values).capped(space.diameter())
 
 
 # -- parameter gates ---------------------------------------------------------------
@@ -538,8 +543,8 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
 @dataclass
 class HypothesisReport:
     """Every hypothesis of the closed-form Holder bound on one (space, rho),
-    with the provenance of L: the fit's exact or sampled scan, the analytic
-    bound of a scaled boundary distance, or supplied."""
+    with the provenance of L: the fit's exact scan, the analytic bound of a
+    scaled boundary distance, or supplied."""
 
     admissible: AdmissibilityReport
     radius_bounds: RadiusBoundsReport
@@ -558,7 +563,7 @@ class HypothesisReport:
 
 
 def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
-                     L=None, seed=0):
+                     L=None):
     """Admissibility of rho, lambda dist^beta <= rho <= epsilon dist and the
     parameter gate at L: the one given, else rho's own (supplied, fitted or
     analytic), else a fit."""
@@ -566,7 +571,7 @@ def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
     bounds = check_radius_bounds(space, rho, lam, beta, epsilon)
     L_mode = "supplied"
     if L is None:
-        L = rho.lipschitz_L or fit_lipschitz(space, rho, seed=seed)
+        L = rho.lipschitz_L or fit_lipschitz(space, rho)
         L_mode = rho.lipschitz_mode
     gate = validate_parameters(alpha, L, epsilon, beta, lam, space.ell(), delta)
     return HypothesisReport(admissible, bounds, gate, L_mode)

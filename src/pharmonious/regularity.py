@@ -250,12 +250,11 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
 EmpiricalHolder = namedtuple("EmpiricalHolder", ["value", "mode", "pairs"])
 
 
-def empirical_holder(space, u, members, delta, seed=0):
+def empirical_holder(space, u, members, delta):
     """Measured Holder seminorm max |u(x)-u(y)| / d(x,y)^delta over the set.
 
-    Scans the pairs of Space.pair_scan: exact up to 5000 points, seeded
-    pair sampling above (the sampled value is a lower bound for the true
-    seminorm and is flagged).  Fewer than two points yields 0 with a notice.
+    Scans every pair of the set (Space.pair_scan), mode "exact".  Fewer
+    than two points yields 0 with the notice mode "undefined".
     """
     members = space._indices(members)
     v = point_values(u, "field", len(space))
@@ -263,7 +262,8 @@ def empirical_holder(space, u, members, delta, seed=0):
         return EmpiricalHolder(0.0, "undefined", 0)
     if not 0.0 < delta <= 1.0:
         raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
-    return EmpiricalHolder(*radius_mod.max_gap_ratio(space, v, delta, members, seed))
+    value, pairs = radius_mod.max_gap_ratio(space, v, delta, members)
+    return EmpiricalHolder(value, "exact", pairs)
 
 
 @dataclass
@@ -329,9 +329,10 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     The hypotheses of the bound (radius.check_hypotheses, as validate
     checks them), the closed-form Holder bound on the m-th exhaustion set
     (nan unless every hypothesis holds), the measured seminorm there, and
-    the provenance of every constant (L_mode: the fit's exact or sampled
-    pair scan, "analytic" for a scaled boundary distance, or "supplied" for
-    a hand-set rho.lipschitz_L).  The
+    the provenance of every constant (L_mode: "exact" for the fit's pair
+    scan, "analytic" for a scaled boundary distance, or "supplied" for a
+    hand-set rho.lipschitz_L).  The seed drives the probes of the space's
+    constants when it has no analytic ones; every pair scan is exact.  The
     midrange-only case alpha = 1 is out of certificate scope; a field whose
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder
@@ -351,14 +352,14 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
             "not a fixed point")
     constants = space_constants(space, delta, seed=seed)
     hyp = radius_mod.check_hypotheses(space, rho, alpha, epsilon, beta, lam,
-                                      delta, seed=seed)
+                                      delta)
     L = hyp.gate.L
     C = branch_constant(L, constants["D_delta"], constants["D_mu"], delta)
     # the sup norm of the fixed point u - midrange (see the module docstring)
     half_oscillation = 0.5 * (float(v.max()) - float(v.min()))
     exponent = gamma * delta if alpha == 0.0 else delta
     members = radius_mod.exhaustion(space, epsilon, m)
-    emp = empirical_holder(space, v, members, exponent, seed=seed)
+    emp = empirical_holder(space, v, members, exponent)
     theo = math.nan  # no certified bound without every hypothesis
     if not hyp.failed:
         theo = certified_holder_constant(

@@ -35,11 +35,6 @@ BLOCK_ENTRIES = 1 << 16
 # (145 rounds) and 81; a corner row takes 2n - 1 rounds, so lattices up to 75
 # per side stay on rounds.
 ROUND_CAP = 150
-# Pair scans visit every pair of up to EXACT_PAIR_LIMIT points and draw
-# SAMPLED_PAIRS seeded random pairs above that, streamed in blocks of at
-# most BLOCK_ENTRIES // 4 pairs.
-EXACT_PAIR_LIMIT = 5_000
-SAMPLED_PAIRS = 1_000_000
 # The doubling and annular-decay probes skip radii below this many
 # resolutions, where a ball's measure is dominated by single cells.
 PROBE_R_MIN_CELLS = 16.0
@@ -57,12 +52,11 @@ HAIR = 1.0 + 1e-9
 # by TINY as well.
 TINY = 1e-140
 
-PairScan = namedtuple("PairScan", ["mode", "pairs", "blocks"])
-PairScan.__doc__ = """Pairs of a point set: mode "exact" or "sampled", the
-number of distinct pairs covered, and an iterator of (i, j, d) blocks with
-point indices i, j broadcastable to the distance block d.  Each block is
-computed when the iterator reaches it, so a scan holds one block at a time
-(plus, when sampled, the draws: two int32 arrays of SAMPLED_PAIRS)."""
+PairScan = namedtuple("PairScan", ["pairs", "blocks"])
+PairScan.__doc__ = """Every pair of a point set: the number of distinct
+pairs, and an iterator of (i, j, d) blocks with point indices i, j
+broadcastable to the distance block d.  Each block is computed when the
+iterator reaches it, so a scan holds one block at a time."""
 
 
 @dataclass(frozen=True)
@@ -240,11 +234,6 @@ class _Metric:
     def run_width(self, centers, radii):
         # no bound below n before the search: one table per dense search
         # block took twice a whole table's time on a 65x65 lattice graph
-        return None
-
-    def pair_order(self, members, a):
-        """The order in which a sampled scan visits its pairs, whose sources
-        are members[a]: None, as drawn."""
         return None
 
     def ball_intervals(self, centers, radii):
@@ -669,11 +658,6 @@ class _Graph(_Metric):
         return dijkstra(split, indices=n + np.arange(k), directed=True,
                         limit=limit)[:, :n]
 
-    def pair_order(self, members, a):
-        # by source: consecutive blocks share at most one source, so a scan
-        # runs each distance row once, plus at most once more per block
-        return np.argsort(members[a], kind="stable")
-
     def pair_distances(self, i, j):
         # grouped by source, one block of distance rows per block of sources
         out = np.empty(len(i))
@@ -910,53 +894,26 @@ class Space:
         """d(i[k], j[k]) for paired index arrays."""
         return self._metric.pair_distances(self._indices(i), self._indices(j))
 
-    def pair_scan(self, members=None, seed=0, lipschitz=False):
-        """PairScan over the points of members (default: the whole space).
-
-        Exact up to EXACT_PAIR_LIMIT points.  Above it, SAMPLED_PAIRS seeded
-        random pairs of distinct points; a reduction over them is a lower
-        bound for the exact one.  The draws are held as int32 positions in
-        members and streamed in blocks of at most BLOCK_ENTRIES // 4 pairs:
-        a block is gathered, its pairs i == j dropped and its distances
-        taken only when the iterator reaches it.  The backend picks the
-        order of the pairs (see pair_order; graphs go by source).
+    def pair_scan(self, members=None, lipschitz=False):
+        """PairScan over every pair of points of members (default: the whole
+        space), one block of rows at a time (see _exact_blocks): the time
+        grows with the square of the set, the memory stays one block.
 
         lipschitz=True says the caller takes max |f(x) - f(y)| / d(x, y).
         On a path metric that maximum over K = members is attained on a
         K-adjacent pair, joined by a path with no other point of K inside
         (cut a shortest path at its points of K: the distances add up, so
-        one piece has at least the whole ratio); the scan is exact at any
-        size, and yields those pairs alone (see _Graph.adjacent_blocks).
-        Their distances are bounds >= d(x, y), so only that maximum may read
-        them; in floats it can fall below the full scan's by rounding, never
-        above it.
+        one piece has at least the whole ratio); the scan yields those pairs
+        alone (see _Graph.adjacent_blocks).  Their distances are bounds
+        >= d(x, y), so only that maximum may read them; in floats it can
+        fall below the full scan's by rounding, never above it.
         """
         members = np.arange(len(self)) if members is None else self._indices(members)
         n = len(members)
-        if lipschitz and self._metric.path_metric:
-            return PairScan("exact", n * (n - 1) // 2, self._metric.adjacent_blocks(members))
-        if n <= EXACT_PAIR_LIMIT:
-            return PairScan("exact", n * (n - 1) // 2, self._exact_blocks(members))
-        rng = np.random.default_rng(seed)
-        # int32 draws equal the default int64 ones value for value and leave
-        # the generator where those leave it
-        a = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
-        b = rng.integers(0, n, size=SAMPLED_PAIRS, dtype=np.int32)
-        order = self._metric.pair_order(members, a)
-        step = block_rows(4)
-        starts = range(0, len(a), step)
-
-        def pairs(lo):
-            at = slice(lo, lo + step) if order is None else order[lo:lo + step]
-            i, j = members[a[at]], members[b[at]]
-            keep = i != j
-            return i[keep], j[keep]
-
-        def blocks():
-            for lo in starts:
-                i, j = pairs(lo)
-                yield i, j, self.pair_distances(i, j)
-        return PairScan("sampled", sum(len(pairs(lo)[0]) for lo in starts), blocks())
+        blocks = (self._metric.adjacent_blocks(members)
+                  if lipschitz and self._metric.path_metric
+                  else self._exact_blocks(members))
+        return PairScan(n * (n - 1) // 2, blocks)
 
     # -- balls and measures ---------------------------------------------------
 

@@ -20,11 +20,11 @@ SPACES = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
           "cloud": lambda: disk_cloud(500, 4)}
 
 
-def _everything(make, monkeypatch):
+def _everything(make):
     """Every blocked result on a fresh space: boundary distances, ball-table
-    arrays, alpha means, the residual without a table, exact and sampled
-    pair reductions, the Holder scan, the sup-inf gaps of two balls, the
-    geodesic defect and the diameter."""
+    arrays, alpha means, the residual without a table, the pair reductions,
+    the Holder scan, the sup-inf gaps of two balls, the geodesic defect and
+    the diameter."""
     sp = make()
     out = {"boundary_distances": sp.boundary_distances()}
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
@@ -37,19 +37,11 @@ def _everything(make, monkeypatch):
         out[f"alpha_means {alpha}"] = table.alpha_means(u, alpha)
     out["residual"] = residual(sp, rho, u, 0.3)
     members = sp.interior_indices
-    for mode, limit in (("exact", space_mod.EXACT_PAIR_LIMIT), ("sampled", 10)):
-        with monkeypatch.context() as m:
-            m.setattr(space_mod, "EXACT_PAIR_LIMIT", limit)
-            m.setattr(space_mod, "SAMPLED_PAIRS", 3000)
-            for exponent in (1.0, 0.5):
-                ratio = max_gap_ratio(sp, u, exponent, members, seed=3)
-                # at exponent 1 a graph scans its adjacent pairs: exact at any size
-                lipschitz = exponent == 1.0 and sp.metric == "graph"
-                assert ratio[1] == ("exact" if lipschitz else mode)
-                out[f"max_gap_ratio {mode} {exponent}"] = ratio
-            omega = gap_majorant(sp, u, members, seed=3)
-            out[f"gap_majorant {mode}"] = (omega.ts, omega.ys)
-            out[f"empirical_holder {mode}"] = empirical_holder(sp, u, members, 0.5, seed=3)
+    for exponent in (1.0, 0.5):
+        out[f"max_gap_ratio {exponent}"] = max_gap_ratio(sp, u, exponent, members)
+    omega = gap_majorant(sp, u, members)
+    out["gap_majorant"] = (omega.ts, omega.ys)
+    out["empirical_holder"] = empirical_holder(sp, u, members, 0.5)
     x, y = members[len(members) // 2], members[len(members) // 2 + 1]
     gaps = hausdorff_gaps(sp, rho, x, y)[0]
     out["hausdorff_gaps"] = (gaps.sup_inf_xy, gaps.sup_inf_yx)
@@ -72,11 +64,11 @@ def _bits(value):
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_no_result_depends_on_the_budget(name, monkeypatch):
     make = SPACES[name]
-    whole = _everything(make, monkeypatch)
+    whole = _everything(make)
     monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", TINY)
     sp = make()
     assert len(list(sp._exact_blocks(np.arange(len(sp))))) > len(sp) // 2
-    tiny = _everything(make, monkeypatch)
+    tiny = _everything(make)
     assert whole.keys() == tiny.keys()
     for key, value in whole.items():
         assert _bits(value) == _bits(tiny[key]), key

@@ -46,8 +46,10 @@ def test_workflow_runs_the_console_script():
     # CSV, solve, certify and a certify through .github/no_scipy.py, which
     # fails if cli.main imports any scipy module; a 2-D cloud space and its
     # validate, solve and certify, each through .github/no_scipy.py; on the
-    # disk grid validate, solve and certify; on a path of 401 nodes (rows on
-    # Dijkstra) a validate through .github/no_scipy.py, then a probe; one
+    # disk grid validate, solve and certify; on the 97 x 97 grid a solve, a
+    # certify at m = 3 and a check that its Holder scan was exact; on a
+    # path of 401 nodes (rows on Dijkstra) a validate through
+    # .github/no_scipy.py, then a probe; one
     # p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
@@ -98,6 +100,13 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/disk"',
+             'pharmonious solve --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
+             '--boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/grid97"',
+             'pharmonious certify --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/grid97/field.csv" --m 3 --epsilon 0.5 --lam 0.4 '
+             '--out "$RUNNER_TEMP/grid97"',
+             'grep -qE \'"empirical_mode":[[:space:]]+"exact"\' '
+             '"$RUNNER_TEMP/grid97/certificate.json"',
              'python .github/no_scipy.py validate --grid path --n 401 '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/path"',
              'pharmonious probe --grid path --n 401 --out "$RUNNER_TEMP/path"',
@@ -116,7 +125,7 @@ def test_workflow_runs_the_console_script():
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
-            or "$RUNNER_TEMP/path" in run] == smoke
+            or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run] == smoke
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

@@ -365,6 +365,24 @@ def test_validate_component_without_boundary_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("factor, power, message", [
+    ("inf", "1", "radius factor must be finite, got inf"),
+    ("0.4", "-1", "radius power must be nonnegative, got -1.0"),
+    ("0.4", "inf", "radius power must be finite, got inf")],
+    ids=["inf-factor", "negative-power", "inf-power"])
+def test_validate_refuses_a_bad_radius_scaling(tmp_path, capsys, factor, power, message):
+    # numpy's warnings, each with a source line, came before the input
+    # error; an inf power exited 1 as an inadmissible radius of zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("validate", "--grid", "2d", "--n", 9, "--rho-factor", factor,
+                   "--rho-power", power, "--alpha", 0.3, "--epsilon", 0.5,
+                   "--lam", 0.4, "--out", tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_validate_id_beyond_int64_is_input_error(tmp_path, capsys):
     # the id passed the loader and then overflowed the int64 cast of the
     # ids: a traceback and exit 1

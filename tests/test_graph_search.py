@@ -164,8 +164,8 @@ def test_adjacent_scan_equals_the_full_scan(name):
         fields = (np.random.default_rng(seed).normal(size=len(sp)),
                   np.where(np.isfinite(d), d, 0.0) * (1.0 + seed / 3.0))
         for u, members in itertools.product(fields, holey_sets(sp, seed).values()):
-            value, mode, pairs = max_gap_ratio(sp, u, 1.0, members)
-            assert mode == "exact" and pairs == len(members) * (len(members) - 1) // 2
+            value, pairs = max_gap_ratio(sp, u, 1.0, members)
+            assert pairs == len(members) * (len(members) - 1) // 2
             full = ref.max_ratio(sp, u, members=members)
             # distances read past points of K are bounds: never above
             assert value <= full
@@ -187,12 +187,10 @@ def test_adjacent_scan_on_a_deep_ring_runs_on_dijkstra():
     assert value == ref.max_ratio(sp, u, members=members) > 0
 
 
-def test_adjacent_scan_is_exact_at_any_size(monkeypatch):
-    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
+def test_adjacent_scan_is_exact_at_any_size():
     sp = lattice_graph(9, 7)
     scan = sp.pair_scan(sp.interior_indices, lipschitz=True)
-    assert scan.mode == "exact" and scan.pairs == 35 * 34 // 2
-    assert sp.pair_scan(sp.interior_indices).mode == "sampled"
+    assert scan.pairs == 35 * 34 // 2
 
 
 @pytest.mark.parametrize("whole", [True, False], ids=["stored", "searched"])

@@ -16,7 +16,7 @@ from pharmonious import (BallTable, Modulus, RadiusField, Space, SpaceFormatErro
                          validate_admissible, validate_parameters,
                          write_radius_csv)
 from pharmonious import space as space_mod
-from pharmonious.radius import _staircase, _upper_hull, gap_majorant, max_gap_ratio
+from pharmonious.radius import _staircase, gap_majorant, max_gap_ratio
 
 import reference as ref
 from conftest import disk_cloud
@@ -90,18 +90,15 @@ def test_steep_field_fit_on_path_graph():
     assert fit_lipschitz(sp, rho) == best == 6.0
 
 
-@pytest.mark.parametrize("n, mode", [(17, "exact"), (71, "sampled")])
-def test_lipschitz_fit_records_scan_mode(n, mode):
-    # 71^2 = 5041 points lies just above the exact-scan limit
+@pytest.mark.parametrize("n", [17, 71], ids=["17-exact", "71-exact"])
+def test_lipschitz_fit_records_scan_mode(n):
+    # 71^2 = 5041 points: a fit of any size scans every pair
     sp = square_grid(n)
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     fit_lipschitz(sp, rho)
-    assert rho.lipschitz_mode == mode
-    if mode == "exact":
-        assert rho.lipschitz_pairs == len(sp) * (len(sp) - 1) // 2
-    else:
-        assert 0.99 * space_mod.SAMPLED_PAIRS < rho.lipschitz_pairs \
-            <= space_mod.SAMPLED_PAIRS
+    assert rho.lipschitz_mode == "exact"
+    assert rho.lipschitz_pairs == len(sp) * (len(sp) - 1) // 2
+    assert rho.raw_lipschitz == pytest.approx(0.4, rel=1e-12)
 
 
 @pytest.fixture(scope="module", params=["square", "disk", "lattice", "path", "cloud"])
@@ -121,8 +118,7 @@ def test_analytic_lipschitz_bound_dominates_the_exact_scan(analytic_space, facto
     # 0.40000000000000036 at factor 0.4 on square_grid(33), hence the HAIR
     sp = analytic_space
     rho = RadiusField.scaled_boundary_distance(sp, factor, power)
-    exact, mode, _ = max_gap_ratio(sp, rho.values)
-    assert mode == "exact"
+    exact = max_gap_ratio(sp, rho.values)[0]
     assert rho.lipschitz_mode == "analytic" and rho.lipschitz_pairs == 0
     assert exact <= rho.raw_lipschitz <= factor * power * sp.ell() ** (power - 1.0) \
         * space_mod.HAIR
@@ -149,6 +145,25 @@ def test_root_powers_and_plain_radius_fields_still_scan():
     assert scaled.lipschitz_mode == "exact" and scaled.lipschitz_pairs > 0
 
 
+BAD_SCALINGS = [(math.inf, 1.0, "radius factor must be finite, got inf"),
+                (math.nan, 1.0, "radius factor must be finite, got nan"),
+                (0.4, math.inf, "radius power must be finite, got inf"),
+                (0.4, math.nan, "radius power must be finite, got nan"),
+                (0.4, -1.0, "radius power must be nonnegative, got -1.0")]
+BAD_SCALING_IDS = ["inf-factor", "nan-factor", "inf-power", "nan-power", "negative-power"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor, power, message", BAD_SCALINGS, ids=BAD_SCALING_IDS)
+def test_scaled_boundary_distance_refuses_a_bad_scaling(factor, power, message):
+    # factor * d ** power ran first: an inf factor times the boundary's
+    # zeros and a negative power of them warned, before the radius was
+    # refused as not finite (or, at an inf power, passed as all zeros)
+    with pytest.raises(SpaceFormatError) as info:
+        RadiusField.scaled_boundary_distance(square_grid(9), factor, power)
+    assert str(info.value) == message
+
+
 @pytest.fixture(params=["path", "lattice", "random", "two_components",
                         "parallel_edges"])
 def graph_and_values(request, random_graph):
@@ -168,7 +183,7 @@ def test_graph_lipschitz_scan_equals_full_pair_scan(graph_and_values):
     n = len(sp)
     for values in fields:
         assert max_gap_ratio(sp, values, 1.0) == \
-            (ref.max_ratio(sp, values, 1.0), "exact", n * (n - 1) // 2)
+            (ref.max_ratio(sp, values, 1.0), n * (n - 1) // 2)
 
 
 @pytest.mark.parametrize("fn", [max_gap_ratio, gap_majorant])
@@ -300,24 +315,23 @@ def test_least_concave_majorant_covers_data(rng):
     assert np.all(np.diff(slopes) <= 1e-9)
 
 
-def _sampled_pairs(sp):
-    """The pairs of the seed-0 sampled scan of the whole space, in one draw."""
-    rng = np.random.default_rng(0)
-    i = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
-    j = rng.integers(0, len(sp), size=space_mod.SAMPLED_PAIRS)
-    return i[i != j], j[i != j]
+def _sample(sp, n, seed):
+    """n seeded distinct points of sp, ascending."""
+    return np.sort(np.random.default_rng(seed).choice(len(sp), n, replace=False))
 
 
 def test_sampled_majorant_does_not_depend_on_the_blocks():
-    # rho = d / 2 on this disk puts hull points nearly on one line, where the
-    # hull's tests round differently in a block than in the whole draw
+    # every pair of a seeded sample of the disk's points: rho = d / 2 puts
+    # hull points nearly on one line, where the hull's tests round
+    # differently in a block than in the whole scatter
     sp = disk_grid(101)
     values = 0.5 * sp.boundary_distances()
-    i, j = _sampled_pairs(sp)
+    members = _sample(sp, 1200, 0)
     whole = least_concave_majorant(
-        *_upper_hull(sp.pair_distances(i, j), np.abs(values[i] - values[j])),
+        sp.distances(members, members), np.abs(values[members, None] - values[members]),
         sp.diameter())
-    omega = gap_majorant(sp, values)
+    assert len(whole.ts) > 3
+    omega = gap_majorant(sp, values, members)
     assert np.array_equal(omega.ts, whole.ts) and np.array_equal(omega.ys, whole.ys)
 
 
@@ -371,33 +385,36 @@ def test_majorant_breakpoints_of_flat_runs(ds, gaps, ts, ys):
 
 
 def test_disk_radius_modulus_passes_its_own_concavity_check():
-    # the sample holds the distances 0.21 and 0.21000000000000008; the hull's
-    # cross-product test kept both, and the slope over that step, 0.5, rose
-    # above the slope before it, 0.3999999999999998, so Modulus refused it
+    # this sample's scatter held the distances 0.21 and 0.21000000000000008
+    # (as a draw of 1M pairs of the disk did); the hull's cross-product test
+    # kept both, and the slope over that step rose above the slope before
+    # it, so the majorant was not concave
     sp = disk_grid(101)
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
-    omega = fit_radius_modulus(sp, rho)
+    members = _sample(sp, 2000, 2)
+    omega = gap_majorant(sp, rho.values, members).capped(sp.diameter())
     slopes = np.diff(omega.ys) / np.diff(omega.ts)
     assert np.all(np.diff(slopes) <= 0)
-    i, j = _sampled_pairs(sp)
-    # above every sampled pair, up to the rounding of interpolating a chord
-    assert np.all(omega(sp.pair_distances(i, j)) >= np.abs(rho.values[i] - rho.values[j]) - 1e-15)
+    # above every pair, up to the rounding of interpolating a chord
+    for i, j, d in sp.pair_scan(members).blocks:
+        assert np.all(omega(d) >= np.abs(rho.values[i] - rho.values[j]) - 1e-15)
 
 
-def test_sampled_scans_hold_one_block_at_a_time():
-    # one block of the whole draw held 62.8 MB (fit) and 86.6 MB (majorant)
-    sp = square_grid(129)
+def test_exact_scans_hold_one_block_at_a_time():
+    # 5,041 points, every pair scanned a block at a time: a fit held 2.3 MB
+    # and a majorant 4.9 MB, against 203 MB for one distance matrix
+    sp = square_grid(71)
     rho = RadiusField.scaled_boundary_distance(sp, 0.5)
     peaks = {}
-    for name, call, limit in (("fit_lipschitz", lambda: fit_lipschitz(sp, rho), 24e6),
-                              ("gap_majorant", lambda: gap_majorant(sp, rho.values), 30e6)):
+    for name, call, limit in (("fit_lipschitz", lambda: fit_lipschitz(sp, rho), 6e6),
+                              ("gap_majorant", lambda: gap_majorant(sp, rho.values), 10e6)):
         tracemalloc.start()
         try:
             call()
             peaks[name] = (tracemalloc.get_traced_memory()[1], limit)
         finally:
             tracemalloc.stop()
-    assert rho.lipschitz_mode == "sampled"
+    assert rho.lipschitz_mode == "exact"
     assert all(peak < limit for peak, limit in peaks.values()), peaks
 
 

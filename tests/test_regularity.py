@@ -238,14 +238,30 @@ def test_empirical_single_point_notice(grid1d):
     assert emp.value == 0.0 and emp.mode == "undefined"
 
 
-def test_empirical_sampled_mode():
-    sp = square_grid(81)  # 6561 points > exact-scan threshold
+def test_empirical_exact_mode_at_any_size():
+    sp = square_grid(81)  # 6561 points, every pair scanned
     u = sp.coords[:, 0]
     members = np.arange(len(sp))
-    emp = empirical_holder(sp, u, members, 1.0, seed=0)
-    assert emp.mode == "sampled"
-    assert emp.value <= 1.0 + 1e-12  # sampled value lower-bounds the true 1.0
-    assert emp.value > 0.9
+    emp = empirical_holder(sp, u, members, 1.0)
+    assert emp.mode == "exact"
+    assert emp.pairs == len(sp) * (len(sp) - 1) // 2
+    assert emp.value == 1.0
+
+
+def test_empirical_holder_finds_a_one_point_bump():
+    # a bump of 0.01 at one point of K_3 (5,329 points) on a slope of 0.3:
+    # the seminorm is its ratio against a grid neighbour, 1.26; a draw of
+    # 1M pairs read 0.467, missing the bump's neighbours
+    sp = square_grid(97)
+    K = exhaustion(sp, 0.5, 3)
+    x = K[len(K) // 2]
+    assert (len(K), x) == (5329, 4704)
+    u = 0.3 * sp.coords[:, 0]
+    u[x] += 0.01
+    neighbours = [x - 1, x + 1, x - 97, x + 97]
+    expected = max(abs(u[x] - u[y]) / sp.distance(x, y) for y in neighbours)
+    assert expected == pytest.approx(1.26)
+    assert empirical_holder(sp, u, K, 1.0).value == expected
 
 
 # -- constants provenance ---------------------------------------------------------------

@@ -1005,94 +1005,21 @@ def test_graph_ball_table_matches_all_pairs_reference(make, factor, random_graph
                                   lambda g: g(3, parallel=True)],
                          ids=["lattice", "parallel"])
 def test_sampled_graph_pair_distances_equal_distance(make, random_graph, monkeypatch):
+    # seeded random pairs, their distance rows taken a block of sources at
+    # a time
     sp = make(random_graph)
-    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
-    monkeypatch.setattr(space_mod, "SAMPLED_PAIRS", 3000)
     monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 5 * len(sp))
-    scan = sp.pair_scan(seed=4)
-    assert scan.mode == "sampled"
-    reference = ref.distances(sp)
-    seen = 0
-    for i, j, d in scan.blocks:
-        assert d.shape == i.shape == j.shape
-        assert np.array_equal(d, reference[i, j])
-        for a, b, dist in zip(i, j, d):
-            assert dist == sp.distance(int(a), int(b))
-        seen += len(d)
-    assert seen == scan.pairs > 2000
-
-
-def test_int32_draws_equal_int64_draws():
-    # sampled scans draw int32 positions: the same values as the default
-    # int64 draws, leaving the generator at the same state
-    for n in (5001, 16641, 6400, 2 ** 31 - 1):
-        for seed in (0, 5):
-            wide, narrow = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(2):
-                assert np.array_equal(wide.integers(0, n, size=70001),
-                                      narrow.integers(0, n, size=70001, dtype=np.int32))
-            assert wide.bit_generator.state == narrow.bit_generator.state
-
-
-def _one_block_sample(n, seed):
-    """The sampled pair positions (a, b), a != b, drawn as one int64 block."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, size=space_mod.SAMPLED_PAIRS)
-    b = rng.integers(0, n, size=space_mod.SAMPLED_PAIRS)
-    return a[a != b], b[a != b]
-
-
-@pytest.mark.parametrize("make, interior", [(lambda: square_grid(71), False),
-                                            (lambda: disk_grid(101), True)])
-def test_sampled_pair_scan_streams_the_draws_in_bounded_blocks(make, interior,
-                                                                monkeypatch):
-    sp = make()
-    members = sp.interior_indices if interior else np.arange(len(sp))
-    a, b = _one_block_sample(len(members), 3)
-    computed = []
-    real = space_mod._Euclidean.pair_distances
-
-    def counted(self, i, j):
-        computed.append(len(i))
-        return real(self, i, j)
-    monkeypatch.setattr(space_mod._Euclidean, "pair_distances", counted)
-    scan = sp.pair_scan(members if interior else None, seed=3)
-    assert scan.mode == "sampled" and scan.pairs == len(a)
-    assert computed == []  # nothing is gathered before the first block
-    blocks = list(scan.blocks)
-    assert len(blocks) == -(-space_mod.SAMPLED_PAIRS // (space_mod.BLOCK_ENTRIES // 4))
-    assert max(computed) <= space_mod.BLOCK_ENTRIES // 4
-    i, j, d = (np.concatenate(x) for x in zip(*blocks))
-    assert np.array_equal(i, members[a]) and np.array_equal(j, members[b])
-    assert np.array_equal(d, real(sp._metric, members[a], members[b]))
-
-
-def test_sampled_graph_scan_runs_each_dijkstra_row_once_per_block(monkeypatch):
-    sp = lattice_graph(9, 7)
-    monkeypatch.setattr(space_mod, "EXACT_PAIR_LIMIT", 10)
-    monkeypatch.setattr(space_mod, "SAMPLED_PAIRS", 3000)
-    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 5 * len(sp))
-    rows = []
-    real = space_mod._Graph.distances
-
-    def counted(self, r, cols=None, limit=np.inf):
-        rows.append(len(r))
-        return real(self, r, cols, limit)
-    monkeypatch.setattr(space_mod._Graph, "distances", counted)
-    blocks = list(sp.pair_scan(seed=4).blocks)
-    i, j, d = (np.concatenate(x) for x in zip(*blocks))
-    assert len(blocks) > 30
-    # the blocks go by source: distinct sources plus one per block boundary
-    assert sum(rows) <= len(np.unique(i)) + len(blocks)
-    a, b = _one_block_sample(len(sp), 4)
-    order = np.argsort(a, kind="stable")
-    assert np.array_equal(i, a[order]) and np.array_equal(j, b[order])
+    i, j = np.random.default_rng(4).integers(0, len(sp), size=(2, 3000))
+    d = sp.pair_distances(i, j)
+    assert d.shape == i.shape
+    assert np.array_equal(d, ref.distances(sp)[i, j])
+    for a, b, dist in zip(i, j, d):
+        assert dist == sp.distance(int(a), int(b))
 
 
 def test_exact_pair_scan_covers_every_pair(grid2d_small):
     members = np.arange(0, len(grid2d_small), 7)
     scan = grid2d_small.pair_scan(members)
-    assert scan.mode == "exact"
     assert scan.pairs == len(members) * (len(members) - 1) // 2
     covered = set()
     for i, j, d in scan.blocks:

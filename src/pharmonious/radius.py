@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import space as space_mod
 from .errors import SpaceFormatError
 from .space import HAIR, point_values, read_id_csv, write_id_csv
 
@@ -349,7 +350,7 @@ def max_gap_ratio(space, values, exponent=1.0, members=None):
         np.abs(dv, out=dv)
         # d is 0 only where i == j, where dv is 0 too: distinct points are
         # apart; the ratios are taken in place, over the block, not its copy
-        np.divide(dv, d ** exponent, out=dv, where=d > 0)
+        np.divide(dv, d if exponent == 1.0 else d ** exponent, out=dv, where=d > 0)
         best = max(best, float(dv.max(initial=0.0)))
     return best, scan.pairs
 
@@ -358,16 +359,24 @@ def gap_majorant(space, values, members=None):
     """Least concave majorant of the |values(x) - values(y)| vs d(x, y)
     scatter over every pair of members (default: the whole space).
 
-    Each block's staircase (see _staircase, which no split changes) is
-    folded into one running staircase, the staircase of the two joined, so
-    the scan holds one block and one staircase; the hull is taken once,
-    over the last.  values holds one finite value per point of the space."""
+    Each block's staircase (see _staircase, which no split changes) waits
+    in a list after the running staircase; once the waiting points pass
+    BLOCK_ENTRIES, the list is folded into one running staircase, the
+    staircase of them all joined.  So the scan holds one block, one
+    staircase and about one block of waiting points; the hull is taken
+    once, over the last fold.  values holds one finite value per point of
+    the space."""
     values = point_values(values, "values", len(space))
-    ts, ys = np.zeros(0), np.zeros(0)
+
+    def fold(parts):
+        return [_staircase(*map(np.concatenate, zip(*parts)))]
+    parts, waiting = [(np.zeros(0), np.zeros(0))], 0
     for i, j, d in space.pair_scan(members).blocks:
-        block_ts, block_ys = _staircase(d, np.abs(values[i] - values[j]))
-        ts, ys = _staircase(np.append(ts, block_ts), np.append(ys, block_ys))
-    return least_concave_majorant(ts, ys, space.diameter())
+        parts.append(_staircase(d, np.abs(values[i] - values[j])))
+        waiting += len(parts[-1][0])
+        if waiting > space_mod.BLOCK_ENTRIES:
+            parts, waiting = fold(parts), 0
+    return least_concave_majorant(*fold(parts)[0], space.diameter())
 
 
 def fit_lipschitz(space, rho):

@@ -306,17 +306,19 @@ PROBE_SAFETY = 1.1   # probes undersample suprema
 def space_constants(space, delta=1.0, seed=0):
     """Annular-decay and doubling constants with provenance.
 
-    Built-in grids carry analytic values; anything else gets probe
-    estimates inflated by PROBE_SAFETY.
+    Built-in grids carry analytic values; anything else gets the probe
+    estimates of one pass over one row per probe center (see
+    Space._probe_pass), inflated by PROBE_SAFETY, as Python floats.
     """
     a = space.analytic_constants or {}
     ann = a.get("annular_decay", {})
     if float(delta) in ann and "doubling" in a:
         return {"D_delta": ann[float(delta)], "D_mu": a["doubling"],
                 "delta": float(delta), "source": "analytic"}
+    doubling, decay, _ = space._probe_pass([delta], seed=seed)
     return {
-        "D_delta": PROBE_SAFETY * space.probe_annular_decay(delta, seed=seed),
-        "D_mu": PROBE_SAFETY * space.probe_doubling(seed=seed),
+        "D_delta": PROBE_SAFETY * decay[float(delta)],
+        "D_mu": PROBE_SAFETY * doubling,
         "delta": float(delta),
         "source": "probed",
     }

@@ -74,7 +74,7 @@ class SolveReport:
     converged: bool
     final_residual: float
     modulus_snapshots: list = None
-    stop_reason: str = ""          # why the iteration ended; not in to_dict
+    stop_reason: str = ""          # why the iteration ended
 
     def to_dict(self):
         return {
@@ -82,6 +82,7 @@ class SolveReport:
             "residual_history": self.residual_history,
             "converged": self.converged,
             "final_residual": self.final_residual,
+            "stop_reason": self.stop_reason,
             "modulus_snapshots": [
                 {"iteration": it, "m": m, "breakpoints": mod.breakpoint_list()}
                 for it, m, mod in (self.modulus_snapshots or [])

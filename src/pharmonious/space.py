@@ -7,12 +7,12 @@ builds on.  The metric is a backend picked once, from METRICS: closed-form
 Euclidean, graph shortest path, or an explicit matrix.  The probe_* methods
 estimate the structural constants the theory assumes (doubling, annular
 decay, ring continuity, geodesicity): estimators with explicit degeneracy
-guards, never proofs.
+guards, never proofs.  The doubling, annular-decay and ring probes read one
+pass over one distance row per probe center (see Space._probe_pass).
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import functools
 import itertools
@@ -76,11 +76,14 @@ class SpaceProbeReport:
     """Estimates of the structural constants of a space.
 
     doubling_estimate and the annular decay estimates are lower bounds for
-    the best constants (max over sampled configurations, clamped at 1).
-    ring_jump is the largest single-radius atom fraction of r -> mu(B(x,r));
-    a discrete measure is never ring-continuous, so this reports the atom
-    scale instead of a boolean.  geodesic_defect is the worst excess of
-    hop-graph path length over metric distance on sampled pairs.
+    the best constants (max over sampled configurations, clamped at 1),
+    all from one pass over one distance row per probe center (see
+    Space._probe_pass).  ring_jump is the largest single-radius atom
+    fraction of r -> mu(B(x,r)) on the rows of that pass's extremal and
+    extra centers; a discrete measure is never ring-continuous, so this
+    reports the atom scale instead of a boolean.  geodesic_defect is the
+    worst excess of hop-graph path length over metric distance on sampled
+    pairs.
     """
 
     doubling_estimate: float
@@ -1031,28 +1034,71 @@ class Space:
         for _, d in self._distance_blocks(np.asarray(centers, dtype=np.intp)):
             yield from d
 
-    def _drawn_rows(self, rng):
-        """row(x) -> d(x, .) for the centers x that a probe draws from rng
-        one at a time, each draw followed by two single draws of its radii.
-        A center without its row at hand takes a block of rows: its own and
-        those of the next centers predicted on a copy of rng, on which each
-        radius draw takes one 32-bit value as integers(2) does.  A draw
-        that takes none or two makes the next center a miss, which takes a
-        new block; the rows, and the probe's result, never depend on the
-        predictions."""
-        at_hand = {}
-        size = block_rows(self._metric.row_width(None))
+    def _probe_pass(self, deltas=(), samples=200, seed=0, ring=False):
+        """(doubling, {delta: annular decay}, ring jump) of one pass over one
+        stream of distance rows: the estimates of probe_doubling and
+        probe_annular_decay, each clamped below at 1, and with ring=True the
+        ring jump of probe_report (0 without).
 
-        def row(x):
-            if x not in at_hand:
-                ahead, centers = copy.deepcopy(rng), [x]
-                while len(centers) < size:
-                    ahead.integers(2, size=2)
-                    centers.append(int(ahead.integers(len(self))))
-                at_hand.clear()
-                at_hand.update(zip(centers, self._probe_rows(centers)))
-            return at_hand[x]
-        return row
+        A generator seeded by seed draws every center first: the extremal
+        points and max(4, samples // 8) extra ones (see _probe_centers), then
+        samples more.  After that it draws only each row's random shell, in
+        row order.  The rows come a block at a time (see _probe_rows), and
+        each is reduced once to its distinct finite distances t and the
+        cumulative measure mu(B(x, t)), so each ball measure is one lookup.
+        Radii below PROBE_R_MIN_CELLS resolutions are skipped, where a
+        ball's measure is dominated by single cells.  The ring sweep reads
+        the rows of the first centers, those of _probe_centers.
+        """
+        decay = dict.fromkeys(map(float, deltas), 1.0)
+        for delta in decay:
+            if not 0.0 < delta <= 1.0:
+                raise SpaceFormatError(f"annular decay exponent must be in (0, 1], got {delta}")
+        doubling, jump = 1.0, 0.0
+        res = self.resolution()
+        if res <= 0:
+            return doubling, decay, jump
+        r_min = PROBE_R_MIN_CELLS * res
+        rng = np.random.default_rng(seed)
+        first = self._probe_centers(rng, extra=max(4, samples // 8))
+        centers = np.concatenate([first, rng.integers(len(self), size=max(samples, 0))])
+        fractions = np.array([[0.5], [0.7], [0.85], [0.95], [1.0]])
+        widths = np.array([1.0, 2.0, 4.0, 8.0]) * res
+        for k, d in enumerate(self._probe_rows(centers)):
+            finite = np.isfinite(d)
+            t, where = np.unique(d[finite], return_inverse=True)
+            mass = np.cumsum(np.bincount(where, self.weights[finite]))
+            low = np.searchsorted(t, r_min)  # the first radius at or above r_min
+            if low == len(t):
+                continue
+            # doubling: mu(B(x, 2r)) / mu(B(x, r)) at every radius r of the row
+            twice = np.searchsorted(t, 2.0 * t[low:], side="right") - 1
+            doubling = max(doubling, float((mass[twice] / mass[low:]).max()))
+            # annuli B(x, R) \ B(x, r) as index pairs into t: the structured
+            # shells, 1, 2, 4 and 8 cells wide at five fractions of the
+            # farthest distance, then one seeded random shell at least two
+            # cells wide (single-cell random shells are too noisy)
+            outer = np.searchsorted(t, fractions * t[-1], side="right") - 1
+            inner = np.searchsorted(t, t[outer] - widths, side="right") - 1
+            outer, inner = (a.ravel() for a in np.broadcast_arrays(outer, inner))
+            if len(t) - low >= 2:
+                R = low + rng.integers(1, len(t) - low)
+                count = np.searchsorted(t, t[R] - 2.0 * res, side="right") - low
+                if count > 0:
+                    outer = np.append(outer, R)
+                    inner = np.append(inner, low + rng.integers(count))
+            keep = (inner >= low) & (t[outer] - t[inner] >= res)
+            if keep.any():
+                outer, inner = outer[keep], inner[keep]
+                share = (mass[outer] - mass[inner]) / mass[outer]
+                thickness = (t[outer] - t[inner]) / t[outer]
+                for delta in decay:
+                    decay[delta] = max(decay[delta], float((share / thickness ** delta).max()))
+            if ring and k < len(first):
+                sweep = t[low::max(1, (len(t) - low) // 200)]
+                if len(sweep) >= 2:
+                    jump = max(jump, self._ring_jump(d, sweep))
+        return doubling, decay, jump
 
     def probe_annular_decay(self, delta=1.0, samples=200, seed=0):
         """Estimate the annular decay constant for the given exponent.
@@ -1062,86 +1108,16 @@ class Space:
         that annulus widths are honest multiples of the local shell spacing;
         samples with R - r below the grid resolution, or r below
         PROBE_R_MIN_CELLS resolutions, are skipped.  A deterministic
-        structured family (extremal centers, thin shells at several radius
-        fractions) is always included, plus seeded random samples.  Result
-        is clamped below at 1.
+        structured family (thin shells at several radius fractions) and
+        one seeded random shell are read on every row of the probe pass
+        (see _probe_pass).  Result is clamped below at 1.
         """
-        if not 0.0 < delta <= 1.0:
-            raise SpaceFormatError(f"annular decay exponent must be in (0, 1], got {delta}")
-        res = self.resolution()
-        if res <= 0:
-            return 1.0
-        r_min = PROBE_R_MIN_CELLS * res
-        rng = np.random.default_rng(seed)
-        best = 1.0
-
-        def visit(d, R, r):
-            nonlocal best
-            if R <= 0 or R - r < res or r < r_min:
-                return
-            mu_R = float(self.weights[d <= R].sum())
-            mu_ann = float(self.weights[(d > r) & (d <= R)].sum())
-            est = mu_ann / (((R - r) / R) ** delta * mu_R)
-            if est > best:
-                best = est
-
-        # structured shells at extremal centers
-        for d in self._probe_rows(self._probe_centers(rng)):
-            vals = np.unique(d[np.isfinite(d)])
-            vals = vals[vals > 0]
-            if len(vals) < 2:
-                continue
-            dmax = vals[-1]
-            for frac in (0.5, 0.7, 0.85, 0.95, 1.0):
-                k = np.searchsorted(vals, frac * dmax, side="right") - 1
-                if k < 1:
-                    continue
-                R = vals[k]
-                for cells in (1, 2, 4, 8):
-                    width = cells * res
-                    j = np.searchsorted(vals, R - width, side="right") - 1
-                    if j < 0 or vals[j] >= R:
-                        continue
-                    visit(d, R, vals[j])
-
-        # seeded random shells (wider: single-cell random shells are too noisy)
-        width_floor = 2.0 * res
-        row = self._drawn_rows(rng)
-        for _ in range(samples):
-            d = row(int(rng.integers(len(self))))
-            vals = np.unique(d[np.isfinite(d)])
-            vals = vals[vals >= r_min]
-            if len(vals) < 2:
-                continue
-            R = float(vals[rng.integers(1, len(vals))])
-            lo = vals[vals <= R - width_floor]
-            if len(lo) == 0:
-                continue
-            r = float(lo[rng.integers(len(lo))])
-            visit(d, R, r)
-        return best
+        return self._probe_pass([delta], samples, seed)[1][float(delta)]
 
     def probe_doubling(self, samples=200, seed=0):
-        """Estimate the doubling constant: max mu(B(x,2r))/mu(B(x,r))."""
-        res = self.resolution()
-        if res <= 0:
-            return 1.0
-        rng = np.random.default_rng(seed)
-        best = 1.0
-        centers = self._probe_centers(rng, extra=max(4, samples // 8))
-        quantiles = np.linspace(0.0, 1.0, 9)
-        for d in self._probe_rows(centers):
-            vals = np.unique(d[np.isfinite(d)])
-            vals = vals[vals >= PROBE_R_MIN_CELLS * res]
-            if len(vals) == 0:
-                continue
-            picks = vals[np.unique((quantiles * (len(vals) - 1)).astype(int))]
-            lo_r = rng.choice(vals, size=min(len(vals), max(1, samples // len(centers))))
-            for r in np.unique(np.concatenate([picks, lo_r])):
-                mu_r = float(self.weights[d <= r].sum())
-                mu_2r = float(self.weights[d <= 2.0 * r].sum())
-                best = max(best, mu_2r / mu_r)
-        return best
+        """Estimate the doubling constant: max mu(B(x,2r))/mu(B(x,r)) over
+        every radius r of every row of the probe pass (see _probe_pass)."""
+        return self._probe_pass((), samples, seed)[0]
 
     def probe_ring_continuity(self, x, radii):
         """Largest relative single-step jump of r -> mu(B(x,r)) over the sweep."""
@@ -1196,23 +1172,12 @@ class Space:
         return worst
 
     def probe_report(self, samples=200, seed=0, deltas=(0.5, 1.0)):
-        rng = np.random.default_rng(seed)
-        ann = {float(d): self.probe_annular_decay(d, samples=samples, seed=seed)
-               for d in deltas}
-        centers = self._probe_centers(rng, extra=2)
-        jump = 0.0
-        r_floor = PROBE_R_MIN_CELLS * self.resolution()
-        for d in self._probe_rows(centers):
-            vals = np.unique(d[np.isfinite(d)])
-            vals = vals[vals >= r_floor]
-            if len(vals) < 2:
-                continue
-            sweep = vals[:: max(1, len(vals) // 200)]
-            if len(sweep) >= 2:
-                jump = max(jump, self._ring_jump(d, sweep))
+        """SpaceProbeReport of one probe pass for every delta and the ring
+        jump (see _probe_pass), and of the geodesic probe."""
+        doubling, decay, jump = self._probe_pass(deltas, samples, seed, ring=True)
         return SpaceProbeReport(
-            doubling_estimate=self.probe_doubling(samples=samples, seed=seed),
-            annular_decay_estimates=ann,
+            doubling_estimate=doubling,
+            annular_decay_estimates=decay,
             ring_jump=jump,
             geodesic_defect=self.probe_geodesic_defect(samples=min(samples, 64), seed=seed),
             samples=samples,

@@ -23,8 +23,8 @@ SPACES = {"square": lambda: square_grid(33), "disk": lambda: disk_grid(33),
 def _everything(make):
     """Every blocked result on a fresh space: boundary distances, ball-table
     arrays, alpha means, the residual without a table, the pair reductions,
-    the Holder scan, the sup-inf gaps of two balls, the geodesic defect and
-    the diameter."""
+    the Holder scan, the sup-inf gaps of two balls, the geodesic defect, the
+    doubling and annular-decay probes and the diameter."""
     sp = make()
     out = {"boundary_distances": sp.boundary_distances()}
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
@@ -46,6 +46,9 @@ def _everything(make):
     gaps = hausdorff_gaps(sp, rho, x, y)[0]
     out["hausdorff_gaps"] = (gaps.sup_inf_xy, gaps.sup_inf_yx)
     out["geodesic_defect"] = sp.probe_geodesic_defect(samples=16, seed=3)
+    out["doubling"] = sp.probe_doubling()
+    for delta in (0.5, 1.0):
+        out[f"annular_decay {delta}"] = sp.probe_annular_decay(delta)
     out["diameter"] = sp.diameter()
     return out
 

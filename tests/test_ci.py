@@ -49,7 +49,9 @@ def test_workflow_runs_the_console_script():
     # disk grid validate, solve and certify; on the 97 x 97 grid a solve, a
     # certify at m = 3 and a check that its Holder scan was exact; on a
     # path of 401 nodes (rows on Dijkstra) a validate through
-    # .github/no_scipy.py, then a probe; one
+    # .github/no_scipy.py, then a probe; a probe of a 33 x 33 lattice and a
+    # check that its probe.json holds both default deltas' annular decay
+    # estimates at 1 or more and a finite doubling estimate; one
     # p-expansion; two validates that must exit 2, one with a negative
     # seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
@@ -110,6 +112,11 @@ def test_workflow_runs_the_console_script():
              'python .github/no_scipy.py validate --grid path --n 401 '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/path"',
              'pharmonious probe --grid path --n 401 --out "$RUNNER_TEMP/path"',
+             'pharmonious probe --grid lattice --n 33 --out "$RUNNER_TEMP/lattice33"',
+             'python -c "import json, math, sys; p = json.load(open(sys.argv[1]))[\'probe\']; '
+             'd = p[\'annular_decay_estimates\']; sys.exit(not (sorted(d) == [\'0.5\', \'1.0\'] '
+             'and min(d.values()) >= 1 and math.isfinite(p[\'doubling_estimate\'])))" '
+             '"$RUNNER_TEMP/lattice33/probe.json"',
              'pharmonious asymptotics --fn sq_norm --x 1,0 --n 2 --mode p --p 4 '
              '--out "$RUNNER_TEMP/disk"',
              'if pharmonious validate --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -125,7 +132,8 @@ def test_workflow_runs_the_console_script():
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
-            or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run] == smoke
+            or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run
+            or "$RUNNER_TEMP/lattice33" in run] == smoke
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

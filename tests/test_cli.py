@@ -464,7 +464,18 @@ def test_growing_residual_stops_as_stalled(tmp_path, capsys, monkeypatch):
     doc = json.loads((tmp_path / "solve_report.json").read_text())
     best = int(np.argmin(doc["residual_history"]))
     assert not doc["converged"] and doc["iterations_used"] == best + 100
-    assert "stop_reason" not in doc
+    assert doc["stop_reason"].startswith("stalled: no new residual minimum in 100 sweeps")
+
+
+def test_solve_report_records_why_the_solve_stopped(tmp_path):
+    # SolveReport.to_dict left its stop_reason out of solve_report.json
+    solve = ("solve", "--grid", "2d", "--n", 17, "--rho-factor", 0.4, "--alpha", 0.3,
+             "--boundary-fn", "saddle", "--init-fn", "saddle")
+    assert run(*solve, "--tol", 1e-8, "--out", tmp_path / "converged") == 0
+    assert run(*solve, "--tol", 1e-12, "--max-iter", 1, "--out", tmp_path / "budget") == 3
+    reasons = [json.loads((tmp_path / out / "solve_report.json").read_text())["stop_reason"]
+               for out in ("converged", "budget")]
+    assert reasons == ["residual under the tolerance", "sweep budget of 1 spent"]
 
 
 def test_solve_non_admissible_always_exits_one(tmp_path):

@@ -1,14 +1,15 @@
 """Graph searches by rounds against scipy's Dijkstra, bit for bit, and the
 engine each space picks once, before its first search; the adjacent-pair
-Holder scan against the full exact pair scan; probes whose rows come in
-blocks."""
+Holder scan against the full exact pair scan; probes that read one row per
+center, whatever the blocks."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from pharmonious import BallTable, RadiusField, Space, lattice_graph, path_graph, space_from_dict
+from pharmonious import (BallTable, RadiusField, Space, lattice_graph, path_graph,
+                         space_constants, space_from_dict)
 from pharmonious import space as space_mod
 from pharmonious.radius import max_gap_ratio
 
@@ -208,7 +209,8 @@ def test_whole_space_scan_is_the_edge_list(whole):
 # -- probes -----------------------------------------------------------------------
 
 
-def test_probes_do_not_depend_on_their_blocks(monkeypatch):
+def _counted_rows(monkeypatch):
+    """The row counts of every _Graph.distances call, in a list."""
     calls = []
     real = space_mod._Graph.distances
 
@@ -216,13 +218,37 @@ def test_probes_do_not_depend_on_their_blocks(monkeypatch):
         calls.append(len(rows))
         return real(self, rows, cols, limit)
     monkeypatch.setattr(space_mod._Graph, "distances", counted)
+    return calls
+
+
+def _probe_centers(sp, samples, seed):
+    """How many centers one probe pass draws: the extremal and extra ones,
+    then samples more."""
+    first = sp._probe_centers(np.random.default_rng(seed), extra=max(4, samples // 8))
+    return len(first) + samples
+
+
+def test_probes_do_not_depend_on_their_blocks(monkeypatch):
+    calls = _counted_rows(monkeypatch)
     blocked = space_from_dict(lattice_doc(33)).probe_report(samples=120, seed=2).to_dict()
     rows_taken, blocks = sum(calls), len(calls)
-    # one row a block: every row taken alone, as the probes ask for them
+    # one row a block: every row taken alone
     calls.clear()
     monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 1)
-    assert space_from_dict(lattice_doc(33)).probe_report(samples=120, seed=2).to_dict() == blocked
+    sp = space_from_dict(lattice_doc(33))
+    assert sp.probe_report(samples=120, seed=2).to_dict() == blocked
     assert set(calls) == {1}
-    # the drawn centers come a block at a time, predicted on a copy of the
-    # generator: a few blocks, a few mispredicted rows
-    assert blocks < len(calls) / 8 and rows_taken < 6 * len(calls), (blocks, rows_taken)
+    # one pass: each probe center's row once, the same rows in either budget
+    # (1,365 rows here when the probes predicted their drawn centers)
+    assert rows_taken == len(calls) == _probe_centers(sp, 120, 2)
+    assert blocks < len(calls) / 8
+
+
+def test_probed_constants_take_one_row_per_center(monkeypatch):
+    # the benchmark's lattice: the doubling and annular probes each took
+    # their own rows, 279 in all
+    calls = _counted_rows(monkeypatch)
+    sp = space_from_dict(lattice_doc(65))
+    constants = space_constants(sp, 1.0, seed=1)
+    assert sum(calls) == _probe_centers(sp, 200, 1)
+    assert all(type(constants[key]) is float for key in ("D_delta", "D_mu"))

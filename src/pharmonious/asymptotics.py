@@ -14,7 +14,7 @@ extrapolate the radius sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,12 +160,7 @@ class ExpansionResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "mode": self.mode, "radii": self.radii, "quotients": self.quotients,
-            "extrapolated": self.extrapolated, "predicted": self.predicted,
-            "relative_error": self.relative_error, "h": self.h,
-            "floor_estimate": self.floor_estimate, "details": self.details,
-        }
+        return asdict(self)
 
 
 def richardson_limit(step_ratio, values):

@@ -63,7 +63,8 @@ class SolveConfig:
             raise SpaceFormatError("tolerance must be positive")
         if finite_number("max_iterations", self.max_iterations, True) < 1:
             raise SpaceFormatError("max_iterations must be >= 1")
-        finite_number("record_every", self.record_every, True)
+        if finite_number("record_every", self.record_every, True) < 0:
+            raise SpaceFormatError("record_every must be >= 0")
 
 
 @dataclass

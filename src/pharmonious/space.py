@@ -17,8 +17,9 @@ import csv
 import functools
 import itertools
 import json
+import numbers
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,16 +95,9 @@ class SpaceProbeReport:
     seed: int = 0
 
     def to_dict(self):
-        return {
-            "doubling_estimate": self.doubling_estimate,
-            "annular_decay_estimates": {
-                repr(k): v for k, v in self.annular_decay_estimates.items()
-            },
-            "ring_jump": self.ring_jump,
-            "geodesic_defect": self.geodesic_defect,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        # the fields in order, the decay exponents as keys by repr
+        return {**asdict(self), "annular_decay_estimates": {
+            repr(k): v for k, v in self.annular_decay_estimates.items()}}
 
 
 def _as_readonly(a, dtype, what):
@@ -132,6 +126,14 @@ def point_values(values, what, n=None):
         raise SpaceFormatError(f"{what} is not finite at {len(bad)} points, "
                                f"first {bad[:10].tolist()}")
     return v
+
+
+def _count(what, value):
+    """value as an int: refused, naming what, unless it is a nonnegative
+    integer (numpy's pass, bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise SpaceFormatError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def block_rows(width):
@@ -487,11 +489,12 @@ class _Graph(_Metric):
     """Shortest paths over undirected edges, each node pair at its smallest
     edge weight; self-loops are dropped.
 
-    The graph is one CSR built with numpy: row pointers, targets and
-    lengths, every pair stored both ways at its one weight, targets
-    ascending per row.  Distance rows, boundary distances, the K-adjacent
-    pair scan and the resolution read it directly, so a space whose
-    searches stay shallow never imports scipy.
+    The graph is one CSR built with numpy by two sorts (the pairs, then
+    the rows): row pointers, targets and lengths, every pair stored both
+    ways at its one weight, targets ascending per row.  Distance rows,
+    boundary distances, the K-adjacent pair scan and the resolution read
+    it directly, so a space whose searches stay shallow never imports
+    scipy.
 
     Searches are by rounds: each round relaxes the out-edges of the points
     whose distance fell in the previous round, keeps the least candidate
@@ -515,8 +518,10 @@ class _Graph(_Metric):
     passes ROUND_CAP rounds, and rounds otherwise; no later query changes
     it.  Boundary distances run by rounds whenever the padded table exists,
     whatever the engine (1 ms on a 65x65 lattice, 0.12 s on a path of
-    20001 nodes), and by Dijkstra only on a hub; connected components (see
-    diameter) load scipy too.
+    20001 nodes), and by Dijkstra only on a hub.  Every other shortest path
+    of the package is a search of rows: the diameter's components, and the
+    geodesic probe's hop graph, itself a graph Space.  So scipy loads only
+    in graph, _dijkstra and the hub's boundary distances.
     """
 
     path_metric = True
@@ -533,21 +538,29 @@ class _Graph(_Metric):
             raise SpaceFormatError("negative edge weight")
         self.edges = e
         n = self.n = len(space)
-        # one undirected edge per node pair, at its smallest weight
         i, j = space._indices(e[:, 0]), space._indices(e[:, 1])
         keep = i != j
-        if np.any(e[keep, 2] == 0):
+        w = e[keep, 2]
+        if np.any(w == 0):
             raise SpaceFormatError("duplicate points: zero distance between distinct ids")
-        pair, slot = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep],
-                               return_inverse=True)
-        w = np.full(len(pair), np.inf)
-        np.minimum.at(w, slot, e[keep, 2])
-        lo, hi = pair // n, pair % n
-        # the CSR: both directions, sorted by (row, target)
-        order = np.argsort(np.concatenate([pair, hi * n + lo]))
-        rows = np.concatenate([lo, hi])[order]
-        self._csr = (np.searchsorted(rows, np.arange(n + 1)),
-                     np.concatenate([hi, lo])[order], np.concatenate([w, w])[order])
+        # one undirected edge per node pair lo < hi, ascending, at its
+        # smallest weight: the least of each run of the sorted pair keys;
+        # each temporary is dropped once read (the geodesic probe's hop graph
+        # of square_grid(129) holds 65,792 edges)
+        pair = np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep]
+        del i, j, keep
+        order = np.argsort(pair)
+        pair, w = pair[order], w[order]
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        lo, hi = np.divmod(pair[first], n)
+        w = np.minimum.reduceat(w, first)
+        del pair, first, order
+        # the CSR, sorted by (row, target): a stable sort by row puts the
+        # targets below the row (pairs by hi, then lo) before those above
+        order = np.argsort(np.concatenate([hi, lo]), kind="stable")
+        self._csr = (np.concatenate([[0], np.cumsum(np.bincount(lo, minlength=n)
+                                                    + np.bincount(hi, minlength=n))]),
+                     np.concatenate([lo, hi])[order], np.concatenate([w, w])[order])
 
     @functools.cached_property
     def graph(self):
@@ -712,13 +725,15 @@ class _Graph(_Metric):
 
     def diameter(self):
         """Largest finite distance: the largest diameter of a connected
-        component (see _Metric.diameter)."""
-        from scipy.sparse.csgraph import connected_components
-        _, label = connected_components(self.graph, directed=False)
-        comps = np.split(np.argsort(label, kind="stable"),
-                         np.cumsum(np.bincount(label))[:-1])
-        return max((_Metric.diameter(self, comp) for comp in comps
-                    if len(comp) > 1), default=0.0)
+        component (see _Metric.diameter).  Each component is the finite
+        entries of one search row (see _search) from its lowest point with
+        an edge; isolated points are skipped, as _engine skips them."""
+        found, unreached = 0.0, np.flatnonzero(np.diff(self._csr[0]))
+        while len(unreached):
+            row = self._search(unreached[:1])[0]
+            found = max(found, _Metric.diameter(self, np.flatnonzero(np.isfinite(row))))
+            unreached = unreached[np.isinf(row[unreached])]
+        return found
 
     def resolution(self):
         w = self._csr[2]
@@ -1050,6 +1065,7 @@ class Space:
         ball's measure is dominated by single cells.  The ring sweep reads
         the rows of the first centers, those of _probe_centers.
         """
+        samples, seed = _count("samples", samples), _count("seed", seed)
         decay = dict.fromkeys(map(float, deltas), 1.0)
         for delta in decay:
             if not 0.0 < delta <= 1.0:
@@ -1061,7 +1077,7 @@ class Space:
         r_min = PROBE_R_MIN_CELLS * res
         rng = np.random.default_rng(seed)
         first = self._probe_centers(rng, extra=max(4, samples // 8))
-        centers = np.concatenate([first, rng.integers(len(self), size=max(samples, 0))])
+        centers = np.concatenate([first, rng.integers(len(self), size=samples)])
         fractions = np.array([[0.5], [0.7], [0.85], [0.95], [1.0]])
         widths = np.array([1.0, 2.0, 4.0, 8.0]) * res
         for k, d in enumerate(self._probe_rows(centers)):
@@ -1121,31 +1137,31 @@ class Space:
 
     def probe_ring_continuity(self, x, radii):
         """Largest relative single-step jump of r -> mu(B(x,r)) over the sweep."""
-        radii = np.asarray(radii, dtype=float)
-        if len(radii) < 2 or np.any(np.diff(radii) <= 0):
+        radii = point_values(radii, "ring radius")
+        if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
             raise SpaceFormatError("radii must be strictly increasing")
         return self._ring_jump(self.distances_from(x), radii)
 
     def _ring_jump(self, d, radii):
         """probe_ring_continuity on the distance row d of its center."""
         mus = np.array([self.weights[d <= r].sum() for r in radii])
-        jump = 0.0
-        for a, b in zip(mus[:-1], mus[1:]):
-            if b > 0:
-                jump = max(jump, (b - a) / b)
-        return jump
+        grew = mus[1:] > 0
+        return float(((mus[1:] - mus[:-1])[grew] / mus[1:][grew]).max(initial=0.0))
 
     def probe_geodesic_defect(self, samples=100, seed=0):
         """Worst excess of hop-graph path length over metric distance.
 
-        Hop graph joins pairs within 1.5 resolutions, edge length = metric
-        distance.  Path metrics (graphs) have defect 0 by construction.
-        Infinite result means the hop graph is disconnected (strongly
-        non-geodesic cloud).  Fewer than one sample is refused.  The
-        sources run in blocks of distance rows (see _distance_blocks), each
-        with its own Dijkstra rows on the hop graph.
+        The hop graph is a graph Space joining the pairs within 1.5
+        resolutions, each edge at its closed-form distance, so its rows run
+        on the engine it picks (see _Graph._engine).  Path metrics (graphs)
+        have defect 0 by construction.  Infinite result means the hop graph
+        is disconnected (strongly non-geodesic cloud).  Fewer than one
+        sample is refused, and so is a samples or seed that is not a
+        nonnegative integer.  The sources run in blocks of distance rows
+        (see _distance_blocks), each with its rows of the hop graph.
         """
-        if samples < 1:
+        seed = _count("seed", seed)
+        if _count("samples", samples) < 1:
             raise SpaceFormatError(
                 f"geodesic probe needs at least one sample, got {samples}")
         if self._metric.path_metric:
@@ -1155,17 +1171,18 @@ class Space:
             return 0.0
         n = len(self)
         near, counts = self.balls(np.arange(n), np.full(n, 1.5 * res))
-        from scipy import sparse
-        from scipy.sparse.csgraph import dijkstra
         owner = np.repeat(np.arange(n), counts)
-        adj = sparse.csr_matrix((self.pair_distances(owner, near), (owner, near)),
-                                shape=(n, n))
+        keep = owner < near
+        owner, near = owner[keep], near[keep]
+        edges = np.column_stack([owner, near, self.pair_distances(owner, near)])
+        del near, counts, owner, keep  # not held while the hop graph is built
+        hops = Space(weights=self.weights, boundary=[], metric="graph", edges=edges)
+        del edges  # nor this copy of its edges while its rows run
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, size=min(samples, n), replace=False)
         worst = 0.0
         for rows, d in self._distance_blocks(sources):
-            # adj holds every hop both ways (balls are symmetric): run it as built
-            paths = dijkstra(adj, indices=rows, directed=True)
+            paths = hops.distances(rows)
             if not np.isfinite(paths).all():
                 return float("inf")
             worst = max(worst, float((paths - d).max()))

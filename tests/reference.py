@@ -12,6 +12,9 @@ cannot carry over into its reference.
 - Graph spaces: scipy's Dijkstra on a CSR built here from the edge list,
   each node pair once at its smallest weight, self-loops dropped.
 - Matrix spaces: the input matrix, as the space keeps it.
+
+The geodesic defect's hop graph is built here too, from the dense rows, and
+searched by scipy's Dijkstra.
 """
 
 import functools
@@ -107,3 +110,20 @@ def max_ratio(sp, u, exponent=1.0, members=None):
     du = np.abs(u[members][:, None] - u[members][None, :])
     pair = np.triu(d > 0, 1)
     return float((du[pair] / d[pair] ** exponent).max(initial=0.0))
+
+
+def geodesic_defect(sp, samples, seed):
+    """max over the sampled sources x and every y of the hop-graph path
+    length minus d(x, y), inf when a hop path is missing: the hop graph joins
+    the pairs within 1.5 least distances, each at its distance, and the
+    sources are the space's seeded draw without replacement."""
+    d = distances(sp)
+    res = least_distance(sp)
+    lo, hi = np.nonzero(np.triu(d <= 1.5 * res, 1))
+    n = len(d)
+    hops = sparse.csr_matrix((d[lo, hi], (lo, hi)), shape=(n, n))
+    sources = np.random.default_rng(seed).choice(n, size=min(samples, n), replace=False)
+    paths = dijkstra(hops, directed=False, indices=sources)
+    if not np.isfinite(paths).all():
+        return np.inf
+    return float((paths - d[sources]).max())

@@ -46,7 +46,8 @@ def test_workflow_runs_the_console_script():
     # CSV, solve, certify and a certify through .github/no_scipy.py, which
     # fails if cli.main imports any scipy module; a 2-D cloud space and its
     # validate, solve and certify, each through .github/no_scipy.py; on the
-    # disk grid validate, solve and certify; on the 97 x 97 grid a solve, a
+    # disk grid validate, solve, certify and a probe through
+    # .github/no_scipy.py; on the 97 x 97 grid a solve, a
     # certify at m = 3 and a check that its Holder scan was exact; on a
     # path of 401 nodes (rows on Dijkstra) a validate through
     # .github/no_scipy.py, then a probe; a probe of a 33 x 33 lattice and a
@@ -102,6 +103,7 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/disk"',
+             'python .github/no_scipy.py probe --grid disk --n 33 --out "$RUNNER_TEMP/disk"',
              'pharmonious solve --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
              '--boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/grid97"',
              'pharmonious certify --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
@@ -132,6 +134,7 @@ def test_workflow_runs_the_console_script():
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
+            or "$RUNNER_TEMP/disk" in run
             or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run
             or "$RUNNER_TEMP/lattice33" in run] == smoke
 

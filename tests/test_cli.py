@@ -863,6 +863,15 @@ def test_solve_records_iterate_modulus_snapshots(tmp_path):
         assert np.all(np.diff(ts) > 0) and np.all(np.diff(ys) >= 0)
 
 
+def test_negative_record_every_is_input_error(tmp_path, capsys):
+    # it exited 0, with the snapshots silently off
+    assert run("solve", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
+               "--alpha", 0.3, "--boundary-fn", "linear", "--record-every", -1,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "input error: record_every must be >= 0\n"
+    assert not (tmp_path / "solve_report.json").exists()
+
+
 def test_solve_config_file(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"alpha": 0.3, "tolerance": 1e-12,

@@ -1,9 +1,10 @@
 """Which spaces import scipy: every Euclidean space (lines, raveled 2-D grids,
 disks, clouds and 3-D grids) runs validate, solve and certify on numpy
-alone, its diameter included; graphs whose searches stay shallow run on
-numpy alone (ball tables, pair scans, probes), and import scipy.sparse only
-past the round cap, for a hub or for connected components.  Each check runs
-in a fresh interpreter."""
+alone, its diameter included, and so does the probe of a grid whose hop
+graph stays shallow; graphs whose searches stay shallow run on numpy alone
+(ball tables, pair scans, probes, the diameter), and import scipy.sparse
+only past the round cap or for a hub.  Each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -89,6 +90,29 @@ def test_grid_diameters_load_no_scipy(tmp_path):
                   "d = [s.diameter() for s in (square_grid(33), disk_grid(33),\n"
                   "                            interval_grid(33))]\n"
                   "assert d == [2 ** 0.5, 1.0, 1.0], d\n"
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
+                  cwd=tmp_path) == []
+
+
+@pytest.mark.parametrize("grid", ["2d", "disk"])
+def test_grid_probes_load_no_scipy(tmp_path, grid):
+    # the geodesic probe's hop graph is a graph space searched by rounds; it
+    # used to be a scipy CSR searched by scipy's Dijkstra
+    assert python(PIPELINE, "plain", json.dumps([["probe", "--grid", grid, "--n", "33",
+                                                  "--out", "out"]]), cwd=tmp_path) == []
+    assert json.loads((tmp_path / "out" / "probe.json").read_text())["probe"][
+        "geodesic_defect"] > 0
+
+
+def test_graph_diameters_load_no_scipy(tmp_path):
+    # each component is one search row; they used to come from scipy's
+    # connected components
+    assert python("import sys\n"
+                  "from pharmonious import Space, lattice_graph\n"
+                  "two = Space(weights=[1.0] * 6, metric='graph', boundary=[0, 3],\n"
+                  "            edges=[[0, 1, 1.0], [1, 2, 2.0], [3, 4, 5.0]])\n"
+                  "d = [lattice_graph(33, 33).diameter(), two.diameter()]\n"
+                  "assert d == [64.0, 5.0], d\n"
                   "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
                   cwd=tmp_path) == []
 

@@ -207,6 +207,9 @@ def test_solve_config_validation():
         SolveConfig(tolerance=0.0)
     with pytest.raises(SpaceFormatError):
         SolveConfig(max_iterations=0)
+    # a negative cadence switched the snapshots off without a word
+    with pytest.raises(SpaceFormatError, match="record_every must be >= 0"):
+        SolveConfig(record_every=-1)
 
 
 # -- iterate oscillation bound ----------------------------------------------------

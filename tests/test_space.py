@@ -447,6 +447,48 @@ def test_ring_continuity_rejects_unsorted(grid1d):
         grid1d.probe_ring_continuity(10, [0.3, 0.2])
 
 
+@pytest.mark.parametrize("radii", [0.3, [[0.1, 0.2]]], ids=["scalar", "nested"])
+def test_ring_continuity_rejects_radii_that_are_no_sequence(grid1d, radii):
+    # a scalar ended in len()'s TypeError
+    with pytest.raises(SpaceFormatError, match="radii must be strictly increasing"):
+        grid1d.probe_ring_continuity(10, radii)
+
+
+@pytest.mark.parametrize("radii", [[0.1, np.nan], [np.nan, 0.2], [0.1, np.inf],
+                                   [-np.inf, 0.2]])
+def test_ring_continuity_rejects_non_finite_radii(radii):
+    # [0.1, nan] read 0.0 and [nan, 0.2] read 1.0
+    with pytest.raises(SpaceFormatError, match="ring radius is not finite"):
+        square_grid(9).probe_ring_continuity(40, radii)
+
+
+PROBES = {"geodesic": lambda sp, **kw: sp.probe_geodesic_defect(**kw),
+          "doubling": lambda sp, **kw: sp.probe_doubling(**kw),
+          "annular": lambda sp, **kw: sp.probe_annular_decay(1.0, **kw),
+          "report": lambda sp, **kw: sp.probe_report(**kw)}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+@pytest.mark.parametrize("make", [lambda: square_grid(9), lambda: path_graph(9)],
+                         ids=["grid", "graph"])
+@pytest.mark.parametrize("key, value", [
+    ("samples", np.nan), ("samples", 2.5), ("samples", -5), ("samples", "8"),
+    ("samples", True), ("seed", -1), ("seed", 1.5), ("seed", np.nan), ("seed", None)])
+def test_probes_refuse_a_count_that_is_no_nonnegative_integer(probe, make, key, value):
+    # samples=nan ended in numpy's "negative dimensions" ValueError, 2.5 in
+    # a TypeError, the doubling probe ran silently at samples=-5, and a
+    # seed of -1 ended in numpy's ValueError
+    with pytest.raises(SpaceFormatError, match=f"{key} must be a nonnegative integer"):
+        PROBES[probe](make(), **{key: value})
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probes_take_numpy_integers(probe):
+    sp = square_grid(9)
+    plain = PROBES[probe](sp, samples=8, seed=1)
+    assert PROBES[probe](sp, samples=np.int64(8), seed=np.uint8(1)) == plain
+
+
 def test_geodesic_defect_graph_is_zero():
     assert path_graph(9).probe_geodesic_defect() == 0.0
 
@@ -458,21 +500,21 @@ def test_geodesic_defect_grid_small(grid2d_small):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: square_grid(17),
-    lambda: cloud(2, 300, 2, boundary=np.arange(20))])
-def test_geodesic_probe_hop_graph_runs_directed_as_undirected(make, monkeypatch):
-    # the hop graph holds every hop both ways, so Dijkstra may run directed
-    import scipy.sparse.csgraph as csgraph
+    lambda: square_grid(17), lambda: disk_grid(33), lambda: interval_grid(65),
+    lambda: cube_grid(9), lambda: cloud(2, 300, 2, boundary=np.arange(20))],
+    ids=["square", "disk", "interval", "cube", "cloud"])
+def test_geodesic_defect_equals_the_reference(make):
+    # the hop graph is a graph Space searched by its own engine; the
+    # reference builds its hops from dense rows and runs scipy's Dijkstra
     sp = make()
-    directed = sp.probe_geodesic_defect(samples=16, seed=1)
-    settings, dijkstra = [], csgraph.dijkstra
+    for seed, samples in ((0, 16), (1, 64)):
+        assert sp.probe_geodesic_defect(samples=samples, seed=seed) == \
+            ref.geodesic_defect(sp, samples, seed)
 
-    def undirected(*args, **kwargs):
-        settings.append(kwargs["directed"])
-        return dijkstra(*args, **{**kwargs, "directed": False})
-    monkeypatch.setattr(csgraph, "dijkstra", undirected)
-    assert sp.probe_geodesic_defect(samples=16, seed=1) == directed
-    assert settings == [True]
+
+def test_geodesic_defect_of_the_cloud_is_infinite():
+    # the 300-point cloud's hop graph has more than one component
+    assert cloud(2, 300, 2, boundary=np.arange(20)).probe_geodesic_defect(16) == np.inf
 
 
 @pytest.mark.parametrize("make", [lambda: square_grid(9), lambda: path_graph(9)],

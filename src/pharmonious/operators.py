@@ -35,8 +35,8 @@ import numpy as np
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .radius import Modulus
-from .space import (block_cuts, point_values, read_id_csv, run_members,
-                    write_id_csv)
+from .space import (block_cuts, distinct, point_values, read_id_csv,
+                    run_members, write_id_csv)
 
 
 @dataclass
@@ -512,9 +512,9 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
     table = BallTable(space, rho, centers=members)
     swept = apply_alpha_mean(space, rho, v, alpha, table)
     omega_lhs = oscillation_modulus(space, swept, members)
-    omega_u = oscillation_modulus(space, v, np.unique(table.indices))
+    omega_u = oscillation_modulus(space, v, distinct(table.indices))
     diam = space.diameter()
-    probe_ts = np.unique(omega_lhs.ts[omega_lhs.ts > 0])
+    probe_ts = distinct(omega_lhs.ts[omega_lhs.ts > 0])
     worst = None
     passed = True
     for t in probe_ts:

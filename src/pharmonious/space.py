@@ -17,7 +17,9 @@ import csv
 import functools
 import itertools
 import json
+import math
 import numbers
+import random
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 
@@ -150,9 +152,19 @@ def block_cuts(sizes):
     ends = np.cumsum(sizes)
     starts = ends - sizes
     total = int(ends[-1]) if len(ends) else 0
-    return np.unique(np.concatenate([
+    return distinct(np.concatenate([
         [0], np.searchsorted(starts, np.arange(0, total, BLOCK_ENTRIES)),
         [len(sizes)]]))
+
+
+def distinct(values):
+    """The sorted distinct entries of values, flattened: np.unique without
+    its masked-array check, which imports numpy.ma.  NaNs are not merged."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _squares(a, b):
@@ -816,7 +828,7 @@ class Space:
                                        f"of {n} points")
             ids = [_point_id(value) for value in ids.tolist()]
         self.ids = _as_readonly(np.arange(n) if ids is None else ids, np.int64, "ids")
-        if len(np.unique(self.ids)) != n:
+        if len(distinct(self.ids)) != n:
             raise SpaceFormatError("duplicate point ids")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise SpaceFormatError("weights must be positive and finite")
@@ -1027,7 +1039,8 @@ class Space:
     # -- probes ----------------------------------------------------------------
 
     def _probe_centers(self, rng, extra=4):
-        """Extremal points (bounding box corners, deepest point) plus random ones."""
+        """Extremal points (bounding box corners, deepest point) plus extra
+        ones drawn by rng.randrange(len(self))."""
         centers = set()
         if self.coords is not None:
             lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
@@ -1040,7 +1053,7 @@ class Space:
             centers.add(0)
             centers.add(len(self) - 1)
         for _ in range(extra):
-            centers.add(int(rng.integers(len(self))))
+            centers.add(rng.randrange(len(self)))
         return sorted(centers)
 
     def _probe_rows(self, centers):
@@ -1055,12 +1068,15 @@ class Space:
         probe_annular_decay, each clamped below at 1, and with ring=True the
         ring jump of probe_report (0 without).
 
-        A generator seeded by seed draws every center first: the extremal
-        points and max(4, samples // 8) extra ones (see _probe_centers), then
-        samples more.  After that it draws only each row's random shell, in
-        row order.  The rows come a block at a time (see _probe_rows), and
-        each is reduced once to its distinct finite distances t and the
-        cumulative measure mu(B(x, t)), so each ball measure is one lookup.
+        The centers are the extremal points and max(4, samples // 8) extra
+        ones (see _probe_centers), then samples more.  The standard
+        library's Mersenne Twister, random.Random(seed), draws every center
+        but the extremal ones first, each by randrange(len(self)); after that
+        it draws only each row's random shell, in row order, by randrange.
+        No CLI call loads numpy.random.  The rows come a block at a time
+        (see _probe_rows), and each is reduced once to its distinct finite
+        distances t and the cumulative measure mu(B(x, t)), so each ball
+        measure is one lookup.
         Radii below PROBE_R_MIN_CELLS resolutions are skipped, where a
         ball's measure is dominated by single cells.  The ring sweep reads
         the rows of the first centers, those of _probe_centers.
@@ -1075,9 +1091,9 @@ class Space:
         if res <= 0:
             return doubling, decay, jump
         r_min = PROBE_R_MIN_CELLS * res
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         first = self._probe_centers(rng, extra=max(4, samples // 8))
-        centers = np.concatenate([first, rng.integers(len(self), size=samples)])
+        centers = first + [rng.randrange(len(self)) for _ in range(samples)]
         fractions = np.array([[0.5], [0.7], [0.85], [0.95], [1.0]])
         widths = np.array([1.0, 2.0, 4.0, 8.0]) * res
         for k, d in enumerate(self._probe_rows(centers)):
@@ -1098,11 +1114,11 @@ class Space:
             inner = np.searchsorted(t, t[outer] - widths, side="right") - 1
             outer, inner = (a.ravel() for a in np.broadcast_arrays(outer, inner))
             if len(t) - low >= 2:
-                R = low + rng.integers(1, len(t) - low)
+                R = low + rng.randrange(1, len(t) - low)
                 count = np.searchsorted(t, t[R] - 2.0 * res, side="right") - low
                 if count > 0:
                     outer = np.append(outer, R)
-                    inner = np.append(inner, low + rng.integers(count))
+                    inner = np.append(inner, low + rng.randrange(count))
             keep = (inner >= low) & (t[outer] - t[inner] >= res)
             if keep.any():
                 outer, inner = outer[keep], inner[keep]
@@ -1157,8 +1173,11 @@ class Space:
         have defect 0 by construction.  Infinite result means the hop graph
         is disconnected (strongly non-geodesic cloud).  Fewer than one
         sample is refused, and so is a samples or seed that is not a
-        nonnegative integer.  The sources run in blocks of distance rows
-        (see _distance_blocks), each with its rows of the hop graph.
+        nonnegative integer.  The sources are k = min(samples, len(self))
+        distinct points, random.Random(seed).sample(range(len(self)), k) of
+        the standard library's Mersenne Twister (no CLI call loads
+        numpy.random).  They run in blocks of distance rows (see
+        _distance_blocks), each with its rows of the hop graph.
         """
         seed = _count("seed", seed)
         if _count("samples", samples) < 1:
@@ -1178,8 +1197,7 @@ class Space:
         del near, counts, owner, keep  # not held while the hop graph is built
         hops = Space(weights=self.weights, boundary=[], metric="graph", edges=edges)
         del edges  # nor this copy of its edges while its rows run
-        rng = np.random.default_rng(seed)
-        sources = rng.choice(n, size=min(samples, n), replace=False)
+        sources = np.array(random.Random(seed).sample(range(n), min(samples, n)))
         worst = 0.0
         for rows, d in self._distance_blocks(sources):
             paths = hops.distances(rows)
@@ -1405,9 +1423,9 @@ def load_space(path):
 def read_id_csv(space, path, column):
     """Per-point values from a CSV with header id,<column>: one finite value
     for every point id of the space, each id on one row."""
-    values = np.empty(len(space))
-    seen = np.zeros(len(space), dtype=bool)
-    id_to_index = {int(pid): k for k, pid in enumerate(space.ids)}
+    id_to_index = dict(zip(space.ids.tolist(), range(len(space))))
+    seen = bytearray(len(space))
+    where, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -1423,17 +1441,23 @@ def read_id_csv(space, path, column):
                 raise SpaceFormatError(f"{path}: unknown or invalid id or value in row {row!r}") from exc
             if seen[idx]:
                 raise SpaceFormatError(f"{path}: duplicate id {space.ids[idx]} in row {row!r}")
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise SpaceFormatError(f"{path}: non-finite {column} in row {row!r}")
-            values[idx], seen[idx] = value, True
-    if not seen.all():
+            seen[idx] = True
+            where.append(idx)
+            values.append(value)
+    if len(where) != len(space):
         raise SpaceFormatError(f"{path}: missing {column} for some points")
-    return values
+    out = np.empty(len(space))
+    out[where] = values
+    return out
 
 
 def write_id_csv(space, path, column, values):
+    """The CSV read_id_csv reads: header id,<column>, then one row per point
+    in order, its id and repr(value), each line ended by \\r\\n as
+    csv.writer ends it."""
+    values = np.asarray(values, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", column])
-        for pid, v in zip(space.ids, values):
-            writer.writerow([int(pid), repr(float(v))])
+        fh.write(f"id,{column}\r\n")
+        fh.writelines(map("{},{!r}\r\n".format, space.ids.tolist(), values))

@@ -137,8 +137,7 @@ def traced():
     return _traced
 
 
-@pytest.fixture(scope="session")
-def matrix_space():
+def matrix_cloud():
     """80 random points of the unit square under an explicit distance matrix;
     boundary = the points within 0.15 of the square's edge."""
     rng = np.random.default_rng(3)
@@ -148,6 +147,12 @@ def matrix_space():
     return Space(metric="matrix", matrix=np.maximum(d, d.T),
                  weights=rng.uniform(0.5, 2.0, size=80),
                  boundary=np.flatnonzero(edge < 0.15))
+
+
+@pytest.fixture(scope="session")
+def matrix_space():
+    """The 80-point matrix space of matrix_cloud."""
+    return matrix_cloud()
 
 
 @pytest.fixture(scope="session")

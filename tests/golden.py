@@ -6,7 +6,9 @@ runs every pipeline in a temporary directory and rewrites tests/golden.json.
 A change that moves output bits on purpose reruns it and declares each
 changed entry.  Each pipeline runs validate, solve and certify through
 cli.main in this process, with relative paths, so that the argv each JSON
-output records is fixed; each probe run writes probe.json.
+output records is fixed; each probe run writes probe.json.  The cloud, the
+cube and the matrix space carry no analytic constants, so their
+certificates hold probed ones; each is written as a space JSON first.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ import tempfile
 from pathlib import Path
 
 from pharmonious.cli import main
+
+from conftest import cube_grid, disk_cloud, matrix_cloud
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 HYPOTHESES = ["--rho-factor", "0.4", "--alpha", "0.3"]
@@ -31,9 +35,17 @@ PIPELINES = {
                 ["--boundary-fn", "saddle", "--init-fn", "saddle"]),
     "lattice_17": (["--grid", "lattice", "--n", "17"], ["--boundary", "boundary.csv"]),
     "path_101": (["--grid", "path", "--n", "101"], ["--boundary", "boundary.csv"]),
+    "cloud_500": (["--space", "cloud_500.json"],
+                  ["--boundary-fn", "saddle", "--init-fn", "saddle"]),
+    "cube_9": (["--space", "cube_9.json"],
+               ["--boundary-fn", "saddle", "--init-fn", "saddle"]),
+    "matrix_80": (["--space", "matrix_80.json"], ["--boundary", "boundary.csv"]),
 }
-# a graph has no coordinates, so its data is boundary.csv, id / points
-GRAPH_POINTS = {"lattice_17": 17 * 17, "path_101": 101}
+# a space without coordinates takes its data from boundary.csv, id / points
+NO_COORDS = {"lattice_17": 17 * 17, "path_101": 101, "matrix_80": 80}
+# name: the space its pipeline writes to name.json
+SPACES = {"cloud_500": lambda: disk_cloud(500, 4), "cube_9": lambda: cube_grid(9),
+          "matrix_80": matrix_cloud}
 PROBES = {
     "probe_2d_33": ["--grid", "2d", "--n", "33"],
     "probe_disk_33": ["--grid", "disk", "--n", "33"],
@@ -45,12 +57,26 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def space_doc(sp):
+    """The JSON document of the Euclidean or matrix space sp, its points in
+    order, ids 0 to n - 1."""
+    points = [{"id": k, "weight": w, "boundary": b} for k, (w, b) in
+              enumerate(zip(sp.weights.tolist(), sp.boundary_mask.tolist()))]
+    if sp.coords is None:
+        return {"metric": "matrix", "points": points, "matrix": sp._metric.matrix.tolist()}
+    for point, c in zip(points, sp.coords.tolist()):
+        point["coords"] = c
+    return {"metric": "euclidean", "points": points}
+
+
 def run_pipeline(name):
     """{step: exit code, file: SHA-256}, plus the sweeps and the empirical
     constant, of the pipeline name, run in the current directory."""
     space, data = PIPELINES[name]
-    if name in GRAPH_POINTS:
-        n = GRAPH_POINTS[name]
+    if name in SPACES:
+        Path(f"{name}.json").write_text(json.dumps(space_doc(SPACES[name]())))
+    if name in NO_COORDS:
+        n = NO_COORDS[name]
         Path("boundary.csv").write_text(
             "id,value\n" + "".join(f"{k},{k / n!r}\n" for k in range(n)))
     out = ["--out", name]

@@ -18,6 +18,7 @@ searched by scipy's Dijkstra.
 """
 
 import functools
+import random
 
 import numpy as np
 from scipy import sparse
@@ -116,13 +117,14 @@ def geodesic_defect(sp, samples, seed):
     """max over the sampled sources x and every y of the hop-graph path
     length minus d(x, y), inf when a hop path is missing: the hop graph joins
     the pairs within 1.5 least distances, each at its distance, and the
-    sources are the space's seeded draw without replacement."""
+    sources are min(samples, n) distinct points drawn by the standard
+    library's random.Random(seed).sample(range(n), k)."""
     d = distances(sp)
     res = least_distance(sp)
     lo, hi = np.nonzero(np.triu(d <= 1.5 * res, 1))
     n = len(d)
     hops = sparse.csr_matrix((d[lo, hi], (lo, hi)), shape=(n, n))
-    sources = np.random.default_rng(seed).choice(n, size=min(samples, n), replace=False)
+    sources = random.Random(seed).sample(range(n), min(samples, n))
     paths = dijkstra(hops, directed=False, indices=sources)
     if not np.isfinite(paths).all():
         return np.inf

@@ -89,6 +89,17 @@ def test_block_cuts_hold_the_budget_plus_one_item(monkeypatch):
             assert sizes[lo:hi].sum() < 100 + sizes[hi - 1]
 
 
+def test_distinct_is_np_unique():
+    # block cuts, id checks and the modulus probes take sorted distinct
+    # values without np.unique's masked-array check (it imports numpy.ma)
+    rng = np.random.default_rng(1)
+    for values in (rng.integers(0, 30, 200), rng.integers(0, 9, (7, 5)),
+                   rng.choice([0.5, 1e-300, 2.0, 7.25], 40), np.zeros(0), np.ones(3)):
+        got = space_mod.distinct(values)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.unique(values))
+
+
 def _benchmark_lattice():
     # the benchmark's 65x65 lattice: edges 1/64 long, scipy loaded
     sp = lattice_graph(65, 65, edge_weight=1.0 / 64)

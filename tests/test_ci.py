@@ -43,14 +43,17 @@ def test_workflow_runs_the_console_script():
     # call cli.main directly, so only these steps run the installed script:
     # validate, a check that it recorded the analytic L, solve, then
     # certify of the solved field; on a lattice graph validate, the boundary
-    # CSV, solve, certify and a certify through .github/no_scipy.py, which
-    # fails if cli.main imports any scipy module; a 2-D cloud space and its
-    # validate, solve and certify, each through .github/no_scipy.py; on the
-    # disk grid validate, solve, certify and a probe through
-    # .github/no_scipy.py; on the 97 x 97 grid a solve, a
+    # CSV, solve, certify and a certify through .github/lean_imports.py,
+    # which fails if cli.main imports any scipy, numpy.random or numpy.ma
+    # module; a 9 x 9 lattice space JSON without analytic constants, its
+    # solve, a certify through .github/lean_imports.py and a check that the
+    # certificate's constants were probed; a 2-D cloud space and its
+    # validate, solve and certify, each through .github/lean_imports.py; on
+    # the disk grid validate, solve, certify and a probe through
+    # .github/lean_imports.py; on the 97 x 97 grid a solve, a
     # certify at m = 3 and a check that its Holder scan was exact; on a
     # path of 401 nodes (rows on Dijkstra) a validate through
-    # .github/no_scipy.py, then a probe; a probe of a 33 x 33 lattice and a
+    # .github/lean_imports.py, then a probe; a probe of a 33 x 33 lattice and a
     # check that its probe.json holds both default deltas' annular decay
     # estimates at 1 or more and a finite doubling estimate; one
     # p-expansion; two validates that must exit 2, one with a negative
@@ -80,20 +83,33 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid lattice --n 9 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/graph/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/graph"',
-             'python .github/no_scipy.py certify --grid lattice --n 9 '
+             'python .github/lean_imports.py certify --grid lattice --n 9 '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/graph/field.csv" '
              '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graph"',
+             'python -c "import json; n = 9; h = 1 / (n - 1); print(json.dumps(dict('
+             'metric=\'graph\', points=[dict(id=k, coords=[k // n * h, k % n * h], '
+             'weight=h * h, boundary=k // n in (0, n - 1) or k % n in (0, n - 1)) '
+             'for k in range(n * n)], edges=[[k, k + 1, h] for k in range(n * n) '
+             'if k % n < n - 1] + [[k, k + n, h] for k in range(n * n - n)])))" '
+             '> "$RUNNER_TEMP/graphjson.json"',
+             'pharmonious solve --space "$RUNNER_TEMP/graphjson.json" --rho-factor 0.4 '
+             '--alpha 0.3 --boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/graphjson"',
+             'python .github/lean_imports.py certify --space "$RUNNER_TEMP/graphjson.json" '
+             '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/graphjson/field.csv" '
+             '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graphjson"',
+             'grep -qE \'"source":[[:space:]]+"probed"\' '
+             '"$RUNNER_TEMP/graphjson/certificate.json"',
              'python -c "import json, random; random.seed(1); pts = [[random.random(), '
              'random.random()] for k in range(2000)]; print(json.dumps(dict('
              'metric=\'euclidean\', points=[dict(id=k, coords=p, weight=1.0, '
              'boundary=min(p + [1 - x for x in p]) < 0.02) for k, p in enumerate(pts)])))" '
              '> "$RUNNER_TEMP/cloud.json"',
-             'python .github/no_scipy.py validate --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/lean_imports.py validate --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
-             'python .github/no_scipy.py solve --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/lean_imports.py solve --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --boundary-fn saddle --init-fn saddle '
              '--out "$RUNNER_TEMP/cloud"',
-             'python .github/no_scipy.py certify --space "$RUNNER_TEMP/cloud.json" '
+             'python .github/lean_imports.py certify --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/cloud/field.csv" --m 2 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
              'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -103,7 +119,7 @@ def test_workflow_runs_the_console_script():
              'pharmonious certify --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/disk/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/disk"',
-             'python .github/no_scipy.py probe --grid disk --n 33 --out "$RUNNER_TEMP/disk"',
+             'python .github/lean_imports.py probe --grid disk --n 33 --out "$RUNNER_TEMP/disk"',
              'pharmonious solve --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
              '--boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/grid97"',
              'pharmonious certify --grid 2d --n 97 --rho-factor 0.4 --alpha 0.3 '
@@ -111,7 +127,7 @@ def test_workflow_runs_the_console_script():
              '--out "$RUNNER_TEMP/grid97"',
              'grep -qE \'"empirical_mode":[[:space:]]+"exact"\' '
              '"$RUNNER_TEMP/grid97/certificate.json"',
-             'python .github/no_scipy.py validate --grid path --n 401 '
+             'python .github/lean_imports.py validate --grid path --n 401 '
              '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/path"',
              'pharmonious probe --grid path --n 401 --out "$RUNNER_TEMP/path"',
              'pharmonious probe --grid lattice --n 33 --out "$RUNNER_TEMP/lattice33"',

@@ -4,6 +4,7 @@ Holder scan against the full exact pair scan; probes that read one row per
 center, whatever the blocks."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def _counted_rows(monkeypatch):
 def _probe_centers(sp, samples, seed):
     """How many centers one probe pass draws: the extremal and extra ones,
     then samples more."""
-    first = sp._probe_centers(np.random.default_rng(seed), extra=max(4, samples // 8))
+    first = sp._probe_centers(random.Random(seed), extra=max(4, samples // 8))
     return len(first) + samples
 
 

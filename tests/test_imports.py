@@ -3,11 +3,14 @@ disks, clouds and 3-D grids) runs validate, solve and certify on numpy
 alone, its diameter included, and so does the probe of a grid whose hop
 graph stays shallow; graphs whose searches stay shallow run on numpy alone
 (ball tables, pair scans, probes, the diameter), and import scipy.sparse
-only past the round cap or for a hub.  Each check runs in a fresh
-interpreter."""
+only past the round cap or for a hub.  No CLI call loads numpy.random or
+numpy.ma: the probes draw from the standard library's random.Random, and
+sorted distinct values skip np.unique's masked-array check.  Each check
+runs in a fresh interpreter."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,19 +22,26 @@ from conftest import cloud, cube_grid, lattice_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PIPELINE = """
+# the packages no lean CLI call loads; blocked runs set them to None
+LEAN = ("scipy", "numpy.random", "numpy.ma")
+# the loaded modules of the LEAN packages, as a JSON list on the last line
+LOADED = f"""
+print(json.dumps(sorted(name for name, module in sys.modules.items() if module is not None
+                        and any(name == p or name.startswith(p + ".") for p in {LEAN!r}))))
+"""
+
+PIPELINE = f"""
 import sys
 if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
+    sys.modules.update(dict.fromkeys({LEAN!r}))
 from pharmonious.cli import main
 args = json.loads(sys.argv[2])
 for call in args:
     code = main(call)
     if code != 0:
-        sys.exit(f"{call[0]} exited {code}")
-print(json.dumps(sorted(name for name, module in sys.modules.items()
-                        if name.startswith("scipy") and module is not None)))
-"""
+        sys.exit(f"{{call[0]}} exited {{code}}")
+""" + LOADED
+OUTPUTS = ("validate.json", "field.csv", "solve_report.json", "certificate.json")
 
 
 def python(code, *argv, cwd):
@@ -56,21 +66,29 @@ def pipeline(space, boundary):
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    assert python("import pharmonious.cli, sys\n"
-                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
-                  cwd=tmp_path) == []
+    assert python("import pharmonious.cli, sys\n" + LOADED, cwd=tmp_path) == []
 
 
-def run_without_scipy(tmp_path, calls):
-    """The outputs of a pipeline run with scipy blocked, after checking that
-    a plain run loads no scipy module and writes the same bytes."""
+def test_probe_draws_keep_their_literal_values():
+    # the probes draw from CPython's Mersenne Twister (random.Random): a
+    # change in its seeding, randrange or sample moves every probed constant
+    def draws(seed):
+        rng = random.Random(seed)
+        return ([rng.randrange(4225), rng.randrange(1, 100), rng.randrange(7)],
+                random.Random(seed).sample(range(1089), 4))
+    assert draws(0) == ([3155, 98, 3], [788, 861, 82, 530])
+    assert draws(1) == ([1100, 73, 6], [275, 129, 522, 241])
+
+
+def run_without_scipy(tmp_path, calls, files=OUTPUTS):
+    """The outputs of a pipeline run with scipy, numpy.random and numpy.ma
+    blocked, after checking that a plain run loads none of them and writes
+    the same bytes."""
     outputs = {}
     for mode in ("blocked", "plain"):
         (tmp_path / mode).mkdir()
         assert python(PIPELINE, mode, json.dumps(calls), cwd=tmp_path / mode) == []
-        outputs[mode] = {f: (tmp_path / mode / "out" / f).read_bytes()
-                         for f in ("validate.json", "field.csv",
-                                   "solve_report.json", "certificate.json")}
+        outputs[mode] = {f: (tmp_path / mode / "out" / f).read_bytes() for f in files}
     assert outputs["blocked"] == outputs["plain"]
     return outputs["blocked"]
 
@@ -97,11 +115,11 @@ def test_grid_diameters_load_no_scipy(tmp_path):
 @pytest.mark.parametrize("grid", ["2d", "disk"])
 def test_grid_probes_load_no_scipy(tmp_path, grid):
     # the geodesic probe's hop graph is a graph space searched by rounds; it
-    # used to be a scipy CSR searched by scipy's Dijkstra
-    assert python(PIPELINE, "plain", json.dumps([["probe", "--grid", grid, "--n", "33",
-                                                  "--out", "out"]]), cwd=tmp_path) == []
-    assert json.loads((tmp_path / "out" / "probe.json").read_text())["probe"][
-        "geodesic_defect"] > 0
+    # used to be a scipy CSR searched by scipy's Dijkstra; its sources and
+    # the probe centres used to be drawn by numpy.random
+    probe = run_without_scipy(tmp_path, [["probe", "--grid", grid, "--n", "33",
+                                          "--out", "out"]], files=["probe.json"])
+    assert json.loads(probe["probe.json"])["probe"]["geodesic_defect"] > 0
 
 
 def test_graph_diameters_load_no_scipy(tmp_path):

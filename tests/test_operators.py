@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -486,6 +487,40 @@ def test_field_csv_rejects_non_finite_and_missing(grid1d, tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(SpaceFormatError, match="missing value"):
         read_field_csv(grid1d, path)
+
+
+def test_field_csv_is_the_csv_writers_bytes(tmp_path):
+    # ids and repr(float) on lines ended by \r\n, as csv.writer writes them
+    sp = interval_grid(6)
+    u = np.array([-0.0, 1e-300, 0.1, 1e16, -2.5e-7, 123456789.123])
+    write_field_csv(sp, u, tmp_path / "field.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "value"])
+        writer.writerows([k, repr(v)] for k, v in enumerate(u.tolist()))
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.array_equal(read_field_csv(sp, tmp_path / "field.csv"), u)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,nan", "0,1", "9,1"], "non-finite value in row ['0', 'nan']"),
+    (["0,1", "0,inf", "9,1"], "duplicate id 0 in row ['0', 'inf']"),
+    (["0,1", "1,inf", "1,1", "9,1"], "non-finite value in row ['1', 'inf']"),
+    (["0,1", "1,1", "1,2", "9,1"], "duplicate id 1 in row ['1', '2']"),
+    (["0,1", "9,1", "2,inf", "1,1", "1,2"], "unknown or invalid id or value in row ['9', '1']"),
+    (["0,1", "1", "1,inf"], "unknown or invalid id or value in row ['1']"),
+    (["0,1", "1,x"], "unknown or invalid id or value in row ['1', 'x']"),
+    (["0,1", "", "1,1"], "missing value for some points"),
+])
+def test_field_csv_names_its_first_bad_row(tmp_path, rows, message):
+    # the first bad row in file order is named; within a row an unreadable
+    # id or value comes first, then a repeated id, then a non-finite value
+    sp = interval_grid(3)
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(["id,value", *rows]) + "\n")
+    with pytest.raises(SpaceFormatError) as err:
+        read_field_csv(sp, path)
+    assert message in str(err.value)
 
 
 def _assert_table_matches_oracle(table, rho):

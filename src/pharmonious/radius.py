@@ -114,9 +114,6 @@ class Modulus:
             out = np.interp(t_arr, self.ts, self.ys)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-    def value_at_end(self):
-        return self(self.domain_end)
-
     def is_sub_identity(self):
         """True when omega(t) <= t on the whole domain."""
         if self.domain_end == 0:
@@ -148,11 +145,11 @@ class Modulus:
                   cap=min(self.cap, cap))
         return Modulus(**kw)
 
-    def breakpoint_list(self, points=33):
-        """Breakpoints for serialization (closed forms are densified)."""
+    def breakpoint_list(self):
+        """Breakpoints for serialization (closed forms are densified to 33)."""
         if self.kind == "pwl":
             return list(zip(self.ts.tolist(), self.ys.tolist()))
-        ts = np.linspace(0.0, self.domain_end, points)
+        ts = np.linspace(0.0, self.domain_end, 33)
         return list(zip(ts.tolist(), np.asarray(self(ts)).tolist()))
 
 
@@ -212,7 +209,7 @@ def normalize_modulus(omega, diam):
     otherwise omega rescaled so that the diameter is a fixed point.  The
     result dominates max(t, omega(t)) and equals diam at diam.  Requires
     omega(diam) <= diam (cap upstream with Modulus.capped)."""
-    end = omega.value_at_end() if omega.domain_end == diam else omega(min(diam, omega.domain_end))
+    end = omega(min(diam, omega.domain_end))
     if end > diam * (1 + 1e-12):
         raise SpaceFormatError(
             f"modulus value {end} at the diameter exceeds the diameter {diam}; cap it first")

@@ -82,11 +82,11 @@ class SpaceProbeReport:
     the best constants (max over sampled configurations, clamped at 1),
     all from one pass over one distance row per probe center (see
     Space._probe_pass).  ring_jump is the largest single-radius atom
-    fraction of r -> mu(B(x,r)) on the rows of that pass's extremal and
-    extra centers; a discrete measure is never ring-continuous, so this
-    reports the atom scale instead of a boolean.  geodesic_defect is the
-    worst excess of hop-graph path length over metric distance on sampled
-    pairs.
+    fraction of r -> mu(B(x,r)), read off the same pass's rows of its
+    extremal and extra centers; a discrete measure is never
+    ring-continuous, so this reports the atom scale instead of a boolean.
+    geodesic_defect is the worst excess of hop-graph path length over
+    metric distance on sampled pairs.
     """
 
     doubling_estimate: float
@@ -165,6 +165,12 @@ def distinct(values):
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _ring_jump(mus):
+    """Largest relative single-step jump of a sequence of ball measures."""
+    grew = mus[1:] > 0
+    return float(((mus[1:] - mus[:-1])[grew] / mus[1:][grew]).max(initial=0.0))
 
 
 def _squares(a, b):
@@ -259,9 +265,10 @@ class _Metric:
         owner, a = np.divmod(np.flatnonzero(block <= radii[:, None]), block.shape[1])
         return owner, a, a + 1
 
-    def diameter(self, comp=None):
+    def diameter(self, comp=None, first=None):
         """Largest distance between points of comp (default: every point),
-        exactly, from a few distance rows (Crescenzi et al., TCS 2013).
+        exactly, from a few distance rows (Crescenzi et al., TCS 2013), each
+        taken once; first, when given, is the row of comp's first point.
 
         A center u is sought first: a double sweep gives two far points,
         u minimizes the largest distance to the points swept so far, and
@@ -275,10 +282,11 @@ class _Metric:
         cols = comp
         comp = np.arange(self.n) if comp is None else comp
 
+        @functools.cache
         def row(k):
-            return self.distances(comp[[k]], cols)[0]
+            return self.distances(comp[[k]], cols)[0] if k or first is None else first
 
-        swept = [row(0)]
+        swept = [row(np.intp(0))]  # keyed as argmax keys the later rows
         swept = [row(np.argmax(swept[0]))]
         swept.append(row(np.argmax(swept[0])))
         d_u = np.full(len(comp), np.inf)
@@ -739,11 +747,15 @@ class _Graph(_Metric):
         """Largest finite distance: the largest diameter of a connected
         component (see _Metric.diameter).  Each component is the finite
         entries of one search row (see _search) from its lowest point with
-        an edge; isolated points are skipped, as _engine skips them."""
+        an edge: the component's first row, whose largest entry is the
+        diameter of a two-point component.  Isolated points are skipped, as
+        _engine skips them."""
         found, unreached = 0.0, np.flatnonzero(np.diff(self._csr[0]))
         while len(unreached):
             row = self._search(unreached[:1])[0]
-            found = max(found, _Metric.diameter(self, np.flatnonzero(np.isfinite(row))))
+            comp = np.flatnonzero(np.isfinite(row))
+            found = max(found, float(row[comp].max()) if len(comp) == 2
+                        else _Metric.diameter(self, comp, row[comp]))
             unreached = unreached[np.isinf(row[unreached])]
         return found
 
@@ -1038,7 +1050,7 @@ class Space:
 
     # -- probes ----------------------------------------------------------------
 
-    def _probe_centers(self, rng, extra=4):
+    def _probe_centers(self, rng, extra):
         """Extremal points (bounding box corners, deepest point) plus extra
         ones drawn by rng.randrange(len(self))."""
         centers = set()
@@ -1056,17 +1068,19 @@ class Space:
             centers.add(rng.randrange(len(self)))
         return sorted(centers)
 
-    def _probe_rows(self, centers):
-        """The distance rows d(x, .) of the centers in turn, taken a block
-        at a time (see _distance_blocks)."""
-        for _, d in self._distance_blocks(np.asarray(centers, dtype=np.intp)):
-            yield from d
+    def _profile(self, d):
+        """(t, mass) of the distance row d of a center x: its distinct
+        finite distances t ascending and mu(B(x, t)) for each, so that each
+        ball measure is one lookup."""
+        finite = np.isfinite(d)
+        t, where = np.unique(d[finite], return_inverse=True)
+        return t, np.cumsum(np.bincount(where, self.weights[finite]))
 
-    def _probe_pass(self, deltas=(), samples=200, seed=0, ring=False):
+    def _probe_pass(self, deltas=(), samples=200, seed=0):
         """(doubling, {delta: annular decay}, ring jump) of one pass over one
         stream of distance rows: the estimates of probe_doubling and
-        probe_annular_decay, each clamped below at 1, and with ring=True the
-        ring jump of probe_report (0 without).
+        probe_annular_decay, each clamped below at 1, and the ring jump of
+        probe_report.
 
         The centers are the extremal points and max(4, samples // 8) extra
         ones (see _probe_centers), then samples more.  The standard
@@ -1074,9 +1088,9 @@ class Space:
         but the extremal ones first, each by randrange(len(self)); after that
         it draws only each row's random shell, in row order, by randrange.
         No CLI call loads numpy.random.  The rows come a block at a time
-        (see _probe_rows), and each is reduced once to its distinct finite
-        distances t and the cumulative measure mu(B(x, t)), so each ball
-        measure is one lookup.
+        (see _distance_blocks), and each is reduced once to its distinct
+        finite distances t and the cumulative measure mu(B(x, t)) (see
+        _profile), so each ball measure is one lookup.
         Radii below PROBE_R_MIN_CELLS resolutions are skipped, where a
         ball's measure is dominated by single cells.  The ring sweep reads
         the rows of the first centers, those of _probe_centers.
@@ -1096,10 +1110,9 @@ class Space:
         centers = first + [rng.randrange(len(self)) for _ in range(samples)]
         fractions = np.array([[0.5], [0.7], [0.85], [0.95], [1.0]])
         widths = np.array([1.0, 2.0, 4.0, 8.0]) * res
-        for k, d in enumerate(self._probe_rows(centers)):
-            finite = np.isfinite(d)
-            t, where = np.unique(d[finite], return_inverse=True)
-            mass = np.cumsum(np.bincount(where, self.weights[finite]))
+        rows = (d for _, block in self._distance_blocks(np.array(centers)) for d in block)
+        for k, d in enumerate(rows):
+            t, mass = self._profile(d)
             low = np.searchsorted(t, r_min)  # the first radius at or above r_min
             if low == len(t):
                 continue
@@ -1126,10 +1139,8 @@ class Space:
                 thickness = (t[outer] - t[inner]) / t[outer]
                 for delta in decay:
                     decay[delta] = max(decay[delta], float((share / thickness ** delta).max()))
-            if ring and k < len(first):
-                sweep = t[low::max(1, (len(t) - low) // 200)]
-                if len(sweep) >= 2:
-                    jump = max(jump, self._ring_jump(d, sweep))
+            if k < len(first):
+                jump = max(jump, _ring_jump(mass[low::max(1, (len(t) - low) // 200)]))
         return doubling, decay, jump
 
     def probe_annular_decay(self, delta=1.0, samples=200, seed=0):
@@ -1152,17 +1163,13 @@ class Space:
         return self._probe_pass((), samples, seed)[0]
 
     def probe_ring_continuity(self, x, radii):
-        """Largest relative single-step jump of r -> mu(B(x,r)) over the sweep."""
+        """Largest relative single-step jump of r -> mu(B(x,r)) over the sweep,
+        each ball measure read off the profile of x's row (see _profile)."""
         radii = point_values(radii, "ring radius")
         if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
             raise SpaceFormatError("radii must be strictly increasing")
-        return self._ring_jump(self.distances_from(x), radii)
-
-    def _ring_jump(self, d, radii):
-        """probe_ring_continuity on the distance row d of its center."""
-        mus = np.array([self.weights[d <= r].sum() for r in radii])
-        grew = mus[1:] > 0
-        return float(((mus[1:] - mus[:-1])[grew] / mus[1:][grew]).max(initial=0.0))
+        t, mass = self._profile(self.distances_from(x))
+        return _ring_jump(np.append(0.0, mass)[np.searchsorted(t, radii, side="right")])
 
     def probe_geodesic_defect(self, samples=100, seed=0):
         """Worst excess of hop-graph path length over metric distance.
@@ -1209,7 +1216,7 @@ class Space:
     def probe_report(self, samples=200, seed=0, deltas=(0.5, 1.0)):
         """SpaceProbeReport of one probe pass for every delta and the ring
         jump (see _probe_pass), and of the geodesic probe."""
-        doubling, decay, jump = self._probe_pass(deltas, samples, seed, ring=True)
+        doubling, decay, jump = self._probe_pass(deltas, samples, seed)
         return SpaceProbeReport(
             doubling_estimate=doubling,
             annular_decay_estimates=decay,
@@ -1298,13 +1305,13 @@ def disk_grid(n, radius=0.5):
     )
 
 
-def path_graph(n, edge_weight=1.0, weights=None):
+def path_graph(n, edge_weight=1.0):
     """Path graph 0 - 1 - ... - (n-1) with unit weights; boundary = endpoints."""
     if n < 3:
         raise SpaceFormatError("path graph needs at least 3 nodes")
     i = np.arange(n - 1)
     return Space(
-        weights=np.full(n, 1.0) if weights is None else weights,
+        weights=np.full(n, 1.0),
         boundary=[0, n - 1],
         metric="graph",
         edges=_edge_rows(i, i + 1, edge_weight),

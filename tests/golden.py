@@ -69,9 +69,11 @@ def space_doc(sp):
     return {"metric": "euclidean", "points": points}
 
 
-def run_pipeline(name):
-    """{step: exit code, file: SHA-256}, plus the sweeps and the empirical
-    constant, of the pipeline name, run in the current directory."""
+def run_pipeline(name, extra=()):
+    """{step: exit code, file: SHA-256}, plus the numbers a reader wants in a
+    diff (sweeps, final residual, empirical constant, C and theoretical
+    constant), of the pipeline name, run in the current directory; extra
+    arguments go to every step."""
     space, data = PIPELINES[name]
     if name in SPACES:
         Path(f"{name}.json").write_text(json.dumps(space_doc(SPACES[name]())))
@@ -79,7 +81,7 @@ def run_pipeline(name):
         n = NO_COORDS[name]
         Path("boundary.csv").write_text(
             "id,value\n" + "".join(f"{k},{k / n!r}\n" for k in range(n)))
-    out = ["--out", name]
+    out = ["--out", name, *extra]
     record = {
         "validate": main(["validate", *space, *HYPOTHESES, *GATE, *out]),
         "solve": main(["solve", *space, *HYPOTHESES, *data, *out]),
@@ -88,9 +90,13 @@ def run_pipeline(name):
     }
     for file in ("validate.json", "field.csv", "solve_report.json", "certificate.json"):
         record[file] = _digest(Path(name, file))
-    record["sweeps"] = json.loads(Path(name, "solve_report.json").read_text())["iterations_used"]
-    record["empirical_constant"] = json.loads(
-        Path(name, "certificate.json").read_text())["empirical_constant"]
+    report = json.loads(Path(name, "solve_report.json").read_text())
+    certificate = json.loads(Path(name, "certificate.json").read_text())
+    record["sweeps"] = report["iterations_used"]
+    record["final_residual"] = report["final_residual"]
+    record["empirical_constant"] = certificate["empirical_constant"]
+    record["C"] = certificate["constants"]["C"]
+    record["theoretical_constant"] = certificate["theoretical_constant"]
     return record
 
 

@@ -1,11 +1,11 @@
 """Slow references for the differential tests.
 
-Every expected distance, ball, member-wise mean and full pair-scan maximum
-of the tests is computed here, from a space's raw inputs alone: the
-coordinates, the edge list, the weights and the input matrix.  Each query
-takes full dense rows with no blocking, and none reads a search structure
-of the space or calls a Space query, so a fault in the code under test
-cannot carry over into its reference.
+Every expected distance, ball, ball measure, member-wise mean and full
+pair-scan maximum of the tests is computed here, from a space's raw inputs
+alone: the coordinates, the edge list, the weights and the input matrix.
+Each query takes full dense rows with no blocking, and none reads a search
+structure of the space or calls a Space query, so a fault in the code under
+test cannot carry over into its reference.
 
 - Euclidean spaces: the closed form sqrt(((a - b) ** 2).sum(-1)) over the
   coordinates, which gives the library's bits in every dimension.
@@ -87,6 +87,13 @@ def balls(sp, centers, radii):
     at = np.flatnonzero(new)
     ends = members[np.append(at[1:], len(members)) - 1] + 1
     return members, counts, members[at], ends
+
+
+def ball_measures(sp, x, radii):
+    """mu(B(x, r)) for each radius r: the weights of each ball's members,
+    summed member by member over x's distance row."""
+    d = distances(sp, [x])[0]
+    return np.array([sp.weights[d <= r].sum() for r in radii])
 
 
 def alpha_means(sp, centers, radii, v, alpha):

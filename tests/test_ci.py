@@ -55,9 +55,9 @@ def test_workflow_runs_the_console_script():
     # path of 401 nodes (rows on Dijkstra) a validate through
     # .github/lean_imports.py, then a probe; a probe of a 33 x 33 lattice and a
     # check that its probe.json holds both default deltas' annular decay
-    # estimates at 1 or more and a finite doubling estimate; one
-    # p-expansion; two validates that must exit 2, one with a negative
-    # seed, one with a nan delta; an asymptotics at an overflowing point
+    # estimates at 1 or more, a finite doubling estimate and a ring jump in
+    # [0, 1); one p-expansion; two validates that must exit 2, one with a
+    # negative seed, one with a nan delta; an asymptotics at an overflowing point
     # that must exit 2; and a certify at a 321-digit m that must exit 1
     # with no traceback
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
@@ -133,7 +133,8 @@ def test_workflow_runs_the_console_script():
              'pharmonious probe --grid lattice --n 33 --out "$RUNNER_TEMP/lattice33"',
              'python -c "import json, math, sys; p = json.load(open(sys.argv[1]))[\'probe\']; '
              'd = p[\'annular_decay_estimates\']; sys.exit(not (sorted(d) == [\'0.5\', \'1.0\'] '
-             'and min(d.values()) >= 1 and math.isfinite(p[\'doubling_estimate\'])))" '
+             'and min(d.values()) >= 1 and math.isfinite(p[\'doubling_estimate\']) '
+             'and 0 <= p[\'ring_jump\'] < 1))" '
              '"$RUNNER_TEMP/lattice33/probe.json"',
              'pharmonious asymptotics --fn sq_norm --x 1,0 --n 2 --mode p --p 4 '
              '--out "$RUNNER_TEMP/disk"',

@@ -122,7 +122,8 @@ def test_engine_is_decided_before_the_first_search(name):
         return max_gap_ratio(sp, u, 1.0, np.array([3, 204]))[0]
 
     def probe(sp):
-        return np.stack(list(sp._probe_rows([0, 17, len(sp) - 1]))).tobytes()
+        centers = np.array([0, 17, len(sp) - 1])
+        return b"".join(d.tobytes() for _, d in sp._distance_blocks(centers))
 
     runs = []
     for order in ((table, scan, probe), (probe, scan, table)):

@@ -330,6 +330,29 @@ def test_diameter_equals_all_pairs_maximum(make):
     assert sp.diameter() == oracle
 
 
+def test_diameter_of_disjoint_edges_takes_one_search_per_component(monkeypatch):
+    # 2,000 components of two points: each diameter is read off the row that
+    # found its component (eight searches each when every component ran the
+    # double sweep)
+    rng = np.random.default_rng(3)
+    ends = np.arange(4000).reshape(-1, 2)
+    sp = Space(weights=np.ones(4000), boundary=[0], metric="graph",
+               edges=np.column_stack([ends, rng.uniform(0.5, 2.0, 2000)]))
+    oracle = max(float(d[np.isfinite(d)].max())
+                 for d in (ref.distances(sp, np.arange(lo, lo + 500))
+                           for lo in range(0, 4000, 500)))
+    sp._metric._engine  # the engine's capped searches run before the count
+    calls = []
+    search = space_mod._Graph._search
+
+    def counted(self, sources, *args):
+        calls.append(len(sources))
+        return search(self, sources, *args)
+    monkeypatch.setattr(space_mod._Graph, "_search", counted)
+    assert sp.diameter() == oracle
+    assert calls == [1] * 2000
+
+
 def test_matrix_diameter_is_largest_entry(matrix_space):
     assert matrix_space.diameter() == matrix_space.distances(
         np.arange(len(matrix_space))).max()
@@ -433,6 +456,40 @@ def test_ring_continuity_sweep_oracle():
     mus = [sp.measure(sp.ball(50, r).members) for r in radii]
     oracle = max((b - a) / b for a, b in zip(mus[:-1], mus[1:]))
     assert jump == oracle
+
+
+def power_weighted(n):
+    """square_grid(n), the weight at (x, y) scaled by (1 + x) ** 1.5."""
+    sq = square_grid(n)
+    return Space(coords=sq.coords, weights=sq.weights * (1.0 + sq.coords[:, 0]) ** 1.5,
+                 boundary=sq.boundary_indices)
+
+
+@pytest.mark.parametrize("make, rtol", [
+    (lambda: square_grid(33), 0.0), (lambda: disk_grid(33), 0.0),
+    (lambda: lattice_graph(17, 17), 0.0), (lambda: path_graph(101), 0.0),
+    (lambda: power_weighted(33), 1e-12), (lambda: cloud(2, 500, 6, weighted=True), 1e-12)],
+    ids=["square", "disk", "lattice", "path", "power-weighted", "weighted-cloud"])
+def test_ring_continuity_reads_member_wise_ball_measures(make, rtol):
+    # the profile sums each level's weights, then the levels: the same bits
+    # as member-wise sums where the weights add exactly, rounding elsewhere
+    sp = make()
+    for x in (0, len(sp) // 2, len(sp) - 1):
+        levels = ref.distances(sp, [x])[0]
+        levels = np.unique(levels[np.isfinite(levels)])
+        # every third distance of the row's outer three quarters, ties
+        # included; radii between them; and the first few from below the
+        # first, where the ball is empty
+        for radii in (levels[len(levels) // 4::3],
+                      np.linspace(0.25, 1.1, 97) * levels[-1],
+                      np.append(-0.01, levels[:4])):
+            mus = ref.ball_measures(sp, x, radii)
+            oracle = max([(b - a) / b for a, b in zip(mus[:-1], mus[1:]) if b > 0],
+                         default=0.0)
+            got = sp.probe_ring_continuity(x, radii)
+            assert abs(got - oracle) <= rtol * oracle
+            if rtol == 0.0:
+                assert got == oracle
 
 
 def test_ring_continuity_halves_with_h():

@@ -166,10 +166,7 @@ class ExpansionResult:
 def richardson_limit(step_ratio, values):
     """Repeated Richardson elimination; values ordered coarse to fine."""
     level = list(values)
-    n = len(level)
-    if n == 1:
-        return level[0]
-    for m in range(1, n):
+    for m in range(1, len(level)):
         mult = step_ratio ** m
         level = [(mult * level[i + 1] - level[i]) / (mult - 1.0)
                  for i in range(len(level) - 1)]

@@ -177,13 +177,11 @@ def _squares(a, b):
     """Summed squares of a - b over the last axis, broadcast: under every
     Euclidean distance (see _euclidean).
 
-    In one or two dimensions the squares are added column by column: the
-    same sum x0^2 + x1^2 that sum() forms, without its slow reduction over
-    a last axis of two.  Above, sum() pairs the terms as it does (eight or
-    more are not added in order).  No column gives 0.0."""
-    if a.shape[-1] > 2:
-        diff = a - b
-        return (diff * diff).sum(axis=-1)
+    The squares are added column by column, in coordinate order, in every
+    dimension.  Below eight columns these are the bits of sum(axis=-1),
+    which adds fewer than eight terms in order, without its slow reduction
+    over a short last axis; from eight on, sum() pairs the terms.  No
+    column gives 0.0."""
     sq = 0.0
     for k in range(a.shape[-1]):
         d = a[..., k] - b[..., k]
@@ -194,11 +192,12 @@ def _squares(a, b):
 
 def _euclidean(a, b):
     """Closed-form Euclidean distance between broadcast coordinate arrays:
-    the square root of _squares.
+    the square root of _squares, whose squares add in coordinate order.
 
     Every Euclidean distance goes through this formula, so ball membership
     ties, pair scans and boundary distances agree bit for bit wherever they
-    are computed."""
+    are computed.  Below eight coordinates its bits are those of
+    sqrt(sum(axis=-1))."""
     return np.sqrt(_squares(a, b))
 
 
@@ -465,7 +464,7 @@ class _Euclidean(_Metric):
         decides them; the candidate strips come from near (see _near_keys).
 
         One searchsorted over the codes puts the ends where the strip crosses
-        the chord, last coordinate = center +- sqrt(r^2 - leading distance^2).
+        the chord, last coordinate = center +- sqrt(r^2 - leading _squares).
         Each end then steps by one index while the closed form disagrees: a
         down while a - 1 is inside, b up while b is inside, then a up while
         a is outside, b down while b - 1 is outside.  The closed form is
@@ -481,8 +480,7 @@ class _Euclidean(_Metric):
             keep = self.pair_distances(s0, ctr) <= r
             return owner[keep], s0[keep], s0[keep] + 1
         s1 = bounds[strip + 1]
-        half = np.sqrt(np.maximum(
-            r ** 2 - _euclidean(c[s0, :-1], c[ctr, :-1]) ** 2, 0.0))
+        half = np.sqrt(np.maximum(r ** 2 - _squares(c[s0, :-1], c[ctr, :-1]), 0.0))
         a, b = np.searchsorted(code, strip * (len(ranks) + 1) + np.searchsorted(
             ranks, c[ctr, -1] + [[-1.0], [1.0]] * half))
 
@@ -1057,10 +1055,8 @@ class Space:
         if self.coords is not None:
             lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
             for corner in itertools.product(*zip(lo, hi)):
-                d2 = ((self.coords - np.asarray(corner)) ** 2).sum(axis=1)
-                centers.add(int(np.argmin(d2)))
-            mid = (lo + hi) / 2.0
-            centers.add(int(np.argmin(((self.coords - mid) ** 2).sum(axis=1))))
+                centers.add(int(np.argmin(_squares(self.coords, np.array(corner)))))
+            centers.add(int(np.argmin(_squares(self.coords, (lo + hi) / 2.0))))
         else:
             centers.add(0)
             centers.add(len(self) - 1)
@@ -1291,7 +1287,7 @@ def disk_grid(n, radius=0.5):
     h = 1.0 / (n - 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     coords = np.column_stack([X.ravel(), Y.ravel()])
-    inside = (((coords - 0.5) ** 2).sum(axis=1) <= radius * radius).reshape(n, n)
+    inside = (_squares(coords, np.full(2, 0.5)) <= radius * radius).reshape(n, n)
     # inner: inside, and so are its four neighbours (none off the grid)
     pad = np.pad(inside, 1)
     inner = pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]

@@ -7,8 +7,10 @@ Each query takes full dense rows with no blocking, and none reads a search
 structure of the space or calls a Space query, so a fault in the code under
 test cannot carry over into its reference.
 
-- Euclidean spaces: the closed form sqrt(((a - b) ** 2).sum(-1)) over the
-  coordinates, which gives the library's bits in every dimension.
+- Euclidean spaces: the square root of the squared coordinate differences
+  added column by column, in coordinate order, which gives the library's
+  bits in every dimension (sum() pairs eight or more terms, so it would
+  not).
 - Graph spaces: scipy's Dijkstra on a CSR built here from the edge list,
   each node pair once at its smallest weight, self-loops dropped.
 - Matrix spaces: the input matrix, as the space keeps it.
@@ -55,7 +57,8 @@ def distances(sp, rows=None, limit=np.inf):
     rows = np.arange(len(sp.weights)) if rows is None else np.asarray(rows)
     if sp.metric == "euclidean":
         c = sp.coords
-        return np.array([np.sqrt(((c[r] - c) ** 2).sum(-1)) for r in rows])
+        return np.array([np.sqrt(functools.reduce(np.add, ((c[r] - c) ** 2).T))
+                         for r in rows])
     if sp.metric == "matrix":
         return sp._metric.matrix[rows]
     return dijkstra(_graph(sp), directed=True, indices=rows, limit=limit)

@@ -75,6 +75,10 @@ def test_richardson_eliminates_leading_order():
     assert richardson_limit(4.0, vals) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_richardson_of_one_value_is_that_value():
+    assert richardson_limit(4.0, [0.3]) == 0.3
+
+
 # -- expansions ------------------------------------------------------------------
 
 

@@ -48,8 +48,9 @@ def test_workflow_runs_the_console_script():
     # module; a 9 x 9 lattice space JSON without analytic constants, its
     # solve, a certify through .github/lean_imports.py and a check that the
     # certificate's constants were probed; a 2-D cloud space and its
-    # validate, solve and certify, each through .github/lean_imports.py; on
-    # the disk grid validate, solve, certify and a probe through
+    # validate, solve and certify, each through .github/lean_imports.py; a
+    # 9 x 9 x 9 cube space JSON and the same three through
+    # .github/lean_imports.py; on the disk grid validate, solve, certify and a probe through
     # .github/lean_imports.py; on the 97 x 97 grid a solve, a
     # certify at m = 3 and a check that its Holder scan was exact; on a
     # path of 401 nodes (rows on Dijkstra) a validate through
@@ -112,6 +113,19 @@ def test_workflow_runs_the_console_script():
              'python .github/lean_imports.py certify --space "$RUNNER_TEMP/cloud.json" '
              '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/cloud/field.csv" --m 2 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cloud"',
+             'python -c "import json; n = 9; h = 1 / (n - 1); print(json.dumps(dict('
+             'metric=\'euclidean\', points=[dict(id=k, coords=[k // n // n * h, '
+             'k // n % n * h, k % n * h], weight=h ** 3, boundary=any(i in (0, n - 1) '
+             'for i in (k // n // n, k // n % n, k % n))) for k in range(n ** 3)])))" '
+             '> "$RUNNER_TEMP/cube.json"',
+             'python .github/lean_imports.py validate --space "$RUNNER_TEMP/cube.json" '
+             '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cube"',
+             'python .github/lean_imports.py solve --space "$RUNNER_TEMP/cube.json" '
+             '--rho-factor 0.4 --alpha 0.3 --boundary-fn saddle --init-fn saddle '
+             '--out "$RUNNER_TEMP/cube"',
+             'python .github/lean_imports.py certify --space "$RUNNER_TEMP/cube.json" '
+             '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/cube/field.csv" --m 2 '
+             '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/cube"',
              'pharmonious validate --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/disk"',
              'pharmonious solve --grid disk --n 33 --rho-factor 0.4 --alpha 0.3 '
@@ -151,6 +165,7 @@ def test_workflow_runs_the_console_script():
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
+            or "$RUNNER_TEMP/cube" in run
             or "$RUNNER_TEMP/disk" in run
             or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run
             or "$RUNNER_TEMP/lattice33" in run] == smoke

@@ -24,6 +24,10 @@ from conftest import disk_cloud
 # -- admissibility ---------------------------------------------------------------
 
 
+def test_radius_field_length_is_its_point_count(grid1d):
+    assert len(RadiusField.scaled_boundary_distance(grid1d, 0.4)) == len(grid1d)
+
+
 def test_half_distance_field_is_admissible(grid1d):
     rho = RadiusField.scaled_boundary_distance(grid1d, 0.5)
     assert validate_admissible(grid1d, rho).ok
@@ -245,6 +249,31 @@ def test_normalize_piecewise_linear_rescales_to_the_diameter():
     normalized = normalize_modulus(omega, 1.0)
     assert np.allclose(normalized.ys, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
     assert normalized(1.0) == 1.0
+
+
+def test_normalize_continues_a_short_modulus_flat_to_the_diameter():
+    # the last breakpoint, 0.5, lies below the diameter 1: the normalized
+    # modulus gains a breakpoint at the diameter, its fixed point
+    omega = Modulus.from_breakpoints([0.0, 0.5], [0.0, 1.0], 1.0)
+    normalized = normalize_modulus(omega, 1.0)
+    assert normalized.ts.tolist() == [0.0, 0.5, 1.0]
+    assert normalized.ys.tolist() == [0.0, 1.0, 1.0]
+
+
+def test_sub_identity_on_a_one_point_domain_and_at_coefficient_zero():
+    # below exponent 1 a power lies above t near 0, unless its domain is
+    # {0} or its coefficient is 0
+    assert Modulus.power(2.0, 0.5, 0.0).is_sub_identity()
+    assert Modulus.power(0.0, 0.5, 1.0).is_sub_identity()
+    assert not Modulus.power(0.5, 0.5, 1.0).is_sub_identity()
+
+
+def test_power_breakpoint_list_samples_the_domain_at_33_points():
+    omega = Modulus.power(2.0, 0.5, 1.0, cap=1.5)
+    ts, ys = np.array(omega.breakpoint_list()).T
+    assert ts.tolist() == np.linspace(0.0, 1.0, 33).tolist()
+    assert ys.tolist() == omega(ts).tolist()
+    assert (ys[0], ys[8], ys[-1]) == (0.0, 1.0, 1.5)  # t = 0, 1/4 and 1
 
 
 def test_normalize_rejects_oversized_modulus():

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import sys
@@ -215,7 +216,7 @@ def _left_edge_grid():
          "uneven_rows", "rows_without_boundary", "square129", "disk97"])
 def test_boundary_distances_equal_blocked_minimum(make, request):
     # the bits of the closed-form distance rows, in 8 dimensions too, where
-    # sum() pairs the squares (see space._squares)
+    # the in-order sum of the squares is not sum()'s (see space._squares)
     sp = make(request.getfixturevalue)
     reference = ref.nearest(sp, sp.boundary_indices)
     assert np.array_equal(sp.boundary_distances(), reference)
@@ -548,6 +549,14 @@ def test_probes_take_numpy_integers(probe):
 
 def test_geodesic_defect_graph_is_zero():
     assert path_graph(9).probe_geodesic_defect() == 0.0
+
+
+def test_geodesic_defect_of_two_points_builds_no_hop_graph(monkeypatch):
+    # two points are one hop apart at their own distance: the defect is 0
+    # before any ball of the hop graph is searched
+    sp = Space(coords=[[0.0], [1.0]], weights=[1.0, 1.0], boundary=[0])
+    monkeypatch.setattr(sp, "balls", None)
+    assert sp.probe_geodesic_defect() == 0.0
 
 
 def test_geodesic_defect_grid_small(grid2d_small):
@@ -971,16 +980,23 @@ def test_non_finite_ball_radius_is_refused(make, radius, request):
             sp.ball(1, radius)
 
 
+def _block_scipy(monkeypatch):
+    """Make every import of scipy or of any of its modules fail, loaded
+    ones too (the reference module holds scipy.sparse)."""
+    for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
+        monkeypatch.setitem(sys.modules, name, None)
+
+
 @pytest.mark.parametrize("make", [
     lambda: square_grid(33), lambda: disk_grid(33), lambda: interval_grid(65),
     _shuffled_line, _reversed_line, _uneven_rows, _left_edge_grid])
 def test_one_key_column_spaces_search_boundary_by_strips(make, monkeypatch):
     # lines, raveled grids and disks, whose strips are keyed by one column,
     # take their boundary distances from the blocked minimum of the closed
-    # form, on numpy alone
+    # form (no strip search), on numpy alone
     sp = make()
     assert sp._metric._strips[2].shape[1] == 1
-    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+    _block_scipy(monkeypatch)
     assert np.isfinite(sp.boundary_distances()).all()
 
 
@@ -992,7 +1008,7 @@ def test_boundary_distances_of_multi_key_spaces_load_no_scipy(make, monkeypatch)
     # spaces whose keys have two or more columns take their boundary
     # distances on numpy alone; they used to build two KD-trees
     sp = make()
-    monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+    _block_scipy(monkeypatch)
     assert np.isfinite(sp.boundary_distances()).all()
     monkeypatch.undo()
     assert sp._metric._strips[2].shape[1] > 1
@@ -1014,15 +1030,18 @@ def test_squares_rooted_equal_euclidean(dim):
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_euclidean_equals_the_summed_squares(dim):
-    # one and two dimensions add the squares column by column; the bits
-    # must stay those of sum() over the last axis, which outputs depend on
-    # (it pairs eight or more terms)
+    # every dimension adds the squares column by column, in coordinate
+    # order; below eight columns that is also the bits of sum() over the
+    # last axis, which pairs eight or more terms
     rng = np.random.default_rng(dim)
     a = rng.uniform(-1.0, 1.0, (400, 1, dim)) * 10.0 ** rng.integers(-3, 4, (400, 1, dim))
     b = rng.uniform(-1.0, 1.0, (1, 300, dim))
-    diff = a - b
-    assert np.array_equal(space_mod._euclidean(a, b),
-                          np.sqrt((diff * diff).sum(axis=-1)))
+    squares = (a - b) ** 2
+    in_order = functools.reduce(np.add, np.moveaxis(squares, -1, 0))
+    got = space_mod._euclidean(a, b)
+    assert np.array_equal(got, np.sqrt(in_order))
+    if dim < 8:
+        assert np.array_equal(got, np.sqrt(squares.sum(axis=-1)))
 
 
 @pytest.mark.parametrize("a, b", [

@@ -136,15 +136,11 @@ class BallTable:
         key *= n + 1
         key += b
         del a, b
-        distinct = np.sort(key)
-        first = np.ones(len(key), dtype=bool)
-        np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-        distinct = distinct[first]
-        del first
-        self._ball_runs = np.searchsorted(distinct, key)
+        run_keys = distinct(key)
+        self._ball_runs = np.searchsorted(run_keys, key)
         del key
-        self._run_a, self._run_b = np.divmod(distinct, n + 1)
-        del distinct
+        self._run_a, self._run_b = np.divmod(run_keys, n + 1)
+        del run_keys
         # sparse-table level k = floor(log2(run length)): the run is covered
         # by the two windows of length 2^k starting at a and at b - 2^k;
         # the queries k * n + a and k * n + b - 2^k are built in place

@@ -14,13 +14,13 @@ space.point_values.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import space as space_mod
 from .errors import SpaceFormatError
-from .space import HAIR, point_values, read_id_csv, write_id_csv
+from .space import HAIR, point_values, read_id_csv, report_dict, write_id_csv
 
 
 class Modulus:
@@ -213,9 +213,7 @@ def normalize_modulus(omega, diam):
     if end > diam * (1 + 1e-12):
         raise SpaceFormatError(
             f"modulus value {end} at the diameter exceeds the diameter {diam}; cap it first")
-    if omega.is_sub_identity():
-        return Modulus.identity(diam)
-    if end <= 0:
+    if omega.is_sub_identity() or end <= 0:
         return Modulus.identity(diam)
     factor = diam / end
     if omega.kind == "power":
@@ -317,8 +315,7 @@ class AdmissibilityReport:
     exceeds_boundary_distance: list = field(default_factory=list)
     nonzero_on_boundary: list = field(default_factory=list)
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = report_dict
 
 
 def validate_admissible(space, rho):
@@ -446,18 +443,7 @@ class ParameterGate:
     # at L = 1 the series ratio is the analytic root-test margin
     analytic_margin = property(lambda self: self.series_ratio)
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha, "L": self.L, "epsilon": self.epsilon,
-            "beta": self.beta, "lambda": self.lam, "ell_omega": self.ell_omega,
-            "delta": self.delta,
-            "conditions": self.conditions,
-            "failed_conditions": self.failed_conditions,
-            "pass": self.passed,
-            "beta_max": self.beta_max,
-            "series_ratio": self.series_ratio,
-            "equicontinuity_pass": self.equicontinuity_passed,
-        }
+    to_dict = report_dict
 
 
 def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
@@ -504,28 +490,16 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
 class RadiusBoundsReport:
     """Pointwise check of lambda*dist^beta <= rho <= epsilon*dist."""
 
+    ok: bool   # the window holds and no point violates a bound
     lambda_window_ok: bool
+    lambda_cap: float
     lower_violations: list
     upper_violations: list
     lam: float
     beta: float
     epsilon: float
-    lambda_cap: float
 
-    @property
-    def ok(self):
-        return self.lambda_window_ok and not self.lower_violations \
-            and not self.upper_violations
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "lambda_window_ok": self.lambda_window_ok,
-            "lambda_cap": self.lambda_cap,
-            "lower_violations": self.lower_violations,
-            "upper_violations": self.upper_violations,
-            "lambda": self.lam, "beta": self.beta, "epsilon": self.epsilon,
-        }
+    to_dict = report_dict
 
 
 def check_radius_bounds(space, rho, lam, beta, epsilon):
@@ -542,8 +516,8 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
     upper = epsilon * d[interior]
     low_bad = [int(i) for i in interior[v[interior] < lower]]
     up_bad = [int(i) for i in interior[v[interior] > upper]]
-    return RadiusBoundsReport(window_ok, low_bad, up_bad, lam, beta, epsilon,
-                              lam_cap)
+    return RadiusBoundsReport(window_ok and not low_bad and not up_bad, window_ok,
+                              lam_cap, low_bad, up_bad, lam, beta, epsilon)
 
 
 @dataclass
@@ -564,8 +538,7 @@ class HypothesisReport:
                 if not getattr(self, k).ok] + self.gate.failed_conditions
 
     def to_dict(self):  # L_mode goes with the caller's constants
-        return {k: getattr(self, k).to_dict()
-                for k in ("admissible", "radius_bounds", "gate")}
+        return report_dict(self, ("L_mode",))
 
 
 def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,

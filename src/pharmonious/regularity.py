@@ -34,7 +34,7 @@ from . import solver as solver_mod
 from .errors import (CertificateResidualError, CertificateScopeError,
                      SeriesDivergenceError, SpaceFormatError)
 from .radius import Modulus
-from .space import point_values
+from .space import point_values, report_dict
 
 
 J_CAP = 200   # terms summed before the closed-form tail of the series
@@ -283,21 +283,8 @@ class RegularityCertificate:
 
     gate = property(lambda self: self.hypotheses.gate)
 
-    def to_dict(self):
-        return {
-            **self.hypotheses.to_dict(),
-            "m": self.m,
-            "delta": self.delta,
-            "exponent": self.exponent,
-            "theoretical_constant": self.theoretical_constant,
-            "empirical_constant": self.empirical_constant,
-            "empirical_mode": self.empirical_mode,
-            "pass": self.passed,
-            "constants": self.constants,
-            "residual": self.residual,
-            "alpha": self.alpha,
-            "half_oscillation": self.half_oscillation,
-        }
+    def to_dict(self):  # the hypotheses' keys first, at the top level
+        return {**self.hypotheses.to_dict(), **report_dict(self, ("hypotheses",))}
 
 
 PROBE_SAFETY = 1.1   # probes undersample suprema

@@ -27,7 +27,7 @@ from . import operators as ops
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .operators import BallTable, ScalarField
-from .space import point_values
+from .space import point_values, report_dict
 
 
 # A solve whose residual has set no new minimum for this many sweeps has
@@ -74,21 +74,13 @@ class SolveReport:
     residual_history: list
     converged: bool
     final_residual: float
-    modulus_snapshots: list = None
     stop_reason: str = ""          # why the iteration ended
+    modulus_snapshots: list = None
 
-    def to_dict(self):
-        return {
-            "iterations_used": self.iterations_used,
-            "residual_history": self.residual_history,
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "stop_reason": self.stop_reason,
-            "modulus_snapshots": [
-                {"iteration": it, "m": m, "breakpoints": mod.breakpoint_list()}
-                for it, m, mod in (self.modulus_snapshots or [])
-            ],
-        }
+    def to_dict(self):  # each snapshot in its breakpoint form
+        return {**report_dict(self, ("field",)), "modulus_snapshots": [
+            {"iteration": it, "m": m, "breakpoints": mod.breakpoint_list()}
+            for it, m, mod in self.modulus_snapshots or []]}
 
 
 def _normalize_boundary(space, boundary_data):

@@ -21,7 +21,7 @@ import math
 import numbers
 import random
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class SpaceProbeReport:
 
     def to_dict(self):
         # the fields in order, the decay exponents as keys by repr
-        return {**asdict(self), "annular_decay_estimates": {
+        return {**report_dict(self), "annular_decay_estimates": {
             repr(k): v for k, v in self.annular_decay_estimates.items()}}
 
 
@@ -128,6 +128,25 @@ def point_values(values, what, n=None):
         raise SpaceFormatError(f"{what} is not finite at {len(bad)} points, "
                                f"first {bad[:10].tolist()}")
     return v
+
+
+# The JSON keys of the report fields named otherwise: lambda and pass are
+# Python keywords, and equicontinuity_pass goes with pass.
+JSON_NAMES = {"lam": "lambda", "passed": "pass",
+              "equicontinuity_passed": "equicontinuity_pass"}
+
+
+def report_dict(report, skip=()):
+    """The JSON object of the report dataclass report: its fields in
+    declaration order, those named in skip left out, each under its
+    JSON_NAMES name, a nested report as its own to_dict."""
+    doc = {}
+    for f in fields(report):
+        if f.name not in skip:
+            value = getattr(report, f.name)
+            doc[JSON_NAMES.get(f.name, f.name)] = \
+                value.to_dict() if hasattr(value, "to_dict") else value
+    return doc
 
 
 def _count(what, value):
@@ -273,20 +292,21 @@ class _Metric:
         u minimizes the largest distance to the points swept so far, and
         the point farthest from u joins them while that lowers u's
         eccentricity.  Eccentricities are then taken in decreasing order of
-        d(u, .); once the largest found is >= 2 d(u, w) for the next point
-        w, widened by HAIR against rounding, it is the diameter, since the
-        points not yet taken lie pairwise within d(w', u) + d(u, w'') <=
-        2 d(u, w).
+        d(u, .), skipping the rows held; once the largest distance in the
+        rows taken is >= 2 d(u, w) for the next point w, widened by HAIR
+        against rounding, it is the diameter, since the points not yet
+        taken lie pairwise within d(w', u) + d(u, w'') <= 2 d(u, w).
         """
         cols = comp
         comp = np.arange(self.n) if comp is None else comp
+        held = {} if first is None else {0: first}  # index into comp: its row
 
-        @functools.cache
         def row(k):
-            return self.distances(comp[[k]], cols)[0] if k or first is None else first
+            if k not in held:
+                held[k] = self.distances(comp[[k]], cols)[0]
+            return held[k]
 
-        swept = [row(np.intp(0))]  # keyed as argmax keys the later rows
-        swept = [row(np.argmax(swept[0]))]
+        swept = [row(np.argmax(row(0)))]
         swept.append(row(np.argmax(swept[0])))
         d_u = np.full(len(comp), np.inf)
         while True:
@@ -295,13 +315,15 @@ class _Metric:
                 break
             d_u = d
             swept.append(row(np.argmax(d_u)))
-        found = float(np.max(swept))
+        found = max(float(d.max()) for d in held.values())
         order = np.argsort(-d_u, kind="stable")
         taken, size = 0, 1
         while taken < len(comp) and found < HAIR * 2.0 * d_u[order[taken]]:
-            batch = comp[order[taken:taken + size]]
-            found = max(found, float(self.distances(batch, cols).max()))
-            taken += len(batch)
+            ks = order[taken:taken + size]
+            taken += len(ks)
+            batch = comp[[k for k in ks if k not in held]]
+            if len(batch):
+                found = max(found, float(self.distances(batch, cols).max()))
             size = min(2 * size, block_rows(self.row_width(cols)))
         return found
 
@@ -814,8 +836,10 @@ class Space:
     carry them) and, in the metric's backend, the metric contract.  After
     construction all queries are pure reads and safe to share.  Every
     distance, ball and pair scan of the library goes through distances,
-    pair_distances, balls and pair_scan.  Distance rows are not cached, so
-    memory grows with one distance block, not with the number of pairs.
+    pair_distances, balls, ball_runs (the ball tables) and pair_scan.  No
+    distance row outlives the call that took it (the diameter holds its
+    few rows for its one call), so memory grows with one distance block,
+    not with the number of pairs.
     """
 
     def __init__(self, *, weights, boundary, coords=None, metric="euclidean",
@@ -971,10 +995,10 @@ class Space:
         runs and of members.  A negative radius gives an empty ball; a
         non-finite one is refused.  The backend searches one block of
         centers at a time (see _Euclidean.ball_intervals; graphs stop
-        Dijkstra at the block's largest radius), the blocks cut by the
-        entries each center's search holds (see block_cuts and
-        _Metric.ball_width).  a and b are new arrays, the caller's to
-        overwrite (BallTable builds its key over a)."""
+        their search, by rounds or by Dijkstra, at the block's largest
+        radius), the blocks cut by the entries each center's search holds
+        (see block_cuts and _Metric.ball_width).  a and b are new arrays,
+        the caller's to overwrite (BallTable builds its key over a)."""
         centers = self._indices(centers)
         radii = point_values(radii, "ball radius", len(centers))
         cuts = block_cuts(self._metric.ball_width(centers, radii))

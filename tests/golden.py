@@ -8,7 +8,9 @@ changed entry.  Each pipeline runs validate, solve and certify through
 cli.main in this process, with relative paths, so that the argv each JSON
 output records is fixed; each probe run writes probe.json.  The cloud, the
 cube and the matrix space carry no analytic constants, so their
-certificates hold probed ones; each is written as a space JSON first.
+certificates hold probed ones; each is written as a space JSON first.  A
+variant reruns a pipeline with more arguments to some of its steps, so that
+the reports' other branches keep their bytes too.
 """
 
 import hashlib
@@ -46,6 +48,17 @@ NO_COORDS = {"lattice_17": 17 * 17, "path_101": 101, "matrix_80": 80}
 # name: the space its pipeline writes to name.json
 SPACES = {"cloud_500": lambda: disk_cloud(500, 4), "cube_9": lambda: cube_grid(9),
           "matrix_80": matrix_cloud}
+# name: (pipeline, {step: arguments added to it}); every pipeline above
+# converges, passes its gate and records no snapshots: these record the
+# iterate modulus, stop on the sweep budget (exit 3; certified at a residual
+# tolerance the last iterate meets) and take a lambda past the gate's window
+# (validate and certify exit 1, the certificate's bound is null)
+VARIANTS = {
+    "2d_33_snapshots": ("2d_33", {"solve": ["--record-every", "50"]}),
+    "2d_33_budget": ("2d_33", {"solve": ["--max-iter", "20"],
+                               "certify": ["--residual-tol", "1"]}),
+    "2d_33_lam_5": ("2d_33", {"validate": ["--lam", "5"], "certify": ["--lam", "5"]}),
+}
 PROBES = {
     "probe_2d_33": ["--grid", "2d", "--n", "33"],
     "probe_disk_33": ["--grid", "disk", "--n", "33"],
@@ -72,22 +85,25 @@ def space_doc(sp):
 def run_pipeline(name, extra=()):
     """{step: exit code, file: SHA-256}, plus the numbers a reader wants in a
     diff (sweeps, final residual, empirical constant, C and theoretical
-    constant), of the pipeline name, run in the current directory; extra
-    arguments go to every step."""
-    space, data = PIPELINES[name]
-    if name in SPACES:
-        Path(f"{name}.json").write_text(json.dumps(space_doc(SPACES[name]())))
-    if name in NO_COORDS:
-        n = NO_COORDS[name]
+    constant), of the pipeline or variant name, run in the current
+    directory; extra arguments go to every step."""
+    base, added = VARIANTS.get(name, (name, {}))
+    space, data = PIPELINES[base]
+    if base in SPACES:
+        Path(f"{base}.json").write_text(json.dumps(space_doc(SPACES[base]())))
+    if base in NO_COORDS:
+        n = NO_COORDS[base]
         Path("boundary.csv").write_text(
             "id,value\n" + "".join(f"{k},{k / n!r}\n" for k in range(n)))
     out = ["--out", name, *extra]
-    record = {
-        "validate": main(["validate", *space, *HYPOTHESES, *GATE, *out]),
-        "solve": main(["solve", *space, *HYPOTHESES, *data, *out]),
-        "certify": main(["certify", *space, *HYPOTHESES, "--field", f"{name}/field.csv",
-                         "--m", "2", *GATE, *out]),
+    steps = {
+        "validate": [*space, *HYPOTHESES, *GATE, *out],
+        "solve": [*space, *HYPOTHESES, *data, *out],
+        "certify": [*space, *HYPOTHESES, "--field", f"{name}/field.csv", "--m", "2",
+                    *GATE, *out],
     }
+    record = {step: main([step, *argv, *added.get(step, ())])
+              for step, argv in steps.items()}
     for file in ("validate.json", "field.csv", "solve_report.json", "certificate.json"):
         record[file] = _digest(Path(name, file))
     report = json.loads(Path(name, "solve_report.json").read_text())
@@ -109,14 +125,14 @@ def run_probe(name):
 
 
 def run(name):
-    return run_pipeline(name) if name in PIPELINES else run_probe(name)
+    return run_probe(name) if name in PROBES else run_pipeline(name)
 
 
 if __name__ == "__main__":
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        records = {name: run(name) for name in [*PIPELINES, *PROBES]}
+        records = {name: run(name) for name in [*PIPELINES, *VARIANTS, *PROBES]}
         os.chdir(here)
     GOLDEN.write_text(json.dumps(records, indent=2) + "\n")
     sys.exit(0)

@@ -41,8 +41,10 @@ def test_workflow_job_has_a_timeout():
 def test_workflow_runs_the_console_script():
     # pyproject.toml declares the pharmonious entry point; the tier-1 tests
     # call cli.main directly, so only these steps run the installed script:
-    # validate, a check that it recorded the analytic L, solve, then
-    # certify of the solved field; on a lattice graph validate, the boundary
+    # validate, a check that it recorded the analytic L, solve with modulus
+    # snapshots, a check that solve_report.json holds its keys in the
+    # report's declaration order and a snapshot, then certify of the
+    # solved field; on a lattice graph validate, the boundary
     # CSV, solve, certify and a certify through .github/lean_imports.py,
     # which fails if cli.main imports any scipy, numpy.random or numpy.ma
     # module; a 9 x 9 lattice space JSON without analytic constants, its
@@ -71,7 +73,12 @@ def test_workflow_runs_the_console_script():
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/smoke"',
              'grep -qE \'"L_mode":[[:space:]]+"analytic"\' "$RUNNER_TEMP/smoke/validate.json"',
              'pharmonious solve --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
-             '--boundary-fn linear --out "$RUNNER_TEMP/smoke"',
+             '--boundary-fn linear --record-every 10 --out "$RUNNER_TEMP/smoke"',
+             'python -c "import json, sys; r = json.load(open(sys.argv[1])); '
+             'sys.exit(not (list(r) == [\'manifest\', \'iterations_used\', '
+             '\'residual_history\', \'converged\', \'final_residual\', \'stop_reason\', '
+             '\'modulus_snapshots\'] and r[\'modulus_snapshots\']))" '
+             '"$RUNNER_TEMP/smoke/solve_report.json"',
              'pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/smoke/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
              '--out "$RUNNER_TEMP/smoke"',

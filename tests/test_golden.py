@@ -13,7 +13,7 @@ RECORDED = json.loads(golden.GOLDEN.read_text())
 
 
 def test_golden_covers_every_run():
-    assert list(RECORDED) == [*golden.PIPELINES, *golden.PROBES]
+    assert list(RECORDED) == [*golden.PIPELINES, *golden.VARIANTS, *golden.PROBES]
 
 
 @pytest.mark.parametrize("name", RECORDED)

@@ -260,6 +260,15 @@ def test_normalize_continues_a_short_modulus_flat_to_the_diameter():
     assert normalized.ys.tolist() == [0.0, 1.0, 1.0]
 
 
+def test_normalize_at_diameter_zero_is_the_identity():
+    # a square root is no sub-identity on [0, 1]; at the diameter 0 it is
+    # 0, and the rescaling diam / omega(diam) would be 0 / 0
+    normalized = normalize_modulus(Modulus.power(1.0, 0.5, 1.0), 0.0)
+    identity = Modulus.identity(0.0)
+    assert [getattr(normalized, k) for k in Modulus.__slots__] == \
+        [getattr(identity, k) for k in Modulus.__slots__]
+
+
 def test_sub_identity_on_a_one_point_domain_and_at_coefficient_zero():
     # below exponent 1 a power lies above t near 0, unless its domain is
     # {0} or its coefficient is 0

@@ -354,6 +354,27 @@ def test_diameter_of_disjoint_edges_takes_one_search_per_component(monkeypatch):
     assert calls == [1] * 2000
 
 
+@pytest.mark.parametrize("make", [
+    lambda: square_grid(33), lambda: disk_grid(33), lambda: cube_grid(9, boundary=[0]),
+    lambda: path_graph(41), lambda: lattice_graph(17, 17)],
+    ids=["square", "disk", "cube", "path", "lattice"])
+def test_diameter_takes_each_row_once(make, monkeypatch):
+    # the closing batches skip the rows the sweeps hold (square_grid(33)
+    # took 10 rows, 8 of them distinct, when they did not); a graph's first
+    # row is the one that found its component
+    sp = make()
+    taken = []
+    distances = type(sp._metric).distances
+
+    def counted(self, rows, *args, **kwargs):
+        taken.extend(np.asarray(rows).tolist())
+        return distances(self, rows, *args, **kwargs)
+    monkeypatch.setattr(type(sp._metric), "distances", counted)
+    sp.diameter()
+    assert taken and len(taken) == len(set(taken))
+    assert not sp._metric.path_metric or 0 not in taken
+
+
 def test_matrix_diameter_is_largest_entry(matrix_space):
     assert matrix_space.diameter() == matrix_space.distances(
         np.arange(len(matrix_space))).max()

@@ -24,8 +24,8 @@ from . import __version__, asymptotics, operators, radius, regularity, solver
 from .errors import (AdmissibilityError, CertificateResidualError,
                      CertificateScopeError, ConfigurationError,
                      DisconnectedSpaceError, SpaceFormatError)
-from .space import (disk_grid, interval_grid, lattice_graph, load_space,
-                    path_graph, square_grid)
+from .space import (disk_grid, finite_number, interval_grid, lattice_graph,
+                    load_space, path_graph, square_grid)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -180,7 +180,7 @@ def cmd_solve(args):
     settings.update((k, v) for k, v in zip(CONFIG_KEYS, flags) if v is not None)
     if "alpha" not in settings:
         raise SpaceFormatError("alpha missing: pass --alpha or put it in --config")
-    alpha = solver.finite_number("alpha", settings.pop("alpha"))
+    alpha = finite_number("alpha", settings.pop("alpha"))
     space = _build_space(args)
     rho = _build_rho(args, space)
     bvals = _boundary_values(args, space)

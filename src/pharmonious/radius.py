@@ -20,7 +20,8 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import SpaceFormatError
-from .space import HAIR, point_values, read_id_csv, report_dict, write_id_csv
+from .space import (HAIR, finite_number, point_values, read_id_csv, report_dict,
+                    write_id_csv)
 
 
 class Modulus:
@@ -446,6 +447,14 @@ class ParameterGate:
     to_dict = report_dict
 
 
+def finite_parameters(**values):
+    """Refuse, by its name, a gate parameter that is not a finite number;
+    one given as None (no lambda) passes."""
+    for name, value in values.items():
+        if value is not None:
+            finite_number(name, value)
+
+
 def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
                         delta=1.0):
     """Evaluate every condition of the main regularity gate.
@@ -457,8 +466,11 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
     equicontinuity, the same gate without the lambda window) is recorded as
     a separate flag, and the geometric series ratio
     L^delta |alpha| (1-eps)^(-beta delta) is reported for the root test.
-    A delta outside (0, 1] is refused; an L <= 0 fails the first condition.
+    A delta outside (0, 1] is refused, and so is an alpha, L, epsilon,
+    beta or lambda (when given) that is not a finite number; an L <= 0
+    fails the first condition.
     """
+    finite_parameters(alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam)
     if not 0.0 < delta <= 1.0:
         raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
     a = abs(alpha)

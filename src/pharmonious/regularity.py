@@ -326,10 +326,13 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder
     radius branch); otherwise the radius must be Lipschitz and the exponent
-    is delta.  A gamma outside (0, 1] is refused at every alpha.
+    is delta.  A gamma outside (0, 1] is refused at every alpha, and so is
+    an alpha, epsilon, beta or lambda that is not a finite number, before
+    the residual is measured.
     """
     if not 0.0 < gamma <= 1.0:
         raise SpaceFormatError(f"gamma must be in (0,1], got {gamma}")
+    radius_mod.finite_parameters(alpha=alpha, epsilon=epsilon, beta=beta, lam=lam)
     if alpha == 1.0:
         raise CertificateScopeError(
             "alpha = 1 (midrange-only) is outside certificate scope")

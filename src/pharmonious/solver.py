@@ -18,7 +18,6 @@ fixed points; richer fixed points come from richer initial guesses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import operators as ops
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .operators import BallTable, ScalarField
-from .space import point_values, report_dict
+from .space import finite_number, point_values, report_dict
 
 
 # A solve whose residual has set no new minimum for this many sweeps has
@@ -40,15 +39,6 @@ STALL_SWEEPS = 10_000
 # exhaustion sets of these indices m at this epsilon.
 SNAPSHOT_M = (1, 2)
 SNAPSHOT_EPSILON = 0.5
-
-
-def finite_number(name, value, integer=False):
-    """value, if it is a finite number (an integer if asked); no bool is."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        raise SpaceFormatError(f"{name} must be a finite "
-                               f"{'integer' if integer else 'number'}, got {value!r}")
-    return value
 
 
 @dataclass

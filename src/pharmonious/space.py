@@ -31,12 +31,15 @@ from .errors import ConfigurationError, DisconnectedSpaceError, SpaceFormatError
 # per array (512 KiB of float64), each stage counting the entries it
 # allocates (see block_rows and block_cuts).
 BLOCK_ENTRIES = 1 << 16
-# A graph space with a component whose full search passes ROUND_CAP rounds
-# runs its distance rows on scipy's Dijkstra (see _Graph._engine): a
-# certify-shaped run (ball table, probes, adjacent-pair scan) on an n-by-n
-# lattice took as long either way, scipy's import included, between n = 73
-# (145 rounds) and 81; a corner row takes 2n - 1 rounds, so lattices up to 75
-# per side stay on rounds.
+# The distance rows of a graph with a component whose full search passes
+# ROUND_CAP rounds run on scipy's Dijkstra (see _Graph._engine); every other
+# graph search runs by rounds.  A certify-shaped run (ball table, probes,
+# adjacent-pair scan) on an n-by-n lattice took as long either way, scipy's
+# import included, between n = 73 (145 rounds) and 81; a corner row takes
+# 2n - 1 rounds, so lattices up to 75 per side stay on rounds.  Deep graphs
+# pay for rounds: the ball table of path_graph(20001) at rho = 0.4 dist took
+# 4.1 s on Dijkstra and 225.5 s by rounds, with equal bits (2-core Xeon; 3
+# rows a block, about 2,000 rounds each).
 ROUND_CAP = 150
 # The doubling and annular-decay probes skip radii below this many
 # resolutions, where a ball's measure is dominated by single cells.
@@ -157,6 +160,15 @@ def _count(what, value):
     return int(value)
 
 
+def finite_number(name, value, integer=False):
+    """value, if it is a finite number (an integer if asked); no bool is."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise SpaceFormatError(f"{name} must be a finite "
+                               f"{'integer' if integer else 'number'}, got {value!r}")
+    return value
+
+
 def block_rows(width):
     """Rows of width entries each that one block holds: BLOCK_ENTRIES //
     width, at least one."""
@@ -267,7 +279,7 @@ class _Metric:
     edges = None
 
     def ball_width(self, centers, radii):
-        return np.full(len(centers), self.n)
+        return np.full(len(centers), self.row_width(None))
 
     def row_width(self, cols):
         return self.n if cols is None else len(cols)
@@ -531,10 +543,9 @@ class _Graph(_Metric):
 
     The graph is one CSR built with numpy by two sorts (the pairs, then
     the rows): row pointers, targets and lengths, every pair stored both
-    ways at its one weight, targets ascending per row.  Distance rows,
-    boundary distances, the K-adjacent pair scan and the resolution read
-    it directly, so a space whose searches stay shallow never imports
-    scipy.
+    ways at its one weight, targets ascending per row.  Every search reads
+    it padded to one width (see _table), bar the distance rows of a deep
+    graph, which scipy's Dijkstra takes (see _engine).
 
     Searches are by rounds: each round relaxes the out-edges of the points
     whose distance fell in the previous round, keeps the least candidate
@@ -543,25 +554,20 @@ class _Graph(_Metric):
     monotone, so Dijkstra's settle order (Dijkstra 1959) and this
     label-correcting order (Bellman 1958) both reach the least
     left-to-right float sum over paths.  One loop (see _rounds) runs every
-    search over the CSR padded to the largest degree (see _table), on
-    labelled rows in one flat block: one row per source for distance rows,
-    a block of sources at a time, a limit dropping the candidates past it
-    as Dijkstra's does; one row seeded at every target for
-    boundary_distances.  A search runs one round per hop of its deepest
-    shortest path, a round taking 30-150 us: a full row of the 65x65
-    lattice (129 rounds at most) takes 0.5-0.7 ms in blocks of 15, against
-    0.35 ms for Dijkstra, whose scipy import costs 0.26-0.45 s and 25 MB.
-    So the space picks the engine of its distance rows once, before its
-    first search of rows (see _engine): scipy's Dijkstra, on a
-    csr_matrix of the same arrays (see graph), for a graph whose padded
-    table would be too large (a hub) or with a component whose full search
-    passes ROUND_CAP rounds, and rounds otherwise; no later query changes
-    it.  Boundary distances run by rounds whenever the padded table exists,
-    whatever the engine (1 ms on a 65x65 lattice, 0.12 s on a path of
-    20001 nodes), and by Dijkstra only on a hub.  Every other shortest path
-    of the package is a search of rows: the diameter's components, and the
-    geodesic probe's hop graph, itself a graph Space.  So scipy loads only
-    in graph, _dijkstra and the hub's boundary distances.
+    search on labelled rows in one flat block: one row per source for
+    distance rows, a block of sources at a time, a limit dropping the
+    candidates past it as Dijkstra's does; one row per source that reaches
+    the points of K but does not leave them for the K-adjacent scan (see
+    adjacent_blocks); one row seeded at every target for
+    boundary_distances (1 ms on a 65x65 lattice, 0.12 s on a path of 20001
+    nodes).  A search runs one round per hop of its deepest shortest path,
+    a round taking 30-150 us: a full row of the 65x65 lattice (129 rounds
+    at most) takes 0.5-0.7 ms in blocks of 15, against 0.35 ms for
+    Dijkstra, whose scipy import costs 0.26-0.45 s and 25 MB.  So the
+    distance rows of a graph with a component whose full search passes
+    ROUND_CAP rounds run on Dijkstra, decided once, before the first one;
+    scipy loads there and nowhere else.  The diameter's components and the
+    geodesic probe's hop graph, itself a graph Space, are distance rows.
     """
 
     path_metric = True
@@ -601,83 +607,94 @@ class _Graph(_Metric):
         self._csr = (np.concatenate([[0], np.cumsum(np.bincount(lo, minlength=n)
                                                     + np.bincount(hi, minlength=n))]),
                      np.concatenate([lo, hi])[order], np.concatenate([w, w])[order])
-
-    @functools.cached_property
-    def graph(self):
-        """The CSR as a scipy csr_matrix (scipy.sparse is imported here)."""
-        from scipy import sparse
-        indptr, targets, lengths = self._csr
-        return sparse.csr_matrix((lengths, targets, indptr), shape=(self.n, self.n))
+        self._sparse = None  # see _dijkstra
 
     def row_width(self, cols):
-        # distance rows are whole rows, sliced after
-        return self.n
+        # distance rows are whole rows of the search, copies included (see
+        # _table), sliced after
+        return len(self._table[0])
 
     def distances(self, rows, cols=None, limit=np.inf):
         block = self._search(rows, limit)
         return block if cols is None else block[:, cols]
 
-    def _search(self, sources, limit=np.inf, stop=None):
+    def _search(self, sources, limit=np.inf):
         """The (len(sources), n) block of distances from the sources, inf
-        past limit; points of the mask stop are reached but not left, bar
-        each row's own source.  By the space's one engine (see _engine)."""
+        past limit, by the space's one engine (see _engine)."""
         if self._engine == "dijkstra":
-            return self._dijkstra(sources, limit, stop)
-        return self._rounds(np.arange(len(sources)) * self.n + sources, len(sources),
-                            limit, stop)
+            return self._dijkstra(sources, limit)
+        return self._rounds(sources, limit)
 
     @functools.cached_property
     def _engine(self):
-        """The engine of every search of rows, "rounds" or "dijkstra",
-        decided before the first one: Dijkstra without a padded table, or
-        when a full search in any component passes ROUND_CAP rounds (the
-        only capped searches).  Each capped search starts at the lowest
-        points with an edge not yet reached, one labelled row each, the
-        block doubling from one point, so a connected graph runs one
-        search, and an isolated point none."""
-        if self._table is None:
-            return "dijkstra"
+        """The engine of every distance row, "rounds" or "dijkstra",
+        decided before the first one: Dijkstra when a full search in any
+        component passes ROUND_CAP rounds (the only capped searches).  Each
+        capped search starts at the lowest points with an edge not yet
+        reached, one labelled row each, the block doubling from one point,
+        so a connected graph runs one search, and an isolated point none."""
         unreached, size = np.flatnonzero(np.diff(self._csr[0])), 1
         while len(unreached):
             seeds = unreached[:size]
-            block = self._rounds(np.arange(len(seeds)) * self.n + seeds, len(seeds),
-                                 cap=ROUND_CAP)
+            block = self._rounds(seeds, cap=ROUND_CAP)
             if block is None:
                 return "dijkstra"
             unreached = unreached[np.isinf(block[:, unreached]).all(axis=0)]
-            size = min(2 * size, block_rows(self.n))
+            size = min(2 * size, block_rows(self.row_width(None)))
         return "rounds"
 
     @functools.cached_property
     def _table(self):
-        """(targets, lengths), the CSR padded to an n-by-(largest degree)
-        table: a row's free slots lead back to its own node at length inf.
-        None where that would hold more than four times the CSR's entries."""
+        """(targets, lengths), the CSR padded to a table of width W, the
+        largest degree d with n d <= 4 (CSR entries), at least 2: a row's
+        free slots lead back to its own node at length inf.  A hub, a node
+        of degree above W, hands its edges, W at a time and in order, to
+        copies of itself, rows n and up, and holds links at length 0.0 to
+        them instead, repeated until every row fits: a W-ary tree of copies
+        with its edges in the leaves.  A path through it keeps its bits,
+        since x + 0.0 == x."""
         indptr, to, lengths = self._csr
+        rows = n = self.n
         degree = np.diff(indptr)
-        width = int(degree.max(initial=0))
-        if self.n * width > 4 * len(to):
-            return None
-        node = np.repeat(np.arange(self.n), degree)
-        slot = np.arange(len(to)) - indptr[node]
-        table = np.repeat(np.arange(self.n), width).reshape(self.n, width)
+        width = max(2, int(degree[n * degree <= 4 * len(to)].max(initial=0)))
+        node = np.repeat(np.arange(n), degree)
+        while True:
+            count = np.bincount(node, minlength=rows)
+            slot = np.arange(len(to)) - (np.cumsum(count) - count)[node]
+            copies = np.where(count > width, -(-count // width), 0)
+            made = int(copies.sum())
+            if not made:
+                break
+            first = rows + np.cumsum(copies) - copies  # each wide row's first copy
+            node = np.concatenate([np.where(copies[node] > 0, first[node] + slot // width,
+                                            node), np.repeat(np.arange(rows), copies)])
+            to = np.concatenate([to, np.arange(rows, rows + made)])
+            lengths = np.concatenate([lengths, np.zeros(made)])
+            order = np.argsort(node, kind="stable")
+            node, to, lengths, rows = node[order], to[order], lengths[order], rows + made
+        table = np.repeat(np.arange(rows), width).reshape(rows, width)
         table[node, slot] = to
-        length = np.full((self.n, width), np.inf)
+        length = np.full((rows, width), np.inf)
         length[node, slot] = lengths
         return table, length
 
-    def _rounds(self, fell, rows, limit=np.inf, stop=None, cap=None):
+    def _rounds(self, sources, limit=np.inf, stop=None, cap=None, merged=False):
         """The search by rounds (see the class docstring) over the padded
-        table: a (rows, n) block of labelled rows seeded with 0.0 at the
-        flat indices fell, run until nothing falls; None past cap rounds
-        (None: no cap)."""
+        table from 0.0 at the sources, one labelled row each (merged: one
+        row seeded at all of them), run until nothing falls; points of the
+        mask stop are reached but not left, bar the sources.  The (rows, n)
+        block: the copies' columns are cut off; None past cap rounds (None:
+        no cap).  stop holds a flag per table row, False for every copy: a
+        copy is entered only when its node leaves."""
         table, length = self._table
-        n = self.n
-        block = np.full((rows, n), np.inf)
+        n, cols = self.n, len(table)
+        rows = 1 if merged else len(sources)
+        fell = sources if merged else np.arange(rows) * cols + sources
+        block = np.full((rows, cols), np.inf)
         flat = block.reshape(-1)
         flat[fell] = 0.0
         for _ in itertools.islice(itertools.count(), cap):
-            node = fell % n
+            node = fell % cols
             cand = (flat[fell][:, None] + length[node]).reshape(-1)
             target = ((fell - node)[:, None] + table[node]).reshape(-1)
             lower = cand < flat[target]
@@ -690,29 +707,23 @@ class _Graph(_Metric):
             np.not_equal(target[1:], target[:-1], out=first[1:])
             fell = target[first]
             if stop is not None:
-                fell = fell[~stop[fell % n]]
+                fell = fell[~stop[fell % cols]]
             if not len(fell):
-                return block
+                return block[:, :n]
         return None
 
-    def _dijkstra(self, sources, limit, stop):
-        """_search by scipy's Dijkstra.  With stop, the stopped points lose
-        their out-edges and each source leaves from a copy of itself, node
-        n + k, that keeps them: the same paths the rounds take."""
-        from scipy.sparse.csgraph import dijkstra
-        if stop is None:
-            return dijkstra(self.graph, indices=sources, directed=True, limit=limit)
+    def _dijkstra(self, sources, limit):
+        """Distance rows from the sources by scipy's Dijkstra, inf past
+        limit (scipy is imported here, and nowhere else).  The CSR's
+        csr_matrix is built on the first call and kept: built on every
+        call, it took 60 us of the 140 us of a 3-row block of
+        path_graph(20001)."""
         from scipy import sparse
-        indptr, to, lengths = self._csr
-        n, k = self.n, len(sources)
-        a = np.concatenate([np.where(stop, indptr[1:], indptr[:-1]), indptr[sources]])
-        b = np.concatenate([indptr[1:], indptr[sources + 1]])
-        edge = run_members(a, b)
-        split = sparse.csr_matrix(
-            (lengths[edge], to[edge], np.concatenate([[0], np.cumsum(b - a)])),
-            shape=(n + k, n + k))
-        return dijkstra(split, indices=n + np.arange(k), directed=True,
-                        limit=limit)[:, :n]
+        from scipy.sparse.csgraph import dijkstra
+        if self._sparse is None:
+            indptr, to, lengths = self._csr
+            self._sparse = sparse.csr_matrix((lengths, to, indptr), shape=(self.n, self.n))
+        return dijkstra(self._sparse, indices=sources, directed=True, limit=limit)
 
     def pair_distances(self, i, j):
         # grouped by source, one block of distance rows per block of sources
@@ -720,7 +731,7 @@ class _Graph(_Metric):
         order = np.argsort(i, kind="stable")
         sources, first = np.unique(i[order], return_index=True)
         first = np.append(first, len(i))
-        step = block_rows(self.n)
+        step = block_rows(self.row_width(None))
         for lo in range(0, len(sources), step):
             rows = sources[lo:lo + step]
             s = order[first[lo]:first[lo + len(rows)]]
@@ -732,10 +743,10 @@ class _Graph(_Metric):
         the pairs joined by a path with no point of K inside, d the least
         such path (>= d(i, j)), read off a search from i that reaches the
         points of K but does not leave them.  A point whose neighbours all
-        lie in K has its edges for pairs; the others are searched, a block
-        of sources at a time (see _search)."""
+        lie in K has its edges for pairs; the others are searched by
+        rounds, a block of sources at a time (see _rounds)."""
         indptr, to, lengths = self._csr
-        inside = np.zeros(self.n, dtype=bool)
+        inside = np.zeros(self.row_width(None), dtype=bool)  # no copy stops
         inside[members] = True
         k = np.flatnonzero(inside)
         left = np.concatenate([[0], np.cumsum(~inside[to])])
@@ -748,20 +759,16 @@ class _Graph(_Metric):
             i, j = np.repeat(near[lo:hi], b[lo:hi] - a[lo:hi]), to[edge]
             keep = j > i
             yield i[keep], j[keep], lengths[edge[keep]]
-        step = block_rows(self.n)
+        step = block_rows(len(inside))
         for lo in range(0, len(far), step):
             s = far[lo:lo + step]
-            d = self._search(s, stop=inside)[:, k]
+            d = self._rounds(s, stop=inside)[:, k]
             row, col = np.nonzero((k > s[:, None]) & (d < np.inf))
             yield s[row], k[col], d[row, col]
 
     def boundary_distances(self, targets):
-        # one row seeded at every target, by rounds whatever the engine (see
-        # the class docstring); inf on a component without targets
-        if self._table is None:
-            from scipy.sparse.csgraph import dijkstra
-            return dijkstra(self.graph, indices=targets, min_only=True)
-        return self._rounds(targets, 1)[0]
+        # one row seeded at every target; inf on a component without targets
+        return self._rounds(targets, merged=True)[0]
 
     def diameter(self):
         """Largest finite distance: the largest diameter of a connected
@@ -803,9 +810,13 @@ class _Matrix(_Metric):
         if np.any(m[~np.eye(n, dtype=bool)] <= 0):
             raise SpaceFormatError("duplicate points: zero distance between distinct ids")
         # d(i,k) <= d(i,j) + d(j,k) for every triple iff no path of
-        # matrix entries is shorter than the direct entry
-        from scipy.sparse.csgraph import shortest_path
-        if np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)):
+        # matrix entries is shorter than the direct entry: the min-plus
+        # closure, k by k (Floyd, CACM 1962)
+        closure, via = m.copy(), np.empty_like(m)
+        for k in range(n):
+            np.minimum(closure, np.add(closure[:, k, None], closure[k], out=via),
+                       out=closure)
+        if np.any(m > closure + 1e-12 * np.maximum(m, 1.0)):
             raise SpaceFormatError("triangle inequality violated")
         self.matrix = m
 
@@ -900,8 +911,11 @@ class Space:
     def _indices(self, a):
         """Point indices as a flat intp array: the one index check.  Integer
         arrays pass as they are; any other values only where each is an
-        integer (1.5 is refused, not truncated to 1)."""
+        integer (1.5 is refused, not truncated to 1).  A boolean array is
+        refused: read as indices, a mask would name points 0 and 1."""
         a = np.asarray(a).reshape(-1)
+        if a.dtype.kind == "b":
+            raise SpaceFormatError("point indices must be integers, got a boolean array")
         if a.dtype.kind not in "iu":
             try:
                 f = a.astype(float)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,17 @@ def lattice_doc(n):
     edges = ([[k, k + 1, h] for k in range(n * n) if k % n < n - 1]
              + [[k, k + n, h] for k in range(n * n - n)])
     return {"metric": "graph", "points": points, "edges": edges}
+
+
+def hub_lattice_doc(n=65, every=16):
+    """lattice_doc(n) with point 0 also joined to every every-th point, each
+    link at the Euclidean length between the two: a hub of degree
+    2 + (n^2 - 1) // every among points of degree at most 5."""
+    doc = lattice_doc(n)
+    h = 1.0 / (n - 1)
+    doc["edges"] += [[0, k, math.hypot(k // n, k % n) * h]
+                     for k in range(every, n * n, every)]
+    return doc
 
 
 def hub_star(n=200):

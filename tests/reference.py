@@ -64,6 +64,27 @@ def distances(sp, rows=None, limit=np.inf):
     return dijkstra(_graph(sp), directed=True, indices=rows, limit=limit)
 
 
+def adjacent_pairs(sp, members):
+    """(i, j, d) of the K-adjacent pairs i < j of K = members, ascending by
+    (i, j): d is the least path from i to j with no point of K inside, by
+    scipy's Dijkstra from i over the edges of edge_pairs that leave i or a
+    point outside K."""
+    lo, hi, w = edge_pairs(sp)
+    n = len(sp.weights)
+    tail, head, w = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    k = np.flatnonzero(inside)
+    out = []
+    for i in k:
+        keep = ~inside[tail] | (tail == i)
+        graph = sparse.csr_matrix((w[keep], (tail[keep], head[keep])), shape=(n, n))
+        d = dijkstra(graph, directed=True, indices=i)[k]
+        found = (k > i) & np.isfinite(d)
+        out.append((np.full(found.sum(), i), k[found], d[found]))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
 def nearest(sp, targets):
     """The distance from every point to its nearest target: a running
     minimum over the targets' rows."""

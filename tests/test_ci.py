@@ -49,8 +49,11 @@ def test_workflow_runs_the_console_script():
     # which fails if cli.main imports any scipy, numpy.random or numpy.ma
     # module; a 9 x 9 lattice space JSON without analytic constants, its
     # solve, a certify through .github/lean_imports.py and a check that the
-    # certificate's constants were probed; a 2-D cloud space and its
-    # validate, solve and certify, each through .github/lean_imports.py; a
+    # certificate's constants were probed; a 17 x 17 hub lattice space JSON,
+    # its solve and a certify through .github/lean_imports.py; a 60-point
+    # matrix space JSON and a validate through .github/lean_imports.py; a
+    # 2-D cloud space and its validate, solve and certify, each through
+    # .github/lean_imports.py; a
     # 9 x 9 x 9 cube space JSON and the same three through
     # .github/lean_imports.py; on the disk grid validate, solve, certify and a probe through
     # .github/lean_imports.py; on the 97 x 97 grid a solve, a
@@ -107,6 +110,25 @@ def test_workflow_runs_the_console_script():
              '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/graphjson"',
              'grep -qE \'"source":[[:space:]]+"probed"\' '
              '"$RUNNER_TEMP/graphjson/certificate.json"',
+             'python -c "import json, math; n = 17; h = 1 / (n - 1); print(json.dumps(dict('
+             'metric=\'graph\', points=[dict(id=k, coords=[k // n * h, k % n * h], '
+             'weight=h * h, boundary=k // n in (0, n - 1) or k % n in (0, n - 1)) '
+             'for k in range(n * n)], edges=[[k, k + 1, h] for k in range(n * n) '
+             'if k % n < n - 1] + [[k, k + n, h] for k in range(n * n - n)] + '
+             '[[0, k, math.hypot(k // n, k % n) * h] for k in range(16, n * n, 16)])))" '
+             '> "$RUNNER_TEMP/hub.json"',
+             'pharmonious solve --space "$RUNNER_TEMP/hub.json" --rho-factor 0.4 '
+             '--alpha 0.3 --boundary-fn saddle --init-fn saddle --out "$RUNNER_TEMP/hub"',
+             'python .github/lean_imports.py certify --space "$RUNNER_TEMP/hub.json" '
+             '--rho-factor 0.4 --alpha 0.3 --field "$RUNNER_TEMP/hub/field.csv" '
+             '--m 2 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/hub"',
+             'python -c "import json, math, random; random.seed(2); pts = [[random.random(), '
+             'random.random()] for k in range(60)]; print(json.dumps(dict(metric=\'matrix\', '
+             'points=[dict(id=k, weight=1.0, boundary=min(p + [1 - x for x in p]) < 0.15) '
+             'for k, p in enumerate(pts)], matrix=[[math.dist(p, q) for q in pts] '
+             'for p in pts])))" > "$RUNNER_TEMP/matrix.json"',
+             'python .github/lean_imports.py validate --space "$RUNNER_TEMP/matrix.json" '
+             '--rho-factor 0.4 --alpha 0.3 --epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/matrix"',
              'python -c "import json, random; random.seed(1); pts = [[random.random(), '
              'random.random()] for k in range(2000)]; print(json.dumps(dict('
              'metric=\'euclidean\', points=[dict(id=k, coords=p, weight=1.0, '
@@ -171,11 +193,22 @@ def test_workflow_runs_the_console_script():
              'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
-            or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/cloud" in run
+            or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/hub" in run
+            or "$RUNNER_TEMP/matrix" in run or "$RUNNER_TEMP/cloud" in run
             or "$RUNNER_TEMP/cube" in run
             or "$RUNNER_TEMP/disk" in run
             or "$RUNNER_TEMP/grid97" in run or "$RUNNER_TEMP/path" in run
             or "$RUNNER_TEMP/lattice33" in run] == smoke
+
+
+def test_workflow_runs_the_golden_test_on_baseline_simd():
+    # the golden outputs once more with numpy's AVX2 and AVX-512 kernels
+    # off: an output whose bits hang on the SIMD width fails there
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.strip()[len("run:"):].strip() for line in workflow.splitlines()
+            if line.strip().startswith("run:")]
+    assert 'NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" '\
+        'PYTHONPATH=src python -m pytest -q tests/test_golden.py' in runs
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

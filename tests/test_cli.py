@@ -639,14 +639,44 @@ def test_probe_disconnected_cloud_writes_null(tmp_path, capsys):
     assert doc["probe"]["geodesic_defect"] is None
 
 
-def test_nan_argument_is_written_as_null(tmp_path):
+def test_nan_argument_is_written_as_null(tmp_path, capsys):
+    # a nan gate parameter is an input error and writes nothing (validate
+    # exited 1 with "alpha": null); a NaN the program writes itself, the
+    # theoretical constant of a failed gate, is null in strict JSON
     assert run("validate", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
                "--alpha", "nan", "--epsilon", 0.5, "--lam", 0.4,
-               "--out", tmp_path) == 1
-    doc = json.loads((tmp_path / "validate.json").read_text(),
+               "--out", tmp_path) == 2
+    assert "input error: alpha must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+    write_field_csv(square_grid(9), np.zeros(81), tmp_path / "field.csv")
+    assert run("certify", "--grid", "2d", "--n", 9, "--rho-factor", 0.4,
+               "--field", tmp_path / "field.csv", "--alpha", 0.3, "--epsilon", 0.95,
+               "--lam", 0.4, "--m", 2, "--out", tmp_path) == 1
+    doc = json.loads((tmp_path / "certificate.json").read_text(),
                      parse_constant=_refuse_constant)
-    assert doc["gate"]["alpha"] is None and not doc["pass"]
-    assert "nan" in doc["manifest"]["argv"]
+    assert doc["theoretical_constant"] is None and not doc["pass"]
+    assert "epsilon_window" in doc["gate"]["failed_conditions"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    *[("validate", flag) for flag in ("--alpha", "--L", "--epsilon", "--beta", "--lam")],
+    *[(command, flag) for command in ("solve", "certify")
+      for flag in ("--alpha", "--epsilon", "--beta", "--lam")]])
+def test_a_non_finite_gate_parameter_is_an_input_error(tmp_path, capsys, command,
+                                                       flag, value):
+    # validate and certify exited 1 as failed hypotheses, certify --alpha nan
+    # as a residual refusal, and certify --lam nan as a lambda window
+    write_field_csv(square_grid(9), np.zeros(81), tmp_path / "field.csv")
+    args = [command, "--grid", "2d", "--n", 9, "--rho-factor", 0.4, "--alpha", 0.3,
+            "--epsilon", 0.5, "--lam", 0.4, "--out", tmp_path / "out",
+            *{"validate": [], "solve": ["--boundary-fn", "saddle"],
+              "certify": ["--field", tmp_path / "field.csv", "--m", 2]}[command]]
+    assert run(*args, f"{flag}={value}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag[2:]} must be a finite number")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    assert run(*args) == 0
 
 
 def test_solve_gate_leaves_inadmissible_radius_to_the_solver(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Graph searches by rounds against scipy's Dijkstra, bit for bit, and the
-engine each space picks once, before its first search; the adjacent-pair
-Holder scan against the full exact pair scan; probes that read one row per
+"""Graph searches by rounds against scipy's Dijkstra, bit for bit, hubs
+included (a hub heads a tree of copies of itself in the padded table), and
+the engine of distance rows each space picks once, before its first search;
+the adjacent-pair Holder scan against the full exact pair scan and, on
+hubs, against Dijkstra's stopped searches; probes that read one row per
 center, whatever the blocks."""
 
 import itertools
@@ -15,7 +17,7 @@ from pharmonious import space as space_mod
 from pharmonious.radius import max_gap_ratio
 
 import reference as ref
-from conftest import hub_star, lattice_doc
+from conftest import hub_lattice_doc, hub_star, lattice_doc
 
 
 def graph_with_strays(seed, n=300):
@@ -62,11 +64,85 @@ def test_rounds_equal_dijkstra(name, limited):
     assert np.array_equal(sp.distances(rows[3:40], cols, limit), reference[3:40][:, cols])
 
 
-def test_a_graph_with_a_hub_goes_to_dijkstra():
-    sp = hub_star()
-    assert sp._metric._table is None
-    assert sp._metric._engine == "dijkstra"
-    assert np.array_equal(sp.distances([0, 5]), ref.distances(sp, [0, 5]))
+# -- hubs: nodes of degree above the padded table's width -------------------------
+
+HUBS = {"star": hub_star, "star20001": lambda: hub_star(20001),
+        "lattice": lambda: space_from_dict(hub_lattice_doc())}
+
+
+@pytest.fixture(scope="module", params=HUBS)
+def hub_space(request):
+    """A space whose point 0 is a hub: hub_star's 200 and 20001 points, and
+    the 65x65 hub lattice."""
+    return HUBS[request.param]()
+
+
+def test_a_graph_with_a_hub_gets_a_padded_table(hub_space):
+    # the hub's row links at 0.0 to copies of itself past the n points, each
+    # row no wider than the rule's width; its rows run by rounds
+    sp = hub_space
+    table, length = sp._metric._table
+    n = len(sp)
+    # the stars' leaves have degree 1 (width 2); lattice points joined to
+    # the hub have degree 5
+    assert table.shape[1] == {200: 2, 20001: 2, 4225: 5}[n] and len(table) > n
+    links = length[0] == 0.0
+    assert links.any() and (table[0, links] >= n).all()
+    assert np.isinf(length[0, ~links]).all()
+    assert sp._metric._engine == "rounds"
+    assert sp._metric.row_width(None) == len(table)
+    assert sp.distances([0, 5]).shape == (2, n)
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["full", "limit"])
+def test_hub_rows_equal_dijkstra(hub_space, limited):
+    sp = hub_space
+    rows = np.array([0, 1, 5, len(sp) // 2, len(sp) - 1])  # the hub is row 0's source
+    reference = ref.distances(sp, rows)
+    limit = np.inf
+    if limited:  # a limit on an attained distance: ties at the cut-off
+        limit = float(np.median(reference))
+        reference = ref.distances(sp, rows, limit)
+        assert 0 < np.isfinite(reference).mean() < 1
+    got = sp.distances(rows, limit=limit)
+    assert got.shape == reference.shape and got.tobytes() == reference.tobytes()
+
+
+def test_hub_boundary_distances_equal_dijkstra(hub_space):
+    sp = hub_space
+    assert sp.boundary_distances().tobytes() == \
+        ref.nearest(sp, sp.boundary_indices).tobytes()
+    targets = np.array([0, len(sp) - 1])  # the hub among the targets
+    assert sp._metric.boundary_distances(targets).tobytes() == \
+        ref.nearest(sp, targets).tobytes()
+
+
+def test_hub_diameters_equal_dijkstra(hub_space):
+    sp = hub_space
+    rows = np.arange(len(sp))
+    if len(sp) == 20001:
+        # a path of the star holds two edges at most, so the longest
+        # edge's leaf, the last, is as far from some point as any two are
+        rows = rows[-1:]
+    assert sp.diameter() == max(float(ref.distances(sp, rows[lo:lo + 500]).max())
+                                for lo in range(0, len(rows), 500))
+
+
+@pytest.mark.parametrize("hub", ["inside", "outside"])
+def test_hub_adjacent_scans_equal_dijkstra(hub_space, hub):
+    # the hub in K: its own search leaves through its copies, which never
+    # stop; outside K: searches from other points pass through it
+    sp = hub_space
+    members = np.sort(np.random.default_rng(3).choice(np.arange(1, len(sp)), 60,
+                                                      replace=False))
+    if hub == "inside":
+        members = np.append(0, members)
+    i, j, d = (np.concatenate(x) for x in zip(*sp.pair_scan(members, lipschitz=True).blocks))
+    order = np.lexsort((j, i))
+    want = ref.adjacent_pairs(sp, members)
+    assert np.array_equal(i[order], want[0]) and np.array_equal(j[order], want[1])
+    assert d[order].tobytes() == want[2].tobytes()
+    assert (0 in i) == (hub == "inside")
 
 
 def test_deep_path_rows_run_on_dijkstra():
@@ -180,10 +256,12 @@ def test_adjacent_scan_equals_the_full_scan(name):
         assert max(gaps) == 0.0
 
 
-def test_adjacent_scan_on_a_deep_ring_runs_on_dijkstra():
-    # two points of K on a ring of 401: each search walks 200 hops
+def test_adjacent_scan_on_a_deep_ring_runs_by_rounds(monkeypatch):
+    # two points of K on a ring of 401: each search walks 200 hops, by
+    # rounds, though the ring's distance rows run on Dijkstra
     sp = ring(401, 0.1)
     assert sp._metric._engine == "dijkstra"
+    monkeypatch.setattr(space_mod._Graph, "_dijkstra", None)
     u = np.random.default_rng(5).normal(size=len(sp))
     members = np.array([3, 204])
     value = max_gap_ratio(sp, u, 1.0, members)[0]

@@ -1,12 +1,13 @@
-"""Which spaces import scipy: every Euclidean space (lines, raveled 2-D grids,
-disks, clouds and 3-D grids) runs validate, solve and certify on numpy
-alone, its diameter included, and so does the probe of a grid whose hop
-graph stays shallow; graphs whose searches stay shallow run on numpy alone
-(ball tables, pair scans, probes, the diameter), and import scipy.sparse
-only past the round cap or for a hub.  No CLI call loads numpy.random or
-numpy.ma: the probes draw from the standard library's random.Random, and
-sorted distinct values skip np.unique's masked-array check.  Each check
-runs in a fresh interpreter."""
+"""Which spaces import scipy: only the distance rows of a graph with a
+component deeper than the round cap do.  Every Euclidean space (lines,
+raveled 2-D grids, disks, clouds and 3-D grids) runs validate, solve and
+certify on numpy alone, its diameter included, and so does the probe of a
+grid whose hop graph stays shallow; so do shallow graphs, hubs included
+(ball tables, pair scans, probes, the diameter), the boundary distances of
+every graph and the triangle check of a matrix space.  No CLI call loads
+numpy.random or numpy.ma: the probes draw from the standard library's
+random.Random, and sorted distinct values skip np.unique's masked-array
+check.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cloud, cube_grid, lattice_doc
+from conftest import cloud, cube_grid, hub_lattice_doc, lattice_doc, matrix_cloud
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -198,6 +199,26 @@ def test_graph_pipeline_loads_no_scipy(tmp_path, space):
         args = ["--space", "../lattice.json"], ["--boundary-fn", "saddle"]
     certificate = run_without_scipy(tmp_path, pipeline(*args))["certificate.json"]
     assert (b'"probed"' in certificate) == (space == "json")
+
+
+def test_hub_lattice_pipeline_loads_no_scipy(tmp_path):
+    # the hub heads a tree of copies of itself in the padded table; a graph
+    # with a hub used to run every search on scipy's Dijkstra
+    (tmp_path / "hub.json").write_text(json.dumps(hub_lattice_doc()))
+    run_without_scipy(tmp_path, pipeline(["--space", "../hub.json"],
+                                         ["--boundary-fn", "saddle", "--init-fn", "saddle"]))
+
+
+def test_matrix_validate_loads_no_scipy(tmp_path):
+    # the triangle check is a numpy min-plus closure; it used to be scipy's
+    # shortest_path
+    sp = matrix_cloud()
+    (tmp_path / "matrix.json").write_text(json.dumps({
+        "metric": "matrix", "matrix": sp._metric.matrix.tolist(),
+        "points": [{"id": k, "weight": float(w), "boundary": bool(b)}
+                   for k, (w, b) in enumerate(zip(sp.weights, sp.boundary_mask))]}))
+    run_without_scipy(tmp_path, pipeline(["--space", "../matrix.json"], [])[:1],
+                      files=["validate.json"])
 
 
 TABLES = """

@@ -17,7 +17,8 @@ from pharmonious import (BallTable, ConfigurationError, DisconnectedSpaceError,
 from pharmonious import space as space_mod
 
 import reference as ref
-from conftest import cloud, cube_grid, hub_star, lattice_doc, reordered, shuffled
+from conftest import (cloud, cube_grid, hub_star, lattice_doc, matrix_cloud, reordered,
+                      shuffled)
 
 
 # -- distances ------------------------------------------------------------------
@@ -778,6 +779,42 @@ def test_triangle_check_is_exact_above_200_points():
               boundary=[0, 399])
 
 
+def _line_metric(shortcut=None):
+    x = np.arange(400.0)
+    m = np.abs(x[:, None] - x[None, :])
+    if shortcut is not None:
+        m[0, 2] = m[2, 0] = shortcut
+    return m
+
+
+def _near_triangle(excess):
+    """d(0, 2) = 2 + excess, over d(0, 1) + d(1, 2) = 2."""
+    return np.array([[0.0, 1.0, 2.0 + excess], [1.0, 0.0, 1.0], [2.0 + excess, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("make, metric", [
+    (lambda: matrix_cloud()._metric.matrix, True),
+    (lambda: np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]), False),
+    (lambda: np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]), True),
+    (_line_metric, True), (lambda: _line_metric(3.5), False),
+    # the tolerance is 1e-12 * d(0, 2), about 2e-12, past the closure
+    (lambda: _near_triangle(1.5e-12), True), (lambda: _near_triangle(2.5e-12), False)],
+    ids=["cloud80", "violated", "straight", "line400", "line400_shortcut",
+         "inside_tolerance", "outside_tolerance"])
+def test_triangle_verdict_equals_scipys_shortest_path(make, metric):
+    # the numpy closure passes a matrix exactly when the check on scipy's
+    # shortest paths that it replaced does
+    from scipy.sparse.csgraph import shortest_path
+    m = make()
+    assert metric == (not np.any(m > shortest_path(m) + 1e-12 * np.maximum(m, 1.0)))
+    try:
+        Space(metric="matrix", matrix=m, weights=np.ones(len(m)), boundary=[0])
+    except SpaceFormatError as exc:
+        assert not metric and "triangle" in str(exc)
+    else:
+        assert metric
+
+
 def test_loader_rejects_duplicate_points_in_matrix():
     m = [[0.0, 0.0], [0.0, 0.0]]
     doc = {"metric": "matrix", "points": [_point(0), _point(1)], "matrix": m}
@@ -946,6 +983,19 @@ def test_integral_point_indices_of_any_dtype_are_read():
             sp.ball(bad, 0.2)
     with pytest.raises(SpaceFormatError, match=re.escape("unknown point index [9.0, 1e+20, -1.0]")):
         sp.distances([9, 1e20, -1])
+
+
+def test_boolean_point_indices_are_refused():
+    # a mask was read as the indices 0 and 1: a boundary mask built the
+    # boundary {0, 1}, whatever it marked
+    mask = np.zeros(5, dtype=bool)
+    mask[[2, 4]] = True
+    with pytest.raises(SpaceFormatError, match="got a boolean array"):
+        Space(weights=np.ones(5), boundary=mask, coords=np.arange(5.0)[:, None])
+    sp = interval_grid(9)
+    with pytest.raises(SpaceFormatError, match="got a boolean array"):
+        sp.measure(np.ones(9, dtype=bool))
+    assert sp.measure(np.flatnonzero(np.ones(9, dtype=bool))) == sp.weights.sum()
 
 
 def test_matrix_space_distances_work():

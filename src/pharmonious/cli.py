@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from . import __version__, asymptotics, operators, radius, regularity, solver
 from .errors import (AdmissibilityError, CertificateResidualError,
                      CertificateScopeError, ConfigurationError,
                      DisconnectedSpaceError, SpaceFormatError)
-from .space import (disk_grid, finite_number, interval_grid, lattice_graph,
+from .space import (check_parameters, disk_grid, interval_grid, lattice_graph,
                     load_space, path_graph, square_grid)
 
 EXIT_OK = 0
@@ -140,8 +139,6 @@ def _write_json(path, doc):
 
 
 def cmd_probe(args):
-    if args.samples < 1:
-        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     space = _build_space(args)
     report = space.probe_report(samples=args.samples, seed=args.seed,
                                 deltas=tuple(args.delta))
@@ -180,7 +177,11 @@ def cmd_solve(args):
     settings.update((k, v) for k, v in zip(CONFIG_KEYS, flags) if v is not None)
     if "alpha" not in settings:
         raise SpaceFormatError("alpha missing: pass --alpha or put it in --config")
-    alpha = finite_number("alpha", settings.pop("alpha"))
+    alpha = settings.pop("alpha")
+    # the gate's flags are checked whether or not the gate runs
+    gate = {"epsilon": args.epsilon, "beta": args.beta, "lam": args.lam,
+            "delta": args.delta}
+    check_parameters(**{k: v for k, v in gate.items() if v is not None})
     space = _build_space(args)
     rho = _build_rho(args, space)
     bvals = _boundary_values(args, space)
@@ -212,9 +213,6 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    # certify() refuses a field at a nan tolerance; here it is an input error
-    if not math.isfinite(args.residual_tol):
-        raise SpaceFormatError(f"--residual-tol must be finite, got {args.residual_tol}")
     space = _build_space(args)
     rho = _build_rho(args, space)
     u = operators.read_field_csv(space, args.field)
@@ -296,7 +294,8 @@ def build_parser():
     p.add_argument("--init-fn", choices=sorted(BOUNDARY_FUNCTIONS), default=None)
     _add_hypothesis_args(p, required=False)
     p.add_argument("--force", action="store_true",
-                   help="skip the gate (admissibility is never skipped)")
+                   help="skip the gate (admissibility and the parameters' "
+                        "domains are never skipped)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="regularity certificate for a solved field")
@@ -331,10 +330,7 @@ def main(argv=None):
     if args.command == "probe" and args.delta is None:
         args.delta = [0.5, 1.0]
     try:
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
-        if args.seed < 0:
-            raise ConfigurationError(f"--seed must be at least 0, got {args.seed}")
+        check_parameters(threads=args.threads, seed=args.seed)
         return args.func(args)
     except (SpaceFormatError, ConfigurationError, DisconnectedSpaceError,
             OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import space as space_mod
 from .errors import SpaceFormatError
-from .space import (HAIR, finite_number, point_values, read_id_csv, report_dict,
-                    write_id_csv)
+from .space import (HAIR, check_parameters, point_values, read_id_csv,
+                    report_dict, write_id_csv)
 
 
 class Modulus:
@@ -74,8 +74,7 @@ class Modulus:
     @classmethod
     def power(cls, coeff, gamma, domain_end, cap=None):
         """t -> min(coeff * t**gamma, cap), 0 < gamma <= 1."""
-        if not 0.0 < gamma <= 1.0:
-            raise SpaceFormatError(f"power modulus exponent must be in (0,1], got {gamma}")
+        check_parameters(gamma=gamma)
         return cls(kind="power", domain_end=domain_end, coeff=float(coeff),
                    gamma=float(gamma), cap=cap)
 
@@ -232,13 +231,12 @@ def normalize_modulus(omega, diam):
 
 def iterate_modulus(normalized, n, t):
     """n-fold composition of the normalized modulus; n = 0 returns t."""
+    check_parameters(n=n)
     diam = normalized.domain_end
     if not 0 <= t <= diam * (1 + 1e-12):
         raise SpaceFormatError(f"argument {t} outside [0, {diam}]")
-    if n < 0:
-        raise SpaceFormatError("iteration count must be nonnegative")
     s = float(t)
-    for _ in range(int(n)):
+    for _ in range(n):
         s = float(normalized(min(s, diam)))
     return s
 
@@ -291,14 +289,10 @@ class RadiusField:
         with no scan (lipschitz_mode "analytic"): |factor| at power 1 and
         |factor| * power * ell**(power - 1) above (ell = space.ell()), each
         widened by a HAIR against rounding.  A power below 1 is not Lipschitz
-        at the boundary; check_hypotheses fits it.  A factor or power that
-        is not finite, and a negative power, are refused before any value
-        is computed."""
-        for name, value in (("factor", factor), ("power", power)):
-            if not math.isfinite(value):
-                raise SpaceFormatError(f"radius {name} must be finite, got {value}")
-        if power < 0:
-            raise SpaceFormatError(f"radius power must be nonnegative, got {power}")
+        at the boundary; check_hypotheses fits it.  A factor or power
+        outside its domain (rho_factor, rho_power of check_parameters) is
+        refused before any value is computed."""
+        check_parameters(rho_factor=factor, rho_power=power)
         d = space.boundary_distances()
         rho = cls(factor * d ** power if power != 1.0 else factor * d)
         if power >= 1.0:
@@ -405,9 +399,11 @@ def fit_radius_modulus(space, rho):
 def series_ratio(alpha, L, epsilon, beta, delta, gamma=1.0):
     """Term ratio of the fixed-point series while the normalized-modulus
     iterates grow like L^j t: L^(gamma delta) |alpha| (1-epsilon)^(-beta delta)
-    (at L = 1 the ratio once they are capped at the diameter); inf outside
-    0 < epsilon < 1 and at L < 0, whose fractional powers are complex."""
-    if not 0.0 < epsilon < 1.0 or L < 0.0:
+    (at L = 1 the ratio once they are capped at the diameter); inf at
+    L < 0, whose fractional powers are complex.  An epsilon outside its
+    domain is refused (see check_parameters)."""
+    check_parameters(epsilon=epsilon)
+    if L < 0.0:
         return math.inf
     return L ** (gamma * delta) * abs(alpha) * (1.0 - epsilon) ** (-beta * delta)
 
@@ -447,14 +443,6 @@ class ParameterGate:
     to_dict = report_dict
 
 
-def finite_parameters(**values):
-    """Refuse, by its name, a gate parameter that is not a finite number;
-    one given as None (no lambda) passes."""
-    for name, value in values.items():
-        if value is not None:
-            finite_number(name, value)
-
-
 def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
                         delta=1.0):
     """Evaluate every condition of the main regularity gate.
@@ -466,19 +454,17 @@ def validate_parameters(alpha, L, epsilon, beta, lam=None, ell_omega=None,
     equicontinuity, the same gate without the lambda window) is recorded as
     a separate flag, and the geometric series ratio
     L^delta |alpha| (1-eps)^(-beta delta) is reported for the root test.
-    A delta outside (0, 1] is refused, and so is an alpha, L, epsilon,
-    beta or lambda (when given) that is not a finite number; an L <= 0
-    fails the first condition.
+    A parameter outside its domain (see check_parameters) is refused; an
+    L <= 0 fails the first condition.
     """
-    finite_parameters(alpha=alpha, L=L, epsilon=epsilon, beta=beta, lam=lam)
-    if not 0.0 < delta <= 1.0:
-        raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
+    check_parameters(alpha=alpha, L=L, epsilon=epsilon, beta=beta, delta=delta,
+                     **({} if lam is None else {"lam": lam}))
     a = abs(alpha)
     conds = {"alpha_below_inverse_lipschitz": L > 0 and a < 1.0 / L,
-             "epsilon_window": 0.0 < epsilon < 1.0 - L * a}
+             "epsilon_window": epsilon < 1.0 - L * a}
     if a == 0.0:
         beta_max = math.inf
-    elif 0.0 < L * a < 1.0 and 0.0 < epsilon < 1.0:
+    elif 0.0 < L * a < 1.0:
         beta_max = math.log(1.0 / (L * a)) / math.log(1.0 / (1.0 - epsilon))
     else:
         beta_max = 0.0
@@ -557,7 +543,10 @@ def check_hypotheses(space, rho, alpha, epsilon, beta, lam, delta=1.0,
                      L=None):
     """Admissibility of rho, lambda dist^beta <= rho <= epsilon dist and the
     parameter gate at L: the one given, else rho's own (supplied, fitted or
-    analytic), else a fit."""
+    analytic), else a fit.  A parameter outside its domain is refused
+    before any of them (see check_parameters)."""
+    check_parameters(alpha=alpha, epsilon=epsilon, beta=beta, lam=lam,
+                     delta=delta, **({} if L is None else {"L": L}))
     admissible = validate_admissible(space, rho)
     bounds = check_radius_bounds(space, rho, lam, beta, epsilon)
     L_mode = "supplied"
@@ -575,10 +564,7 @@ def exhaustion(space, epsilon, m):
     """K_m: interior points at boundary distance >= (1-epsilon)^m.  Nested
     and increasing in m; may be empty for small m (that is reported by the
     caller, not an error)."""
-    if not 0.0 < epsilon < 1.0:
-        raise SpaceFormatError(f"epsilon must be in (0,1), got {epsilon}")
-    if m < 1:
-        raise SpaceFormatError(f"exhaustion index must be >= 1, got {m}")
+    check_parameters(epsilon=epsilon, m=m)
     d = space.boundary_distances()
     try:
         cut = (1.0 - epsilon) ** m

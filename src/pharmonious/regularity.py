@@ -34,7 +34,7 @@ from . import solver as solver_mod
 from .errors import (CertificateResidualError, CertificateScopeError,
                      SeriesDivergenceError, SpaceFormatError)
 from .radius import Modulus
-from .space import point_values, report_dict
+from .space import check_parameters, point_values, report_dict
 
 
 J_CAP = 200   # terms summed before the closed-form tail of the series
@@ -53,16 +53,13 @@ class TheoreticalModulus:
     normalized: Modulus = None
 
     def __post_init__(self):
+        check_parameters(delta=self.delta, gamma=self.gamma)
         if self.rho_K <= 0:
             raise SpaceFormatError(f"rho_K must be positive, got {self.rho_K}")
-        if not 0.0 < self.delta <= 1.0:
-            raise SpaceFormatError(f"delta must be in (0,1], got {self.delta}")
         if self.kind not in ("annular_continuous", "annular_holder"):
             raise SpaceFormatError(f"unknown modulus family kind {self.kind!r}")
         if self.kind == "annular_continuous" and self.normalized is None:
             raise SpaceFormatError("continuous family needs the normalized radius modulus")
-        if self.kind == "annular_holder" and not 0.0 < self.gamma <= 1.0:
-            raise SpaceFormatError(f"gamma must be in (0,1], got {self.gamma}")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -81,8 +78,8 @@ class ModulusFamily:
 
     def __init__(self, kind, *, C, lam, epsilon, beta, delta, normalized,
                  gamma=1.0):
-        if not 0.0 < epsilon < 1.0:
-            raise SpaceFormatError(f"epsilon must be in (0,1), got {epsilon}")
+        check_parameters(lam=lam, epsilon=epsilon, beta=beta, delta=delta,
+                         gamma=gamma)
         if lam <= 0:
             raise SpaceFormatError(f"lambda must be positive, got {lam}")
         self.kind = kind
@@ -187,10 +184,9 @@ def iterate_modulus_bound(m, n, t, *, alpha, norm_u, u_modulus, family):
     exhaustion set; family provides the mean-sweep modulus at each
     exhaustion index.
     """
+    check_parameters(m=m, n=n, alpha=alpha)
     if abs(alpha) > 1:
         raise SpaceFormatError("iterate bound requires |alpha| <= 1")
-    if n < 0:
-        raise SpaceFormatError("sweep count must be nonnegative")
     total, s = family.partial_sum(m, t, alpha, n)
     head = (abs(alpha) ** n) * float(u_modulus(min(s, u_modulus.domain_end)))
     return head + (1.0 - alpha) * norm_u * total
@@ -256,12 +252,11 @@ def empirical_holder(space, u, members, delta):
     Scans every pair of the set (Space.pair_scan), mode "exact".  Fewer
     than two points yields 0 with the notice mode "undefined".
     """
+    check_parameters(delta=delta)
     members = space._indices(members)
     v = point_values(u, "field", len(space))
     if len(members) < 2:
         return EmpiricalHolder(0.0, "undefined", 0)
-    if not 0.0 < delta <= 1.0:
-        raise SpaceFormatError(f"delta must be in (0,1], got {delta}")
     value, pairs = radius_mod.max_gap_ratio(space, v, delta, members)
     return EmpiricalHolder(value, "exact", pairs)
 
@@ -326,13 +321,12 @@ def certify(space, rho, u, alpha, m, *, epsilon, beta, lam, delta=1.0,
     residual exceeds the tolerance is refused (it is not a fixed point).
     For alpha = 0 the certificate uses the gamma*delta exponent (Holder
     radius branch); otherwise the radius must be Lipschitz and the exponent
-    is delta.  A gamma outside (0, 1] is refused at every alpha, and so is
-    an alpha, epsilon, beta or lambda that is not a finite number, before
-    the residual is measured.
+    is delta.  A parameter outside its domain (see check_parameters) is
+    refused before the residual is measured.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise SpaceFormatError(f"gamma must be in (0,1], got {gamma}")
-    radius_mod.finite_parameters(alpha=alpha, epsilon=epsilon, beta=beta, lam=lam)
+    check_parameters(alpha=alpha, m=m, epsilon=epsilon, beta=beta, lam=lam,
+                     delta=delta, gamma=gamma,
+                     residual_tolerance=residual_tolerance, seed=seed)
     if alpha == 1.0:
         raise CertificateScopeError(
             "alpha = 1 (midrange-only) is outside certificate scope")

@@ -26,7 +26,7 @@ from . import operators as ops
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .operators import BallTable, ScalarField
-from .space import finite_number, point_values, report_dict
+from .space import check_parameters, point_values, report_dict
 
 
 # A solve whose residual has set no new minimum for this many sweeps has
@@ -49,12 +49,9 @@ class SolveConfig:
     initial: object = None         # full-length array; default = boundary mean
 
     def __post_init__(self):
-        if finite_number("tolerance", self.tolerance) <= 0:
-            raise SpaceFormatError("tolerance must be positive")
-        if finite_number("max_iterations", self.max_iterations, True) < 1:
-            raise SpaceFormatError("max_iterations must be >= 1")
-        if finite_number("record_every", self.record_every, True) < 0:
-            raise SpaceFormatError("record_every must be >= 0")
+        check_parameters(tolerance=self.tolerance,
+                         max_iterations=self.max_iterations,
+                         record_every=self.record_every)
 
 
 @dataclass
@@ -100,8 +97,10 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     exactly what an independent residual() recomputation gives.  A sweep
     whose residual is not finite ends the solve unconverged and is not
     kept: the field stays the last finite iterate.
-    Deterministic: synchronous sweeps, fixed reduction order.
+    Deterministic: synchronous sweeps, fixed reduction order.  An alpha
+    that is not a finite number is refused (see check_parameters).
     """
+    check_parameters(alpha=alpha)
     if config is None:
         config = SolveConfig()
     report = radius_mod.validate_admissible(space, rho)
@@ -168,23 +167,20 @@ def solve_dirichlet(space, rho, alpha, boundary_data, config=None):
     )
 
 
-def residual(space, rho, u, alpha, table=None):
+def residual(space, rho, u, alpha):
     """Sup-norm defect of the fixed-point equation on the interior.
 
-    Without a table, the interior's balls are searched and swept one block
-    of centers at a time, each block's balls holding about BLOCK_ENTRIES
-    index runs (see Space._table_cuts), so no whole table is held; the
-    radii are checked once, as a whole table checks them.  Each ball's
-    value is the one a whole table gives (the same runs and the same
-    whole-space prefix sums), and the max is exact."""
+    The interior's balls are searched and swept one block of centers at a
+    time, each block's balls holding about BLOCK_ENTRIES index runs (see
+    Space._table_cuts), so no whole table is held; the radii are checked
+    once, as a whole table checks them.  Each ball's value is the one a
+    whole table gives (the same runs and the same whole-space prefix
+    sums), and the max is exact."""
     v = point_values(u, "field", len(space))
-    if table is None:
-        centers = space.interior_indices
-        cuts = space._table_cuts(centers, ops._ball_radii(space, rho, centers))
-        tables = (BallTable(space, rho, centers[lo:hi])
-                  for lo, hi in zip(cuts[:-1], cuts[1:]))
-    else:
-        centers, tables = table.centers, [table]
+    centers = space.interior_indices
+    cuts = space._table_cuts(centers, ops._ball_radii(space, rho, centers))
+    tables = (BallTable(space, rho, centers[lo:hi])
+              for lo, hi in zip(cuts[:-1], cuts[1:]))
     if len(centers) == 0:
         raise SpaceFormatError("space has no interior points")
 

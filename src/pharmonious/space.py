@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 
@@ -152,21 +153,48 @@ def report_dict(report, skip=()):
     return doc
 
 
-def _count(what, value):
-    """value as an int: refused, naming what, unless it is a nonnegative
-    integer (numpy's pass, bool does not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise SpaceFormatError(f"{what} must be a nonnegative integer, got {value!r}")
-    return int(value)
+# The domain of every numeric parameter, as (integer, low, high, ends): a
+# finite number from low to high, each end closed ("[" or "]") or open,
+# and an integer when integer is true.  A count fits numpy's int64; the
+# exhaustion index m is an exponent and may pass the float range (see
+# radius.exhaustion).  alpha, L, beta, lambda and the radius factor are
+# only finite here: their windows are the gate's conditions, failed
+# hypotheses rather than input errors (see radius.validate_parameters).
+COUNT_MAX = 2 ** 63 - 1
+_REAL = (False, -math.inf, math.inf, "()")
+_UNIT = (False, 0, 1, "(]")
+_COUNT = (True, 1, COUNT_MAX, "[]")
+_INDEX = (True, 0, COUNT_MAX, "[]")
+PARAMETER_DOMAINS = {
+    **dict.fromkeys(("alpha", "L", "beta", "lam", "rho_factor"), _REAL),
+    "delta": _UNIT, "gamma": _UNIT,
+    "epsilon": (False, 0, 1, "()"),
+    "m": (True, 1, math.inf, "[)"),
+    "tolerance": (False, 0, math.inf, "()"),
+    "residual_tolerance": (False, 0, math.inf, "[)"),
+    "rho_power": (False, 0, math.inf, "[)"),
+    "max_iterations": _COUNT, "samples": _COUNT, "threads": _COUNT,
+    "record_every": _INDEX, "seed": _INDEX, "n": _INDEX,  # n: sweeps of a bound
+}
 
 
-def finite_number(name, value, integer=False):
-    """value, if it is a finite number (an integer if asked); no bool is."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+def check_parameters(**values):
+    """Refuse, by its name, each value that is not a finite number in its
+    domain (PARAMETER_DOMAINS): the one check of numeric parameters.  No
+    bool or None is a number; an integer is compared as an integer, never
+    converted to float, and a real is finite as a float."""
+    for name, value in values.items():
+        integer, low, high, ends = PARAMETER_DOMAINS[name]
+        number = not isinstance(value, bool) and isinstance(
+            value, numbers.Integral if integer else numbers.Real) and (
+            integer or abs(value) <= sys.float_info.max)
+        if number and (low <= value if ends[0] == "[" else low < value) and (
+                value <= high if ends[1] == "]" else value < high):
+            continue
+        where = "" if low == -math.inf else f" in {ends[0]}{low}, {high}{ends[1]}"
         raise SpaceFormatError(f"{name} must be a finite "
-                               f"{'integer' if integer else 'number'}, got {value!r}")
-    return value
+                               f"{'integer' if integer else 'number'}{where}, "
+                               f"got {value!r}")
 
 
 def block_rows(width):
@@ -1127,19 +1155,19 @@ class Space:
         _profile), so each ball measure is one lookup.
         Radii below PROBE_R_MIN_CELLS resolutions are skipped, where a
         ball's measure is dominated by single cells.  The ring sweep reads
-        the rows of the first centers, those of _probe_centers.
+        the rows of the first centers, those of _probe_centers.  A samples,
+        seed or delta outside its domain is refused (see check_parameters).
         """
-        samples, seed = _count("samples", samples), _count("seed", seed)
+        check_parameters(samples=samples, seed=seed)
+        for delta in deltas:
+            check_parameters(delta=delta)
         decay = dict.fromkeys(map(float, deltas), 1.0)
-        for delta in decay:
-            if not 0.0 < delta <= 1.0:
-                raise SpaceFormatError(f"annular decay exponent must be in (0, 1], got {delta}")
         doubling, jump = 1.0, 0.0
         res = self.resolution()
         if res <= 0:
             return doubling, decay, jump
         r_min = PROBE_R_MIN_CELLS * res
-        rng = random.Random(seed)
+        rng = random.Random(int(seed))
         first = self._probe_centers(rng, extra=max(4, samples // 8))
         centers = first + [rng.randrange(len(self)) for _ in range(samples)]
         fractions = np.array([[0.5], [0.7], [0.85], [0.95], [1.0]])
@@ -1212,18 +1240,15 @@ class Space:
         resolutions, each edge at its closed-form distance, so its rows run
         on the engine it picks (see _Graph._engine).  Path metrics (graphs)
         have defect 0 by construction.  Infinite result means the hop graph
-        is disconnected (strongly non-geodesic cloud).  Fewer than one
-        sample is refused, and so is a samples or seed that is not a
-        nonnegative integer.  The sources are k = min(samples, len(self))
+        is disconnected (strongly non-geodesic cloud).  A samples or seed
+        outside its domain is refused (see check_parameters).  The
+        sources are k = min(samples, len(self))
         distinct points, random.Random(seed).sample(range(len(self)), k) of
         the standard library's Mersenne Twister (no CLI call loads
         numpy.random).  They run in blocks of distance rows (see
         _distance_blocks), each with its rows of the hop graph.
         """
-        seed = _count("seed", seed)
-        if _count("samples", samples) < 1:
-            raise SpaceFormatError(
-                f"geodesic probe needs at least one sample, got {samples}")
+        check_parameters(samples=samples, seed=seed)
         if self._metric.path_metric:
             return 0.0
         res = self.resolution()
@@ -1238,7 +1263,7 @@ class Space:
         del near, counts, owner, keep  # not held while the hop graph is built
         hops = Space(weights=self.weights, boundary=[], metric="graph", edges=edges)
         del edges  # nor this copy of its edges while its rows run
-        sources = np.array(random.Random(seed).sample(range(n), min(samples, n)))
+        sources = np.array(random.Random(int(seed)).sample(range(n), min(samples, n)))
         worst = 0.0
         for rows, d in self._distance_blocks(sources):
             paths = hops.distances(rows)

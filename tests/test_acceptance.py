@@ -69,14 +69,13 @@ def test_criterion_01_exact_fixed_points(ref_1d):
     1e-12 for alpha in {-0.2, 0, 0.3, 0.9}; constants have residual 0."""
     with failing_report(1, "exact fixed points on the dyadic 1D grid"):
         sp, rho = ref_1d
-        table = BallTable(sp, rho)
         lin = sp.coords[:, 0]
         const = np.full(len(sp), 0.7)
         t0 = time.perf_counter()
         for alpha in (-0.2, 0.0, 0.3, 0.9):
-            assert residual(sp, rho, lin, alpha, table) <= 1e-12
+            assert residual(sp, rho, lin, alpha) <= 1e-12
         for alpha in (-0.2, 0.0, 0.3, 0.5, 0.9, 1.0):
-            assert residual(sp, rho, const, alpha, table) == 0.0
+            assert residual(sp, rho, const, alpha) == 0.0
         elapsed = time.perf_counter() - t0
     report(1, "linear residual <= 1e-12, constant residual exactly 0",
            elapsed, 1.0)

@@ -64,7 +64,9 @@ def test_workflow_runs_the_console_script():
     # estimates at 1 or more, a finite doubling estimate and a ring jump in
     # [0, 1); one p-expansion; two validates that must exit 2, one with a
     # negative seed, one with a nan delta; an asymptotics at an overflowing point
-    # that must exit 2; and a certify at a 321-digit m that must exit 1
+    # that must exit 2; a certify at a 321-digit m that must exit 1
+    # with no traceback; a certify at a negative residual tolerance that
+    # must exit 2; and a solve at a 400-digit sweep budget that must exit 2
     # with no traceback
     script = re.search(r'^pharmonious\s*=\s*"pharmonious\.cli:main"',
                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
@@ -190,7 +192,14 @@ def test_workflow_runs_the_console_script():
              'if pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
              '--field "$RUNNER_TEMP/smoke/field.csv" --m "$(python -c \'print(10 ** 320)\')" '
              '--epsilon 0.5 --lam 0.4 --out "$RUNNER_TEMP/huge" 2> "$RUNNER_TEMP/huge.err"; '
-             'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi']
+             'then exit 1; else test $? -eq 1 && ! grep -q Traceback "$RUNNER_TEMP/huge.err"; fi',
+             'if pharmonious certify --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--field "$RUNNER_TEMP/smoke/field.csv" --m 2 --epsilon 0.5 --lam 0.4 '
+             '--residual-tol -1 --out "$RUNNER_TEMP/tol"; then exit 1; else test $? -eq 2; fi',
+             'if pharmonious solve --grid 1d --n 33 --rho-factor 0.4 --alpha 0.3 '
+             '--boundary-fn linear --max-iter "$(python -c \'print(10 ** 399)\')" '
+             '--out "$RUNNER_TEMP/budget" 2> "$RUNNER_TEMP/budget.err"; '
+             'then exit 1; else test $? -eq 2 && ! grep -q Traceback "$RUNNER_TEMP/budget.err"; fi']
     assert [run for run in runs
             if "pharmonious " in run or "$RUNNER_TEMP/smoke" in run
             or "$RUNNER_TEMP/graph" in run or "$RUNNER_TEMP/hub" in run

@@ -42,7 +42,8 @@ def test_probe_needs_a_sample(tmp_path, capsys, samples):
     assert run("probe", "--grid", "1d", "--n", 17, "--samples", samples,
                "--out", tmp_path) == 2
     assert capsys.readouterr().err == \
-        f"input error: --samples must be at least 1, got {samples}\n"
+        f"input error: samples must be a finite integer in [1, {2 ** 63 - 1}], " \
+        f"got {samples}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -247,7 +248,7 @@ def test_gate_refuses_a_delta_outside_the_unit_interval(tmp_path, capsys, delta)
             "--epsilon", 0.5, "--lam", 0.4, "--delta", delta, "--out", tmp_path]
     assert run("validate", *args) == 2
     assert run("solve", *args, "--boundary-fn", "linear") == 2
-    message = f"input error: delta must be in (0,1], got {float(delta)}\n"
+    message = f"input error: delta must be a finite number in (0, 1], got {float(delta)}\n"
     assert capsys.readouterr().err == 2 * message
     assert not list(tmp_path.iterdir())
 
@@ -366,9 +367,9 @@ def test_validate_component_without_boundary_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("factor, power, message", [
-    ("inf", "1", "radius factor must be finite, got inf"),
-    ("0.4", "-1", "radius power must be nonnegative, got -1.0"),
-    ("0.4", "inf", "radius power must be finite, got inf")],
+    ("inf", "1", "rho_factor must be a finite number, got inf"),
+    ("0.4", "-1", "rho_power must be a finite number in [0, inf), got -1.0"),
+    ("0.4", "inf", "rho_power must be a finite number in [0, inf), got inf")],
     ids=["inf-factor", "negative-power", "inf-power"])
 def test_validate_refuses_a_bad_radius_scaling(tmp_path, capsys, factor, power, message):
     # numpy's warnings, each with a source line, came before the input
@@ -679,6 +680,62 @@ def test_a_non_finite_gate_parameter_is_an_input_error(tmp_path, capsys, command
     assert run(*args) == 0
 
 
+BIG = str(10 ** 399)  # 400 digits: past the float range and every count
+SPACE_ARGS = ["--grid", "2d", "--n", 9]
+GATE_ARGS = ["--rho-factor", 0.4, "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4]
+COMMAND_ARGS = {
+    "probe": ["probe", *SPACE_ARGS, "--samples", 8],
+    "validate": ["validate", *SPACE_ARGS, *GATE_ARGS],
+    # without --epsilon solve skips the gate, not its flags' domains
+    "solve": ["solve", *SPACE_ARGS, "--rho-factor", 0.4, "--alpha", 0.3,
+              "--boundary-fn", "saddle"],
+    "solve-force": ["solve", *SPACE_ARGS, *GATE_ARGS, "--boundary-fn", "saddle",
+                    "--force"],
+    "certify": ["certify", *SPACE_ARGS, *GATE_ARGS, "--m", 2],
+}
+COUNTS = {"--samples": "samples", "--seed": "seed", "--threads": "threads",
+          "--max-iter": "max_iterations", "--record-every": "record_every"}
+FLAG_NAMES = {**COUNTS, "--tol": "tolerance", "--residual-tol": "residual_tolerance"}
+# the cases no other test here refuses
+OUT_OF_DOMAIN = {
+    "probe": {"--samples": [BIG], "--delta": [0, 1.5, "nan"]},
+    "validate": {"--epsilon": [0, 1, 1.5]},
+    "solve": {"--epsilon": [1.5], "--delta": [0, "nan"], "--beta": ["nan"],
+              "--lam": ["nan"], "--tol": [0, -1, "nan"], "--max-iter": [0, BIG],
+              "--record-every": [BIG]},
+    "solve-force": {"--epsilon": [1.5], "--delta": [0], "--beta": ["inf"]},
+    "certify": {"--epsilon": [0, 1.5], "--delta": [0, 1.5], "--m": [0, -3],
+                "--residual-tol": [-1]},
+}
+DOMAIN_CASES = [(command, flag, value)
+                for command, flags in OUT_OF_DOMAIN.items()
+                for flag, values in {**flags, "--seed": [BIG],
+                                     "--threads": [BIG]}.items()
+                for value in values]
+
+
+@pytest.mark.parametrize("command, flag, value", DOMAIN_CASES,
+                         ids=[f"{c}{f}={str(v)[:8]}" for c, f, v in DOMAIN_CASES])
+def test_a_parameter_outside_its_domain_is_an_input_error(tmp_path, capsys,
+                                                          command, flag, value):
+    # solve --max-iter and --record-every at 400 digits ended in an
+    # OverflowError traceback; certify --residual-tol -1 blamed the field;
+    # solve took --delta, --beta and --lam nan without --epsilon, and
+    # --delta 0 with --force; validate --epsilon 1.5 exited 1; certify
+    # --delta 0 was refused by the probe's own wording
+    field = tmp_path / "field.csv"
+    write_field_csv(square_grid(9), np.zeros(81), field)
+    args = [*COMMAND_ARGS[command], "--out", tmp_path / "out"]
+    if command == "certify":
+        args += ["--field", field]
+    assert run(*args, flag, value) == 2
+    err = capsys.readouterr().err
+    name = FLAG_NAMES.get(flag, flag[2:])
+    kind = "integer" if flag in COUNTS or flag == "--m" else "number"
+    assert err.startswith(f"input error: {name} must be a finite {kind}")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_solve_gate_leaves_inadmissible_radius_to_the_solver(tmp_path, capsys):
     # --force skips the gate but never admissibility: no hint to use it
     assert run("solve", "--grid", "1d", "--n", 17, "--rho-factor", 1.5,
@@ -709,8 +766,11 @@ def test_certify_refuses_a_negative_radius(tmp_path, capsys, point):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 @pytest.mark.parametrize("flag, value, name", [
-    ("--residual-tol", "nan", "--residual-tol"),
-    ("--residual-tol", "inf", "--residual-tol"),
+    # the ids the cases had when the message named the flag
+    pytest.param("--residual-tol", "nan", "residual_tolerance",
+                 id="--residual-tol-nan---residual-tol"),
+    pytest.param("--residual-tol", "inf", "residual_tolerance",
+                 id="--residual-tol-inf---residual-tol"),
     ("--gamma", "nan", "gamma"), ("--gamma", "inf", "gamma"),
     ("--gamma", 0.0, "gamma"), ("--gamma", 1.5, "gamma")])
 def test_certify_refuses_a_bad_gamma_or_residual_tolerance(tmp_path, capsys,
@@ -859,7 +919,8 @@ def test_threads_below_one_is_input_error(tmp_path, capsys, threads):
                "--alpha", 0.3, "--epsilon", 0.5, "--lam", 0.4,
                "--threads", threads, "--out", tmp_path) == 2
     err = capsys.readouterr().err
-    assert err == f"input error: --threads must be at least 1, got {threads}\n"
+    assert err == ("input error: threads must be a finite integer in "
+                   f"[1, {2 ** 63 - 1}], got {threads}\n")
     assert not (tmp_path / "validate.json").exists()
 
 
@@ -871,7 +932,8 @@ def test_negative_seed_is_input_error(tmp_path, capsys, argv, output):
     # probe ended in a ValueError traceback from np.random.default_rng, and
     # validate exited 0 with "seed": -1 in its manifest
     assert run(*argv, "--seed", -1, "--out", tmp_path) == 2
-    assert capsys.readouterr().err == "input error: --seed must be at least 0, got -1\n"
+    assert capsys.readouterr().err == \
+        f"input error: seed must be a finite integer in [0, {2 ** 63 - 1}], got -1\n"
     assert not (tmp_path / output).exists()
 
 
@@ -898,7 +960,8 @@ def test_negative_record_every_is_input_error(tmp_path, capsys):
     assert run("solve", "--grid", "1d", "--n", 17, "--rho-factor", 0.4,
                "--alpha", 0.3, "--boundary-fn", "linear", "--record-every", -1,
                "--out", tmp_path) == 2
-    assert capsys.readouterr().err == "input error: record_every must be >= 0\n"
+    assert capsys.readouterr().err == ("input error: record_every must be a finite "
+                                       f"integer in [0, {2 ** 63 - 1}], got -1\n")
     assert not (tmp_path / "solve_report.json").exists()
 
 

@@ -149,11 +149,11 @@ def test_root_powers_and_plain_radius_fields_still_scan():
     assert scaled.lipschitz_mode == "exact" and scaled.lipschitz_pairs > 0
 
 
-BAD_SCALINGS = [(math.inf, 1.0, "radius factor must be finite, got inf"),
-                (math.nan, 1.0, "radius factor must be finite, got nan"),
-                (0.4, math.inf, "radius power must be finite, got inf"),
-                (0.4, math.nan, "radius power must be finite, got nan"),
-                (0.4, -1.0, "radius power must be nonnegative, got -1.0")]
+BAD_SCALINGS = [(math.inf, 1.0, "rho_factor must be a finite number, got inf"),
+                (math.nan, 1.0, "rho_factor must be a finite number, got nan"),
+                (0.4, math.inf, "rho_power must be a finite number in [0, inf), got inf"),
+                (0.4, math.nan, "rho_power must be a finite number in [0, inf), got nan"),
+                (0.4, -1.0, "rho_power must be a finite number in [0, inf), got -1.0")]
 BAD_SCALING_IDS = ["inf-factor", "nan-factor", "inf-power", "nan-power", "negative-power"]
 
 
@@ -544,8 +544,9 @@ def test_gate_at_a_nonpositive_L_fails_in_real_numbers(L):
 
 @pytest.mark.parametrize("delta", [math.nan, 0.0, -0.5, 1.5])
 def test_gate_refuses_a_delta_outside_the_unit_interval(delta):
-    with pytest.raises(SpaceFormatError, match=r"delta must be in \(0,1\]"):
+    with pytest.raises(SpaceFormatError) as info:
         validate_parameters(0.3, 1.0, 0.5, 1.0, 0.4, 0.5, delta)
+    assert str(info.value) == f"delta must be a finite number in (0, 1], got {delta}"
 
 
 def test_gate_records_equicontinuity_flag():
@@ -712,12 +713,14 @@ def test_normalize_fitted_pwl_modulus(grid1d):
      "power modulus needs a nonnegative coefficient"),
     (lambda: Modulus(kind="cubic", domain_end=1.0), "unknown modulus kind 'cubic'"),
     (lambda: Modulus.power(1.0, 1.5, 1.0),
-     r"power modulus exponent must be in \(0,1\], got 1.5"),
+     r"^gamma must be a finite number in \(0, 1\], got 1.5$"),
     (lambda: Modulus.identity(1.0)(-0.1), "modulus argument must be nonnegative"),
     (lambda: iterate_modulus(Modulus.identity(1.0), -1, 0.5),
-     "iteration count must be nonnegative"),
-    (lambda: exhaustion(interval_grid(9), 1.0, 1), r"epsilon must be in \(0,1\), got 1.0"),
-    (lambda: exhaustion(interval_grid(9), 0.5, 0), "exhaustion index must be >= 1, got 0"),
+     rf"^n must be a finite integer in \[0, {2 ** 63 - 1}\], got -1$"),
+    (lambda: exhaustion(interval_grid(9), 1.0, 1),
+     r"^epsilon must be a finite number in \(0, 1\), got 1.0$"),
+    (lambda: exhaustion(interval_grid(9), 0.5, 0),
+     r"^m must be a finite integer in \[1, inf\), got 0$"),
     (lambda: validate_admissible(interval_grid(9), RadiusField(np.zeros(10))),
      r"radius of shape \(10,\) for a space of 9 points"),
     # a point 1e-200 from another, whose distance underflows to 0, is

@@ -320,8 +320,10 @@ def test_certificate_refuses_non_finite_field():
 
 
 def test_certificate_nan_residual_tolerance_refuses(grid1d, grid1d_rho):
+    # a nan tolerance is a bad parameter, not a field that fails it
     u = grid1d.coords[:, 0]
-    with pytest.raises(CertificateResidualError):
+    with pytest.raises(SpaceFormatError, match=r"^residual_tolerance must be a "
+                       r"finite number in \[0, inf\), got nan$"):
         certify(grid1d, grid1d_rho, u, 0.3, 2, epsilon=0.5, beta=1.0, lam=0.4,
                 residual_tolerance=math.nan)
 
@@ -440,22 +442,23 @@ def _family(**kw):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TheoreticalModulus("annular_holder", C=1.0, rho_K=1.0, delta=0.0),
-     r"delta must be in \(0,1\], got 0.0"),
+     r"^delta must be a finite number in \(0, 1\], got 0.0$"),
     (lambda: TheoreticalModulus("cubic", C=1.0, rho_K=1.0, delta=1.0),
      "unknown modulus family kind 'cubic'"),
     (lambda: TheoreticalModulus("annular_continuous", C=1.0, rho_K=1.0, delta=1.0),
      "continuous family needs the normalized radius modulus"),
     (lambda: TheoreticalModulus("annular_holder", C=1.0, rho_K=1.0, delta=1.0, gamma=1.5),
-     r"gamma must be in \(0,1\], got 1.5"),
-    (lambda: _family(epsilon=1.0), r"epsilon must be in \(0,1\), got 1.0"),
+     r"^gamma must be a finite number in \(0, 1\], got 1.5$"),
+    (lambda: _family(epsilon=1.0),
+     r"^epsilon must be a finite number in \(0, 1\), got 1.0$"),
     (lambda: _family(lam=0.0), "lambda must be positive, got 0.0"),
     (lambda: fixed_point_oscillation_bound(1, 0.1, alpha=1.5, norm_u=1.0, family=_family()),
      r"series bound requires \|alpha\| <= 1"),
     (lambda: iterate_modulus_bound(1, -1, 0.1, alpha=0.5, norm_u=1.0,
                                    u_modulus=Modulus.identity(1.0), family=_family()),
-     "sweep count must be nonnegative"),
+     rf"^n must be a finite integer in \[0, {2 ** 63 - 1}\], got -1$"),
     (lambda: empirical_holder(interval_grid(9), np.zeros(9), [0, 1, 2], 1.5),
-     r"delta must be in \(0,1\], got 1.5")],
+     r"^delta must be a finite number in \(0, 1\], got 1.5$")],
     ids=["delta", "unknown-kind", "continuous-without-modulus", "gamma",
          "family-epsilon", "family-lambda", "series-alpha", "negative-sweeps",
          "empirical-delta"])

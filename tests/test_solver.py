@@ -208,7 +208,8 @@ def test_solve_config_validation():
     with pytest.raises(SpaceFormatError):
         SolveConfig(max_iterations=0)
     # a negative cadence switched the snapshots off without a word
-    with pytest.raises(SpaceFormatError, match="record_every must be >= 0"):
+    with pytest.raises(SpaceFormatError, match=r"^record_every must be a finite "
+                       rf"integer in \[0, {2 ** 63 - 1}\], got -1$"):
         SolveConfig(record_every=-1)
 
 

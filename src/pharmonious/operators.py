@@ -35,8 +35,8 @@ import numpy as np
 from . import radius as radius_mod
 from .errors import AdmissibilityError, SpaceFormatError
 from .radius import Modulus
-from .space import (block_cuts, distinct, point_values, read_id_csv,
-                    run_members, write_id_csv)
+from .space import (block_cuts, block_rows, check_parameters, distinct,
+                    point_values, read_id_csv, run_members, write_id_csv)
 
 
 @dataclass
@@ -81,40 +81,64 @@ class CheckRecord:
 # The members of a ball, in ascending point order, fall into runs of
 # consecutive point indices (the rows of a ball on a raveled grid), and a
 # sweep works per run, not per member, so its cost scales with the number of
-# runs.  Space.ball_runs finds them without listing members: on a Euclidean
-# space each ball meets each strip of the index order (a grid row) in one
-# interval: one searchsorted finds the chord's ends, the closed form moves
-# them by single indices where it disagrees.  At rho = 0.4 dist on
-# square_grid(129) a table builds in about 0.3 s, against 1.5 s for listing
-# and compressing its 5.6M members.  A shuffled grid or a cloud has no
-# strips: every point is its own.  Neighbouring balls share most runs, so
-# the table keeps each distinct run once (109,331 of 282,627 at 129²) and
-# each ball's list of them.  A run's max and min are
-# two lookups in a sparse table of the field, which is exact, so midranges
-# do not depend on how a ball splits into runs.  A run's mu-sum is a
-# difference of one prefix sum of w * (u - c), with c the midrange of u over
-# the whole space; its rounding error is about eps * osc(u) * mu(X), so a
-# ball mean carries an error of about eps * osc(u) * mu(X) / mu(B)
-# (member-wise sums: eps * osc(u) over the ball).  A ball whose max equals
-# its min takes that value as its mean, so constants are exact fixed
-# points.  Single-point evaluation, sweeps and residuals all go through
-# alpha_means with the same runs and the same reduction order, so they
-# agree bit for bit and do not depend on any parallel execution plan.
-# A sweep fills buffers allocated at the first: one sparse table of the
-# field, one value per distinct run, one block of gathered runs, the prefix
-# sums and one block offset per ball.  Each block of balls (cut by their run counts, see
-# space.block_cuts) gathers its runs' values into the block and reduces
-# them there, ball by ball, so the values do not depend on the blocks; the
-# second lookup of each distinct run is gathered into the same block, a
-# slice of runs at a time.  A residual without a table (solver.residual)
-# builds one table per block of centers whose balls' runs fill the budget.
+# runs.  Space.ball_runs finds them without listing members, one block of
+# centers at a time: on a Euclidean space each ball meets each strip of the
+# index order (a grid row) in one interval: one searchsorted finds the
+# chord's ends, the closed form moves them by single indices where it
+# disagrees.  At rho = 0.4 dist on square_grid(129) a table builds in about
+# 0.13 s, against 1.5 s for listing and compressing its 5.6M members.  A
+# shuffled grid or a cloud has no strips: every point is its own.
+# Neighbouring balls share most runs, so the table keeps each distinct run
+# once (109,331 of 282,627 at 129²) and each ball's list of them.
+#
+# A table keeps no run's ends, only where a sweep reads the run: at level
+# k = floor(log2(b - a)) of a sparse table of n columns, whose row k covers
+# the windows [i, i + 2^k), the run [a, b) is the two windows read at
+# k * n + a and k * n + b - 2^k (_query_lo, _query_hi).  The queries and
+# each ball's list of runs (_ball_runs, indices into the queries) share one
+# signed integer type, int32 until levels * n or the run count passes 2^31:
+# 2.0 MB at 129², against 5.5 MB of intp ends, indices and queries.  The
+# build keeps no whole list of runs either: per block of the search it sums
+# the balls' weights member by member and keeps the runs' keys
+# a * (n + 1) + b in the narrowest type that holds (n + 1)^2; the blocks'
+# distinct keys are merged into one sorted list, each block's keys become
+# indices into it, and the distinct keys become queries, a block of runs at
+# a time.
+#
+# A run's max and min are two lookups in the sparse table of the field,
+# which is exact, so midranges do not depend on how a ball splits into runs.
+# A run's mu-sum is P[b] - P[a], P the prefix sums of w * (u - c), with c
+# the midrange of u over the whole space, read through the same queries: row
+# k of the table first holds P[i + 2^k] (read at k * n + b - 2^k), then
+# every row holds P[i] (read at k * n + a).  Its rounding error is about
+# eps * osc(u) * mu(X), so a ball mean carries an error of about
+# eps * osc(u) * mu(X) / mu(B) (member-wise sums: eps * osc(u) over the
+# ball).  A ball whose max equals its min takes that value as its mean, so
+# constants are exact fixed points.  Single-point evaluation, sweeps and
+# residuals all go through alpha_means with the same runs and the same
+# reduction order, so they agree bit for bit and do not depend on any
+# parallel execution plan.
+#
+# A sweep fills buffers allocated at the first: the sparse table, one value
+# per distinct run, one block of gathered runs, the prefix sums and one
+# block offset per ball.  np.take reads intp indices only: each gather casts
+# its block of queries or of _ball_runs into a new array first, a pass as
+# costly as copying intp indices (about 0.5 ms of a 3.9 ms sweep at 129²).
+# Each lookup fills the per-run values a block of runs at a time; each
+# block of balls (cut by their run counts, see space.block_cuts) then
+# gathers its runs' values into the block and reduces them there, ball by
+# ball, so the values do not depend on the blocks.  A residual without a
+# table (solver.residual) builds one table per block of centers whose
+# balls' runs fill the budget.
 
 
 class BallTable:
     """The radius balls of the given centers, as Space.ball_runs computes
-    them: each distinct index run once and each ball's list of runs, with
-    the member count (counts, starts) and measure (weight_sums) per ball.
-    A negative radius is refused: its ball is empty and has no mean.
+    them, with the member count (counts, starts) and measure (weight_sums)
+    per ball: each distinct index run once, as its two sparse-table queries
+    (_query_lo, _query_hi), and each ball's list of runs (_ball_runs, from
+    _first_run on), the three in one narrow integer type (see above).  A
+    negative radius is refused: its ball is empty and has no mean.
 
     A table is not for concurrent use: every sweep fills the same buffers
     (see _buffers)."""
@@ -124,54 +148,68 @@ class BallTable:
             centers = space.interior_indices
         self.space = space
         self.centers = space._indices(centers)
-        a, b, runs, self.counts = space.ball_runs(
-            self.centers, _ball_radii(space, rho, self.centers))
-        self._first_run = np.cumsum(runs) - runs
-        self.starts = np.cumsum(self.counts) - self.counts
-        self.weight_sums = self._weight_sums(a, b)
         n = len(space)
-        # each distinct run once, in ascending order of (a, b); the key
-        # a * (n + 1) + b is built in place over a, and b is dropped
-        key = a
-        key *= n + 1
-        key += b
-        del a, b
-        run_keys = distinct(key)
-        self._ball_runs = np.searchsorted(run_keys, key)
-        del key
-        self._run_a, self._run_b = np.divmod(run_keys, n + 1)
-        del run_keys
-        # sparse-table level k = floor(log2(run length)): the run is covered
-        # by the two windows of length 2^k starting at a and at b - 2^k;
-        # the queries k * n + a and k * n + b - 2^k are built in place
-        level = np.subtract(self._run_b, self._run_a, dtype=float)
-        level = np.frexp(level, out=(level, np.empty(len(level), np.int32)))[1]
-        level -= 1
-        self._levels = int(level.max()) + 1 if len(level) else 1
-        self._query_hi = np.left_shift(1, level, dtype=np.intp)
-        np.subtract(self._run_b, self._query_hi, out=self._query_hi)
-        self._query_lo = np.multiply(level, n, dtype=np.intp)
-        del level
-        self._query_hi += self._query_lo
-        self._query_lo += self._run_a
+        keys, longest = self._search(_ball_radii(space, rho, self.centers))
+        self.starts = np.cumsum(self.counts) - self.counts
+        # each distinct run once, in ascending order of (a, b): the blocks'
+        # sorted distinct keys, merged by one stable sort
+        run_keys = distinct(np.concatenate(list(map(distinct, keys))), kind="stable")
+        self._levels = max(longest, 1).bit_length()
+        # the least signed type, at least int32, holding every index below
+        # (min_scalar_type of a negative bound is signed)
+        index_type = np.result_type(np.int32, np.min_scalar_type(
+            -max(self._levels * n, len(run_keys))))
+        ends = np.cumsum([0, *map(len, keys)]).tolist()
+        self._ball_runs = np.empty(ends[-1], index_type)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            # searching the keys in ascending order saves more than their
+            # argsort costs
+            key = keys.pop(0)
+            order = np.argsort(key)
+            self._ball_runs[lo:hi][order] = np.searchsorted(run_keys, key[order])
+        self._query_lo, self._query_hi = _queries(run_keys, n, index_type)
+
+    def _search(self, radii):
+        """Search the balls block by block (see _joined), filling counts,
+        weight_sums and _first_run: (the blocks' run keys a (n + 1) + b in
+        the narrowest type that holds (n + 1)^2, the longest run)."""
+        n, balls = len(self.space), len(self.centers)
+        runs, self.counts = np.empty(balls, np.intp), np.empty(balls, np.intp)
+        self.weight_sums = np.empty(balls)
+        keys, longest, lo = [np.zeros(0, np.min_scalar_type((n + 1) ** 2))], 0, 0
+        for a, b, runs_k, counts_k in _joined(self.space.ball_runs(self.centers, radii)):
+            hi = lo + len(runs_k)
+            runs[lo:hi], self.counts[lo:hi] = runs_k, counts_k
+            self.weight_sums[lo:hi] = _weight_sums(self.space.weights, a, b,
+                                                   runs_k, counts_k)
+            longest = max(longest, int((b - a).max(initial=0)))
+            key = np.multiply(a, n + 1, dtype=np.intp)
+            key += b
+            keys.append(key.astype(keys[0].dtype))
+            lo = hi
+        self._first_run = np.cumsum(runs) - runs
+        return keys, longest
 
     @functools.cached_property
     def indices(self):
         """Members of every ball in ascending order, concatenated: CSR with
-        starts and counts.  Listed on first read; the kernel never reads
-        them."""
-        return run_members(self._run_a[self._ball_runs],
-                           self._run_b[self._ball_runs])
+        starts and counts.  Listed on first read from each run's ends (at
+        level k = _query_lo // n: a = _query_lo - k n and b = _query_hi -
+        k n + 2^k); the kernel never reads them."""
+        n = len(self.space)
+        level, a = np.divmod(self._query_lo.astype(np.intp), n)
+        b = self._query_hi - level * n + np.left_shift(1, level)
+        return run_members(a[self._ball_runs], b[self._ball_runs])
 
     @functools.cached_property
     def _buffers(self):
         """What a sweep fills, allocated at the first: the (levels, n)
-        sparse table (for the max, then the min, then the weighted
-        deviations), one array per distinct run, one block of gathered
-        runs, the n + 1 prefix sums, and per block of balls (cut by their
-        run counts, see space.block_cuts) its slice of the balls, its
-        slice of _ball_runs, its part of the block and each ball's first
-        run in that part (one offset per ball in all)."""
+        sparse table (for the max, then the min, then the prefix sums), one
+        array per distinct run, one block of gathered runs, the n + 1
+        prefix sums, and per block of balls (cut by their run counts, see
+        space.block_cuts) its slice of the balls, its slice of _ball_runs,
+        its part of the block and each ball's first run in that part (one
+        offset per ball in all)."""
         n = len(self.space)
         ends = np.append(self._first_run, len(self._ball_runs))
         cuts = block_cuts(np.diff(ends)).tolist()
@@ -180,51 +218,35 @@ class BallTable:
         gathers = [(slice(lo, hi), self._ball_runs[first:last],
                     block[:last - first], self._first_run[lo:hi] - first)
                    for lo, hi, first, last in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:])]
-        return (np.empty((self._levels, n)), np.empty(len(self._run_a)), block,
+        return (np.empty((self._levels, n)), np.empty(len(self._query_lo)), block,
                 np.empty(n + 1), gathers)
 
-    def _weight_sums(self, a, b):
-        """mu(B) per ball from its runs [a, b), summed member by member
-        (np.add.reduceat over its ascending members), one block of balls at
-        a time, cut by their member counts (see space.block_cuts).  Every
-        block lists its members and their weights into the same two buffers:
-        a block allocated and freed per pass is faulted in afresh whenever
-        malloc hands its pages back in between."""
-        out = np.empty(len(self.centers))
-        member_cuts = np.append(self.starts, self.counts.sum())
-        cuts = block_cuts(self.counts)
-        run_cuts = np.append(self._first_run, len(a))
-        size = int(np.diff(member_cuts[cuts]).max(initial=0))
-        members, weights = np.empty(size, dtype=np.intp), np.empty(size)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            k = member_cuts[hi] - member_cuts[lo]
-            runs = slice(run_cuts[lo], run_cuts[hi])
-            out[lo:hi] = np.add.reduceat(
-                np.take(self.space.weights,
-                        run_members(a[runs], b[runs], out=members[:k]),
-                        out=weights[:k], mode="clip"),
-                self.starts[lo:hi] - self.starts[lo])
-        return out
-
-    def _per_ball(self, source, first, second, combine, reduce):
-        """reduce over each ball's runs of combine(source[first],
-        source[second]), one value per distinct run, in the sweep buffers:
-        source[second] is gathered into the block buffer a slice of runs at
-        a time, and each block of balls (see _buffers) gathers its runs'
-        values there and reduces them.  reduceat works ball by ball, so the
-        values do not depend on the blocks."""
-        _, runs, block, _, gathers = self._buffers
-        # np.take writes to out in place only under mode="clip" (under
-        # "raise" numpy buffers it); every index is the table's own
-        np.take(source, first, out=runs, mode="clip")
+    def _per_run(self, source, queries, combine=None):
+        """source at each distinct run's query into the per-run values, or,
+        with combine, combine(values, source at the query) into them, a
+        block of runs at a time, so that numpy's cast of the queries to
+        intp holds one block."""
+        _, runs, block, _, _ = self._buffers
         step = max(len(block), 1)
         for lo in range(0, len(runs), step):
-            chunk = runs[lo:lo + step]
-            combine(chunk, np.take(source, second[lo:lo + step],
-                                   out=block[:len(chunk)], mode="clip"), out=chunk)
+            chunk, at = runs[lo:lo + step], queries[lo:lo + step]
+            # take writes to out in place only under mode="clip" (under
+            # "raise" numpy buffers it); every index is the table's own
+            if combine is None:
+                source.take(at, out=chunk, mode="clip")
+            else:
+                combine(chunk, source.take(at, out=block[:len(chunk)], mode="clip"),
+                        out=chunk)
+
+    def _per_ball(self, reduce):
+        """reduce over each ball's runs of the per-run values: each block of
+        balls (see _buffers) gathers its runs' values into the block buffer
+        and reduces them there.  reduceat works ball by ball, so the values
+        do not depend on the blocks."""
+        _, runs, _, _, gathers = self._buffers
         out = np.empty(len(self.centers))
         for balls, ball_runs, gathered, offsets in gathers:
-            reduce.reduceat(np.take(runs, ball_runs, out=gathered, mode="clip"),
+            reduce.reduceat(runs.take(ball_runs, out=gathered, mode="clip"),
                             offsets, out=out[balls])
         return out
 
@@ -237,8 +259,9 @@ class BallTable:
         for k in range(1, self._levels):
             half, m = 1 << (k - 1), n - (1 << k) + 1
             ufunc(table[k - 1, :m], table[k - 1, half:half + m], out=table[k, :m])
-        return self._per_ball(table.reshape(-1), self._query_lo, self._query_hi,
-                              ufunc, ufunc)
+        self._per_run(table.reshape(-1), self._query_lo)
+        self._per_run(table.reshape(-1), self._query_hi, ufunc)
+        return self._per_ball(ufunc)
 
     def alpha_means(self, values, alpha):
         top = self._extremum(np.maximum, values)
@@ -249,6 +272,7 @@ class BallTable:
         constant = top == bottom
         del bottom
         table, _, _, prefix, _ = self._buffers
+        n = len(self.space)
         # less the global midrange: the rounding scales with the oscillation
         # of u, not with its offset
         mid = 0.5 * values.max() + 0.5 * values.min()
@@ -256,8 +280,14 @@ class BallTable:
         prefix[0] = 0.0
         np.cumsum(np.multiply(self.space.weights, deltas, out=deltas),
                   out=prefix[1:])
-        totals = self._per_ball(prefix, self._run_b, self._run_a, np.subtract,
-                                np.add)
+        # P[b] - P[a] through the queries: row k holds P[i + 2^k] for the
+        # ends, then every row holds P[i] for the starts
+        for k in range(self._levels):
+            table[k, :n + 1 - (1 << k)] = prefix[1 << k:]
+        self._per_run(table.reshape(-1), self._query_hi)
+        table[:] = prefix[:n]
+        self._per_run(table.reshape(-1), self._query_lo, np.subtract)
+        totals = self._per_ball(np.add)
         # centered form, as a correction to the center value:
         # center + (totals - (center - mid) * mu(B)) / mu(B), in place
         center = values[self.centers]
@@ -274,6 +304,63 @@ class BallTable:
         s *= alpha
         m += s
         return m
+
+
+def _joined(blocks):
+    """The (a, b, runs, counts) blocks of Space.ball_runs, consecutive ones
+    joined until their balls hold BLOCK_ENTRIES members: a graph's search
+    block holds a few balls (its rows are whole distance rows), and each
+    block costs the same few calls however few balls it holds."""
+    def join(parts):
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    parts, members = [], 0
+    for part in blocks:
+        parts.append(part)
+        members += int(part[3].sum())
+        if members >= block_rows(1):
+            yield join(parts)
+            parts, members = [], 0
+    if parts:
+        yield join(parts)
+
+
+def _weight_sums(weights, a, b, runs, counts):
+    """mu(B) per ball of one search block from its runs [a, b), summed
+    member by member (np.add.reduceat over its ascending members), a
+    sub-block of balls at a time, cut by their member counts (see
+    space.block_cuts)."""
+    out = np.empty(len(counts))
+    starts = np.cumsum(counts) - counts
+    run_cuts = np.append(np.cumsum(runs) - runs, len(a))
+    cuts = block_cuts(counts)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        block = slice(run_cuts[lo], run_cuts[hi])
+        out[lo:hi] = np.add.reduceat(
+            np.take(weights, run_members(a[block], b[block]), mode="clip"),
+            starts[lo:hi] - starts[lo])
+    return out
+
+
+def _queries(run_keys, n, index_type):
+    """The sparse-table queries (k n + a, k n + b - 2^k) of the runs [a, b)
+    with keys a (n + 1) + b, k = floor(log2(b - a)), in index_type: the
+    windows of length 2^k from a and to b.  A block of runs at a time, each
+    run taking two entries of temporaries (its length and level)."""
+    query_lo = np.empty(len(run_keys), index_type)
+    query_hi = np.empty(len(run_keys), index_type)
+    step = block_rows(2)
+    for lo in range(0, len(run_keys), step):
+        a, b = query_lo[lo:lo + step], query_hi[lo:lo + step]
+        np.divmod(run_keys[lo:lo + step], n + 1, out=(a, b), casting="unsafe")
+        level = np.subtract(b, a, dtype=float)
+        level = np.frexp(level, out=(level, np.empty(len(level), np.int32)))[1]
+        level -= 1
+        b -= np.left_shift(1, level, dtype=index_type)
+        shift = np.multiply(level, n, dtype=index_type)
+        a += shift
+        b += shift
+    return query_lo, query_hi
 
 
 def _ball_radii(space, rho, centers):
@@ -298,6 +385,7 @@ def midrange_value(space, rho, u, x):
 
 def alpha_mean_value(space, rho, u, x, alpha):
     """alpha * midrange + (1 - alpha) * mean at x; any real alpha."""
+    check_parameters(alpha=alpha)
     table = BallTable(space, rho, centers=[x])
     return float(table.alpha_means(point_values(u, "field", len(space)), alpha)[0])
 
@@ -305,6 +393,7 @@ def alpha_mean_value(space, rho, u, x, alpha):
 def apply_alpha_mean(space, rho, u, alpha, table=None):
     """One synchronous sweep: interior replaced by the alpha-mean values,
     boundary copied unchanged."""
+    check_parameters(alpha=alpha)
     v = point_values(u, "field", len(space))
     if table is None:
         table = BallTable(space, rho)
@@ -496,6 +585,7 @@ def check_alpha_mean_modulus(space, rho, u, alpha, members, mean_modulus):
     at the breakpoints t of omega_swept.  Requires |alpha| <= 1
     (out-of-hypothesis notice otherwise); slack is two grid cells.
     """
+    check_parameters(alpha=alpha)
     if abs(alpha) > 1:
         return CheckRecord("alpha_mean_modulus", 0.0, 0.0, False,
                            branch="out-of-hypothesis",

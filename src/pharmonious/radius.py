@@ -504,7 +504,9 @@ def check_radius_bounds(space, rho, lam, beta, epsilon):
     """Verify the two-sided radius restriction per interior point.
 
     A lambda outside its admissibility window (0, max_lambda] is recorded
-    as a gate failure but the pointwise check still runs."""
+    as a gate failure but the pointwise check still runs; a parameter
+    outside its domain is refused (see check_parameters)."""
+    check_parameters(lam=lam, beta=beta, epsilon=epsilon)
     d = space.boundary_distances()
     interior = space.interior_indices
     v = point_values(rho, "radius", len(space))

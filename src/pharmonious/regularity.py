@@ -134,6 +134,7 @@ def fixed_point_oscillation_bound(m, t, *, alpha, norm_u, family):
     terms plus a closed-form geometric tail bound so the certified value
     never depends on the truncation point.
     """
+    check_parameters(m=m, alpha=alpha)
     a = abs(alpha)
     if a > 1:
         raise SpaceFormatError("series bound requires |alpha| <= 1")
@@ -231,6 +232,7 @@ def certified_holder_constant(m, *, alpha, L, epsilon, beta, lam, delta,
     Refuses (naming the condition) when the parameter gate fails; inf when
     a power leaves the float range, a bound that certifies nothing.
     """
+    check_parameters(m=m)
     gate = radius_mod.validate_parameters(alpha, L, epsilon, beta, lam,
                                           ell_omega, delta)
     if not gate.passed:

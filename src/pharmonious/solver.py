@@ -175,7 +175,9 @@ def residual(space, rho, u, alpha):
     Space._table_cuts), so no whole table is held; the radii are checked
     once, as a whole table checks them.  Each ball's value is the one a
     whole table gives (the same runs and the same whole-space prefix
-    sums), and the max is exact."""
+    sums), and the max is exact.  An alpha that is not a finite number is
+    refused (see check_parameters)."""
+    check_parameters(alpha=alpha)
     v = point_values(u, "field", len(space))
     centers = space.interior_indices
     cuts = space._table_cuts(centers, ops._ball_radii(space, rho, centers))

@@ -194,7 +194,20 @@ def check_parameters(**values):
         where = "" if low == -math.inf else f" in {ends[0]}{low}, {high}{ends[1]}"
         raise SpaceFormatError(f"{name} must be a finite "
                                f"{'integer' if integer else 'number'}{where}, "
-                               f"got {value!r}")
+                               f"got {_shown(value)}")
+
+
+def _shown(value):
+    """repr(value), or, for an integer too long for repr (more than 4,300
+    digits under Python's default limit), its sign and digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(int(value))
+        # math.log10 takes any int; its float may be one off at a power of 10
+        digits = math.floor(math.log10(size)) + 1
+        digits += (size >= 10 ** digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 def block_rows(width):
@@ -216,10 +229,12 @@ def block_cuts(sizes):
         [len(sizes)]]))
 
 
-def distinct(values):
+def distinct(values, kind=None):
     """The sorted distinct entries of values, flattened: np.unique without
-    its masked-array check, which imports numpy.ma.  NaNs are not merged."""
-    values = np.sort(values, axis=None)
+    its masked-array check, which imports numpy.ma.  NaNs are not merged.
+    kind is np.sort's: "stable" merges values that are a few sorted runs
+    in one pass."""
+    values = np.sort(values, axis=None, kind=kind)
     keep = np.empty(len(values), dtype=bool)
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -1026,40 +1041,37 @@ class Space:
     def balls(self, centers, radii):
         """Closed balls {y : d(c, y) <= r} as (members, counts): the members
         of every ball in ascending order, concatenated, and one count per
-        ball; the runs of ball_runs, expanded."""
-        a, b, _, counts = self.ball_runs(centers, radii)
-        return run_members(a, b), counts
+        ball; the runs of ball_runs, expanded block by block."""
+        members, counts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for a, b, _, counts_k in self.ball_runs(centers, radii):
+            members.append(run_members(a, b))
+            counts.append(counts_k)
+        return np.concatenate(members), np.concatenate(counts)
 
     def ball_runs(self, centers, radii):
         """Closed balls {y : d(c, y) <= r} as maximal runs [a, b) of
-        consecutive point indices: (a, b, runs, counts), the runs of every
-        ball in ascending order, concatenated, and per ball its number of
-        runs and of members.  A negative radius gives an empty ball; a
-        non-finite one is refused.  The backend searches one block of
-        centers at a time (see _Euclidean.ball_intervals; graphs stop
-        their search, by rounds or by Dijkstra, at the block's largest
-        radius), the blocks cut by the entries each center's search holds
-        (see block_cuts and _Metric.ball_width).  a and b are new arrays,
-        the caller's to overwrite (BallTable builds its key over a)."""
+        consecutive point indices, one block of centers at a time: an
+        iterator of (a, b, runs, counts) per block, the blocks in center
+        order, each holding the runs of its balls in ascending order,
+        concatenated, and per ball its number of runs and of members.  A
+        negative radius gives an empty ball; a non-finite one is refused at
+        the call, before any search.  The backend searches each block as
+        it is read (see _Euclidean.ball_intervals; graphs stop their
+        search, by rounds or by Dijkstra, at the block's largest radius),
+        the blocks cut by the entries each center's search holds (see
+        block_cuts and _Metric.ball_width), so no whole list of runs is
+        held here."""
         centers = self._indices(centers)
         radii = point_values(radii, "ball radius", len(centers))
         cuts = block_cuts(self._metric.ball_width(centers, radii))
-        # runs and counts are filled in place: small per-block parts of them,
-        # left between the parts of a and b, kept the heap from shrinking
-        # once those were joined
-        runs, counts = np.empty(len(centers), np.intp), np.empty(len(centers), np.intp)
-        a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            owner, a_k, b_k = _merge_runs(*self._metric.ball_intervals(
-                centers[lo:hi], radii[lo:hi]))
-            a.append(a_k)
-            b.append(b_k)
-            runs[lo:hi] = np.bincount(owner, minlength=hi - lo)
-            counts[lo:hi] = np.bincount(owner, b_k - a_k, hi - lo)
-        # one list of parts at a time, each dropped as it is joined
-        a = np.concatenate(a)
-        b = np.concatenate(b)
-        return a, b, runs, counts
+        return (self._run_block(centers[lo:hi], radii[lo:hi])
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    def _run_block(self, centers, radii):
+        """(a, b, runs, counts) of the balls of one block of ball_runs."""
+        owner, a, b = _merge_runs(*self._metric.ball_intervals(centers, radii))
+        return (a, b, np.bincount(owner, minlength=len(centers)),
+                np.bincount(owner, b - a, len(centers)).astype(np.intp))
 
     def _table_cuts(self, centers, radii):
         """Cuts of the checked centers into blocks whose balls hold fewer

@@ -89,6 +89,19 @@ def shuffled(sp, seed):
     return reordered(sp, np.random.default_rng(seed).permutation(len(sp)))
 
 
+def run_ends(table):
+    """(a, b) of each distinct run [a, b) of a BallTable, read off its two
+    sparse-table queries k n + a and k n + b - 2^k, with a check that k is
+    the run's level floor(log2(b - a)) and the table has one level more
+    than its longest run's."""
+    n = len(table.space)
+    k, a = np.divmod(table._query_lo.astype(np.int64), n)
+    b = table._query_hi - k * n + 2 ** k
+    assert np.all((2 ** k <= b - a) & (b - a < 2 ** (k + 1)))
+    assert table._levels == int(k.max(initial=0)) + 1
+    return a, b
+
+
 # -- graph test spaces ----------------------------------------------------------
 
 

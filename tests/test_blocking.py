@@ -10,7 +10,7 @@ from pharmonious import (BallTable, RadiusField, disk_grid, empirical_holder,
 from pharmonious import space as space_mod
 from pharmonious.radius import gap_majorant, max_gap_ratio
 
-from conftest import disk_cloud
+from conftest import disk_cloud, run_ends
 
 TINY = 37  # entries per block: most blocks hold one row, ball or pair
 
@@ -32,7 +32,8 @@ def _everything(make):
     u = np.sin(7.0 * np.arange(len(sp)) / len(sp)) / 3.0
     out.update({name: getattr(table, name) for name in (
         "centers", "counts", "starts", "weight_sums", "indices", "_first_run",
-        "_ball_runs", "_run_a", "_run_b", "_query_lo", "_query_hi")})
+        "_ball_runs", "_query_lo", "_query_hi")})
+    out["run_ends"] = run_ends(table)
     for alpha in (0.0, 0.3, 1.0):
         out[f"alpha_means {alpha}"] = table.alpha_means(u, alpha)
     out["residual"] = residual(sp, rho, u, 0.3)
@@ -183,7 +184,7 @@ def test_sweep_buffers_hold_one_block_of_gathers():
     table = BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.4))
     table.alpha_means(np.zeros(len(sp)), 0.3)
     *arrays, gathers = table._buffers
-    n, runs, balls = len(sp), len(table._run_a), len(table.centers)
+    n, runs, balls = len(sp), len(table._query_lo), len(table.centers)
     widest = np.diff(np.append(table._first_run, len(table._ball_runs))).max()
     block = space_mod.BLOCK_ENTRIES + widest
     # views of the block and of the table, and one offset per ball

@@ -211,13 +211,21 @@ def test_workflow_runs_the_console_script():
 
 
 def test_workflow_runs_the_golden_test_on_baseline_simd():
-    # the golden outputs once more with numpy's AVX2 and AVX-512 kernels
-    # off: an output whose bits hang on the SIMD width fails there
+    # the golden outputs, the blocking tests and the ball-table oracle tests
+    # once more with numpy's AVX2 and AVX-512 kernels off: an output whose
+    # bits hang on the SIMD width, or on the cast of the table's int32
+    # indices, fails there
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     runs = [line.strip()[len("run:"):].strip() for line in workflow.splitlines()
             if line.strip().startswith("run:")]
+    oracles = ["test_ball_table_matches_ball_queries",
+               "test_ball_table_matches_member_oracle",
+               "test_keys_out_of_strip_order_ball_table_matches_member_oracle",
+               "test_prefix_sums_are_read_through_the_queries",
+               "test_run_kernel_matches_memberwise_reduction"]
     assert 'NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" '\
-        'PYTHONPATH=src python -m pytest -q tests/test_golden.py' in runs
+        'PYTHONPATH=src python -m pytest -q tests/test_golden.py tests/test_blocking.py ' + \
+        " ".join(f"tests/test_operators.py::{name}" for name in oracles) in runs
 
 
 def test_workflow_run_lines_are_plain_yaml_scalars():

@@ -16,9 +16,10 @@ from pharmonious import (AdmissibilityError, BallTable, Modulus, RadiusField,
                          lattice_graph, mean_value, midrange_value,
                          path_graph, read_field_csv, solve_dirichlet,
                          SolveConfig, Space, square_grid, write_field_csv)
+from pharmonious.operators import _queries
 
 import reference as ref
-from conftest import box_space, cloud, cube_grid, reordered, shuffled
+from conftest import box_space, cloud, cube_grid, reordered, run_ends, shuffled
 
 
 @pytest.fixture(scope="module")
@@ -532,10 +533,11 @@ def _assert_table_matches_oracle(table, rho):
     assert np.array_equal(table.indices, members)
     assert np.array_equal(table.weight_sums,
                           np.add.reduceat(sp.weights[members], starts))
-    assert np.array_equal(table._run_a[table._ball_runs], a)
-    assert np.array_equal(table._run_b[table._ball_runs], b)
+    run_a, run_b = run_ends(table)
+    assert np.array_equal(run_a[table._ball_runs], a)
+    assert np.array_equal(run_b[table._ball_runs], b)
     # each distinct run once
-    key = table._run_a * (len(sp) + 1) + table._run_b
+    key = run_a * (len(sp) + 1) + run_b
     assert np.all(np.diff(key) > 0)
 
 
@@ -641,12 +643,14 @@ def test_ball_table_build_and_sweeps_hold_little_memory(traced):
     # the build held 12.9 MB above what it keeps (the blocks' owners, a and
     # b joined at once, then the dedupe's key, sort and which), then 3.2 MB
     # (the sparse-table queries built from whole-length temporaries), and
-    # every sweep allocated 4.8 MB of run and membership temporaries
+    # every sweep allocated 4.8 MB of run and membership temporaries; with
+    # intp runs and queries the build kept 6.6 MB and peaked at 7.5 MB
     sp = square_grid(129)
     rho = RadiusField.scaled_boundary_distance(sp, 0.4)
     tables = []
     kept, peak = traced(lambda: tables.append(BallTable(sp, rho)))
     assert peak < kept + 1.5e6, (kept, peak)
+    assert peak < 4.5e6, peak
     table = tables[0]
     u = np.random.default_rng(2).uniform(-1.0, 1.0, len(sp)) / 3.0
     first = table.alpha_means(u, 0.3)  # allocates the sweep buffers
@@ -655,6 +659,79 @@ def test_ball_table_build_and_sweeps_hold_little_memory(traced):
     _, peak = traced(lambda: again.append(table.alpha_means(u, 0.3)))
     assert peak < 1e6, peak
     assert np.array_equal(first, again[0])
+
+
+def test_ball_table_keeps_four_bytes_per_ball_run_and_two_queries_per_run():
+    # the five intp index arrays of 129^2 (282,627 ball-runs, 109,331
+    # distinct runs as ends a, b and two queries) took 5.5 MB
+    sp = square_grid(129)
+    table = BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.4))
+    index = (table._ball_runs, table._query_lo, table._query_hi)
+    assert [a.dtype for a in index] == [np.dtype(np.int32)] * 3
+    ball_runs, runs = len(table._ball_runs), len(table._query_lo)
+    per_ball = sum(getattr(table, name).nbytes for name in (
+        "centers", "counts", "starts", "_first_run", "weight_sums"))
+    held = sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray))
+    assert held <= 4 * (ball_runs + 2 * runs) + per_ball
+
+
+def test_queries_do_not_depend_on_the_key_and_index_types():
+    # keys outgrow uint32 once (n + 1)^2 > 2^32 (n >= 65,536) and queries
+    # outgrow int32 once levels * n >= 2^31, both too large for a test
+    # table: one table's queries are built again from its keys in the
+    # wider types
+    sp = square_grid(33)
+    table = BallTable(sp, RadiusField.scaled_boundary_distance(sp, 0.4))
+    a, b = run_ends(table)
+    keys = a * (len(sp) + 1) + b
+    for key_type, index_type in itertools.product((np.uint32, np.uint64),
+                                                  (np.int32, np.int64)):
+        lo, hi = _queries(keys.astype(key_type), len(sp), index_type)
+        assert lo.dtype == hi.dtype == index_type
+        assert np.array_equal(lo, table._query_lo)
+        assert np.array_equal(hi, table._query_hi)
+
+
+def _stride_line(n=257, stride=128):
+    """interval_grid(n) in the point order 0, stride, 2 stride, ... (mod n):
+    index-consecutive points lie at least min(stride, n - stride) cells
+    apart, so no ball of radius 0.4 dist holds two of them."""
+    return reordered(interval_grid(n), stride * np.arange(n) % n)
+
+
+def _power_runs(n=33):
+    """interval_grid(n) with the radius (i + 1) h at point i: the ball of
+    point i is [0, 2i + 2) clipped to the space, so runs of exactly 4, 8,
+    16 and 32 points (2^k) are among its runs."""
+    sp = interval_grid(n)
+    return sp, RadiusField((np.arange(n) + 1.0) / (n - 1))
+
+
+@pytest.mark.parametrize("case", ["one_level", "powers_of_two"])
+def test_prefix_sums_are_read_through_the_queries(case):
+    # the mean reads P[b] at k n + b - 2^k of row k shifted by 2^k, then
+    # P[a] at k n + a: a one-level table reads both from row 0, and a run
+    # of exactly 2^k points reads both windows at one column
+    if case == "one_level":
+        sp = _stride_line()
+        rho = RadiusField.scaled_boundary_distance(sp, 0.4)
+    else:
+        sp, rho = _power_runs()
+    table = BallTable(sp, rho)
+    _assert_table_matches_oracle(table, rho)
+    a, b = run_ends(table)
+    if case == "one_level":
+        assert table._levels == 1 and np.all(b - a == 1)
+    else:
+        assert {4, 8, 16, 32} <= set((b - a).tolist())
+        assert table._levels == 6
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, len(sp))
+    radii = rho.values[table.centers]
+    for alpha in (0.0, 0.3, 1.0):
+        want = ref.alpha_means(sp, table.centers, radii, u, alpha)
+        got = table.alpha_means(u, alpha)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(u).max(), alpha
+        assert alpha != 1.0 or np.array_equal(got, want)
 
 
 def test_strips_are_the_rows_of_a_raveled_grid():

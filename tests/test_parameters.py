@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from pharmonious import (Modulus, ModulusFamily, RadiusField, SolveConfig,
-                         SpaceFormatError, TheoreticalModulus, certify,
-                         check_hypotheses, empirical_holder, exhaustion,
-                         iterate_modulus, iterate_modulus_bound, solve_dirichlet,
+                         SpaceFormatError, TheoreticalModulus, alpha_mean_value,
+                         apply_alpha_mean, certified_holder_constant, certify,
+                         check_alpha_mean_modulus, check_hypotheses,
+                         check_radius_bounds, empirical_holder, exhaustion,
+                         fixed_point_oscillation_bound, iterate_modulus,
+                         iterate_modulus_bound, residual, solve_dirichlet,
                          square_grid, validate_parameters)
 from pharmonious.space import COUNT_MAX, PARAMETER_DOMAINS, check_parameters
 
@@ -78,6 +81,22 @@ ENTRIES = {
     "scaled_boundary_distance":
         lambda rho_factor=0.4, rho_power=1.0:
         RadiusField.scaled_boundary_distance(SPACE, rho_factor, rho_power),
+    "residual": lambda alpha=0.3: residual(SPACE, RHO, FIELD, alpha),
+    "apply_alpha_mean": lambda alpha=0.3: apply_alpha_mean(SPACE, RHO, FIELD, alpha),
+    "alpha_mean_value":
+        lambda alpha=0.3: alpha_mean_value(SPACE, RHO, FIELD, 40, alpha),
+    "check_alpha_mean_modulus":
+        lambda alpha=0.3: check_alpha_mean_modulus(
+            SPACE, RHO, FIELD, alpha, exhaustion(SPACE, 0.5, 2), Modulus.identity(2.0)),
+    "certified_holder_constant":
+        lambda m=2, alpha=0.3, L=1.0, epsilon=0.5, beta=1.0, lam=0.4, delta=1.0:
+        certified_holder_constant(m, alpha=alpha, L=L, epsilon=epsilon, beta=beta,
+                                  lam=lam, delta=delta, norm_u=1.0, C=1.0),
+    "fixed_point_oscillation_bound":
+        lambda m=2, alpha=0.3:
+        fixed_point_oscillation_bound(m, 0.1, alpha=alpha, norm_u=1.0, family=_family()),
+    "check_radius_bounds":
+        lambda lam=0.4, beta=1.0, epsilon=0.5: check_radius_bounds(SPACE, RHO, lam, beta, epsilon),
 }
 
 
@@ -157,3 +176,38 @@ def test_integers_are_compared_without_float_conversion():
         check_parameters(seed=COUNT_MAX + 1)
     with pytest.raises(SpaceFormatError, match="^m must be"):
         check_parameters(m=float(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual(SPACE, RHO, FIELD, math.nan),
+    lambda: apply_alpha_mean(SPACE, RHO, FIELD, math.nan),
+    lambda: alpha_mean_value(SPACE, RHO, FIELD, 40, math.nan)],
+    ids=["residual", "apply_alpha_mean", "alpha_mean_value"])
+def test_an_alpha_of_nan_is_refused_by_every_sweep_entry_point(call):
+    # residual and alpha_mean_value returned nan, apply_alpha_mean zeros
+    with pytest.raises(SpaceFormatError, match="^alpha must be a finite number, got nan$"):
+        call()
+
+
+def test_the_bound_helpers_refuse_a_fractional_m_and_a_nan_epsilon():
+    # certified_holder_constant(2.5, ...) returned 24.749, and a nan epsilon
+    # reported no upper violation in check_radius_bounds
+    with pytest.raises(SpaceFormatError, match="^m must be a finite integer"):
+        ENTRIES["certified_holder_constant"](m=2.5)
+    with pytest.raises(SpaceFormatError, match="^m must be a finite integer"):
+        ENTRIES["fixed_point_oscillation_bound"](m=2.5)
+    with pytest.raises(SpaceFormatError, match="^epsilon must be a finite number"):
+        check_radius_bounds(SPACE, RHO, 0.4, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 5000, "an integer of 5001 digits"),
+    (10 ** 5000 - 1, "an integer of 5000 digits"),
+    (-10 ** 6000, "a negative integer of 6001 digits")],
+    ids=["5001-digits", "5000-digits", "negative-6001-digits"])
+def test_an_integer_too_long_for_repr_is_named_by_its_digits(value, shown):
+    # repr of an integer past 4,300 digits raised Python's ValueError
+    with pytest.raises(SpaceFormatError,
+                       match=f"^seed must be a finite integer in \\[0, {COUNT_MAX}\\], "
+                             f"got {shown}$"):
+        check_parameters(seed=value)
